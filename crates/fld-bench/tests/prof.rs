@@ -22,18 +22,24 @@ use fld_sim::time::{SimDuration, SimTime};
 /// Serializes tests that arm/disarm process-wide profiling.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// The deterministic workload: the same closed-loop echo as the
-/// telemetry goldens, with the flight recorder sampling each µs.
-fn echo_run(telemetry: bool) -> RunStats {
-    let cfg = SystemConfig::remote();
-    let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, 64, 256);
+/// The closed-loop echo system of the telemetry goldens, offering
+/// `packets` frames of `payload` bytes.
+fn echo_system(packets: u64, payload: u32) -> FldSystem {
+    let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, packets, payload);
     let mut sys = FldSystem::new(
-        cfg,
+        SystemConfig::remote(),
         Box::new(EchoAccelerator::prototype()),
         HostMode::Consume,
         gen,
     );
     steer_to_accel(&mut sys.nic);
+    sys
+}
+
+/// The deterministic workload: the same closed-loop echo as the
+/// telemetry goldens, with the flight recorder sampling each µs.
+fn echo_run(telemetry: bool) -> RunStats {
+    let mut sys = echo_system(64, 256);
     if telemetry {
         sys.enable_telemetry(4096);
     }
@@ -150,6 +156,134 @@ fn allocation_counts_are_reproducible_across_reruns() {
             .find(|p| p.name == pa.name)
             .unwrap_or_else(|| panic!("{} missing from rerun", pa.name));
         assert_eq!((pa.calls, pa.allocs), (pb.calls, pb.allocs), "{}", pa.name);
+    }
+}
+
+/// What the tick-cost test reads off one profiled, recorded run.
+#[cfg(all(feature = "prof", feature = "trace"))]
+struct Ticked {
+    profile: prof::Profile,
+    timeline: fld_sim::probe::Timeline,
+    audit: fld_sim::audit::AuditReport,
+}
+
+#[cfg(all(feature = "prof", feature = "trace"))]
+impl Ticked {
+    /// Allocations the profiler attributed to `phase`.
+    fn allocs(&self, phase: &str) -> u64 {
+        let p = self.profile.phases.iter().find(|p| p.name == phase);
+        p.unwrap_or_else(|| panic!("phase {phase} missing")).allocs
+    }
+
+    /// Allocations the recorded series' value buffers cost: the sampled
+    /// data itself, grown by `Vec`'s amortized doubling — O(log ticks)
+    /// per series. Replayed rather than derived, so the test does not
+    /// encode the growth policy.
+    fn series_growth_allocs(&self) -> u64 {
+        let mut allocs = 0;
+        for s in self.timeline.series() {
+            let (mut buf, mut cap) = (Vec::<f64>::new(), 0);
+            for &v in &s.values {
+                buf.push(v);
+                if buf.capacity() != cap {
+                    cap = buf.capacity();
+                    allocs += 1;
+                }
+            }
+        }
+        allocs
+    }
+}
+
+/// 256 × 64 B through [`echo_system`], sampled every `interval` with
+/// profiling armed.
+#[cfg(all(feature = "prof", feature = "trace"))]
+fn ticked_echo(interval: SimDuration) -> Ticked {
+    let mut sys = echo_system(256, 64);
+    sys.enable_strict_audit();
+    sys.enable_flight_recorder(interval);
+    prof::set_enabled(true);
+    let stats = sys.run(SimTime::ZERO, SimTime::from_millis(100));
+    prof::set_enabled(false);
+    let _ = prof::take_global();
+    Ticked {
+        profile: stats.profile,
+        timeline: stats.timeline,
+        audit: stats.audit,
+    }
+}
+
+/// The benchmark's `rack_chaos` system — 4 nodes × 6 tenants under
+/// churn, the scripted crash/unplug/flap schedule, strict audit — over
+/// 8 simulated ms, sampled every `interval` with profiling armed.
+#[cfg(all(feature = "prof", feature = "trace"))]
+fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
+    use fld_bench::experiments::{chaos, rack};
+    use fld_bench::Scale;
+    let cfg = chaos::rack_cfg(7);
+    let scale = Scale {
+        packets: 0,
+        warmup_ms: 0,
+        deadline_ms: 8,
+    };
+    let mut rack = rack::build_rack(cfg, chaos::RACK_CHURN);
+    rack.enable_fault_schedule(
+        chaos::rack_schedule(scale, 7, cfg.nodes, cfg.tenants),
+        fld_sim::health::HealthConfig::default(),
+    );
+    rack.enable_flight_recorder(interval);
+    rack.enable_strict_audit();
+    prof::set_enabled(true);
+    let stats = rack.run(scale.warmup(), scale.deadline());
+    prof::set_enabled(false);
+    Ticked {
+        profile: prof::take_global().expect("the run was profiled"),
+        timeline: stats.timeline,
+        audit: stats.audit,
+    }
+}
+
+/// A steady-state flight-recorder tick allocates nothing and evaluates
+/// a fixed set of checks: the same simulated run sampled four times as
+/// often (N vs 4N ticks) costs not one allocation more in `sample.audit`,
+/// and in `sample.probes` only what the longer recorded series
+/// themselves need — while `audit.checks` grows by exactly the per-tick
+/// check count of the string-scanning audit this replaced (17 on the
+/// echo system, 133 on the chaos rack).
+#[cfg(all(feature = "prof", feature = "trace"))]
+#[test]
+fn tick_allocations_do_not_grow_with_the_tick_count() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let us = SimDuration::from_micros;
+    type Build = fn(SimDuration) -> Ticked;
+    let systems: [(&str, Build, SimDuration, u64); 2] = [
+        ("echo", ticked_echo, us(1), 18),
+        ("chaos rack", ticked_chaos_rack, us(40), 133),
+    ];
+    for (name, run, coarse, checks_per_tick) in systems {
+        let fine = SimDuration::from_picos(coarse.as_picos() / 4);
+        let (a, b) = (run(coarse), run(fine));
+        assert!(a.audit.passed() && b.audit.passed(), "{name}");
+        let (ticks_a, ticks_b) = (a.timeline.ticks(), b.timeline.ticks());
+        assert!(
+            ticks_a > 100 && ticks_b >= 4 * ticks_a - 4,
+            "{name}: {ticks_a} vs {ticks_b}"
+        );
+        assert_eq!(
+            b.audit.checks - a.audit.checks,
+            (ticks_b - ticks_a) * checks_per_tick,
+            "{name}: checks per tick changed"
+        );
+        assert_eq!(
+            b.allocs("sample.audit"),
+            a.allocs("sample.audit"),
+            "{name}: sample.audit allocations depend on the tick count"
+        );
+        assert_eq!(
+            b.allocs("sample.probes") - a.allocs("sample.probes"),
+            b.series_growth_allocs() - a.series_growth_allocs(),
+            "{name}: sample.probes allocates beyond the recorded series' own growth"
+        );
     }
 }
 

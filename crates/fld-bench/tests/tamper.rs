@@ -1,0 +1,378 @@
+//! Tamper tests: the per-tick audit reads counters through handles and
+//! groups resolved at wiring time, and that cache must never be able to
+//! mask or delay a violation. Each scenario runs a real system with the
+//! flight recorder on, corrupts one audited leaf mid-run behind its
+//! aggregate's back — an existing leaf, or a brand-new one registered
+//! under an audited prefix (the group-invalidation path) — and pins the
+//! outcome to what the string-scanning audit this replaced reported:
+//! the same first violation (`at`, component, invariant, detail), the
+//! same number of violations over the rest of the run (every later tick
+//! plus the end-of-run audit — none skipped), and the same strict-audit
+//! panic message.
+#![cfg(feature = "trace")]
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use fld_accel::echo::EchoAccelerator;
+use fld_bench::experiments::echo::steer_to_accel;
+use fld_core::rack::{
+    FlowPopulation, Rack, RackConfig, StaticPopulation, TenantFlow, TrafficPattern,
+};
+use fld_core::rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaSystem};
+use fld_core::system::{
+    AccelOutput, AcceleratorModel, ClientGen, FldSystem, GenMode, HostMode, SystemConfig,
+};
+use fld_nic::packet::SimPacket;
+use fld_sim::audit::AuditReport;
+use fld_sim::counters::CounterTree;
+use fld_sim::fault::{FaultLedger, FaultPlan};
+use fld_sim::rng::SimRng;
+use fld_sim::time::{SimDuration, SimTime};
+
+/// Bumps `path` in a system's counter tree on the `at`-th call of
+/// [`Tamper::poke`] — called from inside the model (an accelerator or a
+/// flow population), i.e. between two flight-recorder ticks. The tree
+/// only exists once the system is built, hence the late-bound slot.
+#[derive(Debug)]
+struct Tamper {
+    tree: OnceLock<CounterTree>,
+    path: &'static str,
+    at: u64,
+    calls: AtomicU64,
+    /// Simulated ns of the tampering call, where the caller knows it.
+    poked_ns: AtomicU64,
+}
+
+impl Tamper {
+    fn new(path: &'static str, at: u64) -> Arc<Tamper> {
+        Arc::new(Tamper {
+            tree: OnceLock::new(),
+            path,
+            at,
+            calls: AtomicU64::new(0),
+            poked_ns: AtomicU64::new(u64::MAX),
+        })
+    }
+
+    fn bind(&self, tree: &CounterTree) {
+        self.tree.set(tree.clone()).expect("bound once");
+    }
+
+    fn poke(&self, now: Option<SimTime>) {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.at {
+            if let Some(now) = now {
+                self.poked_ns.store(now.as_nanos(), Ordering::Relaxed);
+            }
+            // `counter` shares an existing leaf's cell or registers a
+            // new leaf — either way without touching any aggregate.
+            self.tree.get().expect("bound").counter(self.path).inc();
+        }
+    }
+}
+
+#[derive(Debug)]
+struct TamperingEcho(EchoAccelerator, Arc<Tamper>);
+
+impl AcceleratorModel for TamperingEcho {
+    fn process(&mut self, pkt: SimPacket, next_table: Option<u16>, now: SimTime) -> AccelOutput {
+        self.1.poke(Some(now));
+        self.0.process(pkt, next_table, now)
+    }
+}
+
+#[derive(Debug)]
+struct TamperingMsgEcho(Arc<Tamper>);
+
+impl MsgAccelerator for TamperingMsgEcho {
+    fn process_message(&mut self, bytes: u32, now: SimTime) -> (SimTime, u32) {
+        self.0.poke(Some(now));
+        MsgEcho.process_message(bytes, now)
+    }
+}
+
+#[derive(Debug)]
+struct TamperingPopulation(StaticPopulation, Arc<Tamper>);
+
+impl FlowPopulation for TamperingPopulation {
+    fn next_arrival_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
+        self.0.next_arrival_gap(rng)
+    }
+    fn arrive(&mut self, rng: &mut SimRng) -> Option<(TenantFlow, SimDuration)> {
+        self.0.arrive(rng)
+    }
+    fn depart(&mut self, id: u64) -> bool {
+        self.0.depart(id)
+    }
+    fn pick(&self, tenant: u16, rng: &mut SimRng) -> Option<TenantFlow> {
+        self.1.poke(None);
+        self.0.pick(tenant, rng)
+    }
+    fn active_count(&self) -> usize {
+        self.0.active_count()
+    }
+}
+
+/// One tampered run: its audit, the simulated instant of the tamper
+/// (where the tampering call site is told the time) and the tick period.
+struct Outcome {
+    audit: AuditReport,
+    poked_ns: Option<u64>,
+    tick_ns: u64,
+}
+
+impl Outcome {
+    fn new(audit: AuditReport, tamper: &Tamper, tick: SimDuration) -> Outcome {
+        let poked = tamper.poked_ns.load(Ordering::Relaxed);
+        assert!(
+            tamper.calls.load(Ordering::Relaxed) >= tamper.at,
+            "the run ended before the tamper fired"
+        );
+        Outcome {
+            audit,
+            poked_ns: (poked != u64::MAX).then_some(poked),
+            tick_ns: tick.as_nanos(),
+        }
+    }
+}
+
+/// Closed-loop 64 B echo, 1 µs ticks; the 100th packet through the
+/// accelerator tampers. `faults` arms a zero-rate plan: nothing is ever
+/// injected, but the fault-attribution audit runs.
+fn echo_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
+    let tamper = Tamper::new(path, 100);
+    let tick = SimDuration::from_micros(1);
+    let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, 256, 64);
+    let accel = TamperingEcho(EchoAccelerator::prototype(), tamper.clone());
+    let mut sys = FldSystem::new(
+        SystemConfig::remote(),
+        Box::new(accel),
+        HostMode::Consume,
+        gen,
+    );
+    steer_to_accel(&mut sys.nic);
+    tamper.bind(sys.counter_tree());
+    if faults {
+        sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
+    }
+    if strict {
+        sys.enable_strict_audit();
+    }
+    sys.enable_flight_recorder(tick);
+    let stats = sys.run(SimTime::ZERO, SimTime::from_millis(100));
+    Outcome::new(stats.audit, &tamper, tick)
+}
+
+/// FLD-R 1 KiB message echo, 5 µs ticks; the 50th message tampers.
+fn rdma_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
+    let tamper = Tamper::new(path, 50);
+    let tick = SimDuration::from_micros(5);
+    let mut sys = RdmaSystem::new(
+        RdmaConfig::remote(1024, 16, 200),
+        Box::new(TamperingMsgEcho(tamper.clone())),
+    );
+    tamper.bind(sys.counter_tree());
+    if faults {
+        sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
+    }
+    if strict {
+        sys.enable_strict_audit();
+    }
+    sys.enable_flight_recorder(tick);
+    let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
+    Outcome::new(stats.audit, &tamper, tick)
+}
+
+/// 2 nodes × 3 tenants, 50 µs ticks over 2 ms; the 150th generated
+/// packet tampers with the rack tree (`node: None`) or a node's tree.
+fn rack_run(path: &'static str, node: Option<usize>, strict: bool) -> Outcome {
+    let cfg = RackConfig {
+        nodes: 2,
+        tenants: 3,
+        tx_queues: 4,
+        victim_rate: 60_000.0,
+        aggressor_rate: 90_000.0,
+        payload: 512,
+        pattern: TrafficPattern::Uniform,
+        seed: 0x5EED_2AC4,
+        ..RackConfig::default()
+    };
+    let tamper = Tamper::new(path, 150);
+    let tick = SimDuration::from_micros(50);
+    let pop = TamperingPopulation(StaticPopulation::new(3, 2, 2), tamper.clone());
+    let mut rack = Rack::new(cfg, Box::new(pop));
+    tamper.bind(match node {
+        None => rack.counter_tree(),
+        Some(n) => rack.nodes()[n].counter_tree(),
+    });
+    if strict {
+        rack.enable_strict_audit();
+    }
+    rack.enable_flight_recorder(tick);
+    let stats = rack.run(SimTime::ZERO, SimTime::from_millis(2));
+    Outcome::new(stats.audit, &tamper, tick)
+}
+
+/// One violation as `(at_ns, component, invariant, detail)`.
+type Pinned = (u64, &'static str, &'static str, &'static str);
+
+/// Checks a scenario against what the parent commit's string-scanning
+/// audit reported for it: `first` are the violations of the first tick
+/// after the tamper, in recording order, and `total` the violations
+/// over the whole run.
+fn check(run: impl Fn(bool) -> Outcome, first: &[Pinned], total: u64) {
+    let got = run(false);
+    let recorded: Vec<(u64, &str, &str, &str)> = got
+        .audit
+        .recorded
+        .iter()
+        .map(|v| {
+            (
+                v.at.as_nanos(),
+                v.component.as_str(),
+                v.invariant,
+                v.detail.as_str(),
+            )
+        })
+        .collect();
+    assert!(recorded.starts_with(first), "{recorded:#?}");
+    assert_eq!(got.audit.violations, total, "{}", got.audit);
+    // The very next tick: no tick boundary lies between the tamper and
+    // the first violation.
+    let (at, component, invariant, detail) = first[0];
+    if let Some(poked) = got.poked_ns {
+        assert!(
+            poked <= at && at - poked < got.tick_ns,
+            "tampered at {poked} ns, first violation at {at} ns"
+        );
+    }
+    // Strict mode dies on that same first violation, same words.
+    let panic =
+        catch_unwind(AssertUnwindSafe(|| run(true).audit)).expect_err("strict audit must panic");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("panic carries its message");
+    assert_eq!(
+        *msg,
+        format!("strict audit failed: [{at} ns] {component} violated {invariant}: {detail}")
+    );
+}
+
+#[test]
+fn echo_tampered_group_member_is_caught_on_the_next_tick() {
+    check(
+        |strict| echo_run("port/0/queue/tx/0/packets", false, strict),
+        &[(
+            73_000,
+            "counters.txq",
+            "counter-telescope",
+            "per-tx-queue packets sum to 101, device enqueued 100",
+        )],
+        117,
+    );
+}
+
+/// The leaf is registered mid-run, after the `flow/*/packets` group was
+/// resolved and read: the group must notice the tree grew.
+#[test]
+fn echo_new_leaf_under_an_audited_prefix_is_caught_on_the_next_tick() {
+    check(
+        |strict| echo_run("flow/tampered/packets", false, strict),
+        &[(
+            73_000,
+            "counters.flow",
+            "counter-telescope",
+            "per-flow packets sum to 102 but port rx saw 101",
+        )],
+        117,
+    );
+}
+
+#[test]
+fn echo_tampered_fault_counter_is_caught_on_the_next_tick() {
+    check(
+        |strict| echo_run("faults/fld/drop", true, strict),
+        &[(
+            73_000,
+            "fld",
+            "fault-attribution",
+            "0 faults of kind drop injected but only 1 attributed to faults/<entity>/drop counter paths",
+        )],
+        117,
+    );
+}
+
+#[test]
+fn rdma_tampered_qp_leaf_is_caught_on_the_next_tick() {
+    check(
+        |strict| rdma_run("qp/256/tx_packets", false, strict),
+        &[(
+            35_000,
+            "counters.qp",
+            "counter-telescope",
+            "counter qp/256/tx_packets reads 65 but the aggregate is 64",
+        )],
+        35,
+    );
+}
+
+/// A fault counter under an entity no injector owns, registered mid-run.
+#[test]
+fn rdma_rogue_fault_entity_is_caught_on_the_next_tick() {
+    check(
+        |strict| rdma_run("faults/rogue/rnr", true, strict),
+        &[(
+            35_000,
+            "rdma",
+            "fault-attribution",
+            "0 faults of kind rnr injected but only 1 attributed to faults/<entity>/rnr counter paths",
+        )],
+        35,
+    );
+}
+
+#[test]
+fn rack_tampered_fabric_leaf_is_caught_on_the_next_tick() {
+    check(
+        |strict| rack_run("fabric/port/0/forwarded", None, strict),
+        &[
+            (
+                650_000,
+                "rack.fabric",
+                "counter-telescope",
+                "counters under fabric/ sum to 88551 but the aggregate is 88550",
+            ),
+            (
+                650_000,
+                "rack.fabric",
+                "counter-telescope",
+                "fabric/*/forwarded sums to 155 but the aggregate is 154",
+            ),
+        ],
+        58,
+    );
+}
+
+/// A VF leaf nobody created, registered mid-run in node 1's tree.
+#[test]
+fn rack_new_vf_leaf_on_a_node_is_caught_on_the_next_tick() {
+    check(
+        |strict| rack_run("vf/7/rx_packets", Some(1), strict),
+        &[
+            (
+                650_000,
+                "nic.sriov",
+                "counter-telescope",
+                "counters under vf/ sum to 85471 but the aggregate is 85470",
+            ),
+            (
+                650_000,
+                "nic.sriov",
+                "counter-telescope",
+                "vf/*/rx_packets sums to 71 but the PF aggregate is 70",
+            ),
+        ],
+        58,
+    );
+}

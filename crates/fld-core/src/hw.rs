@@ -501,23 +501,23 @@ impl fld_sim::engine::Component for FldDevice {
             self.tx.completed(),
             self.tx.descriptors_in_use(),
         );
-        auditor.check_conservation(at, &format!("{name}.tx_ring"), enq, comp, 0, in_use);
+        auditor.check_conservation(at, format_args!("{name}.tx_ring"), enq, comp, 0, in_use);
         auditor.check_credits(
             at,
-            &format!("{name}.tx_ring.descriptors"),
+            format_args!("{name}.tx_ring.descriptors"),
             self.tx.descriptor_credits() as u64,
             self.tx.descriptor_pool(),
         );
-        auditor.check_occupancy(at, &format!("{name}.tx_ring"), self.tx.occupancy());
+        auditor.check_occupancy(at, format_args!("{name}.tx_ring"), self.tx.occupancy());
         let (q_total, b_used) = (self.tx.queue_bytes_total(), self.tx.buffer_used());
         auditor.check(
             at,
-            &format!("{name}.tx_ring.queues"),
+            format_args!("{name}.tx_ring.queues"),
             "conservation",
             q_total == b_used,
             || format!("per-queue bytes {q_total} != buffer in use {b_used}"),
         );
-        auditor.check_occupancy(at, &format!("{name}.rx_ring"), self.rx.occupancy());
+        auditor.check_occupancy(at, format_args!("{name}.rx_ring"), self.rx.occupancy());
     }
 
     fn export_metrics(

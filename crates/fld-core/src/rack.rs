@@ -32,7 +32,7 @@ use fld_nic::packet::SimPacket;
 use fld_nic::vf::VfConfig;
 use fld_pcie::model::ETH_OVERHEAD;
 use fld_sim::audit::{AuditReport, Auditor};
-use fld_sim::counters::{Counter, CounterSnapshot, CounterTree};
+use fld_sim::counters::{Counter, CounterSnapshot, CounterSum, CounterTree};
 use fld_sim::engine::{Engine, Model, Probes, Scheduler};
 use fld_sim::fault::{FaultKind, FaultLedger, FaultOutcome, FaultSchedule, LedgerSummary};
 use fld_sim::health::{HealthConfig, HealthId, HealthMonitor};
@@ -342,8 +342,8 @@ impl FabricPort {
     }
 
     fn probes(&mut self, name: &str, now: SimTime, interval: SimDuration, out: &mut Probes) {
-        out.push(format!("{name}.util"), self.link.window_util(interval));
-        out.push(format!("{name}.credits"), self.credits(now) as f64);
+        out.push_scoped(name, "util", self.link.window_util(interval));
+        out.push_scoped(name, "credits", self.credits(now) as f64);
     }
 }
 
@@ -362,9 +362,18 @@ struct FabricTotals {
 
 impl FabricTotals {
     fn grand_total(&self) -> u64 {
-        self.forwarded + self.bytes + self.drops + self.blackholed
+        self.by_leaf().iter().sum()
+    }
+
+    /// The aggregates in [`FABRIC_LEAVES`] order.
+    fn by_leaf(&self) -> [u64; FABRIC_LEAVES.len()] {
+        [self.forwarded, self.bytes, self.drops, self.blackholed]
     }
 }
+
+/// The per-port leaves under `fabric/port/<d>/`, in
+/// [`FabricTotals::by_leaf`] order.
+const FABRIC_LEAVES: [&str; 4] = ["forwarded", "bytes", "drops", "blackholed"];
 
 /// Per-port counter handles: (forwarded, bytes, drops).
 type PortCounters = (Counter, Counter, Counter);
@@ -555,6 +564,8 @@ struct ScheduledFaults {
     boundary_node: Vec<Counter>,
     /// Independent aggregate the `boundary/` subtree telescopes to.
     boundary_drops: u64,
+    /// The whole `boundary/` subtree, for that audit.
+    boundary_all: CounterSum,
     flows_killed: u64,
     flows_revived: u64,
     /// Whether a HealthTick is in the calendar (armed while any entity
@@ -590,11 +601,17 @@ pub struct Rack {
     nodes: Vec<FldSystem>,
     /// One egress port per destination node.
     ports: Vec<FabricPort>,
+    /// `fabric.port.<d>`: each port's probe scope and audit component.
+    port_names: Vec<Box<str>>,
     pop: Box<dyn FlowPopulation>,
     // Rack-level counter tree and pre-resolved per-port handles.
     counters: CounterTree,
     port_ctrs: Vec<PortCounters>,
     fabric: FabricTotals,
+    /// The audit's groups over the rack tree: the whole `fabric/`
+    /// subtree and `fabric/*/<leaf>` per leaf of [`FABRIC_LEAVES`].
+    fabric_all: CounterSum,
+    fabric_per_leaf: [CounterSum; FABRIC_LEAVES.len()],
     // Measurement.
     tenant_rtt: Vec<Histogram>,
     outage_rtt: Vec<Histogram>,
@@ -609,6 +626,8 @@ pub struct Rack {
     /// Per-node packet-fault ledgers retained by
     /// [`Rack::enable_faults`], for the merged rack-level view.
     node_ledgers: Vec<FaultLedger>,
+    /// Each node tree's `faults/` subtree, resolved alongside.
+    node_faults: Vec<CounterSum>,
 }
 
 impl Rack {
@@ -648,7 +667,13 @@ impl Rack {
             rng: SimRng::seed_from(cfg.seed),
             nodes,
             ports,
+            port_names: (0..cfg.nodes)
+                .map(|d| format!("fabric.port.{d}").into())
+                .collect(),
             pop,
+            fabric_all: CounterSum::under(&counters, "fabric"),
+            fabric_per_leaf: FABRIC_LEAVES
+                .map(|leaf| CounterSum::leaves(&counters, "fabric", leaf)),
             counters,
             port_ctrs,
             fabric: FabricTotals::default(),
@@ -661,6 +686,7 @@ impl Rack {
             rec: Recorder::new(),
             sf: None,
             node_ledgers: Vec::new(),
+            node_faults: Vec::new(),
             cfg,
         }
     }
@@ -766,6 +792,11 @@ impl Rack {
             node.enable_faults(&forked, &ledger);
             ledgers.push(ledger);
         }
+        self.node_faults = self
+            .nodes
+            .iter()
+            .map(|n| CounterSum::under(n.counter_tree(), "faults"))
+            .collect();
         self.node_ledgers = ledgers.clone();
         ledgers
     }
@@ -819,6 +850,7 @@ impl Rack {
             port_blackholed,
             boundary_node,
             boundary_drops: 0,
+            boundary_all: CounterSum::under(&self.counters, "boundary"),
             flows_killed: 0,
             flows_revived: 0,
             tick_armed: false,
@@ -869,13 +901,10 @@ impl Rack {
         }
         let tenant_rx_bytes = (0..self.cfg.tenants)
             .map(|t| {
-                self.nodes
+                let path = format!("vf/{t}/rx_bytes");
+                node_counters
                     .iter()
-                    .map(|n| {
-                        n.counter_tree()
-                            .get(&format!("vf/{t}/rx_bytes"))
-                            .unwrap_or(0)
-                    })
+                    .map(|snap| snap.get(&path).unwrap_or(0))
                     .sum()
             })
             .collect();
@@ -1253,8 +1282,8 @@ impl Model for Rack {
     /// Rack-level probe series only: per-node series would collide in
     /// the shared timeline, and the fabric is what this model adds.
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {
-        for (d, port) in self.ports.iter_mut().enumerate() {
-            port.probes(&format!("fabric.port.{d}"), now, interval, out);
+        for (port, name) in self.ports.iter_mut().zip(&self.port_names) {
+            port.probes(name, now, interval, out);
         }
         out.push("rack.flows.active", self.pop.active_count() as f64);
         out.push("rack.offered", self.offered as f64);
@@ -1285,37 +1314,31 @@ impl Model for Rack {
             Model::audit(node, at, auditor);
         }
         // Fabric counter telescoping against the independent aggregates.
-        let t = &self.counters;
-        auditor.check_counter_sum(at, "rack.fabric", t, "fabric", self.fabric.grand_total());
-        for (leaf, agg) in [
-            ("forwarded", self.fabric.forwarded),
-            ("bytes", self.fabric.bytes),
-            ("drops", self.fabric.drops),
-            ("blackholed", self.fabric.blackholed),
-        ] {
-            let sum = t.sum_leaf("fabric", leaf);
+        auditor.check_counter_sum(
+            at,
+            "rack.fabric",
+            &mut self.fabric_all,
+            self.fabric.grand_total(),
+        );
+        for ((leaf, group), agg) in FABRIC_LEAVES
+            .iter()
+            .zip(&mut self.fabric_per_leaf)
+            .zip(self.fabric.by_leaf())
+        {
+            let sum = group.get();
             auditor.check(at, "rack.fabric", "counter-telescope", sum == agg, || {
                 format!("fabric/*/{leaf} sums to {sum} but the aggregate is {agg}")
             });
         }
         // Port credit accounting never exceeds the configured buffer.
-        for (d, port) in self.ports.iter().enumerate() {
-            auditor.check_credits(
-                at,
-                &format!("fabric.port.{d}"),
-                port.credits(at),
-                port.buffer,
-            );
+        for (port, name) in self.ports.iter().zip(&self.port_names) {
+            auditor.check_credits(at, name, port.credits(at), port.buffer);
         }
         // Cross-layer conservation: nodes can only have received what the
         // fabric forwarded, less what died at faulted boundaries (the
         // rest is still on fabric wires).
         let boundary = self.sf.as_ref().map_or(0, |sf| sf.boundary_drops);
-        let entered: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.counter_tree().get("port/0/rx/packets").unwrap_or(0))
-            .sum();
+        let entered: u64 = self.nodes.iter().map(FldSystem::port_rx_packets).sum();
         auditor.check(
             at,
             "rack.flow",
@@ -1347,22 +1370,17 @@ impl Model for Rack {
         // Scheduled-fault accounting: the ledger balances, every
         // injection is attributed to a faults/<entity>/<kind> counter,
         // and the boundary subtree telescopes to its aggregate.
-        if let Some(sf) = &self.sf {
+        if let Some(sf) = &mut self.sf {
             sf.ledger.audit(at, "rack.faults", auditor);
-            sf.ledger
-                .attribution_audit(at, "rack.faults", &self.counters, auditor);
-            auditor.check_counter_sum(at, "rack.boundary", t, "boundary", sf.boundary_drops);
+            sf.ledger.attribution_audit(at, "rack.faults", auditor);
+            auditor.check_counter_sum(at, "rack.boundary", &mut sf.boundary_all, sf.boundary_drops);
         }
         // Merged per-node ledger view (packet-level faults): the sum of
         // the node books telescopes to the per-node faults/* counter
         // subtrees, and no node leaves faults unaccounted.
         if !self.node_ledgers.is_empty() {
             let merged = self.merged_node_ledger();
-            let attributed: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.counter_tree().sum_prefix("faults"))
-                .sum();
+            let attributed: u64 = self.node_faults.iter_mut().map(CounterSum::get).sum();
             auditor.check(
                 at,
                 "rack.faults",
@@ -1398,11 +1416,7 @@ impl Model for Rack {
             sf.ledger.drained_audit(at, "rack.faults", auditor);
             sf.health.drained_audit(at, "rack.health", auditor);
         }
-        let entered: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.counter_tree().get("port/0/rx/packets").unwrap_or(0))
-            .sum();
+        let entered: u64 = self.nodes.iter().map(FldSystem::port_rx_packets).sum();
         auditor.check(
             at,
             "rack.flow",

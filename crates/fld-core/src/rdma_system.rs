@@ -706,42 +706,23 @@ impl Model for RdmaSystem {
         self.server_qp.audit("qp.server", at, auditor);
         // Counter telescoping: each QP's `qp/<n>/...` group must mirror
         // its integer statistics exactly, at every audit instant.
-        let t = &self.counters;
-        for qp in [&self.client_qp, &self.server_qp] {
-            let base = format!("qp/{}", qp.qpn());
-            for (leaf, aggregate) in [
-                ("tx_packets", qp.sent_packets()),
-                ("rx_packets", qp.received_packets()),
-                ("retransmits", qp.retransmits()),
-                ("naks_sent", qp.naks_sent()),
-                ("naks_received", qp.naks_received()),
-            ] {
-                auditor.check_counter_eq(
-                    at,
-                    "counters.qp",
-                    t,
-                    &format!("{base}/{leaf}"),
-                    aggregate,
-                );
-            }
-        }
+        self.client_qp.audit_counters(at, auditor);
+        self.server_qp.audit_counters(at, auditor);
         if let Some(inj) = &self.faults {
             inj.ledger().audit(at, "rdma", auditor);
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
-                t,
-                "pcie/fn/0/completion_timeouts",
-                t.get("faults/rdma/pcie_timeout").unwrap_or(0),
+                &self.pcie_ctr.completion_timeouts,
+                inj.counter(FaultKind::PcieTimeout).get(),
             );
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
-                t,
-                "pcie/fn/0/poisoned_tlps",
-                t.get("faults/rdma/pcie_poison").unwrap_or(0),
+                &self.pcie_ctr.poisoned_tlps,
+                inj.counter(FaultKind::PciePoison).get(),
             );
-            inj.ledger().attribution_audit(at, "rdma", t, auditor);
+            inj.ledger().attribution_audit(at, "rdma", auditor);
         }
     }
 

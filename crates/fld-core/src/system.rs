@@ -23,7 +23,7 @@ use fld_pcie::config::PcieConfig;
 use fld_pcie::model::{FldModel, ETH_OVERHEAD};
 use fld_pcie::TlpCounters;
 use fld_sim::audit::{AuditReport, Auditor};
-use fld_sim::counters::{Counter, CounterSnapshot, CounterTree};
+use fld_sim::counters::{Counter, CounterSnapshot, CounterSum, CounterTree};
 use fld_sim::engine::{Component, Engine, Model, Probes, Scheduler};
 use fld_sim::fault::{FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan};
 use fld_sim::link::Link;
@@ -679,6 +679,15 @@ struct SysCounters {
     accel_stalls: Counter,
     flow_other_packets: Counter,
     flow_other_bytes: Counter,
+    /// The groups the per-tick audit telescopes, resolved once here:
+    /// `flow/*/packets` (flows register mid-run; the group follows).
+    flow_packets: CounterSum,
+    /// `port/0/queue/tx/*/packets` and `.../drops`.
+    txq_packets: CounterSum,
+    txq_drops: CounterSum,
+    /// Everything under `port/0/queue/rx`, and its `.../drops` leaves.
+    rxq_all: CounterSum,
+    rxq_drops: CounterSum,
 }
 
 impl SysCounters {
@@ -710,6 +719,11 @@ impl SysCounters {
             accel_stalls: tree.counter("accel/0/stalls"),
             flow_other_packets: tree.counter("flow/other/packets"),
             flow_other_bytes: tree.counter("flow/other/bytes"),
+            flow_packets: CounterSum::leaves(tree, "flow", "packets"),
+            txq_packets: CounterSum::leaves(tree, "port/0/queue/tx", "packets"),
+            txq_drops: CounterSum::leaves(tree, "port/0/queue/tx", "drops"),
+            rxq_all: CounterSum::under(tree, "port/0/queue/rx"),
+            rxq_drops: CounterSum::leaves(tree, "port/0/queue/rx", "drops"),
         }
     }
 }
@@ -878,6 +892,13 @@ impl FldSystem {
     /// a [`CounterTree::snapshot`] for a consistent read).
     pub fn counter_tree(&self) -> &CounterTree {
         &self.counters
+    }
+
+    /// Packets that arrived on the wire port (`port/0/rx/packets`), read
+    /// through the handle the data path increments — what a composing
+    /// model (the rack) reconciles against its fabric.
+    pub fn port_rx_packets(&self) -> u64 {
+        self.ctr.port_rx_packets.get()
     }
 
     /// Counts one wire arrival against its flow's rx counters, resolving
@@ -1760,17 +1781,12 @@ impl Model for FldSystem {
         }
         // Counter telescoping: every per-entity counter group must agree
         // with the aggregate maintained at the same events, at every
-        // audit instant (per sample tick and end of run).
-        let t = &self.counters;
-        auditor.check_counter_eq(
-            at,
-            "counters.port",
-            t,
-            "port/0/rx/packets",
-            self.flow.entered,
-        );
-        let flow_pkts = t.sum_leaf("flow", "packets");
-        let port_rx = t.get("port/0/rx/packets").unwrap_or(0);
+        // audit instant (per sample tick and end of run). Every read goes
+        // through a handle resolved at wiring time.
+        let ctr = &mut self.ctr;
+        auditor.check_counter_eq(at, "counters.port", &ctr.port_rx_packets, self.flow.entered);
+        let flow_pkts = ctr.flow_packets.get();
+        let port_rx = ctr.port_rx_packets.get();
         auditor.check(
             at,
             "counters.flow",
@@ -1778,28 +1794,8 @@ impl Model for FldSystem {
             flow_pkts == port_rx,
             || format!("per-flow packets sum to {flow_pkts} but port rx saw {port_rx}"),
         );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/match",
-            self.nic.classifier_matches(),
-        );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/miss",
-            self.nic.classifier_drops(),
-        );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/policer_drop",
-            self.nic.policer_drops(),
-        );
-        let txq_pkts = t.sum_leaf("port/0/queue/tx", "packets");
+        self.nic.audit_classifier_counters(at, auditor);
+        let txq_pkts = ctr.txq_packets.get();
         let enqueued = self.fld.tx.enqueued();
         auditor.check(
             at,
@@ -1808,7 +1804,7 @@ impl Model for FldSystem {
             txq_pkts == enqueued,
             || format!("per-tx-queue packets sum to {txq_pkts}, device enqueued {enqueued}"),
         );
-        let txq_drops = t.sum_leaf("port/0/queue/tx", "drops");
+        let txq_drops = ctr.txq_drops.get();
         let tx_drop_agg = self.stats.drops.get(drops::FLD_TX_BACKPRESSURE)
             + self.stats.drops.get(drops::FAULT_QUEUE_FLUSH)
             + self.stats.drops.get(drops::FAULT_MALFORMED_WQE);
@@ -1822,11 +1818,10 @@ impl Model for FldSystem {
         auditor.check_counter_sum(
             at,
             "counters.rxq",
-            t,
-            "port/0/queue/rx",
+            &mut ctr.rxq_all,
             self.host_rx_accepted + self.stats.drops.get(drops::HOST_QUEUE_OVERFLOW),
         );
-        let rxq_drops = t.sum_leaf("port/0/queue/rx", "drops");
+        let rxq_drops = ctr.rxq_drops.get();
         let overflow = self.stats.drops.get(drops::HOST_QUEUE_OVERFLOW);
         auditor.check(
             at,
@@ -1835,30 +1830,27 @@ impl Model for FldSystem {
             rxq_drops == overflow,
             || format!("per-rx-queue drops sum to {rxq_drops}, overflow ledger has {overflow}"),
         );
-        auditor.check_counter_eq(at, "counters.accel", t, "accel/0/jobs", self.accel_jobs);
+        auditor.check_counter_eq(at, "counters.accel", &ctr.accel_jobs, self.accel_jobs);
         if let Some(inj) = &self.faults {
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
-                t,
-                "pcie/fn/0/completion_timeouts",
-                t.get("faults/fld/pcie_timeout").unwrap_or(0),
+                &ctr.pcie.completion_timeouts,
+                inj.counter(FaultKind::PcieTimeout).get(),
             );
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
-                t,
-                "pcie/fn/0/poisoned_tlps",
-                t.get("faults/fld/pcie_poison").unwrap_or(0),
+                &ctr.pcie.poisoned_tlps,
+                inj.counter(FaultKind::PciePoison).get(),
             );
             auditor.check_counter_eq(
                 at,
                 "counters.accel",
-                t,
-                "accel/0/stalls",
-                t.get("faults/fld/accel_stall").unwrap_or(0),
+                &ctr.accel_stalls,
+                inj.counter(FaultKind::AccelStall).get(),
             );
-            inj.ledger().attribution_audit(at, "fld", t, auditor);
+            inj.ledger().attribution_audit(at, "fld", auditor);
         }
     }
 

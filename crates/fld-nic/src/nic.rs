@@ -137,6 +137,19 @@ impl Nic {
         self.sriov.wire_counters(tree);
     }
 
+    /// The classifier half of the counter-telescoping audit: the three
+    /// `eswitch/port/<p>/...` counters against the aggregates this NIC
+    /// maintains at the same events.
+    pub fn audit_classifier_counters(&self, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
+        for (ctr, aggregate) in [
+            (&self.ctr_match, self.classifier_matches),
+            (&self.ctr_miss, self.classifier_drops),
+            (&self.ctr_policer_drop, self.policer_drops),
+        ] {
+            auditor.check_counter_eq(at, "counters.eswitch", ctr, aggregate);
+        }
+    }
+
     /// The configured line rate.
     pub fn line_rate(&self) -> Bandwidth {
         self.config.line_rate
@@ -396,7 +409,7 @@ impl fld_sim::engine::Component for Nic {
         let burst = self.shaper_burst_bytes() as f64;
         auditor.check(
             at,
-            &format!("{name}.shaper"),
+            format_args!("{name}.shaper"),
             "credits",
             (0.0..=burst + 1e-6).contains(&tokens),
             || format!("token level {tokens} outside pool 0..={burst}"),
@@ -406,13 +419,12 @@ impl fld_sim::engine::Component for Nic {
             let vf_burst = self.sriov.shaper_burst_bytes() as f64;
             auditor.check(
                 at,
-                &format!("{name}.vf.shaper"),
+                format_args!("{name}.vf.shaper"),
                 "credits",
                 (0.0..=vf_burst + 1e-6).contains(&vf_tokens),
                 || format!("vf token level {vf_tokens} outside pool 0..={vf_burst}"),
             );
-            self.sriov
-                .audit_wired(&format!("{name}.sriov"), at, auditor);
+            self.sriov.audit(format_args!("{name}.sriov"), at, auditor);
         }
     }
 

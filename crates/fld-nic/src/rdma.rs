@@ -279,6 +279,20 @@ impl RcQp {
         }
     }
 
+    /// The counter-telescoping audit of this QP's `qp/<qpn>/...` group:
+    /// each audited leaf must mirror the integer statistic it shadows.
+    pub fn audit_counters(&self, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
+        for (ctr, aggregate) in [
+            (&self.ctr.tx_packets, self.sent_packets),
+            (&self.ctr.rx_packets, self.received_packets),
+            (&self.ctr.retransmits, self.retransmits),
+            (&self.ctr.naks_sent, self.naks_sent),
+            (&self.ctr.naks_received, self.naks_received),
+        ] {
+            auditor.check_counter_eq(at, "counters.qp", ctr, aggregate);
+        }
+    }
+
     /// This QP's number.
     pub fn qpn(&self) -> u32 {
         self.qpn
@@ -754,10 +768,7 @@ impl fld_sim::engine::Component for RcQp {
         _interval: SimDuration,
         out: &mut fld_sim::engine::Probes,
     ) {
-        out.push(
-            format!("{name}.inflight_window"),
-            self.inflight_packets() as f64,
-        );
+        out.push_scoped(name, "inflight_window", self.inflight_packets() as f64);
     }
 
     /// Window-credit bound plus PSN monotonicity of both sequence
@@ -765,14 +776,18 @@ impl fld_sim::engine::Component for RcQp {
     fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         auditor.check_credits(
             at,
-            &format!("{name}.inflight"),
+            format_args!("{name}.inflight"),
             self.inflight_packets() as u64,
             self.window() as u64,
         );
-        auditor.check_psn(at, &format!("{name}.next_psn"), u64::from(self.next_psn()));
         auditor.check_psn(
             at,
-            &format!("{name}.expected_psn"),
+            format_args!("{name}.next_psn"),
+            u64::from(self.next_psn()),
+        );
+        auditor.check_psn(
+            at,
+            format_args!("{name}.expected_psn"),
             u64::from(self.expected_psn()),
         );
     }

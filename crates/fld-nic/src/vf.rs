@@ -18,7 +18,7 @@
 //! packets, and no tenant can exhaust the shared TCAM.
 
 use fld_net::Ipv4Addr;
-use fld_sim::counters::{Counter, CounterTree};
+use fld_sim::counters::{Counter, CounterSum, CounterTree};
 use fld_sim::link::TokenBucket;
 use fld_sim::time::{Bandwidth, SimTime};
 
@@ -88,14 +88,14 @@ impl VfSlot {
     /// Re-resolves this slot's counters into `tree`, carrying over
     /// anything counted while detached.
     fn wire(&mut self, tree: &CounterTree, vf: usize) {
-        for (leaf, ctr) in [
-            ("rx_packets", &mut self.rx_packets),
-            ("rx_bytes", &mut self.rx_bytes),
-            ("tx_packets", &mut self.tx_packets),
-            ("tx_bytes", &mut self.tx_bytes),
-            ("shaper_drops", &mut self.shaper_drops),
-            ("unplug_drops", &mut self.unplug_drops),
-        ] {
+        for (leaf, ctr) in VF_LEAVES.iter().zip([
+            &mut self.rx_packets,
+            &mut self.rx_bytes,
+            &mut self.tx_packets,
+            &mut self.tx_bytes,
+            &mut self.shaper_drops,
+            &mut self.unplug_drops,
+        ]) {
             let wired = tree.counter(&format!("vf/{vf}/{leaf}"));
             wired.add(ctr.get());
             *ctr = wired;
@@ -125,12 +125,19 @@ pub struct PfTotals {
 impl PfTotals {
     /// Sum of every aggregate — what the whole `vf/` subtree sums to.
     pub fn grand_total(&self) -> u64 {
-        self.rx_packets
-            + self.rx_bytes
-            + self.tx_packets
-            + self.tx_bytes
-            + self.shaper_drops
-            + self.unplug_drops
+        self.by_leaf().iter().sum()
+    }
+
+    /// The aggregates in [`VF_LEAVES`] order.
+    fn by_leaf(&self) -> [u64; VF_LEAVES.len()] {
+        [
+            self.rx_packets,
+            self.rx_bytes,
+            self.tx_packets,
+            self.tx_bytes,
+            self.shaper_drops,
+            self.unplug_drops,
+        ]
     }
 }
 
@@ -142,8 +149,30 @@ impl PfTotals {
 pub struct SrIov {
     vfs: Vec<VfSlot>,
     pf: PfTotals,
-    tree: Option<CounterTree>,
+    wired: Option<Wired>,
 }
+
+/// What [`SrIov::wire_counters`] resolves: the tree later VFs register
+/// in, and the audit's groups over the `vf/` subtree. The groups follow
+/// the tree's growth, so VFs created after wiring are summed too.
+#[derive(Debug)]
+struct Wired {
+    tree: CounterTree,
+    /// The whole `vf/` subtree.
+    all: CounterSum,
+    /// `vf/*/<leaf>` per leaf of [`VF_LEAVES`].
+    per_leaf: [CounterSum; VF_LEAVES.len()],
+}
+
+/// The per-VF counter leaves, in [`PfTotals::by_leaf`] order.
+const VF_LEAVES: [&str; 6] = [
+    "rx_packets",
+    "rx_bytes",
+    "tx_packets",
+    "tx_bytes",
+    "shaper_drops",
+    "unplug_drops",
+];
 
 /// Reasons a VF rule install is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,8 +222,8 @@ impl SrIov {
     pub fn create_vf(&mut self, cfg: VfConfig) -> u16 {
         let vf = self.vfs.len();
         let mut slot = VfSlot::new(cfg);
-        if let Some(tree) = &self.tree {
-            slot.wire(tree, vf);
+        if let Some(wired) = &self.wired {
+            slot.wire(&wired.tree, vf);
         }
         self.vfs.push(slot);
         vf as u16
@@ -207,7 +236,11 @@ impl SrIov {
         for (vf, slot) in self.vfs.iter_mut().enumerate() {
             slot.wire(tree, vf);
         }
-        self.tree = Some(tree.clone());
+        self.wired = Some(Wired {
+            tree: tree.clone(),
+            all: CounterSum::under(tree, "vf"),
+            per_leaf: VF_LEAVES.map(|leaf| CounterSum::leaves(tree, "vf", leaf)),
+        });
     }
 
     /// The VF bound to tenant `context`, if any.
@@ -361,38 +394,30 @@ impl SrIov {
             .sum()
     }
 
-    /// [`SrIov::audit`] against the tree this state was wired into
-    /// (no-op before wiring or with no VFs).
-    pub fn audit_wired(&self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
-        if let Some(tree) = self.tree.clone() {
-            self.audit(name, at, &tree, auditor);
-        }
-    }
-
-    /// Audits the per-VF → PF telescoping against `tree`: the whole
+    /// Audits the per-VF → PF telescoping against the tree this state
+    /// was wired into (no-op before wiring or with no VFs): the whole
     /// `vf/` subtree sums to the PF grand total, and each per-kind leaf
     /// family sums to its PF aggregate.
     pub fn audit(
-        &self,
-        name: &str,
+        &mut self,
+        name: impl std::fmt::Display,
         at: SimTime,
-        tree: &CounterTree,
         auditor: &mut fld_sim::audit::Auditor,
     ) {
         if !self.is_enabled() {
             return;
         }
-        auditor.check_counter_sum(at, name, tree, "vf", self.pf.grand_total());
-        for (leaf, agg) in [
-            ("rx_packets", self.pf.rx_packets),
-            ("rx_bytes", self.pf.rx_bytes),
-            ("tx_packets", self.pf.tx_packets),
-            ("tx_bytes", self.pf.tx_bytes),
-            ("shaper_drops", self.pf.shaper_drops),
-            ("unplug_drops", self.pf.unplug_drops),
-        ] {
-            let sum = tree.sum_leaf("vf", leaf);
-            auditor.check(at, name, "counter-telescope", sum == agg, || {
+        let Some(wired) = &mut self.wired else {
+            return;
+        };
+        auditor.check_counter_sum(at, &name, &mut wired.all, self.pf.grand_total());
+        for ((leaf, group), agg) in VF_LEAVES
+            .iter()
+            .zip(&mut wired.per_leaf)
+            .zip(self.pf.by_leaf())
+        {
+            let sum = group.get();
+            auditor.check(at, &name, "counter-telescope", sum == agg, || {
                 format!("vf/*/{leaf} sums to {sum} but the PF aggregate is {agg}")
             });
         }
@@ -511,7 +536,7 @@ mod tests {
         s.wire_counters(&tree);
         assert_eq!(tree.sum_prefix("vf"), s.pf_totals().grand_total());
         let mut auditor = fld_sim::audit::Auditor::new().strict();
-        s.audit("sriov", SimTime::ZERO, &tree, &mut auditor);
+        s.audit("sriov", SimTime::ZERO, &mut auditor);
         assert!(auditor.report().passed());
         assert_eq!(s.src_ip_of(vf), Some(Ipv4Addr::new(10, 9, 0, 3)));
         assert_eq!(s.unplug(99), None);
@@ -535,7 +560,7 @@ mod tests {
         assert_eq!(tree.sum_leaf("vf", "rx_packets"), s.pf_totals().rx_packets);
         assert_eq!(tree.sum_prefix("vf"), s.pf_totals().grand_total());
         let mut auditor = fld_sim::audit::Auditor::new().strict();
-        s.audit("sriov", SimTime::ZERO, &tree, &mut auditor);
+        s.audit("sriov", SimTime::ZERO, &mut auditor);
         assert!(auditor.report().passed());
         assert_eq!(s.vf_for_context(2), Some(b));
         assert_eq!(s.context_of(a), Some(1));

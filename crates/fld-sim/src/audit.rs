@@ -25,6 +25,9 @@
 //! flight-recorder sampling events and therefore only fire when the
 //! recorder is enabled.
 
+use std::fmt::{Display, Write as _};
+
+use crate::counters::{Counter, CounterSum};
 use crate::json::JsonWriter;
 use crate::time::SimTime;
 
@@ -69,6 +72,9 @@ pub struct Auditor {
     total_violations: u64,
     violations: Vec<Violation>,
     last_psn: std::collections::HashMap<String, u64>,
+    /// Scratch the QP name is rendered into for the `last_psn` lookup,
+    /// so a per-tick [`Auditor::check_psn`] reuses one buffer.
+    psn_key: String,
 }
 
 /// Detailed violation records kept per run (see [`Auditor`]).
@@ -94,15 +100,18 @@ impl Auditor {
 
     /// Records the outcome of one invariant check.
     ///
-    /// `detail` is only rendered on failure.
+    /// `component` and `detail` are only rendered on failure, so call
+    /// sites name per-instance components with `format_args!` and a
+    /// passing check allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics with the violation message in strict mode.
+    #[inline]
     pub fn check(
         &mut self,
         at: SimTime,
-        component: &str,
+        component: impl Display,
         invariant: &'static str,
         ok: bool,
         detail: impl FnOnce() -> String,
@@ -111,12 +120,16 @@ impl Auditor {
         if ok {
             return;
         }
-        let violation = Violation {
+        self.violated(Violation {
             at,
             component: component.to_string(),
             invariant,
             detail: detail(),
-        };
+        });
+    }
+
+    #[cold]
+    fn violated(&mut self, violation: Violation) {
         if self.strict {
             panic!("strict audit failed: {violation}");
         }
@@ -131,7 +144,7 @@ impl Auditor {
     pub fn check_conservation(
         &mut self,
         at: SimTime,
-        component: &str,
+        component: impl Display,
         packets_in: u64,
         delivered: u64,
         dropped: u64,
@@ -159,7 +172,7 @@ impl Auditor {
     pub fn check_fault_accounting(
         &mut self,
         at: SimTime,
-        component: &str,
+        component: impl Display,
         injected: u64,
         recovered: u64,
         dropped_counted: u64,
@@ -181,56 +194,63 @@ impl Auditor {
         );
     }
 
-    /// Counter telescoping, leaf form: the counter registered at `path`
-    /// in `tree` must equal the aggregate the component maintains
-    /// independently (its own integer field, exported into the
+    /// Counter telescoping, leaf form: `counter` — a handle resolved
+    /// where the leaf was wired — must equal the aggregate the component
+    /// maintains independently (its own integer field, exported into the
     /// [`crate::metrics::MetricsRegistry`]).
     pub fn check_counter_eq(
         &mut self,
         at: SimTime,
-        component: &str,
-        tree: &crate::counters::CounterTree,
-        path: &str,
+        component: impl Display,
+        counter: &Counter,
         aggregate: u64,
     ) {
-        let counter = tree.get(path).unwrap_or(0);
+        let read = counter.get();
         self.check(
             at,
             component,
             "counter-telescope",
-            counter == aggregate,
-            || format!("counter {path} reads {counter} but the aggregate is {aggregate}"),
+            read == aggregate,
+            || {
+                format!(
+                    "counter {} reads {read} but the aggregate is {aggregate}",
+                    counter.path()
+                )
+            },
         );
     }
 
-    /// Counter telescoping, group form: the sum of every counter at or
-    /// below `prefix` in `tree` (per-queue, per-flow, per-entity leaves)
-    /// must equal the parent `aggregate` — queue sums telescope to port
-    /// totals, port totals to the registry values.
+    /// Counter telescoping, group form: the sum over `group` (every
+    /// per-queue, per-flow or per-entity leaf at or below its prefix,
+    /// including ones registered since the last tick) must equal the
+    /// parent `aggregate` — queue sums telescope to port totals, port
+    /// totals to the registry values.
     pub fn check_counter_sum(
         &mut self,
         at: SimTime,
-        component: &str,
-        tree: &crate::counters::CounterTree,
-        prefix: &str,
+        component: impl Display,
+        group: &mut CounterSum,
         aggregate: u64,
     ) {
-        let sum = tree.sum_prefix(prefix);
+        let sum = group.get();
         self.check(at, component, "counter-telescope", sum == aggregate, || {
-            format!("counters under {prefix}/ sum to {sum} but the aggregate is {aggregate}")
+            format!(
+                "counters under {}/ sum to {sum} but the aggregate is {aggregate}",
+                group.prefix()
+            )
         });
     }
 
     /// Credits never negative: on unsigned counters an underflow wraps,
     /// so the observable symptom is `credits > pool`.
-    pub fn check_credits(&mut self, at: SimTime, component: &str, credits: u64, pool: u64) {
+    pub fn check_credits(&mut self, at: SimTime, component: impl Display, credits: u64, pool: u64) {
         self.check(at, component, "credits", credits <= pool, || {
             format!("credits {credits} exceed pool {pool} (unsigned underflow)")
         });
     }
 
     /// Occupancy ≤ capacity, expressed as a fraction in `0..=1`.
-    pub fn check_occupancy(&mut self, at: SimTime, component: &str, occupancy: f64) {
+    pub fn check_occupancy(&mut self, at: SimTime, component: impl Display, occupancy: f64) {
         self.check(
             at,
             component,
@@ -243,14 +263,24 @@ impl Auditor {
     /// PSN monotonicity per QP: successive samples of `psn` may only move
     /// forward (modulo the PSN space; a forward step of less than half
     /// the space counts as forward).
-    pub fn check_psn(&mut self, at: SimTime, qp: &str, psn: u64) {
-        if let Some(&last) = self.last_psn.get(qp) {
-            let forward = (psn + PSN_MOD - last) % PSN_MOD;
-            self.check(at, qp, "psn-monotonic", forward < PSN_MOD / 2, || {
-                format!("PSN moved backwards: {last} -> {psn}")
-            });
+    pub fn check_psn(&mut self, at: SimTime, qp: impl Display, psn: u64) {
+        let mut key = std::mem::take(&mut self.psn_key);
+        key.clear();
+        write!(key, "{qp}").expect("writing to a String cannot fail");
+        match self.last_psn.get_mut(key.as_str()) {
+            Some(slot) => {
+                let last = std::mem::replace(slot, psn % PSN_MOD);
+                let forward = (psn + PSN_MOD - last) % PSN_MOD;
+                self.check(at, &key, "psn-monotonic", forward < PSN_MOD / 2, || {
+                    format!("PSN moved backwards: {last} -> {psn}")
+                });
+            }
+            // A QP's first sample: the only one that allocates its name.
+            None => {
+                self.last_psn.insert(key.clone(), psn % PSN_MOD);
+            }
         }
-        self.last_psn.insert(qp.to_string(), psn % PSN_MOD);
+        self.psn_key = key;
     }
 
     /// Checks evaluated so far.
@@ -377,6 +407,53 @@ mod tests {
         assert_eq!(a.violations(), 0);
         a.check_psn(t(3), "qp", 1); // backwards
         assert_eq!(a.violations(), 1);
+    }
+
+    #[test]
+    fn psn_history_is_kept_per_rendered_qp_name() {
+        let mut a = Auditor::new();
+        for (qp, psn) in [
+            ("client", 10),
+            ("server", 500),
+            ("client", 11),
+            ("server", 499),
+        ] {
+            a.check_psn(t(1), format_args!("qp.{qp}.next_psn"), psn);
+        }
+        let report = a.report();
+        assert_eq!(report.checks, 2, "one check per QP after its first sample");
+        assert_eq!(report.violations, 1);
+        assert_eq!(report.recorded[0].component, "qp.server.next_psn");
+        assert_eq!(report.recorded[0].detail, "PSN moved backwards: 500 -> 499");
+    }
+
+    #[test]
+    fn counter_checks_name_the_leaf_and_the_group() {
+        let tree = crate::counters::CounterTree::new();
+        let leaf = tree.counter("port/0/rx/packets");
+        leaf.add(3);
+        let mut group = CounterSum::under(&tree, "port/0");
+        let mut a = Auditor::new();
+        a.check_counter_eq(t(5), "counters.port", &leaf, 3);
+        a.check_counter_sum(t(5), "counters.port", &mut group, 3);
+        assert_eq!(a.violations(), 0);
+        a.check_counter_eq(t(6), format_args!("counters.{}", "port"), &leaf, 4);
+        a.check_counter_sum(t(6), "counters.port", &mut group, 4);
+        let report = a.report();
+        assert_eq!((report.checks, report.violations), (4, 2));
+        let [eq, sum] = &report.recorded[..] else {
+            panic!("two violations recorded")
+        };
+        assert_eq!(eq.component, "counters.port");
+        assert_eq!(eq.invariant, "counter-telescope");
+        assert_eq!(
+            eq.detail,
+            "counter port/0/rx/packets reads 3 but the aggregate is 4"
+        );
+        assert_eq!(
+            sum.detail,
+            "counters under port/0/ sum to 3 but the aggregate is 4"
+        );
     }
 
     #[test]

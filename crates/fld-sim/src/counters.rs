@@ -16,15 +16,29 @@
 //! miss == the NIC's classifier drop count, per-entity fault paths ==
 //! the [`crate::fault::FaultLedger`] book), and the
 //! [`crate::audit::Auditor`] enforces those equalities at every sample
-//! tick and at end-of-run. A [`CounterSnapshot`] freezes the tree for
-//! export: a versioned JSON dump plus an `ethtool -S`-style text
-//! rendering.
+//! tick and at end-of-run. The audit reads the same way the hot path
+//! writes — through handles resolved at wiring time: a [`Counter`] for
+//! one leaf, a [`CounterSum`] for a group ("every leaf under `vf`",
+//! "every `faults/<entity>/drop`"). A [`CounterSnapshot`] freezes the
+//! tree for export: a versioned JSON dump plus an `ethtool -S`-style
+//! text rendering.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Borrow;
+use std::collections::BTreeSet;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::{JsonWriter, SCHEMA_VERSION};
+
+/// One counter cell: the value plus the path it is registered under
+/// (empty for a detached cell), so a handle can name itself in an audit
+/// violation without the tree being consulted.
+#[derive(Debug)]
+struct Cell {
+    value: AtomicU64,
+    path: Box<str>,
+}
 
 /// A pre-resolved handle on one counter cell.
 ///
@@ -35,21 +49,28 @@ use crate::json::{JsonWriter, SCHEMA_VERSION};
 /// functional (and unit-testable) before anything wires them.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Arc<Cell>,
 }
 
 impl Counter {
     /// A counter not registered in any tree (the pre-wiring default).
     pub fn detached() -> Counter {
+        Counter::at("")
+    }
+
+    fn at(path: &str) -> Counter {
         Counter {
-            cell: Arc::new(AtomicU64::new(0)),
+            cell: Arc::new(Cell {
+                value: AtomicU64::new(0),
+                path: path.into(),
+            }),
         }
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -59,8 +80,14 @@ impl Counter {
     }
 
     /// Current value.
+    #[inline]
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.value.load(Ordering::Relaxed)
+    }
+
+    /// The path this counter is registered under (empty when detached).
+    pub fn path(&self) -> &str {
+        &self.cell.path
     }
 }
 
@@ -70,15 +97,58 @@ impl Default for Counter {
     }
 }
 
+/// A registered counter ordered (and looked up) by its path, so the
+/// registry stores each path once, inside the cell.
+#[derive(Debug)]
+struct ByPath(Counter);
+
+impl Borrow<str> for ByPath {
+    fn borrow(&self) -> &str {
+        self.0.path()
+    }
+}
+
+impl PartialEq for ByPath {
+    fn eq(&self, other: &ByPath) -> bool {
+        self.0.path() == other.0.path()
+    }
+}
+
+impl Eq for ByPath {}
+
+impl PartialOrd for ByPath {
+    fn partial_cmp(&self, other: &ByPath) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByPath {
+    fn cmp(&self, other: &ByPath) -> std::cmp::Ordering {
+        self.0.path().cmp(other.0.path())
+    }
+}
+
+#[derive(Debug, Default)]
+struct TreeInner {
+    cells: Mutex<BTreeSet<ByPath>>,
+    /// `cells.len()`, published under the lock after every registration.
+    /// Counters are never removed, so this doubles as the version stamp
+    /// a [`CounterSum`] compares to decide whether to re-resolve. The
+    /// `Release` store pairs with the `Acquire` load in
+    /// [`CounterTree::len`]; a reader that sees growth re-resolves under
+    /// the lock, which orders it after the registration itself.
+    len: AtomicUsize,
+}
+
 /// The per-entity counter registry: `/`-separated paths to shared
 /// cells, in sorted order.
 ///
 /// Cloning yields another handle on the same tree (a system hands it to
 /// every component it wires). Registration takes the lock; increments
-/// through the returned [`Counter`] never do.
+/// through the returned [`Counter`] never do. The tree only grows.
 #[derive(Debug, Clone, Default)]
 pub struct CounterTree {
-    inner: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
+    inner: Arc<TreeInner>,
 }
 
 impl CounterTree {
@@ -87,8 +157,8 @@ impl CounterTree {
         CounterTree::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
-        self.inner.lock().expect("counter tree poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeSet<ByPath>> {
+        self.inner.cells.lock().expect("counter tree poisoned")
     }
 
     /// Resolves `path` to a handle, registering an empty counter on
@@ -108,48 +178,53 @@ impl CounterTree {
                 && !path.contains("//"),
             "malformed counter path {path:?}"
         );
-        let mut map = self.lock();
-        let cell = map
-            .entry(path.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter { cell }
+        let mut cells = self.lock();
+        if let Some(found) = cells.get(path) {
+            return found.0.clone();
+        }
+        let counter = Counter::at(path);
+        cells.insert(ByPath(counter.clone()));
+        self.inner.len.store(cells.len(), Ordering::Release);
+        counter
     }
 
-    /// The value at `path`, if registered.
+    /// The value at `path`, if registered. A locked lookup: for dumps,
+    /// tools and tests — audits read through [`Counter`] handles.
     pub fn get(&self, path: &str) -> Option<u64> {
-        self.lock().get(path).map(|c| c.load(Ordering::Relaxed))
+        self.lock().get(path).map(|c| c.0.get())
     }
 
-    /// Number of registered counters.
+    /// Number of registered counters (lock-free).
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.inner.len.load(Ordering::Acquire)
     }
 
     /// Whether no counter is registered.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.len() == 0
     }
 
     /// Sum of every counter at or below `prefix` (`prefix` itself, or
-    /// `prefix/...`).
+    /// `prefix/...`). A locked full scan — the naive reference
+    /// [`CounterSum::under`] is tested against; per-tick audits use the
+    /// pre-resolved group.
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
         self.lock()
             .iter()
-            .filter(|(path, _)| under_prefix(path, prefix))
-            .map(|(_, c)| c.load(Ordering::Relaxed))
+            .filter(|c| under_prefix(c.0.path(), prefix))
+            .map(|c| c.0.get())
             .sum()
     }
 
     /// Sum of every counter below `prefix` whose last segment is
     /// `leaf` — e.g. `sum_leaf("faults", "drop")` totals
-    /// `faults/<entity>/drop` across entities.
+    /// `faults/<entity>/drop` across entities. The naive reference for
+    /// [`CounterSum::leaves`].
     pub fn sum_leaf(&self, prefix: &str, leaf: &str) -> u64 {
-        let suffix = format!("/{leaf}");
         self.lock()
             .iter()
-            .filter(|(path, _)| under_prefix(path, prefix) && path.ends_with(&suffix))
-            .map(|(_, c)| c.load(Ordering::Relaxed))
+            .filter(|c| under_prefix(c.0.path(), prefix) && named(c.0.path(), leaf))
+            .map(|c| c.0.get())
             .sum()
     }
 
@@ -159,9 +234,89 @@ impl CounterTree {
             entries: self
                 .lock()
                 .iter()
-                .map(|(path, c)| (path.clone(), c.load(Ordering::Relaxed)))
+                .map(|c| (c.0.path().to_string(), c.0.get()))
                 .collect(),
         }
+    }
+}
+
+/// A pre-resolved counter group: every leaf at or below a prefix,
+/// optionally only those whose last segment is a given name — the
+/// handle form of [`CounterTree::sum_prefix`] / [`CounterTree::sum_leaf`].
+///
+/// The group holds its members' cells, so a steady-state
+/// [`CounterSum::get`] takes no lock and compares no strings: one
+/// atomic load of the tree's length, then one per member. Because the
+/// tree only grows, a length equal to the one seen at the last
+/// resolution proves the membership is current; any registration
+/// (a new flow, VF or fault entity mid-run) changes it and the next
+/// `get` re-resolves before summing, so the result is always what the
+/// scan would return.
+#[derive(Debug)]
+pub struct CounterSum {
+    tree: CounterTree,
+    prefix: Box<str>,
+    leaf: Option<Box<str>>,
+    members: Vec<Counter>,
+    /// Tree length when `members` was resolved.
+    seen: usize,
+}
+
+impl CounterSum {
+    /// The group of every counter at or below `prefix` in `tree`.
+    pub fn under(tree: &CounterTree, prefix: &str) -> CounterSum {
+        CounterSum::resolved(tree, prefix, None)
+    }
+
+    /// The group of every counter below `prefix` in `tree` whose last
+    /// segment is `leaf`.
+    pub fn leaves(tree: &CounterTree, prefix: &str, leaf: &str) -> CounterSum {
+        CounterSum::resolved(tree, prefix, Some(leaf.into()))
+    }
+
+    fn resolved(tree: &CounterTree, prefix: &str, leaf: Option<Box<str>>) -> CounterSum {
+        let mut sum = CounterSum {
+            tree: tree.clone(),
+            prefix: prefix.into(),
+            leaf,
+            members: Vec::new(),
+            seen: 0,
+        };
+        sum.resolve();
+        sum
+    }
+
+    /// Re-collects the members. Paths sharing a string prefix are
+    /// contiguous in the sorted registry, so this visits only the
+    /// candidates, not the whole tree.
+    fn resolve(&mut self) {
+        let cells = self.tree.lock();
+        self.seen = cells.len();
+        self.members.clear();
+        let prefix: &str = &self.prefix;
+        let leaf = self.leaf.as_deref();
+        self.members.extend(
+            cells
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .map(|c| &c.0)
+                .take_while(|c| c.path().starts_with(prefix))
+                .filter(|c| under_prefix(c.path(), prefix))
+                .filter(|c| leaf.is_none_or(|leaf| named(c.path(), leaf)))
+                .cloned(),
+        );
+    }
+
+    /// The group's current sum.
+    pub fn get(&mut self) -> u64 {
+        if self.tree.len() != self.seen {
+            self.resolve();
+        }
+        self.members.iter().map(Counter::get).sum()
+    }
+
+    /// The prefix this group sums under.
+    pub fn prefix(&self) -> &str {
+        &self.prefix
     }
 }
 
@@ -170,6 +325,11 @@ fn under_prefix(path: &str, prefix: &str) -> bool {
         || (path.len() > prefix.len()
             && path.starts_with(prefix)
             && path.as_bytes()[prefix.len()] == b'/')
+}
+
+/// Whether `path`'s last segment is `leaf` (and it is not the only one).
+fn named(path: &str, leaf: &str) -> bool {
+    path.strip_suffix(leaf).is_some_and(|p| p.ends_with('/'))
 }
 
 /// A frozen, sorted copy of a [`CounterTree`]: what experiments attach
@@ -321,6 +481,34 @@ mod tests {
         assert_eq!(tree.sum_leaf("faults", "drop"), 5);
         assert_eq!(tree.sum_leaf("faults", "pcie_timeout"), 9);
         assert_eq!(tree.sum_leaf("faults", "rnr"), 0);
+    }
+
+    #[test]
+    fn group_handles_match_the_scans_and_follow_growth() {
+        let tree = CounterTree::new();
+        let mut all = CounterSum::under(&tree, "vf/1");
+        let mut drops = CounterSum::leaves(&tree, "vf", "drops");
+        assert_eq!((all.get(), drops.get()), (0, 0), "empty tree");
+        tree.counter("vf/1/drops").add(2);
+        tree.counter("vf/1/rx").add(5);
+        // A sibling whose name extends the prefix is not under it.
+        tree.counter("vf/10/drops").add(100);
+        tree.counter("vf/1.5/drops").add(1000);
+        assert_eq!(all.get(), tree.sum_prefix("vf/1"));
+        assert_eq!(all.get(), 7);
+        assert_eq!(drops.get(), tree.sum_leaf("vf", "drops"));
+        assert_eq!(drops.get(), 1102);
+        // Registered after the first read: picked up by the next one.
+        let late = tree.counter("vf/1/q/0/drops");
+        late.add(3);
+        assert_eq!(all.get(), 10);
+        assert_eq!(drops.get(), 1105);
+        // Steady state reads through the held cells.
+        late.inc();
+        assert_eq!(all.get(), 11);
+        assert_eq!(all.prefix(), "vf/1");
+        assert_eq!(late.path(), "vf/1/q/0/drops");
+        assert_eq!(Counter::detached().path(), "");
     }
 
     #[test]

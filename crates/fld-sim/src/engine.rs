@@ -87,20 +87,22 @@ enum EngineEv<E> {
 /// column order of CSV exports and golden timeline files.
 /// Names are interned on first push: the set of probe names is small
 /// and fixed per run, so subsequent ticks push a `(u32 id, f64)` pair
-/// with no `String` allocation, and the entry buffer's capacity is
-/// reused tick after tick.
+/// with no `String` allocation, and the entry buffer is reused tick
+/// after tick.
 #[derive(Debug, Default)]
 pub struct Probes {
     names: Vec<Box<str>>,
+    /// `[..filled]` is this tick's pushes; whatever lies beyond is the
+    /// previous tick's, kept as the positional hint for this one.
     entries: Vec<(u32, f64)>,
+    filled: usize,
 }
 
 impl Probes {
     /// Appends one probe value.
     pub fn push(&mut self, name: impl AsRef<str>, value: f64) {
         let name = name.as_ref();
-        let id = self.intern(|n| n == name, || name.into());
-        self.entries.push((id, value));
+        self.record(|n| n == name, || name.into(), value);
     }
 
     /// Appends one probe value under the name `"{scope}.{leaf}"`
@@ -108,7 +110,7 @@ impl Probes {
     /// it is already interned. Components sampling per-instance probes
     /// (`"{name}.rx_ring.occupancy"`) use this instead of `format!`.
     pub fn push_scoped(&mut self, scope: &str, leaf: &str, value: f64) {
-        let id = self.intern(
+        self.record(
             |n| {
                 n.len() == scope.len() + 1 + leaf.len()
                     && n.as_bytes()[scope.len()] == b'.'
@@ -116,34 +118,45 @@ impl Probes {
                     && n[scope.len() + 1..] == *leaf
             },
             || format!("{scope}.{leaf}").into_boxed_str(),
+            value,
         );
-        self.entries.push((id, value));
     }
 
-    /// The id of the name matching `matches`, interning `make()` when
-    /// absent. A linear scan: runs push a few dozen distinct names at
-    /// most, and the scan touches one compact `Vec`.
-    fn intern(&mut self, matches: impl Fn(&str) -> bool, make: impl FnOnce() -> Box<str>) -> u32 {
-        match self.names.iter().position(|n| matches(n)) {
-            Some(i) => i as u32,
-            None => {
-                self.names.push(make());
-                (self.names.len() - 1) as u32
+    /// Records `value` under the name matching `matches` (`make()` when
+    /// it has to be interned). Models push in a fixed order, so the k-th
+    /// push of a tick almost always carries the k-th name of the
+    /// previous tick: that one comparison is tried first, and only a
+    /// changed probe set falls back to scanning the interned names.
+    fn record(
+        &mut self,
+        matches: impl Fn(&str) -> bool,
+        make: impl FnOnce() -> Box<str>,
+        value: f64,
+    ) {
+        if let Some(slot) = self.entries.get_mut(self.filled) {
+            if matches(&self.names[slot.0 as usize]) {
+                slot.1 = value;
+                self.filled += 1;
+                return;
             }
         }
+        let id = match self.names.iter().position(|n| matches(n)) {
+            Some(i) => i,
+            None => {
+                self.names.push(make());
+                self.names.len() - 1
+            }
+        };
+        self.entries.truncate(self.filled);
+        self.entries.push((id as u32, value));
+        self.filled += 1;
     }
 
-    /// Flushes the buffered probes into `timeline` as one tick at `now`,
-    /// leaving the buffer empty (capacity intact) for the next tick.
+    /// Flushes the buffered probes into `timeline` as one tick at `now`
+    /// and starts the next tick's buffer.
     fn sample_into(&mut self, now: SimTime, timeline: &mut Timeline) {
-        let names = &self.names;
-        timeline.sample_from(
-            now,
-            self.entries
-                .iter()
-                .map(|&(id, v)| (&*names[id as usize], v)),
-        );
-        self.entries.clear();
+        timeline.sample_interned(now, &self.names, &self.entries[..self.filled]);
+        self.filled = 0;
     }
 }
 
@@ -381,13 +394,17 @@ impl<E> Engine<E> {
                     self.probes = probes;
                     profiler.phase("sample.probes");
                     model.audit(now, &mut self.auditor);
+                    profiler.phase("sample.audit");
                     // Keep sampling only while the simulation is alive.
+                    // The re-arm is calendar work (a push can grow a
+                    // wheel slot), so it is attributed apart from the
+                    // audit it follows.
                     if !self.queue.is_empty() {
                         self.queue
                             .schedule_at(now + self.sample_interval, EngineEv::Sample);
                         self.sample_rearms += 1;
                     }
-                    profiler.phase("sample.audit");
+                    profiler.phase("sample.rearm");
                 }
             }
         }
@@ -608,6 +625,7 @@ mod tests {
             "dispatch.Ping",
             "sample.probes",
             "sample.audit",
+            "sample.rearm",
             "finish",
             "export",
         ] {
@@ -633,11 +651,42 @@ mod tests {
     }
 
     #[test]
-    fn probes_buffer_clears_between_ticks() {
+    fn probes_buffer_restarts_between_ticks() {
         let mut p = Probes::default();
         p.push("a", 1.0);
         let mut tl = Timeline::with_interval(SimDuration::from_nanos(10));
         p.sample_into(SimTime::from_nanos(10), &mut tl);
-        assert!(p.entries.is_empty());
+        assert_eq!(p.filled, 0);
+    }
+
+    /// The positional fast path must be invisible: whatever order and
+    /// subset of names each tick pushes, the timeline is what by-name
+    /// sampling records.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn probe_order_changes_record_like_by_name_sampling() {
+        let ticks: [&[(&str, f64)]; 5] = [
+            &[("a.x", 1.0), ("b", 2.0), ("c", 3.0)],
+            &[("a.x", 4.0), ("b", 5.0), ("c", 6.0)],
+            &[("a.x", 7.0), ("c", 8.0)],
+            &[("c", 9.0), ("a.x", 10.0), ("d", 11.0), ("b", 12.0)],
+            &[("c", 13.0), ("a.x", 14.0), ("d", 15.0), ("b", 16.0)],
+        ];
+        let mut p = Probes::default();
+        let mut fast = Timeline::with_interval(SimDuration::from_nanos(10));
+        let mut by_name = Timeline::with_interval(SimDuration::from_nanos(10));
+        for (i, tick) in ticks.iter().enumerate() {
+            let now = SimTime::from_nanos(10 * (i as u64 + 1));
+            for &(name, v) in *tick {
+                match name.split_once('.') {
+                    Some((scope, leaf)) => p.push_scoped(scope, leaf, v),
+                    None => p.push(name, v),
+                }
+            }
+            p.sample_into(now, &mut fast);
+            by_name.sample(now, tick);
+        }
+        assert_eq!(fast.series(), by_name.series());
+        assert_eq!(p.names.len(), 4, "each name interned once");
     }
 }

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::audit::Auditor;
-use crate::counters::{Counter, CounterTree};
+use crate::counters::{Counter, CounterSum, CounterTree};
 use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
 use crate::stats::Histogram;
@@ -416,6 +416,10 @@ struct LedgerInner {
     recovered_ctr: Counter,
     dropped_counted_ctr: Counter,
     terminal_ctr: Counter,
+    /// Per kind, the `faults/<entity>/<kind>` leaves of the wired tree
+    /// across entities — what [`FaultLedger::attribution_audit`] holds
+    /// the book to. Empty until [`FaultLedger::wire_counters`].
+    attributed: Vec<CounterSum>,
 }
 
 impl LedgerInner {
@@ -620,9 +624,15 @@ impl FaultLedger {
     /// `recovery/recovered`, `recovery/dropped_counted` and
     /// `recovery/terminal`, so one counters artifact carries injection
     /// attribution *and* recovery accounting. Resolutions recorded
-    /// before wiring are carried over.
+    /// before wiring are carried over. Also resolves the per-kind
+    /// attribution groups the audit reads, so `tree` is the tree
+    /// [`FaultLedger::attribution_audit`] checks against.
     pub fn wire_counters(&self, tree: &CounterTree) {
         let mut b = self.lock();
+        b.attributed = FaultKind::ALL
+            .iter()
+            .map(|kind| CounterSum::leaves(tree, "faults", kind.name()))
+            .collect();
         b.recovered_ctr = tree.counter("recovery/recovered");
         b.recovered_ctr.add(b.recovered);
         b.dropped_counted_ctr = tree.counter("recovery/dropped_counted");
@@ -633,23 +643,20 @@ impl FaultLedger {
 
     /// The counter-telescoping check for fault accounting: every
     /// injected fault of every kind must be attributed to a per-entity
-    /// `faults/<entity>/<kind>` counter path in `tree`, and the
-    /// `recovery/*` mirrors must match the book. Holds whenever every
-    /// injector recording into this ledger was wired into `tree` (see
-    /// [`FaultInjector::wire_counters`]); an unwired injector on a
-    /// shared ledger trips it by design — that fault would otherwise be
-    /// unattributable.
-    pub fn attribution_audit(
-        &self,
-        at: SimTime,
-        component: &str,
-        tree: &CounterTree,
-        auditor: &mut Auditor,
-    ) {
-        let b = self.lock();
-        for kind in FaultKind::ALL {
-            let injected = b.injected[kind.index()];
-            let attributed = tree.sum_leaf("faults", kind.name());
+    /// `faults/<entity>/<kind>` counter path in the tree this ledger was
+    /// wired into, and the `recovery/*` mirrors must match the book.
+    /// Holds whenever every injector recording into this ledger was
+    /// wired into that tree (see [`FaultInjector::wire_counters`]); an
+    /// unwired injector on a shared ledger trips it by design — that
+    /// fault would otherwise be unattributable. Reads only handles
+    /// resolved by [`FaultLedger::wire_counters`] (an unwired ledger
+    /// attributes nothing).
+    pub fn attribution_audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
+        let mut b = self.lock();
+        let b = &mut *b;
+        for (i, kind) in FaultKind::ALL.iter().enumerate() {
+            let injected = b.injected[i];
+            let attributed = b.attributed.get_mut(i).map_or(0, CounterSum::get);
             auditor.check(at, component, "fault-attribution", attributed == injected, || {
                 format!(
                     "{} faults of kind {} injected but only {} attributed to faults/<entity>/{} counter paths",
@@ -660,14 +667,17 @@ impl FaultLedger {
                 )
             });
         }
-        for (path, book) in [
-            ("recovery/recovered", b.recovered),
-            ("recovery/dropped_counted", b.dropped_counted),
-            ("recovery/terminal", b.terminal),
+        for (mirror, book) in [
+            (&b.recovered_ctr, b.recovered),
+            (&b.dropped_counted_ctr, b.dropped_counted),
+            (&b.terminal_ctr, b.terminal),
         ] {
-            let ctr = tree.get(path).unwrap_or(0);
+            let ctr = mirror.get();
             auditor.check(at, component, "fault-attribution", ctr == book, || {
-                format!("counter {path} reads {ctr} but the ledger books {book}")
+                format!(
+                    "counter {} reads {ctr} but the ledger books {book}",
+                    mirror.path()
+                )
             });
         }
     }
@@ -721,6 +731,14 @@ impl FaultInjector {
             self.counters[kind.index()] = tree.counter(&format!("faults/{entity}/{}", kind.name()));
         }
     }
+
+    /// This injector's `faults/<entity>/<kind>` counter (detached until
+    /// [`FaultInjector::wire_counters`]) — what a system's audit compares
+    /// a component's own fault-visible counter against.
+    pub fn counter(&self, kind: FaultKind) -> &Counter {
+        &self.counters[kind.index()]
+    }
+
     /// Rolls one injection opportunity for `kind`: returns `true` (and
     /// records the injection) with the plan's probability when the kind
     /// is enabled. Disabled kinds consume no randomness, so narrowing a
@@ -877,7 +895,7 @@ mod tests {
         assert_eq!(tree.get("recovery/dropped_counted"), Some(2));
         assert_eq!(tree.get("recovery/recovered"), Some(1));
         let mut auditor = Auditor::new();
-        ledger.attribution_audit(SimTime::ZERO, "faults", &tree, &mut auditor);
+        ledger.attribution_audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.violations(), 0);
         // An unwired injector on the same ledger leaves a fault with no
         // counter path: the attribution audit must catch exactly that.
@@ -885,7 +903,7 @@ mod tests {
         assert!(rogue.roll(FaultKind::Rnr));
         ledger.resolve(FaultOutcome::Recovered, None);
         let mut auditor = Auditor::new();
-        ledger.attribution_audit(SimTime::ZERO, "faults", &tree, &mut auditor);
+        ledger.attribution_audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.violations(), 1);
     }
 

@@ -55,6 +55,51 @@ struct TimelineInner {
     ticks: u64,
     series: Vec<Series>,
     index: std::collections::HashMap<String, usize>,
+    /// Series index per interned probe id of the engine's
+    /// [`crate::engine::Probes`] buffer (`usize::MAX` until the id's
+    /// first sample), so a steady-state tick hashes no names.
+    by_probe: Vec<usize>,
+}
+
+#[cfg(feature = "trace")]
+impl TimelineInner {
+    /// Opens the next tick at `now` and returns its index.
+    fn begin_tick(&mut self, now: SimTime) -> u64 {
+        if self.ticks == 0 {
+            self.epoch = now;
+        }
+        self.ticks += 1;
+        self.ticks - 1
+    }
+
+    /// The index of the series called `name`, created (first sampled at
+    /// `tick`) on first appearance.
+    fn series_index(&mut self, name: &str, tick: u64) -> usize {
+        if let Some(&i) = self.index.get(name) {
+            return i;
+        }
+        let i = self.series.len();
+        self.index.insert(name.to_string(), i);
+        self.series.push(Series {
+            name: name.to_string(),
+            first_tick: tick,
+            values: Vec::new(),
+        });
+        i
+    }
+
+    fn record(&mut self, idx: usize, tick: u64, value: f64) {
+        let s = &mut self.series[idx];
+        // Pad any missed ticks with the last value, so
+        // `first_tick + values.len() == ticks` holds for all
+        // series after every sample.
+        let expect = (tick - s.first_tick) as usize;
+        while s.values.len() < expect {
+            let last = s.values.last().copied().unwrap_or(0.0);
+            s.values.push(last);
+        }
+        s.values.push(value);
+    }
 }
 
 /// A fixed-interval sampler of named probes.
@@ -103,6 +148,7 @@ impl Timeline {
                     ticks: 0,
                     series: Vec::new(),
                     index: std::collections::HashMap::new(),
+                    by_probe: Vec::new(),
                 }),
             }
         }
@@ -147,52 +193,41 @@ impl Timeline {
     /// Series are created on first appearance; a series absent from a
     /// tick is padded with its previous value so the grid stays aligned.
     /// No-op when disabled.
-    #[inline]
+    #[allow(unused_variables)]
     pub fn sample(&mut self, now: SimTime, entries: &[(&str, f64)]) {
-        self.sample_from(now, entries.iter().copied());
+        #[cfg(feature = "trace")]
+        if let Some(inner) = &mut self.inner {
+            let tick = inner.begin_tick(now);
+            for &(name, value) in entries {
+                let idx = inner.series_index(name, tick);
+                inner.record(idx, tick, value);
+            }
+        }
     }
 
-    /// Iterator-based [`Timeline::sample`]: the engine's probe buffer
-    /// feeds interned `(name, value)` pairs straight through without
-    /// materializing a temporary slice each tick.
-    #[inline]
+    /// [`Timeline::sample`] for the engine's probe buffer: `entries`
+    /// carry ids interned in `names`, and the id → series mapping is
+    /// remembered, so only an id's first sample looks its name up. All
+    /// calls on one timeline must come from the same buffer.
     #[allow(unused_variables)]
-    pub(crate) fn sample_from<'a>(
+    pub(crate) fn sample_interned(
         &mut self,
         now: SimTime,
-        entries: impl Iterator<Item = (&'a str, f64)>,
+        names: &[Box<str>],
+        entries: &[(u32, f64)],
     ) {
         #[cfg(feature = "trace")]
         if let Some(inner) = &mut self.inner {
-            if inner.ticks == 0 {
-                inner.epoch = now;
-            }
-            let tick = inner.ticks;
-            inner.ticks += 1;
-            for (name, value) in entries {
-                let idx = match inner.index.get(name) {
-                    Some(&i) => i,
-                    None => {
-                        let i = inner.series.len();
-                        inner.index.insert(name.to_string(), i);
-                        inner.series.push(Series {
-                            name: name.to_string(),
-                            first_tick: tick,
-                            values: Vec::new(),
-                        });
-                        i
-                    }
-                };
-                let s = &mut inner.series[idx];
-                // Pad any missed ticks with the last value, so
-                // `first_tick + values.len() == ticks` holds for all
-                // series after every sample.
-                let expect = (tick - s.first_tick) as usize;
-                while s.values.len() < expect {
-                    let last = s.values.last().copied().unwrap_or(0.0);
-                    s.values.push(last);
+            let tick = inner.begin_tick(now);
+            for &(id, value) in entries {
+                let id = id as usize;
+                if inner.by_probe.len() <= id {
+                    inner.by_probe.resize(id + 1, usize::MAX);
                 }
-                s.values.push(value);
+                if inner.by_probe[id] == usize::MAX {
+                    inner.by_probe[id] = inner.series_index(&names[id], tick);
+                }
+                inner.record(inner.by_probe[id], tick, value);
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Property-based tests for the simulation engine: histogram accuracy
-//! against exact percentiles, link conservation laws, and calendar
-//! ordering.
+//! against exact percentiles, link conservation laws, calendar
+//! ordering, and pre-resolved counter groups against the naive scans.
 
 use proptest::prelude::*;
 
+use fld_sim::counters::{CounterSum, CounterTree};
 use fld_sim::link::{Link, TokenBucket};
 use fld_sim::queue::{CalendarKind, EventQueue};
 use fld_sim::stats::Histogram;
@@ -88,7 +89,90 @@ fn run_calendar(kind: CalendarKind, ops: &[CalOp]) -> Vec<(u64, u32)> {
     trace
 }
 
+/// Path segments for the counter-group property: few enough that
+/// registrations collide and nest, and chosen so that sibling names
+/// extend one another as strings (`1` / `10` / `1.5`, `vf` / `vf1`) —
+/// the cases a prefix match must not confuse with a segment boundary.
+const SEGMENTS: [&str; 8] = ["vf", "vf1", "1", "10", "1.5", "q", "drops", "packets"];
+
+fn counter_path(max_depth: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..SEGMENTS.len(), 1..max_depth + 1).prop_map(|segs| {
+        segs.iter()
+            .map(|&i| SEGMENTS[i])
+            .collect::<Vec<_>>()
+            .join("/")
+    })
+}
+
+/// One step of the counter-group exercise.
+#[derive(Debug, Clone)]
+enum TreeOp {
+    /// Register `path` (idempotent) and add `n` through its handle.
+    Bump { path: String, n: u64 },
+    /// Resolve a new group: everything under `prefix`, or only the
+    /// leaves named `SEGMENTS[leaf]` when given.
+    Group { prefix: String, leaf: Option<usize> },
+    /// Read group `i % groups` and compare with the scan.
+    Read(usize),
+}
+
+fn tree_op() -> impl Strategy<Value = TreeOp> {
+    prop_oneof![
+        (counter_path(4), 0u64..1000).prop_map(|(path, n)| TreeOp::Bump { path, n }),
+        (counter_path(4), 0u64..1000).prop_map(|(path, n)| TreeOp::Bump { path, n }),
+        counter_path(2).prop_map(|prefix| TreeOp::Group { prefix, leaf: None }),
+        (counter_path(2), 0usize..SEGMENTS.len()).prop_map(|(prefix, leaf)| TreeOp::Group {
+            prefix,
+            leaf: Some(leaf)
+        }),
+        (0usize..64).prop_map(TreeOp::Read),
+        (0usize..64).prop_map(TreeOp::Read),
+    ]
+}
+
+/// What the naive scan says `group` sums to right now.
+fn scan(tree: &CounterTree, prefix: &str, leaf: Option<usize>) -> u64 {
+    match leaf {
+        None => tree.sum_prefix(prefix),
+        Some(l) => tree.sum_leaf(prefix, SEGMENTS[l]),
+    }
+}
+
 proptest! {
+    /// A pre-resolved [`CounterSum`] is observationally the scan it
+    /// replaces: under any interleaving of registrations, increments,
+    /// group creations and reads — including leaves registered under a
+    /// group's prefix after that group was first read — every read
+    /// equals `sum_prefix` / `sum_leaf` at that instant.
+    #[test]
+    fn counter_groups_match_the_naive_scans(ops in proptest::collection::vec(tree_op(), 1..200)) {
+        let tree = CounterTree::new();
+        let mut groups: Vec<(CounterSum, String, Option<usize>)> = Vec::new();
+        for op in ops {
+            match op {
+                TreeOp::Bump { path, n } => tree.counter(&path).add(n),
+                TreeOp::Group { prefix, leaf } => {
+                    let group = match leaf {
+                        None => CounterSum::under(&tree, &prefix),
+                        Some(l) => CounterSum::leaves(&tree, &prefix, SEGMENTS[l]),
+                    };
+                    groups.push((group, prefix, leaf));
+                }
+                TreeOp::Read(i) => {
+                    if groups.is_empty() {
+                        continue;
+                    }
+                    let i = i % groups.len();
+                    let (group, prefix, leaf) = &mut groups[i];
+                    prop_assert_eq!(group.get(), scan(&tree, prefix, *leaf), "{} {:?}", prefix, leaf);
+                }
+            }
+        }
+        for (group, prefix, leaf) in &mut groups {
+            prop_assert_eq!(group.get(), scan(&tree, prefix, *leaf), "final {} {:?}", prefix, leaf);
+        }
+    }
+
     /// Histogram percentiles stay within the configured relative error of
     /// exact order statistics.
     #[test]
