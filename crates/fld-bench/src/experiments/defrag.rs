@@ -40,6 +40,14 @@ pub enum DefragConfig {
 
 /// Runs one configuration; returns TCP-payload goodput in Gbps.
 pub fn run_defrag(config: DefragConfig, scale: Scale) -> f64 {
+    let stats = defrag_system(config, scale.packets).run(scale.warmup(), scale.deadline());
+    stats.host_goodput.gbps()
+}
+
+/// Builds one configuration's system — sender, host stack, accelerator
+/// and eSwitch rules — offering `packets` original (pre-fragmentation)
+/// packets.
+pub fn defrag_system(config: DefragConfig, packets: u64) -> FldSystem {
     let cfg = SystemConfig {
         host_cores: CORES,
         ..SystemConfig::remote()
@@ -60,7 +68,7 @@ pub fn run_defrag(config: DefragConfig, scale: Scale) -> f64 {
     let window = FLOWS as u32 * 2;
     let mut gen = ClientGen::new(
         GenMode::ClosedLoop { window },
-        scale.packets,
+        packets,
         defrag_bursts(FLOWS, mode),
     );
     if config == DefragConfig::VxlanHardwareDefrag {
@@ -130,8 +138,7 @@ pub fn run_defrag(config: DefragConfig, scale: Scale) -> f64 {
     if config == DefragConfig::VxlanHardwareDefrag {
         sys.enable_vxlan_decap(42);
     }
-    let stats = sys.run(scale.warmup(), scale.deadline());
-    stats.host_goodput.gbps()
+    sys
 }
 
 /// Renders the § 8.2.2 comparison table.

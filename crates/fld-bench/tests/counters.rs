@@ -1,5 +1,6 @@
 //! Counter-tree integration tests: a seeded echo run's counter dump is
 //! byte-stable against a committed golden (regenerate with `BLESS=1`),
+//! as is the VXLAN-defrag run's — the one path that moves real bytes —
 //! the dump round-trips through the `counter_diff` parser to an empty
 //! diff, and — as properties over arbitrary workloads and fault plans —
 //! the counters telescope: the per-tick/end-of-run audits (which check
@@ -11,6 +12,7 @@ use proptest::prelude::*;
 
 use fld_accel::echo::EchoAccelerator;
 use fld_bench::counters::{diff, parse_dump, Thresholds};
+use fld_bench::experiments::defrag::{defrag_system, DefragConfig};
 use fld_bench::experiments::echo::{run_echo, steer_to_accel};
 use fld_bench::experiments::rack::build_rack;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
@@ -30,6 +32,23 @@ fn sum_leaf(snap: &CounterSnapshot, prefix: &str, leaf: &str) -> u64 {
         .filter(|(p, _)| p.starts_with(&head) && p.ends_with(&tail))
         .map(|(_, v)| v)
         .sum()
+}
+
+/// Compares `actual` byte for byte with `tests/golden/<file>`; `BLESS=1`
+/// rewrites the golden first.
+fn assert_matches_golden(file: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, actual).expect("write golden file");
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing; regenerate with BLESS=1 cargo test -p fld-bench");
+    assert_eq!(
+        actual, golden,
+        "{file} changed; regenerate with BLESS=1 if intentional"
+    );
 }
 
 fn golden_dump() -> String {
@@ -52,16 +71,23 @@ fn golden_dump() -> String {
 #[test]
 fn echo_counter_dump_matches_golden() {
     let dump = golden_dump();
-    let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/echo_counters.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden_path, &dump).expect("write golden file");
-    }
-    let golden = std::fs::read_to_string(&golden_path).expect("golden exists (BLESS=1 to create)");
-    assert_eq!(
-        dump, golden,
-        "counter dump changed; regenerate with BLESS=1 if intentional"
-    );
+    assert_matches_golden("echo_counters.json", &dump);
+}
+
+/// § 8.2.2 (c) end to end: tunnelled fragments decapsulated by the NIC,
+/// reassembled by the accelerator, spread by RSS and re-parsed by the
+/// host stack. Every counter depends on what those stages read out of
+/// the frame bytes, so the dump pins the byte path's observable result.
+#[test]
+fn defrag_vxlan_counter_dump_matches_golden() {
+    let mut sys = defrag_system(DefragConfig::VxlanHardwareDefrag, 3_000);
+    sys.enable_strict_audit();
+    let stats = sys.run(SimTime::from_millis(1), SimTime::from_millis(50));
+    assert!(stats.audit.passed(), "{}", stats.audit);
+    assert!(stats.host_goodput.gbps() > 10.0);
+    let dump =
+        fld_sim::counters::write_dump("defrag", &[("defrag.vxlan_hw".to_string(), stats.counters)]);
+    assert_matches_golden("defrag_vxlan_counters.json", &dump);
 }
 
 #[test]
@@ -124,33 +150,14 @@ fn golden_rack_dump(stats: &RackStats) -> String {
 fn rack_counter_dump_matches_golden() {
     let stats = golden_rack_run();
     let dump = golden_rack_dump(&stats);
-    let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/rack_counters.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden_path, &dump).expect("write golden file");
-    }
-    let golden = std::fs::read_to_string(&golden_path).expect("golden exists (BLESS=1 to create)");
-    assert_eq!(
-        dump, golden,
-        "rack counter dump changed; regenerate with BLESS=1 if intentional"
-    );
+    assert_matches_golden("rack_counters.json", &dump);
 
     // The same bytes also pin the flight-recorder timeline. Timeline
     // samples only exist with the recorder compiled in, so the golden
     // half is skipped under --no-default-features.
     if cfg!(feature = "trace") {
         let json = stats.timeline.to_json();
-        let timeline_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden/rack_timeline.json");
-        if std::env::var_os("BLESS").is_some() {
-            std::fs::write(&timeline_path, &json).expect("write golden file");
-        }
-        let golden = std::fs::read_to_string(&timeline_path)
-            .expect("golden file missing; regenerate with BLESS=1 cargo test -p fld-bench");
-        assert_eq!(
-            json, golden,
-            "rack timeline changed; regenerate with BLESS=1 if intentional"
-        );
+        assert_matches_golden("rack_timeline.json", &json);
     }
 }
 
@@ -224,16 +231,7 @@ fn chaos_rack_counter_dump_matches_golden() {
         runs.push((format!("chaos-rack.node{n}"), snap.clone()));
     }
     let dump = fld_sim::counters::write_dump("chaos-rack", &runs);
-    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/chaos_rack_counters.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden_path, &dump).expect("write golden file");
-    }
-    let golden = std::fs::read_to_string(&golden_path).expect("golden exists (BLESS=1 to create)");
-    assert_eq!(
-        dump, golden,
-        "chaos rack counter dump changed; regenerate with BLESS=1 if intentional"
-    );
+    assert_matches_golden("chaos_rack_counters.json", &dump);
 
     // The injected outages are attributed in the dump itself.
     let parsed = parse_dump(&dump).expect("dump parses");

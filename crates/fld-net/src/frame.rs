@@ -39,21 +39,22 @@ pub struct ParsedFrame {
 }
 
 impl ParsedFrame {
-    /// Parses a full frame.
+    /// Parses a full frame. `payload` is a view of `frame`, not a copy:
+    /// it keeps the frame's buffer alive for as long as it is held.
     ///
     /// Non-first IP fragments and unknown protocols yield [`L4::Raw`].
     ///
     /// # Errors
     ///
     /// Propagates header parse errors from each layer.
-    pub fn parse(data: &[u8]) -> Result<ParsedFrame, ParsePacketError> {
-        let (eth, rest) = EthernetHeader::parse(data)?;
+    pub fn parse(frame: &Bytes) -> Result<ParsedFrame, ParsePacketError> {
+        let (eth, rest) = EthernetHeader::parse(frame)?;
         if eth.ethertype != EtherType::Ipv4 {
             return Ok(ParsedFrame {
                 eth,
                 ip: None,
                 l4: L4::Raw,
-                payload: Bytes::copy_from_slice(rest),
+                payload: frame.slice_ref(rest),
             });
         }
         let (ip, rest) = Ipv4Header::parse(rest)?;
@@ -61,40 +62,27 @@ impl ParsedFrame {
         // Fragments (including the first) are left unparsed at L4: the
         // transport header is either absent or spans a partial datagram —
         // exactly the situation that breaks NIC L4 offloads (§ 8.2.2).
-        if ip.is_fragment() {
-            return Ok(ParsedFrame {
-                eth,
-                ip: Some(ip),
-                l4: L4::Raw,
-                payload: Bytes::copy_from_slice(ip_payload),
-            });
-        }
-        match ip.proto {
-            IpProto::Udp => {
-                let (udp, payload) = UdpHeader::parse(ip_payload)?;
-                Ok(ParsedFrame {
-                    eth,
-                    ip: Some(ip),
-                    l4: L4::Udp(udp),
-                    payload: Bytes::copy_from_slice(payload),
-                })
+        let (l4, payload) = if ip.is_fragment() {
+            (L4::Raw, ip_payload)
+        } else {
+            match ip.proto {
+                IpProto::Udp => {
+                    let (udp, payload) = UdpHeader::parse(ip_payload)?;
+                    (L4::Udp(udp), payload)
+                }
+                IpProto::Tcp => {
+                    let (tcp, payload) = TcpHeader::parse(ip_payload)?;
+                    (L4::Tcp(tcp), payload)
+                }
+                _ => (L4::Raw, ip_payload),
             }
-            IpProto::Tcp => {
-                let (tcp, payload) = TcpHeader::parse(ip_payload)?;
-                Ok(ParsedFrame {
-                    eth,
-                    ip: Some(ip),
-                    l4: L4::Tcp(tcp),
-                    payload: Bytes::copy_from_slice(payload),
-                })
-            }
-            _ => Ok(ParsedFrame {
-                eth,
-                ip: Some(ip),
-                l4: L4::Raw,
-                payload: Bytes::copy_from_slice(ip_payload),
-            }),
-        }
+        };
+        Ok(ParsedFrame {
+            eth,
+            ip: Some(ip),
+            l4,
+            payload: frame.slice_ref(payload),
+        })
     }
 
     /// The flow key of this frame (ports zero for `L4::Raw`).
@@ -185,22 +173,39 @@ pub fn build_tcp_frame(
 }
 
 /// Splits an IPv4 frame into fragment frames that each fit `mtu` (IP total
-/// length bound). Returns the original frame if it already fits.
+/// length bound), all carrying `ip_id`. A frame that already fits comes
+/// back as one frame with the id rewritten.
 ///
 /// # Errors
 ///
-/// Fails if the frame does not parse as Ethernet + IPv4.
+/// Fails if the frame does not parse as Ethernet + IPv4, or if it needs
+/// fragmenting but has the don't-fragment bit set or `mtu` cannot carry
+/// the 8 payload bytes a fragment must.
 pub fn fragment_frame(
-    frame: &[u8],
+    frame: &Bytes,
     mtu: usize,
     ip_id: u16,
 ) -> Result<Vec<Bytes>, ParsePacketError> {
     let (eth, rest) = EthernetHeader::parse(frame)?;
     let (mut ip, rest) = Ipv4Header::parse(rest)?;
     ip.id = ip_id;
-    let payload = Bytes::copy_from_slice(&rest[..ip.payload_len().min(rest.len())]);
-    let frags = fragment(&ip, payload, mtu);
-    Ok(frags
+    let payload = frame.slice_ref(&rest[..ip.payload_len().min(rest.len())]);
+    // `fragment` treats these as caller bugs; here they are properties of
+    // the input frame.
+    if payload.len() > mtu.saturating_sub(IPV4_HEADER_LEN) {
+        let refused = |field, value| ParsePacketError::InvalidField {
+            layer: "ipv4",
+            field,
+            value,
+        };
+        if ip.dont_fragment {
+            return Err(refused("dont_fragment", 1));
+        }
+        if mtu < IPV4_HEADER_LEN + 8 {
+            return Err(refused("mtu", mtu as u64));
+        }
+    }
+    Ok(fragment(&ip, payload, mtu)
         .into_iter()
         .map(|(fh, fp)| {
             let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + fh.total_len as usize);
@@ -239,12 +244,13 @@ pub fn vxlan_encap(outer: &Endpoints, vni: u32, inner_frame: &[u8], src_port: u1
     buf.freeze()
 }
 
-/// Strips a VXLAN tunnel, returning `(vni, inner frame bytes)`.
+/// Strips a VXLAN tunnel, returning `(vni, inner frame)`. The inner frame
+/// is a view of `frame` — the tunnel headers are skipped, not removed.
 ///
 /// # Errors
 ///
 /// Fails when the frame is not a well-formed VXLAN-over-UDP packet.
-pub fn vxlan_decap(frame: &[u8]) -> Result<(u32, Bytes), ParsePacketError> {
+pub fn vxlan_decap(frame: &Bytes) -> Result<(u32, Bytes), ParsePacketError> {
     let (_, rest) = EthernetHeader::parse(frame)?;
     let (ip, rest) = Ipv4Header::parse(rest)?;
     let (udp, rest) = UdpHeader::parse(&rest[..ip.payload_len().min(rest.len())])?;
@@ -256,7 +262,7 @@ pub fn vxlan_decap(frame: &[u8]) -> Result<(u32, Bytes), ParsePacketError> {
         });
     }
     let (vx, inner) = VxlanHeader::parse(rest)?;
-    Ok((vx.vni, Bytes::copy_from_slice(inner)))
+    Ok((vx.vni, frame.slice_ref(inner)))
 }
 
 /// Total frame length for a UDP packet with `payload` bytes of L4 payload.
@@ -333,6 +339,65 @@ mod tests {
         assert_eq!(data, payload.as_slice());
     }
 
+    /// Sets the don't-fragment bit of a built frame, re-fixing the header
+    /// checksum.
+    fn with_df(frame: &Bytes) -> Bytes {
+        let (eth, rest) = EthernetHeader::parse(frame).unwrap();
+        let (mut ip, payload) = Ipv4Header::parse(rest).unwrap();
+        ip.dont_fragment = true;
+        let mut buf = BytesMut::with_capacity(frame.len());
+        eth.write(&mut buf);
+        ip.write(&mut buf);
+        buf.put_slice(payload);
+        buf.freeze()
+    }
+
+    #[test]
+    fn fragment_frame_refuses_df_instead_of_panicking() {
+        let frame = with_df(&build_udp_frame(
+            &Endpoints::sim(1, 2),
+            10,
+            20,
+            &[1u8; 3000],
+        ));
+        assert_eq!(
+            fragment_frame(&frame, 1500, 1),
+            Err(ParsePacketError::InvalidField {
+                layer: "ipv4",
+                field: "dont_fragment",
+                value: 1,
+            })
+        );
+        // DF only matters when the frame does not fit.
+        let frags = fragment_frame(&frame, 4000, 1).unwrap();
+        assert_eq!(frags.len(), 1);
+        assert!(
+            ParsedFrame::parse(&frags[0])
+                .unwrap()
+                .ip
+                .unwrap()
+                .dont_fragment
+        );
+    }
+
+    #[test]
+    fn fragment_frame_refuses_an_mtu_without_room_for_payload() {
+        let frame = build_udp_frame(&Endpoints::sim(1, 2), 10, 20, &[1u8; 100]);
+        for mtu in [0, 19, 20, 27] {
+            assert_eq!(
+                fragment_frame(&frame, mtu, 1),
+                Err(ParsePacketError::InvalidField {
+                    layer: "ipv4",
+                    field: "mtu",
+                    value: mtu as u64,
+                })
+            );
+        }
+        // 28 carries the minimum 8 payload bytes per fragment.
+        let frags = fragment_frame(&frame, 28, 1).unwrap();
+        assert_eq!(frags.len(), (8 + 100usize).div_ceil(8));
+    }
+
     #[test]
     fn vxlan_encap_decap() {
         let inner_ep = Endpoints::sim(10, 11);
@@ -361,7 +426,7 @@ mod tests {
         let mut buf = BytesMut::new();
         eth.write(&mut buf);
         buf.put_slice(&[0u8; 28]);
-        let parsed = ParsedFrame::parse(&buf).unwrap();
+        let parsed = ParsedFrame::parse(&buf.freeze()).unwrap();
         assert!(parsed.ip.is_none());
         assert!(parsed.flow_key().is_none());
     }

@@ -323,21 +323,29 @@ impl PartialDatagram {
 
     fn insert(&mut self, start: usize, data: &[u8]) {
         let end = start + data.len();
+        if self.fragments == 0 {
+            // Whichever fragment arrives first, a two-fragment datagram
+            // (the common case) is at most this long: size the buffer for
+            // it once instead of growing it under the second fragment.
+            self.buffer.reserve(end.max(2 * data.len()));
+        }
         if self.buffer.len() < end {
             self.buffer.resize(end, 0);
         }
         self.buffer[start..end].copy_from_slice(data);
-        self.ranges.push((start, end));
-        self.ranges.sort_unstable();
-        // Coalesce overlapping/adjacent ranges.
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(self.ranges.len());
-        for &(s, e) in &self.ranges {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
+        // `ranges` is sorted and coalesced: the ranges the new one
+        // overlaps or touches are contiguous, `first..after`.
+        let first = self.ranges.partition_point(|r| r.1 < start);
+        let after = first + self.ranges[first..].partition_point(|r| r.0 <= end);
+        if first == after {
+            self.ranges.insert(first, (start, end));
+        } else {
+            self.ranges[first] = (
+                start.min(self.ranges[first].0),
+                end.max(self.ranges[after - 1].1),
+            );
+            self.ranges.drain(first + 1..after);
         }
-        self.ranges = merged;
         self.fragments += 1;
     }
 
@@ -644,6 +652,29 @@ mod tests {
             }
         }
         assert!(complete);
+    }
+
+    #[test]
+    fn ranges_coalesce_in_place() {
+        let mut d = PartialDatagram::new();
+        for start in [16, 0, 40] {
+            d.insert(start, &[1u8; 8]);
+        }
+        assert_eq!(d.ranges, [(0, 8), (16, 24), (40, 48)]);
+        // Touching on both sides bridges two ranges into one...
+        d.insert(8, &[2u8; 8]);
+        assert_eq!(d.ranges, [(0, 24), (40, 48)]);
+        // ...an empty fragment in a gap stands alone...
+        d.insert(30, &[]);
+        assert_eq!(d.ranges, [(0, 24), (30, 30), (40, 48)]);
+        // ...an overlap swallows everything it reaches...
+        d.insert(20, &[3u8; 24]);
+        assert_eq!(d.ranges, [(0, 48)]);
+        // ...and a duplicate changes nothing.
+        d.insert(4, &[4u8; 4]);
+        assert_eq!(d.ranges, [(0, 48)]);
+        assert_eq!(d.fragments, 7);
+        assert_eq!(d.buffer.len(), 48);
     }
 
     #[test]

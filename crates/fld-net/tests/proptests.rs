@@ -1,18 +1,221 @@
 //! Property-based tests for the packet codecs and algorithms: round-trips,
-//! parser totality (no panics on arbitrary bytes), and reassembly
-//! invariants under arbitrary fragment orderings.
+//! parser totality (no panics on arbitrary bytes), reassembly invariants
+//! under arbitrary fragment orderings, and the whole-frame functions
+//! (`ParsedFrame::parse`, `vxlan_decap`, `fragment_frame`,
+//! `SimPacket::from_frame`) against a slice-level reference on well-formed
+//! frames and their near misses.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use fld_net::checksum::{checksum, Checksum};
 use fld_net::coap::CoapMessage;
-use fld_net::ethernet::{EtherType, EthernetHeader, MacAddr};
-use fld_net::frame::{build_udp_frame, fragment_frame, Endpoints, ParsedFrame};
-use fld_net::ipv4::{fragment, IpProto, Ipv4Addr, Ipv4Header, Reassembler, ReassemblyResult};
+use fld_net::error::ParsePacketError;
+use fld_net::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
+use fld_net::frame::{
+    build_tcp_frame, build_udp_frame, fragment_frame, vxlan_decap, vxlan_encap, Endpoints,
+    ParsedFrame, L4,
+};
+use fld_net::ipv4::{
+    fragment, IpProto, Ipv4Addr, Ipv4Header, Reassembler, ReassemblyResult, IPV4_HEADER_LEN,
+};
 use fld_net::roce::{Bth, BthOpcode};
 use fld_net::tcp::TcpHeader;
 use fld_net::udp::UdpHeader;
+use fld_net::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
+use fld_net::FlowKey;
+use fld_nic::packet::{PacketMeta, SimPacket};
+use fld_sim::time::SimTime;
+
+/// Recomputes the header checksum of the IPv4 header behind the Ethernet
+/// header, when `frame` is long enough to hold one.
+fn fix_ipv4_checksum(frame: &mut [u8]) {
+    if let Some(ip) = frame.get_mut(ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + IPV4_HEADER_LEN) {
+        ip[10..12].fill(0);
+        let c = checksum(ip);
+        ip[10..12].copy_from_slice(&c.to_be_bytes());
+    }
+}
+
+/// `frame` with the IPv4 don't-fragment bit set — still well-formed.
+fn with_df(frame: &Bytes) -> Bytes {
+    let mut data = frame.to_vec();
+    if let Some(flags) = data.get_mut(ETHERNET_HEADER_LEN + 6) {
+        *flags |= 0x40;
+    }
+    fix_ipv4_checksum(&mut data);
+    Bytes::from(data)
+}
+
+/// A well-formed frame of one of the shapes the simulator carries.
+fn well_formed(shape: u8, a: u16, b: u16, payload_len: usize, pick: usize) -> Bytes {
+    let ep = Endpoints::sim(a as u32 + 1, b as u32 + 1);
+    let outer = Endpoints::sim(100, 101);
+    let payload: Vec<u8> = (0..payload_len).map(|i| (i * 13 + pick) as u8).collect();
+    let one_fragment = || {
+        // Pad so the datagram really fragments at the smallest MTU drawn.
+        let big = [payload.as_slice(), &[0x77; 1600]].concat();
+        let whole = if a.is_multiple_of(2) {
+            build_udp_frame(&ep, a, b, &big)
+        } else {
+            build_tcp_frame(&ep, a, b, pick as u32, &big)
+        };
+        let frags = fragment_frame(&whole, 576 + b as usize % 900, a).expect("well-formed");
+        frags[pick % frags.len()].clone()
+    };
+    match shape {
+        0 => build_udp_frame(&ep, a, b, &payload),
+        1 => build_tcp_frame(&ep, a, b, pick as u32, &payload),
+        2 => one_fragment(),
+        // The § 8.2.2 (c) shape: a pre-fragmented packet inside a tunnel
+        // (VNI 0 included: it parses as untunnelled).
+        3 => vxlan_encap(&outer, b as u32 % 3, &one_fragment(), a),
+        4 => vxlan_encap(
+            &outer,
+            1 + pick as u32 % 0xff_ffff,
+            &build_udp_frame(&ep, a, b, &payload),
+            a,
+        ),
+        // UDP to the tunnel port whose payload need not be a VXLAN header.
+        5 => build_udp_frame(&ep, a, VXLAN_UDP_PORT, &payload),
+        _ => {
+            let mut buf = bytes::BytesMut::new();
+            EthernetHeader {
+                dst: ep.dst_mac,
+                src: ep.src_mac,
+                ethertype: EtherType::Arp,
+            }
+            .write(&mut buf);
+            buf.extend_from_slice(&payload);
+            buf.freeze()
+        }
+    }
+}
+
+/// A near miss of `frame`: one byte flipped (`kind` 1, biased towards the
+/// headers when `in_headers`) or the tail cut off (`kind` 2), with the
+/// IPv4 header checksum recomputed so the damage reaches the checks
+/// behind it. `kind` 0 is the frame itself.
+fn near_miss(frame: &Bytes, (kind, pos, xor, in_headers): (u8, usize, u8, bool)) -> Bytes {
+    let mut data = frame.to_vec();
+    match kind {
+        1 if !data.is_empty() => {
+            let span = if in_headers {
+                data.len().min(72)
+            } else {
+                data.len()
+            };
+            data[pos % span] ^= xor;
+        }
+        2 => data.truncate(pos % (data.len() + 1)),
+        _ => {}
+    }
+    fix_ipv4_checksum(&mut data);
+    Bytes::from(data)
+}
+
+/// Whether `view` is a window on `frame`'s own bytes rather than a copy.
+fn is_view_of(view: &Bytes, frame: &Bytes) -> bool {
+    let (v, f) = (view.as_ptr() as usize, frame.as_ptr() as usize);
+    view.is_empty() || (v >= f && v + view.len() <= f + frame.len())
+}
+
+type RefParsed<'a> = (EthernetHeader, Option<Ipv4Header>, L4, &'a [u8]);
+
+/// `ParsedFrame::parse`, spelled with the per-layer slice parsers.
+fn ref_parse(data: &[u8]) -> Result<RefParsed<'_>, ParsePacketError> {
+    let (eth, rest) = EthernetHeader::parse(data)?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return Ok((eth, None, L4::Raw, rest));
+    }
+    let (ip, rest) = Ipv4Header::parse(rest)?;
+    let ip_payload = &rest[..ip.payload_len()];
+    Ok(match ip.proto {
+        _ if ip.is_fragment() => (eth, Some(ip), L4::Raw, ip_payload),
+        IpProto::Udp => {
+            let (udp, payload) = UdpHeader::parse(ip_payload)?;
+            (eth, Some(ip), L4::Udp(udp), payload)
+        }
+        IpProto::Tcp => {
+            let (tcp, payload) = TcpHeader::parse(ip_payload)?;
+            (eth, Some(ip), L4::Tcp(tcp), payload)
+        }
+        _ => (eth, Some(ip), L4::Raw, ip_payload),
+    })
+}
+
+/// `vxlan_decap`, spelled with the per-layer slice parsers.
+fn ref_decap(data: &[u8]) -> Result<(u32, &[u8]), ParsePacketError> {
+    let (_, rest) = EthernetHeader::parse(data)?;
+    let (ip, rest) = Ipv4Header::parse(rest)?;
+    let (udp, rest) = UdpHeader::parse(&rest[..ip.payload_len()])?;
+    if udp.dst_port != VXLAN_UDP_PORT {
+        return Err(ParsePacketError::InvalidField {
+            layer: "vxlan",
+            field: "udp_dst_port",
+            value: udp.dst_port as u64,
+        });
+    }
+    let (vx, inner) = VxlanHeader::parse(rest)?;
+    Ok((vx.vni, inner))
+}
+
+/// `fragment_frame`, spelled with the slice parsers and `ipv4::fragment`,
+/// refusing the inputs `fragment` would panic on.
+fn ref_fragment(data: &[u8], mtu: usize, id: u16) -> Result<Vec<Vec<u8>>, ParsePacketError> {
+    let (eth, rest) = EthernetHeader::parse(data)?;
+    let (mut ip, rest) = Ipv4Header::parse(rest)?;
+    ip.id = id;
+    let payload = &rest[..ip.payload_len()];
+    let refused = |field, value| ParsePacketError::InvalidField {
+        layer: "ipv4",
+        field,
+        value,
+    };
+    if IPV4_HEADER_LEN + payload.len() > mtu.max(IPV4_HEADER_LEN) {
+        if ip.dont_fragment {
+            return Err(refused("dont_fragment", 1));
+        }
+        if mtu < 28 {
+            return Err(refused("mtu", mtu as u64));
+        }
+    }
+    Ok(fragment(&ip, Bytes::copy_from_slice(payload), mtu)
+        .into_iter()
+        .map(|(fh, fp)| {
+            let mut buf = bytes::BytesMut::new();
+            eth.write(&mut buf);
+            fh.write(&mut buf);
+            buf.extend_from_slice(&fp);
+            buf.to_vec()
+        })
+        .collect())
+}
+
+/// `SimPacket::from_frame`'s metadata, from the references above.
+fn ref_meta(data: &[u8]) -> PacketMeta {
+    let Ok((_, ip, l4, _)) = ref_parse(data) else {
+        return PacketMeta::default();
+    };
+    let flow = match (&ip, &l4) {
+        (None, _) => FlowKey::default(),
+        (Some(ip), L4::Udp(u)) => FlowKey::from_udp(ip, u),
+        (Some(ip), L4::Tcp(t)) => FlowKey::from_tcp(ip, t),
+        (Some(ip), L4::Raw) => FlowKey::l3_only(ip),
+    };
+    let tunnelled = matches!(&l4, L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT);
+    PacketMeta {
+        flow,
+        is_fragment: ip.is_some_and(|ip| ip.is_fragment()),
+        first_fragment: ip.is_some_and(|ip| ip.is_fragment() && ip.frag_offset == 0),
+        vni: ref_decap(data)
+            .ok()
+            .filter(|_| tunnelled)
+            .and_then(|(vni, _)| std::num::NonZeroU32::new(vni)),
+        context_id: 0,
+        checksum_ok: true,
+    }
+}
 
 proptest! {
     /// The Internet checksum of any buffer with its own checksum inserted
@@ -135,7 +338,60 @@ proptest! {
     /// The frame parser never panics on arbitrary bytes.
     #[test]
     fn parser_totality(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = ParsedFrame::parse(&data);
+        let _ = ParsedFrame::parse(&Bytes::from(data));
+    }
+
+    /// On well-formed frames of every shape the simulator carries, and on
+    /// their single-byte mutations and truncations, the whole-frame
+    /// functions never panic, agree byte for byte (and error for error)
+    /// with the slice-level reference, and hand out views of the input
+    /// rather than copies.
+    #[test]
+    fn frame_functions_match_the_slice_reference(
+        shape in 0u8..7, df: bool, a: u16, b: u16, payload_len in 0usize..1800, pick: usize,
+        mtu in prop_oneof![0usize..64, 0usize..2000],
+        damage in proptest::collection::vec((1u8..3, any::<usize>(), 1u8..=255, any::<bool>()), 8..32),
+    ) {
+        let original = well_formed(shape, a, b, payload_len, pick);
+        let original = if df { with_df(&original) } else { original };
+        // The undamaged frame always goes first.
+        for d in std::iter::once((0, 0, 1, false)).chain(damage) {
+            let frame = near_miss(&original, d);
+
+            match (ParsedFrame::parse(&frame), ref_parse(&frame)) {
+                (Ok(p), Ok((eth, ip, l4, payload))) => {
+                    prop_assert_eq!((p.eth, p.ip, &p.l4), (eth, ip, &l4));
+                    prop_assert_eq!(p.payload.as_ref(), payload);
+                    prop_assert!(is_view_of(&p.payload, &frame));
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+
+            match (vxlan_decap(&frame), ref_decap(&frame)) {
+                (Ok((vni, inner)), Ok((ref_vni, ref_inner))) => {
+                    prop_assert_eq!(vni, ref_vni);
+                    prop_assert_eq!(inner.as_ref(), ref_inner);
+                    prop_assert!(is_view_of(&inner, &frame));
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+
+            match (fragment_frame(&frame, mtu, b), ref_fragment(&frame, mtu, b)) {
+                (Ok(frags), Ok(ref_frags)) => {
+                    prop_assert_eq!(frags.len(), ref_frags.len());
+                    for (f, r) in frags.iter().zip(&ref_frags) {
+                        prop_assert_eq!(f.as_ref(), r.as_slice());
+                    }
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+
+            let pkt = SimPacket::from_frame(7, frame.clone(), SimTime::ZERO);
+            prop_assert_eq!(pkt.meta, ref_meta(&frame));
+            prop_assert_eq!(pkt.len as usize, frame.len());
+            let held = pkt.payload_bytes().expect("from_frame attaches the bytes");
+            prop_assert_eq!((held.as_ptr(), held.len()), (frame.as_ptr(), frame.len()));
+        }
     }
 
     /// Fragmentation partitions the payload exactly: offsets chain, sizes

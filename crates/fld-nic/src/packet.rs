@@ -6,11 +6,18 @@
 //! payload: functional paths (the real accelerators) attach bytes, while
 //! load experiments run metadata-only.
 //!
+//! Attached bytes are a shared handle, never a private copy (DESIGN.md
+//! § 3.13): [`SimPacket::from_frame`] parses the frame it is given in
+//! place — one parse, no payload copy — and keeps that same buffer, a
+//! cloned packet (a link-level duplicate) shares it, and a packet built
+//! from a view of another frame (the NIC's VXLAN decapsulation) points
+//! into that frame's buffer and keeps it alive.
+//!
 //! Layout matters here: perf sweeps keep hundreds of thousands of packets
 //! alive inside the event calendar at once (an overloaded open-loop link
 //! backs up), so every [`SimPacket`] byte multiplies into megabytes of
 //! calendar working set. The byte payload is boxed (8 bytes for the
-//! common `None` instead of an inline 32-byte `Bytes`) and the VNI uses a
+//! common `None` instead of an inline 24-byte `Bytes`) and the VNI uses a
 //! `NonZeroU32` niche, keeping the whole packet in 56 bytes — an engine
 //! event carrying one fits a single cache line.
 
@@ -22,6 +29,7 @@ use fld_net::ethernet::ETHERNET_HEADER_LEN;
 use fld_net::frame::{ParsedFrame, L4};
 use fld_net::ipv4::IPV4_HEADER_LEN;
 use fld_net::udp::UDP_HEADER_LEN;
+use fld_net::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
 use fld_net::FlowKey;
 use fld_sim::time::SimTime;
 
@@ -85,7 +93,8 @@ impl SimPacket {
         }
     }
 
-    /// Creates a packet from real frame bytes, parsing the metadata.
+    /// Creates a packet from real frame bytes, parsing the metadata (once;
+    /// the only allocation is the `Box` holding the handle).
     ///
     /// Unparseable frames become metadata-less packets (zeroed flow key)
     /// rather than errors, mirroring how a NIC forwards unknown traffic.
@@ -97,11 +106,13 @@ impl SimPacket {
                     .ip
                     .map(|ip| (ip.is_fragment(), ip.is_fragment() && ip.frag_offset == 0))
                     .unwrap_or((false, false));
-                let vni = match (&parsed.l4, parsed.ip) {
-                    (L4::Udp(u), Some(_)) if u.dst_port == fld_net::vxlan::VXLAN_UDP_PORT => {
-                        fld_net::frame::vxlan_decap(&frame)
+                // A VXLAN packet is a UDP datagram to the tunnel port whose
+                // payload — already in hand — starts with the VXLAN header.
+                let vni = match &parsed.l4 {
+                    L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT => {
+                        VxlanHeader::parse(&parsed.payload)
                             .ok()
-                            .and_then(|(vni, _)| NonZeroU32::new(vni))
+                            .and_then(|(vx, _)| NonZeroU32::new(vx.vni))
                     }
                     _ => None,
                 };
