@@ -6,7 +6,10 @@
 //! Two shapes per (backend, depth) pair:
 //!
 //! * `churn` — steady state: one pop, one schedule at a short delay,
-//!   constant depth. This is the engine's hot loop.
+//!   constant depth. This is the engine's hot loop. Beside the two
+//!   backends it runs `laned`: the same loop over in-order streams that
+//!   name their FIFO lane, which is how the models' events reach the
+//!   calendar (the backends' rows are what an unlaned push still costs).
 //! * `drain` — fill to depth, then pop everything. Stresses the wheel's
 //!   slot-drain batching and the heap's sift-down respectively.
 
@@ -50,6 +53,27 @@ fn bench_churn(c: &mut Criterion) {
                 },
             );
         }
+    }
+    // One lane per event kind, as `FldSystem` declares them; event `i` is
+    // due at `i` steps and belongs to stream `i % LANES`, so every stream
+    // is scheduled in order and the pops interleave all of them.
+    const LANES: u64 = 12;
+    const STEP_PS: u64 = 20_000;
+    for depth in DEPTHS {
+        g.throughput(Throughput::Elements(1));
+        g.bench_with_input(BenchmarkId::new("laned", depth), &depth, |b, &depth| {
+            let mut q = EventQueue::new();
+            q.set_lanes(LANES as usize);
+            for i in 0..depth as u64 {
+                q.schedule_at_lane(SimTime::from_picos(i * STEP_PS), (i % LANES) as usize, i);
+            }
+            let ahead = SimDuration::from_picos(depth as u64 * STEP_PS);
+            b.iter(|| {
+                let (t, id) = q.pop().expect("constant depth");
+                q.schedule_at_lane(t + ahead, (id % LANES) as usize, id + depth as u64);
+                black_box(id)
+            });
+        });
     }
     g.finish();
 }

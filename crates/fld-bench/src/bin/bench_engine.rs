@@ -121,6 +121,9 @@ fn write_json(
         w.field_u64("coincident_pops", profile.calendar.coincident_pops);
         w.field_u64("max_burst", profile.calendar.max_burst);
         w.field_u64("sample_rearms", profile.calendar.sample_rearms);
+        w.field_u64("laned_pushes", profile.calendar.laned_pushes);
+        w.field_u64("fallback_pushes", profile.calendar.fallback_pushes);
+        w.field_u64("insert_steps", profile.calendar.insert_steps);
         w.end_object();
     }
     w.end_object();

@@ -3,8 +3,10 @@
 //! exactly one timeline series), the telescoping phase-attribution
 //! invariant on a real echo run, allocation-count reproducibility under
 //! the counting allocator, the frame path's allocation budget (bytes
-//! are written once and viewed everywhere, DESIGN.md § 3.13), and the
-//! folded-stacks flamegraph format golden.
+//! are written once and viewed everywhere, DESIGN.md § 3.13), the
+//! calendar's (a pending event is one lane entry, § 3.10) with the lane
+//! accounting's reproducibility, and the folded-stacks flamegraph format
+//! golden.
 //!
 //! These tests live in their own integration-test binary (= their own
 //! process) because they toggle the process-wide `fld_sim::prof`
@@ -221,6 +223,57 @@ fn defrag_run_stays_under_its_allocated_bytes_ceiling() {
         per_packet <= MEASURED_BYTES_PER_PACKET * 1.05,
         "{per_packet:.0} allocated bytes per packet, budget {MEASURED_BYTES_PER_PACKET} + 5 %"
     );
+}
+
+/// The calendar's share of the heap, under a ceiling: 64 B frames offered
+/// open-loop at line rate pile up in the client link's stream (the
+/// benchmark's `echo_64`, same duration), and a pending event costs its
+/// FIFO lane one inline entry — where the slab, the wheel's level-1/2
+/// buckets and the cascade scratch used to double side by side. The
+/// count is deterministic; the ceiling is the measured value plus 5 %.
+/// (`CountingAlloc` charges a grown buffer its growth; the benchmark's
+/// allocator, which charges the whole new size, reads 57.5 on this run
+/// and read 95.7 before the lanes.)
+#[cfg(feature = "prof")]
+#[test]
+fn open_loop_echo_stays_under_its_allocated_bytes_ceiling() {
+    const MEASURED_BYTES_PER_PACKET: f64 = 29.2;
+
+    let cfg = SystemConfig::remote();
+    let sim = SimDuration::from_micros(3_750);
+    let offered_pps = cfg.client_rate.as_bps() / (64.0 * 8.0);
+    let budget = (offered_pps * sim.as_secs_f64() * 1.05) as u64 + 1;
+    let gen = ClientGen::fixed_udp(GenMode::OpenLoop { rate: offered_pps }, budget, 64 - 42);
+    let mut sys = FldSystem::new(
+        cfg,
+        Box::new(EchoAccelerator::prototype()),
+        HostMode::Consume,
+        gen,
+    );
+    steer_to_accel(&mut sys.nic);
+    let (_, bytes, stats) = allocations_in(|| sys.run(SimTime::ZERO, SimTime::ZERO + sim));
+    assert!(stats.sent > 180_000, "sent {}", stats.sent);
+    let per_packet = bytes as f64 / stats.sent as f64;
+    assert!(
+        per_packet <= MEASURED_BYTES_PER_PACKET * 1.05,
+        "{per_packet:.1} allocated bytes per packet, budget {MEASURED_BYTES_PER_PACKET} + 5 %"
+    );
+}
+
+/// The lane accounting is a count of what the model scheduled, not a
+/// measurement: it repeats exactly, every event of an echo run names a
+/// lane that takes it (nothing falls back to the wheel), and laned plus
+/// fallback pushes are all the pushes.
+#[cfg(feature = "prof")]
+#[test]
+fn lane_accounting_is_reproducible_across_reruns() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let a = profiled_echo_run(true).profile.calendar;
+    let b = profiled_echo_run(true).profile.calendar;
+    assert_eq!(a, b, "calendar statistics diverged across reruns");
+    assert_eq!(a.fallback_pushes, 0, "an echo event fell back to the wheel");
+    assert_eq!(a.laned_pushes, a.pushes);
+    assert!(a.insert_steps > 0, "PCIe jitter reorders within a lane");
 }
 
 /// What the tick-cost test reads off one profiled, recorded run.

@@ -1279,6 +1279,27 @@ impl Model for Rack {
         }
     }
 
+    fn lanes() -> usize {
+        <FldSystem as Model>::lanes() + 3
+    }
+
+    /// Node events share their kind's lane whichever node they belong to
+    /// (the calendar looks at every lane head per pop, so lanes must not
+    /// multiply with the node count; the nodes run the same pipeline on
+    /// one clock, so a kind's stream stays nearly sorted across them).
+    /// Departures and fault edges are scheduled arbitrarily far ahead in
+    /// no order: the backend orders those.
+    fn lane(ev: &RackEv) -> usize {
+        let node_lanes = <FldSystem as Model>::lanes();
+        match ev {
+            RackEv::Node(_, ev) => <FldSystem as Model>::lane(ev),
+            RackEv::TenantGen(_) => node_lanes,
+            RackEv::Churn => node_lanes + 1,
+            RackEv::HealthTick => node_lanes + 2,
+            RackEv::Depart(_) | RackEv::FaultStart(_) | RackEv::FaultEnd(_) => usize::MAX,
+        }
+    }
+
     /// Rack-level probe series only: per-node series would collide in
     /// the shared timeline, and the fabric is what this model adds.
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {

@@ -422,11 +422,10 @@ impl RdmaSystem {
     /// Transmits a server-QP packet: the NIC fetches the payload from FLD
     /// over PCIe, then serializes onto the wire.
     fn transmit_server_pkt(&mut self, now: SimTime, pkt: RdmaPacket, eng: &mut Engine<RdmaEv>) {
-        let load = self.loads.tx_load(pkt.frame_len());
-        self.pcie_ctr.record_tlp(load.to_nic.round() as u32);
-        self.pcie_to_fld.transmit(now, load.to_fld.round() as u64);
-        let mut fetched =
-            self.pcie_from_fld.transmit(now, load.to_nic.round() as u64) + self.pcie_jitter();
+        let (to_fld, to_nic) = self.loads.tx_load(pkt.frame_len()).wire_bytes();
+        self.pcie_ctr.record_tlp(to_nic);
+        self.pcie_to_fld.transmit(now, to_fld);
+        let mut fetched = self.pcie_from_fld.transmit(now, to_nic) + self.pcie_jitter();
         if let Some(inj) = self.faults.as_mut() {
             let outcome = if inj.roll(FaultKind::PcieTimeout) {
                 TlpOutcome::CompletionTimeout
@@ -539,11 +538,10 @@ impl RdmaSystem {
             match ev {
                 RdmaEvent::RecvSegment { bytes, .. } => {
                     // DMA this segment into FLD.
-                    let load = self.loads.rx_load(bytes + 58);
-                    self.pcie_ctr.record_tlp(load.to_fld.round() as u32);
-                    self.pcie_from_fld.transmit(now, load.to_nic.round() as u64);
-                    self.msg_dma_done = self.pcie_to_fld.transmit(now, load.to_fld.round() as u64)
-                        + self.pcie_jitter();
+                    let (to_fld, to_nic) = self.loads.rx_load(bytes + 58).wire_bytes();
+                    self.pcie_ctr.record_tlp(to_fld);
+                    self.pcie_from_fld.transmit(now, to_nic);
+                    self.msg_dma_done = self.pcie_to_fld.transmit(now, to_fld) + self.pcie_jitter();
                 }
                 RdmaEvent::RecvComplete { bytes, .. } => {
                     let at = self.msg_dma_done.max(now) + self.cfg.params.fld_latency;
@@ -660,6 +658,23 @@ impl Model for RdmaSystem {
             RdmaEv::ServerSend(_) => "ServerSend",
             RdmaEv::ClientTimer => "ClientTimer",
             RdmaEv::ServerTimer => "ServerTimer",
+        }
+    }
+
+    fn lanes() -> usize {
+        7
+    }
+
+    /// One lane per kind, as in `FldSystem`.
+    fn lane(ev: &RdmaEv) -> usize {
+        match ev {
+            RdmaEv::Gen => 0,
+            RdmaEv::ServerPkt(_) => 1,
+            RdmaEv::ClientPkt(_) => 2,
+            RdmaEv::AccelMsg(_) => 3,
+            RdmaEv::ServerSend(_) => 4,
+            RdmaEv::ClientTimer => 5,
+            RdmaEv::ServerTimer => 6,
         }
     }
 

@@ -648,7 +648,11 @@ pub struct FldSystem {
     ctr: SysCounters,
     /// Per-flow rx handles, resolved on each flow's first packet and
     /// capped at [`FLOW_COUNTER_CAP`]; excess flows share `flow/other`.
-    flow_ctrs: std::collections::HashMap<fld_net::FlowKey, FlowHandles>,
+    flow_ctrs: std::collections::HashMap<
+        fld_net::FlowKey,
+        FlowHandles,
+        std::hash::BuildHasherDefault<FlowHasher>,
+    >,
     /// Packets accepted into host rx queues — the aggregate the per-queue
     /// rx counters telescope to.
     host_rx_accepted: u64,
@@ -733,6 +737,30 @@ impl SysCounters {
 struct FlowHandles {
     packets: Counter,
     bytes: Counter,
+}
+
+/// The hasher of `flow_ctrs`, which is looked up once per received
+/// packet: a fixed-key rotate-multiply fold, one step per word the
+/// key's `Hash` writes, where the default SipHash spends more than the
+/// rest of `count_flow_rx`. The map is only ever probed by key — never iterated,
+/// so its order shows nowhere — and its keys come from the simulation's
+/// own generators, not from input an adversary shapes.
+#[derive(Debug, Default)]
+struct FlowHasher(u64);
+
+impl std::hash::Hasher for FlowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
 }
 
 /// First packet id used for injected duplicates — far above both the
@@ -882,7 +910,7 @@ impl FldSystem {
             next_dup_id: DUP_ID_BASE,
             counters,
             ctr,
-            flow_ctrs: std::collections::HashMap::new(),
+            flow_ctrs: Default::default(),
             host_rx_accepted: 0,
             accel_jobs: 0,
         }
@@ -1282,10 +1310,10 @@ impl FldSystem {
         }
         // Charge both PCIe directions with the analytic per-packet loads.
         self.tracer.record(now, pkt.id, TraceEventKind::TlpPosted);
-        let load = self.fld_loads.rx_load(pkt.len);
-        self.ctr.pcie.record_tlp(load.to_fld.round() as u32);
-        let arrive = self.pcie_to_fld.transmit(now, load.to_fld.round() as u64);
-        self.pcie_from_fld.transmit(now, load.to_nic.round() as u64);
+        let (to_fld, to_nic) = self.fld_loads.rx_load(pkt.len).wire_bytes();
+        self.ctr.pcie.record_tlp(to_fld);
+        let arrive = self.pcie_to_fld.transmit(now, to_fld);
+        self.pcie_from_fld.transmit(now, to_nic);
         let mut arrive = arrive + self.pcie_jitter();
         // A completion timeout stalls the requester until the retrained
         // read completes; recovered, with the stall as recovery latency.
@@ -1410,11 +1438,10 @@ impl FldSystem {
                         .record(now, pkt.id, TraceEventKind::DoorbellRing);
                 }
                 self.tracer.record(now, pkt.id, TraceEventKind::TlpPosted);
-                let load = self.fld_loads.tx_load(pkt.len);
-                self.ctr.pcie.record_tlp(load.to_nic.round() as u32);
-                self.pcie_to_fld.transmit(now, load.to_fld.round() as u64);
-                let arrive = self.pcie_from_fld.transmit(now, load.to_nic.round() as u64)
-                    + self.pcie_jitter();
+                let (to_fld, to_nic) = self.fld_loads.tx_load(pkt.len).wire_bytes();
+                self.ctr.pcie.record_tlp(to_nic);
+                self.pcie_to_fld.transmit(now, to_fld);
+                let arrive = self.pcie_from_fld.transmit(now, to_nic) + self.pcie_jitter();
                 let id = pkt.id;
                 eng.schedule_at(arrive, Ev::FldTx(pkt, table));
                 // The NIC's completion recycles the descriptor and buffer
@@ -1710,6 +1737,30 @@ impl Model for FldSystem {
             Ev::HostDone(..) => "HostDone",
             Ev::ClientArrive(_) => "ClientArrive",
             Ev::HostAck => "HostAck",
+        }
+    }
+
+    fn lanes() -> usize {
+        12
+    }
+
+    /// One lane per kind: each is the output of one ring, link or fixed
+    /// latency, so it is scheduled in order, or (the three kinds behind
+    /// a PCIe crossing) within one jitter of it.
+    fn lane(ev: &Ev) -> usize {
+        match ev {
+            Ev::Gen => 0,
+            Ev::ArriveAtNic(_) => 1,
+            Ev::NicIngress(_) => 2,
+            Ev::FldRx(..) => 3,
+            Ev::AccelEmit(..) => 4,
+            Ev::FldRxRelease(_) => 5,
+            Ev::FldTx(..) => 6,
+            Ev::FldTxComplete(..) => 7,
+            Ev::HostRx(..) => 8,
+            Ev::HostDone(..) => 9,
+            Ev::ClientArrive(_) => 10,
+            Ev::HostAck => 11,
         }
     }
 

@@ -12,7 +12,7 @@
 //! doorbells — with the batching optimizations the prototype uses
 //! (§ 6: selective completion signalling, WQE-by-MMIO, multi-packet RQs).
 
-use fld_sim::time::Bandwidth;
+use fld_sim::time::{round_to_u64, Bandwidth};
 
 use crate::config::PcieConfig;
 use crate::tlp::{read_wire_bytes, write_wire_bytes, TlpKind};
@@ -67,6 +67,14 @@ pub struct DirectionLoad {
 }
 
 impl DirectionLoad {
+    /// Both loads as whole wire bytes, `(to_fld, to_nic)`, rounded half
+    /// away from zero: what the per-packet paths charge the PCIe links
+    /// and the TLP counters with.
+    #[inline]
+    pub fn wire_bytes(self) -> (u64, u64) {
+        (round_to_u64(self.to_fld), round_to_u64(self.to_nic))
+    }
+
     fn plus(self, other: DirectionLoad) -> DirectionLoad {
         DirectionLoad {
             to_fld: self.to_fld + other.to_fld,

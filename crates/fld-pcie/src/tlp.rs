@@ -167,9 +167,9 @@ impl TlpCounters {
 
     /// Accounts one TLP of `wire_bytes` on the link.
     #[inline]
-    pub fn record_tlp(&self, wire_bytes: u32) {
+    pub fn record_tlp(&self, wire_bytes: u64) {
         self.tlps.inc();
-        self.bytes.add(wire_bytes as u64);
+        self.bytes.add(wire_bytes);
     }
 
     /// Accounts the fault-relevant half of a non-posted outcome.

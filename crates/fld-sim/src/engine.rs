@@ -251,6 +251,26 @@ pub trait Model {
         "event"
     }
 
+    /// How many FIFO lanes the calendar keeps for this model's events
+    /// (see [`crate::queue`]): one per event *kind* whose timestamps are
+    /// scheduled in order or nearly so — a ring, a serialising link, a
+    /// fixed latency. The calendar looks at every lane head on each pop,
+    /// so many instances of a component share their kinds' lanes rather
+    /// than declaring their own. The default declares none: every event
+    /// is ordered by the wheel/heap backend.
+    fn lanes() -> usize {
+        0
+    }
+
+    /// The lane `ev` belongs to, in `0..Self::lanes()`; the default,
+    /// `usize::MAX`, names none and leaves the event to the backend. A
+    /// lane is only a hint — the pop order is the same whatever this
+    /// returns — so all a wrong answer can cost is host time.
+    fn lane(ev: &Self::Ev) -> usize {
+        let _ = ev;
+        usize::MAX
+    }
+
     /// Pushes one flight-recorder tick's probe values (typically by
     /// delegating to each embedded [`Component`]). Push order fixes the
     /// timeline series order.
@@ -310,6 +330,9 @@ pub struct Engine<E> {
     sample_interval: SimDuration,
     probes: Probes,
     sample_rearms: u64,
+    /// [`Model::lane`] of the model being run (installed by
+    /// [`Engine::run`]; until then every event is unlaned).
+    lane_of: fn(&E) -> usize,
 }
 
 impl<E> Engine<E> {
@@ -324,6 +347,7 @@ impl<E> Engine<E> {
             sample_interval,
             probes: Probes::default(),
             sample_rearms: 0,
+            lane_of: |_| usize::MAX,
         }
     }
 
@@ -334,12 +358,13 @@ impl<E> Engine<E> {
 
     /// Schedules a model event at the absolute instant `at`.
     pub fn schedule_at(&mut self, at: SimTime, ev: E) {
-        self.queue.schedule_at(at, EngineEv::Model(ev));
+        let lane = (self.lane_of)(&ev);
+        self.queue.schedule_at_lane(at, lane, EngineEv::Model(ev));
     }
 
     /// Schedules a model event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, ev: E) {
-        self.queue.schedule_in(delay, EngineEv::Model(ev));
+        self.schedule_at(self.now() + delay, ev);
     }
 
     /// Runs `model` until the calendar drains or an event lands past
@@ -355,10 +380,18 @@ impl<E> Engine<E> {
         // inlined `Option` check — unless `prof::set_enabled` armed
         // profiling before this run started.
         let mut profiler = Profiler::start();
+        // The engine's own sample ticks are a strictly increasing
+        // stream: they get the lane one past the model's.
+        let sample_lane = M::lanes();
+        self.queue.set_lanes(sample_lane + 1);
+        self.lane_of = M::lane;
         model.start(&mut self);
         if self.timeline.is_enabled() {
-            self.queue
-                .schedule_at(SimTime::ZERO + self.sample_interval, EngineEv::Sample);
+            self.queue.schedule_at_lane(
+                SimTime::ZERO + self.sample_interval,
+                sample_lane,
+                EngineEv::Sample,
+            );
         }
         profiler.phase("start");
         let mut end = SimTime::ZERO;
@@ -396,12 +429,15 @@ impl<E> Engine<E> {
                     model.audit(now, &mut self.auditor);
                     profiler.phase("sample.audit");
                     // Keep sampling only while the simulation is alive.
-                    // The re-arm is calendar work (a push can grow a
-                    // wheel slot), so it is attributed apart from the
+                    // The re-arm is calendar work (a push can grow the
+                    // tick lane), so it is attributed apart from the
                     // audit it follows.
                     if !self.queue.is_empty() {
-                        self.queue
-                            .schedule_at(now + self.sample_interval, EngineEv::Sample);
+                        self.queue.schedule_at_lane(
+                            now + self.sample_interval,
+                            sample_lane,
+                            EngineEv::Sample,
+                        );
                         self.sample_rearms += 1;
                     }
                     profiler.phase("sample.rearm");
@@ -477,6 +513,13 @@ mod tests {
         fn event_label(ev: &Ev) -> &'static str {
             let Ev::Ping(_) = ev;
             "Ping"
+        }
+        fn lanes() -> usize {
+            1
+        }
+        fn lane(ev: &Ev) -> usize {
+            let Ev::Ping(_) = ev;
+            0
         }
         fn probes(&mut self, _now: SimTime, _interval: SimDuration, out: &mut Probes) {
             out.push("pinger.handled", self.handled as f64);
@@ -648,6 +691,53 @@ mod tests {
         // Profiling adds the speed-ratio series and headline metrics.
         assert!(done.timeline.get("prof.speed_ratio").is_some());
         assert!(done.metrics.counter_value("prof.wall_ns").is_some());
+    }
+
+    /// `Pinger` names a lane for its one kind and the engine lanes its
+    /// own ticks, so nothing ever reaches the backend: the re-arm rule
+    /// (`!queue.is_empty()`) and drained-vs-truncated must read the
+    /// lanes.
+    #[cfg(all(feature = "prof", feature = "trace"))]
+    #[test]
+    fn rearm_and_truncation_hold_with_every_event_in_a_lane() {
+        let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        crate::prof::set_enabled(true);
+        let run = |stop_at, deadline| {
+            let eng = Engine::new(
+                Timeline::with_interval(SimDuration::from_nanos(100)),
+                Auditor::new(),
+                SimDuration::from_nanos(100),
+            );
+            let mut model = Pinger {
+                stop_at,
+                ..Pinger::default()
+            };
+            let done = eng.run(&mut model, deadline);
+            (model, done)
+        };
+        let (model, drained) = run(5, SimTime::from_micros(10));
+        let (cut_model, cut) = run(100, SimTime::from_nanos(250));
+        crate::prof::set_enabled(false);
+        for done in [&drained, &cut] {
+            assert_eq!(done.profile.calendar.fallback_pushes, 0);
+            assert_eq!(done.profile.calendar.laned_pushes, done.events);
+        }
+        // Pings at 0..=400 ns; the ticks re-arm while a ping is pending
+        // and stop one tick after the last instead of running on to the
+        // deadline.
+        assert!(drained.drained);
+        assert_eq!(model.handled, 5);
+        assert!(drained.end <= SimTime::from_nanos(500));
+        assert!((4..=5).contains(&drained.timeline.ticks()));
+        assert_eq!(
+            drained.profile.calendar.sample_rearms + 1,
+            drained.timeline.ticks()
+        );
+        // Pings at 0, 100, 200 ran; the one at 300 crossed the deadline.
+        assert!(!cut.drained);
+        assert_eq!(cut.end, SimTime::from_nanos(250));
+        assert_eq!(cut_model.handled, 3);
+        assert_eq!(cut_model.drained_audits, 0);
     }
 
     #[test]

@@ -24,6 +24,17 @@
 //! `sample.probes`); the dots define the flamegraph hierarchy of the
 //! folded-stacks export.
 //!
+//! The `pop` phase is the time inside [`crate::queue::EventQueue::pop`]
+//! only. A push happens inside a handler and is billed to that handler's
+//! `dispatch.*` phase, so the `pop` fraction is a lower bound on the
+//! calendar's cost, not its share: a sampling profile of runs whose
+//! `pop` fraction read 0.16 – 0.19 found a third to a half of the host
+//! time in the calendar, two thirds of that on the push side (DESIGN.md
+//! § 3.8). What the calendar reports about pushes is counts, not times:
+//! [`CalendarStats`]'s `laned_pushes` / `fallback_pushes` /
+//! `insert_steps` say how many events the wheel/heap backend still had
+//! to order and how far the FIFO lanes walked.
+//!
 //! # How allocations are attributed
 //!
 //! [`CountingAlloc`] is a `#[global_allocator]` wrapper over the system
@@ -178,6 +189,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether self-profiling is currently armed.
+#[inline]
 pub fn enabled() -> bool {
     #[cfg(feature = "prof")]
     {
@@ -347,6 +359,16 @@ pub struct CalendarStats {
     pub max_burst: u64,
     /// Flight-recorder sample ticks re-armed by the engine.
     pub sample_rearms: u64,
+    /// Pushes a FIFO lane took (`pushes − fallback_pushes`): events that
+    /// were never slabbed, bucketed, sorted or cascaded.
+    pub laned_pushes: u64,
+    /// Pushes the wheel/heap backend ordered — no lane named, or a place
+    /// beyond the lane's reach. `fallback_pushes ÷ pushes` is the share
+    /// of events the backend still orders.
+    pub fallback_pushes: u64,
+    /// Lane entries walked past by laned pushes that were not plain
+    /// appends (`insert_steps ÷ laned_pushes` is the mean insertion walk).
+    pub insert_steps: u64,
 }
 
 impl CalendarStats {
@@ -358,6 +380,9 @@ impl CalendarStats {
         self.coincident_pops += other.coincident_pops;
         self.max_burst = self.max_burst.max(other.max_burst);
         self.sample_rearms += other.sample_rearms;
+        self.laned_pushes += other.laned_pushes;
+        self.fallback_pushes += other.fallback_pushes;
+        self.insert_steps += other.insert_steps;
     }
 
     fn write_into(&self, w: &mut JsonWriter) {
@@ -368,6 +393,9 @@ impl CalendarStats {
         w.field_u64("coincident_pops", self.coincident_pops);
         w.field_u64("max_burst", self.max_burst);
         w.field_u64("sample_rearms", self.sample_rearms);
+        w.field_u64("laned_pushes", self.laned_pushes);
+        w.field_u64("fallback_pushes", self.fallback_pushes);
+        w.field_u64("insert_steps", self.insert_steps);
         w.end_object();
     }
 }
@@ -649,6 +677,18 @@ impl Profile {
         registry.counter(
             format!("{prefix}.calendar.coincident_pops"),
             self.calendar.coincident_pops,
+        );
+        registry.counter(
+            format!("{prefix}.calendar.laned_pushes"),
+            self.calendar.laned_pushes,
+        );
+        registry.counter(
+            format!("{prefix}.calendar.fallback_pushes"),
+            self.calendar.fallback_pushes,
+        );
+        registry.counter(
+            format!("{prefix}.calendar.insert_steps"),
+            self.calendar.insert_steps,
         );
     }
 }
@@ -1012,6 +1052,9 @@ mod tests {
             coincident_pops: 1,
             max_burst: 2,
             sample_rearms: 1,
+            laned_pushes: 1,
+            fallback_pushes: 0,
+            insert_steps: 3,
         };
         a.merge(&CalendarStats {
             pushes: 10,
@@ -1020,11 +1063,18 @@ mod tests {
             coincident_pops: 4,
             max_burst: 5,
             sample_rearms: 2,
+            laned_pushes: 7,
+            fallback_pushes: 3,
+            insert_steps: 4,
         });
         assert_eq!(a.pushes, 11);
         assert_eq!(a.pops, 22);
         assert_eq!(a.peak_depth, 3);
         assert_eq!(a.max_burst, 5);
         assert_eq!(a.sample_rearms, 3);
+        assert_eq!(
+            (a.laned_pushes, a.fallback_pushes, a.insert_steps),
+            (8, 3, 7)
+        );
     }
 }

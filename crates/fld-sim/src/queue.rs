@@ -17,9 +17,27 @@
 //! 24-byte [`Slot`] keys — `{time, seq, slab index}` — so pushes and
 //! cascades move three words, not a 100+-byte `EngineEv`, and the hot
 //! loop allocates nothing once the slab and wheel have warmed up.
+//!
+//! # FIFO lanes
+//!
+//! Most event streams need no ordering work at all: each event *kind* of
+//! a model is fed by a ring, a serialising link or a fixed latency, so
+//! its timestamps arrive already sorted, or within one PCIe jitter of
+//! sorted. [`EventQueue::set_lanes`] puts a set of FIFO lanes in front of
+//! the backend and [`EventQueue::schedule_at_lane`] names the lane a push
+//! belongs to. A lane is a deque kept in `(time, seq)` order: a push
+//! appends when its time is not before the lane's tail, otherwise walks
+//! back at most [`LANE_REACH`] entries and inserts there, and only beyond
+//! that reach — or with no (valid) lane named — goes to the backend.
+//! `seq` comes from the one counter either way and [`EventQueue::pop`]
+//! takes the minimum `(time, seq)` over the lane heads and the backend
+//! head, so the pop order is the same total order whatever the hints
+//! say: a lane is a performance hint, never a correctness condition.
+//! Lane entries hold their payload inline (no slab, no key), are written
+//! and read sequentially, and are never bucketed, sorted or cascaded.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::time::{SimDuration, SimTime};
@@ -136,10 +154,12 @@ impl Backend {
         }
     }
 
-    fn peek_time(&mut self) -> Option<u64> {
+    /// The earliest pending key. `&mut`: peeking the wheel may advance
+    /// its cursor (see [`EventQueue::peek_time`]).
+    fn peek(&mut self) -> Option<Slot> {
         match self {
-            Backend::Heap(h) => h.peek().map(|m| m.0.time_ps),
-            Backend::Wheel(w) => w.peek_time(),
+            Backend::Heap(h) => h.peek().map(|m| m.0),
+            Backend::Wheel(w) => w.peek(),
         }
     }
 
@@ -187,6 +207,35 @@ fn prefetch_at<T>(p: *const T) {
     let _ = p;
 }
 
+/// How far back from its tail a lane lets a push walk to find its place
+/// before the push goes to the backend instead. The jittered event kinds
+/// (PCIe completion jitter ≤ 300 ns against ~20 ns packet spacing) land
+/// up to a dozen or so entries back; 48 covers them with room to spare
+/// and caps what a wrong hint can cost at 48 compares.
+pub const LANE_REACH: usize = 48;
+
+/// Head key of an empty lane: above every real key (`seq` never reaches
+/// `u32::MAX`).
+const NO_HEAD: u128 = u128::MAX;
+
+/// `(time, seq)` packed so the calendar's total order is one integer
+/// compare, with the lane the key heads in the low bits: the minimum
+/// over the lane heads is then a plain (branch-free) integer minimum
+/// that carries its own lane. `(time, seq)` is unique per event, so the
+/// lane bits never decide a comparison between two events.
+#[inline]
+fn head_key(time_ps: u64, seq: u32, lane: usize) -> u128 {
+    (time_ps as u128) << 64 | (seq as u128) << 32 | lane as u128
+}
+
+/// One pending event in a FIFO lane, payload inline.
+#[derive(Debug)]
+struct LaneEntry<E> {
+    time_ps: u64,
+    seq: u32,
+    event: E,
+}
+
 /// A deterministic discrete-event calendar.
 ///
 /// Events of type `E` are scheduled at absolute instants and popped in
@@ -209,13 +258,25 @@ fn prefetch_at<T>(p: *const T) {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     backend: Backend,
-    /// Payload slab; `Slot::idx` points here. `None` marks a free slot
-    /// (its index is on the `free` list).
+    /// Payload slab of the backend's events; `Slot::idx` points here.
+    /// `None` marks a free slot (its index is on the `free` list).
     events: Vec<Option<E>>,
     free: Vec<u32>,
+    /// The FIFO lanes, each in `(time, seq)` order (see the module docs).
+    lanes: Vec<VecDeque<LaneEntry<E>>>,
+    /// Packed key of each lane's front entry ([`NO_HEAD`] when empty),
+    /// dense so that `pop` finds the earliest lane in one linear pass,
+    /// and padded with `NO_HEAD` to a multiple of four.
+    heads: Vec<u128>,
+    /// Events pending in lanes.
+    laned: usize,
     now: SimTime,
     next_seq: u32,
     scheduled_total: u64,
+    /// Pushes the backend ordered: no lane named, or out of its reach.
+    fallback_pushes: u64,
+    /// Entries laned pushes walked past to find their place.
+    insert_steps: u64,
     #[cfg(feature = "prof")]
     prof: ProfCounters,
 }
@@ -271,9 +332,14 @@ impl<E> EventQueue<E> {
             backend,
             events: Vec::new(),
             free: Vec::new(),
+            lanes: Vec::new(),
+            heads: Vec::new(),
+            laned: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
+            fallback_pushes: 0,
+            insert_steps: 0,
             #[cfg(feature = "prof")]
             prof: ProfCounters::default(),
         }
@@ -287,14 +353,42 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Declares FIFO lanes `0..lanes` for [`Self::schedule_at_lane`].
+    /// Grow-only: lanes already declared, and whatever is pending in
+    /// them, stay.
+    ///
+    /// `pop` looks at every lane's head, so declare a lane per event
+    /// *kind* (a dozen or two), not per entity: a rack's nodes share the
+    /// per-kind lanes.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        if lanes > self.lanes.len() {
+            // Every lane index stays below `u32::MAX`, which is the lane
+            // `pop` reads out of an all-empty [`NO_HEAD`].
+            assert!(lanes <= u32::MAX as usize, "lane index must fit a head key");
+            self.lanes.resize_with(lanes, VecDeque::new);
+            self.heads.resize(lanes.next_multiple_of(4), NO_HEAD);
+        }
+    }
+
+    /// Number of declared FIFO lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
     /// The current simulation time (the time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
     }
 
+    /// Events pending in the backend (each owns one slab slot).
+    #[inline]
+    fn backend_len(&self) -> usize {
+        self.events.len() - self.free.len()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.events.len() - self.free.len()
+        self.backend_len() + self.laned
     }
 
     /// Whether no events are pending.
@@ -307,16 +401,11 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Schedules `event` at the absolute instant `at`.
-    ///
-    /// `at` is clamped to the current time: an instant already in the
-    /// past (a model bug — this panics in debug builds) delivers at
-    /// `now` rather than corrupting the backend's ordering invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when scheduling in the past.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+    /// Clamps `at` to the clock and draws the event's sequence number:
+    /// the part of a push that is the same whichever structure ends up
+    /// holding the event.
+    #[inline]
+    fn stamp(&mut self, at: SimTime) -> (u64, u32) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = at.max(self.now);
         let seq = self.next_seq;
@@ -326,6 +415,13 @@ impl<E> EventQueue<E> {
         assert!(seq != u32::MAX, "event sequence space exhausted");
         self.next_seq += 1;
         self.scheduled_total += 1;
+        (at.as_picos(), seq)
+    }
+
+    /// Hands a stamped event to the backend: payload into the slab, key
+    /// into the wheel or heap.
+    fn push_backend(&mut self, time_ps: u64, seq: u32, event: E) {
+        self.fallback_pushes += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.events[i as usize] = Some(event);
@@ -336,17 +432,100 @@ impl<E> EventQueue<E> {
                 (self.events.len() - 1) as u32
             }
         };
-        self.backend.push(Slot {
-            time_ps: at.as_picos(),
-            seq,
-            idx,
-        });
+        self.backend.push(Slot { time_ps, seq, idx });
+        self.note_depth();
+    }
+
+    #[inline]
+    fn note_depth(&mut self) {
         #[cfg(feature = "prof")]
         // One relaxed load guards the bookkeeping: the unprofiled timed
         // legs must not pay for attribution they are not recording.
         if crate::prof::enabled() {
             self.prof.peak_depth = self.prof.peak_depth.max(self.len() as u64);
         }
+    }
+
+    /// Schedules `event` at the absolute instant `at`.
+    ///
+    /// `at` is clamped to the current time: an instant already in the
+    /// past (a model bug — this panics in debug builds) delivers at
+    /// `now` rather than corrupting the backend's ordering invariants.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds when scheduling in the past.
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let (time_ps, seq) = self.stamp(at);
+        self.push_backend(time_ps, seq, event);
+    }
+
+    /// Schedules `event` at `at` (clamped as in [`Self::schedule_at`]),
+    /// naming the FIFO lane its stream belongs to.
+    ///
+    /// The lane is a hint. When `at` is not before the lane's tail the
+    /// event is appended; otherwise the push walks back up to
+    /// [`LANE_REACH`] entries to its `(time, seq)` place. A lane that was
+    /// never declared, or a place beyond that reach, sends the event to
+    /// the backend exactly as [`Self::schedule_at`] would. The pop order
+    /// is the same in every case.
+    #[inline]
+    pub fn schedule_at_lane(&mut self, at: SimTime, lane: usize, event: E) {
+        let (time_ps, seq) = self.stamp(at);
+        // In order — the lane is empty or its tail is not later — is the
+        // case the lanes exist for, and all that is inlined into the
+        // model's handlers, so that the event is built in the lane's slot
+        // rather than copied there.
+        match self.lanes.get_mut(lane) {
+            Some(q) if q.back().is_none_or(|tail| tail.time_ps <= time_ps) => {
+                if q.is_empty() {
+                    self.heads[lane] = head_key(time_ps, seq, lane);
+                }
+                q.push_back(LaneEntry {
+                    time_ps,
+                    seq,
+                    event,
+                });
+                self.laned += 1;
+                self.note_depth();
+            }
+            _ => self.schedule_out_of_order(time_ps, seq, lane, event),
+        }
+    }
+
+    /// The rest of [`Self::schedule_at_lane`]: an event earlier than its
+    /// lane's tail, or naming no lane.
+    #[inline(never)]
+    fn schedule_out_of_order(&mut self, time_ps: u64, seq: u32, lane: usize, event: E) {
+        // The new event carries the largest `seq` so far, so its place is
+        // behind every entry that is not strictly later: count the later
+        // ones at the tail.
+        let steps = self.lanes.get(lane).map_or(usize::MAX, |q| {
+            q.iter()
+                .rev()
+                .take(LANE_REACH + 1)
+                .take_while(|e| e.time_ps > time_ps)
+                .count()
+        });
+        if steps > LANE_REACH {
+            return self.push_backend(time_ps, seq, event);
+        }
+        let q = &mut self.lanes[lane];
+        let place = q.len() - steps;
+        q.insert(
+            place,
+            LaneEntry {
+                time_ps,
+                seq,
+                event,
+            },
+        );
+        if place == 0 {
+            self.heads[lane] = head_key(time_ps, seq, lane);
+        }
+        self.insert_steps += steps as u64;
+        self.laned += 1;
+        self.note_depth();
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -360,8 +539,22 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now, event);
     }
 
-    /// Pops the earliest event and advances the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// The earliest lane head's key ([`NO_HEAD`] when every lane is
+    /// empty).
+    #[inline]
+    fn earliest_head(&self) -> u128 {
+        // Which lane is earliest changes from pop to pop, so a compare-
+        // and-branch per lane mispredicts about once a call. The minimum
+        // of a block of four compiles to conditional moves; a plain
+        // running minimum does not (a loop-carried select is turned back
+        // into a branch), hence the blocks, and `heads` padded to suit.
+        self.heads.chunks_exact(4).fold(NO_HEAD, |best, c| {
+            best.min(c[0].min(c[1]).min(c[2].min(c[3])))
+        })
+    }
+
+    /// Pops the backend's earliest event.
+    fn pop_backend(&mut self) -> Option<(u64, E)> {
         // Events pop long after they were pushed, so their slab slots
         // are cold. The wheel hands out prefetch hints a 32-entry chunk
         // at a time from its sorted drain buffer — issuing the whole
@@ -391,7 +584,45 @@ impl<E> EventQueue<E> {
             .take()
             .expect("popped key has a live slab entry");
         self.free.push(slot.idx);
-        let time = SimTime::from_picos(slot.time_ps);
+        Some((slot.time_ps, event))
+    }
+
+    /// Pops the earliest event and advances the clock to its time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let lane_key = self.earliest_head();
+        // The backend's head is consulted only when both sides hold
+        // something: peeking the wheel moves its cursor, which sends
+        // later fallback pushes down its sorted-merge path.
+        if self.backend_len() > 0
+            && (lane_key == NO_HEAD
+                || self
+                    .backend
+                    .peek()
+                    .is_some_and(|s| head_key(s.time_ps, s.seq, 0) < lane_key))
+        {
+            let (time_ps, event) = self.pop_backend()?;
+            return Some((self.advance(time_ps), event));
+        }
+        // `NO_HEAD` names a lane that cannot exist (`set_lanes`).
+        let lane = lane_key as u32 as usize;
+        let q = self.lanes.get(lane)?;
+        // All the bookkeeping first, so that the entry moves out of the
+        // lane straight into the caller's slot: a 64-byte enum staged
+        // through a stack temporary is copied piecewise, and reloading
+        // it across those piece boundaries stalls on store forwarding.
+        self.heads[lane] = q
+            .get(1)
+            .map_or(NO_HEAD, |e| head_key(e.time_ps, e.seq, lane));
+        self.laned -= 1;
+        let time = self.advance((lane_key >> 64) as u64);
+        let entry = self.lanes[lane].pop_front()?;
+        Some((time, entry.event))
+    }
+
+    /// Moves the clock to a popped event's time.
+    #[inline]
+    fn advance(&mut self, time_ps: u64) -> SimTime {
+        let time = SimTime::from_picos(time_ps);
         self.now = time;
         #[cfg(feature = "prof")]
         if crate::prof::enabled() {
@@ -399,39 +630,40 @@ impl<E> EventQueue<E> {
             // same-time branch would be genuinely unpredictable — the
             // arithmetic form compiles to cmov/mul and costs the same
             // every pop.
-            let same = (self.prof.last_pop_ps == slot.time_ps) as u64;
+            let same = (self.prof.last_pop_ps == time_ps) as u64;
             self.prof.pops += 1;
             self.prof.coincident_pops += same;
             self.prof.current_burst = self.prof.current_burst * same + 1;
-            self.prof.last_pop_ps = slot.time_ps;
+            self.prof.last_pop_ps = time_ps;
             self.prof.max_burst = self.prof.max_burst.max(self.prof.current_burst);
         }
-        Some((time, event))
+        time
     }
 
     /// This calendar's behavioral statistics for the self-profiler.
     ///
-    /// `pushes` is always populated (it doubles as the throughput
-    /// counter); the depth/burst counters require the `prof` feature and
-    /// read zero without it. `sample_rearms` is owned by the engine, not
-    /// the calendar, and is zero here.
+    /// `pushes` and the lane accounting (`laned_pushes`,
+    /// `fallback_pushes`, `insert_steps`) are always populated; the
+    /// depth/burst counters require the `prof` feature and read zero
+    /// without it. `sample_rearms` is owned by the engine, not the
+    /// calendar, and is zero here.
     pub fn calendar_stats(&self) -> crate::prof::CalendarStats {
-        #[cfg(feature = "prof")]
-        {
-            crate::prof::CalendarStats {
-                pushes: self.scheduled_total,
-                pops: self.prof.pops,
-                peak_depth: self.prof.peak_depth,
-                coincident_pops: self.prof.coincident_pops,
-                max_burst: self.prof.max_burst,
-                sample_rearms: 0,
-            }
-        }
-        #[cfg(not(feature = "prof"))]
-        crate::prof::CalendarStats {
+        let stats = crate::prof::CalendarStats {
             pushes: self.scheduled_total,
+            laned_pushes: self.scheduled_total - self.fallback_pushes,
+            fallback_pushes: self.fallback_pushes,
+            insert_steps: self.insert_steps,
             ..Default::default()
-        }
+        };
+        #[cfg(feature = "prof")]
+        let stats = crate::prof::CalendarStats {
+            pops: self.prof.pops,
+            peak_depth: self.prof.peak_depth,
+            coincident_pops: self.prof.coincident_pops,
+            max_burst: self.prof.max_burst,
+            ..stats
+        };
+        stats
     }
 
     /// Time of the earliest pending event, if any.
@@ -440,7 +672,18 @@ impl<E> EventQueue<E> {
     /// cursor to the next occupied slot (a cascade), which never changes
     /// what pops next, only where it is stored.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.backend.peek_time().map(SimTime::from_picos)
+        let lane_key = self.earliest_head();
+        let lane = (lane_key != NO_HEAD).then_some((lane_key >> 64) as u64);
+        let backend = if self.backend_len() > 0 {
+            self.backend.peek().map(|s| s.time_ps)
+        } else {
+            None
+        };
+        match (lane, backend) {
+            (Some(l), Some(b)) => Some(l.min(b)),
+            (l, b) => l.or(b),
+        }
+        .map(SimTime::from_picos)
     }
 
     /// Drops all pending events (the clock is unchanged).
@@ -448,11 +691,17 @@ impl<E> EventQueue<E> {
     /// Burst tracking (`last_pop` / `current_burst`) resets too: the
     /// first pop after a clear starts a fresh burst even if its
     /// timestamp matches the last pre-clear pop. Cumulative totals
-    /// (`pops`, `peak_depth`, `max_burst`, `scheduled_total`) survive.
+    /// (`pops`, `peak_depth`, `max_burst`, `scheduled_total`, the lane
+    /// accounting) survive, and so do the declared lanes.
     pub fn clear(&mut self) {
         self.backend.clear();
         self.events.clear();
         self.free.clear();
+        for q in &mut self.lanes {
+            q.clear();
+        }
+        self.heads.fill(NO_HEAD);
+        self.laned = 0;
         #[cfg(feature = "prof")]
         {
             self.prof.last_pop_ps = u64::MAX;
@@ -598,6 +847,90 @@ mod tests {
             assert!(q.is_empty());
             assert_eq!(q.scheduled_total(), 2);
         });
+    }
+
+    #[test]
+    fn lanes_and_backend_pop_as_one_order() {
+        both(|mut q| {
+            let ns = SimTime::from_nanos;
+            q.set_lanes(2);
+            assert_eq!(q.lanes(), 2);
+            q.schedule_at_lane(ns(30), 0, 3);
+            q.schedule_at(ns(10), 1); // no lane named: the backend's
+            q.schedule_at_lane(ns(20), 1, 2);
+            q.schedule_at_lane(ns(20), 0, 4); // walks back past the 30
+            q.schedule_at_lane(ns(20), 9, 5); // no such lane: the backend's
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, vec![1, 2, 4, 5, 3]);
+            let stats = q.calendar_stats();
+            assert_eq!(stats.pushes, 5);
+            assert_eq!(stats.laned_pushes, 3);
+            assert_eq!(stats.fallback_pushes, 2);
+            assert_eq!(stats.insert_steps, 1);
+        });
+    }
+
+    #[test]
+    fn disorder_beyond_the_reach_falls_back_and_stays_ordered() {
+        both(|mut q| {
+            q.set_lanes(1);
+            // Strictly decreasing times: push k belongs k entries back.
+            let n = LANE_REACH as i32 + 10;
+            for i in 0..n {
+                q.schedule_at_lane(SimTime::from_nanos((n - i) as u64), 0, i);
+            }
+            let stats = q.calendar_stats();
+            // Everything pushed lands in front of the whole lane, so the
+            // lane takes pushes until it is `LANE_REACH` deep and one
+            // more (a walk of exactly the reach).
+            assert_eq!(stats.laned_pushes, LANE_REACH as u64 + 1);
+            assert_eq!(stats.fallback_pushes, 9);
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, (0..n).rev().collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn depth_peek_and_clear_span_lanes_and_backend() {
+        #[cfg(feature = "prof")]
+        let _gate = crate::prof::TEST_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        #[cfg(feature = "prof")]
+        crate::prof::set_enabled(true);
+        both(|mut q| {
+            let ns = SimTime::from_nanos;
+            q.set_lanes(3);
+            assert!(q.is_empty());
+            assert_eq!(q.peek_time(), None);
+            q.schedule_at_lane(ns(40), 0, 0);
+            q.schedule_at_lane(ns(25), 2, 1);
+            assert_eq!(q.peek_time(), Some(ns(25))); // lanes only
+            q.schedule_at(ns(50), 2);
+            assert_eq!(q.peek_time(), Some(ns(25))); // lane before backend
+            q.schedule_at(ns(15), 3);
+            assert_eq!(q.peek_time(), Some(ns(15))); // backend before lane
+            assert_eq!(q.len(), 4);
+            assert!(!q.is_empty());
+            assert_eq!(q.pop(), Some((ns(15), 3)));
+            assert_eq!(q.pop(), Some((ns(25), 1)));
+            assert_eq!(q.len(), 2);
+            #[cfg(feature = "prof")]
+            assert_eq!(q.calendar_stats().peak_depth, 4);
+            q.clear();
+            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
+            assert_eq!(q.peek_time(), None);
+            assert_eq!(q.pop(), None);
+            // The lanes survive a clear and start over empty.
+            assert_eq!(q.lanes(), 3);
+            q.schedule_at_lane(ns(30), 0, 9);
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop(), Some((ns(30), 9)));
+            assert_eq!(q.scheduled_total(), 5);
+        });
+        #[cfg(feature = "prof")]
+        crate::prof::set_enabled(false);
     }
 
     #[cfg(feature = "prof")]

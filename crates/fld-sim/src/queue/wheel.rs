@@ -60,10 +60,12 @@ const MASK: u64 = (SLOTS - 1) as u64;
 /// fraction drops roughly monotonically with it) but advance the cursor
 /// further ahead of the clock, so more schedule-during-pop arrivals
 /// land at-or-before the cursor and pay a merge into the drain buffer
-/// on the push side. The gap-buffer merge in [`TimingWheel::place`] is
-/// what makes a batch this large affordable; 320 was swept on
-/// `bench_engine` as the corner where the pop fraction clears its
-/// budget without giving back the events/s win.
+/// on the push side — a binary search plus a move that the gap buffer
+/// in [`TimingWheel::place`] halves but does not make cheap (it was a
+/// quarter of a deep run's host time while every push came here; the
+/// in-order streams now go to the queue's FIFO lanes instead). 320 was
+/// swept on `bench_engine` as the corner where the pop fraction clears
+/// its budget without giving back the events/s win.
 const DRAIN_BATCH: usize = 320;
 
 /// One wheel level: 256 buckets plus an occupancy bitmap so the refill
@@ -133,8 +135,12 @@ pub(crate) struct TimingWheel {
     /// Absolute level-0 bucket index the buffer was drained from.
     cur0: u64,
     len: usize,
-    /// Reused cascade staging (keeps the hot loop allocation-free).
-    scratch: Vec<Slot>,
+    /// Allocations of cascaded (hence empty) parent buckets, waiting for
+    /// the next parent bucket that starts filling: what a cascade empties
+    /// the next window takes over, so the wheel retains capacity in
+    /// proportion to the buckets occupied at once, not to every bucket
+    /// it ever filled — and the hot loop stays allocation-free.
+    spares: Vec<Vec<Slot>>,
 }
 
 impl TimingWheel {
@@ -147,7 +153,7 @@ impl TimingWheel {
             hint_pos: 0,
             cur0: 0,
             len: 0,
-            scratch: Vec::new(),
+            spares: Vec::new(),
         }
     }
 
@@ -175,8 +181,7 @@ impl TimingWheel {
                 // The already-served prefix `[0, buf_pos)` is dead
                 // space: shifting the (shorter) pending front side one
                 // slot left into it is cheaper than memmoving the whole
-                // tail right, and never grows the allocation. This is
-                // what keeps large drain batches affordable — mid-drain
+                // tail right, and never grows the allocation: mid-drain
                 // merges pay min(front, tail), gap-buffer style.
                 self.buffer.copy_within(self.buf_pos..at, self.buf_pos - 1);
                 self.buf_pos -= 1;
@@ -192,12 +197,26 @@ impl TimingWheel {
         if d >> SLOT_BITS == 0 {
             self.levels[0].push((i0 & MASK) as usize, slot);
         } else if d >> (2 * SLOT_BITS) == 0 {
-            self.levels[1].push(((i0 >> SLOT_BITS) & MASK) as usize, slot);
+            self.push_parent(1, ((i0 >> SLOT_BITS) & MASK) as usize, slot);
         } else if d >> (3 * SLOT_BITS) == 0 {
-            self.levels[2].push(((i0 >> (2 * SLOT_BITS)) & MASK) as usize, slot);
+            self.push_parent(2, ((i0 >> (2 * SLOT_BITS)) & MASK) as usize, slot);
         } else {
             self.overflow.push(MinSlot(slot));
         }
+    }
+
+    /// Pushes into a level-1/2 bucket. A bucket without an allocation —
+    /// never used, or emptied by [`Self::cascade`] — takes over a spare
+    /// one first.
+    #[inline]
+    fn push_parent(&mut self, level: usize, rel: usize, slot: Slot) {
+        let lvl = &mut self.levels[level];
+        if lvl.buckets[rel].capacity() == 0 {
+            if let Some(spare) = self.spares.pop() {
+                lvl.buckets[rel] = spare;
+            }
+        }
+        lvl.push(rel, slot);
     }
 
     #[inline]
@@ -285,11 +304,11 @@ impl TimingWheel {
     }
 
     #[inline]
-    pub(crate) fn peek_time(&mut self) -> Option<u64> {
+    pub(crate) fn peek(&mut self) -> Option<Slot> {
         if self.buf_pos >= self.buffer.len() && !self.refill() {
             return None;
         }
-        Some(self.buffer[self.buf_pos].time_ps)
+        Some(self.buffer[self.buf_pos])
     }
 
     pub(crate) fn clear(&mut self) {
@@ -387,13 +406,10 @@ impl TimingWheel {
         };
         let abs = ((self.cur0 >> shift) & !MASK) | rel as u64;
         self.cur0 = abs << shift;
-        let mut staged = std::mem::take(&mut self.scratch);
-        {
-            let lvl = &mut self.levels[level];
-            lvl.occupied[rel >> 6] &= !(1u64 << (rel & 63));
-            staged.extend(lvl.buckets[rel].iter().copied());
-            lvl.buckets[rel].clear();
-        }
+        // The bucket gives up its allocation along with its events.
+        let lvl = &mut self.levels[level];
+        lvl.occupied[rel >> 6] &= !(1u64 << (rel & 63));
+        let mut staged = std::mem::take(&mut lvl.buckets[rel]);
         // The re-placements scatter-write across up to 256 child
         // buckets whose data tails are long evicted; hint every push
         // target first so the write-allocate misses overlap instead of
@@ -411,7 +427,7 @@ impl TimingWheel {
             self.place(*slot);
         }
         staged.clear();
-        self.scratch = staged;
+        self.spares.push(staged);
         true
     }
 }
@@ -493,16 +509,55 @@ mod tests {
         let mut w = TimingWheel::new();
         let far = 1u64 << (G0 + 2 * SLOT_BITS);
         w.push(slot(far, 0));
-        assert_eq!(w.peek_time(), Some(far)); // cascades cursor forward
+        assert_eq!(w.peek().map(|s| s.time_ps), Some(far)); // cascades cursor forward
         w.push(slot(500, 1)); // earlier than the peeked event
         assert_eq!(drain(&mut w), vec![(500, 1), (far, 0)]);
+    }
+
+    /// Slots of capacity the wheel holds on to, in every bucket, the
+    /// drain buffer and the spares.
+    fn retained_slots(w: &TimingWheel) -> usize {
+        let buckets = w.levels.iter().flat_map(|l| &l.buckets);
+        buckets
+            .chain(&w.spares)
+            .chain([&w.buffer])
+            .map(Vec::capacity)
+            .sum()
+    }
+
+    #[test]
+    fn cascaded_buckets_hand_their_allocation_on() {
+        // A steady stream, one event per `step`, each scheduled a window
+        // and a half of level 0 ahead — so every event passes through a
+        // level-1 bucket and the calendar holds `DEPTH` events throughout.
+        // A cascade used to copy the bucket out and `clear()` it, leaving
+        // every bucket it ever drained at its peak capacity: O(windows ×
+        // depth) retained by a calendar `DEPTH` deep.
+        const DEPTH: u64 = 1536;
+        const WINDOWS: u64 = 96;
+        let window = 1u64 << (G0 + SLOT_BITS);
+        let step = window / 1024;
+        let mut w = TimingWheel::new();
+        for i in 0..DEPTH {
+            w.push(slot(i * step, i as u32));
+        }
+        for i in DEPTH..WINDOWS * 1024 {
+            let s = w.pop().expect("constant depth");
+            assert_eq!(s.time_ps, (i - DEPTH) * step, "popped out of order");
+            w.push(slot(i * step, i as u32));
+        }
+        let retained = retained_slots(&w);
+        assert!(
+            retained <= 8 * DEPTH as usize,
+            "{retained} slots retained for a depth of {DEPTH}"
+        );
     }
 
     #[test]
     fn empty_and_clear() {
         let mut w = TimingWheel::new();
         assert_eq!(w.pop(), None);
-        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.peek(), None);
         let span = 1u64 << (G0 + LEVELS as u32 * SLOT_BITS);
         w.push(slot(10, 0));
         w.push(slot(2 * span, 1));

@@ -320,7 +320,7 @@ impl Bandwidth {
 
     /// Serialization time for `bits` at this bandwidth.
     pub fn time_for_bits(self, bits: u64) -> SimDuration {
-        SimDuration::from_picos(((bits as f64) * 1e12 / self.0).round() as u64)
+        SimDuration::from_picos(round_to_u64((bits as f64) * 1e12 / self.0))
     }
 
     /// Scales the bandwidth by `factor`.
@@ -331,6 +331,21 @@ impl Bandwidth {
     pub fn scaled(self, factor: f64) -> Bandwidth {
         Bandwidth::bps(self.0 * factor)
     }
+}
+
+/// `x.round() as u64` — half away from zero, negatives and NaN to 0,
+/// saturating — without the call into libm that `f64::round` is on
+/// baseline x86-64 (no `roundsd` before SSE4.1). For the per-packet
+/// paths: serialisation times, PCIe byte loads.
+///
+/// The cast truncates; the remainder `x − trunc(x)` is exact (for
+/// `x < 2^52` both are multiples of `x`'s ulp and the difference is below
+/// 1; from `2^52` on `x` is an integer and it is 0), so comparing it with
+/// one half decides the rounding exactly as `round` does.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let floor = x as u64;
+    floor.saturating_add((x - floor as f64 >= 0.5) as u64)
 }
 
 impl fmt::Display for Bandwidth {

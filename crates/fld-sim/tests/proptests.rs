@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation engine: histogram accuracy
 //! against exact percentiles, link conservation laws, calendar
-//! ordering, and pre-resolved counter groups against the naive scans.
+//! ordering (laned queue vs wheel vs heap), the libm-free rounding
+//! helper, and pre-resolved counter groups against the naive scans.
 
 use proptest::prelude::*;
 
@@ -8,85 +9,156 @@ use fld_sim::counters::{CounterSum, CounterTree};
 use fld_sim::link::{Link, TokenBucket};
 use fld_sim::queue::{CalendarKind, EventQueue};
 use fld_sim::stats::Histogram;
-use fld_sim::time::{Bandwidth, SimDuration, SimTime};
+use fld_sim::time::{round_to_u64, Bandwidth, SimDuration, SimTime};
 
 /// One step of the differential calendar exercise. Delays are relative to
-/// the queue's notion of "now" so both backends see identical inputs.
+/// the queue's notion of "now" so every calendar sees identical inputs;
+/// every push carries a lane hint, which only the laned runs look at.
 #[derive(Debug, Clone)]
 enum CalOp {
     /// Schedule a single event `delay_ps` past the current time.
-    Schedule { delay_ps: u64 },
+    Schedule { delay_ps: u64, lane: u8 },
     /// Schedule `n` events at the *same* timestamp — the FIFO-within-a-
     /// tick case the engine's replay determinism depends on.
-    Burst { delay_ps: u64, n: u8 },
+    Burst { delay_ps: u64, n: u8, lane: u8 },
     /// Pop up to `n` events, rescheduling every other popped event a
     /// little into the future (the engine's schedule-during-pop pattern).
-    PopReschedule { n: u8 },
+    PopReschedule { n: u8, lane: u8 },
     /// Schedule past the wheel's 2^39 ps span so the overflow heap and
     /// its epoch migration path are exercised.
-    Far { delay_ps: u64 },
+    Far { delay_ps: u64, lane: u8 },
+    /// Schedule `n` events into one lane at strictly *decreasing* times:
+    /// each walks one entry further back from the tail than the last, so
+    /// past `LANE_REACH` of them the rest fall through to the backend.
+    Disorder { n: u8, lane: u8 },
+    /// Schedule far out, peek (the wheel moves its cursor there), then
+    /// schedule something earlier.
+    PeekThenEarlier { far_ps: u64, near_ps: u64, lane: u8 },
+    /// Drop everything pending, mid-run.
+    Clear,
 }
 
 fn cal_op() -> impl Strategy<Value = CalOp> {
     // The vendored prop_oneof! is unweighted; duplicate arms bias the mix
-    // toward schedules and pops, with overflow schedules rarest.
+    // toward schedules and pops, with the special shapes rarest. Lane
+    // hints run past every lane count the runs below declare.
+    let lane = || 0u8..8;
     prop_oneof![
-        (0u64..100_000).prop_map(|delay_ps| CalOp::Schedule { delay_ps }),
-        (0u64..100_000).prop_map(|delay_ps| CalOp::Schedule { delay_ps }),
-        (0u64..100_000).prop_map(|delay_ps| CalOp::Schedule { delay_ps }),
-        ((0u64..10_000), 2u8..8).prop_map(|(delay_ps, n)| CalOp::Burst { delay_ps, n }),
-        ((0u64..10_000), 2u8..8).prop_map(|(delay_ps, n)| CalOp::Burst { delay_ps, n }),
-        (1u8..16).prop_map(|n| CalOp::PopReschedule { n }),
-        (1u8..16).prop_map(|n| CalOp::PopReschedule { n }),
-        ((1u64 << 39)..(1u64 << 41)).prop_map(|delay_ps| CalOp::Far { delay_ps }),
+        ((0u64..100_000), lane()).prop_map(|(delay_ps, lane)| CalOp::Schedule { delay_ps, lane }),
+        ((0u64..100_000), lane()).prop_map(|(delay_ps, lane)| CalOp::Schedule { delay_ps, lane }),
+        ((0u64..100_000), lane()).prop_map(|(delay_ps, lane)| CalOp::Schedule { delay_ps, lane }),
+        ((0u64..10_000), 2u8..8, lane()).prop_map(|(delay_ps, n, lane)| CalOp::Burst {
+            delay_ps,
+            n,
+            lane
+        }),
+        ((0u64..10_000), 2u8..8, lane()).prop_map(|(delay_ps, n, lane)| CalOp::Burst {
+            delay_ps,
+            n,
+            lane
+        }),
+        ((1u8..16), lane()).prop_map(|(n, lane)| CalOp::PopReschedule { n, lane }),
+        ((1u8..16), lane()).prop_map(|(n, lane)| CalOp::PopReschedule { n, lane }),
+        ((1u8..16), lane()).prop_map(|(n, lane)| CalOp::PopReschedule { n, lane }),
+        (((1u64 << 39)..(1u64 << 41)), lane())
+            .prop_map(|(delay_ps, lane)| CalOp::Far { delay_ps, lane }),
+        ((2u8..80), lane()).prop_map(|(n, lane)| CalOp::Disorder { n, lane }),
+        (((1u64 << 23)..(1u64 << 33)), (0u64..100_000), lane()).prop_map(
+            |(far_ps, near_ps, lane)| CalOp::PeekThenEarlier {
+                far_ps,
+                near_ps,
+                lane
+            }
+        ),
+        Just(CalOp::Clear),
     ]
 }
 
-/// Replays `ops` against one backend, returning the full popped trace.
-fn run_calendar(kind: CalendarKind, ops: &[CalOp]) -> Vec<(u64, u32)> {
+/// How a replay treats the ops' lane hints.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    /// Ignores them: every push is a plain `schedule_at`.
+    Unlaned,
+    /// Declares this many lanes and passes each hint through as it is —
+    /// right, wrong or out of range.
+    Hinted(usize),
+    /// Declares one lane and names it on every push.
+    AllOne,
+}
+
+/// What a replay observed: each popped `(time, event)`, and after every
+/// op the calendar's `len()`, `is_empty()` and `peek_time()`.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Pop(u64, u32),
+    State(usize, bool, Option<u64>),
+}
+
+fn state(q: &mut EventQueue<u32>) -> Seen {
+    Seen::State(q.len(), q.is_empty(), q.peek_time().map(SimTime::as_picos))
+}
+
+/// Replays `ops` against one calendar, returning everything observable.
+fn run_calendar(kind: CalendarKind, lanes: Lanes, ops: &[CalOp]) -> Vec<Seen> {
     let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
+    match lanes {
+        Lanes::Unlaned => {}
+        Lanes::Hinted(n) => q.set_lanes(n),
+        Lanes::AllOne => q.set_lanes(1),
+    }
     let mut next_id = 0u32;
-    let mut trace = Vec::new();
+    let mut push = |q: &mut EventQueue<u32>, delay_ps: u64, lane: u8| {
+        let at = q.now() + SimDuration::from_picos(delay_ps);
+        match lanes {
+            Lanes::Unlaned => q.schedule_at(at, next_id),
+            Lanes::Hinted(_) => q.schedule_at_lane(at, lane as usize, next_id),
+            Lanes::AllOne => q.schedule_at_lane(at, 0, next_id),
+        }
+        next_id += 1;
+    };
+    let mut seen = Vec::new();
     for op in ops {
         match *op {
-            CalOp::Schedule { delay_ps } => {
-                q.schedule_in(SimDuration::from_picos(delay_ps), next_id);
-                next_id += 1;
+            CalOp::Schedule { delay_ps, lane } | CalOp::Far { delay_ps, lane } => {
+                push(&mut q, delay_ps, lane);
             }
-            CalOp::Burst { delay_ps, n } => {
-                let at = q.now() + SimDuration::from_picos(delay_ps);
+            CalOp::Burst { delay_ps, n, lane } => {
                 for _ in 0..n {
-                    q.schedule_at(at, next_id);
-                    next_id += 1;
+                    push(&mut q, delay_ps, lane);
                 }
             }
-            CalOp::PopReschedule { n } => {
+            CalOp::PopReschedule { n, lane } => {
                 for i in 0..n {
-                    match q.pop() {
-                        Some((t, id)) => {
-                            trace.push((t.as_picos(), id));
-                            if i % 2 == 1 {
-                                q.schedule_in(
-                                    SimDuration::from_picos(517 * (i as u64 + 1)),
-                                    next_id,
-                                );
-                                next_id += 1;
-                            }
-                        }
-                        None => break,
+                    let Some((t, id)) = q.pop() else { break };
+                    seen.push(Seen::Pop(t.as_picos(), id));
+                    if i % 2 == 1 {
+                        push(&mut q, 517 * (i as u64 + 1), lane);
                     }
                 }
             }
-            CalOp::Far { delay_ps } => {
-                q.schedule_in(SimDuration::from_picos(delay_ps), next_id);
-                next_id += 1;
+            CalOp::Disorder { n, lane } => {
+                for i in 0..n {
+                    push(&mut q, 1_000 * (n - i) as u64, lane);
+                }
             }
+            CalOp::PeekThenEarlier {
+                far_ps,
+                near_ps,
+                lane,
+            } => {
+                push(&mut q, far_ps, lane);
+                seen.push(state(&mut q));
+                push(&mut q, near_ps, lane.wrapping_add(1));
+            }
+            CalOp::Clear => q.clear(),
         }
+        seen.push(state(&mut q));
     }
     while let Some((t, id)) = q.pop() {
-        trace.push((t.as_picos(), id));
+        seen.push(Seen::Pop(t.as_picos(), id));
     }
-    trace
+    seen.push(state(&mut q));
+    seen
 }
 
 /// Path segments for the counter-group property: few enough that
@@ -262,22 +334,52 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The timing wheel is observationally identical to the binary heap:
-    /// identical op sequences — same-tick bursts, schedule-during-pop,
-    /// far-future overflow — produce byte-identical pop traces. This is
-    /// the property that lets the wheel replace the heap without
-    /// re-blessing a single golden.
+    /// The wheel, the heap and the FIFO lanes in front of either are
+    /// observationally identical: the same op sequence — same-tick
+    /// bursts, schedule-during-pop, far-future overflow, disorder past
+    /// the lanes' reach, peek-then-earlier-push, `clear()` mid-run —
+    /// gives the same `(time, event)` pops and the same `len()` /
+    /// `peek_time()` after every op, whatever lane each push names. This
+    /// is the property that lets the wheel replace the heap, and lanes
+    /// front both, without re-blessing a single golden.
     #[test]
     fn wheel_matches_heap(ops in proptest::collection::vec(cal_op(), 1..120)) {
-        let heap = run_calendar(CalendarKind::Heap, &ops);
-        let wheel = run_calendar(CalendarKind::Wheel, &ops);
-        prop_assert_eq!(heap.len(), wheel.len(), "trace lengths diverge");
-        for (i, (h, w)) in heap.iter().zip(wheel.iter()).enumerate() {
-            prop_assert_eq!(h, w, "divergence at pop {}", i);
+        let heap = run_calendar(CalendarKind::Heap, Lanes::Unlaned, &ops);
+        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+            for lanes in [Lanes::Unlaned, Lanes::Hinted(4), Lanes::Hinted(7), Lanes::AllOne] {
+                let other = run_calendar(kind, lanes, &ops);
+                prop_assert_eq!(heap.len(), other.len(), "{:?}/{:?}: lengths diverge", kind, lanes);
+                for (i, (h, o)) in heap.iter().zip(other.iter()).enumerate() {
+                    prop_assert_eq!(h, o, "{:?}/{:?}: divergence at step {}", kind, lanes, i);
+                }
+            }
         }
-        // (time, insertion-seq) order must hold within each trace too.
-        for pair in wheel.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0, "time went backwards");
+        // (time, insertion-seq) order must hold within the trace too,
+        // between clears (a clear may drop later events than were popped).
+        let pops = heap.iter().filter_map(|s| match s {
+            Seen::Pop(t, _) => Some(*t),
+            Seen::State(..) => None,
+        });
+        let mut last = 0;
+        for t in pops {
+            prop_assert!(t >= last, "time went backwards");
+            last = t;
         }
+    }
+
+    /// `round_to_u64` is `f64::round` without the libm call: equal on
+    /// [0, 2^53], at exact ties, and on the floats either side of a tie.
+    #[test]
+    fn round_to_u64_matches_round(whole in 0u64..(1 << 52), frac in 0.0f64..1.0, shape in 0u8..5) {
+        let tie = whole as f64 + 0.5;
+        let x = match shape {
+            0 => whole as f64 + frac,
+            1 => tie,
+            2 => tie.next_down(),
+            3 => tie.next_up(),
+            // The upper half of the range, where every float is whole.
+            _ => (whole + (1 << 52)) as f64,
+        };
+        prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
     }
 }
