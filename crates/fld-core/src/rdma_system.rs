@@ -409,8 +409,7 @@ impl RdmaSystem {
     }
 
     fn pump_client(&mut self, now: SimTime, eng: &mut Engine<RdmaEv>) {
-        let pkts = self.client_qp.poll_transmit(now);
-        for pkt in pkts {
+        for pkt in self.client_qp.poll_transmit(now) {
             let arrive = self
                 .wire_up
                 .transmit(now, pkt.frame_len() as u64 + ETH_OVERHEAD);
@@ -422,7 +421,7 @@ impl RdmaSystem {
     /// Transmits a server-QP packet: the NIC fetches the payload from FLD
     /// over PCIe, then serializes onto the wire.
     fn transmit_server_pkt(&mut self, now: SimTime, pkt: RdmaPacket, eng: &mut Engine<RdmaEv>) {
-        let (to_fld, to_nic) = self.loads.tx_load(pkt.frame_len()).wire_bytes();
+        let (to_fld, to_nic) = self.loads.tx_wire_bytes(pkt.frame_len());
         self.pcie_ctr.record_tlp(to_nic);
         self.pcie_to_fld.transmit(now, to_fld);
         let mut fetched = self.pcie_from_fld.transmit(now, to_nic) + self.pcie_jitter();
@@ -460,8 +459,7 @@ impl RdmaSystem {
     }
 
     fn pump_server(&mut self, now: SimTime, eng: &mut Engine<RdmaEv>) {
-        let pkts = self.server_qp.poll_transmit(now);
-        for pkt in pkts {
+        for pkt in self.server_qp.poll_transmit(now) {
             self.transmit_server_pkt(now, pkt, eng);
         }
         self.arm_server_timer(now, eng);
@@ -538,7 +536,7 @@ impl RdmaSystem {
             match ev {
                 RdmaEvent::RecvSegment { bytes, .. } => {
                     // DMA this segment into FLD.
-                    let (to_fld, to_nic) = self.loads.rx_load(bytes + 58).wire_bytes();
+                    let (to_fld, to_nic) = self.loads.rx_wire_bytes(bytes + 58);
                     self.pcie_ctr.record_tlp(to_fld);
                     self.pcie_from_fld.transmit(now, to_nic);
                     self.msg_dma_done = self.pcie_to_fld.transmit(now, to_fld) + self.pcie_jitter();

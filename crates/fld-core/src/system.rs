@@ -286,6 +286,9 @@ pub type BurstBuilder = Box<dyn FnMut(u64, &mut SimRng, &mut Vec<SimPacket>) + S
 /// The client/load-generator node.
 pub struct ClientGen {
     mode: GenMode,
+    /// The open-loop spacing / Poisson mean gap, `1 / rate` (zero for a
+    /// closed loop).
+    gap: SimDuration,
     /// Total bursts to emit.
     pub total: u64,
     make: BurstBuilder,
@@ -312,8 +315,15 @@ impl std::fmt::Debug for ClientGen {
 impl ClientGen {
     /// Creates a generator emitting `total` bursts built by `make`.
     pub fn new(mode: GenMode, total: u64, make: BurstBuilder) -> Self {
+        let gap = match mode {
+            GenMode::OpenLoop { rate } | GenMode::Poisson { rate } => {
+                SimDuration::from_secs_f64(1.0 / rate)
+            }
+            GenMode::ClosedLoop { .. } => SimDuration::ZERO,
+        };
         ClientGen {
             mode,
+            gap,
             total,
             make,
             per_burst_cost: SimDuration::ZERO,
@@ -1122,13 +1132,11 @@ impl FldSystem {
         self.gen.scratch = burst;
         self.gen_next_allowed = now + self.gen.per_burst_cost;
         match self.gen.mode {
-            GenMode::OpenLoop { rate } => {
-                let gap = SimDuration::from_secs_f64(1.0 / rate);
-                self.schedule_gen((now + gap).max(self.gen_next_allowed), eng);
+            GenMode::OpenLoop { .. } => {
+                self.schedule_gen((now + self.gen.gap).max(self.gen_next_allowed), eng);
             }
-            GenMode::Poisson { rate } => {
-                let mean = SimDuration::from_secs_f64(1.0 / rate);
-                let gap = self.rng.exp_duration(mean);
+            GenMode::Poisson { .. } => {
+                let gap = self.rng.exp_duration(self.gen.gap);
                 self.schedule_gen((now + gap).max(self.gen_next_allowed), eng);
             }
             GenMode::ClosedLoop { .. } => {
@@ -1310,7 +1318,7 @@ impl FldSystem {
         }
         // Charge both PCIe directions with the analytic per-packet loads.
         self.tracer.record(now, pkt.id, TraceEventKind::TlpPosted);
-        let (to_fld, to_nic) = self.fld_loads.rx_load(pkt.len).wire_bytes();
+        let (to_fld, to_nic) = self.fld_loads.rx_wire_bytes(pkt.len);
         self.ctr.pcie.record_tlp(to_fld);
         let arrive = self.pcie_to_fld.transmit(now, to_fld);
         self.pcie_from_fld.transmit(now, to_nic);
@@ -1438,7 +1446,7 @@ impl FldSystem {
                         .record(now, pkt.id, TraceEventKind::DoorbellRing);
                 }
                 self.tracer.record(now, pkt.id, TraceEventKind::TlpPosted);
-                let (to_fld, to_nic) = self.fld_loads.tx_load(pkt.len).wire_bytes();
+                let (to_fld, to_nic) = self.fld_loads.tx_wire_bytes(pkt.len);
                 self.ctr.pcie.record_tlp(to_nic);
                 self.pcie_to_fld.transmit(now, to_fld);
                 let arrive = self.pcie_from_fld.transmit(now, to_nic) + self.pcie_jitter();

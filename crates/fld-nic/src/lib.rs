@@ -5,6 +5,8 @@
 //! utilizing NIC offloads"* (paper § 4, goal c). This crate models that NIC
 //! at the transaction level:
 //!
+//! * [`burst`] — the inline-first list the RC transport returns packets
+//!   and completions in;
 //! * [`wqe`] — descriptor/CQE formats in both the NIC's software layout and
 //!   FLD's compressed form (Table 2b sizes);
 //! * [`packet`] — the simulation packet representation with parsed
@@ -49,6 +51,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod burst;
 pub mod eswitch;
 pub mod ets;
 pub mod mprq;

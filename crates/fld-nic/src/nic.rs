@@ -508,9 +508,9 @@ mod tests {
         assert!(nic.qp(a).is_some());
         assert_eq!(nic.connect_qp(9999, a), Err(NicError::UnknownQp(9999)));
         nic.qp_mut(a).unwrap().post_send(1, 100);
-        let pkts = nic.qp_mut(a).unwrap().poll_transmit(SimTime::ZERO);
+        let mut pkts = nic.qp_mut(a).unwrap().poll_transmit(SimTime::ZERO);
         assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].dest_qp, b);
+        assert_eq!(pkts.next().map(|p| p.dest_qp), Some(b));
     }
 
     #[test]

@@ -13,6 +13,8 @@ use fld_net::roce::{AethSyndrome, BthOpcode, NakCode};
 use fld_sim::counters::{Counter, CounterTree};
 use fld_sim::time::{SimDuration, SimTime};
 
+use crate::burst::Burst;
+
 /// Per-packet RoCE v2 framing bytes: Eth(14) + IPv4(20) + UDP(8) + BTH(12)
 /// + ICRC(4).
 pub const ROCE_HEADER_BYTES: u32 = 58;
@@ -91,8 +93,11 @@ pub enum RdmaEvent {
 struct PendingSend {
     wr_id: u64,
     total: u32,
-    sent: u32,
     start_psn: u32,
+    /// Packets the message segments into (at least one), and how many of
+    /// them were emitted (all but the last carry a full MTU).
+    packets: u32,
+    sent_packets: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -211,7 +216,12 @@ struct QpCounters {
 
 impl RcQp {
     /// Creates a QP in the Reset state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.mtu` is zero (segmentation divides by it).
     pub fn new(qpn: u32, config: QpConfig) -> Self {
+        assert!(config.mtu > 0, "QpConfig::mtu must be positive");
         RcQp {
             qpn,
             peer_qpn: 0,
@@ -390,8 +400,9 @@ impl RcQp {
         self.send_queue.push_back(PendingSend {
             wr_id,
             total: bytes,
-            sent: 0,
             start_psn: self.next_psn,
+            packets,
+            sent_packets: 0,
         });
         self.next_psn = (self.next_psn + packets) % PSN_MOD;
     }
@@ -427,103 +438,80 @@ impl RcQp {
     }
 
     /// Emits as many packets as the window allows at time `now`.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Vec<RdmaPacket> {
-        let mut out = Vec::new();
-        if self.state != QpState::ReadyToSend {
-            return out;
+    pub fn poll_transmit(&mut self, now: SimTime) -> Burst<RdmaPacket> {
+        std::iter::from_fn(|| self.next_packet(now)).collect()
+    }
+
+    /// Emits the next packet of the send queue, window permitting.
+    #[inline]
+    fn next_packet(&mut self, now: SimTime) -> Option<RdmaPacket> {
+        if self.state != QpState::ReadyToSend || self.inflight.len() >= self.config.window {
+            return None;
         }
-        while self.inflight.len() < self.config.window {
-            let Some(head) = self.send_queue.front_mut() else {
-                break;
-            };
-            let remaining = head.total - head.sent;
-            let chunk = remaining.min(self.config.mtu).max(
-                // Zero-length messages still send one packet.
-                if head.total == 0 { 0 } else { 1 },
-            );
-            let total_pkts = head.total.div_ceil(self.config.mtu).max(1) as usize;
-            let index = (head.sent / self.config.mtu.max(1)) as usize;
-            let opcode = BthOpcode::send_for_position(index, total_pkts);
-            let psn = (head.start_psn + index as u32) % PSN_MOD;
-            let pkt = RdmaPacket {
-                dest_qp: self.peer_qpn,
-                src_qp: self.qpn,
-                opcode,
-                syndrome: AethSyndrome::Ack,
-                psn,
-                payload: chunk,
-                wr_id: head.wr_id,
-            };
-            self.inflight.push_back(InflightPacket {
-                psn,
-                payload: chunk,
-                opcode,
-                wr_id: head.wr_id,
-                sent_at: now,
-            });
-            self.sent_packets += 1;
-            self.ctr.tx_packets.inc();
-            out.push(pkt);
-            head.sent += chunk;
-            if opcode.is_last() {
-                self.send_queue.pop_front();
-            }
+        let head = self.send_queue.front_mut()?;
+        let remaining = head.total - head.sent_packets * self.config.mtu;
+        let chunk = remaining.min(self.config.mtu).max(
+            // Zero-length messages still send one packet.
+            if head.total == 0 { 0 } else { 1 },
+        );
+        let opcode =
+            BthOpcode::send_for_position(head.sent_packets as usize, head.packets as usize);
+        let psn = (head.start_psn + head.sent_packets) % PSN_MOD;
+        let pkt = RdmaPacket {
+            dest_qp: self.peer_qpn,
+            src_qp: self.qpn,
+            opcode,
+            syndrome: AethSyndrome::Ack,
+            psn,
+            payload: chunk,
+            wr_id: head.wr_id,
+        };
+        self.inflight.push_back(InflightPacket {
+            psn,
+            payload: chunk,
+            opcode,
+            wr_id: head.wr_id,
+            sent_at: now,
+        });
+        self.sent_packets += 1;
+        self.ctr.tx_packets.inc();
+        head.sent_packets += 1;
+        if opcode.is_last() {
+            self.send_queue.pop_front();
         }
-        out
+        Some(pkt)
     }
 
     /// Handles an incoming packet addressed to this QP at `now`, returning
     /// events and any ACK/NAK packet to transmit back.
+    ///
+    /// A thin shell, inlined into the caller, over [`RcQp::receive`]: the
+    /// events come back as one whole value, written once into the caller's
+    /// own local instead of being copied out of a freshly written pair.
+    #[inline]
     pub fn on_packet(
         &mut self,
         now: SimTime,
         pkt: &RdmaPacket,
-    ) -> (Vec<RdmaEvent>, Option<RdmaPacket>) {
-        let mut events = Vec::new();
+    ) -> (Burst<RdmaEvent>, Option<RdmaPacket>) {
+        let mut ack = None;
+        let events = self.receive(now, pkt, &mut ack);
+        (events, ack)
+    }
+
+    /// [`RcQp::on_packet`]'s body: returns the events, stores the ACK/NAK
+    /// to send back (if any) in `ack`.
+    fn receive(
+        &mut self,
+        now: SimTime,
+        pkt: &RdmaPacket,
+        ack: &mut Option<RdmaPacket>,
+    ) -> Burst<RdmaEvent> {
         if self.state == QpState::Error {
-            return (events, None);
+            return Burst::new();
         }
         if pkt.opcode == BthOpcode::Ack {
-            match pkt.syndrome {
-                AethSyndrome::Ack => self.on_ack(pkt.psn, &mut events),
-                AethSyndrome::RnrNak { .. } => {
-                    self.naks_received += 1;
-                    self.ctr.naks_received.inc();
-                    self.rnr_naks_received += 1;
-                    self.ctr.rnr_naks.inc();
-                    if self.rnr_retries >= self.config.rnr_retry {
-                        self.enter_error(&mut events);
-                        return (events, None);
-                    }
-                    self.rnr_retries += 1;
-                    // Everything before the rejected PSN was accepted.
-                    self.ack_before(pkt.psn, &mut events);
-                    // Back off for the responder's RNR timer, then
-                    // go-back-N from the rejected PSN.
-                    self.recover_at = Some(now + self.config.rnr_timer);
-                }
-                AethSyndrome::Nak(NakCode::PsnSequenceError) => {
-                    self.naks_received += 1;
-                    self.ctr.naks_received.inc();
-                    if self.transport_retries >= self.config.retry_cnt {
-                        self.enter_error(&mut events);
-                        return (events, None);
-                    }
-                    self.transport_retries += 1;
-                    self.ack_before(pkt.psn, &mut events);
-                    // The responder told us exactly where the sequence
-                    // broke: go-back-N immediately, no timer wait.
-                    self.recover_at = Some(now);
-                }
-                AethSyndrome::Nak(_) => {
-                    // Invalid request / access / operational errors are
-                    // unrecoverable by retransmission (IBTA).
-                    self.naks_received += 1;
-                    self.ctr.naks_received.inc();
-                    self.enter_error(&mut events);
-                }
-            }
-            return (events, None);
+            return self.on_response(now, pkt);
         }
         // Responder path: strict PSN ordering (go-back-N).
         if pkt.psn != self.expected_psn {
@@ -537,7 +525,8 @@ impl RcQp {
                 self.duplicate_acks += 1;
                 self.ctr.duplicate_acks.inc();
                 let ack_psn = (self.expected_psn + PSN_MOD - 1) % PSN_MOD;
-                return (events, Some(self.make_ack(pkt.src_qp, ack_psn)));
+                *ack = Some(self.make_ack(pkt.src_qp, ack_psn));
+                return Burst::new();
             }
             // A gap (future packet): NAK the first missing PSN so the
             // requester can go-back-N without waiting out its timer —
@@ -550,9 +539,10 @@ impl RcQp {
                 self.ctr.naks_sent.inc();
                 let mut nak = self.make_ack(pkt.src_qp, self.expected_psn);
                 nak.syndrome = AethSyndrome::Nak(NakCode::PsnSequenceError);
-                return (events, Some(nak));
+                *ack = Some(nak);
+                return Burst::new();
             }
-            return (events, None);
+            return Burst::new();
         }
         self.nak_armed = false;
         self.expected_psn = (self.expected_psn + 1) % PSN_MOD;
@@ -560,13 +550,13 @@ impl RcQp {
         self.ctr.rx_packets.inc();
         self.recv_in_progress += pkt.payload;
         self.unacked_count += 1;
-        events.push(RdmaEvent::RecvSegment {
+        let segment = RdmaEvent::RecvSegment {
             bytes: pkt.payload,
             src_qp: pkt.src_qp,
-        });
-        let mut ack = None;
+        };
+        let mut complete = None;
         if pkt.opcode.is_last() {
-            events.push(RdmaEvent::RecvComplete {
+            complete = Some(RdmaEvent::RecvComplete {
                 bytes: self.recv_in_progress,
                 src_qp: pkt.src_qp,
             });
@@ -574,9 +564,53 @@ impl RcQp {
         }
         if pkt.opcode.is_last() || self.unacked_count >= self.config.ack_coalesce {
             self.unacked_count = 0;
-            ack = Some(self.make_ack(pkt.src_qp, pkt.psn));
+            *ack = Some(self.make_ack(pkt.src_qp, pkt.psn));
         }
-        (events, ack)
+        Some(segment).into_iter().chain(complete).collect()
+    }
+
+    /// Requester path of [`RcQp::on_packet`]: an ACK or NAK for packets in
+    /// flight.
+    fn on_response(&mut self, now: SimTime, pkt: &RdmaPacket) -> Burst<RdmaEvent> {
+        match pkt.syndrome {
+            AethSyndrome::Ack => self.on_ack(pkt.psn),
+            AethSyndrome::RnrNak { .. } => {
+                self.naks_received += 1;
+                self.ctr.naks_received.inc();
+                self.rnr_naks_received += 1;
+                self.ctr.rnr_naks.inc();
+                if self.rnr_retries >= self.config.rnr_retry {
+                    return self.enter_error();
+                }
+                self.rnr_retries += 1;
+                // Everything before the rejected PSN was accepted.
+                let events = self.ack_before(pkt.psn);
+                // Back off for the responder's RNR timer, then
+                // go-back-N from the rejected PSN.
+                self.recover_at = Some(now + self.config.rnr_timer);
+                events
+            }
+            AethSyndrome::Nak(NakCode::PsnSequenceError) => {
+                self.naks_received += 1;
+                self.ctr.naks_received.inc();
+                if self.transport_retries >= self.config.retry_cnt {
+                    return self.enter_error();
+                }
+                self.transport_retries += 1;
+                let events = self.ack_before(pkt.psn);
+                // The responder told us exactly where the sequence
+                // broke: go-back-N immediately, no timer wait.
+                self.recover_at = Some(now);
+                events
+            }
+            AethSyndrome::Nak(_) => {
+                // Invalid request / access / operational errors are
+                // unrecoverable by retransmission (IBTA).
+                self.naks_received += 1;
+                self.ctr.naks_received.inc();
+                self.enter_error()
+            }
+        }
     }
 
     /// Builds a positive ACK covering everything up to `psn`.
@@ -615,29 +649,18 @@ impl RcQp {
 
     /// Budget exhaustion or an unrecoverable NAK: Error state, pending
     /// work fails.
-    fn enter_error(&mut self, events: &mut Vec<RdmaEvent>) {
+    fn enter_error(&mut self) -> Burst<RdmaEvent> {
         self.state = QpState::Error;
         self.fatal_pending = true;
         self.recover_at = None;
-        events.push(RdmaEvent::Fatal);
+        Burst::from_iter([RdmaEvent::Fatal])
     }
 
     /// Processes a (possibly coalesced) ACK covering everything up to and
     /// including `psn`.
-    fn on_ack(&mut self, psn: u32, events: &mut Vec<RdmaEvent>) {
+    fn on_ack(&mut self, psn: u32) -> Burst<RdmaEvent> {
         let before = self.inflight.len();
-        while let Some(front) = self.inflight.front() {
-            // Sequence-space comparison modulo 2^23.
-            let diff = (psn.wrapping_sub(front.psn)) % PSN_MOD;
-            if diff < PSN_MOD / 2 {
-                let pkt = self.inflight.pop_front().expect("checked front");
-                if pkt.opcode.is_last() {
-                    events.push(RdmaEvent::SendComplete { wr_id: pkt.wr_id });
-                }
-            } else {
-                break;
-            }
-        }
+        let events = std::iter::from_fn(|| self.next_completion(psn)).collect();
         // Forward progress clears the retry budgets (IBTA: the counters
         // bound retries *without progress*, not per connection lifetime).
         if self.inflight.len() != before {
@@ -652,18 +675,40 @@ impl RcQp {
         if self.inflight.is_empty() {
             self.recover_at = None;
         }
+        events
+    }
+
+    /// Retires the in-flight packets an ACK of `psn` covers, up to and
+    /// including the next end of a message: that message's completion, or
+    /// `None` once nothing more is covered.
+    #[inline]
+    fn next_completion(&mut self, psn: u32) -> Option<RdmaEvent> {
+        while let Some(front) = self.inflight.front() {
+            // Sequence-space comparison modulo 2^23.
+            let diff = (psn.wrapping_sub(front.psn)) % PSN_MOD;
+            if diff >= PSN_MOD / 2 {
+                break;
+            }
+            let pkt = self.inflight.pop_front().expect("checked front");
+            if pkt.opcode.is_last() {
+                return Some(RdmaEvent::SendComplete { wr_id: pkt.wr_id });
+            }
+        }
+        None
     }
 
     /// Acknowledges everything strictly before `psn` (NAK semantics: the
     /// AETH PSN names the first packet the responder did not accept).
-    fn ack_before(&mut self, psn: u32, events: &mut Vec<RdmaEvent>) {
+    fn ack_before(&mut self, psn: u32) -> Burst<RdmaEvent> {
         let prev = (psn + PSN_MOD - 1) % PSN_MOD;
         if self
             .inflight
             .front()
             .is_some_and(|f| (prev.wrapping_sub(f.psn)) % PSN_MOD < PSN_MOD / 2)
         {
-            self.on_ack(prev, events);
+            self.on_ack(prev)
+        } else {
+            Burst::new()
         }
     }
 
@@ -675,15 +720,15 @@ impl RcQp {
     /// without ACK progress the QP enters the error state and returns
     /// nothing — the storm is capped, and the owner observes
     /// [`RcQp::take_fatal`] / [`QpState::Error`].
-    pub fn poll_timeout(&mut self, now: SimTime) -> Vec<RdmaPacket> {
+    pub fn poll_timeout(&mut self, now: SimTime) -> Burst<RdmaPacket> {
         if self.state != QpState::ReadyToSend {
-            return Vec::new();
+            return Burst::new();
         }
         if self.inflight.is_empty() {
             // Nothing to recover: drop any stale NAK-scheduled recovery so
             // `next_timeout` cannot keep requesting a same-instant poll.
             self.recover_at = None;
-            return Vec::new();
+            return Burst::new();
         }
         let nak_recovery = self.recover_at.is_some_and(|t| t <= now);
         let timer_fired = self
@@ -691,16 +736,15 @@ impl RcQp {
             .front()
             .is_some_and(|p| now.saturating_since(p.sent_at) >= self.effective_timeout());
         if !nak_recovery && !timer_fired {
-            return Vec::new();
+            return Burst::new();
         }
         self.recover_at = None;
         if !nak_recovery {
             // Timer-driven retries consume budget here; NAK-driven
             // recoveries were budgeted when the NAK arrived.
             if self.transport_retries >= self.config.retry_cnt {
-                let mut events = Vec::new();
-                self.enter_error(&mut events);
-                return Vec::new();
+                self.enter_error();
+                return Burst::new();
             }
             self.transport_retries += 1;
             self.timeouts += 1;
@@ -869,7 +913,7 @@ mod tests {
     fn multi_packet_segmentation() {
         let (mut a, _b) = pair();
         a.post_send(7, 4096 + 100); // 5 packets at MTU 1024
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         assert_eq!(pkts.len(), 5);
         assert_eq!(pkts[0].opcode, BthOpcode::SendFirst);
         assert_eq!(pkts[4].opcode, BthOpcode::SendLast);
@@ -939,7 +983,7 @@ mod tests {
     fn loss_recovered_by_timeout() {
         let (mut a, mut b) = pair();
         a.post_send(1, 3000); // 3 packets
-        let mut pkts = a.poll_transmit(SimTime::ZERO);
+        let mut pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         // Drop the middle packet.
         let dropped = pkts.remove(1);
         assert_eq!(dropped.psn, 1);
@@ -955,7 +999,7 @@ mod tests {
         }
         // Fire the retransmit timer.
         let later = SimTime::ZERO + SimDuration::from_millis(1);
-        let retrans = a.poll_timeout(later);
+        let retrans = Vec::from_iter(a.poll_timeout(later));
         assert!(!retrans.is_empty(), "timeout must retransmit");
         assert!(a.retransmits() > 0);
         let mut done = false;
@@ -983,7 +1027,7 @@ mod tests {
         let mut a = RcQp::new(1, config);
         a.connect(2);
         a.post_send(1, 100 * 1024); // 100 packets
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         assert_eq!(pkts.len(), 4, "window must cap transmissions");
         // No progress until ACKs arrive.
         assert!(a.poll_transmit(SimTime::ZERO).is_empty());
@@ -993,7 +1037,7 @@ mod tests {
     fn duplicate_packets_reacked_not_redelivered() {
         let (mut a, mut b) = pair();
         a.post_send(1, 100);
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         let (ev1, ack1) = b.on_packet(SimTime::ZERO, &pkts[0]);
         assert!(!ev1.is_empty());
         assert!(ack1.is_some());
@@ -1028,6 +1072,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "QpConfig::mtu must be positive")]
+    fn zero_mtu_is_rejected_at_construction() {
+        let _ = RcQp::new(
+            1,
+            QpConfig {
+                mtu: 0,
+                ..QpConfig::default()
+            },
+        );
+    }
+
+    #[test]
     #[should_panic]
     fn post_send_requires_rts() {
         let mut qp = RcQp::new(1, QpConfig::default());
@@ -1052,7 +1108,7 @@ mod tests {
     fn gap_triggers_one_nak_per_episode() {
         let (mut a, mut b) = pair();
         a.post_send(1, 3000); // 3 packets
-        let mut pkts = a.poll_transmit(SimTime::ZERO);
+        let mut pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         pkts.remove(1); // lose the middle packet
         let mut naks = Vec::new();
         for p in &pkts {
@@ -1078,7 +1134,7 @@ mod tests {
     fn nak_recovers_without_waiting_for_timer() {
         let (mut a, mut b) = pair();
         a.post_send(1, 3000);
-        let mut pkts = a.poll_transmit(SimTime::ZERO);
+        let mut pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         pkts.remove(1);
         let mut naks = Vec::new();
         for p in &pkts {
@@ -1092,15 +1148,13 @@ mod tests {
         assert_eq!(a.naks_received(), 1);
         // The NAK scheduled an immediate go-back-N.
         assert_eq!(a.next_timeout(), Some(now));
-        let retrans = a.poll_timeout(now);
+        let retrans = Vec::from_iter(a.poll_timeout(now));
         assert!(!retrans.is_empty(), "NAK must trigger retransmission");
         assert_eq!(retrans[0].psn, 1, "go-back-N from the NAKed PSN");
         let mut done = false;
         for p in retrans {
-            let (evs, ack) = b.on_packet(now, &p);
-            done |= evs
-                .iter()
-                .any(|e| matches!(e, RdmaEvent::RecvComplete { bytes: 3000, .. }));
+            let (mut evs, ack) = b.on_packet(now, &p);
+            done |= evs.any(|e| matches!(e, RdmaEvent::RecvComplete { bytes: 3000, .. }));
             if let Some(ack) = ack {
                 a.on_packet(now, &ack);
             }
@@ -1171,10 +1225,10 @@ mod tests {
         // Each message: lose the first transmission, deliver the retry.
         for round in 0..5u64 {
             a.post_send(round, 100);
-            let pkts = a.poll_transmit(now);
+            let pkts = Vec::from_iter(a.poll_transmit(now));
             assert_eq!(pkts.len(), 1, "round {round} must transmit");
             now = a.next_timeout().unwrap();
-            let retrans = a.poll_timeout(now);
+            let retrans = Vec::from_iter(a.poll_timeout(now));
             assert_eq!(retrans.len(), 1, "round {round} must retry");
             for p in retrans {
                 let (_, ack) = b.on_packet(now, &p);
@@ -1193,7 +1247,7 @@ mod tests {
     fn rnr_nak_backs_off_and_retries() {
         let (mut a, mut b) = pair();
         a.post_send(1, 100);
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         // Responder has no receive WQE: RNR NAK instead of accepting.
         let nak = b.make_rnr_nak(&pkts[0]);
         assert_eq!(nak.syndrome, AethSyndrome::RnrNak { timer: 14 });
@@ -1204,15 +1258,13 @@ mod tests {
         assert!(a.poll_timeout(now).is_empty());
         let resume = now + QpConfig::default().rnr_timer;
         assert_eq!(a.next_timeout(), Some(resume));
-        let retrans = a.poll_timeout(resume);
+        let retrans = Vec::from_iter(a.poll_timeout(resume));
         assert_eq!(retrans.len(), 1);
         // This time the responder accepts; the transfer completes.
-        let (evs, ack) = b.on_packet(resume, &retrans[0]);
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, RdmaEvent::RecvComplete { bytes: 100, .. })));
-        let (evs, _) = a.on_packet(resume, &ack.unwrap());
-        assert!(evs.contains(&RdmaEvent::SendComplete { wr_id: 1 }));
+        let (mut evs, ack) = b.on_packet(resume, &retrans[0]);
+        assert!(evs.any(|e| matches!(e, RdmaEvent::RecvComplete { bytes: 100, .. })));
+        let (mut evs, _) = a.on_packet(resume, &ack.unwrap());
+        assert!(evs.any(|e| e == RdmaEvent::SendComplete { wr_id: 1 }));
         assert_eq!(a.state(), QpState::ReadyToSend);
     }
 
@@ -1227,7 +1279,7 @@ mod tests {
         a.connect(2);
         b.connect(1);
         a.post_send(1, 100);
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         let mut now = SimTime::ZERO;
         // The responder keeps RNR-NAKing the same request.
         for _ in 0..=2 {
@@ -1245,11 +1297,11 @@ mod tests {
     fn remote_error_nak_is_terminal() {
         let (mut a, mut b) = pair();
         a.post_send(1, 100);
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         let mut nak = b.make_rnr_nak(&pkts[0]);
         nak.syndrome = AethSyndrome::Nak(NakCode::RemoteOperationalError);
-        let (evs, _) = a.on_packet(SimTime::from_nanos(10), &nak);
-        assert!(evs.contains(&RdmaEvent::Fatal));
+        let (mut evs, _) = a.on_packet(SimTime::from_nanos(10), &nak);
+        assert!(evs.any(|e| e == RdmaEvent::Fatal));
         assert_eq!(a.state(), QpState::Error);
         assert!(a.take_fatal());
     }
@@ -1264,7 +1316,7 @@ mod tests {
     fn acked_out_window_clears_pending_nak_recovery() {
         let (mut a, _b) = pair();
         a.post_send(1, 100);
-        let pkts = a.poll_transmit(SimTime::ZERO);
+        let pkts = Vec::from_iter(a.poll_transmit(SimTime::ZERO));
         assert_eq!(pkts.len(), 1);
         let now = SimTime::from_nanos(10);
         let nak = RdmaPacket {

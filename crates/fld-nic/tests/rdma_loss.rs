@@ -36,7 +36,7 @@ fn run_lossy(messages: &[u32], drop_mask: u128, window: usize) -> Vec<u32> {
     // advances time past the retransmit timeout.
     for _round in 0..400 {
         let mut quiescent = true;
-        let mut in_flight: Vec<RdmaPacket> = a.poll_transmit(now);
+        let mut in_flight: Vec<RdmaPacket> = a.poll_transmit(now).collect();
         in_flight.extend(a.poll_timeout(now));
         let mut acks: Vec<RdmaPacket> = Vec::new();
         for pkt in in_flight {
@@ -129,11 +129,11 @@ proptest! {
             a.post_send(i as u64, m);
         }
         let pkts = a.poll_transmit(SimTime::ZERO);
-        for (i, p) in pkts.iter().enumerate() {
+        let expected: u32 = messages.iter().map(|m| m.div_ceil(1024).max(1)).sum();
+        prop_assert_eq!(pkts.len() as u32, expected);
+        for (i, p) in pkts.enumerate() {
             prop_assert_eq!(p.psn, i as u32);
             prop_assert_ne!(p.opcode, BthOpcode::Ack);
         }
-        let expected: u32 = messages.iter().map(|m| m.div_ceil(1024).max(1)).sum();
-        prop_assert_eq!(pkts.len() as u32, expected);
     }
 }

@@ -12,6 +12,7 @@
 //! doorbells — with the batching optimizations the prototype uses
 //! (§ 6: selective completion signalling, WQE-by-MMIO, multi-packet RQs).
 
+use fld_sim::link::RecentTwo;
 use fld_sim::time::{round_to_u64, Bandwidth};
 
 use crate::config::PcieConfig;
@@ -87,22 +88,47 @@ impl DirectionLoad {
 #[derive(Debug, Clone)]
 pub struct FldModel {
     pcie: PcieConfig,
-    proto: FldProtocolParams,
+    /// The per-packet control shares that do not depend on the frame:
+    /// batched completion writes, producer/doorbell updates and the
+    /// descriptor fetch's two directions, each divided by its batch once.
+    rx_cqe: f64,
+    tx_cqe: f64,
+    doorbell: f64,
+    desc_req: f64,
+    desc_cpl: f64,
+    /// Whole wire bytes of the two most recent distinct frame lengths
+    /// ([`FldModel::rx_wire_bytes`], [`FldModel::tx_wire_bytes`]).
+    rx_recent: RecentTwo<u32, (u64, u64)>,
+    tx_recent: RecentTwo<u32, (u64, u64)>,
 }
 
 impl FldModel {
     /// Creates a model over the given PCIe fabric with default protocol
     /// parameters.
     pub fn new(pcie: PcieConfig) -> Self {
-        FldModel {
-            pcie,
-            proto: FldProtocolParams::default(),
-        }
+        Self::with_protocol(pcie, FldProtocolParams::default())
     }
 
     /// Creates a model with explicit protocol parameters.
     pub fn with_protocol(pcie: PcieConfig, proto: FldProtocolParams) -> Self {
-        FldModel { pcie, proto }
+        let ov = &pcie.overheads;
+        let write = |payload| ov.wire_bytes(TlpKind::MemWrite { payload }) as f64;
+        let batch_bytes = proto.tx_desc_size * proto.desc_fetch_batch;
+        let (dreq, dcpl) = read_wire_bytes(batch_bytes, pcie.completion_chunk, ov);
+        let mut model = FldModel {
+            pcie,
+            rx_cqe: write(proto.cqe_size) / proto.rx_cqe_batch as f64,
+            tx_cqe: write(proto.cqe_size) / proto.tx_cqe_batch as f64,
+            doorbell: write(proto.doorbell_size) / proto.doorbell_batch as f64,
+            desc_req: dreq as f64 / proto.desc_fetch_batch as f64,
+            desc_cpl: dcpl as f64 / proto.desc_fetch_batch as f64,
+            rx_recent: RecentTwo::new(0, (0, 0)),
+            tx_recent: RecentTwo::new(0, (0, 0)),
+        };
+        // The shares exist now: seed the memos with a true pair.
+        model.rx_recent = RecentTwo::new(0, model.rx_load(0).wire_bytes());
+        model.tx_recent = RecentTwo::new(0, model.tx_load(0).wire_bytes());
+        model
     }
 
     /// The PCIe configuration in use.
@@ -121,19 +147,21 @@ impl FldModel {
     /// updates).
     pub fn rx_load(&self, frame_len: u32) -> DirectionLoad {
         let ov = &self.pcie.overheads;
-        let p = &self.proto;
         let data = write_wire_bytes(frame_len, self.pcie.max_payload, ov) as f64;
-        let cqe = ov.wire_bytes(TlpKind::MemWrite {
-            payload: p.cqe_size,
-        }) as f64
-            / p.rx_cqe_batch as f64;
-        let producer = ov.wire_bytes(TlpKind::MemWrite {
-            payload: p.doorbell_size,
-        }) as f64
-            / p.doorbell_batch as f64;
         DirectionLoad {
-            to_fld: data + cqe,
-            to_nic: producer,
+            to_fld: data + self.rx_cqe,
+            to_nic: self.doorbell,
+        }
+    }
+
+    /// `rx_load(frame_len).wire_bytes()` for the per-packet paths.
+    #[inline]
+    pub fn rx_wire_bytes(&mut self, frame_len: u32) -> (u64, u64) {
+        match self.rx_recent.get(frame_len) {
+            Some(bytes) => bytes,
+            None => self
+                .rx_recent
+                .insert(frame_len, self.rx_load(frame_len).wire_bytes()),
         }
     }
 
@@ -142,7 +170,6 @@ impl FldModel {
     /// completions; FLD rings doorbells).
     pub fn tx_load(&self, frame_len: u32) -> DirectionLoad {
         let ov = &self.pcie.overheads;
-        let p = &self.proto;
         // Packet data: one read request per max_read_request bytes, data
         // returned as chunked completions.
         let mut to_fld = 0.0;
@@ -156,21 +183,24 @@ impl FldModel {
             to_nic += cpl as f64;
         }
         // Descriptor fetch, batched across desc_fetch_batch descriptors.
-        let batch_bytes = p.tx_desc_size * p.desc_fetch_batch;
-        let (dreq, dcpl) = read_wire_bytes(batch_bytes, self.pcie.completion_chunk, ov);
-        to_fld += dreq as f64 / p.desc_fetch_batch as f64;
-        to_nic += dcpl as f64 / p.desc_fetch_batch as f64;
+        to_fld += self.desc_req;
+        to_nic += self.desc_cpl;
         // Tx completion write (selective signalling).
-        to_fld += ov.wire_bytes(TlpKind::MemWrite {
-            payload: p.cqe_size,
-        }) as f64
-            / p.tx_cqe_batch as f64;
+        to_fld += self.tx_cqe;
         // Doorbell.
-        to_nic += ov.wire_bytes(TlpKind::MemWrite {
-            payload: p.doorbell_size,
-        }) as f64
-            / p.doorbell_batch as f64;
+        to_nic += self.doorbell;
         DirectionLoad { to_fld, to_nic }
+    }
+
+    /// `tx_load(frame_len).wire_bytes()` for the per-packet paths.
+    #[inline]
+    pub fn tx_wire_bytes(&mut self, frame_len: u32) -> (u64, u64) {
+        match self.tx_recent.get(frame_len) {
+            Some(bytes) => bytes,
+            None => self
+                .tx_recent
+                .insert(frame_len, self.tx_load(frame_len).wire_bytes()),
+        }
     }
 
     fn pcie_bound(&self, frame_len: u32, load: DirectionLoad) -> f64 {

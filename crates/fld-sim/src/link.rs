@@ -6,6 +6,51 @@ use crate::engine::{Component, Probes};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, SimDuration, SimTime};
 
+/// The two most recently used `(key, value)` pairs of a pure function of
+/// one key: what a per-packet path asks for the same few sizes over and
+/// over (data frame and ACK, request and response) keeps instead of
+/// re-evaluating. A hit returns the stored result of the very expression
+/// a miss evaluates, so behaviour is identical by construction; a miss
+/// replaces the less recently used pair (DESIGN.md § 3.14).
+#[derive(Debug, Clone, Copy)]
+pub struct RecentTwo<K, V> {
+    slots: [(K, V); 2],
+    /// Index of the pair used last.
+    mru: usize,
+}
+
+impl<K: Copy + PartialEq, V: Copy> RecentTwo<K, V> {
+    /// Starts from one known pair: `value` must be the function's result
+    /// for `key`.
+    pub fn new(key: K, value: V) -> Self {
+        RecentTwo {
+            slots: [(key, value); 2],
+            mru: 0,
+        }
+    }
+
+    /// The remembered value at `key`, if it is one of the two.
+    #[inline]
+    pub fn get(&mut self, key: K) -> Option<V> {
+        if self.slots[self.mru].0 != key {
+            if self.slots[self.mru ^ 1].0 != key {
+                return None;
+            }
+            self.mru ^= 1;
+        }
+        Some(self.slots[self.mru].1)
+    }
+
+    /// Remembers `value` for `key` (after a [`RecentTwo::get`] miss) in
+    /// place of the less recently used pair, and hands it back.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> V {
+        self.mru ^= 1;
+        self.slots[self.mru] = (key, value);
+        value
+    }
+}
+
 /// A serializing server: models a point-to-point link (or any other
 /// fixed-rate resource) that transmits one unit at a time.
 ///
@@ -35,6 +80,8 @@ pub struct Link {
     /// `bytes_sent` at the last flight-recorder tick, for windowed
     /// utilization ([`Link::window_util`]).
     win_mark: u64,
+    /// Serialization times of the two most recent distinct unit sizes.
+    serialization: RecentTwo<u64, SimDuration>,
 }
 
 impl Link {
@@ -47,6 +94,7 @@ impl Link {
             bytes_sent: 0,
             units_sent: 0,
             win_mark: 0,
+            serialization: RecentTwo::new(0, bandwidth.time_for_bytes(0)),
         }
     }
 
@@ -68,7 +116,13 @@ impl Link {
         } else {
             self.next_free
         };
-        let done = start + self.bandwidth.time_for_bytes(bytes);
+        let serialization = match self.serialization.get(bytes) {
+            Some(t) => t,
+            None => self
+                .serialization
+                .insert(bytes, self.bandwidth.time_for_bytes(bytes)),
+        };
+        let done = start + serialization;
         self.next_free = done;
         self.bytes_sent += bytes;
         self.units_sent += 1;
@@ -232,6 +286,22 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recent_two_evicts_the_less_recently_used_pair() {
+        let mut memo = RecentTwo::new(0u64, 0u64);
+        assert_eq!(memo.get(0), Some(0));
+        assert_eq!(memo.get(7), None);
+        assert_eq!(memo.insert(7, 70), 70);
+        assert_eq!(memo.insert(9, 90), 90);
+        // 7 and 9 are held; touching 7 makes 9 the one to go.
+        assert_eq!(memo.get(0), None);
+        assert_eq!(memo.get(7), Some(70));
+        memo.insert(11, 110);
+        assert_eq!(memo.get(9), None);
+        assert_eq!(memo.get(7), Some(70));
+        assert_eq!(memo.get(11), Some(110));
+    }
 
     #[test]
     fn link_serializes_back_to_back() {

@@ -4,7 +4,7 @@
 //! reproducible across platforms, so every experiment run is repeatable from
 //! its seed alone.
 
-use crate::time::SimDuration;
+use crate::time::{round_to_u64, SimDuration};
 
 /// A deterministic pseudo-random generator (xoshiro256**).
 ///
@@ -103,7 +103,7 @@ impl SimRng {
     pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
         // Inverse-CDF sampling; clamp u away from 0 to keep ln finite.
         let u = self.next_f64().max(1e-12);
-        SimDuration::from_picos((mean.as_picos() as f64 * -u.ln()).round() as u64)
+        SimDuration::from_picos(round_to_u64(mean.as_picos() as f64 * -u.ln()))
     }
 
     /// Picks an index according to `weights` (need not be normalized).

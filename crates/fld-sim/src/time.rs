@@ -140,7 +140,7 @@ impl SimDuration {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration seconds: {s}");
-        SimDuration((s * 1_000_000_000_000.0).round() as u64)
+        SimDuration(round_to_u64(s * 1_000_000_000_000.0))
     }
 
     /// Raw picosecond count.
@@ -239,7 +239,7 @@ impl Mul<f64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: f64) -> SimDuration {
         debug_assert!(rhs >= 0.0);
-        SimDuration((self.0 as f64 * rhs).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
@@ -335,8 +335,9 @@ impl Bandwidth {
 
 /// `x.round() as u64` — half away from zero, negatives and NaN to 0,
 /// saturating — without the call into libm that `f64::round` is on
-/// baseline x86-64 (no `roundsd` before SSE4.1). For the per-packet
-/// paths: serialisation times, PCIe byte loads.
+/// baseline x86-64 (no `roundsd` before SSE4.1). Every rounding of a
+/// float into picoseconds or bytes goes through it: serialisation times,
+/// PCIe byte loads, `from_secs_f64`, `SimDuration * f64`, Poisson gaps.
 ///
 /// The cast truncates; the remainder `x − trunc(x)` is exact (for
 /// `x < 2^52` both are multiples of `x`'s ulp and the difference is below

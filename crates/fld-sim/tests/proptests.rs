@@ -210,6 +210,26 @@ fn scan(tree: &CounterTree, prefix: &str, leaf: Option<usize>) -> u64 {
     }
 }
 
+/// Unit sizes for the memo exercise: arbitrary (0 bytes and sizes past
+/// 2^32 included), or a strict rotation over two or three sizes — the
+/// data-frame/ACK pattern the two-entry memo is sized for, and the first
+/// pattern that defeats it.
+fn size_sequence() -> impl Strategy<Value = Vec<u64>> {
+    let size = || {
+        prop_oneof![
+            Just(0u64),
+            0u64..10_000,
+            (1u64 << 32)..(1u64 << 40),
+            any::<u64>().prop_map(|s| s >> 12),
+        ]
+    };
+    prop_oneof![
+        proptest::collection::vec(size(), 1..200),
+        (proptest::collection::vec(size(), 2..=3), 2usize..200)
+            .prop_map(|(sizes, n)| (0..n).map(|i| sizes[i % sizes.len()]).collect()),
+    ]
+}
+
 proptest! {
     /// A pre-resolved [`CounterSum`] is observationally the scan it
     /// replaces: under any interleaving of registrations, increments,
@@ -294,6 +314,36 @@ proptest! {
         prop_assert!(last_arrival >= SimTime::ZERO + lower);
     }
 
+    /// `Link::transmit` remembers serialization times; whatever the size
+    /// sequence, it equals the definition evaluated afresh — on a clone
+    /// taken mid-sequence too.
+    #[test]
+    fn link_transmit_matches_the_unmemoised_reference(
+        sizes in size_sequence(),
+        gbps in prop_oneof![Just(25.0f64), Just(50.0), Just(6.4), 0.001f64..400.0],
+        gap_ns in 0u64..2_000,
+    ) {
+        let bw = Bandwidth::gbps(gbps);
+        let propagation = SimDuration::from_nanos(100);
+        let mut link = Link::new(bw, propagation);
+        let mut forked: Option<Link> = None;
+        let (mut now, mut next_free) = (SimTime::ZERO, SimTime::ZERO);
+        for (i, &bytes) in sizes.iter().enumerate() {
+            let done = now.max(next_free) + bw.time_for_bytes(bytes);
+            next_free = done;
+            prop_assert_eq!(link.transmit(now, bytes), done + propagation, "size {} at {}", bytes, i);
+            if let Some(fork) = forked.as_mut() {
+                prop_assert_eq!(fork.transmit(now, bytes), done + propagation, "clone, at {}", i);
+            }
+            if i == sizes.len() / 2 {
+                forked = Some(link.clone());
+            }
+            now += SimDuration::from_nanos(gap_ns);
+        }
+        prop_assert_eq!(link.backlog(SimTime::ZERO), next_free.since(SimTime::ZERO));
+        prop_assert_eq!(link.units_sent(), sizes.len() as u64);
+    }
+
     /// A token bucket never admits more than rate*time + burst bytes.
     #[test]
     fn token_bucket_rate_bound(
@@ -368,9 +418,17 @@ proptest! {
     }
 
     /// `round_to_u64` is `f64::round` without the libm call: equal on
-    /// [0, 2^53], at exact ties, and on the floats either side of a tie.
+    /// [0, 2^53], at exact ties, on the floats either side of a tie, on
+    /// every power-of-two scale up to 2^64 and past it where both
+    /// saturate, and for the values a duration can never hold (negative,
+    /// infinite, NaN), which both send to 0 or `u64::MAX`.
     #[test]
-    fn round_to_u64_matches_round(whole in 0u64..(1 << 52), frac in 0.0f64..1.0, shape in 0u8..5) {
+    fn round_to_u64_matches_round(
+        whole in 0u64..(1 << 52),
+        frac in 0.0f64..1.0,
+        scale in 0i32..14,
+        shape in 0u8..8,
+    ) {
         let tie = whole as f64 + 0.5;
         let x = match shape {
             0 => whole as f64 + frac,
@@ -378,8 +436,24 @@ proptest! {
             2 => tie.next_down(),
             3 => tie.next_up(),
             // The upper half of the range, where every float is whole.
-            _ => (whole + (1 << 52)) as f64,
+            4 => (whole + (1 << 52)) as f64,
+            // 2^52 ..= 2^65: whole floats up to and past the saturating end.
+            5 => (whole + (1 << 52)) as f64 * 2f64.powi(scale),
+            6 => -(whole as f64 + frac),
+            _ => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, u64::MAX as f64,
+                  (u64::MAX as f64).next_down(), 0.5f64.next_down(), -0.0][whole as usize % 7],
         };
         prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+    }
+
+    /// The duration constructors that round go through the same helper.
+    #[test]
+    fn duration_rounding_matches_round(picos in 0u64..(1 << 52), factor in 0.0f64..8.0, secs in 0.0f64..1e6) {
+        let d = SimDuration::from_picos(picos);
+        prop_assert_eq!((d * factor).as_picos(), (picos as f64 * factor).round() as u64);
+        prop_assert_eq!(
+            SimDuration::from_secs_f64(secs).as_picos(),
+            (secs * 1_000_000_000_000.0).round() as u64
+        );
     }
 }
