@@ -8,7 +8,9 @@
 //! the same first violation (`at`, component, invariant, detail), the
 //! same number of violations over the rest of the run (every later tick
 //! plus the end-of-run audit — none skipped), and the same strict-audit
-//! panic message.
+//! panic message. The last scenario corrupts no counter: it slips one
+//! packet handle into the pool behind the flow ledger's back, which the
+//! pool-conservation clause must name first.
 #![cfg(feature = "trace")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,6 +84,30 @@ impl AcceleratorModel for TamperingEcho {
     }
 }
 
+/// Echoes every packet — and the `at`-th one twice, under one id. The
+/// flow ledger books an emission under its input's id as that packet
+/// moving on, not as a new one, so the second copy is a pool handle no
+/// conservation term accounts for: leaked, as far as any audit can tell.
+#[derive(Debug)]
+struct LeakingEcho {
+    echo: EchoAccelerator,
+    at: u64,
+    calls: u64,
+    leaked_ns: Arc<AtomicU64>,
+}
+
+impl AcceleratorModel for LeakingEcho {
+    fn process(&mut self, pkt: SimPacket, next_table: Option<u16>, now: SimTime) -> AccelOutput {
+        let mut out = self.echo.process(pkt, next_table, now);
+        self.calls += 1;
+        if self.calls == self.at {
+            self.leaked_ns.store(now.as_nanos(), Ordering::Relaxed);
+            out.emit.push(out.emit[0].clone());
+        }
+        out
+    }
+}
+
 #[derive(Debug)]
 struct TamperingMsgEcho(Arc<Tamper>);
 
@@ -137,31 +163,60 @@ impl Outcome {
     }
 }
 
-/// Closed-loop 64 B echo, 1 µs ticks; the 100th packet through the
-/// accelerator tampers. `faults` arms a zero-rate plan: nothing is ever
-/// injected, but the fault-attribution audit runs.
-fn echo_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
-    let tamper = Tamper::new(path, 100);
-    let tick = SimDuration::from_micros(1);
+const ECHO_TICK: SimDuration = SimDuration::from_micros(1);
+
+/// Closed-loop 64 B echo through `accel`, 1 µs ticks; `bind` sees the
+/// built system before it runs. `faults` arms a zero-rate plan: nothing
+/// is ever injected, but the fault-attribution audit runs.
+fn run_echo(
+    accel: Box<dyn AcceleratorModel>,
+    faults: bool,
+    strict: bool,
+    bind: impl FnOnce(&FldSystem),
+) -> AuditReport {
     let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, 256, 64);
-    let accel = TamperingEcho(EchoAccelerator::prototype(), tamper.clone());
-    let mut sys = FldSystem::new(
-        SystemConfig::remote(),
-        Box::new(accel),
-        HostMode::Consume,
-        gen,
-    );
+    let mut sys = FldSystem::new(SystemConfig::remote(), accel, HostMode::Consume, gen);
     steer_to_accel(&mut sys.nic);
-    tamper.bind(sys.counter_tree());
+    bind(&sys);
     if faults {
         sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
     }
     if strict {
         sys.enable_strict_audit();
     }
-    sys.enable_flight_recorder(tick);
-    let stats = sys.run(SimTime::ZERO, SimTime::from_millis(100));
-    Outcome::new(stats.audit, &tamper, tick)
+    sys.enable_flight_recorder(ECHO_TICK);
+    sys.run(SimTime::ZERO, SimTime::from_millis(100)).audit
+}
+
+/// [`run_echo`] where the 100th packet through the accelerator tampers
+/// with `path`.
+fn echo_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
+    let tamper = Tamper::new(path, 100);
+    let accel = TamperingEcho(EchoAccelerator::prototype(), tamper.clone());
+    let audit = run_echo(Box::new(accel), faults, strict, |sys| {
+        tamper.bind(sys.counter_tree())
+    });
+    Outcome::new(audit, &tamper, ECHO_TICK)
+}
+
+/// [`run_echo`] with nothing tampered but the pool: the 100th packet
+/// comes back from the accelerator twice.
+fn leaking_echo_run(strict: bool) -> Outcome {
+    let leaked_ns = Arc::new(AtomicU64::new(u64::MAX));
+    let accel = LeakingEcho {
+        echo: EchoAccelerator::prototype(),
+        at: 100,
+        calls: 0,
+        leaked_ns: leaked_ns.clone(),
+    };
+    let audit = run_echo(Box::new(accel), false, strict, |_| {});
+    let leaked = leaked_ns.load(Ordering::Relaxed);
+    assert_ne!(leaked, u64::MAX, "the run ended before the leak");
+    Outcome {
+        audit,
+        poked_ns: Some(leaked),
+        tick_ns: ECHO_TICK.as_nanos(),
+    }
 }
 
 /// FLD-R 1 KiB message echo, 5 µs ticks; the 50th message tampers.
@@ -374,5 +429,22 @@ fn rack_new_vf_leaf_on_a_node_is_caught_on_the_next_tick() {
             ),
         ],
         58,
+    );
+}
+
+/// A handle the ledger does not know: every counter still telescopes and
+/// the flow inequality still holds (packets are in flight), so nothing
+/// but the pool clause can see it — on the very next tick, and first.
+#[test]
+fn echo_leaked_pool_handle_is_caught_on_the_next_tick() {
+    check(
+        leaking_echo_run,
+        &[(
+            73_000,
+            "system.pool",
+            "conservation",
+            "pool holds 5 packets, the ledger 1 on the wire + 3 in flight",
+        )],
+        98,
     );
 }

@@ -18,6 +18,8 @@
 //! * [`rack`] — the rack-scale multi-tenant topology: N FLD nodes behind
 //!   a shared switch fabric, with SR-IOV VFs partitioning each NIC
 //!   between tenants and per-VF transmit shaping;
+//! * [`pool`] — the packet pool both simulations' calendars point into:
+//!   packets stay parked, 4-byte handles travel in the events;
 //! * [`rxring`] — the order-preserving shared receive ring that § 5.2
 //!   moves into host memory;
 //! * [`bar`] — the PCIe BAR address map of Figure 3 (decode inbound NIC
@@ -51,6 +53,7 @@ pub mod hw;
 pub mod lifecycle;
 pub mod memmodel;
 pub mod params;
+pub mod pool;
 pub mod rack;
 pub mod rdma_system;
 pub mod runtime;
@@ -62,6 +65,7 @@ pub use bar::{BarMap, BarRegion};
 pub use hw::{FldConfig, FldDevice, FldRx, FldTx, TxBackpressure};
 pub use lifecycle::Recorder;
 pub use params::{AccelParams, SystemParams};
+pub use pool::{PacketHandle, PacketPool};
 pub use rack::{
     FabricPort, FlowPopulation, Rack, RackConfig, RackEv, RackStats, StaticPopulation, TenantFlow,
     TrafficPattern,

@@ -23,7 +23,11 @@
 //! events are wrapped in [`RackEv::Node`] and handed back to
 //! [`FldSystem::dispatch`] through a [`Scheduler`] adapter, so the
 //! per-node data path is the same monomorphized code the single-node
-//! experiments run.
+//! experiments run. A packet the fabric forwards is parked in its
+//! destination node's pool ([`FldSystem::admit`]) and travels as a handle
+//! from then on; the rack reads the events it relays through
+//! [`FldSystem::packet`] and hands a packet lost at a faulted boundary
+//! back with [`FldSystem::discard`].
 
 use fld_net::{FlowKey, Ipv4Addr};
 use fld_nic::eswitch::{Action, MatchSpec, Rule};
@@ -1029,7 +1033,8 @@ impl Rack {
                 self.port_ctrs[d].1.add(wire);
                 self.fabric.forwarded += 1;
                 self.fabric.bytes += wire;
-                eng.schedule_at(arrive, RackEv::Node(dst, Ev::ArriveAtNic(pkt)));
+                let h = self.nodes[d].admit(pkt);
+                eng.schedule_at(arrive, RackEv::Node(dst, Ev::ArriveAtNic(h)));
             }
             None => {
                 self.port_ctrs[d].2.inc();
@@ -1190,28 +1195,27 @@ impl Model for Rack {
     fn handle(&mut self, now: SimTime, ev: RackEv, eng: &mut Engine<RackEv>) {
         match ev {
             RackEv::Node(n, ev) => {
-                match &ev {
+                let node = &mut self.nodes[n as usize];
+                match ev {
                     // Fabric delivery into the node: the destination VF
                     // receives the tenant's packet. A faulted destination
                     // — crashed node, flapped ingress port, unplugged VF
                     // — loses the in-flight packet here, dropped and
-                    // counted at the rack boundary instead of delivered.
-                    Ev::ArriveAtNic(pkt) => {
+                    // counted at the rack boundary instead of delivered
+                    // (and taken back out of the node's pool).
+                    Ev::ArriveAtNic(h) => {
+                        let pkt = node.packet(h);
                         let t = pkt.meta.flow.src.octets()[3];
                         let len = pkt.len as u64;
                         if let Some(sf) = self.sf.as_mut() {
                             if sf.node_down(n as usize, now) || sf.port_down(n as usize, now) {
                                 sf.boundary_node[n as usize].inc();
                                 sf.boundary_drops += 1;
+                                node.discard(h);
                                 return;
                             }
                         }
-                        if t > 0
-                            && !self.nodes[n as usize]
-                                .nic
-                                .sriov_mut()
-                                .account_rx(t as u16 - 1, len)
-                        {
+                        if t > 0 && !node.nic.sriov_mut().account_rx(t as u16 - 1, len) {
                             // Unplugged VF: the node tree counted the
                             // drop (vf/<t>/unplug_drops); book the rack
                             // boundary side too and stop delivery.
@@ -1219,12 +1223,14 @@ impl Model for Rack {
                                 sf.boundary_node[n as usize].inc();
                                 sf.boundary_drops += 1;
                             }
+                            node.discard(h);
                             return;
                         }
                     }
                     // Wire completion at the destination: the rack's
                     // per-tenant RTT measurement point.
-                    Ev::ClientArrive(pkt) => {
+                    Ev::ClientArrive(h) => {
+                        let pkt = node.packet(h);
                         self.delivered += 1;
                         let ctx = pkt.meta.context_id;
                         if ctx > 0 && now >= self.measure_from {
@@ -1247,7 +1253,7 @@ impl Model for Rack {
                     inner: eng,
                     node: n,
                 };
-                self.nodes[n as usize].dispatch(now, ev, &mut sched);
+                node.dispatch(now, ev, &mut sched);
             }
             RackEv::TenantGen(t) => self.on_tenant_gen(t, now, eng),
             RackEv::Churn => {

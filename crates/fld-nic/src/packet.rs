@@ -14,12 +14,14 @@
 //! into that frame's buffer and keeps it alive.
 //!
 //! Layout matters here: perf sweeps keep hundreds of thousands of packets
-//! alive inside the event calendar at once (an overloaded open-loop link
-//! backs up), so every [`SimPacket`] byte multiplies into megabytes of
-//! calendar working set. The byte payload is boxed (8 bytes for the
-//! common `None` instead of an inline 24-byte `Bytes`) and the VNI uses a
-//! `NonZeroU32` niche, keeping the whole packet in 56 bytes — an engine
-//! event carrying one fits a single cache line.
+//! alive at once (an overloaded open-loop link backs up), each parked in
+//! a slot of its system's packet pool while the event calendar moves
+//! only its 4-byte handle (`fld_core::pool`), so every [`SimPacket`] byte
+//! multiplies into megabytes of pool. The byte payload is boxed (8 bytes
+//! for the common `None` instead of an inline 24-byte `Bytes`) and the
+//! VNI uses a `NonZeroU32` niche, keeping the whole packet in 56 bytes;
+//! the `bool`s leave the niche that lets a vacant pool slot be marked
+//! without growing it.
 
 use std::num::NonZeroU32;
 
@@ -196,8 +198,8 @@ mod tests {
 
     #[test]
     fn packet_fits_one_cache_line() {
-        // The calendar keeps ~10^5 of these alive under overload; a
-        // packet-carrying engine event must stay within 64 bytes.
+        // A system's pool keeps ~10^5 of these alive under overload, one
+        // per slot.
         assert!(std::mem::size_of::<SimPacket>() <= 56);
         assert!(std::mem::size_of::<PacketMeta>() <= 28);
     }

@@ -7,8 +7,8 @@
 //! paths (`port/0/queue/3/tx/packets`, `qp/256/retransmits`,
 //! `pcie/fn/0/completion_timeouts`, `faults/fld/drop`), components
 //! resolve a [`Counter`] handle **once** at wiring time, and the hot
-//! path pays a single relaxed atomic add per increment — no string
-//! hashing, no map lookup, no lock.
+//! path pays one relaxed load and store per increment (each cell has a
+//! single writer) — no string hashing, no map lookup, no `lock` prefix.
 //!
 //! The tree is the observable half of a two-sided contract: every
 //! counter group telescopes to an aggregate the simulation already
@@ -42,11 +42,16 @@ struct Cell {
 
 /// A pre-resolved handle on one counter cell.
 ///
-/// Cloning shares the cell. Increments are relaxed atomic adds —
-/// deterministic in the single-threaded engine loop, and safe to carry
-/// across the sweep-runner threads. A [`Counter::detached`] handle
-/// counts into a private cell nobody reads, so components stay fully
-/// functional (and unit-testable) before anything wires them.
+/// Cloning shares the cell. A [`Counter::detached`] handle counts into a
+/// private cell nobody reads, so components stay fully functional (and
+/// unit-testable) before anything wires them.
+///
+/// **Single writer.** Every cell is incremented by one thread only: the
+/// engine thread that owns the system the counter belongs to (a sweep
+/// worker moves a whole system, tree and handles together). An increment
+/// is therefore a relaxed load and a relaxed store on the cell's atomic,
+/// not a `lock`-prefixed read-modify-write; a second concurrent writer
+/// would lose updates, though never tear a value. Any thread may read.
 #[derive(Debug, Clone)]
 pub struct Counter {
     cell: Arc<Cell>,
@@ -67,10 +72,15 @@ impl Counter {
         }
     }
 
-    /// Adds `n`.
+    /// Adds `n` (wrapping, as `fetch_add` does). Call from the cell's
+    /// one writer thread only — see the type's docs.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.value.fetch_add(n, Ordering::Relaxed);
+        let value = &self.cell.value;
+        value.store(
+            value.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 
     /// Adds 1.
