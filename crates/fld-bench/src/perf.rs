@@ -1,14 +1,12 @@
-//! Perf-baseline plumbing for `bench_engine`: host metadata for the
-//! enriched `BENCH_engine.json`, the regression gate CI runs against the
-//! checked-in baseline, and the argv helpers that let a binary keep
-//! bin-specific flags while the shared [`crate::report::Cli`] still
-//! hard-errors on anything it doesn't know.
+//! Where a measurement ran, and the argv helper that lets a binary keep
+//! flags of its own while the shared [`crate::report::Cli`] still
+//! hard-errors on anything it doesn't know. (Host speed itself is
+//! recorded in one place, the `benchmark/` package.)
 
-use std::path::Path;
 use std::process::Command;
 
-/// Where a benchmark ran: enough to judge whether two `BENCH_engine.json`
-/// numbers are comparable (a 1-core container and a 32-core workstation
+/// Where a benchmark ran: enough to judge whether two records' host
+/// timings are comparable (a 1-core container and a 32-core workstation
 /// are not).
 #[derive(Debug, Clone)]
 pub struct HostMeta {
@@ -69,158 +67,6 @@ pub fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(args.remove(i))
 }
 
-/// Reads the number stored under `"key":` in a JSON document, without a
-/// JSON parser: the gate only needs one flat numeric field out of
-/// `BENCH_engine.json` (historic or enriched format), and the build
-/// carries no serde. Nested objects are searched too; the first match
-/// wins.
-pub fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads the string stored under `"key":` in a JSON document, with the
-/// same no-parser approach as [`extract_f64`]: the gate needs a handful
-/// of flat fields, not serde. Returns `None` when the key is absent or
-/// its value is not a string. Escaped quotes inside the value are kept
-/// verbatim (no unescaping — fingerprint fields never contain them).
-pub fn extract_str(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let bytes = rest.as_bytes();
-    let mut end = 0;
-    while end < bytes.len() && bytes[end] != b'"' {
-        // A backslash escapes the next byte, so a \" does not terminate.
-        end += if bytes[end] == b'\\' { 2 } else { 1 };
-    }
-    (end < bytes.len()).then(|| rest[..end].to_string())
-}
-
-/// The ways a baseline's recorded fingerprint differs from the current
-/// run: host shape (cores, rustc, os) and the calendar backend. Fields
-/// the baseline never recorded (historic flat format) are not counted as
-/// differences; a baseline without `calendar_backend` predates the
-/// timing wheel and is treated as a heap-era measurement.
-fn fingerprint_mismatch(baseline: &str, host: &HostMeta, calendar: &str) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if let Some(b) = extract_f64(baseline, "cores") {
-        if b as usize != host.cores {
-            diffs.push(format!("cores {} vs {}", b as usize, host.cores));
-        }
-    }
-    if let Some(b) = extract_str(baseline, "rustc") {
-        if b != host.rustc {
-            diffs.push(format!("rustc {:?} vs {:?}", b, host.rustc));
-        }
-    }
-    if let Some(b) = extract_str(baseline, "os") {
-        if b != host.os {
-            diffs.push(format!("os {:?} vs {:?}", b, host.os));
-        }
-    }
-    let b_cal = extract_str(baseline, "calendar_backend").unwrap_or_else(|| "heap".into());
-    if b_cal != calendar {
-        diffs.push(format!("calendar {b_cal:?} vs {calendar:?}"));
-    }
-    diffs
-}
-
-/// The perf-regression verdict for a fresh events/s measurement against
-/// a baseline file's `events_per_sec`.
-///
-/// `Ok` carries a human-readable comparison; `Err` means the fresh run
-/// fell below `(1 - tolerance) × baseline` (CI fails the job on it).
-/// A missing or unreadable baseline is an `Err` too — a gate that
-/// silently passes when its baseline vanishes is no gate.
-///
-/// # Errors
-///
-/// See above: regression past tolerance, or unusable baseline.
-pub fn gate(fresh_eps: f64, baseline_path: &Path, tolerance: f64) -> Result<String, String> {
-    gate_in_context(fresh_eps, baseline_path, tolerance, None)
-}
-
-/// Like [`gate`], but fingerprint-aware: `context` carries the current
-/// host and calendar backend, and when either differs from what the
-/// baseline recorded, a would-be regression comes back as an `Ok`
-/// verdict prefixed with `WARNING` instead of an `Err`. Numbers from a
-/// different host shape or a different calendar backend are not
-/// comparable, and failing CI on them only teaches people to bless
-/// noise. An unusable baseline is still an `Err` either way.
-///
-/// # Errors
-///
-/// Regression past tolerance on a matching fingerprint, or an unusable
-/// baseline (missing file, wrong schema, no positive `events_per_sec`).
-pub fn gate_in_context(
-    fresh_eps: f64,
-    baseline_path: &Path,
-    tolerance: f64,
-    context: Option<(&HostMeta, &str)>,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    // Versioned baselines must carry a schema this reader understands;
-    // historic baselines predate the field and stay accepted.
-    if let Some(v) = extract_f64(&text, "schema_version") {
-        if v as u64 != fld_sim::json::SCHEMA_VERSION {
-            return Err(format!(
-                "baseline {} has schema_version {v}, this reader understands {}",
-                baseline_path.display(),
-                fld_sim::json::SCHEMA_VERSION
-            ));
-        }
-    }
-    let baseline = extract_f64(&text, "events_per_sec")
-        .filter(|v| *v > 0.0)
-        .ok_or_else(|| {
-            format!(
-                "baseline {} has no positive events_per_sec",
-                baseline_path.display()
-            )
-        })?;
-    let ratio = fresh_eps / baseline;
-    let verdict = format!(
-        "{:.3}M events/s vs baseline {:.3}M ({:+.1}%)",
-        fresh_eps / 1e6,
-        baseline / 1e6,
-        (ratio - 1.0) * 100.0
-    );
-    let mismatch = context
-        .map(|(host, calendar)| fingerprint_mismatch(&text, host, calendar))
-        .unwrap_or_default();
-    if ratio < 1.0 - tolerance {
-        if mismatch.is_empty() {
-            Err(format!(
-                "performance regression: {verdict}, below the {:.0}% gate",
-                tolerance * 100.0
-            ))
-        } else {
-            Ok(format!(
-                "WARNING: baseline fingerprint differs ({}); {verdict} — numbers \
-                 not comparable, gate not enforced",
-                mismatch.join(", ")
-            ))
-        }
-    } else if mismatch.is_empty() {
-        Ok(verdict)
-    } else {
-        Ok(format!(
-            "note: baseline fingerprint differs ({}); {verdict}",
-            mismatch.join(", ")
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,145 +77,14 @@ mod tests {
 
     #[test]
     fn takes_bin_specific_flags_out_of_argv() {
-        let mut args = strings(&["--quick", "--gate", "b.json", "--jobs", "2"]);
+        let mut args = strings(&["--quick", "--topology", "rack", "--jobs", "2"]);
         assert_eq!(
-            take_flag_value(&mut args, "--gate").as_deref(),
-            Some("b.json")
+            take_flag_value(&mut args, "--topology").as_deref(),
+            Some("rack")
         );
         assert_eq!(args, strings(&["--quick", "--jobs", "2"]));
-        assert_eq!(take_flag_value(&mut args, "--gate"), None);
+        assert_eq!(take_flag_value(&mut args, "--topology"), None);
         assert_eq!(args.len(), 3);
-    }
-
-    #[test]
-    fn extracts_numbers_from_both_baseline_formats() {
-        // The historic flat format…
-        let old = r#"{"jobs":1,"events":151462583,"events_per_sec":3020873}"#;
-        assert_eq!(extract_f64(old, "events_per_sec"), Some(3020873.0));
-        // …and the enriched one (pretty-printed, nested host object).
-        let new = "{\n  \"host\": {\n    \"cores\": 4\n  },\n  \"events_per_sec\": 3.1e6\n}";
-        assert_eq!(extract_f64(new, "events_per_sec"), Some(3.1e6));
-        assert_eq!(extract_f64(new, "cores"), Some(4.0));
-        assert_eq!(extract_f64(new, "missing"), None);
-        assert_eq!(extract_f64("{\"x\": \"str\"}", "x"), None);
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let dir = std::env::temp_dir().join("fld_perf_gate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        std::fs::write(&baseline, r#"{"events_per_sec": 1000000.0}"#).unwrap();
-        assert!(gate(1_100_000.0, &baseline, 0.25).is_ok());
-        assert!(gate(800_000.0, &baseline, 0.25).is_ok(), "within 25%");
-        let err = gate(700_000.0, &baseline, 0.25).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        assert!(gate(1.0, &dir.join("absent.json"), 0.25).is_err());
-        std::fs::write(&baseline, r#"{"note": "no eps field"}"#).unwrap();
-        assert!(gate(1.0, &baseline, 0.25).is_err());
-    }
-
-    #[test]
-    fn gate_rejects_unknown_schema_versions_but_accepts_absent_ones() {
-        let dir = std::env::temp_dir().join("fld_perf_gate_schema_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let v = fld_sim::json::SCHEMA_VERSION;
-        std::fs::write(
-            &baseline,
-            format!(r#"{{"schema_version": {v}, "events_per_sec": 1000000.0}}"#),
-        )
-        .unwrap();
-        assert!(gate(1_000_000.0, &baseline, 0.25).is_ok());
-        std::fs::write(
-            &baseline,
-            format!(
-                r#"{{"schema_version": {}, "events_per_sec": 1000000.0}}"#,
-                v + 1
-            ),
-        )
-        .unwrap();
-        let err = gate(1_000_000.0, &baseline, 0.25).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
-    }
-
-    #[test]
-    fn extracts_strings_but_not_other_value_kinds() {
-        let json = "{\n  \"host\": {\n    \"rustc\": \"rustc 1.95.0\",\n    \"cores\": 4\n  },\n  \"calendar_backend\": \"wheel\"\n}";
-        assert_eq!(extract_str(json, "rustc").as_deref(), Some("rustc 1.95.0"));
-        assert_eq!(
-            extract_str(json, "calendar_backend").as_deref(),
-            Some("wheel")
-        );
-        assert_eq!(extract_str(json, "cores"), None, "numbers are not strings");
-        assert_eq!(extract_str(json, "missing"), None);
-        assert_eq!(
-            extract_str(r#"{"k": "a\"b"}"#, "k").as_deref(),
-            Some("a\\\"b"),
-            "escaped quotes do not terminate the value"
-        );
-        assert_eq!(extract_str(r#"{"k": "unterminated"#, "k"), None);
-    }
-
-    fn fingerprint_baseline(host: &HostMeta, calendar: Option<&str>, eps: f64) -> String {
-        let cal = calendar.map_or(String::new(), |c| format!(r#""calendar_backend": "{c}","#));
-        format!(
-            r#"{{{cal} "events_per_sec": {eps}, "host": {{"cores": {}, "rustc": "{}", "os": "{}"}}}}"#,
-            host.cores, host.rustc, host.os
-        )
-    }
-
-    #[test]
-    fn gate_in_context_still_fails_on_matching_fingerprint() {
-        let dir = std::env::temp_dir().join("fld_perf_gate_ctx_match_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let host = HostMeta::detect();
-        let baseline = dir.join("baseline.json");
-        std::fs::write(&baseline, fingerprint_baseline(&host, Some("wheel"), 1e6)).unwrap();
-        let ctx = Some((&host, "wheel"));
-        // Same host, same backend: the gate keeps its teeth.
-        let err = gate_in_context(500_000.0, &baseline, 0.25, ctx).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        let ok = gate_in_context(990_000.0, &baseline, 0.25, ctx).unwrap();
-        assert!(!ok.contains("fingerprint"), "{ok}");
-    }
-
-    #[test]
-    fn gate_in_context_warns_instead_of_failing_on_mismatch() {
-        let dir = std::env::temp_dir().join("fld_perf_gate_ctx_warn_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let host = HostMeta::detect();
-        let baseline = dir.join("baseline.json");
-
-        // Different backend: a 2x shortfall is reported, not failed.
-        std::fs::write(&baseline, fingerprint_baseline(&host, Some("wheel"), 1e6)).unwrap();
-        let ok = gate_in_context(500_000.0, &baseline, 0.25, Some((&host, "heap"))).unwrap();
-        assert!(ok.contains("WARNING"), "{ok}");
-        assert!(ok.contains("calendar"), "{ok}");
-
-        // A baseline that predates the wheel counts as heap-era, so a
-        // wheel run against it is a mismatch too…
-        std::fs::write(&baseline, fingerprint_baseline(&host, None, 1e6)).unwrap();
-        let ok = gate_in_context(500_000.0, &baseline, 0.25, Some((&host, "wheel"))).unwrap();
-        assert!(ok.contains("WARNING"), "{ok}");
-        // …while a heap run against it still gates strictly.
-        assert!(gate_in_context(500_000.0, &baseline, 0.25, Some((&host, "heap"))).is_err());
-
-        // Different host shape: warn, and name the differing field.
-        let mut other = host.clone();
-        other.cores = host.cores + 64;
-        std::fs::write(&baseline, fingerprint_baseline(&other, Some("heap"), 1e6)).unwrap();
-        let ok = gate_in_context(500_000.0, &baseline, 0.25, Some((&host, "heap"))).unwrap();
-        assert!(ok.contains("WARNING") && ok.contains("cores"), "{ok}");
-
-        // A passing run on a mismatched host is Ok but annotated.
-        let ok = gate_in_context(1_200_000.0, &baseline, 0.25, Some((&host, "heap"))).unwrap();
-        assert!(ok.contains("note") && ok.contains("fingerprint"), "{ok}");
-
-        // A vanished baseline stays a hard error even with context.
-        assert!(
-            gate_in_context(1.0, &dir.join("absent.json"), 0.25, Some((&host, "heap"))).is_err()
-        );
     }
 
     #[test]

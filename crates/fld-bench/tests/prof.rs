@@ -5,8 +5,8 @@
 //! the counting allocator, the frame path's allocation budget (bytes
 //! are written once and viewed everywhere, DESIGN.md § 3.13), the
 //! calendar's (a pending event is one lane entry, § 3.10) with the lane
-//! accounting's reproducibility, and the folded-stacks flamegraph format
-//! golden.
+//! accounting's reproducibility and the share of pushes that reach the
+//! heap behind the lanes, and the folded-stacks flamegraph format golden.
 //!
 //! These tests live in their own integration-test binary (= their own
 //! process) because they toggle the process-wide `fld_sim::prof`
@@ -229,10 +229,8 @@ fn defrag_run_stays_under_its_allocated_bytes_ceiling() {
 /// open-loop at line rate pile up in the client link's stream (the
 /// benchmark's `echo_64`, a quarter of its duration), and a pending
 /// packet costs a 32-byte entry in its event's FIFO lane plus a 56-byte
-/// slot in the system's packet pool — where the slab, the wheel's
-/// level-1/2 buckets and the cascade scratch used to double side by
-/// side, and then an 80-byte lane entry held the packet inline. The
-/// count is deterministic; the ceiling is the measured value plus 5 %.
+/// slot in the system's packet pool. The count is deterministic; the
+/// ceiling is the measured value plus 5 %.
 /// (`CountingAlloc` charges a grown buffer its growth; the benchmark's
 /// allocator, which charges the whole new size, reads 38.8 on the full
 /// `echo_64`, read 57.5 with inline packets and 95.7 before the lanes.)
@@ -264,7 +262,7 @@ fn open_loop_echo_stays_under_its_allocated_bytes_ceiling() {
 
 /// The lane accounting is a count of what the model scheduled, not a
 /// measurement: it repeats exactly, every event of an echo run names a
-/// lane that takes it (nothing falls back to the wheel), and laned plus
+/// lane that takes it (nothing falls back to the heap), and laned plus
 /// fallback pushes are all the pushes.
 #[cfg(feature = "prof")]
 #[test]
@@ -273,9 +271,84 @@ fn lane_accounting_is_reproducible_across_reruns() {
     let a = profiled_echo_run(true).profile.calendar;
     let b = profiled_echo_run(true).profile.calendar;
     assert_eq!(a, b, "calendar statistics diverged across reruns");
-    assert_eq!(a.fallback_pushes, 0, "an echo event fell back to the wheel");
+    assert_eq!(a.fallback_pushes, 0, "an echo event fell back to the heap");
     assert_eq!(a.laned_pushes, a.pushes);
     assert!(a.insert_steps > 0, "PCIe jitter reorders within a lane");
+}
+
+/// The merged calendar statistics of the engine runs inside `run`,
+/// profiled under [`GATE`].
+#[cfg(feature = "prof")]
+fn profiled_calendar(run: impl FnOnce()) -> prof::CalendarStats {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = prof::take_global();
+    prof::set_enabled(true);
+    run();
+    prof::set_enabled(false);
+    prof::take_global().expect("the run was profiled").calendar
+}
+
+/// The traffic that licenses a plain binary heap behind the lanes, one
+/// test per model: no push of an RDMA or a defrag run reaches the heap,
+/// and on a churned rack with the fault schedule armed it orders under
+/// 1 % of them — the unlaned departure and fault-edge timers and the rare
+/// push out of a lane's reach. A model that starts sending a deep
+/// unordered stream to the heap fails here, by name, instead of as a
+/// drifting benchmark.
+#[cfg(feature = "prof")]
+#[test]
+fn no_rdma_event_falls_back_to_the_heap() {
+    use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
+    let cal = profiled_calendar(|| {
+        RdmaSystem::new(RdmaConfig::remote(1024, 64, 20_000), Box::new(MsgEcho))
+            .run(SimTime::ZERO, SimTime::from_millis(20));
+    });
+    assert!(cal.pushes > 100_000, "{cal:?}");
+    assert_eq!(cal.fallback_pushes, 0, "{cal:?}");
+}
+
+#[cfg(feature = "prof")]
+#[test]
+fn no_defrag_event_falls_back_to_the_heap() {
+    use fld_bench::experiments::defrag::{defrag_system, DefragConfig};
+    let cal = profiled_calendar(|| {
+        defrag_system(DefragConfig::VxlanHardwareDefrag, 3_000)
+            .run(SimTime::from_millis(1), SimTime::from_millis(50));
+    });
+    assert!(cal.pushes > 30_000, "{cal:?}");
+    assert_eq!(cal.fallback_pushes, 0, "{cal:?}");
+}
+
+/// The benchmark's `rack_chaos` system — 4 nodes × 6 tenants under
+/// churn with the scripted crash/unplug/flap schedule armed — and the 8
+/// simulated ms the tests here run it for.
+#[cfg(feature = "prof")]
+fn chaos_rack() -> (fld_core::rack::Rack, fld_bench::Scale) {
+    use fld_bench::experiments::{chaos, rack};
+    let cfg = chaos::rack_cfg(7);
+    let scale = fld_bench::Scale {
+        packets: 0,
+        warmup_ms: 0,
+        deadline_ms: 8,
+    };
+    let mut rack = rack::build_rack(cfg, chaos::RACK_CHURN);
+    rack.enable_fault_schedule(
+        chaos::rack_schedule(scale, 7, cfg.nodes, cfg.tenants),
+        fld_sim::health::HealthConfig::default(),
+    );
+    (rack, scale)
+}
+
+#[cfg(feature = "prof")]
+#[test]
+fn a_faulted_churned_rack_sends_the_heap_under_one_percent() {
+    let cal = profiled_calendar(|| {
+        let (rack, scale) = chaos_rack();
+        rack.run(scale.warmup(), scale.deadline());
+    });
+    assert!(cal.pushes > 20_000, "{cal:?}");
+    assert!(cal.fallback_pushes > 0, "the rack's timers are unlaned");
+    assert!(cal.fallback_pushes * 100 <= cal.pushes, "{cal:?}");
 }
 
 /// What the tick-cost test reads off one profiled, recorded run.
@@ -332,24 +405,11 @@ fn ticked_echo(interval: SimDuration) -> Ticked {
     }
 }
 
-/// The benchmark's `rack_chaos` system — 4 nodes × 6 tenants under
-/// churn, the scripted crash/unplug/flap schedule, strict audit — over
-/// 8 simulated ms, sampled every `interval` with profiling armed.
+/// [`chaos_rack`] under strict audit, sampled every `interval` with
+/// profiling armed.
 #[cfg(all(feature = "prof", feature = "trace"))]
 fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
-    use fld_bench::experiments::{chaos, rack};
-    use fld_bench::Scale;
-    let cfg = chaos::rack_cfg(7);
-    let scale = Scale {
-        packets: 0,
-        warmup_ms: 0,
-        deadline_ms: 8,
-    };
-    let mut rack = rack::build_rack(cfg, chaos::RACK_CHURN);
-    rack.enable_fault_schedule(
-        chaos::rack_schedule(scale, 7, cfg.nodes, cfg.tenants),
-        fld_sim::health::HealthConfig::default(),
-    );
+    let (mut rack, scale) = chaos_rack();
     rack.enable_flight_recorder(interval);
     rack.enable_strict_audit();
     prof::set_enabled(true);

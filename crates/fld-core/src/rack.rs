@@ -1294,7 +1294,7 @@ impl Model for Rack {
     /// multiply with the node count; the nodes run the same pipeline on
     /// one clock, so a kind's stream stays nearly sorted across them).
     /// Departures and fault edges are scheduled arbitrarily far ahead in
-    /// no order: the backend orders those.
+    /// no order: the heap orders those.
     fn lane(ev: &RackEv) -> usize {
         let node_lanes = <FldSystem as Model>::lanes();
         match ev {

@@ -257,13 +257,13 @@ pub trait Model {
     /// fixed latency. The calendar looks at every lane head on each pop,
     /// so many instances of a component share their kinds' lanes rather
     /// than declaring their own. The default declares none: every event
-    /// is ordered by the wheel/heap backend.
+    /// is ordered by the calendar's heap.
     fn lanes() -> usize {
         0
     }
 
     /// The lane `ev` belongs to, in `0..Self::lanes()`; the default,
-    /// `usize::MAX`, names none and leaves the event to the backend. A
+    /// `usize::MAX`, names none and leaves the event to the heap. A
     /// lane is only a hint — the pop order is the same whatever this
     /// returns — so all a wrong answer can cost is host time.
     fn lane(ev: &Self::Ev) -> usize {
@@ -694,7 +694,7 @@ mod tests {
     }
 
     /// `Pinger` names a lane for its one kind and the engine lanes its
-    /// own ticks, so nothing ever reaches the backend: the re-arm rule
+    /// own ticks, so nothing ever reaches the heap: the re-arm rule
     /// (`!queue.is_empty()`) and drained-vs-truncated must read the
     /// lanes.
     #[cfg(all(feature = "prof", feature = "trace"))]

@@ -23,9 +23,9 @@
 
 /// Version stamped into every JSON artifact the workspace writes
 /// (`--json` reports, `--timeline` documents, `--prof` profiles,
-/// `--counters` dumps, `BENCH_engine.json`). Readers that consume these
-/// artifacts across runs — the perf gate, `counter_diff` — reject a
-/// document carrying a different version instead of misreading it.
+/// `--counters` dumps). Readers that consume these artifacts across
+/// runs — `counter_diff` — reject a document carrying a different
+/// version instead of misreading it.
 /// Bump on any breaking change to an artifact's shape.
 pub const SCHEMA_VERSION: u64 = 1;
 

@@ -32,8 +32,8 @@
 //! time in the calendar, two thirds of that on the push side (DESIGN.md
 //! § 3.8). What the calendar reports about pushes is counts, not times:
 //! [`CalendarStats`]'s `laned_pushes` / `fallback_pushes` /
-//! `insert_steps` say how many events the wheel/heap backend still had
-//! to order and how far the FIFO lanes walked.
+//! `insert_steps` say how many events the heap behind the FIFO lanes
+//! still had to order and how far the lanes walked.
 //!
 //! # How allocations are attributed
 //!
@@ -340,10 +340,10 @@ impl Drop for ScopeGuard {
 
 /// Behavioral statistics of the event calendar over one run, collected
 /// by [`crate::queue::EventQueue`] (under the `prof` feature) and the
-/// engine. These are the numbers the BinaryHeap-vs-timing-wheel decision
-/// needs: depth bounds sift cost, same-timestamp bursts measure how much
-/// ordering work a wheel bucket would absorb, and re-arm churn counts
-/// self-rescheduling timers.
+/// engine: depth bounds the memory the calendar holds, same-timestamp
+/// bursts count the pops that only the insertion tie-break orders, re-arm
+/// churn counts self-rescheduling timers, and the lane accounting says
+/// how much of the ordering the FIFO lanes took off the heap.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CalendarStats {
     /// Events pushed over the run (model events + engine sample ticks).
@@ -360,11 +360,11 @@ pub struct CalendarStats {
     /// Flight-recorder sample ticks re-armed by the engine.
     pub sample_rearms: u64,
     /// Pushes a FIFO lane took (`pushes − fallback_pushes`): events that
-    /// were never slabbed, bucketed, sorted or cascaded.
+    /// were appended (or walked a few entries back), never sifted.
     pub laned_pushes: u64,
-    /// Pushes the wheel/heap backend ordered — no lane named, or a place
-    /// beyond the lane's reach. `fallback_pushes ÷ pushes` is the share
-    /// of events the backend still orders.
+    /// Pushes the heap ordered — no lane named, or a place beyond the
+    /// lane's reach. `fallback_pushes ÷ pushes` is the share of events
+    /// the heap still orders.
     pub fallback_pushes: u64,
     /// Lane entries walked past by laned pushes that were not plain
     /// appends (`insert_steps ÷ laned_pushes` is the mean insertion walk).

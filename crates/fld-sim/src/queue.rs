@@ -1,214 +1,86 @@
-//! The event calendar: a time-ordered priority queue with two
-//! interchangeable backends behind one API.
+//! The event calendar: FIFO lanes in front of a binary heap.
 //!
-//! Both backends pop in exactly `(time, insertion-seq)` order, so a
-//! simulation run is bit-identical regardless of which one is active:
-//!
-//! - [`CalendarKind::Wheel`] (the default): a hierarchical timing wheel
-//!   ([`wheel::TimingWheel`]) with O(1) pushes and batched slot drains —
-//!   coincident-timestamp events are sorted once per slot, not sifted
-//!   one comparison at a time through a half-megabyte heap.
-//! - [`CalendarKind::Heap`]: the reference `BinaryHeap` implementation,
-//!   kept as the differential-testing oracle and for `--calendar heap`
-//!   A/B runs.
-//!
-//! Event payloads do not live inside the ordering structure. They sit in
-//! a slab (`Vec<Option<E>>` plus a free list) and the backends order
-//! 24-byte [`Slot`] keys — `{time, seq, slab index}` — so pushes and
-//! cascades move three words, not a 100+-byte `EngineEv`, and the hot
-//! loop allocates nothing once the slab and wheel have warmed up.
+//! Events pop in exactly `(time, insertion-seq)` order, so a simulation
+//! run is bit-identical from one execution to the next.
 //!
 //! # FIFO lanes
 //!
 //! Most event streams need no ordering work at all: each event *kind* of
 //! a model is fed by a ring, a serialising link or a fixed latency, so
 //! its timestamps arrive already sorted, or within one PCIe jitter of
-//! sorted. [`EventQueue::set_lanes`] puts a set of FIFO lanes in front of
-//! the backend and [`EventQueue::schedule_at_lane`] names the lane a push
-//! belongs to. A lane is a deque kept in `(time, seq)` order: a push
-//! appends when its time is not before the lane's tail, otherwise walks
-//! back at most [`LANE_REACH`] entries and inserts there, and only beyond
-//! that reach — or with no (valid) lane named — goes to the backend.
+//! sorted. [`EventQueue::set_lanes`] declares a set of FIFO lanes and
+//! [`EventQueue::schedule_at_lane`] names the lane a push belongs to. A
+//! lane is a deque kept in `(time, seq)` order: a push appends when its
+//! time is not before the lane's tail, otherwise walks back at most
+//! [`LANE_REACH`] entries and inserts there, and only beyond that reach —
+//! or with no (valid) lane named — goes to the heap.
+//!
+//! # The heap
+//!
+//! What no lane takes — unlaned timers, the rare push out of a lane's
+//! reach — is ordered by one `std::collections::BinaryHeap`. On the
+//! measured workloads that is none of the single-node pushes and about
+//! a third of a percent of a rack's, a few dozen entries deep
+//! (DESIGN.md § 3.10), so the heap is chosen for being small, not fast.
+//!
 //! `seq` comes from the one counter either way and [`EventQueue::pop`]
-//! takes the minimum `(time, seq)` over the lane heads and the backend
-//! head, so the pop order is the same total order whatever the hints
+//! takes the minimum `(time, seq)` over the lane heads and the heap's
+//! root, so the pop order is the same total order whatever the hints
 //! say: a lane is a performance hint, never a correctness condition.
-//! Lane entries hold their payload inline (no slab, no key), are written
-//! and read sequentially, and are never bucketed, sorted or cascaded.
+//! Lanes and heap hold the same [`Entry`], payload inline.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::time::{SimDuration, SimTime};
 
-pub mod wheel;
-
-use wheel::TimingWheel;
-
-/// Which calendar backend an [`EventQueue`] orders its events with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// Reference `BinaryHeap`: O(log n) push/pop, one comparison-driven
-    /// sift per operation.
-    Heap,
-    /// Hierarchical timing wheel: O(1) push, coincident pops drained a
-    /// sorted slot at a time. The default.
-    #[default]
-    Wheel,
+/// One pending event, payload inline: what a lane queues and what the
+/// heap orders. Entries compare on `(time, seq)` alone — an event's
+/// timestamp in picoseconds, then its insertion sequence number, the
+/// deterministic tie-break. `seq` is deliberately `u32`: it keeps the
+/// entry of a 20-byte event at 32 bytes, it caps a run at ~4.3 billion
+/// events (28× the largest bench sweep), and [`EventQueue::stamp`]
+/// panics before it can wrap, so the tie-break can never silently
+/// reorder.
+#[derive(Debug)]
+struct Entry<E> {
+    time_ps: u64,
+    seq: u32,
+    event: E,
 }
 
-impl CalendarKind {
-    /// Parses a `--calendar` flag value.
-    pub fn parse(s: &str) -> Option<CalendarKind> {
-        match s {
-            "heap" => Some(CalendarKind::Heap),
-            "wheel" => Some(CalendarKind::Wheel),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`"heap"` / `"wheel"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CalendarKind::Heap => "heap",
-            CalendarKind::Wheel => "wheel",
-        }
-    }
-}
-
-/// Process-wide default backend for [`EventQueue::new`], so a
-/// `--calendar` flag reaches every engine a run constructs without
-/// threading a parameter through each system's constructor (the same
-/// pattern as `prof::set_enabled`).
-static DEFAULT_KIND: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the backend every subsequently constructed [`EventQueue`] uses.
-pub fn set_default_kind(kind: CalendarKind) {
-    let v = match kind {
-        CalendarKind::Heap => 0,
-        CalendarKind::Wheel => 1,
-    };
-    DEFAULT_KIND.store(v, AtomicOrdering::Relaxed);
-}
-
-/// The backend [`EventQueue::new`] currently constructs.
-pub fn default_kind() -> CalendarKind {
-    match DEFAULT_KIND.load(AtomicOrdering::Relaxed) {
-        0 => CalendarKind::Heap,
-        _ => CalendarKind::Wheel,
-    }
-}
-
-/// The ordering key both backends move around: an event's timestamp in
-/// picoseconds, its insertion sequence number (the deterministic
-/// tie-break), and the slab index of its payload. 16 bytes — four keys
-/// per cache line where the old inline entries spanned two lines each.
-/// `seq` is deliberately `u32`: it caps a run at ~4.3 billion events
-/// (28× the largest bench sweep), and [`EventQueue::schedule_at`] panics
-/// before it can wrap, so the tie-break can never silently reorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
-    pub(crate) time_ps: u64,
-    pub(crate) seq: u32,
-    pub(crate) idx: u32,
-}
-
-impl Slot {
-    /// The total order both backends agree on.
+impl<E> Entry<E> {
     #[inline]
-    pub(crate) fn key(&self) -> (u64, u32) {
+    fn key(&self) -> (u64, u32) {
         (self.time_ps, self.seq)
     }
 }
 
-/// Min-heap adapter: `BinaryHeap` is a max-heap, so reverse the key.
-#[derive(Debug, PartialEq, Eq)]
-struct MinSlot(Slot);
+impl<E> PartialEq for Entry<E> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
 
-impl PartialOrd for MinSlot {
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for MinSlot {
+impl<E> Ord for Entry<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
+        self.key().cmp(&other.key())
     }
-}
-
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<MinSlot>),
-    Wheel(TimingWheel),
-}
-
-impl Backend {
-    fn push(&mut self, slot: Slot) {
-        match self {
-            Backend::Heap(h) => h.push(MinSlot(slot)),
-            Backend::Wheel(w) => w.push(slot),
-        }
-    }
-
-    /// The earliest pending key. `&mut`: peeking the wheel may advance
-    /// its cursor (see [`EventQueue::peek_time`]).
-    fn peek(&mut self) -> Option<Slot> {
-        match self {
-            Backend::Heap(h) => h.peek().map(|m| m.0),
-            Backend::Wheel(w) => w.peek(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Heap(h) => h.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
-    }
-}
-
-/// Hints the CPU to pull `value`'s first two cache lines toward L1.
-/// Purely a hint: no-op architectures simply skip it.
-#[inline(always)]
-fn prefetch<T>(value: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch instructions perform no program-visible memory
-    // access and are sound for any address.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = value as *const T as *const i8;
-        _mm_prefetch(p, _MM_HINT_T0);
-        if std::mem::size_of::<T>() > 64 {
-            _mm_prefetch(p.wrapping_add(64), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = value;
-}
-
-/// Raw-address variant of [`prefetch`] for one-past-the-end positions
-/// (a `Vec`'s push target) where no reference can be formed. The pointer
-/// is only ever a hint operand, never dereferenced, so a dangling
-/// pointer (an unallocated empty `Vec`) is fine.
-#[inline(always)]
-fn prefetch_at<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch instructions perform no program-visible memory
-    // access and are sound for any address.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(p as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// How far back from its tail a lane lets a push walk to find its place
-/// before the push goes to the backend instead. The jittered event kinds
+/// before the push goes to the heap instead. The jittered event kinds
 /// (PCIe completion jitter ≤ 300 ns against ~20 ns packet spacing) land
 /// up to a dozen or so entries back; 48 covers them with room to spare
 /// and caps what a wrong hint can cost at 48 compares.
@@ -226,14 +98,6 @@ const NO_HEAD: u128 = u128::MAX;
 #[inline]
 fn head_key(time_ps: u64, seq: u32, lane: usize) -> u128 {
     (time_ps as u128) << 64 | (seq as u128) << 32 | lane as u128
-}
-
-/// One pending event in a FIFO lane, payload inline.
-#[derive(Debug)]
-struct LaneEntry<E> {
-    time_ps: u64,
-    seq: u32,
-    event: E,
 }
 
 /// A deterministic discrete-event calendar.
@@ -257,13 +121,10 @@ struct LaneEntry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend,
-    /// Payload slab of the backend's events; `Slot::idx` points here.
-    /// `None` marks a free slot (its index is on the `free` list).
-    events: Vec<Option<E>>,
-    free: Vec<u32>,
+    /// What no lane took, earliest `(time, seq)` at the root.
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     /// The FIFO lanes, each in `(time, seq)` order (see the module docs).
-    lanes: Vec<VecDeque<LaneEntry<E>>>,
+    lanes: Vec<VecDeque<Entry<E>>>,
     /// Packed key of each lane's front entry ([`NO_HEAD`] when empty),
     /// dense so that `pop` finds the earliest lane in one linear pass,
     /// and padded with `NO_HEAD` to a multiple of four.
@@ -273,7 +134,7 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u32,
     scheduled_total: u64,
-    /// Pushes the backend ordered: no lane named, or out of its reach.
+    /// Pushes the heap ordered: no lane named, or out of its reach.
     fallback_pushes: u64,
     /// Entries laned pushes walked past to find their place.
     insert_steps: u64,
@@ -316,22 +177,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar at time zero, using the process-wide
-    /// [`default_kind`] backend.
+    /// Creates an empty calendar at time zero.
     pub fn new() -> Self {
-        Self::with_kind(default_kind())
-    }
-
-    /// Creates an empty calendar at time zero on an explicit backend.
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        let backend = match kind {
-            CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(TimingWheel::new()),
-        };
         EventQueue {
-            backend,
-            events: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
             lanes: Vec::new(),
             heads: Vec::new(),
             laned: 0,
@@ -342,14 +191,6 @@ impl<E> EventQueue<E> {
             insert_steps: 0,
             #[cfg(feature = "prof")]
             prof: ProfCounters::default(),
-        }
-    }
-
-    /// The backend this calendar orders events with.
-    pub fn kind(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Heap(_) => CalendarKind::Heap,
-            Backend::Wheel(_) => CalendarKind::Wheel,
         }
     }
 
@@ -380,15 +221,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Events pending in the backend (each owns one slab slot).
-    #[inline]
-    fn backend_len(&self) -> usize {
-        self.events.len() - self.free.len()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.backend_len() + self.laned
+        self.heap.len() + self.laned
     }
 
     /// Whether no events are pending.
@@ -418,21 +253,14 @@ impl<E> EventQueue<E> {
         (at.as_picos(), seq)
     }
 
-    /// Hands a stamped event to the backend: payload into the slab, key
-    /// into the wheel or heap.
-    fn push_backend(&mut self, time_ps: u64, seq: u32, event: E) {
+    /// Hands a stamped event to the heap.
+    fn push_heap(&mut self, time_ps: u64, seq: u32, event: E) {
         self.fallback_pushes += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.events[i as usize] = Some(event);
-                i
-            }
-            None => {
-                self.events.push(Some(event));
-                (self.events.len() - 1) as u32
-            }
-        };
-        self.backend.push(Slot { time_ps, seq, idx });
+        self.heap.push(Reverse(Entry {
+            time_ps,
+            seq,
+            event,
+        }));
         self.note_depth();
     }
 
@@ -450,14 +278,14 @@ impl<E> EventQueue<E> {
     ///
     /// `at` is clamped to the current time: an instant already in the
     /// past (a model bug — this panics in debug builds) delivers at
-    /// `now` rather than corrupting the backend's ordering invariants.
+    /// `now` rather than behind an event that has already popped.
     ///
     /// # Panics
     ///
     /// Panics in debug builds when scheduling in the past.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let (time_ps, seq) = self.stamp(at);
-        self.push_backend(time_ps, seq, event);
+        self.push_heap(time_ps, seq, event);
     }
 
     /// Schedules `event` at `at` (clamped as in [`Self::schedule_at`]),
@@ -467,7 +295,7 @@ impl<E> EventQueue<E> {
     /// event is appended; otherwise the push walks back up to
     /// [`LANE_REACH`] entries to its `(time, seq)` place. A lane that was
     /// never declared, or a place beyond that reach, sends the event to
-    /// the backend exactly as [`Self::schedule_at`] would. The pop order
+    /// the heap exactly as [`Self::schedule_at`] would. The pop order
     /// is the same in every case.
     #[inline]
     pub fn schedule_at_lane(&mut self, at: SimTime, lane: usize, event: E) {
@@ -481,7 +309,7 @@ impl<E> EventQueue<E> {
                 if q.is_empty() {
                     self.heads[lane] = head_key(time_ps, seq, lane);
                 }
-                q.push_back(LaneEntry {
+                q.push_back(Entry {
                     time_ps,
                     seq,
                     event,
@@ -508,13 +336,13 @@ impl<E> EventQueue<E> {
                 .count()
         });
         if steps > LANE_REACH {
-            return self.push_backend(time_ps, seq, event);
+            return self.push_heap(time_ps, seq, event);
         }
         let q = &mut self.lanes[lane];
         let place = q.len() - steps;
         q.insert(
             place,
-            LaneEntry {
+            Entry {
                 time_ps,
                 seq,
                 event,
@@ -553,55 +381,25 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Pops the backend's earliest event.
-    fn pop_backend(&mut self) -> Option<(u64, E)> {
-        // Events pop long after they were pushed, so their slab slots
-        // are cold. The wheel hands out prefetch hints a 32-entry chunk
-        // at a time from its sorted drain buffer — issuing the whole
-        // chunk overlaps the DRAM misses instead of stalling at the top
-        // of every loop iteration (the heap only ever knows its root).
-        let slot = match &mut self.backend {
-            Backend::Wheel(w) => {
-                let slot = w.pop()?;
-                for s in w.prefetch_hints() {
-                    if let Some(e) = self.events.get(s.idx as usize) {
-                        prefetch(e);
-                    }
-                }
-                slot
-            }
-            Backend::Heap(h) => {
-                let slot = h.pop()?.0;
-                if let Some(m) = h.peek() {
-                    if let Some(e) = self.events.get(m.0.idx as usize) {
-                        prefetch(e);
-                    }
-                }
-                slot
-            }
-        };
-        let event = self.events[slot.idx as usize]
-            .take()
-            .expect("popped key has a live slab entry");
-        self.free.push(slot.idx);
-        Some((slot.time_ps, event))
+    /// Pops the heap's root. Out of line: `pop` is the engine loop's hot
+    /// call and the workloads all but never take this branch.
+    #[inline(never)]
+    fn pop_heap(&mut self) -> Option<(SimTime, E)> {
+        let Reverse(entry) = self.heap.pop()?;
+        Some((self.advance(entry.time_ps), entry.event))
     }
 
     /// Pops the earliest event and advances the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let lane_key = self.earliest_head();
-        // The backend's head is consulted only when both sides hold
-        // something: peeking the wheel moves its cursor, which sends
-        // later fallback pushes down its sorted-merge path.
-        if self.backend_len() > 0
-            && (lane_key == NO_HEAD
-                || self
-                    .backend
-                    .peek()
-                    .is_some_and(|s| head_key(s.time_ps, s.seq, 0) < lane_key))
+        // Every real key is below `NO_HEAD`, so this also covers the
+        // case of nothing pending in any lane.
+        if self
+            .heap
+            .peek()
+            .is_some_and(|Reverse(e)| head_key(e.time_ps, e.seq, 0) < lane_key)
         {
-            let (time_ps, event) = self.pop_backend()?;
-            return Some((self.advance(time_ps), event));
+            return self.pop_heap();
         }
         // `NO_HEAD` names a lane that cannot exist (`set_lanes`).
         let lane = lane_key as u32 as usize;
@@ -667,23 +465,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest pending event, if any.
-    ///
-    /// Takes `&mut self`: peeking the wheel may advance its internal
-    /// cursor to the next occupied slot (a cascade), which never changes
-    /// what pops next, only where it is stored.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         let lane_key = self.earliest_head();
         let lane = (lane_key != NO_HEAD).then_some((lane_key >> 64) as u64);
-        let backend = if self.backend_len() > 0 {
-            self.backend.peek().map(|s| s.time_ps)
-        } else {
-            None
-        };
-        match (lane, backend) {
-            (Some(l), Some(b)) => Some(l.min(b)),
-            (l, b) => l.or(b),
-        }
-        .map(SimTime::from_picos)
+        let heap = self.heap.peek().map(|Reverse(e)| e.time_ps);
+        lane.into_iter().chain(heap).min().map(SimTime::from_picos)
     }
 
     /// Drops all pending events (the clock is unchanged).
@@ -694,9 +480,7 @@ impl<E> EventQueue<E> {
     /// (`pops`, `peak_depth`, `max_burst`, `scheduled_total`, the lane
     /// accounting) survive, and so do the declared lanes.
     pub fn clear(&mut self) {
-        self.backend.clear();
-        self.events.clear();
-        self.free.clear();
+        self.heap.clear();
         for q in &mut self.lanes {
             q.clear();
         }
@@ -714,56 +498,45 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Every ordering test runs against both backends: they must be
-    /// indistinguishable through the public API.
-    fn both(test: impl Fn(EventQueue<i32>)) {
-        test(EventQueue::with_kind(CalendarKind::Heap));
-        test(EventQueue::with_kind(CalendarKind::Wheel));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(30), 3);
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(30), 3);
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        both(|mut q| {
-            let t = SimTime::from_nanos(5);
-            for i in 0..100 {
-                q.schedule_at(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        for i in 0..100 {
+            q.schedule_at(t, i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_on_pop() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(7), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(7));
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(7), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(7));
     }
 
     #[test]
     fn schedule_now_runs_at_current_time() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(5), 1);
-            q.pop();
-            q.schedule_now(2);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!(t, SimTime::from_nanos(5));
-            assert_eq!(e, 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(5), 1);
+        q.pop();
+        q.schedule_now(2);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_nanos(5));
+        assert_eq!(e, 2);
     }
 
     #[test]
@@ -771,37 +544,34 @@ mod tests {
         // Events scheduled while draining a coincident burst (the
         // engine's normal mode: every dispatch schedules successors)
         // must slot into the global order, not the end of the slot.
-        both(|mut q| {
-            let t = SimTime::from_nanos(100);
-            q.schedule_at(t, 0);
-            q.schedule_at(t, 1);
-            q.schedule_at(t + SimDuration::from_picos(1), 3);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(0));
-            // Same timestamp as the in-flight burst: runs after "1"
-            // (insertion order) but before the later-time "3".
-            q.schedule_now(2);
-            q.schedule_in(SimDuration::from_nanos(50), 4);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3, 4]);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule_at(t, 0);
+        q.schedule_at(t, 1);
+        q.schedule_at(t + SimDuration::from_picos(1), 3);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(0));
+        // Same timestamp as the in-flight burst: runs after "1"
+        // (insertion order) but before the later-time "3".
+        q.schedule_now(2);
+        q.schedule_in(SimDuration::from_nanos(50), 4);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn peek_does_not_disturb_order() {
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_millis(80), 2); // beyond wheel span: overflow
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(80)));
-            // Scheduling earlier than the peeked (cascaded) slot still
-            // pops first: the peek must not commit the wheel to it.
-            q.schedule_in(SimDuration::from_nanos(5), 3);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(15)));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(3));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_millis(80), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(80)));
+        // Scheduling earlier than the peeked event still pops first.
+        q.schedule_in(SimDuration::from_nanos(5), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(15)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -812,123 +582,118 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(true);
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(10), 0);
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(10), 2);
-            q.schedule_at(SimTime::from_nanos(20), 3);
-            while q.pop().is_some() {}
-            let stats = q.calendar_stats();
-            assert_eq!(stats.pushes, 4);
-            assert_eq!(stats.sample_rearms, 0);
-            #[cfg(feature = "prof")]
-            {
-                assert_eq!(stats.pops, 4);
-                assert_eq!(stats.peak_depth, 4);
-                // The three t=10 pops form one burst: two beyond its first.
-                assert_eq!(stats.coincident_pops, 2);
-                assert_eq!(stats.max_burst, 3);
-            }
-            #[cfg(not(feature = "prof"))]
-            assert_eq!(stats.pops, 0);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 0);
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(10), 2);
+        q.schedule_at(SimTime::from_nanos(20), 3);
+        while q.pop().is_some() {}
+        let stats = q.calendar_stats();
+        assert_eq!(stats.pushes, 4);
+        assert_eq!(stats.sample_rearms, 0);
+        #[cfg(feature = "prof")]
+        {
+            assert_eq!(stats.pops, 4);
+            assert_eq!(stats.peak_depth, 4);
+            // The three t=10 pops form one burst: two beyond its first.
+            assert_eq!(stats.coincident_pops, 2);
+            assert_eq!(stats.max_burst, 3);
+        }
+        #[cfg(not(feature = "prof"))]
+        assert_eq!(stats.pops, 0);
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(false);
     }
 
     #[test]
     fn len_and_clear() {
-        both(|mut q| {
-            q.schedule_now(1);
-            q.schedule_now(2);
-            assert_eq!(q.len(), 2);
-            assert!(!q.is_empty());
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_now(1);
+        q.schedule_now(2);
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
-    fn lanes_and_backend_pop_as_one_order() {
-        both(|mut q| {
-            let ns = SimTime::from_nanos;
-            q.set_lanes(2);
-            assert_eq!(q.lanes(), 2);
-            q.schedule_at_lane(ns(30), 0, 3);
-            q.schedule_at(ns(10), 1); // no lane named: the backend's
-            q.schedule_at_lane(ns(20), 1, 2);
-            q.schedule_at_lane(ns(20), 0, 4); // walks back past the 30
-            q.schedule_at_lane(ns(20), 9, 5); // no such lane: the backend's
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 4, 5, 3]);
-            let stats = q.calendar_stats();
-            assert_eq!(stats.pushes, 5);
-            assert_eq!(stats.laned_pushes, 3);
-            assert_eq!(stats.fallback_pushes, 2);
-            assert_eq!(stats.insert_steps, 1);
-        });
+    fn lanes_and_heap_pop_as_one_order() {
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let ns = SimTime::from_nanos;
+        q.set_lanes(2);
+        assert_eq!(q.lanes(), 2);
+        q.schedule_at_lane(ns(30), 0, 3);
+        q.schedule_at(ns(10), 1); // no lane named: the heap's
+        q.schedule_at_lane(ns(20), 1, 2);
+        q.schedule_at_lane(ns(20), 0, 4); // walks back past the 30
+        q.schedule_at_lane(ns(20), 9, 5); // no such lane: the heap's
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 4, 5, 3]);
+        let stats = q.calendar_stats();
+        assert_eq!(stats.pushes, 5);
+        assert_eq!(stats.laned_pushes, 3);
+        assert_eq!(stats.fallback_pushes, 2);
+        assert_eq!(stats.insert_steps, 1);
     }
 
     #[test]
     fn disorder_beyond_the_reach_falls_back_and_stays_ordered() {
-        both(|mut q| {
-            q.set_lanes(1);
-            // Strictly decreasing times: push k belongs k entries back.
-            let n = LANE_REACH as i32 + 10;
-            for i in 0..n {
-                q.schedule_at_lane(SimTime::from_nanos((n - i) as u64), 0, i);
-            }
-            let stats = q.calendar_stats();
-            // Everything pushed lands in front of the whole lane, so the
-            // lane takes pushes until it is `LANE_REACH` deep and one
-            // more (a walk of exactly the reach).
-            assert_eq!(stats.laned_pushes, LANE_REACH as u64 + 1);
-            assert_eq!(stats.fallback_pushes, 9);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..n).rev().collect::<Vec<_>>());
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.set_lanes(1);
+        // Strictly decreasing times: push k belongs k entries back.
+        let n = LANE_REACH as i32 + 10;
+        for i in 0..n {
+            q.schedule_at_lane(SimTime::from_nanos((n - i) as u64), 0, i);
+        }
+        let stats = q.calendar_stats();
+        // Everything pushed lands in front of the whole lane, so the
+        // lane takes pushes until it is `LANE_REACH` deep and one
+        // more (a walk of exactly the reach).
+        assert_eq!(stats.laned_pushes, LANE_REACH as u64 + 1);
+        assert_eq!(stats.fallback_pushes, 9);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..n).rev().collect::<Vec<_>>());
     }
 
     #[test]
-    fn depth_peek_and_clear_span_lanes_and_backend() {
+    fn depth_peek_and_clear_span_lanes_and_heap() {
         #[cfg(feature = "prof")]
         let _gate = crate::prof::TEST_GATE
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(true);
-        both(|mut q| {
-            let ns = SimTime::from_nanos;
-            q.set_lanes(3);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule_at_lane(ns(40), 0, 0);
-            q.schedule_at_lane(ns(25), 2, 1);
-            assert_eq!(q.peek_time(), Some(ns(25))); // lanes only
-            q.schedule_at(ns(50), 2);
-            assert_eq!(q.peek_time(), Some(ns(25))); // lane before backend
-            q.schedule_at(ns(15), 3);
-            assert_eq!(q.peek_time(), Some(ns(15))); // backend before lane
-            assert_eq!(q.len(), 4);
-            assert!(!q.is_empty());
-            assert_eq!(q.pop(), Some((ns(15), 3)));
-            assert_eq!(q.pop(), Some((ns(25), 1)));
-            assert_eq!(q.len(), 2);
-            #[cfg(feature = "prof")]
-            assert_eq!(q.calendar_stats().peak_depth, 4);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-            assert_eq!(q.peek_time(), None);
-            assert_eq!(q.pop(), None);
-            // The lanes survive a clear and start over empty.
-            assert_eq!(q.lanes(), 3);
-            q.schedule_at_lane(ns(30), 0, 9);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((ns(30), 9)));
-            assert_eq!(q.scheduled_total(), 5);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let ns = SimTime::from_nanos;
+        q.set_lanes(3);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at_lane(ns(40), 0, 0);
+        q.schedule_at_lane(ns(25), 2, 1);
+        assert_eq!(q.peek_time(), Some(ns(25))); // lanes only
+        q.schedule_at(ns(50), 2);
+        assert_eq!(q.peek_time(), Some(ns(25))); // lane before heap
+        q.schedule_at(ns(15), 3);
+        assert_eq!(q.peek_time(), Some(ns(15))); // heap before lane
+        assert_eq!(q.len(), 4);
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((ns(15), 3)));
+        assert_eq!(q.pop(), Some((ns(25), 1)));
+        assert_eq!(q.len(), 2);
+        #[cfg(feature = "prof")]
+        assert_eq!(q.calendar_stats().peak_depth, 4);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        // The lanes survive a clear and start over empty.
+        assert_eq!(q.lanes(), 3);
+        q.schedule_at_lane(ns(30), 0, 9);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((ns(30), 9)));
+        assert_eq!(q.scheduled_total(), 5);
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(false);
     }
@@ -943,41 +708,40 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
-        both(|mut q| {
-            let t = SimTime::from_nanos(10);
-            q.schedule_at(t, 0);
-            q.schedule_at(t, 1);
-            while q.pop().is_some() {}
-            assert_eq!(q.calendar_stats().coincident_pops, 1);
-            q.clear();
-            q.schedule_at(t, 2);
-            q.pop();
-            let stats = q.calendar_stats();
-            assert_eq!(
-                stats.coincident_pops, 1,
-                "pop after clear must start a fresh burst"
-            );
-            assert_eq!(stats.max_burst, 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(10);
+        q.schedule_at(t, 0);
+        q.schedule_at(t, 1);
+        while q.pop().is_some() {}
+        assert_eq!(q.calendar_stats().coincident_pops, 1);
+        q.clear();
+        q.schedule_at(t, 2);
+        q.pop();
+        let stats = q.calendar_stats();
+        assert_eq!(
+            stats.coincident_pops, 1,
+            "pop after clear must start a fresh burst"
+        );
+        assert_eq!(stats.max_burst, 2);
         crate::prof::set_enabled(false);
     }
 
     #[test]
-    fn queue_reusable_after_clear() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(10), 1);
-            q.schedule_in(SimDuration::from_millis(90), 2); // overflow range
-            q.clear();
-            assert_eq!(q.pop(), None);
-            q.schedule_in(SimDuration::from_nanos(3), 7);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(7));
-        });
+    fn an_entry_adds_twelve_bytes_to_a_handle_sized_event() {
+        // What `seq: u32` buys: the systems' events are 20 bytes (a
+        // 4-byte packet handle and a few small fields), and every pending
+        // one of them — 175 k at `echo_64`'s peak — is one 32-byte entry.
+        assert_eq!(std::mem::size_of::<Entry<[u32; 5]>>(), 32);
     }
 
     #[test]
-    fn ordering_keys_stay_cache_line_friendly() {
-        // Two slab keys and change per 64-byte line; the payload stays
-        // out of the ordering structure entirely.
-        assert!(std::mem::size_of::<Slot>() <= 24);
+    fn queue_reusable_after_clear() {
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(10), 1);
+        q.schedule_in(SimDuration::from_millis(90), 2);
+        q.clear();
+        assert_eq!(q.pop(), None);
+        q.schedule_in(SimDuration::from_nanos(3), 7);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(7));
     }
 }

@@ -1,18 +1,19 @@
 //! Property-based tests for the simulation engine: histogram accuracy
 //! against exact percentiles, link conservation laws, calendar
-//! ordering (laned queue vs wheel vs heap), the libm-free rounding
-//! helper, and pre-resolved counter groups against the naive scans.
+//! ordering (the laned queue against a sorted-`Vec` reference), the
+//! libm-free rounding helper, and pre-resolved counter groups against
+//! the naive scans.
 
 use proptest::prelude::*;
 
 use fld_sim::counters::{CounterSum, CounterTree};
 use fld_sim::link::{Link, TokenBucket};
-use fld_sim::queue::{CalendarKind, EventQueue};
+use fld_sim::queue::EventQueue;
 use fld_sim::stats::Histogram;
 use fld_sim::time::{round_to_u64, Bandwidth, SimDuration, SimTime};
 
 /// One step of the differential calendar exercise. Delays are relative to
-/// the queue's notion of "now" so every calendar sees identical inputs;
+/// the calendar's notion of "now" so every replay sees identical inputs;
 /// every push carries a lane hint, which only the laned runs look at.
 #[derive(Debug, Clone)]
 enum CalOp {
@@ -24,15 +25,14 @@ enum CalOp {
     /// Pop up to `n` events, rescheduling every other popped event a
     /// little into the future (the engine's schedule-during-pop pattern).
     PopReschedule { n: u8, lane: u8 },
-    /// Schedule past the wheel's 2^39 ps span so the overflow heap and
-    /// its epoch migration path are exercised.
+    /// Schedule 0.5 – 2 simulated seconds out: far behind everything
+    /// else pending, whichever structure holds it.
     Far { delay_ps: u64, lane: u8 },
     /// Schedule `n` events into one lane at strictly *decreasing* times:
     /// each walks one entry further back from the tail than the last, so
-    /// past `LANE_REACH` of them the rest fall through to the backend.
+    /// past `LANE_REACH` of them the rest fall through to the heap.
     Disorder { n: u8, lane: u8 },
-    /// Schedule far out, peek (the wheel moves its cursor there), then
-    /// schedule something earlier.
+    /// Schedule far out, peek, then schedule something earlier.
     PeekThenEarlier { far_ps: u64, near_ps: u64, lane: u8 },
     /// Drop everything pending, mid-run.
     Clear,
@@ -94,26 +94,106 @@ enum Seen {
     State(usize, bool, Option<u64>),
 }
 
-fn state(q: &mut EventQueue<u32>) -> Seen {
-    Seen::State(q.len(), q.is_empty(), q.peek_time().map(SimTime::as_picos))
+/// What [`run_calendar`] drives: the calendar under test or its
+/// reference. Times are picoseconds.
+trait Calendar {
+    fn now(&self) -> u64;
+    fn push(&mut self, at: u64, lane: u8, id: u32);
+    fn pop(&mut self) -> Option<(u64, u32)>;
+    fn state(&self) -> Seen;
+    fn clear(&mut self);
+}
+
+/// The calendar under test, with how it treats the lane hints.
+struct Laned {
+    q: EventQueue<u32>,
+    lanes: Lanes,
+}
+
+impl Laned {
+    fn new(lanes: Lanes) -> Laned {
+        let mut q = EventQueue::new();
+        match lanes {
+            Lanes::Unlaned => {}
+            Lanes::Hinted(n) => q.set_lanes(n),
+            Lanes::AllOne => q.set_lanes(1),
+        }
+        Laned { q, lanes }
+    }
+}
+
+impl Calendar for Laned {
+    fn now(&self) -> u64 {
+        self.q.now().as_picos()
+    }
+
+    fn push(&mut self, at: u64, lane: u8, id: u32) {
+        let at = SimTime::from_picos(at);
+        match self.lanes {
+            Lanes::Unlaned => self.q.schedule_at(at, id),
+            Lanes::Hinted(_) => self.q.schedule_at_lane(at, lane as usize, id),
+            Lanes::AllOne => self.q.schedule_at_lane(at, 0, id),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        self.q.pop().map(|(t, id)| (t.as_picos(), id))
+    }
+
+    fn state(&self) -> Seen {
+        let q = &self.q;
+        Seen::State(q.len(), q.is_empty(), q.peek_time().map(SimTime::as_picos))
+    }
+
+    fn clear(&mut self) {
+        self.q.clear();
+    }
+}
+
+/// The reference: pending `(time, id)` in a `Vec` kept sorted by stable
+/// insertion — a push goes behind everything not later than it — which
+/// is `(time, insertion-seq)` order by construction, with no sequence
+/// number to get wrong.
+#[derive(Default)]
+struct SortedVec {
+    pending: Vec<(u64, u32)>,
+    now: u64,
+}
+
+impl Calendar for SortedVec {
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn push(&mut self, at: u64, _lane: u8, id: u32) {
+        let place = self.pending.partition_point(|&(t, _)| t <= at);
+        self.pending.insert(place, (at, id));
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (t, id) = self.pending.remove(0);
+        self.now = t;
+        Some((t, id))
+    }
+
+    fn state(&self) -> Seen {
+        let p = &self.pending;
+        Seen::State(p.len(), p.is_empty(), p.first().map(|&(t, _)| t))
+    }
+
+    fn clear(&mut self) {
+        self.pending.clear();
+    }
 }
 
 /// Replays `ops` against one calendar, returning everything observable.
-fn run_calendar(kind: CalendarKind, lanes: Lanes, ops: &[CalOp]) -> Vec<Seen> {
-    let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-    match lanes {
-        Lanes::Unlaned => {}
-        Lanes::Hinted(n) => q.set_lanes(n),
-        Lanes::AllOne => q.set_lanes(1),
-    }
+fn run_calendar(mut q: impl Calendar, ops: &[CalOp]) -> Vec<Seen> {
     let mut next_id = 0u32;
-    let mut push = |q: &mut EventQueue<u32>, delay_ps: u64, lane: u8| {
-        let at = q.now() + SimDuration::from_picos(delay_ps);
-        match lanes {
-            Lanes::Unlaned => q.schedule_at(at, next_id),
-            Lanes::Hinted(_) => q.schedule_at_lane(at, lane as usize, next_id),
-            Lanes::AllOne => q.schedule_at_lane(at, 0, next_id),
-        }
+    let mut push = |q: &mut dyn Calendar, delay_ps: u64, lane: u8| {
+        q.push(q.now() + delay_ps, lane, next_id);
         next_id += 1;
     };
     let mut seen = Vec::new();
@@ -130,7 +210,7 @@ fn run_calendar(kind: CalendarKind, lanes: Lanes, ops: &[CalOp]) -> Vec<Seen> {
             CalOp::PopReschedule { n, lane } => {
                 for i in 0..n {
                     let Some((t, id)) = q.pop() else { break };
-                    seen.push(Seen::Pop(t.as_picos(), id));
+                    seen.push(Seen::Pop(t, id));
                     if i % 2 == 1 {
                         push(&mut q, 517 * (i as u64 + 1), lane);
                     }
@@ -147,17 +227,17 @@ fn run_calendar(kind: CalendarKind, lanes: Lanes, ops: &[CalOp]) -> Vec<Seen> {
                 lane,
             } => {
                 push(&mut q, far_ps, lane);
-                seen.push(state(&mut q));
+                seen.push(q.state());
                 push(&mut q, near_ps, lane.wrapping_add(1));
             }
             CalOp::Clear => q.clear(),
         }
-        seen.push(state(&mut q));
+        seen.push(q.state());
     }
     while let Some((t, id)) = q.pop() {
-        seen.push(Seen::Pop(t.as_picos(), id));
+        seen.push(Seen::Pop(t, id));
     }
-    seen.push(state(&mut q));
+    seen.push(q.state());
     seen
 }
 
@@ -384,29 +464,27 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The wheel, the heap and the FIFO lanes in front of either are
-    /// observationally identical: the same op sequence — same-tick
-    /// bursts, schedule-during-pop, far-future overflow, disorder past
-    /// the lanes' reach, peek-then-earlier-push, `clear()` mid-run —
-    /// gives the same `(time, event)` pops and the same `len()` /
-    /// `peek_time()` after every op, whatever lane each push names. This
-    /// is the property that lets the wheel replace the heap, and lanes
-    /// front both, without re-blessing a single golden.
+    /// The calendar is observationally a sorted `Vec`: the same op
+    /// sequence — same-tick bursts, schedule-during-pop, far-future
+    /// delays, disorder past the lanes' reach, peek-then-earlier-push,
+    /// `clear()` mid-run — gives the same `(time, event)` pops and the
+    /// same `len()` / `is_empty()` / `peek_time()` after every op,
+    /// whatever lane each push names. This is the property that lets
+    /// lanes be declared, moved or dropped without re-blessing a single
+    /// golden.
     #[test]
-    fn wheel_matches_heap(ops in proptest::collection::vec(cal_op(), 1..120)) {
-        let heap = run_calendar(CalendarKind::Heap, Lanes::Unlaned, &ops);
-        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-            for lanes in [Lanes::Unlaned, Lanes::Hinted(4), Lanes::Hinted(7), Lanes::AllOne] {
-                let other = run_calendar(kind, lanes, &ops);
-                prop_assert_eq!(heap.len(), other.len(), "{:?}/{:?}: lengths diverge", kind, lanes);
-                for (i, (h, o)) in heap.iter().zip(other.iter()).enumerate() {
-                    prop_assert_eq!(h, o, "{:?}/{:?}: divergence at step {}", kind, lanes, i);
-                }
+    fn calendar_matches_sorted_vec(ops in proptest::collection::vec(cal_op(), 1..120)) {
+        let reference = run_calendar(SortedVec::default(), &ops);
+        for lanes in [Lanes::Unlaned, Lanes::Hinted(4), Lanes::Hinted(7), Lanes::AllOne] {
+            let other = run_calendar(Laned::new(lanes), &ops);
+            prop_assert_eq!(reference.len(), other.len(), "{:?}: lengths diverge", lanes);
+            for (i, (r, o)) in reference.iter().zip(other.iter()).enumerate() {
+                prop_assert_eq!(r, o, "{:?}: divergence at step {}", lanes, i);
             }
         }
         // (time, insertion-seq) order must hold within the trace too,
         // between clears (a clear may drop later events than were popped).
-        let pops = heap.iter().filter_map(|s| match s {
+        let pops = reference.iter().filter_map(|s| match s {
             Seen::Pop(t, _) => Some(*t),
             Seen::State(..) => None,
         });

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart \
-//!     [-- --counters <path>] [--json <path>] [--calendar {heap,wheel}]
+//!     [-- --counters <path>] [--json <path>]
 //! ```
 //!
 //! Every run has the flight recorder and strict invariant auditing on:
@@ -67,26 +67,14 @@ fn main() {
     // Optional flags: `--counters <path>` dumps every run's hardware
     // counter tree (versioned JSON, plus a <path>.txt ethtool-style
     // listing) for `counter_diff` to compare across runs; `--json <path>`
-    // writes a machine-readable run report; `--calendar {heap,wheel}`
-    // selects the event-calendar backend (the two must be bit-identical —
-    // CI diffs their reports byte for byte).
+    // writes a machine-readable run report.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let counters_path = take_value(&mut args, "--counters").map(std::path::PathBuf::from);
     let json_path = take_value(&mut args, "--json").map(std::path::PathBuf::from);
-    if let Some(cal) = take_value(&mut args, "--calendar") {
-        match flexdriver::sim::queue::CalendarKind::parse(&cal) {
-            Some(kind) => flexdriver::sim::queue::set_default_kind(kind),
-            None => {
-                eprintln!("--calendar must be \"heap\" or \"wheel\", got {cal:?}");
-                std::process::exit(2);
-            }
-        }
-    }
     if let Some(unknown) = args.first() {
         eprintln!(
             "unknown argument {unknown:?}\n\
-             usage: quickstart [--counters <path>] [--json <path>] \
-             [--calendar {{heap,wheel}}]"
+             usage: quickstart [--counters <path>] [--json <path>]"
         );
         std::process::exit(2);
     }
@@ -162,9 +150,9 @@ fn main() {
         println!("\n1500 B run {report}");
     }
     if let Some(path) = json_path {
-        // Deliberately excludes the calendar backend and any wall-clock
-        // numbers: the report depends only on simulated behaviour, so CI
-        // asserts the heap and wheel runs produce byte-identical files.
+        // Deliberately excludes any wall-clock numbers: the report
+        // depends only on simulated behaviour, so two runs write
+        // byte-identical files.
         let mut w = flexdriver::sim::json::JsonWriter::pretty();
         w.begin_object();
         w.field_u64("schema_version", flexdriver::sim::json::SCHEMA_VERSION);
