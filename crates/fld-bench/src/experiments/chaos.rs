@@ -8,6 +8,25 @@
 //! terminal, and every invariant audit — including the per-tick
 //! fault-accounting check — passes. Points are independent seeded runs,
 //! so the sweep parallelizes over `--jobs` without changing a byte.
+//!
+//! `exp chaos` ([`run`]) sweeps the rates `0, 1e-4, 1e-3, 1e-2`
+//! (`--fault-rate <p>` narrows it to `{0, p}`) and fails — exit status 1
+//! — if goodput is not monotonically non-increasing in the fault rate,
+//! if any injected fault goes unaccounted, or if any invariant audit
+//! failed. `--topology {single,rack,all}` picks the legs: `single` is
+//! that sweep; `rack` runs the rack-scale fault-domain script — fabric
+//! link flaps, a scripted node crash and a VF hot-unplug under churn —
+//! and fails unless every fault is accounted, every fault domain returns
+//! to Healthy with a bounded MTTR, the crashed node's flows are
+//! re-established and no surviving tenant's p99 exceeds 3× its
+//! fault-free baseline. `--fault-kinds` restricts which faults fire,
+//! `--fault-seed` picks the injection RNG streams (the rack leg draws
+//! its link-flap schedule from it). With `--json` the report carries one
+//! metrics snapshot per (system, rate) — the `faults.*` / `recovery.*`
+//! counters, the `recovery.time_ns` histogram and, for the rack leg, the
+//! `health.*` watchdog metrics — and `--counters` dumps each run's
+//! counter tree, where every injected fault appears under its
+//! `faults/<entity>/<kind>` path.
 
 use fld_accel::echo::EchoAccelerator;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
@@ -21,8 +40,60 @@ use fld_sim::metrics::MetricsRegistry;
 use fld_sim::time::{SimDuration, SimTime};
 
 use crate::experiments::echo::steer_to_accel;
+use crate::experiments::{gates, Gates};
 use crate::fmt::TextTable;
+use crate::report::{Cli, Report};
 use crate::Scale;
+
+/// `exp chaos`: the legs `--topology` picks, each validated before its
+/// snapshots move into the report, so a failing sweep still leaves its
+/// evidence behind.
+pub fn run(cli: &Cli, report: &mut Report) -> Gates {
+    let scale = cli.scale();
+    let mut failures = Vec::new();
+
+    if cli.topology != "rack" {
+        let rates: Vec<f64> = match cli.fault_rate {
+            Some(r) if r > 0.0 => vec![0.0, r],
+            Some(_) => vec![0.0],
+            None => DEFAULT_RATES.to_vec(),
+        };
+        let points = sweep(scale, &rates, |rate| cli.fault_plan(rate));
+        report.section(render(&points));
+        failures.extend(validate(&points).err());
+        for p in &points {
+            let label = format!("{:.0e}", p.rate);
+            report.audit(format!("echo@{label}"), p.echo_audit.clone());
+            report.audit(format!("rdma@{label}"), p.rdma_audit.clone());
+        }
+        for p in points {
+            let label = format!("{:.0e}", p.rate);
+            report.metrics(format!("echo@{label}"), p.echo_metrics);
+            report.metrics(format!("rdma@{label}"), p.rdma_metrics);
+            report.counters(format!("echo@{label}"), p.echo_counters);
+            report.counters(format!("rdma@{label}"), p.rdma_counters);
+        }
+    }
+
+    if cli.topology != "single" {
+        let legs = run_rack_leg(scale, cli.fault_seed);
+        report.section(render_rack(&legs));
+        failures.extend(validate_rack(&legs).err());
+        report.audit("rack-baseline", legs.baseline.audit);
+        report.audit("rack-faulted", legs.faulted.audit);
+        report.metrics("rack-baseline", legs.baseline.metrics);
+        report.metrics("rack-faulted", legs.faulted.metrics);
+        report.counters("rack-faulted/fabric", legs.faulted.counters);
+        for (n, snap) in legs.faulted.node_counters.into_iter().enumerate() {
+            report.counters(format!("rack-faulted/node{n}"), snap);
+        }
+    }
+
+    if failures.is_empty() {
+        println!("chaos sweep OK: all faults accounted, recoveries measured, audits clean");
+    }
+    gates(failures)
+}
 
 /// The default fault-rate sweep: a fault-free baseline plus three decades.
 pub const DEFAULT_RATES: &[f64] = &[0.0, 1e-4, 1e-3, 1e-2];

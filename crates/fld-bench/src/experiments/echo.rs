@@ -2,6 +2,7 @@
 //! § 8.1.1 mixed-size (IMC-2010) packet-rate comparison.
 
 use fld_accel::echo::EchoAccelerator;
+use fld_core::rdma_system::RdmaConfig;
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig};
 use fld_nic::eswitch::{Action, MatchSpec, Rule};
 use fld_nic::nic::{Direction, Nic};
@@ -10,7 +11,9 @@ use fld_sim::time::{Bandwidth, SimDuration, SimTime};
 use fld_workloads::gen::mixed_size_bursts;
 use fld_workloads::sizes::SizeDist;
 
+use crate::experiments::Gates;
 use crate::fmt::TextTable;
+use crate::report::{Cli, Report};
 use crate::Scale;
 
 /// Steers all ingress traffic to the FLD echo accelerator; returning
@@ -99,7 +102,7 @@ pub fn run_echo(
 /// One FLD-E echo run with full telemetry enabled: per-packet lifecycle
 /// tracing plus stage-latency histograms, and — when `recorder` is set —
 /// the flight recorder sampling every probe at that interval. Backs
-/// `fig7b --json/--trace/--timeline`.
+/// `exp fig7b --json/--trace/--timeline`.
 ///
 /// The traffic is tagged with tenant context 1 and policed at 30 Gbps
 /// (above the 25 GbE line, so nothing drops) purely so the
@@ -161,6 +164,58 @@ pub fn run_echo_telemetry(
         sys.enable_flight_recorder(interval);
     }
     sys.run(warmup, deadline)
+}
+
+/// Figure 7b: both sweeps, and — when the flags ask for a report, trace,
+/// timeline or counter dump — one instrumented pass behind them.
+///
+/// With `--json` the report includes a full hierarchical metrics
+/// snapshot of a telemetry-enabled 1500 B FLD-E run (per-stage latency
+/// histograms under `latency.stage.*`); with `--trace` the same run's
+/// per-packet lifecycle events are written as Chrome trace-event JSON —
+/// merged with flight-recorder counter tracks (ring occupancy, PCIe
+/// credits, shaper tokens, link utilization, accelerator queue depth,
+/// in-flight RDMA window) from the FLD-E run and a 4 KiB FLD-R run —
+/// loadable in Perfetto or `chrome://tracing`. `--timeline` writes the
+/// FLD-E time-series document and `--sample-interval-ns` tunes the
+/// probe sampling period.
+pub fn fig7b(cli: &Cli, report: &mut Report) -> Gates {
+    let scale = cli.scale();
+    report.section(fig7b_flde(scale));
+    report.section(super::rdma::fig7b_fldr(scale));
+    if cli.wants_telemetry() {
+        let cfg = SystemConfig::remote();
+        let offered = cfg.client_rate.as_bps() / (1500.0 * 8.0);
+        let stats = run_echo_telemetry(
+            cfg,
+            1500,
+            offered,
+            scale.sized_packets(offered),
+            scale.warmup(),
+            scale.deadline(),
+            1 << 16,
+            Some(cli.sample_interval()),
+        );
+        let rdma = super::rdma::run_rdma_telemetry(
+            RdmaConfig::remote(4096, 64, scale.packets),
+            scale.warmup(),
+            scale.deadline(),
+            cli.sample_interval(),
+        );
+        report.trace_json(stats.trace.to_chrome_json_with_counters(&[
+            ("fld-e probes", &stats.timeline),
+            ("fld-r probes", &rdma.timeline),
+        ]));
+        report.section(format!("{}", stats.bottleneck()));
+        report.audit("flde.remote.1500B", stats.audit.clone());
+        report.audit("fldr.remote.4096B", rdma.audit.clone());
+        report.metrics("flde.remote.1500B", stats.metrics);
+        report.metrics("fldr.remote.4096B", rdma.metrics);
+        report.counters("flde.remote.1500B", stats.counters);
+        report.counters("fldr.remote.4096B", rdma.counters);
+        report.timeline(stats.timeline);
+    }
+    Ok(())
 }
 
 /// The per-size echo bandwidth sweep of Figure 7b (FLD-E columns), local

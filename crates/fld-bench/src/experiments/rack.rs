@@ -1,7 +1,10 @@
 //! Rack-scale multi-tenant topology: ≥ 2048 live tx queues across N FLD
 //! nodes, SR-IOV VF partitioning, and tenant isolation under incast.
 //!
-//! Two scenarios back the `rack` binary:
+//! Two scenarios back `exp rack` (`--nodes`, `--tenants`, `--churn`
+//! size it), whose gates fail the run when the shaped-leg victim p99
+//! exceeds 2× its isolated baseline or a run at ≥ 2048 configured queues
+//! leaves rings dead:
 //!
 //! * **liveness** — uniform traffic under connection churn, proving the
 //!   Figure 4 memory-model point (2048 queues) as an *executed* run: the
@@ -21,8 +24,59 @@ use fld_sim::rng::SimRng;
 use fld_sim::time::{Bandwidth, SimDuration};
 use fld_workloads::churn::{ChurnConfig, ChurnProcess};
 
+use crate::experiments::{gates, Gates};
 use crate::fmt::TextTable;
+use crate::report::{Cli, Report};
 use crate::Scale;
+
+/// `exp rack`: the liveness leg, then the three isolation legs.
+pub fn run(cli: &Cli, report: &mut Report) -> Gates {
+    let scale = cli.scale();
+    let base = RackConfig {
+        nodes: cli.nodes,
+        tenants: cli.tenants,
+        ..RackConfig::default()
+    };
+    let mut failures = Vec::new();
+
+    // Leg 1: queue liveness under uniform traffic and churn — the run
+    // that executes the Figure 4 memory-model point.
+    let recorder = cli.wants_telemetry().then(|| cli.sample_interval());
+    let live = run_rack(liveness_cfg(base), cli.churn, scale, recorder);
+    report.section(render_liveness(&live));
+    if live.queues_configured >= 2048 && live.queues_live < 2048 {
+        failures.push(format!(
+            "only {} of {} tx queues went live (need >= 2048)",
+            live.queues_live, live.queues_configured
+        ));
+    }
+    report.audit("liveness", live.audit);
+    report.metrics("liveness", live.metrics);
+    report.timeline(live.timeline);
+    report.counters("liveness/fabric", live.counters);
+    for (n, snap) in live.node_counters.into_iter().enumerate() {
+        report.counters(format!("liveness/node{n}"), snap);
+    }
+
+    // Legs 2-4: tenant isolation under incast.
+    let legs = isolation(base, cli.churn, scale);
+    report.section(legs.render());
+    let ratio = legs.shaped_ratio();
+    if ratio.is_nan() || ratio > 2.0 {
+        failures.push(format!(
+            "shaped victim p99 is x{ratio:.2} its isolated baseline (bar: <= x2)"
+        ));
+    }
+    for (name, stats) in [
+        ("isolated", legs.isolated),
+        ("unshaped", legs.unshaped),
+        ("shaped", legs.shaped),
+    ] {
+        report.audit(name, stats.audit);
+        report.metrics(name, stats.metrics);
+    }
+    gates(failures)
+}
 
 /// The per-VF token-bucket shape for the isolation experiment's shaped
 /// leg: 36 VFs (9 tenants × 4 nodes) × 0.2 Gbps = 7.2 Gbps, comfortably

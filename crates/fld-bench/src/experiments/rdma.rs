@@ -9,7 +9,7 @@ use crate::Scale;
 
 /// One FLD-R echo run with the flight recorder enabled: samples the
 /// in-flight RDMA PSN window, outstanding messages, accelerator backlog
-/// and per-window wire/PCIe utilization. Backs `fig7b --json/--trace`
+/// and per-window wire/PCIe utilization. Backs `exp fig7b --json/--trace`
 /// (the RDMA counter tracks of the merged Perfetto export).
 pub fn run_rdma_telemetry(
     cfg: RdmaConfig,

@@ -1,9 +1,10 @@
 //! # fld-bench — the FlexDriver experiment harness
 //!
-//! One entry point per table and figure of the paper's evaluation
-//! (see `DESIGN.md` § 4 for the index), exposed both as library functions
-//! (so integration tests can run them at reduced scale) and as binaries
-//! (`cargo run -p fld-bench --bin <experiment>`).
+//! One registry entry per table and figure of the paper's evaluation
+//! ([`experiments::REGISTRY`]; `DESIGN.md` § 4 is the index), exposed
+//! both as library functions (so integration tests can run them at
+//! reduced scale) and through one binary
+//! (`cargo run -p fld-bench --bin exp -- <id>`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -17,15 +18,6 @@ pub mod report;
 pub mod runner;
 
 use fld_sim::time::SimTime;
-
-/// Every bench binary (and this crate's test binaries) allocates through
-/// the counting wrapper, so `--prof` runs attribute heap churn per
-/// engine phase. The wrapper delegates straight to the system allocator;
-/// its thread-local counter bumps are in the noise next to allocation
-/// itself, and the whole thing compiles away without the `prof` feature.
-#[cfg(feature = "prof")]
-#[global_allocator]
-static ALLOC: fld_sim::prof::CountingAlloc = fld_sim::prof::CountingAlloc;
 
 /// How long simulation-backed experiments run.
 #[derive(Debug, Clone, Copy)]
@@ -82,15 +74,6 @@ pub fn repo_root() -> std::path::PathBuf {
         .join("../..")
         .canonicalize()
         .unwrap_or_else(|_| std::path::PathBuf::from("."))
-}
-
-/// Parses `--quick` from argv into a [`Scale`].
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        Scale::quick()
-    } else {
-        Scale::full()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,5 @@
-//! Where a measurement ran, and the argv helper that lets a binary keep
-//! flags of its own while the shared [`crate::report::Cli`] still
-//! hard-errors on anything it doesn't know. (Host speed itself is
-//! recorded in one place, the `benchmark/` package.)
+//! Where a measurement ran. (Host speed itself is recorded in one
+//! place, the `benchmark/` package.)
 
 use std::process::Command;
 
@@ -53,39 +51,9 @@ fn command_line(cmd: &mut Command) -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Removes `flag <value>` from `args`, returning the value. Used by
-/// binaries to extract their own flags before handing the rest to
-/// [`crate::report::Cli::parse_args`] — that keeps the shared parser's
-/// unknown-flag hard error intact for everything else.
-pub fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
-    }
-    args.remove(i);
-    Some(args.remove(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strings(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn takes_bin_specific_flags_out_of_argv() {
-        let mut args = strings(&["--quick", "--topology", "rack", "--jobs", "2"]);
-        assert_eq!(
-            take_flag_value(&mut args, "--topology").as_deref(),
-            Some("rack")
-        );
-        assert_eq!(args, strings(&["--quick", "--jobs", "2"]));
-        assert_eq!(take_flag_value(&mut args, "--topology"), None);
-        assert_eq!(args.len(), 3);
-    }
 
     #[test]
     fn host_meta_detects_something() {

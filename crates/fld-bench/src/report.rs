@@ -1,20 +1,21 @@
-//! Machine-readable experiment output.
+//! The `exp` command line and machine-readable experiment output.
 //!
-//! Every experiment binary accepts `--json <path>` (write a structured
-//! report alongside the usual text tables), `--trace <path>` (write a
-//! Chrome trace-event / Perfetto JSON of per-packet lifecycle events,
-//! for binaries that run with telemetry enabled), `--timeline <path>`
-//! (write the flight-recorder time-series document, CSV when the path
-//! ends in `.csv`, JSON otherwise), `--sample-interval-ns <n>` (the
-//! flight-recorder sampling period) and `--strict-audit` (escalate any
-//! runtime-invariant violation to a hard error). A binary asked for an
-//! artifact its experiment does not produce fails instead of exiting 0
-//! without the file ([`Report::finish`]). The report JSON carries
-//! the experiment name, the rendered text sections, one hierarchical
-//! [`MetricsRegistry`] snapshot per instrumented run, and the audit
-//! summaries of instrumented runs.
+//! Every experiment takes `--quick`, `--jobs <n>`, `--json <path>` (write
+//! a structured report alongside the usual text tables) and
+//! `--strict-audit` (escalate any runtime-invariant violation to a hard
+//! error). The other flags — the artifact paths `--trace`, `--timeline`,
+//! `--counters` and `--prof`, `--sample-interval-ns`, the fault flags and
+//! the `rack` / `chaos` value flags — are each declared by the registry
+//! entries that act on them ([`Experiment::flags`]), and
+//! [`Cli::parse_for`] rejects one an entry does not declare before
+//! anything runs. The report JSON
+//! carries the experiment name, the rendered text sections, one
+//! hierarchical [`MetricsRegistry`] snapshot per instrumented run, and
+//! the audit summaries of instrumented runs.
 
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use fld_sim::audit::AuditReport;
 use fld_sim::counters::CounterSnapshot;
@@ -23,9 +24,37 @@ use fld_sim::metrics::MetricsRegistry;
 use fld_sim::probe::Timeline;
 use fld_sim::time::SimDuration;
 
+use crate::experiments::{Experiment, ALL, REGISTRY};
 use crate::Scale;
 
-/// Command-line options shared by every experiment binary.
+/// The flags every experiment takes, as the help prints them.
+const UNIVERSAL: &str = "  --quick                   run at reduced scale
+  --jobs <n>                run sweep points on <n> worker threads
+  --json <path>             write the structured report as JSON
+  --strict-audit            escalate invariant violations to hard errors
+  -h, --help                print this help";
+
+/// The flags an experiment takes only if its registry entry names them
+/// ([`Experiment::flags`]), as the help prints them.
+const DECLARED: &str = "  --trace <path>            write a Chrome trace-event JSON
+  --timeline <path>         write the flight-recorder timeline, .csv => CSV
+  --counters <path>         write the hardware-counter dump as JSON + <path>.txt
+  --prof <path>             write the engine self-profile as JSON + <path>.folded
+  --sample-interval-ns <n>  flight-recorder sampling period (default 1000)
+  --fault-rate <p>          fault-injection probability per opportunity
+  --fault-kinds <csv>       restrict faults to these kinds (\"list\" prints them)
+  --fault-seed <n>          fault-injection RNG seed (default 1)
+  --nodes <n>               FLD server nodes (default 4)
+  --tenants <n>             tenants, one VF per node each (default 9)
+  --churn <rate>            flow arrivals/s, 0 disables churn (default 20000)
+  --topology <which>        single | rack | all: which legs run (default all)";
+
+/// The flag a help line describes.
+fn name(line: &str) -> &str {
+    line.split_whitespace().next().unwrap_or(line)
+}
+
+/// The options of one `exp` invocation.
 #[derive(Debug)]
 pub struct Cli {
     /// Run at reduced scale (`--quick`).
@@ -54,50 +83,56 @@ pub struct Cli {
     pub fault_seed: u64,
     /// Write the engine self-profile here (`--prof <path>`; a folded-
     /// stacks flamegraph file is written next to it with extension
-    /// `.folded`). Parsing the flag arms `fld_sim::prof::set_enabled`.
+    /// `.folded`). [`Cli::arm`] arms `fld_sim::prof::set_enabled`.
     pub prof: Option<PathBuf>,
     /// Write the hierarchical hardware-counter dump here
     /// (`--counters <path>`; an ethtool-style text rendering is written
     /// next to it with extension `.txt`).
     pub counters: Option<PathBuf>,
+    /// `rack`: FLD server nodes (`--nodes <n>`, default 4).
+    pub nodes: u16,
+    /// `rack`: tenants, one VF per node each (`--tenants <n>`, default 9).
+    pub tenants: u16,
+    /// `rack`: flow arrivals/s, 0 disables churn (`--churn <rate>`,
+    /// default 20000).
+    pub churn: f64,
+    /// `chaos`: which legs run (`--topology single|rack|all`, default all).
+    pub topology: String,
 }
 
 /// Why argument parsing stopped: an explicit help request or a
 /// rejected flag.
 #[derive(Debug, PartialEq, Eq)]
-enum CliError {
+pub enum CliError {
     /// `--help` / `-h`.
     Help,
     /// `--fault-kinds list`: print every kind name and exit.
     ListKinds,
-    /// Unknown or malformed argument, with the message to print.
+    /// Unknown, undeclared or malformed argument, with the message to
+    /// print.
     Bad(String),
 }
 
 use CliError::{Bad, Help, ListKinds};
 
-/// Usage text printed by `--help` (and on parse errors).
-pub const USAGE: &str = "\
-Options shared by every experiment binary:
-  --quick                   run at reduced scale
-  --jobs <n>                run sweep points on <n> worker threads
-  --json <path>             write the structured report as JSON
-  --trace <path>            write a Chrome trace-event JSON (fig7b)
-  --timeline <path>         write the flight-recorder timeline, .csv => CSV
-                            (fig7b, rack)
-  --sample-interval-ns <n>  flight-recorder sampling period (default 1000)
-  --strict-audit            escalate invariant violations to hard errors
-  --fault-rate <p>          fault-injection probability per opportunity
-  --fault-kinds <csv>       restrict faults to these kinds (default: all;
-                            \"list\" prints every kind name and exits)
-  --fault-seed <n>          fault-injection RNG seed (default 1)
-  --prof <path>             write the engine self-profile as JSON (plus a
-                            <path>.folded flamegraph stacks file)
-  --counters <path>         write the per-entity hardware-counter dump as
-                            JSON (plus a <path>.txt ethtool-style listing;
-                            fig7b, rack, chaos)
-  -h, --help                print this help
-A binary asked for an artifact its experiment does not produce exits non-zero.";
+/// The help text: the universal flags, then each declared flag with the
+/// experiments that take it.
+pub fn usage() -> String {
+    let mut out = format!(
+        "usage: exp <id> [flags] | exp all [flags] | exp list\n\n\
+         Every experiment takes:\n{UNIVERSAL}\n\
+         Only the experiments named take (elsewhere: usage error, exit 2):\n"
+    );
+    for line in DECLARED.lines() {
+        let takers: Vec<&str> = std::iter::once(&ALL)
+            .chain(REGISTRY)
+            .filter(|e| e.flags.contains(&name(line)))
+            .map(|e| e.id)
+            .collect();
+        let _ = writeln!(out, "{line}\n{:28}({})", "", takers.join(", "));
+    }
+    out + "`exp list` prints the experiments; `exp all` runs those of the paper."
+}
 
 impl Default for Cli {
     fn default() -> Cli {
@@ -114,144 +149,115 @@ impl Default for Cli {
             fault_seed: 1,
             prof: None,
             counters: None,
+            nodes: 4,
+            tenants: 9,
+            churn: 20_000.0,
+            topology: "all".into(),
         }
     }
 }
 
+/// The value after `flag`: a path.
+fn path(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<Option<PathBuf>, CliError> {
+    match args.next() {
+        Some(p) => Ok(Some(PathBuf::from(p))),
+        None => Err(Bad(format!("{flag} requires a path"))),
+    }
+}
+
+/// The value after `flag`: a `T` that `accept` admits, or the error
+/// "`flag` requires `what`".
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(accept)
+        .ok_or_else(|| Bad(format!("{flag} requires {what}")))
+}
+
 impl Cli {
-    /// Parses the process arguments, printing [`USAGE`] and exiting on
-    /// `--help` (status 0) or any unknown/malformed flag (status 2).
-    /// With `--strict-audit` this also arms the process-wide strict-audit
-    /// switch so every system built by the experiment — however deep
-    /// inside library code — panics on the first invariant violation;
-    /// `--jobs` likewise arms [`crate::runner::set_jobs`].
-    pub fn parse() -> Cli {
-        Cli::parse_args(std::env::args().skip(1))
-    }
-
-    /// Like [`Cli::parse`] but over an explicit argument list (without
-    /// the program name). Binaries with extra flags of their own extract
-    /// them from `std::env::args` first and hand the remainder here, so
-    /// the unknown-flag hard error still covers typos.
-    pub fn parse_args(args: impl Iterator<Item = String>) -> Cli {
-        let cli = match Cli::from_args(args) {
-            Ok(cli) => cli,
-            Err(Help) => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(ListKinds) => {
-                for kind in fld_sim::fault::FaultKind::ALL {
-                    println!("{}", kind.name());
-                }
-                std::process::exit(0);
-            }
-            Err(Bad(msg)) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                std::process::exit(2);
-            }
-        };
-        if cli.strict_audit {
-            fld_core::system::set_strict_audit(true);
-        }
-        crate::runner::set_jobs(cli.jobs);
-        if cli.prof.is_some() {
-            fld_sim::prof::set_enabled(true);
-        }
-        cli
-    }
-
-    fn from_args(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
+    /// Parses the arguments after `exp <id>` for `entry`. A flag `entry`
+    /// does not declare is an error that names the experiment and lists
+    /// what it takes, so nothing runs with an option it would ignore.
+    pub fn parse_for(
+        entry: &Experiment,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<Cli, CliError> {
+        const POSITIVE: &str = "a positive integer";
         let mut cli = Cli::default();
-        let mut args = args.peekable();
+        let args = &mut args;
         while let Some(arg) = args.next() {
-            match arg.as_str() {
+            let arg = arg.as_str();
+            let declared = DECLARED.lines().any(|line| name(line) == arg);
+            if declared && !entry.flags.contains(&arg) {
+                let universal = ["--quick", "--jobs", "--json", "--strict-audit"];
+                let takes: Vec<&str> = universal.iter().chain(entry.flags).copied().collect();
+                let takes = takes.join(" ");
+                return Err(Bad(format!(
+                    "{} does not take {arg}; it takes: {takes}",
+                    entry.id
+                )));
+            }
+            match arg {
                 "--quick" => cli.quick = true,
                 "--help" | "-h" => return Err(Help),
-                "--json" => {
-                    cli.json = args.next().map(PathBuf::from);
-                    if cli.json.is_none() {
-                        return Err(Bad("--json requires a path".into()));
-                    }
-                }
-                "--trace" => {
-                    cli.trace = args.next().map(PathBuf::from);
-                    if cli.trace.is_none() {
-                        return Err(Bad("--trace requires a path".into()));
-                    }
-                }
-                "--timeline" => {
-                    cli.timeline = args.next().map(PathBuf::from);
-                    if cli.timeline.is_none() {
-                        return Err(Bad("--timeline requires a path".into()));
-                    }
-                }
-                "--sample-interval-ns" => {
-                    let val: Option<u64> = args.next().and_then(|v| v.parse().ok());
-                    match val {
-                        Some(n) if n > 0 => cli.sample_interval_ns = n,
-                        _ => {
-                            return Err(Bad(
-                                "--sample-interval-ns requires a positive integer".into()
-                            ))
-                        }
-                    }
-                }
-                "--jobs" => {
-                    let val: Option<usize> = args.next().and_then(|v| v.parse().ok());
-                    match val {
-                        Some(n) if n > 0 => cli.jobs = n,
-                        _ => return Err(Bad("--jobs requires a positive integer".into())),
-                    }
-                }
                 "--strict-audit" => cli.strict_audit = true,
+                "--json" => cli.json = path(args, arg)?,
+                "--trace" => cli.trace = path(args, arg)?,
+                "--timeline" => cli.timeline = path(args, arg)?,
+                "--counters" => cli.counters = path(args, arg)?,
+                "--prof" => cli.prof = path(args, arg)?,
+                "--jobs" => cli.jobs = value(args, arg, POSITIVE, |&n| n > 0)?,
+                "--sample-interval-ns" => {
+                    cli.sample_interval_ns = value(args, arg, POSITIVE, |&n| n > 0)?;
+                }
+                "--nodes" => cli.nodes = value(args, arg, POSITIVE, |&n| n > 0)?,
+                "--tenants" => cli.tenants = value(args, arg, POSITIVE, |&n| n > 0)?,
+                "--churn" => {
+                    let rate = |r: &f64| r.is_finite() && *r >= 0.0;
+                    cli.churn = value(args, arg, "a non-negative rate", rate)?;
+                }
                 "--fault-rate" => {
-                    let val: Option<f64> = args.next().and_then(|v| v.parse().ok());
-                    match val {
-                        Some(p) if (0.0..=1.0).contains(&p) => cli.fault_rate = Some(p),
-                        _ => {
-                            return Err(Bad("--fault-rate requires a probability in [0, 1]".into()))
-                        }
-                    }
+                    let unit = |p: &f64| (0.0..=1.0).contains(p);
+                    cli.fault_rate = Some(value(args, arg, "a probability in [0, 1]", unit)?);
                 }
-                "--fault-kinds" => {
-                    let val = args.next();
-                    match val {
-                        Some(csv) if csv == "list" => return Err(ListKinds),
-                        // Validate eagerly so typos fail at the CLI, not
-                        // deep inside an experiment.
-                        Some(csv) => {
-                            match fld_sim::fault::FaultPlan::disabled().with_kinds_csv(&csv) {
-                                Ok(_) => cli.fault_kinds = Some(csv),
-                                Err(e) => return Err(Bad(format!("--fault-kinds: {e}"))),
-                            }
-                        }
-                        None => return Err(Bad("--fault-kinds requires a kind list".into())),
-                    }
-                }
-                "--fault-seed" => {
-                    let val: Option<u64> = args.next().and_then(|v| v.parse().ok());
-                    match val {
-                        Some(n) => cli.fault_seed = n,
-                        _ => return Err(Bad("--fault-seed requires an integer".into())),
-                    }
-                }
-                "--prof" => {
-                    cli.prof = args.next().map(PathBuf::from);
-                    if cli.prof.is_none() {
-                        return Err(Bad("--prof requires a path".into()));
-                    }
-                }
-                "--counters" => {
-                    cli.counters = args.next().map(PathBuf::from);
-                    if cli.counters.is_none() {
-                        return Err(Bad("--counters requires a path".into()));
-                    }
-                }
+                "--fault-seed" => cli.fault_seed = value(args, arg, "an integer", |_| true)?,
+                "--fault-kinds" => match args.next() {
+                    Some(csv) if csv == "list" => return Err(ListKinds),
+                    // Validate eagerly so typos fail at the CLI, not deep
+                    // inside an experiment.
+                    Some(csv) => match fld_sim::fault::FaultPlan::disabled().with_kinds_csv(&csv) {
+                        Ok(_) => cli.fault_kinds = Some(csv),
+                        Err(e) => return Err(Bad(format!("--fault-kinds: {e}"))),
+                    },
+                    None => return Err(Bad("--fault-kinds requires a kind list".into())),
+                },
+                "--topology" => match args.next() {
+                    Some(t) if matches!(t.as_str(), "single" | "rack" | "all") => cli.topology = t,
+                    _ => return Err(Bad("--topology requires single, rack or all".into())),
+                },
                 other => return Err(Bad(format!("unknown argument {other:?}"))),
             }
         }
         Ok(cli)
+    }
+
+    /// Arms the process-wide switches the flags stand for, so every
+    /// system built by the experiment — however deep inside library code
+    /// — sees them: strict audit, the [`crate::runner`] worker count and
+    /// the self-profiler.
+    pub fn arm(&self) {
+        if self.strict_audit {
+            fld_core::system::set_strict_audit(true);
+        }
+        crate::runner::set_jobs(self.jobs);
+        if self.prof.is_some() {
+            fld_sim::prof::set_enabled(true);
+        }
     }
 
     /// The experiment scale implied by the flags.
@@ -278,15 +284,16 @@ impl Cli {
             || self.counters.is_some()
     }
 
-    /// Builds the fault plan implied by the fault flags, injecting at
-    /// `rate` unless `--fault-rate` overrides it.
+    /// The fault plan injecting at `rate` with the seed and the kinds
+    /// the fault flags name (`--fault-rate` picks the sweep's rates, not
+    /// a point's plan).
     ///
     /// # Panics
     ///
     /// Panics if `fault_kinds` holds an invalid list — impossible through
-    /// [`Cli::parse`], which validates the flag.
+    /// [`Cli::parse_for`], which validates the flag.
     pub fn fault_plan(&self, rate: f64) -> fld_sim::fault::FaultPlan {
-        let plan = fld_sim::fault::FaultPlan::new(self.fault_rate.unwrap_or(rate), self.fault_seed);
+        let plan = fld_sim::fault::FaultPlan::new(rate, self.fault_seed);
         match &self.fault_kinds {
             Some(csv) => plan
                 .with_kinds_csv(csv)
@@ -301,6 +308,8 @@ impl Cli {
 #[derive(Debug)]
 pub struct Report {
     experiment: &'static str,
+    /// Whether sections and audits are printed as they are attached.
+    echo: bool,
     sections: Vec<String>,
     metrics: Vec<(String, MetricsRegistry)>,
     trace_json: Option<String>,
@@ -310,10 +319,19 @@ pub struct Report {
 }
 
 impl Report {
-    /// Starts a report for `experiment`.
+    /// Starts a report for `experiment` that prints to stdout as it goes.
     pub fn new(experiment: &'static str) -> Report {
         Report {
+            echo: true,
+            ..Report::quiet(experiment)
+        }
+    }
+
+    /// Starts a report for `experiment` that only collects.
+    pub fn quiet(experiment: &'static str) -> Report {
+        Report {
             experiment,
+            echo: false,
             sections: Vec::new(),
             metrics: Vec::new(),
             trace_json: None,
@@ -323,11 +341,27 @@ impl Report {
         }
     }
 
+    fn say(&self, line: std::fmt::Arguments) {
+        if self.echo {
+            println!("{line}");
+        }
+    }
+
     /// Prints a text section to stdout and records it for the JSON report.
     pub fn section(&mut self, text: impl Into<String>) {
         let text = text.into();
-        println!("{text}");
+        self.say(format_args!("{text}"));
         self.sections.push(text);
+    }
+
+    /// Prints a rule between sections (stdout only; not recorded).
+    pub fn rule(&self) {
+        self.say(format_args!("{}", "=".repeat(72)));
+    }
+
+    /// The text sections, in order.
+    pub fn into_sections(self) -> Vec<String> {
+        self.sections
     }
 
     /// Attaches a metrics snapshot under `label`.
@@ -352,8 +386,16 @@ impl Report {
     /// assert `violations == 0` without re-running the experiment.
     pub fn audit(&mut self, label: impl Into<String>, audit: AuditReport) {
         let label = label.into();
-        println!("[{label}] {audit}");
+        self.say(format_args!("[{label}] {audit}"));
         self.audits.push((label, audit));
+    }
+
+    /// One line per attached audit that recorded a violation.
+    pub fn audit_failures(&self) -> Vec<String> {
+        let failed = self.audits.iter().filter(|(_, audit)| !audit.passed());
+        failed
+            .map(|(label, audit)| format!("{label} audit: {audit}"))
+            .collect()
     }
 
     /// Attaches a hardware-counter snapshot under `label`, written to the
@@ -411,64 +453,85 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// Fails when a file cannot be written, and when a requested artifact
-    /// is one this experiment did not produce — the error names the flag,
-    /// so a run never exits 0 without the file it was asked for.
-    pub fn finish(&self, cli: &Cli) -> std::io::Result<()> {
-        if let Some(path) = &cli.json {
-            std::fs::write(path, self.to_json())?;
-            eprintln!("wrote report to {}", path.display());
-        }
-        if let Some(path) = &cli.trace {
-            let json = self
-                .trace_json
-                .as_ref()
-                .ok_or_else(|| not_produced("--trace", "a packet trace"))?;
-            std::fs::write(path, json)?;
-            eprintln!("wrote trace to {}", path.display());
-        }
-        if let Some(path) = &cli.timeline {
-            let tl = self
-                .timeline
-                .as_ref()
-                .filter(|tl| tl.is_enabled())
-                .ok_or_else(|| not_produced("--timeline", "a flight-recorder timeline"))?;
-            let csv = path.extension().is_some_and(|e| e == "csv");
-            std::fs::write(path, if csv { tl.to_csv() } else { tl.to_json() })?;
-            eprintln!(
-                "wrote {} timeline ({} ticks) to {}",
-                if csv { "CSV" } else { "JSON" },
-                tl.ticks(),
-                path.display()
-            );
-        }
-        if let Some(path) = &cli.prof {
-            write_profile(path)?;
-        }
-        if let Some(path) = &cli.counters {
-            if self.counters.is_empty() {
-                return Err(not_produced("--counters", "counter snapshots"));
-            }
-            std::fs::write(
-                path,
-                fld_sim::counters::write_dump(self.experiment, &self.counters),
-            )?;
-            let txt = path.with_extension("txt");
-            let mut text = String::new();
-            for (label, snap) in &self.counters {
-                text.push_str(&snap.render_text(label));
-                text.push('\n');
-            }
-            std::fs::write(&txt, text)?;
-            eprintln!(
-                "wrote counters ({} runs) to {} (+ {})",
-                self.counters.len(),
-                path.display(),
-                txt.display()
-            );
-        }
+    /// One line per artifact that was not written, after attempting them
+    /// all: a file that cannot be written, or an artifact this
+    /// experiment did not attach (the registry entry declares a flag its
+    /// `run` does not honour) — the line names the flag, so a run never
+    /// exits 0 without a file it was asked for.
+    pub fn finish(&self, cli: &Cli) -> Result<(), Vec<String>> {
+        let artifacts = [
+            cli.json.as_ref().map(|p| self.write_json(p)),
+            cli.trace.as_ref().map(|p| self.write_trace(p)),
+            cli.timeline.as_ref().map(|p| self.write_timeline(p)),
+            cli.prof.as_ref().map(|p| write_profile(p)),
+            cli.counters.as_ref().map(|p| self.write_counters(p)),
+        ];
+        let failed = artifacts.into_iter().flatten().filter_map(Result::err);
+        crate::experiments::gates(failed.map(|e| e.to_string()).collect())
+    }
+
+    fn write_json(&self, path: &Path) -> std::io::Result<()> {
+        write(path, self.to_json())?;
+        eprintln!("wrote report to {}", path.display());
         Ok(())
     }
+
+    fn write_trace(&self, path: &Path) -> std::io::Result<()> {
+        let json = self
+            .trace_json
+            .as_ref()
+            .ok_or_else(|| not_produced("--trace", "a packet trace"))?;
+        write(path, json)?;
+        eprintln!("wrote trace to {}", path.display());
+        Ok(())
+    }
+
+    fn write_timeline(&self, path: &Path) -> std::io::Result<()> {
+        let tl = self
+            .timeline
+            .as_ref()
+            .filter(|tl| tl.is_enabled())
+            .ok_or_else(|| not_produced("--timeline", "a flight-recorder timeline"))?;
+        let csv = path.extension().is_some_and(|e| e == "csv");
+        write(path, if csv { tl.to_csv() } else { tl.to_json() })?;
+        eprintln!(
+            "wrote {} timeline ({} ticks) to {}",
+            if csv { "CSV" } else { "JSON" },
+            tl.ticks(),
+            path.display()
+        );
+        Ok(())
+    }
+
+    fn write_counters(&self, path: &Path) -> std::io::Result<()> {
+        if self.counters.is_empty() {
+            return Err(not_produced("--counters", "counter snapshots"));
+        }
+        write(
+            path,
+            fld_sim::counters::write_dump(self.experiment, &self.counters),
+        )?;
+        let txt = path.with_extension("txt");
+        let mut text = String::new();
+        for (label, snap) in &self.counters {
+            text.push_str(&snap.render_text(label));
+            text.push('\n');
+        }
+        write(&txt, text)?;
+        eprintln!(
+            "wrote counters ({} runs) to {} (+ {})",
+            self.counters.len(),
+            path.display(),
+            txt.display()
+        );
+        Ok(())
+    }
+}
+
+/// `std::fs::write` whose error names the path.
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+    std::fs::write(path, contents)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
 /// The error for an artifact `flag` asked for and the experiment did not
@@ -485,13 +548,13 @@ fn not_produced(flag: &str, what: &str) -> std::io::Error {
 /// # Errors
 ///
 /// Fails when either file cannot be written, and when nothing was
-/// profiled — the `prof` cargo feature is off or no engine ran.
-pub fn write_profile(path: &std::path::Path) -> std::io::Result<()> {
+/// profiled — no engine ran.
+pub fn write_profile(path: &Path) -> std::io::Result<()> {
     let profile = fld_sim::prof::take_global()
         .ok_or_else(|| std::io::Error::other("--prof: no engine run was profiled"))?;
-    std::fs::write(path, profile.to_json())?;
+    write(path, profile.to_json())?;
     let folded = path.with_extension("folded");
-    std::fs::write(&folded, profile.to_folded())?;
+    write(&folded, profile.to_folded())?;
     let top = profile.top_phase().map_or(String::new(), |p| {
         format!(
             ", top phase {} ({:.0}%)",
@@ -513,21 +576,104 @@ pub fn write_profile(path: &std::path::Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> std::vec::IntoIter<String> {
-        list.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    /// `exp <id> <list…>` as the parser sees it.
+    fn parse(id: &str, list: &[&str]) -> Result<Cli, CliError> {
+        let entry = Experiment::find(id).expect("a registered id");
+        Cli::parse_for(entry, list.iter().map(|s| s.to_string()))
+    }
+
+    /// The message of a rejected command line.
+    fn bad(id: &str, list: &[&str]) -> String {
+        match parse(id, list) {
+            Err(Bad(msg)) => msg,
+            other => panic!("exp {id} {list:?}: expected Bad, got {other:?}"),
+        }
+    }
+
+    /// A flag belongs to the entries that declare it: everywhere else it
+    /// is refused by name, with what the entry does take, before a run.
+    #[test]
+    fn a_flag_is_parsed_for_the_entry_that_declares_it() {
+        let refused: [(&str, &str); 9] = [
+            ("fig7a", "--trace"),
+            ("all", "--counters"),
+            ("table1", "--prof"),
+            ("rack", "--trace"),
+            ("chaos", "--timeline"),
+            ("fig7b", "--fault-rate"),
+            ("fig7b", "--nodes"),
+            ("rack", "--topology"),
+            ("fig7c", "--sample-interval-ns"),
+        ];
+        for (id, flag) in refused {
+            let msg = bad(id, &[flag, "1"]);
+            let takes = "it takes: --quick --jobs --json --strict-audit";
+            assert!(
+                msg.starts_with(&format!("{id} does not take {flag}; {takes}")),
+                "{msg}"
+            );
+        }
+        assert!(bad("fig7b", &["--nodes", "2"]).ends_with("--prof --sample-interval-ns"));
+
+        let malformed: [(&str, &[&str], &str); 8] = [
+            ("rack", &["--nodes", "0"], "--nodes requires a positive"),
+            ("rack", &["--tenants", "many"], "--tenants requires"),
+            ("rack", &["--churn", "-1"], "--churn requires"),
+            ("rack", &["--nodes"], "--nodes requires"),
+            (
+                "chaos",
+                &["--topology", "mesh"],
+                "--topology requires single",
+            ),
+            ("chaos", &["--topology"], "--topology requires"),
+            ("fig7b", &["--trace"], "--trace requires a path"),
+            ("table1", &["--json"], "--json requires a path"),
+        ];
+        for (id, list, expect) in malformed {
+            assert!(bad(id, list).contains(expect), "{}", bad(id, list));
+        }
+
+        let rack = parse("rack", &["--nodes", "2", "--tenants", "3", "--churn", "0"]).unwrap();
+        assert_eq!((rack.nodes, rack.tenants, rack.churn), (2, 3, 0.0));
+        let rack = parse("rack", &[]).unwrap();
+        assert_eq!((rack.nodes, rack.tenants, rack.churn), (4, 9, 20_000.0));
+        assert_eq!(parse("chaos", &[]).unwrap().topology, "all");
+        let single = parse("chaos", &["--topology", "single"]).unwrap();
+        assert_eq!(single.topology, "single");
+    }
+
+    /// The help names each declared flag next to its takers, and every
+    /// flag a registry entry names is a declared one the parser knows.
+    #[test]
+    fn usage_renders_from_the_registry() {
+        let text = usage();
+        for takers in [
+            "(fig7b)",
+            "(fig7b, rack)",
+            "(fig7b, rack, chaos)",
+            "(rack)",
+            "(chaos)",
+        ] {
+            assert!(text.contains(takers), "{takers} missing from:\n{text}");
+        }
+        for entry in std::iter::once(&ALL).chain(REGISTRY) {
+            for flag in entry.flags {
+                assert!(text.contains(&format!("  {flag} <")), "{flag} undeclared");
+                let alone = Cli::parse_for(entry, [flag.to_string()].into_iter());
+                assert!(
+                    matches!(&alone, Err(Bad(msg)) if msg.starts_with(&format!("{flag} requires"))),
+                    "exp {} {flag}: {alone:?}",
+                    entry.id
+                );
+            }
+        }
     }
 
     #[test]
     fn parses_flags() {
-        let cli = Cli::from_args(args(&["--quick", "--json", "/tmp/x.json"])).unwrap();
+        let cli = parse("table1", &["--quick", "--json", "/tmp/x.json"]).unwrap();
         assert!(cli.quick);
-        assert_eq!(
-            cli.json.as_deref(),
-            Some(std::path::Path::new("/tmp/x.json"))
-        );
+        assert_eq!(cli.json.as_deref(), Some(Path::new("/tmp/x.json")));
         assert!(cli.trace.is_none());
         assert_eq!(cli.scale().packets, Scale::quick().packets);
         assert_eq!(cli.sample_interval_ns, 1_000);
@@ -538,143 +684,117 @@ mod tests {
 
     #[test]
     fn parses_flight_recorder_flags() {
-        let cli = Cli::from_args(args(&[
-            "--timeline",
-            "/tmp/tl.csv",
-            "--sample-interval-ns",
-            "250",
-            "--strict-audit",
-        ]))
+        let cli = parse(
+            "rack",
+            &[
+                "--timeline",
+                "/tmp/tl.csv",
+                "--sample-interval-ns",
+                "250",
+                "--strict-audit",
+            ],
+        )
         .unwrap();
-        assert_eq!(
-            cli.timeline.as_deref(),
-            Some(std::path::Path::new("/tmp/tl.csv"))
-        );
+        assert_eq!(cli.timeline.as_deref(), Some(Path::new("/tmp/tl.csv")));
         assert_eq!(cli.sample_interval_ns, 250);
         assert_eq!(cli.sample_interval(), SimDuration::from_nanos(250));
         assert!(cli.strict_audit);
         assert!(cli.wants_telemetry());
-        assert!(!Cli::from_args(args(&["--quick"]))
-            .unwrap()
-            .wants_telemetry());
+        assert!(!parse("rack", &["--quick"]).unwrap().wants_telemetry());
+        assert!(bad("rack", &["--sample-interval-ns", "0"]).contains("positive"));
     }
 
     #[test]
     fn parses_jobs() {
-        let cli = Cli::from_args(args(&["--jobs", "4"])).unwrap();
-        assert_eq!(cli.jobs, 4);
-        assert!(Cli::from_args(args(&["--jobs"])).is_err());
-        assert!(Cli::from_args(args(&["--jobs", "0"])).is_err());
-        assert!(Cli::from_args(args(&["--jobs", "many"])).is_err());
+        assert_eq!(parse("fig7c", &["--jobs", "4"]).unwrap().jobs, 4);
+        assert!(parse("fig7c", &["--jobs"]).is_err());
+        assert!(parse("fig7c", &["--jobs", "0"]).is_err());
+        assert!(parse("fig7c", &["--jobs", "many"]).is_err());
     }
 
     #[test]
     fn rejects_unknown_flags_and_answers_help() {
-        assert!(matches!(
-            Cli::from_args(args(&["--jbos", "4"])),
-            Err(Bad(m)) if m.contains("--jbos")
-        ));
-        assert!(Cli::from_args(args(&["--quick", "extra"])).is_err());
-        assert!(matches!(Cli::from_args(args(&["--help"])), Err(Help)));
-        assert!(matches!(Cli::from_args(args(&["-h"])), Err(Help)));
-        assert!(USAGE.contains("--jobs"));
+        assert!(bad("table1", &["--jbos", "4"]).contains("--jbos"));
+        assert!(parse("table1", &["--quick", "extra"]).is_err());
+        assert_eq!(parse("table1", &["--help"]).unwrap_err(), Help);
+        assert_eq!(parse("table1", &["-h"]).unwrap_err(), Help);
+        assert!(usage().contains("--jobs"));
     }
 
     #[test]
     fn parses_fault_flags() {
-        let cli = Cli::from_args(args(&[
-            "--fault-rate",
-            "0.001",
-            "--fault-kinds",
-            "drop,rnr",
-            "--fault-seed",
-            "9",
-        ]))
+        let cli = parse(
+            "chaos",
+            &[
+                "--fault-rate",
+                "0.001",
+                "--fault-kinds",
+                "drop,rnr",
+                "--fault-seed",
+                "9",
+            ],
+        )
         .unwrap();
         assert_eq!(cli.fault_rate, Some(0.001));
         assert_eq!(cli.fault_kinds.as_deref(), Some("drop,rnr"));
         assert_eq!(cli.fault_seed, 9);
         let plan = cli.fault_plan(0.5);
-        assert_eq!(plan.rate, 0.001, "--fault-rate overrides the default");
+        assert_eq!(plan.rate, 0.5, "--fault-rate picks the sweep, not a point");
         assert!(plan.enables(fld_sim::fault::FaultKind::LinkDrop));
         assert!(!plan.enables(fld_sim::fault::FaultKind::LinkCorrupt));
         // Malformed values fail at the CLI.
-        assert!(Cli::from_args(args(&["--fault-rate", "2"])).is_err());
-        assert!(Cli::from_args(args(&["--fault-kinds", "nonsense"])).is_err());
-        assert!(Cli::from_args(args(&["--fault-seed", "x"])).is_err());
-        assert!(USAGE.contains("--fault-rate"));
+        assert!(parse("chaos", &["--fault-rate", "2"]).is_err());
+        assert!(parse("chaos", &["--fault-kinds", "nonsense"]).is_err());
+        assert!(parse("chaos", &["--fault-seed", "x"]).is_err());
     }
 
     #[test]
     fn fault_kinds_list_and_unknown_kinds() {
         // `--fault-kinds list` is the enumeration request, not a kind.
-        assert!(matches!(
-            Cli::from_args(args(&["--fault-kinds", "list"])),
-            Err(ListKinds)
-        ));
+        assert_eq!(
+            parse("chaos", &["--fault-kinds", "list"]).unwrap_err(),
+            ListKinds
+        );
         // An unknown kind hard-errors naming the offender and the full
         // valid set, so the CLI is self-documenting on typos.
-        match Cli::from_args(args(&["--fault-kinds", "drop,node_crsh"])) {
-            Err(Bad(msg)) => {
-                assert!(msg.contains("node_crsh"), "{msg}");
-                for kind in fld_sim::fault::FaultKind::ALL {
-                    assert!(
-                        msg.contains(kind.name()),
-                        "missing {} in {msg}",
-                        kind.name()
-                    );
-                }
-            }
-            other => panic!("expected Bad, got {other:?}"),
+        let msg = bad("chaos", &["--fault-kinds", "drop,node_crsh"]);
+        assert!(msg.contains("node_crsh"), "{msg}");
+        for kind in fld_sim::fault::FaultKind::ALL {
+            assert!(
+                msg.contains(kind.name()),
+                "missing {} in {msg}",
+                kind.name()
+            );
         }
         // Every scheduled-fault kind parses as a valid restriction.
-        let cli = Cli::from_args(args(&[
-            "--fault-kinds",
-            "fabric_link_flap,node_crash,vf_unplug",
-        ]))
+        let cli = parse(
+            "chaos",
+            &["--fault-kinds", "fabric_link_flap,node_crash,vf_unplug"],
+        )
         .unwrap();
         let plan = cli.fault_plan(0.1);
         assert!(plan.enables(fld_sim::fault::FaultKind::NodeCrash));
         assert!(!plan.enables(fld_sim::fault::FaultKind::LinkDrop));
-        assert!(USAGE.contains("list"));
+        assert!(usage().contains("list"));
     }
 
     #[test]
     fn parses_prof_flag() {
-        let cli = Cli::from_args(args(&["--prof", "/tmp/p.json"])).unwrap();
-        assert_eq!(
-            cli.prof.as_deref(),
-            Some(std::path::Path::new("/tmp/p.json"))
-        );
-        // Parsing alone (from_args) must not arm the process-wide switch:
-        // only the exiting wrappers do, so library tests stay inert.
+        let cli = parse("fig7c", &["--prof", "/tmp/p.json"]).unwrap();
+        assert_eq!(cli.prof.as_deref(), Some(Path::new("/tmp/p.json")));
+        // Parsing alone must not arm the process-wide switch: only
+        // `Cli::arm` does, so library tests stay inert.
         assert!(!fld_sim::prof::enabled());
-        assert!(Cli::from_args(args(&["--quick"])).unwrap().prof.is_none());
-        // The flag keeps the shared contract: a value is required, and
-        // unknown flags near it still hard-error.
-        assert!(matches!(
-            Cli::from_args(args(&["--prof"])),
-            Err(Bad(m)) if m.contains("--prof")
-        ));
-        assert!(matches!(
-            Cli::from_args(args(&["--porf", "/tmp/p.json"])),
-            Err(Bad(m)) if m.contains("--porf")
-        ));
-        assert!(USAGE.contains("--prof"));
+        assert!(parse("fig7c", &["--quick"]).unwrap().prof.is_none());
+        assert!(bad("fig7c", &["--prof"]).contains("--prof"));
+        assert!(bad("fig7c", &["--porf", "/tmp/p.json"]).contains("--porf"));
     }
 
     #[test]
     fn parses_counters_flag() {
-        let cli = Cli::from_args(args(&["--counters", "/tmp/c.json"])).unwrap();
-        assert_eq!(
-            cli.counters.as_deref(),
-            Some(std::path::Path::new("/tmp/c.json"))
-        );
-        assert!(matches!(
-            Cli::from_args(args(&["--counters"])),
-            Err(Bad(m)) if m.contains("--counters")
-        ));
-        assert!(USAGE.contains("--counters"));
+        let cli = parse("chaos", &["--counters", "/tmp/c.json"]).unwrap();
+        assert_eq!(cli.counters.as_deref(), Some(Path::new("/tmp/c.json")));
+        assert!(bad("chaos", &["--counters"]).contains("--counters"));
     }
 
     /// The calendar has one design and no selector: the retired flag
@@ -683,21 +803,20 @@ mod tests {
     #[test]
     fn rejects_the_retired_calendar_flag() {
         let flag = format!("--{}", "calendar");
-        assert!(matches!(
-            Cli::from_args(args(&[&flag, "heap"])),
-            Err(Bad(m)) if m.contains("unknown argument") && m.contains(&flag)
-        ));
-        assert!(!USAGE.contains(&flag));
+        let msg = bad("fig7b", &[&flag, "heap"]);
+        assert!(msg.contains("unknown argument") && msg.contains(&flag));
+        assert!(!usage().contains(&flag));
     }
 
     /// `finish` on an empty report asked for the artifact `flag` names.
     fn finish_error(flag: &str) -> String {
         let path = std::env::temp_dir().join(format!("fld_report_not_produced{flag}"));
         let _ = std::fs::remove_file(&path);
-        let cli = Cli::from_args(args(&[flag, path.to_str().unwrap()])).unwrap();
-        let err = Report::new("unit-test").finish(&cli).unwrap_err();
+        let cli = parse("fig7b", &[flag, path.to_str().unwrap()]).unwrap();
+        let errs = Report::quiet("unit-test").finish(&cli).unwrap_err();
         assert!(!path.exists(), "{flag} wrote a file and reported an error");
-        err.to_string()
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        errs.into_iter().next().unwrap()
     }
 
     #[test]
@@ -710,14 +829,10 @@ mod tests {
         assert!(finish_error("--timeline").starts_with("--timeline:"));
         // A timeline attached by a run whose recorder was off is no
         // timeline either.
-        let mut r = Report::new("unit-test");
+        let mut r = Report::quiet("unit-test");
         r.timeline(Timeline::disabled());
-        let cli = Cli::from_args(args(&["--timeline", "/nonexistent-dir/tl.csv"])).unwrap();
-        assert!(r
-            .finish(&cli)
-            .unwrap_err()
-            .to_string()
-            .starts_with("--timeline:"));
+        let cli = parse("fig7b", &["--timeline", "/nonexistent-dir/tl.csv"]).unwrap();
+        assert!(r.finish(&cli).unwrap_err()[0].starts_with("--timeline:"));
     }
 
     #[test]
@@ -725,29 +840,60 @@ mod tests {
         assert!(finish_error("--counters").starts_with("--counters:"));
     }
 
+    fn holding_a_trace_and_counters() -> Report {
+        let mut r = Report::quiet("unit-test");
+        r.trace_json("{}".into());
+        let tree = fld_sim::counters::CounterTree::new();
+        tree.counter("port/0/rx/packets").add(7);
+        r.counters("run1", tree.snapshot());
+        r
+    }
+
     #[test]
     fn finish_writes_every_artifact_the_report_holds() {
         let dir = std::env::temp_dir().join("fld_report_finish_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-        let mut r = Report::new("unit-test");
-        r.trace_json("{}".into());
-        let tree = fld_sim::counters::CounterTree::new();
-        tree.counter("port/0/rx/packets").add(7);
-        r.counters("run1", tree.snapshot());
-        let cli = Cli::from_args(args(&[
-            "--json",
-            &path("r.json"),
-            "--trace",
-            &path("t.json"),
-            "--counters",
-            &path("c.json"),
-        ]))
+        let cli = parse(
+            "fig7b",
+            &[
+                "--json",
+                &path("r.json"),
+                "--trace",
+                &path("t.json"),
+                "--counters",
+                &path("c.json"),
+            ],
+        )
         .unwrap();
-        r.finish(&cli).unwrap();
+        holding_a_trace_and_counters().finish(&cli).unwrap();
         for name in ["r.json", "t.json", "c.json", "c.txt"] {
             assert!(dir.join(name).exists(), "{name} was not written");
         }
+    }
+
+    /// One artifact that cannot be written does not cost the others: the
+    /// failure names its path and everything after it is still on disk.
+    #[test]
+    fn finish_writes_what_it_can_around_an_unwritable_path() {
+        let dir = std::env::temp_dir().join("fld_report_unwritable_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let counters = dir.join("c.json");
+        let _ = std::fs::remove_file(&counters);
+        let cli = parse(
+            "fig7b",
+            &[
+                "--json",
+                "/nonexistent-dir/r.json",
+                "--counters",
+                counters.to_str().unwrap(),
+            ],
+        )
+        .unwrap();
+        let errs = holding_a_trace_and_counters().finish(&cli).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("/nonexistent-dir/r.json:"), "{errs:?}");
+        assert!(counters.exists());
     }
 
     /// No test in this binary arms the profiler (`parses_prof_flag`), so
@@ -759,11 +905,7 @@ mod tests {
 
     #[test]
     fn report_json_carries_schema_version_and_counters() {
-        let mut r = Report::new("unit-test");
-        let tree = fld_sim::counters::CounterTree::new();
-        tree.counter("port/0/rx/packets").add(7);
-        r.counters("run1", tree.snapshot());
-        let json = r.to_json();
+        let json = holding_a_trace_and_counters().to_json();
         assert!(json.contains(&format!(
             "\"schema_version\": {}",
             fld_sim::json::SCHEMA_VERSION
@@ -773,8 +915,8 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let mut r = Report::new("unit-test");
-        r.sections.push("hello".into());
+        let mut r = Report::quiet("unit-test");
+        r.section("hello");
         let mut reg = MetricsRegistry::new();
         reg.counter("nic.drops", 3);
         r.metrics("run1", reg);

@@ -152,13 +152,8 @@ fn rack_counter_dump_matches_golden() {
     let dump = golden_rack_dump(&stats);
     assert_matches_golden("rack_counters.json", &dump);
 
-    // The same bytes also pin the flight-recorder timeline. Timeline
-    // samples only exist with the recorder compiled in, so the golden
-    // half is skipped under --no-default-features.
-    if cfg!(feature = "trace") {
-        let json = stats.timeline.to_json();
-        assert_matches_golden("rack_timeline.json", &json);
-    }
+    // The same bytes also pin the flight-recorder timeline.
+    assert_matches_golden("rack_timeline.json", &stats.timeline.to_json());
 }
 
 #[test]

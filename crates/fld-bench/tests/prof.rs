@@ -25,6 +25,10 @@ use fld_sim::time::{SimDuration, SimTime};
 /// Serializes tests that arm/disarm process-wide profiling.
 static GATE: Mutex<()> = Mutex::new(());
 
+/// Counts per thread, so a test's allocation figures are its own.
+#[global_allocator]
+static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
+
 /// The closed-loop echo system of the telemetry goldens, offering
 /// `packets` frames of `payload` bytes.
 fn echo_system(packets: u64, payload: u32) -> FldSystem {
@@ -58,7 +62,6 @@ fn profiled_echo_run(telemetry: bool) -> RunStats {
     stats
 }
 
-#[cfg(feature = "prof")]
 #[test]
 fn phase_fractions_telescope_on_a_real_run() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -121,9 +124,7 @@ fn phase_fractions_telescope_on_a_real_run() {
 
 /// The counting allocator's numbers are a measurement, not noise: the
 /// same deterministic workload performs the same allocations, run after
-/// run. (The global allocator is installed by the fld-bench crate, so
-/// this test binary counts.)
-#[cfg(feature = "prof")]
+/// run.
 #[test]
 fn allocation_counts_are_reproducible_across_reruns() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -163,7 +164,6 @@ fn allocation_counts_are_reproducible_across_reruns() {
 }
 
 /// This thread's `(allocations, bytes)` spent inside `f`.
-#[cfg(feature = "prof")]
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
     let (calls, bytes) = prof::alloc_counts();
     let out = f();
@@ -174,7 +174,6 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
 /// Reading a frame costs no heap: parse and decap hand out views of the
 /// frame they are given, and wrapping a frame in a packet costs exactly
 /// the `Box` that keeps `SimPacket` small.
-#[cfg(feature = "prof")]
 #[test]
 fn reading_a_frame_allocates_nothing() {
     use fld_net::frame::{build_udp_frame, vxlan_decap, vxlan_encap, Endpoints, ParsedFrame};
@@ -208,7 +207,6 @@ fn reading_a_frame_allocates_nothing() {
 /// fragments per 1.5 KB original). The count is deterministic; the
 /// ceiling is the measured value plus 5 %. (The copying path this
 /// replaced measured 18 989 on the same run.)
-#[cfg(feature = "prof")]
 #[test]
 fn defrag_run_stays_under_its_allocated_bytes_ceiling() {
     use fld_bench::experiments::defrag::{defrag_system, DefragConfig};
@@ -234,7 +232,6 @@ fn defrag_run_stays_under_its_allocated_bytes_ceiling() {
 /// (`CountingAlloc` charges a grown buffer its growth; the benchmark's
 /// allocator, which charges the whole new size, reads 38.8 on the full
 /// `echo_64`, read 57.5 with inline packets and 95.7 before the lanes.)
-#[cfg(feature = "prof")]
 #[test]
 fn open_loop_echo_stays_under_its_allocated_bytes_ceiling() {
     const MEASURED_BYTES_PER_PACKET: f64 = 28.5;
@@ -264,7 +261,6 @@ fn open_loop_echo_stays_under_its_allocated_bytes_ceiling() {
 /// measurement: it repeats exactly, every event of an echo run names a
 /// lane that takes it (nothing falls back to the heap), and laned plus
 /// fallback pushes are all the pushes.
-#[cfg(feature = "prof")]
 #[test]
 fn lane_accounting_is_reproducible_across_reruns() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -278,7 +274,6 @@ fn lane_accounting_is_reproducible_across_reruns() {
 
 /// The merged calendar statistics of the engine runs inside `run`,
 /// profiled under [`GATE`].
-#[cfg(feature = "prof")]
 fn profiled_calendar(run: impl FnOnce()) -> prof::CalendarStats {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let _ = prof::take_global();
@@ -295,7 +290,6 @@ fn profiled_calendar(run: impl FnOnce()) -> prof::CalendarStats {
 /// push out of a lane's reach. A model that starts sending a deep
 /// unordered stream to the heap fails here, by name, instead of as a
 /// drifting benchmark.
-#[cfg(feature = "prof")]
 #[test]
 fn no_rdma_event_falls_back_to_the_heap() {
     use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
@@ -307,7 +301,6 @@ fn no_rdma_event_falls_back_to_the_heap() {
     assert_eq!(cal.fallback_pushes, 0, "{cal:?}");
 }
 
-#[cfg(feature = "prof")]
 #[test]
 fn no_defrag_event_falls_back_to_the_heap() {
     use fld_bench::experiments::defrag::{defrag_system, DefragConfig};
@@ -322,7 +315,6 @@ fn no_defrag_event_falls_back_to_the_heap() {
 /// The benchmark's `rack_chaos` system — 4 nodes × 6 tenants under
 /// churn with the scripted crash/unplug/flap schedule armed — and the 8
 /// simulated ms the tests here run it for.
-#[cfg(feature = "prof")]
 fn chaos_rack() -> (fld_core::rack::Rack, fld_bench::Scale) {
     use fld_bench::experiments::{chaos, rack};
     let cfg = chaos::rack_cfg(7);
@@ -339,7 +331,6 @@ fn chaos_rack() -> (fld_core::rack::Rack, fld_bench::Scale) {
     (rack, scale)
 }
 
-#[cfg(feature = "prof")]
 #[test]
 fn a_faulted_churned_rack_sends_the_heap_under_one_percent() {
     let cal = profiled_calendar(|| {
@@ -352,14 +343,12 @@ fn a_faulted_churned_rack_sends_the_heap_under_one_percent() {
 }
 
 /// What the tick-cost test reads off one profiled, recorded run.
-#[cfg(all(feature = "prof", feature = "trace"))]
 struct Ticked {
     profile: prof::Profile,
     timeline: fld_sim::probe::Timeline,
     audit: fld_sim::audit::AuditReport,
 }
 
-#[cfg(all(feature = "prof", feature = "trace"))]
 impl Ticked {
     /// Allocations the profiler attributed to `phase`.
     fn allocs(&self, phase: &str) -> u64 {
@@ -389,7 +378,6 @@ impl Ticked {
 
 /// 256 × 64 B through [`echo_system`], sampled every `interval` with
 /// profiling armed.
-#[cfg(all(feature = "prof", feature = "trace"))]
 fn ticked_echo(interval: SimDuration) -> Ticked {
     let mut sys = echo_system(256, 64);
     sys.enable_strict_audit();
@@ -407,7 +395,6 @@ fn ticked_echo(interval: SimDuration) -> Ticked {
 
 /// [`chaos_rack`] under strict audit, sampled every `interval` with
 /// profiling armed.
-#[cfg(all(feature = "prof", feature = "trace"))]
 fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
     let (mut rack, scale) = chaos_rack();
     rack.enable_flight_recorder(interval);
@@ -430,7 +417,6 @@ fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
 /// check count: 19 on the echo system and 137 on the chaos rack, of
 /// which the pool-conservation clause is one per `FldSystem` (one here,
 /// four nodes there).
-#[cfg(all(feature = "prof", feature = "trace"))]
 #[test]
 fn tick_allocations_do_not_grow_with_the_tick_count() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -472,7 +458,6 @@ fn tick_allocations_do_not_grow_with_the_tick_count() {
 /// byte-identical, and arming profiling adds exactly one timeline
 /// series (`prof.speed_ratio`), leaving every other series' bytes
 /// untouched.
-#[cfg(all(feature = "prof", feature = "trace"))]
 #[test]
 fn profiling_changes_no_trace_bytes_and_adds_only_the_speed_ratio_series() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -562,8 +547,76 @@ fn folded_stacks_format_matches_golden() {
     );
 }
 
-/// Without the `prof` feature (and in any build with profiling never
-/// armed) a run's profile is inert zeros.
+/// What the observers may never move: a run's simulated results. (A
+/// rate meter's window closes with the run's last event, which under the
+/// recorder is its last tick, so meters compare by what they counted.)
+fn simulated(s: &RunStats) -> [String; 5] {
+    let meters = [&s.client_rate, &s.host_goodput].map(|m| (m.bytes(), m.packets()));
+    [
+        format!("sent {} meters {meters:?}", s.sent),
+        format!("rtt {:?}", s.rtt),
+        format!("drops {:?}", s.drops),
+        format!("tenant bytes {:?}", s.tenant_bytes),
+        format!("counters {:?}", s.counters),
+    ]
+}
+
+/// The engine and the systems do not depend on their observers: with the
+/// tracer, the flight recorder and the profiler all off, an echo run and
+/// an RDMA run record nothing — no trace event, no timeline tick, no
+/// profile — and simulate exactly what the fully observed runs do.
+#[test]
+fn a_run_with_every_observer_off_records_nothing_and_simulates_the_same() {
+    use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+
+    let bare = echo_system(64, 256).run(SimTime::ZERO, SimTime::from_millis(100));
+    assert_eq!(bare.trace.len(), 0);
+    assert_eq!(bare.timeline.ticks(), 0);
+    assert!(!bare.profile.enabled);
+    let observed = profiled_echo_run(true);
+    assert!(!observed.trace.is_empty() && observed.timeline.ticks() > 0);
+    assert!(observed.profile.enabled);
+    for (off, on) in simulated(&bare).iter().zip(&simulated(&observed)) {
+        assert!(off == on, "echo diverged under observation:\n{off}\n{on}");
+    }
+
+    let rdma = |observe: bool| {
+        let mut sys = RdmaSystem::new(RdmaConfig::remote(1024, 16, 2_000), Box::new(MsgEcho));
+        if observe {
+            sys.enable_flight_recorder(SimDuration::from_nanos(1_000));
+        }
+        prof::set_enabled(observe);
+        let stats = sys.run(SimTime::ZERO, SimTime::from_secs(1));
+        prof::set_enabled(false);
+        let _ = prof::take_global();
+        stats
+    };
+    let (bare, observed) = (rdma(false), rdma(true));
+    assert_eq!(bare.timeline.ticks(), 0);
+    assert!(!bare.profile.enabled);
+    assert!(observed.timeline.ticks() > 0 && observed.profile.enabled);
+    assert_eq!(bare.completed, 2_000);
+    let simulated = |s: &RdmaRunStats| {
+        [
+            format!(
+                "completed {} failed {} retransmits {} goodput {} B in {} messages",
+                s.completed,
+                s.failed,
+                s.retransmits,
+                s.goodput.bytes(),
+                s.goodput.packets()
+            ),
+            format!("latency {:?}", s.latency),
+            format!("counters {:?}", s.counters),
+        ]
+    };
+    for (off, on) in simulated(&bare).iter().zip(&simulated(&observed)) {
+        assert!(off == on, "rdma diverged under observation:\n{off}\n{on}");
+    }
+}
+
+/// With profiling never armed a run's profile is inert zeros.
 #[test]
 fn unarmed_run_has_inert_profile() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());

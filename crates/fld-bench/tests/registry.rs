@@ -1,0 +1,229 @@
+//! The experiment registry is the index: it agrees with `DESIGN.md` § 4,
+//! `exp all` prints the same bytes on any worker count, its output is
+//! pinned by the committed `experiments_full.txt`, and the `exp` binary's
+//! exit status says what happened (0 done, 1 a gate or a write failed,
+//! 2 usage) without ever panicking.
+
+use std::process::Command;
+
+use fld_bench::experiments::{run_entries, Experiment, ALL, REGISTRY};
+use fld_bench::report::{Cli, Report};
+
+/// The entries that simulate nothing: closed-form models and constants.
+const ANALYTIC: [&str; 8] = [
+    "table1", "table2", "table3", "fig4", "ablation", "fig7a", "scaling", "fabric",
+];
+
+fn entries<'a>(ids: &'a [&str]) -> impl Iterator<Item = &'static Experiment> + 'a {
+    REGISTRY.iter().filter(move |e| ids.contains(&e.id))
+}
+
+/// What `exp all` prints for `entries` under `cli`: each section, a rule
+/// after each.
+fn printed(entries: impl Iterator<Item = &'static Experiment>, cli: &Cli) -> String {
+    let mut report = Report::quiet("all_experiments");
+    run_entries(entries, cli, &mut report).expect("no gate fails");
+    let rule = "=".repeat(72);
+    report
+        .into_sections()
+        .iter()
+        .map(|section| format!("{section}\n{rule}\n"))
+        .collect()
+}
+
+fn committed_full_report() -> String {
+    let path = fld_bench::repo_root().join("experiments_full.txt");
+    std::fs::read_to_string(path).expect("experiments_full.txt is committed")
+}
+
+#[test]
+fn ids_are_unique_and_artifacts_keep_their_names() {
+    for (i, e) in REGISTRY.iter().enumerate() {
+        assert!(
+            REGISTRY[..i].iter().all(|prior| prior.id != e.id),
+            "{}",
+            e.id
+        );
+        assert_eq!(e.artifact_name(), e.id);
+        assert_eq!(Experiment::find(e.id).map(|found| found.id), Some(e.id));
+    }
+    // A dump from before the registry still diffs against one from after.
+    assert_eq!(ALL.artifact_name(), "all_experiments");
+    assert!(Experiment::find("all").is_some_and(|e| !e.in_all));
+    assert!(Experiment::find("list").is_none());
+    let left_out: Vec<&str> = REGISTRY
+        .iter()
+        .filter(|e| !e.in_all)
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(left_out, ["rack", "chaos"]);
+}
+
+/// DESIGN.md § 4's two tables name, in their "Regenerating target"
+/// column, exactly the registry's ids in the registry's order.
+#[test]
+fn design_md_section_4_is_the_registry() {
+    let design = std::fs::read_to_string(fld_bench::repo_root().join("DESIGN.md")).unwrap();
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("4. Experiment index"))
+        .expect("DESIGN.md has a § 4");
+    let targets: Vec<&str> = section
+        .lines()
+        .filter_map(|row| row.trim_end().strip_suffix("` |"))
+        .filter_map(|row| row.rsplit_once("| `exp "))
+        .map(|(_, id)| id)
+        .collect();
+    let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+    assert_eq!(targets, ids);
+}
+
+#[test]
+fn all_prints_the_same_bytes_on_one_worker_and_on_four() {
+    let mut ids = ANALYTIC.to_vec();
+    ids.push("fig7c");
+    let on = |jobs| {
+        let cli = Cli {
+            quick: true,
+            jobs,
+            ..Cli::default()
+        };
+        printed(entries(&ids), &cli)
+    };
+    let serial = on(1);
+    assert!(serial.contains("Figure 7c"));
+    assert_eq!(serial, on(4));
+}
+
+#[test]
+fn analytic_entries_render_their_sections_of_experiments_full_txt() {
+    let full = committed_full_report();
+    for entry in entries(&ANALYTIC) {
+        let section = printed(std::iter::once(entry), &Cli::default());
+        assert!(
+            full.contains(&section),
+            "experiments_full.txt no longer holds what `exp {}` prints:\n{section}",
+            entry.id
+        );
+    }
+}
+
+/// `exp all` at full scale is the committed file, except the two
+/// sections whose "ours" column counts this repository's lines and so
+/// moves with every change. Minutes of CPU: the CI `smoke` job runs it.
+#[test]
+#[ignore = "full scale (about a minute on two cores); run by the CI smoke job"]
+fn exp_all_at_full_scale_is_experiments_full_txt() {
+    let cli = Cli {
+        jobs: 2,
+        ..Cli::default()
+    };
+    let rule = format!("{}\n", "=".repeat(72));
+    let ours = printed(REGISTRY.iter().filter(|e| e.in_all), &cli);
+    let full = committed_full_report();
+    let (ours, full): (Vec<&str>, Vec<&str>) =
+        (ours.split(&rule).collect(), full.split(&rule).collect());
+    assert_eq!(ours.len(), full.len(), "section count");
+    for (ours, full) in ours.iter().zip(&full) {
+        let counts_our_lines = full.starts_with("Table 4:") || full.starts_with("Table 5:");
+        assert!(
+            counts_our_lines || ours == full,
+            "experiments_full.txt is stale; regenerate with `exp all | tee experiments_full.txt`:\n{ours}"
+        );
+    }
+}
+
+/// Runs the `exp` binary; returns its exit status and stderr.
+fn exp(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .args(args)
+        .output()
+        .expect("exp runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn usage_errors_exit_2_before_anything_runs() {
+    for args in [
+        &["fig7a", "--trace", "x"][..],
+        &["all", "--counters", "x"],
+        &["table1", "--prof", "x"],
+        &["nosuch"],
+        &["rack", "--nodes", "0"],
+        &["fig7b", "--json"],
+        &["chaos", "--topology", "mesh"],
+        &[],
+    ] {
+        let (status, stderr) = exp(args);
+        assert_eq!(status, Some(2), "exp {args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "exp {args:?}: {stderr}");
+    }
+    let (_, stderr) = exp(&["fig7a", "--trace", "x"]);
+    assert!(stderr.contains("fig7a does not take --trace"), "{stderr}");
+}
+
+#[test]
+fn a_run_exits_0_and_an_unwritable_path_exits_1_with_the_rest_written() {
+    let dir = std::env::temp_dir().join("fld_exp_exit_status_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("table1.json");
+    let _ = std::fs::remove_file(&json);
+    let (status, stderr) = exp(&["table1", "--json", json.to_str().unwrap()]);
+    assert_eq!(status, Some(0), "{stderr}");
+    let report = std::fs::read_to_string(&json).unwrap();
+    assert!(report.contains("\"experiment\": \"table1\""), "{report}");
+    assert_eq!(exp(&["list"]).0, Some(0));
+    assert_eq!(exp(&["--help"]).0, Some(0));
+    assert_eq!(exp(&["chaos", "--fault-kinds", "list"]).0, Some(0));
+
+    let counters = dir.join("fig7b.json");
+    let _ = std::fs::remove_file(&counters);
+    let (status, stderr) = exp(&[
+        "fig7b",
+        "--quick",
+        "--json",
+        "/nonexistent-dir/fig7b.json",
+        "--counters",
+        counters.to_str().unwrap(),
+    ]);
+    assert_eq!(status, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("FAIL: /nonexistent-dir/fig7b.json"),
+        "{stderr}"
+    );
+    assert!(counters.exists(), "the counter dump was still written");
+}
+
+/// A failed gate is exit 1, after the artifacts: `execute` on an entry
+/// whose run reports one (no registered experiment fails on demand).
+#[test]
+fn a_failed_gate_exits_1_after_the_report_is_written() {
+    let failing = Experiment {
+        id: "gate",
+        paper_ref: "-",
+        summary: "-",
+        in_all: false,
+        flags: &[],
+        run: |_, report| {
+            report.section("measured before the gate was judged");
+            Err(vec!["the bar was missed".into()])
+        },
+    };
+    let json = std::env::temp_dir().join("fld_exp_failed_gate_test.json");
+    let _ = std::fs::remove_file(&json);
+    let cli = Cli {
+        json: Some(json.clone()),
+        ..Cli::default()
+    };
+    assert_eq!(failing.execute(&cli), 1);
+    let report = std::fs::read_to_string(&json).unwrap();
+    assert!(report.contains("measured before the gate was judged"));
+    let passing = Experiment {
+        run: |_, _| Ok(()),
+        ..failing
+    };
+    assert_eq!(passing.execute(&cli), 0);
+}

@@ -11,7 +11,6 @@
 //! panic message. The last scenario corrupts no counter: it slips one
 //! packet handle into the pool behind the flow ledger's back, which the
 //! pool-conservation clause must name first.
-#![cfg(feature = "trace")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,10 +9,6 @@
 //! zero violations (including runs with drops and with packets still in
 //! flight at the deadline).
 
-// The goldens compare trace/timeline bytes, which only exist with the
-// flight recorder compiled in.
-#![cfg(feature = "trace")]
-
 use proptest::prelude::*;
 
 use fld_accel::echo::EchoAccelerator;

@@ -914,22 +914,19 @@ mod tests {
         assert_eq!(stats.completed, 3_000);
         assert!(stats.audit.passed(), "{}", stats.audit);
         assert!(stats.audit.checks > 0);
-        #[cfg(feature = "trace")]
-        {
-            assert!(stats.timeline.ticks() > 100);
-            for name in [
-                "rdma.client.inflight_window",
-                "rdma.client.outstanding_msgs",
-                "stage.pcie_rx.util",
-                "stage.wire_up.util",
-            ] {
-                assert!(stats.timeline.get(name).is_some(), "missing series {name}");
-            }
-            // The window was kept busy: the in-flight PSN window must have
-            // been observed above zero at some tick.
-            let inflight = stats.timeline.get("rdma.client.inflight_window").unwrap();
-            assert!(inflight.values.iter().any(|&v| v > 0.0));
+        assert!(stats.timeline.ticks() > 100);
+        for name in [
+            "rdma.client.inflight_window",
+            "rdma.client.outstanding_msgs",
+            "stage.pcie_rx.util",
+            "stage.wire_up.util",
+        ] {
+            assert!(stats.timeline.get(name).is_some(), "missing series {name}");
         }
+        // The window was kept busy: the in-flight PSN window must have
+        // been observed above zero at some tick.
+        let inflight = stats.timeline.get("rdma.client.inflight_window").unwrap();
+        assert!(inflight.values.iter().any(|&v| v > 0.0));
     }
 
     #[test]

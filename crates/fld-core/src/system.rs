@@ -2336,25 +2336,22 @@ mod tests {
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
         assert!(stats.audit.passed());
         assert!(stats.audit.checks > 0);
-        #[cfg(feature = "trace")]
-        {
-            assert!(
-                stats.timeline.ticks() > 100,
-                "{} ticks",
-                stats.timeline.ticks()
-            );
-            for series in [
-                "fld.rx_ring.occupancy",
-                "fld.tx_ring.descriptor_credits",
-                "system.in_flight",
-                "stage.pcie_rx.util",
-            ] {
-                assert!(stats.timeline.get(series).is_some(), "missing {series}");
-            }
-            // A drained run ends with nothing in flight.
-            let inflight = stats.timeline.get("system.in_flight").unwrap();
-            assert_eq!(inflight.values.last().copied(), Some(0.0));
+        assert!(
+            stats.timeline.ticks() > 100,
+            "{} ticks",
+            stats.timeline.ticks()
+        );
+        for series in [
+            "fld.rx_ring.occupancy",
+            "fld.tx_ring.descriptor_credits",
+            "system.in_flight",
+            "stage.pcie_rx.util",
+        ] {
+            assert!(stats.timeline.get(series).is_some(), "missing {series}");
         }
+        // A drained run ends with nothing in flight.
+        let inflight = stats.timeline.get("system.in_flight").unwrap();
+        assert_eq!(inflight.values.last().copied(), Some(0.0));
     }
 
     /// An accelerator that drops every other packet (absorbs it) —

@@ -1,7 +1,6 @@
 //! The steady-state RC message cycle does not touch the heap: what
 //! `RcQp::{poll_transmit, on_packet}` return lives inline in the caller's
 //! frame (`fld_nic::burst`).
-#![cfg(feature = "prof")]
 
 use fld_nic::rdma::{QpConfig, RcQp, RdmaEvent};
 use fld_sim::prof::{alloc_counts, CountingAlloc};

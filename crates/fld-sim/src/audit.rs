@@ -18,10 +18,10 @@
 //! panics with the same message, turning a silent accounting bug into a
 //! hard error at the exact simulated instant it appears.
 //!
-//! Unlike the probe/timeline machinery the auditor is *not* gated behind
-//! the `trace` feature: end-of-run audits run once per simulation and
-//! cost nothing measurable, so every run — tests, benches, examples —
-//! gets conservation checking for free. Per-tick audits piggyback on the
+//! Unlike the probe/timeline machinery the auditor has no off switch:
+//! end-of-run audits run once per simulation and cost nothing
+//! measurable, so every run — tests, benches, examples — gets
+//! conservation checking for free. Per-tick audits piggyback on the
 //! flight-recorder sampling events and therefore only fire when the
 //! recorder is enabled.
 

@@ -581,7 +581,6 @@ mod tests {
         assert_eq!(model.finish_calls, 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn sample_ticks_fill_the_timeline_and_rearm_while_alive() {
         let eng = Engine::new(
@@ -639,7 +638,6 @@ mod tests {
         assert!(done.metrics.counter_value("prof.wall_ns").is_none());
     }
 
-    #[cfg(all(feature = "prof", feature = "trace"))]
     #[test]
     fn profiled_run_attributes_phases_and_calendar() {
         let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -697,7 +695,6 @@ mod tests {
     /// own ticks, so nothing ever reaches the heap: the re-arm rule
     /// (`!queue.is_empty()`) and drained-vs-truncated must read the
     /// lanes.
-    #[cfg(all(feature = "prof", feature = "trace"))]
     #[test]
     fn rearm_and_truncation_hold_with_every_event_in_a_lane() {
         let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -752,7 +749,6 @@ mod tests {
     /// The positional fast path must be invisible: whatever order and
     /// subset of names each tick pushes, the timeline is what by-name
     /// sampling records.
-    #[cfg(feature = "trace")]
     #[test]
     fn probe_order_changes_record_like_by_name_sampling() {
         let ticks: [&[(&str, f64)]; 5] = [

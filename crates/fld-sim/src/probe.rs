@@ -22,10 +22,8 @@
 //!   Perfetto load shows packet-lifecycle lanes *and* occupancy/credit
 //!   tracks on the same timebase.
 //!
-//! Like [`crate::trace::Tracer`], the machinery has two off switches: a
-//! disabled timeline records nothing at runtime, and building `fld-sim`
-//! with `--no-default-features` (no `trace` feature) compiles the
-//! recording path down to empty inline functions.
+//! Like [`crate::trace::Tracer`], a disabled timeline records nothing:
+//! every recording call is one branch on an empty `Option`.
 //!
 //! [`BottleneckReport`] post-processes the sampled per-stage utilization
 //! series into the number every performance argument needs: which stage
@@ -46,7 +44,6 @@ pub struct Series {
     pub values: Vec<f64>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct TimelineInner {
     interval: SimDuration,
@@ -61,7 +58,6 @@ struct TimelineInner {
     by_probe: Vec<usize>,
 }
 
-#[cfg(feature = "trace")]
 impl TimelineInner {
     /// Opens the next tick at `now` and returns its index.
     fn begin_tick(&mut self, now: SimTime) -> u64 {
@@ -113,12 +109,10 @@ impl TimelineInner {
 /// let mut t = Timeline::with_interval(SimDuration::from_micros(1));
 /// t.sample(SimTime::from_micros(1), &[("q.depth", 3.0)]);
 /// t.sample(SimTime::from_micros(2), &[("q.depth", 5.0)]);
-/// # #[cfg(feature = "trace")]
 /// assert_eq!(t.ticks(), 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct Timeline {
-    #[cfg(feature = "trace")]
     inner: Option<TimelineInner>,
 }
 
@@ -130,62 +124,38 @@ impl Timeline {
 
     /// Creates a timeline sampling every `interval` of simulated time.
     ///
-    /// Without the `trace` feature this is equivalent to
-    /// [`Timeline::disabled`].
-    ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
-    #[allow(unused_variables)]
     pub fn with_interval(interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "sample interval must be positive");
-        #[cfg(feature = "trace")]
-        {
-            Timeline {
-                inner: Some(TimelineInner {
-                    interval,
-                    epoch: SimTime::ZERO,
-                    ticks: 0,
-                    series: Vec::new(),
-                    index: std::collections::HashMap::new(),
-                    by_probe: Vec::new(),
-                }),
-            }
+        Timeline {
+            inner: Some(TimelineInner {
+                interval,
+                epoch: SimTime::ZERO,
+                ticks: 0,
+                series: Vec::new(),
+                index: std::collections::HashMap::new(),
+                by_probe: Vec::new(),
+            }),
         }
-        #[cfg(not(feature = "trace"))]
-        Timeline {}
     }
 
     /// Whether samples are being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        false
+        self.inner.is_some()
     }
 
     /// The sampling interval (zero when disabled).
     pub fn interval(&self) -> SimDuration {
-        #[cfg(feature = "trace")]
-        {
-            self.inner
-                .as_ref()
-                .map_or(SimDuration::ZERO, |i| i.interval)
-        }
-        #[cfg(not(feature = "trace"))]
-        SimDuration::ZERO
+        self.inner
+            .as_ref()
+            .map_or(SimDuration::ZERO, |i| i.interval)
     }
 
     /// Number of ticks sampled so far.
     pub fn ticks(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.as_ref().map_or(0, |i| i.ticks)
-        }
-        #[cfg(not(feature = "trace"))]
-        0
+        self.inner.as_ref().map_or(0, |i| i.ticks)
     }
 
     /// Records one tick: every probe's `(name, value)` at sim-time `now`.
@@ -193,9 +163,7 @@ impl Timeline {
     /// Series are created on first appearance; a series absent from a
     /// tick is padded with its previous value so the grid stays aligned.
     /// No-op when disabled.
-    #[allow(unused_variables)]
     pub fn sample(&mut self, now: SimTime, entries: &[(&str, f64)]) {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &mut self.inner {
             let tick = inner.begin_tick(now);
             for &(name, value) in entries {
@@ -209,14 +177,12 @@ impl Timeline {
     /// carry ids interned in `names`, and the id → series mapping is
     /// remembered, so only an id's first sample looks its name up. All
     /// calls on one timeline must come from the same buffer.
-    #[allow(unused_variables)]
     pub(crate) fn sample_interned(
         &mut self,
         now: SimTime,
         names: &[Box<str>],
         entries: &[(u32, f64)],
     ) {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &mut self.inner {
             let tick = inner.begin_tick(now);
             for &(id, value) in entries {
@@ -234,12 +200,7 @@ impl Timeline {
 
     /// The recorded series (empty when disabled).
     pub fn series(&self) -> &[Series] {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.as_ref().map_or(&[], |i| &i.series)
-        }
-        #[cfg(not(feature = "trace"))]
-        &[]
+        self.inner.as_ref().map_or(&[], |i| &i.series)
     }
 
     /// Looks up one series by name.
@@ -249,14 +210,9 @@ impl Timeline {
 
     /// The sim-time of tick `i`.
     pub fn tick_time(&self, i: u64) -> SimTime {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                return inner.epoch + mul_interval(inner.interval, i);
-            }
-        }
-        let _ = i;
-        SimTime::ZERO
+        self.inner.as_ref().map_or(SimTime::ZERO, |inner| {
+            inner.epoch + mul_interval(inner.interval, i)
+        })
     }
 
     /// Serializes the timeline as a standalone JSON document:
@@ -349,7 +305,6 @@ impl Timeline {
     }
 }
 
-#[cfg(feature = "trace")]
 fn mul_interval(interval: SimDuration, n: u64) -> SimDuration {
     SimDuration::from_picos(interval.as_picos().saturating_mul(n))
 }
@@ -484,7 +439,6 @@ mod tests {
         assert!(tl.series().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn samples_align_on_shared_ticks() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));
@@ -496,7 +450,6 @@ mod tests {
         assert_eq!(tl.tick_time(1), t(2));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn late_series_records_first_tick() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));
@@ -507,7 +460,6 @@ mod tests {
         assert_eq!(late.values, vec![7.0]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn missed_ticks_pad_with_last_value() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));
@@ -517,7 +469,6 @@ mod tests {
         assert_eq!(tl.get("b").unwrap().values, vec![5.0, 5.0, 6.0]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn exports_are_well_formed() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));
@@ -533,7 +484,6 @@ mod tests {
         assert!(csv.contains("2000,0.75\n"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn counter_events_render_per_series() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));
@@ -558,7 +508,6 @@ mod tests {
         assert_eq!(report.limiting_fraction("pcie"), 0.0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn bottleneck_attributes_the_hottest_stage() {
         let mut tl = Timeline::with_interval(SimDuration::from_micros(1));

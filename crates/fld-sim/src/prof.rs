@@ -42,19 +42,16 @@
 //! profiler reads those counters at every phase boundary, so each
 //! phase's allocation count and byte volume fall out of the same
 //! chaining that attributes time. Binaries opt in by installing the
-//! allocator (the `fld-bench` crate does, under the `prof` feature);
-//! without it every delta reads zero and the report simply omits heap
-//! churn.
+//! allocator (`fld-bench`'s `exp` binary does); without it every delta
+//! reads zero and the report simply omits heap churn.
 //!
-//! # Off switches
+//! # Off switch
 //!
-//! Profiling has the same two off switches as the tracer and the flight
-//! recorder: it is armed at runtime by [`set_enabled`] (wired to the
-//! shared `--prof` flag), and the whole recording path compiles to
-//! empty inline functions without the `prof` cargo feature. A run with
-//! profiling off is byte-identical — simulated results never depend on
-//! host timing either way, because the profiler only *observes* the
-//! loop.
+//! Like the tracer and the flight recorder, profiling is armed at run
+//! time, by [`set_enabled`] (wired to the `--prof` flag); disarmed, each
+//! hook is one branch. A run with profiling off is byte-identical —
+//! simulated results never depend on host timing either way, because
+//! the profiler only *observes* the loop.
 //!
 //! # Examples
 //!
@@ -72,20 +69,15 @@
 
 use crate::json::JsonWriter;
 
-#[cfg(feature = "prof")]
 use std::cell::{Cell, RefCell};
-#[cfg(feature = "prof")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "prof")]
 use std::sync::{Mutex, OnceLock};
-#[cfg(feature = "prof")]
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Counting allocator
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "prof")]
 thread_local! {
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
@@ -107,11 +99,9 @@ thread_local! {
 /// profiler's question is churn, not live footprint. Counters are
 /// thread-local, so parallel sweep workers never contend and each
 /// engine's attribution covers exactly its own thread.
-#[cfg(feature = "prof")]
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc;
 
-#[cfg(feature = "prof")]
 // SAFETY: delegates every operation unchanged to `std::alloc::System`;
 // the counter updates are `Cell` bumps with no allocation or panic path
 // (`try_with` swallows TLS teardown).
@@ -136,7 +126,6 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 }
 
-#[cfg(feature = "prof")]
 #[inline]
 fn count_alloc(bytes: u64) {
     // `try_with` rather than `with`: the allocator can be entered during
@@ -147,27 +136,20 @@ fn count_alloc(bytes: u64) {
 
 /// This thread's cumulative `(allocations, bytes)` since it started.
 ///
-/// Zero unless a [`CountingAlloc`] is installed as the global allocator
-/// (and always zero without the `prof` feature). Meaningful uses take
-/// deltas around a region of interest.
+/// Zero unless a [`CountingAlloc`] is installed as the global allocator.
+/// Meaningful uses take deltas around a region of interest.
 #[inline]
 pub fn alloc_counts() -> (u64, u64) {
-    #[cfg(feature = "prof")]
-    {
-        (
-            ALLOC_CALLS.try_with(Cell::get).unwrap_or(0),
-            ALLOC_BYTES.try_with(Cell::get).unwrap_or(0),
-        )
-    }
-    #[cfg(not(feature = "prof"))]
-    (0, 0)
+    (
+        ALLOC_CALLS.try_with(Cell::get).unwrap_or(0),
+        ALLOC_BYTES.try_with(Cell::get).unwrap_or(0),
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Process-wide arming + merged registry
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "prof")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Serializes the tests — across every module of this crate — that
@@ -176,42 +158,28 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 #[cfg(test)]
 pub(crate) static TEST_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[cfg(feature = "prof")]
 static GLOBAL: Mutex<Option<Profile>> = Mutex::new(None);
 
 /// Arms (or disarms) self-profiling process-wide. Armed by the shared
 /// `--prof` flag; every [`crate::engine::Engine::run`] started while
-/// armed records a [`Profile`]. No-op without the `prof` feature.
-#[allow(unused_variables)]
+/// armed records a [`Profile`].
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "prof")]
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether self-profiling is currently armed.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "prof")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "prof"))]
-    false
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Takes the merged profile of every engine run profiled since the last
 /// call (across all sweep worker threads). `None` when nothing was
-/// profiled or the `prof` feature is off.
+/// profiled.
 pub fn take_global() -> Option<Profile> {
-    #[cfg(feature = "prof")]
-    {
-        GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-    #[cfg(not(feature = "prof"))]
-    None
+    GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).take()
 }
 
-#[cfg(feature = "prof")]
 fn merge_into_global(profile: &Profile) {
     let mut slot = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     match slot.as_mut() {
@@ -222,40 +190,32 @@ fn merge_into_global(profile: &Profile) {
 
 /// The calibrated per-boundary timer cost in nanoseconds: the mean gap
 /// of back-to-back `Instant::now()` calls, measured once per process.
-/// Zero without the `prof` feature.
 pub fn timer_overhead_ns() -> f64 {
-    #[cfg(feature = "prof")]
-    {
-        static CAL: OnceLock<f64> = OnceLock::new();
-        *CAL.get_or_init(|| {
-            const WARMUP: u32 = 256;
-            const SAMPLES: u32 = 4096;
-            for _ in 0..WARMUP {
-                std::hint::black_box(Instant::now());
-            }
-            let t0 = Instant::now();
-            for _ in 0..SAMPLES {
-                std::hint::black_box(Instant::now());
-            }
-            t0.elapsed().as_nanos() as f64 / f64::from(SAMPLES)
-        })
-    }
-    #[cfg(not(feature = "prof"))]
-    0.0
+    static CAL: OnceLock<f64> = OnceLock::new();
+    *CAL.get_or_init(|| {
+        const WARMUP: u32 = 256;
+        const SAMPLES: u32 = 4096;
+        for _ in 0..WARMUP {
+            std::hint::black_box(Instant::now());
+        }
+        let t0 = Instant::now();
+        for _ in 0..SAMPLES {
+            std::hint::black_box(Instant::now());
+        }
+        t0.elapsed().as_nanos() as f64 / f64::from(SAMPLES)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Scoped sub-measurements (component hooks)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "prof")]
 #[derive(Debug, Default)]
 struct ScopeSink {
     /// Accumulators in first-appearance order, indexed by name.
     entries: Vec<(&'static str, Acc)>,
 }
 
-#[cfg(feature = "prof")]
 impl ScopeSink {
     fn record(&mut self, name: &'static str, ns: f64, allocs: u64, bytes: u64) {
         let acc = match self.entries.iter_mut().find(|(n, _)| *n == name) {
@@ -272,7 +232,6 @@ impl ScopeSink {
     }
 }
 
-#[cfg(feature = "prof")]
 thread_local! {
     /// The running engine's scope sink; `Some` only while a profiled
     /// [`crate::engine::Engine::run`] is active on this thread.
@@ -289,37 +248,26 @@ thread_local! {
 /// (`sample.probes.fld` renders as `engine;sample;probes;fld`), so pick
 /// names under the engine phase the scope runs in.
 ///
-/// Inert (a no-op guard) unless a profiled run is active on this thread;
-/// compiles to nothing without the `prof` feature.
+/// Inert (a no-op guard) unless a profiled run is active on this thread.
 #[must_use = "the scope is measured until the guard drops"]
 pub fn scope(name: &'static str) -> ScopeGuard {
-    #[cfg(feature = "prof")]
-    {
-        let active = SCOPE_SINK
-            .try_with(|s| s.borrow().is_some())
-            .unwrap_or(false);
-        ScopeGuard {
-            inner: active.then(|| {
-                let (a, b) = alloc_counts();
-                (name, Instant::now(), a, b)
-            }),
-        }
-    }
-    #[cfg(not(feature = "prof"))]
-    {
-        let _ = name;
-        ScopeGuard {}
+    let active = SCOPE_SINK
+        .try_with(|s| s.borrow().is_some())
+        .unwrap_or(false);
+    ScopeGuard {
+        inner: active.then(|| {
+            let (a, b) = alloc_counts();
+            (name, Instant::now(), a, b)
+        }),
     }
 }
 
 /// Guard returned by [`scope`]; records the measurement on drop.
 #[derive(Debug)]
 pub struct ScopeGuard {
-    #[cfg(feature = "prof")]
     inner: Option<(&'static str, Instant, u64, u64)>,
 }
 
-#[cfg(feature = "prof")]
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         if let Some((name, start, a0, b0)) = self.inner.take() {
@@ -339,7 +287,7 @@ impl Drop for ScopeGuard {
 // ---------------------------------------------------------------------------
 
 /// Behavioral statistics of the event calendar over one run, collected
-/// by [`crate::queue::EventQueue`] (under the `prof` feature) and the
+/// by [`crate::queue::EventQueue`] (while profiling is armed) and the
 /// engine: depth bounds the memory the calendar holds, same-timestamp
 /// bursts count the pops that only the insertion tie-break orders, re-arm
 /// churn counts self-rescheduling timers, and the lane accounting says
@@ -405,7 +353,6 @@ impl CalendarStats {
 // ---------------------------------------------------------------------------
 
 /// One accumulator: calls, host time, allocation deltas.
-#[cfg_attr(not(feature = "prof"), allow(dead_code))]
 #[derive(Debug, Default, Clone, Copy)]
 struct Acc {
     calls: u64,
@@ -697,7 +644,6 @@ impl Profile {
 // Profiler (the recorder driven by the engine)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "prof")]
 #[derive(Debug)]
 struct ProfInner {
     overhead_ns: f64,
@@ -714,7 +660,6 @@ struct ProfInner {
     phases: Vec<((&'static str, &'static str), Acc)>,
 }
 
-#[cfg(feature = "prof")]
 impl ProfInner {
     fn record(&mut self, key: (&'static str, &'static str)) {
         let now = Instant::now();
@@ -742,11 +687,9 @@ impl ProfInner {
 /// The per-run recorder driven by [`crate::engine::Engine::run`].
 ///
 /// Created by [`Profiler::start`]; inert unless [`set_enabled`] armed
-/// profiling (and always inert without the `prof` feature). While
-/// active it owns this thread's [`scope`] sink.
+/// profiling. While active it owns this thread's [`scope`] sink.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    #[cfg(feature = "prof")]
     inner: Option<Box<ProfInner>>,
 }
 
@@ -757,51 +700,38 @@ impl Profiler {
     }
 
     /// Starts recording iff `on` (test hook; binaries use [`Profiler::start`]).
-    #[allow(unused_variables)]
     pub fn start_if(on: bool) -> Profiler {
-        #[cfg(feature = "prof")]
-        {
-            if !on {
-                return Profiler { inner: None };
-            }
-            let overhead_ns = timer_overhead_ns();
-            let _ = SCOPE_SINK.try_with(|s| *s.borrow_mut() = Some(ScopeSink::default()));
-            let (a, b) = alloc_counts();
-            let now = Instant::now();
-            Profiler {
-                inner: Some(Box::new(ProfInner {
-                    overhead_ns,
-                    started: now,
-                    boundary: now,
-                    boundary_allocs: a,
-                    boundary_bytes: b,
-                    boundaries: 0,
-                    last_sample: now,
-                    phases: Vec::new(),
-                })),
-            }
+        if !on {
+            return Profiler { inner: None };
         }
-        #[cfg(not(feature = "prof"))]
-        Profiler {}
+        let overhead_ns = timer_overhead_ns();
+        let _ = SCOPE_SINK.try_with(|s| *s.borrow_mut() = Some(ScopeSink::default()));
+        let (a, b) = alloc_counts();
+        let now = Instant::now();
+        Profiler {
+            inner: Some(Box::new(ProfInner {
+                overhead_ns,
+                started: now,
+                boundary: now,
+                boundary_allocs: a,
+                boundary_bytes: b,
+                boundaries: 0,
+                last_sample: now,
+                phases: Vec::new(),
+            })),
+        }
     }
 
     /// Whether this run is being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "prof")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "prof"))]
-        false
+        self.inner.is_some()
     }
 
     /// Closes the segment since the previous boundary and attributes it
     /// to `phase`. No-op when not recording.
     #[inline]
-    #[allow(unused_variables)]
     pub fn phase(&mut self, phase: &'static str) {
-        #[cfg(feature = "prof")]
         if let Some(inner) = &mut self.inner {
             inner.record((phase, ""));
         }
@@ -810,9 +740,7 @@ impl Profiler {
     /// Like [`Profiler::phase`] but attributes to `{phase}.{sub}`
     /// without allocating (used for per-event-kind dispatch).
     #[inline]
-    #[allow(unused_variables)]
     pub fn phase_sub(&mut self, phase: &'static str, sub: &'static str) {
-        #[cfg(feature = "prof")]
         if let Some(inner) = &mut self.inner {
             inner.record((phase, sub));
         }
@@ -821,27 +749,19 @@ impl Profiler {
     /// Simulated-vs-host speed over the window since the previous sample
     /// tick: `interval_sim_ns / host_ns_elapsed`. `None` when not
     /// recording.
-    #[allow(unused_variables)]
     pub fn sample_speed_ratio(&mut self, interval: crate::time::SimDuration) -> Option<f64> {
-        #[cfg(feature = "prof")]
-        {
-            let inner = self.inner.as_mut()?;
-            let now = Instant::now();
-            let host_ns = now.duration_since(inner.last_sample).as_nanos() as f64;
-            inner.last_sample = now;
-            Some(interval.as_nanos() as f64 / host_ns.max(1.0))
-        }
-        #[cfg(not(feature = "prof"))]
-        None
+        let inner = self.inner.as_mut()?;
+        let now = Instant::now();
+        let host_ns = now.duration_since(inner.last_sample).as_nanos() as f64;
+        inner.last_sample = now;
+        Some(interval.as_nanos() as f64 / host_ns.max(1.0))
     }
 
     /// Ends the run: drains the scope sink, stamps run totals, merges
     /// the result into the process-wide registry, and returns it. A
     /// disabled profiler returns `Profile::default()`.
-    #[allow(unused_variables, unused_mut)]
-    pub fn finish(mut self, sim_ns: u64, events: u64, calendar: CalendarStats) -> Profile {
-        #[cfg(feature = "prof")]
-        if let Some(inner) = self.inner.take() {
+    pub fn finish(self, sim_ns: u64, events: u64, calendar: CalendarStats) -> Profile {
+        if let Some(inner) = self.inner {
             let wall_ns = inner.started.elapsed().as_nanos() as f64;
             let mut profile = Profile {
                 enabled: true,
@@ -982,7 +902,6 @@ mod tests {
         assert!(reg.is_empty());
     }
 
-    #[cfg(feature = "prof")]
     #[test]
     fn timer_calibration_is_finite_and_small() {
         let ns = timer_overhead_ns();
@@ -991,7 +910,6 @@ mod tests {
         assert!(ns < 10_000.0, "{ns}");
     }
 
-    #[cfg(feature = "prof")]
     #[test]
     fn profiler_chains_phases_and_drains_scopes() {
         let mut prof = Profiler::start_if(true);
@@ -1026,7 +944,6 @@ mod tests {
         assert!(merged.runs >= 1);
     }
 
-    #[cfg(feature = "prof")]
     #[test]
     fn disabled_profiler_records_nothing_and_scopes_stay_inert() {
         let mut prof = Profiler::start_if(false);

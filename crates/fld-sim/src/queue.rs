@@ -138,14 +138,12 @@ pub struct EventQueue<E> {
     fallback_pushes: u64,
     /// Entries laned pushes walked past to find their place.
     insert_steps: u64,
-    #[cfg(feature = "prof")]
     prof: ProfCounters,
 }
 
 /// Self-profiler bookkeeping (see [`crate::prof::CalendarStats`]).
 /// `last_pop_ps` uses `u64::MAX` as "no pop yet" — a plain integer
 /// compare on the hot path instead of an `Option<SimTime>` unpack.
-#[cfg(feature = "prof")]
 #[derive(Debug)]
 struct ProfCounters {
     pops: u64,
@@ -156,7 +154,6 @@ struct ProfCounters {
     coincident_pops: u64,
 }
 
-#[cfg(feature = "prof")]
 impl Default for ProfCounters {
     fn default() -> Self {
         ProfCounters {
@@ -189,7 +186,6 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             fallback_pushes: 0,
             insert_steps: 0,
-            #[cfg(feature = "prof")]
             prof: ProfCounters::default(),
         }
     }
@@ -266,7 +262,6 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn note_depth(&mut self) {
-        #[cfg(feature = "prof")]
         // One relaxed load guards the bookkeeping: the unprofiled timed
         // legs must not pay for attribution they are not recording.
         if crate::prof::enabled() {
@@ -422,7 +417,6 @@ impl<E> EventQueue<E> {
     fn advance(&mut self, time_ps: u64) -> SimTime {
         let time = SimTime::from_picos(time_ps);
         self.now = time;
-        #[cfg(feature = "prof")]
         if crate::prof::enabled() {
             // Branchless on purpose: ~21% of pops are coincident, so a
             // same-time branch would be genuinely unpredictable — the
@@ -442,26 +436,21 @@ impl<E> EventQueue<E> {
     ///
     /// `pushes` and the lane accounting (`laned_pushes`,
     /// `fallback_pushes`, `insert_steps`) are always populated; the
-    /// depth/burst counters require the `prof` feature and read zero
-    /// without it. `sample_rearms` is owned by the engine, not the
+    /// depth/burst counters are kept only while [`crate::prof::enabled`]
+    /// and read zero otherwise. `sample_rearms` is owned by the engine, not the
     /// calendar, and is zero here.
     pub fn calendar_stats(&self) -> crate::prof::CalendarStats {
-        let stats = crate::prof::CalendarStats {
+        crate::prof::CalendarStats {
             pushes: self.scheduled_total,
             laned_pushes: self.scheduled_total - self.fallback_pushes,
             fallback_pushes: self.fallback_pushes,
             insert_steps: self.insert_steps,
-            ..Default::default()
-        };
-        #[cfg(feature = "prof")]
-        let stats = crate::prof::CalendarStats {
             pops: self.prof.pops,
             peak_depth: self.prof.peak_depth,
             coincident_pops: self.prof.coincident_pops,
             max_burst: self.prof.max_burst,
-            ..stats
-        };
-        stats
+            ..Default::default()
+        }
     }
 
     /// Time of the earliest pending event, if any.
@@ -486,11 +475,8 @@ impl<E> EventQueue<E> {
         }
         self.heads.fill(NO_HEAD);
         self.laned = 0;
-        #[cfg(feature = "prof")]
-        {
-            self.prof.last_pop_ps = u64::MAX;
-            self.prof.current_burst = 0;
-        }
+        self.prof.last_pop_ps = u64::MAX;
+        self.prof.current_burst = 0;
     }
 }
 
@@ -576,11 +562,9 @@ mod tests {
 
     #[test]
     fn calendar_stats_track_depth_and_bursts() {
-        #[cfg(feature = "prof")]
         let _gate = crate::prof::TEST_GATE
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "prof")]
         crate::prof::set_enabled(true);
         let mut q: EventQueue<i32> = EventQueue::new();
         q.schedule_at(SimTime::from_nanos(10), 0);
@@ -591,17 +575,11 @@ mod tests {
         let stats = q.calendar_stats();
         assert_eq!(stats.pushes, 4);
         assert_eq!(stats.sample_rearms, 0);
-        #[cfg(feature = "prof")]
-        {
-            assert_eq!(stats.pops, 4);
-            assert_eq!(stats.peak_depth, 4);
-            // The three t=10 pops form one burst: two beyond its first.
-            assert_eq!(stats.coincident_pops, 2);
-            assert_eq!(stats.max_burst, 3);
-        }
-        #[cfg(not(feature = "prof"))]
-        assert_eq!(stats.pops, 0);
-        #[cfg(feature = "prof")]
+        assert_eq!(stats.pops, 4);
+        assert_eq!(stats.peak_depth, 4);
+        // The three t=10 pops form one burst: two beyond its first.
+        assert_eq!(stats.coincident_pops, 2);
+        assert_eq!(stats.max_burst, 3);
         crate::prof::set_enabled(false);
     }
 
@@ -658,11 +636,9 @@ mod tests {
 
     #[test]
     fn depth_peek_and_clear_span_lanes_and_heap() {
-        #[cfg(feature = "prof")]
         let _gate = crate::prof::TEST_GATE
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "prof")]
         crate::prof::set_enabled(true);
         let mut q: EventQueue<i32> = EventQueue::new();
         let ns = SimTime::from_nanos;
@@ -681,7 +657,6 @@ mod tests {
         assert_eq!(q.pop(), Some((ns(15), 3)));
         assert_eq!(q.pop(), Some((ns(25), 1)));
         assert_eq!(q.len(), 2);
-        #[cfg(feature = "prof")]
         assert_eq!(q.calendar_stats().peak_depth, 4);
         q.clear();
         assert!(q.is_empty());
@@ -694,11 +669,9 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((ns(30), 9)));
         assert_eq!(q.scheduled_total(), 5);
-        #[cfg(feature = "prof")]
         crate::prof::set_enabled(false);
     }
 
-    #[cfg(feature = "prof")]
     #[test]
     fn clear_resets_burst_tracking() {
         // Regression: `last_pop`/`current_burst` used to survive a

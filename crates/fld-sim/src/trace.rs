@@ -8,14 +8,8 @@
 //! ([`Tracer::to_chrome_json`]) loadable in Perfetto or `chrome://tracing`,
 //! with one lane per pipeline stage.
 //!
-//! Tracing has two off switches:
-//!
-//! * **Runtime** — [`Tracer::disabled`] records nothing (one branch per
-//!   event).
-//! * **Compile time** — building `fld-sim` with
-//!   `--no-default-features` removes the `trace` feature and compiles
-//!   [`Tracer::record`] to an empty inline function: zero cost, zero
-//!   memory.
+//! Tracing is switched at run time: [`Tracer::disabled`] records nothing
+//! (one branch per event).
 //!
 //! [`StageLatencies`] complements the event log with aggregate per-stage
 //! latency histograms whose per-packet deltas telescope, so the stage
@@ -108,7 +102,6 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Ring {
     events: Vec<TraceEvent>,
@@ -119,7 +112,6 @@ struct Ring {
     overwritten: u64,
 }
 
-#[cfg(feature = "trace")]
 impl Ring {
     fn record(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity {
@@ -144,7 +136,6 @@ impl Ring {
 /// most recent window — the part worth looking at after an anomaly.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     ring: Option<Ring>,
 }
 
@@ -155,41 +146,25 @@ impl Tracer {
     }
 
     /// Creates a tracer keeping the most recent `capacity` events.
-    ///
-    /// Without the `trace` feature this is equivalent to
-    /// [`Tracer::disabled`].
-    #[allow(unused_variables)]
     pub fn with_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            Tracer {
-                ring: Some(Ring {
-                    events: Vec::with_capacity(capacity.min(1 << 20)),
-                    capacity: capacity.max(1),
-                    head: 0,
-                    overwritten: 0,
-                }),
-            }
+        Tracer {
+            ring: Some(Ring {
+                events: Vec::with_capacity(capacity.min(1 << 20)),
+                capacity: capacity.max(1),
+                head: 0,
+                overwritten: 0,
+            }),
         }
-        #[cfg(not(feature = "trace"))]
-        Tracer {}
     }
 
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.ring.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        false
+        self.ring.is_some()
     }
 
     /// Records one event (no-op when disabled).
     #[inline]
-    #[allow(unused_variables)]
     pub fn record(&mut self, ts: SimTime, packet: u64, kind: TraceEventKind) {
-        #[cfg(feature = "trace")]
         if let Some(ring) = &mut self.ring {
             ring.record(TraceEvent { ts, packet, kind });
         }
@@ -197,12 +172,7 @@ impl Tracer {
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.ring.as_ref().map_or(0, |r| r.events.len())
-        }
-        #[cfg(not(feature = "trace"))]
-        0
+        self.ring.as_ref().map_or(0, |r| r.events.len())
     }
 
     /// Whether no events are buffered.
@@ -212,24 +182,14 @@ impl Tracer {
 
     /// Events lost to ring overwrite.
     pub fn overwritten(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.ring.as_ref().map_or(0, |r| r.overwritten)
-        }
-        #[cfg(not(feature = "trace"))]
-        0
+        self.ring.as_ref().map_or(0, |r| r.overwritten)
     }
 
     /// Buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            self.ring
-                .as_ref()
-                .map_or_else(Vec::new, |r| r.iter().copied().collect())
-        }
-        #[cfg(not(feature = "trace"))]
-        Vec::new()
+        self.ring
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.iter().copied().collect())
     }
 
     /// Exports the buffer as Chrome trace-event JSON (the
@@ -423,7 +383,6 @@ mod tests {
         assert!(!tr.is_enabled());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_keeps_most_recent() {
         let mut tr = Tracer::with_capacity(4);
@@ -436,7 +395,6 @@ mod tests {
         assert_eq!(packets, vec![6, 7, 8, 9]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn chrome_json_contains_spans_and_instants() {
         let mut tr = Tracer::with_capacity(64);
@@ -452,7 +410,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"i\""));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn merged_export_adds_counter_tracks_without_touching_lanes() {
         let mut tr = Tracer::with_capacity(16);

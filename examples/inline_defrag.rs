@@ -77,5 +77,5 @@ fn fld_bench_lines() -> String {
     // reduced scale so this stays fast.
     use flexdriver::accel::echo::EchoAccelerator;
     let _ = EchoAccelerator::prototype(); // keep accel crate linked
-    "see: cargo run -p fld-bench --bin defrag   (full §8.2.2 reproduction)".to_string()
+    "see: cargo run -p fld-bench --bin exp -- defrag   (full §8.2.2 reproduction)".to_string()
 }

@@ -70,5 +70,5 @@ fn main() {
     }
     let admitted = passed as f64 / offered as f64 * 16.0;
     println!("  tenant 2 offered 16.0 Gbps -> admitted {admitted:.1} Gbps");
-    println!("\nfull isolation experiment: cargo run -p fld-bench --bin iot_isolation");
+    println!("\nfull isolation experiment: cargo run -p fld-bench --bin exp -- iot_isolation");
 }
