@@ -414,17 +414,17 @@ fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
 /// often (N vs 4N ticks) costs not one allocation more in `sample.audit`,
 /// and in `sample.probes` only what the longer recorded series
 /// themselves need — while `audit.checks` grows by exactly the per-tick
-/// check count: 19 on the echo system and 137 on the chaos rack, of
-/// which the pool-conservation clause is one per `FldSystem` (one here,
-/// four nodes there).
+/// check count: 20 on the echo system and 141 on the chaos rack, of
+/// which the pool-conservation and `client_down` bound clauses are one
+/// each per `FldSystem` (one here, four nodes there).
 #[test]
 fn tick_allocations_do_not_grow_with_the_tick_count() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let us = SimDuration::from_micros;
     type Build = fn(SimDuration) -> Ticked;
     let systems: [(&str, Build, SimDuration, u64); 2] = [
-        ("echo", ticked_echo, us(1), 19),
-        ("chaos rack", ticked_chaos_rack, us(40), 137),
+        ("echo", ticked_echo, us(1), 20),
+        ("chaos rack", ticked_chaos_rack, us(40), 141),
     ];
     for (name, run, coarse, checks_per_tick) in systems {
         let fine = SimDuration::from_picos(coarse.as_picos() / 4);

@@ -67,7 +67,7 @@ pub use lifecycle::Recorder;
 pub use params::{AccelParams, SystemParams};
 pub use pool::{PacketHandle, PacketPool};
 pub use rack::{
-    FabricPort, FlowPopulation, Rack, RackConfig, RackEv, RackStats, StaticPopulation, TenantFlow,
+    FlowPopulation, Rack, RackConfig, RackEv, RackStats, StaticPopulation, TenantFlow,
     TrafficPattern,
 };
 pub use rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};

@@ -4,6 +4,14 @@
 
 use fld_sim::time::{Bandwidth, SimDuration};
 
+/// Output buffer, in bytes, of the load generator's port and of every rack
+/// fabric port: what each holds before it tail-drops. A modelling
+/// assumption with no source in the paper. testpmd's real bound is its
+/// transmit ring, counted in descriptors rather than bytes. The queueing
+/// an overloaded port adds to a round trip is this buffer's drain time:
+/// 83.9 µs at 25 Gbps, 41.9 µs on the 50 Gbps local-mode host link.
+pub const PORT_BUFFER: u64 = 256 * 1024;
+
 /// Latency and processing-cost constants of the simulated testbed.
 #[derive(Debug, Clone, Copy)]
 pub struct SystemParams {

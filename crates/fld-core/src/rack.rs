@@ -49,6 +49,7 @@ use fld_sim::time::{Bandwidth, SimDuration, SimTime};
 
 use crate::hw::FldConfig;
 use crate::lifecycle::Recorder;
+use crate::params::PORT_BUFFER;
 use crate::system::{
     AccelOutput, AcceleratorModel, ClientGen, Ev, FldSystem, GenMode, HostMode, SystemConfig,
 };
@@ -298,56 +299,10 @@ impl Default for RackConfig {
             vf_shaper: None,
             port_rate: Bandwidth::gbps(25.0),
             port_latency: SimDuration::from_micros(1),
-            port_buffer: 256 * 1024,
+            port_buffer: PORT_BUFFER,
             vf_rule_quota: 4,
             seed: 0xF1D0_4ACC,
         }
-    }
-}
-
-/// One output-queued egress port of the shared switch: a serializing
-/// link plus a bounded output buffer accounted as a credit pool. A
-/// packet offered while the queue holds fewer than `buffer` bytes is
-/// accepted (consuming credits until it serializes out); otherwise it is
-/// dropped at the switch — the credit-based backpressure boundary.
-#[derive(Debug)]
-pub struct FabricPort {
-    link: Link,
-    buffer: u64,
-}
-
-impl FabricPort {
-    /// A port at `rate` with `latency` propagation and `buffer` bytes of
-    /// output queue.
-    pub fn new(rate: Bandwidth, latency: SimDuration, buffer: u64) -> FabricPort {
-        FabricPort {
-            link: Link::new(rate, latency),
-            buffer,
-        }
-    }
-
-    /// Bytes queued for the wire at `now`.
-    pub fn queued_bytes(&self, now: SimTime) -> u64 {
-        (self.link.backlog(now).as_secs_f64() * self.link.bandwidth().as_bps() / 8.0) as u64
-    }
-
-    /// Remaining buffer credits at `now`.
-    pub fn credits(&self, now: SimTime) -> u64 {
-        self.buffer.saturating_sub(self.queued_bytes(now))
-    }
-
-    /// Offers a frame of `bytes`; `Some(arrival)` if the buffer admits
-    /// it, `None` (drop) when the credits are exhausted.
-    pub fn offer(&mut self, now: SimTime, bytes: u64) -> Option<SimTime> {
-        if self.queued_bytes(now) + bytes > self.buffer {
-            return None;
-        }
-        Some(self.link.transmit(now, bytes))
-    }
-
-    fn probes(&mut self, name: &str, now: SimTime, interval: SimDuration, out: &mut Probes) {
-        out.push_scoped(name, "util", self.link.window_util(interval));
-        out.push_scoped(name, "credits", self.credits(now) as f64);
     }
 }
 
@@ -603,8 +558,9 @@ pub struct Rack {
     cfg: RackConfig,
     rng: SimRng,
     nodes: Vec<FldSystem>,
-    /// One egress port per destination node.
-    ports: Vec<FabricPort>,
+    /// One output-queued egress port per destination node: a serializing
+    /// link whose byte-bounded buffer tail-drops what it cannot hold.
+    ports: Vec<Link>,
     /// `fabric.port.<d>`: each port's probe scope and audit component.
     port_names: Vec<Box<str>>,
     pop: Box<dyn FlowPopulation>,
@@ -655,7 +611,7 @@ impl Rack {
             nodes.push(Self::build_node(&cfg, n));
         }
         let ports = (0..cfg.nodes)
-            .map(|_| FabricPort::new(cfg.port_rate, cfg.port_latency, cfg.port_buffer))
+            .map(|_| Link::new(cfg.port_rate, cfg.port_latency).with_buffer(cfg.port_buffer))
             .collect();
         let counters = CounterTree::new();
         let port_ctrs = (0..cfg.nodes)
@@ -1310,7 +1266,8 @@ impl Model for Rack {
     /// the shared timeline, and the fabric is what this model adds.
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {
         for (port, name) in self.ports.iter_mut().zip(&self.port_names) {
-            port.probes(name, now, interval, out);
+            out.push_scoped(name, "util", port.window_util(interval));
+            out.push_scoped(name, "credits", port.credits(now) as f64);
         }
         out.push("rack.flows.active", self.pop.active_count() as f64);
         out.push("rack.offered", self.offered as f64);
@@ -1359,7 +1316,7 @@ impl Model for Rack {
         }
         // Port credit accounting never exceeds the configured buffer.
         for (port, name) in self.ports.iter().zip(&self.port_names) {
-            auditor.check_credits(at, name, port.credits(at), port.buffer);
+            auditor.check_credits(at, name, port.credits(at), port.buffer());
         }
         // Cross-layer conservation: nodes can only have received what the
         // fabric forwarded, less what died at faulted boundaries (the

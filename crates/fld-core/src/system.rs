@@ -37,7 +37,7 @@ use fld_sim::trace::{StageLatencies, TraceEventKind, Tracer};
 use crate::host::HostCpu;
 use crate::hw::{FldConfig, FldDevice, TxSlot};
 use crate::lifecycle::Recorder;
-use crate::params::SystemParams;
+use crate::params::{SystemParams, PORT_BUFFER};
 use crate::pool::{PacketHandle, PacketPool};
 
 /// Process-wide strict-audit switch (the `--strict-audit` flag): systems
@@ -408,6 +408,8 @@ pub mod drops {
     pub const FAULT_MALFORMED_WQE: &str = "fault_malformed_wqe";
     /// Collateral loss while a tx queue is flushing in its error state.
     pub const FAULT_QUEUE_FLUSH: &str = "fault_queue_flush";
+    /// Refused by the generator's full port (testpmd's `TX-dropped`).
+    pub const CLIENT_TX_DROPPED: &str = "client_tx_dropped";
 }
 
 /// Stage names of the per-packet latency breakdown. The deltas telescope:
@@ -543,7 +545,8 @@ pub struct RunStats {
     pub tenant_bytes: Vec<(u32, u64)>,
     /// Drop counters.
     pub drops: Counters,
-    /// Packets the generator sent.
+    /// Packets the generator offered: admitted by its port, or refused
+    /// by it and counted under [`drops::CLIENT_TX_DROPPED`].
     pub sent: u64,
     /// Per-stage latency breakdown (populated when telemetry is enabled
     /// via [`FldSystem::enable_telemetry`]).
@@ -605,7 +608,7 @@ impl RunStats {
 pub struct FldSystem {
     cfg: SystemConfig,
     rng: SimRng,
-    // Links.
+    // Links; `client_up` is the generator's port.
     client_up: Link,
     client_down: Link,
     pcie_to_fld: Link,
@@ -705,6 +708,9 @@ struct SysCounters {
     pcie: TlpCounters,
     accel_jobs: Counter,
     accel_stalls: Counter,
+    /// `client/tx_dropped`, registered at the generator port's first
+    /// refusal so that a run which refuses nothing dumps the same tree.
+    client_tx_dropped: Option<Counter>,
     flow_other_packets: Counter,
     flow_other_bytes: Counter,
     /// The groups the per-tick audit telescopes, resolved once here:
@@ -745,6 +751,7 @@ impl SysCounters {
             pcie: TlpCounters::wired(tree, 0),
             accel_jobs: tree.counter("accel/0/jobs"),
             accel_stalls: tree.counter("accel/0/stalls"),
+            client_tx_dropped: None,
             flow_other_packets: tree.counter("flow/other/packets"),
             flow_other_bytes: tree.counter("flow/other/bytes"),
             flow_packets: CounterSum::leaves(tree, "flow", "packets"),
@@ -813,6 +820,8 @@ struct FlowCounts {
     /// Packets parked in the pool on their way to the NIC port, by the
     /// generator or by a composing model ([`FldSystem::admit`]).
     admitted: u64,
+    /// The generator's share of `admitted`: the frames its port accepted.
+    gen_admitted: u64,
     /// Admitted packets a composing model took back before they arrived
     /// ([`FldSystem::discard`]: the rack's boundary drops).
     discarded: u64,
@@ -909,7 +918,7 @@ impl FldSystem {
         FldSystem {
             cfg,
             rng,
-            client_up: Link::new(cfg.client_rate, cfg.client_latency),
+            client_up: Link::new(cfg.client_rate, cfg.client_latency).with_buffer(PORT_BUFFER),
             client_down: Link::new(cfg.client_rate, cfg.client_latency),
             pcie_to_fld: Link::new(cfg.pcie.rate, cfg.pcie.latency),
             pcie_from_fld: Link::new(cfg.pcie.rate, cfg.pcie.latency),
@@ -967,6 +976,11 @@ impl FldSystem {
     /// a [`CounterTree::snapshot`] for a consistent read).
     pub fn counter_tree(&self) -> &CounterTree {
         &self.counters
+    }
+
+    /// Frames the generator's port refused (`client/tx_dropped`).
+    fn client_tx_dropped(&self) -> u64 {
+        self.ctr.client_tx_dropped.as_ref().map_or(0, Counter::get)
     }
 
     /// Packets that arrived on the wire port (`port/0/rx/packets`), read
@@ -1188,9 +1202,20 @@ impl FldSystem {
         self.stats.sent += burst.len() as u64;
         for mut pkt in burst.drain(..) {
             pkt.born = now;
-            let arrive = self.client_up.transmit(now, pkt.len as u64 + ETH_OVERHEAD);
-            let h = self.admit(pkt);
-            eng.schedule_at(arrive, Ev::ArriveAtNic(h));
+            // The port tail-drops what its buffer cannot hold; a refused
+            // frame is counted and never enters the pool.
+            match self.client_up.offer(now, pkt.len as u64 + ETH_OVERHEAD) {
+                Some(arrive) => {
+                    self.flow.gen_admitted += 1;
+                    let h = self.admit(pkt);
+                    eng.schedule_at(arrive, Ev::ArriveAtNic(h));
+                }
+                None => self
+                    .ctr
+                    .client_tx_dropped
+                    .get_or_insert_with(|| self.counters.counter("client/tx_dropped"))
+                    .inc(),
+            }
         }
         self.gen.scratch = burst;
         self.gen_next_allowed = now + self.gen.per_burst_cost;
@@ -1904,12 +1929,27 @@ impl Model for FldSystem {
             nic_pol == sys_pol,
             || format!("nic counted {nic_pol} policer drops, system ledger has {sys_pol}"),
         );
-        // System-wide packet conservation (inequality while in flight).
+        // System-wide packet conservation (inequality while in flight),
+        // and at the generator's port: offered == admitted + refused.
         let (pin, pout) = (self.flow.packets_in(), self.flow.packets_out());
-        auditor.check(at, "system.flow", "conservation", pin >= pout, || {
-            format!("more packets out ({pout}) than ever in ({pin})")
+        let (offered, admitted) = (self.stats.sent, self.flow.gen_admitted);
+        let refused = self.client_tx_dropped();
+        let ok = pin >= pout && offered == admitted + refused;
+        auditor.check(at, "system.flow", "conservation", ok, || {
+            format!(
+                "{pout} out of {pin} in; {offered} offered, {admitted} admitted, {refused} refused"
+            )
         });
         self.flow.audit_pool(at, self.pool.live(), auditor);
+        // `client_down` has no buffer: its frames first crossed a bounded
+        // port at its rate, so it holds that buffer plus one of bunching,
+        // and the host stack's acks, queued up to one rx backlog ahead.
+        let mut bound = self.client_down.bandwidth().time_for_bytes(2 * PORT_BUFFER);
+        if matches!(self.host_mode, HostMode::DefragStack { .. }) {
+            bound += self.cfg.params.host_rx_backlog_limit;
+        }
+        let down = self.client_down.backlog(at).as_secs_f64() / bound.as_secs_f64();
+        auditor.check_occupancy(at, "link.client_down", down);
         if let Some(inj) = &self.faults {
             inj.ledger().audit(at, "fld", auditor);
         }
@@ -2006,6 +2046,12 @@ impl Model for FldSystem {
     fn finish(&mut self, end: SimTime, _drained: bool) {
         self.stats.client_rate.finish(end);
         self.stats.host_goodput.finish(end);
+        // Folded once here rather than per refusal; a run that refuses
+        // nothing keeps the drop table it always had.
+        let refused = self.client_tx_dropped();
+        if refused > 0 {
+            self.stats.drops.add(drops::CLIENT_TX_DROPPED, refused);
+        }
         let mut tenants: Vec<(u32, u64)> =
             self.tenant_bytes.iter().map(|(k, v)| (*k, *v)).collect();
         tenants.sort_unstable();

@@ -47,14 +47,13 @@ impl FabricTopology {
 }
 
 /// One egress port of a store-and-forward switch with a bounded output
-/// buffer.
+/// buffer: a [`Link`] whose buffer is the backpressure limit. The port
+/// forwards whatever arrives; a sender that honours
+/// [`SwitchPort::should_backpressure`] is what keeps the queue bounded.
 #[derive(Debug)]
 pub struct SwitchPort {
     link: Link,
     overheads: TlpOverheads,
-    /// Output-buffer capacity in bytes; `transmit` reports whether the TLP
-    /// found the buffer above the configured limit (backpressure signal).
-    buffer_limit: u64,
     control_delays: fld_sim::stats::Histogram,
     backpressured: u64,
 }
@@ -63,9 +62,8 @@ impl SwitchPort {
     /// Creates a port at `rate` with `buffer_limit` bytes of output buffer.
     pub fn new(rate: Bandwidth, buffer_limit: u64) -> Self {
         SwitchPort {
-            link: Link::new(rate, SimDuration::from_nanos(150)),
+            link: Link::new(rate, SimDuration::from_nanos(150)).with_buffer(buffer_limit),
             overheads: TlpOverheads::default(),
-            buffer_limit,
             control_delays: fld_sim::stats::Histogram::new(),
             backpressured: 0,
         }
@@ -73,13 +71,13 @@ impl SwitchPort {
 
     /// Bytes currently queued for the wire at `now`.
     pub fn queued_bytes(&self, now: SimTime) -> u64 {
-        (self.link.backlog(now).as_secs_f64() * self.link.bandwidth().as_bps() / 8.0) as u64
+        self.link.queued_bytes(now)
     }
 
-    /// Whether a sender should be backpressured right now (buffer above
-    /// the limit) — the paper's tuning knob.
+    /// Whether a sender should be backpressured right now (buffer at or
+    /// above the limit) — the paper's tuning knob.
     pub fn should_backpressure(&self, now: SimTime) -> bool {
-        self.queued_bytes(now) >= self.buffer_limit
+        self.buffer_credits(now) == 0
     }
 
     /// Forwards a TLP; returns its arrival time at the next hop. Control
@@ -114,14 +112,14 @@ impl SwitchPort {
 
     /// The configured output-buffer capacity in bytes.
     pub fn buffer_limit(&self) -> u64 {
-        self.buffer_limit
+        self.link.buffer()
     }
 
     /// Remaining output-buffer credits in bytes at `now` — the PCIe
     /// credit-count flight-recorder probe. Saturates at zero while the
     /// port is driven past its backpressure limit.
     pub fn buffer_credits(&self, now: SimTime) -> u64 {
-        self.buffer_limit.saturating_sub(self.queued_bytes(now))
+        self.link.credits(now)
     }
 
     /// Total bytes ever forwarded (for per-window utilization probes).

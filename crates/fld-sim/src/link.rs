@@ -58,6 +58,11 @@ impl<K: Copy + PartialEq, V: Copy> RecentTwo<K, V> {
 /// arrives at the far end after serialization plus propagation delay. The
 /// link never reorders.
 ///
+/// A link may have a byte-bounded output buffer ([`Link::with_buffer`];
+/// unbounded by default). [`Link::offer`] tail-drops a unit that finds the
+/// buffer full; [`Link::transmit`] ignores the bound, for senders that a
+/// window or credit scheme already holds back.
+///
 /// # Examples
 ///
 /// ```
@@ -82,10 +87,12 @@ pub struct Link {
     win_mark: u64,
     /// Serialization times of the two most recent distinct unit sizes.
     serialization: RecentTwo<u64, SimDuration>,
+    /// Output-buffer capacity in bytes (`u64::MAX`: unbounded).
+    buffer: u64,
 }
 
 impl Link {
-    /// Creates a link with the given rate and one-way propagation delay.
+    /// Creates an unbounded link with the given rate and one-way delay.
     pub fn new(bandwidth: Bandwidth, propagation: SimDuration) -> Self {
         Link {
             bandwidth,
@@ -95,7 +102,19 @@ impl Link {
             units_sent: 0,
             win_mark: 0,
             serialization: RecentTwo::new(0, bandwidth.time_for_bytes(0)),
+            buffer: u64::MAX,
         }
+    }
+
+    /// Bounds the output buffer at `bytes`.
+    pub fn with_buffer(mut self, bytes: u64) -> Self {
+        self.buffer = bytes;
+        self
+    }
+
+    /// The output-buffer capacity in bytes (`u64::MAX` when unbounded).
+    pub fn buffer(&self) -> u64 {
+        self.buffer
     }
 
     /// The configured bandwidth.
@@ -138,6 +157,27 @@ impl Link {
     /// Whether the link would accept a unit at `now` without queueing.
     pub fn is_idle(&self, now: SimTime) -> bool {
         self.backlog(now).is_zero()
+    }
+
+    /// Bytes queued for the wire at `now`: the backlog at line rate.
+    pub fn queued_bytes(&self, now: SimTime) -> u64 {
+        (self.backlog(now).as_secs_f64() * self.bandwidth.as_bps() / 8.0) as u64
+    }
+
+    /// Remaining output-buffer credits in bytes at `now`; zero once the
+    /// queue has reached the buffer.
+    pub fn credits(&self, now: SimTime) -> u64 {
+        self.buffer.saturating_sub(self.queued_bytes(now))
+    }
+
+    /// Offers a unit at `now`: `Some(arrival)` while credits remain, else
+    /// `None` (tail drop) and the link is untouched. The verdict ignores
+    /// `bytes`, so no size is favoured near full; a unit may overshoot.
+    pub fn offer(&mut self, now: SimTime, bytes: u64) -> Option<SimTime> {
+        if self.credits(now) == 0 {
+            return None;
+        }
+        Some(self.transmit(now, bytes))
     }
 
     /// Total payload bytes ever pushed through the link.
@@ -338,6 +378,54 @@ mod tests {
         l.transmit(SimTime::ZERO, 1250); // 1 us busy
         let u = l.utilization(SimTime::from_micros(2));
         assert!((u - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn offer_verdict_does_not_depend_on_frame_size() {
+        // 2 000 B queued against a 2 048 B buffer: 48 B of credit left,
+        // less than either frame.
+        let wire = || {
+            let mut l = Link::new(Bandwidth::gbps(25.0), SimDuration::ZERO).with_buffer(2048);
+            l.transmit(SimTime::ZERO, 2000);
+            l
+        };
+        let (mut small, mut large) = (wire(), wire());
+        assert_eq!(small.credits(SimTime::ZERO), 48);
+        assert!(small.offer(SimTime::ZERO, 64).is_some());
+        assert!(large.offer(SimTime::ZERO, 1500).is_some());
+        // Now both are past the buffer: both sizes are refused.
+        assert!(small.offer(SimTime::ZERO, 64).is_none());
+        assert!(large.offer(SimTime::ZERO, 64).is_none());
+        assert!(small.offer(SimTime::ZERO, 1500).is_none());
+        assert!(large.offer(SimTime::ZERO, 1500).is_none());
+    }
+
+    #[test]
+    fn a_refused_offer_leaves_the_link_untouched() {
+        let mut l = Link::new(Bandwidth::gbps(10.0), SimDuration::ZERO).with_buffer(1000);
+        let first = l.offer(SimTime::ZERO, 1000).expect("empty buffer admits");
+        let before = (l.backlog(SimTime::ZERO), l.bytes_sent(), l.units_sent());
+        assert_eq!(l.credits(SimTime::ZERO), 0);
+        assert_eq!(l.offer(SimTime::ZERO, 64), None);
+        assert_eq!(
+            (l.backlog(SimTime::ZERO), l.bytes_sent(), l.units_sent()),
+            before
+        );
+        // Once half the queue has drained an offer goes through,
+        // serialising right behind the first frame.
+        let t = SimTime::from_nanos(400);
+        assert_eq!(l.queued_bytes(t), 500);
+        assert_eq!(l.offer(t, 1000), Some(first + SimDuration::from_nanos(800)));
+    }
+
+    #[test]
+    fn an_unbounded_link_always_admits() {
+        let mut l = Link::new(Bandwidth::gbps(1.0), SimDuration::ZERO);
+        assert_eq!(l.buffer(), u64::MAX);
+        for _ in 0..1000 {
+            assert!(l.offer(SimTime::ZERO, 1500).is_some());
+        }
+        assert_eq!(l.queued_bytes(SimTime::ZERO), 1_500_000);
     }
 
     #[test]

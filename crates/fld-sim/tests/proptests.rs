@@ -424,6 +424,34 @@ proptest! {
         prop_assert_eq!(link.units_sent(), sizes.len() as u64);
     }
 
+    /// A bounded link's queue never holds more than its buffer plus the
+    /// largest unit offered, and a refused offer changes nothing.
+    #[test]
+    fn bounded_link_queue_stays_within_buffer_plus_one_frame(
+        offers in proptest::collection::vec((64u64..9_000, 0u64..2_000), 1..300),
+        buffer in 1u64..64_000,
+        // Rates at which a byte is a whole number of picoseconds, so the
+        // queue in bytes is exact.
+        gbps in prop_oneof![Just(1.0f64), Just(10.0), Just(25.0), Just(40.0), Just(50.0), Just(100.0)],
+    ) {
+        let mut link = Link::new(Bandwidth::gbps(gbps), SimDuration::from_nanos(100))
+            .with_buffer(buffer);
+        let largest = offers.iter().map(|&(bytes, _)| bytes).max().unwrap_or(0);
+        let mut now = SimTime::ZERO;
+        for &(bytes, gap_ns) in &offers {
+            now += SimDuration::from_nanos(gap_ns);
+            let before = (link.backlog(now), link.bytes_sent(), link.units_sent());
+            if link.offer(now, bytes).is_none() {
+                prop_assert_eq!(link.credits(now), 0);
+                prop_assert_eq!((link.backlog(now), link.bytes_sent(), link.units_sent()), before);
+            }
+            prop_assert!(
+                link.queued_bytes(now) <= buffer + largest,
+                "{} B queued against a {} B buffer", link.queued_bytes(now), buffer
+            );
+        }
+    }
+
     /// A token bucket never admits more than rate*time + burst bytes.
     #[test]
     fn token_bucket_rate_bound(
