@@ -64,7 +64,12 @@ impl DefragAccelerator {
 }
 
 impl AcceleratorModel for DefragAccelerator {
-    fn process(&mut self, pkt: SimPacket, next_table: Option<u16>, now: SimTime) -> AccelOutput {
+    fn process(
+        &mut self,
+        mut pkt: SimPacket,
+        next_table: Option<u16>,
+        now: SimTime,
+    ) -> AccelOutput {
         let start = now.max(self.next_free);
         let done = start + self.per_fragment;
         self.next_free = done;
@@ -94,16 +99,16 @@ impl AcceleratorModel for DefragAccelerator {
             ReassemblyResult::Complete {
                 header, payload, ..
             } => {
-                let frame = Self::rebuild_frame(&eth, &header, &payload);
+                let frame = Self::rebuild_frame(&eth, &header, payload);
                 self.datagrams_out += 1;
-                let id = self.next_id;
+                // The last fragment becomes the datagram: a new id, its
+                // birth time and context kept.
+                pkt.reframe(frame);
+                pkt.id = self.next_id;
                 self.next_id += 1;
-                let mut out = SimPacket::from_frame(id, frame, pkt.born);
-                out.born = pkt.born;
-                out.meta.context_id = pkt.meta.context_id;
                 AccelOutput {
                     consumed_at: done,
-                    emit: EmitList::one((done, 0, next_table, out)),
+                    emit: EmitList::one((done, 0, next_table, pkt)),
                 }
             }
         }

@@ -281,7 +281,9 @@ pub enum GenMode {
 /// Builds the `i`-th traffic burst into `out` (`Send` so systems can
 /// move across sweep-runner threads). Builders append rather than
 /// return a `Vec`: the generator recycles one scratch buffer across
-/// bursts, so the per-packet hot path performs no heap allocation.
+/// bursts, so a builder of synthetic packets allocates nothing per
+/// burst, and one that attaches real frames allocates only those frames
+/// and their packets' `Box`es.
 pub type BurstBuilder = Box<dyn FnMut(u64, &mut SimRng, &mut Vec<SimPacket>) + Send>;
 
 /// The client/load-generator node.
@@ -1305,15 +1307,13 @@ impl FldSystem {
         // Hardware tunnel termination runs before classification, so the
         // match-action tables (and later the accelerator) see the inner
         // packet — the offload chaining FLD makes possible (§ 8.2.2). The
-        // inner packet takes over the outer one's pool slot.
+        // packet is re-pointed at the inner frame where it lies.
         if let (Some(vni), Some(pkt_vni)) = (self.vxlan_decap, pkt.meta.vni_u32()) {
             if vni == pkt_vni {
                 self.decapped += 1;
                 if let Some(bytes) = pkt.bytes.as_deref() {
                     if let Ok((_, inner)) = fld_net::frame::vxlan_decap(bytes) {
-                        let mut inner_pkt = SimPacket::from_frame(pkt.id, inner, pkt.born);
-                        inner_pkt.meta.context_id = pkt.meta.context_id;
-                        *pkt = inner_pkt;
+                        pkt.reframe(inner);
                     }
                 } else {
                     pkt.meta.vni = None;

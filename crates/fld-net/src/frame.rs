@@ -9,10 +9,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crate::error::ParsePacketError;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use crate::flow::FlowKey;
-use crate::ipv4::{fragment, IpProto, Ipv4Addr, Ipv4Header, IPV4_HEADER_LEN};
-use crate::tcp::TcpHeader;
+use crate::ipv4::{fragment_ranges, IpProto, Ipv4Addr, Ipv4Header, IPV4_HEADER_LEN};
+use crate::tcp::{TcpHeader, TCP_HEADER_LEN};
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
-use crate::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
+use crate::vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
 
 /// Transport-layer view of a parsed frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,24 +152,39 @@ pub fn build_tcp_frame(
     seq: u32,
     payload: &[u8],
 ) -> Bytes {
+    let mut buf = BytesMut::with_capacity(
+        ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len(),
+    );
+    write_tcp_frame(&mut buf, ep, src_port, dst_port, seq, payload);
+    buf.freeze()
+}
+
+/// Appends the frame [`build_tcp_frame`] returns to `buf`, so a caller
+/// that only reads the frame can keep one buffer for all of them.
+pub fn write_tcp_frame(
+    buf: &mut BytesMut,
+    ep: &Endpoints,
+    src_port: u16,
+    dst_port: u16,
+    seq: u32,
+    payload: &[u8],
+) {
     let tcp = TcpHeader::data(src_port, dst_port, seq);
     let ip = Ipv4Header::simple(
         ep.src_ip,
         ep.dst_ip,
         IpProto::Tcp,
-        crate::tcp::TCP_HEADER_LEN + payload.len(),
+        TCP_HEADER_LEN + payload.len(),
     );
     let eth = EthernetHeader {
         dst: ep.dst_mac,
         src: ep.src_mac,
         ethertype: EtherType::Ipv4,
     };
-    let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + ip.total_len as usize);
-    eth.write(&mut buf);
-    ip.write(&mut buf);
-    tcp.write(&mut buf);
+    eth.write(buf);
+    ip.write(buf);
+    tcp.write(buf);
     buf.put_slice(payload);
-    buf.freeze()
 }
 
 /// Splits an IPv4 frame into fragment frames that each fit `mtu` (IP total
@@ -186,62 +201,100 @@ pub fn fragment_frame(
     mtu: usize,
     ip_id: u16,
 ) -> Result<Vec<Bytes>, ParsePacketError> {
+    Ok(fragment_frames(frame, mtu, ip_id, 0, |_, _| {})?.collect())
+}
+
+/// [`fragment_frame`] followed by [`vxlan_encap`] of each fragment, with
+/// each tunnelled fragment written straight into its own buffer: outer
+/// headers, the inner Ethernet header, the fragment's IP header, then its
+/// share of the payload. The frames come out in order as the iterator is
+/// driven.
+///
+/// # Errors
+///
+/// Those of [`fragment_frame`], before any frame is built.
+pub fn vxlan_encap_fragments<'a>(
+    outer: &Endpoints,
+    vni: u32,
+    frame: &'a [u8],
+    mtu: usize,
+    ip_id: u16,
+    src_port: u16,
+) -> Result<impl Iterator<Item = Bytes> + 'a, ParsePacketError> {
+    let outer = *outer;
+    fragment_frames(frame, mtu, ip_id, VXLAN_ENCAP_LEN, move |buf, inner_len| {
+        write_vxlan_headers(buf, &outer, vni, inner_len, src_port);
+    })
+}
+
+/// The fragments of `frame` as new frames, each behind `head_len` bytes
+/// that `head` writes given the fragment frame's length: what
+/// [`fragment_frame`] and [`vxlan_encap_fragments`] share.
+fn fragment_frames<'a>(
+    frame: &'a [u8],
+    mtu: usize,
+    ip_id: u16,
+    head_len: usize,
+    head: impl Fn(&mut BytesMut, usize) + 'a,
+) -> Result<impl Iterator<Item = Bytes> + 'a, ParsePacketError> {
     let (eth, rest) = EthernetHeader::parse(frame)?;
     let (mut ip, rest) = Ipv4Header::parse(rest)?;
     ip.id = ip_id;
-    let payload = frame.slice_ref(&rest[..ip.payload_len().min(rest.len())]);
-    // `fragment` treats these as caller bugs; here they are properties of
-    // the input frame.
-    if payload.len() > mtu.saturating_sub(IPV4_HEADER_LEN) {
-        let refused = |field, value| ParsePacketError::InvalidField {
-            layer: "ipv4",
-            field,
-            value,
-        };
-        if ip.dont_fragment {
-            return Err(refused("dont_fragment", 1));
-        }
-        if mtu < IPV4_HEADER_LEN + 8 {
-            return Err(refused("mtu", mtu as u64));
-        }
-    }
-    Ok(fragment(&ip, payload, mtu)
-        .into_iter()
-        .map(|(fh, fp)| {
-            let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + fh.total_len as usize);
+    let payload = &rest[..ip.payload_len().min(rest.len())];
+    Ok(
+        fragment_ranges(&ip, payload.len(), mtu)?.map(move |(fh, range)| {
+            let len = ETHERNET_HEADER_LEN + fh.total_len as usize;
+            let mut buf = BytesMut::with_capacity(head_len + len);
+            head(&mut buf, len);
             eth.write(&mut buf);
             fh.write(&mut buf);
-            buf.put_slice(&fp);
+            buf.put_slice(&payload[range]);
             buf.freeze()
-        })
-        .collect())
+        }),
+    )
 }
+
+/// Bytes [`vxlan_encap`] puts in front of the inner frame.
+const VXLAN_ENCAP_LEN: usize =
+    ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + VXLAN_HEADER_LEN;
 
 /// Encapsulates a full inner frame in VXLAN/UDP/IPv4/Ethernet using outer
 /// endpoints `outer` and network id `vni` — the tunnel the NIC's
 /// decapsulation offload strips in § 8.2.2.
 pub fn vxlan_encap(outer: &Endpoints, vni: u32, inner_frame: &[u8], src_port: u16) -> Bytes {
+    let mut buf = BytesMut::with_capacity(VXLAN_ENCAP_LEN + inner_frame.len());
+    write_vxlan_headers(&mut buf, outer, vni, inner_frame.len(), src_port);
+    buf.put_slice(inner_frame);
+    buf.freeze()
+}
+
+/// The outer Ethernet/IPv4/UDP/VXLAN headers of a tunnel carrying an
+/// `inner_len`-byte frame.
+fn write_vxlan_headers(
+    buf: &mut BytesMut,
+    outer: &Endpoints,
+    vni: u32,
+    inner_len: usize,
+    src_port: u16,
+) {
     let vx = VxlanHeader::new(vni);
-    let inner_len = crate::vxlan::VXLAN_HEADER_LEN + inner_frame.len();
-    let udp = UdpHeader::new(src_port, VXLAN_UDP_PORT, inner_len);
+    let udp_payload = VXLAN_HEADER_LEN + inner_len;
+    let udp = UdpHeader::new(src_port, VXLAN_UDP_PORT, udp_payload);
     let ip = Ipv4Header::simple(
         outer.src_ip,
         outer.dst_ip,
         IpProto::Udp,
-        UDP_HEADER_LEN + inner_len,
+        UDP_HEADER_LEN + udp_payload,
     );
     let eth = EthernetHeader {
         dst: outer.dst_mac,
         src: outer.src_mac,
         ethertype: EtherType::Ipv4,
     };
-    let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + ip.total_len as usize);
-    eth.write(&mut buf);
-    ip.write(&mut buf);
-    udp.write(&mut buf);
-    vx.write(&mut buf);
-    buf.put_slice(inner_frame);
-    buf.freeze()
+    eth.write(buf);
+    ip.write(buf);
+    udp.write(buf);
+    vx.write(buf);
 }
 
 /// Strips a VXLAN tunnel, returning `(vni, inner frame)`. The inner frame
@@ -329,7 +382,7 @@ mod tests {
             let p = ParsedFrame::parse(f).unwrap();
             let ip = p.ip.unwrap();
             if let ReassemblyResult::Complete { payload, .. } = r.push(&ip, &p.payload) {
-                out = Some(payload);
+                out = Some(payload.to_vec());
             }
         }
         let full = out.expect("reassembly must complete");
@@ -407,6 +460,24 @@ mod tests {
         let (vni, decapped) = vxlan_decap(&tunneled).unwrap();
         assert_eq!(vni, 42);
         assert_eq!(decapped.as_ref(), inner.as_ref());
+    }
+
+    #[test]
+    fn fused_fragment_encap_equals_the_composed_path() {
+        let inner = build_tcp_frame(&Endpoints::sim(1, 2), 40_000, 5201, 3, &[0xa5; 1446]);
+        let outer = Endpoints::sim(100, 101);
+        let fused: Vec<Bytes> = vxlan_encap_fragments(&outer, 42, &inner, 1450, 9, 30_000)
+            .unwrap()
+            .collect();
+        let composed: Vec<Bytes> = fragment_frame(&inner, 1450, 9)
+            .unwrap()
+            .iter()
+            .map(|f| vxlan_encap(&outer, 42, f, 30_000))
+            .collect();
+        assert_eq!(fused.len(), 2);
+        assert_eq!(fused, composed);
+        // Outer headers, inner Ethernet, IP, and 1424 = (1450 - 20) & !7.
+        assert_eq!(fused[0].len(), 50 + 14 + 20 + 1424);
     }
 
     #[test]

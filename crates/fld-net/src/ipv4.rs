@@ -5,6 +5,7 @@
 //! FlexDriver reassembles them *between* NIC offload stages.
 
 use std::fmt;
+use std::ops::Range;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -245,15 +246,85 @@ impl FragmentKey {
     }
 }
 
+/// The fragments of a `payload_len`-byte IPv4 payload that fit within `mtu`
+/// (which bounds the IP total length, i.e. header + payload per fragment):
+/// each one's header and the range of the payload it carries. A payload
+/// that fits comes back as one range under `hdr` itself. This is the one
+/// chunking rule; [`fragment`] and the frame-level fragmenters in
+/// [`crate::frame`] all read it.
+///
+/// When the payload does not fit, refuses a header with the
+/// don't-fragment bit set (`InvalidField { field: "dont_fragment" }`) and
+/// an `mtu` that cannot carry the 8 payload bytes a fragment must
+/// (`InvalidField { field: "mtu" }`).
+pub(crate) fn fragment_ranges(
+    hdr: &Ipv4Header,
+    payload_len: usize,
+    mtu: usize,
+) -> Result<FragmentRanges, ParsePacketError> {
+    let max_payload = mtu.saturating_sub(IPV4_HEADER_LEN);
+    let chunk = if payload_len <= max_payload {
+        payload_len
+    } else {
+        let refused = |field, value| ParsePacketError::InvalidField {
+            layer: "ipv4",
+            field,
+            value,
+        };
+        if hdr.dont_fragment {
+            return Err(refused("dont_fragment", 1));
+        }
+        // Fragment payload sizes must be multiples of 8 except the last.
+        let chunk = max_payload & !7;
+        if chunk < 8 {
+            return Err(refused("mtu", mtu as u64));
+        }
+        chunk
+    };
+    Ok(FragmentRanges {
+        hdr: *hdr,
+        payload_len,
+        chunk,
+        next: Some(0),
+    })
+}
+
+/// Iterator over `(header, payload range)` pairs; see [`fragment_ranges`].
+#[derive(Debug)]
+pub(crate) struct FragmentRanges {
+    hdr: Ipv4Header,
+    payload_len: usize,
+    chunk: usize,
+    /// Start of the next fragment's range; `None` once the last is out.
+    next: Option<usize>,
+}
+
+impl Iterator for FragmentRanges {
+    type Item = (Ipv4Header, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = self.next?;
+        let end = (start + self.chunk).min(self.payload_len);
+        self.next = (end < self.payload_len).then_some(end);
+        let mut h = self.hdr;
+        h.total_len = (IPV4_HEADER_LEN + end - start) as u16;
+        h.frag_offset = self.hdr.frag_offset + (start / 8) as u16;
+        h.more_fragments = end < self.payload_len || self.hdr.more_fragments;
+        Some((h, start..end))
+    }
+}
+
 /// Splits an IPv4 payload into fragments that fit within `mtu` (which bounds
 /// the IP total length, i.e. header + payload per fragment).
 ///
-/// Returns `(header, payload)` pairs ready to serialize.
+/// Returns `(header, payload)` pairs ready to serialize; the payloads are
+/// views of `payload`.
 ///
 /// # Panics
 ///
 /// Panics if `mtu` cannot carry at least 8 bytes of payload, or if the
-/// header has the don't-fragment bit set while fragmentation is required.
+/// header has the don't-fragment bit set while fragmentation is required
+/// (where [`crate::frame::fragment_frame`] returns an error).
 ///
 /// # Examples
 ///
@@ -269,29 +340,10 @@ impl FragmentKey {
 /// assert!(!frags[2].0.more_fragments);
 /// ```
 pub fn fragment(hdr: &Ipv4Header, payload: Bytes, mtu: usize) -> Vec<(Ipv4Header, Bytes)> {
-    let max_payload = mtu.saturating_sub(IPV4_HEADER_LEN);
-    if payload.len() <= max_payload {
-        let mut h = *hdr;
-        h.total_len = (IPV4_HEADER_LEN + payload.len()) as u16;
-        return vec![(h, payload)];
+    match fragment_ranges(hdr, payload.len(), mtu) {
+        Ok(ranges) => ranges.map(|(h, r)| (h, payload.slice(r))).collect(),
+        Err(refused) => panic!("cannot fragment: {refused}"),
     }
-    assert!(!hdr.dont_fragment, "DF set but fragmentation required");
-    // Fragment payload sizes must be multiples of 8 except the last.
-    let chunk = max_payload & !7;
-    assert!(chunk >= 8, "mtu too small to fragment");
-    let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < payload.len() {
-        let end = (offset + chunk).min(payload.len());
-        let part = payload.slice(offset..end);
-        let mut h = *hdr;
-        h.total_len = (IPV4_HEADER_LEN + part.len()) as u16;
-        h.frag_offset = hdr.frag_offset + (offset / 8) as u16;
-        h.more_fragments = end < payload.len() || hdr.more_fragments;
-        out.push((h, part));
-        offset = end;
-    }
-    out
 }
 
 /// State for one partially reassembled datagram.
@@ -319,6 +371,18 @@ impl PartialDatagram {
             first_header: None,
             fragments: 0,
         }
+    }
+
+    /// Empties `self` for a new datagram, keeping both allocations. The
+    /// buffer's length goes to zero, so every byte the next datagram does
+    /// not write reads as zero, never as the previous datagram's.
+    fn recycle(mut self) -> Self {
+        self.ranges.clear();
+        self.buffer.clear();
+        self.total_len = None;
+        self.first_header = None;
+        self.fragments = 0;
+        self
     }
 
     fn insert(&mut self, start: usize, data: &[u8]) {
@@ -359,7 +423,7 @@ impl PartialDatagram {
 
 /// Result of offering a fragment to the [`Reassembler`].
 #[derive(Debug)]
-pub enum ReassemblyResult {
+pub enum ReassemblyResult<'a> {
     /// The packet was not a fragment; it is returned untouched.
     NotFragment,
     /// The fragment was absorbed; the datagram is still incomplete.
@@ -369,8 +433,9 @@ pub enum ReassemblyResult {
         /// Header for the reassembled datagram (fragment fields cleared,
         /// `total_len` covering the whole payload).
         header: Ipv4Header,
-        /// The reassembled payload.
-        payload: Bytes,
+        /// The reassembled payload, borrowed from the reassembler until
+        /// its next `push`.
+        payload: &'a [u8],
         /// Number of fragments combined.
         fragments: usize,
     },
@@ -381,7 +446,10 @@ pub enum ReassemblyResult {
 ///
 /// The engine bounds its memory by `capacity` concurrent datagrams (the
 /// hardware version stores them in BRAM/URAM); when full, the oldest entry
-/// is evicted, mirroring a hardware replacement policy.
+/// is evicted, mirroring a hardware replacement policy. Like the
+/// hardware's table, its storage is reused: a completed datagram's buffer
+/// stays in one spare slot (that is what [`ReassemblyResult::Complete`]
+/// lends out) until the next new datagram takes it over.
 ///
 /// # Examples
 ///
@@ -397,10 +465,10 @@ pub enum ReassemblyResult {
 /// let mut done = None;
 /// for (fh, fp) in fragment(&hdr, Bytes::from(payload.clone()), 1500) {
 ///     if let ReassemblyResult::Complete { payload, .. } = r.push(&fh, &fp) {
-///         done = Some(payload);
+///         done = Some(payload.to_vec());
 ///     }
 /// }
-/// assert_eq!(done.unwrap().as_ref(), payload.as_slice());
+/// assert_eq!(done.unwrap(), payload);
 /// ```
 #[derive(Debug)]
 pub struct Reassembler {
@@ -408,6 +476,9 @@ pub struct Reassembler {
     /// Insertion-ordered table: acts as both the lookup structure and the
     /// FIFO eviction order.
     table: Vec<(FragmentKey, PartialDatagram)>,
+    /// The last completed datagram, whose allocations the next new one
+    /// reuses.
+    spare: PartialDatagram,
     evictions: u64,
     completed: u64,
 }
@@ -423,6 +494,7 @@ impl Reassembler {
         Reassembler {
             capacity,
             table: Vec::new(),
+            spare: PartialDatagram::new(),
             evictions: 0,
             completed: 0,
         }
@@ -444,7 +516,7 @@ impl Reassembler {
     }
 
     /// Offers one packet; see [`ReassemblyResult`].
-    pub fn push(&mut self, hdr: &Ipv4Header, payload: &[u8]) -> ReassemblyResult {
+    pub fn push(&mut self, hdr: &Ipv4Header, payload: &[u8]) -> ReassemblyResult<'_> {
         if !hdr.is_fragment() {
             return ReassemblyResult::NotFragment;
         }
@@ -456,7 +528,8 @@ impl Reassembler {
                     self.table.remove(0);
                     self.evictions += 1;
                 }
-                self.table.push((key, PartialDatagram::new()));
+                let spare = std::mem::replace(&mut self.spare, PartialDatagram::new());
+                self.table.push((key, spare.recycle()));
                 self.table.len() - 1
             }
         };
@@ -470,19 +543,19 @@ impl Reassembler {
             entry.total_len = Some(start + payload.len());
         }
         if entry.is_complete() {
-            let (_, mut done) = self.table.remove(idx);
+            self.spare = self.table.remove(idx).1;
             self.completed += 1;
+            let done = &self.spare;
             let mut header = done
                 .first_header
                 .expect("complete datagram must include first fragment");
             let total = done.total_len.expect("complete datagram has known length");
-            done.buffer.truncate(total);
             header.more_fragments = false;
             header.frag_offset = 0;
             header.total_len = (IPV4_HEADER_LEN + total) as u16;
             ReassemblyResult::Complete {
                 header,
-                payload: Bytes::from(done.buffer),
+                payload: &done.buffer[..total],
                 fragments: done.fragments,
             }
         } else {
@@ -595,13 +668,13 @@ mod tests {
                 } => {
                     assert_eq!(fragments, frags.len());
                     assert!(!header.is_fragment());
-                    complete = Some(payload);
+                    complete = Some(payload.to_vec());
                 }
                 ReassemblyResult::Pending => {}
                 ReassemblyResult::NotFragment => panic!("fragments expected"),
             }
         }
-        assert_eq!(complete.unwrap().as_ref(), payload.as_slice());
+        assert_eq!(complete.unwrap(), payload);
         assert_eq!(r.in_flight(), 0);
     }
 
@@ -647,7 +720,7 @@ mod tests {
         let mut complete = false;
         for (fh, fp) in &frags[1..] {
             if let ReassemblyResult::Complete { payload: p, .. } = r.push(fh, fp) {
-                assert_eq!(p.as_ref(), payload.as_slice());
+                assert_eq!(p, payload.as_slice());
                 complete = true;
             }
         }
@@ -689,6 +762,28 @@ mod tests {
         }
         assert_eq!(r.in_flight(), 2);
         assert_eq!(r.evictions(), 1);
+    }
+
+    #[test]
+    fn a_hole_in_a_reused_buffer_reads_zeros() {
+        let mut r = Reassembler::new(2);
+        let mut h = test_header(3000);
+        for (fh, fp) in fragment(&h, Bytes::from(vec![0xee; 3000]), 1500) {
+            r.push(&fh, &fp);
+        }
+        assert_eq!(r.completed(), 1);
+        let reused = r.spare.buffer.as_ptr();
+        // Only the second fragment of the next datagram: it takes over the
+        // completed one's buffer, and everything before it is a hole.
+        h.id += 1;
+        let frags = fragment(&h, Bytes::from(vec![0x11; 3000]), 1500);
+        let (fh, fp) = &frags[1];
+        assert!(matches!(r.push(fh, fp), ReassemblyResult::Pending));
+        let pending = &r.table[0].1;
+        assert_eq!(pending.buffer.as_ptr(), reused, "the buffer was not reused");
+        let start = fh.frag_offset as usize * 8;
+        assert!(pending.buffer[..start].iter().all(|&b| b == 0));
+        assert!(pending.buffer[start..].iter().all(|&b| b == 0x11));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! under arbitrary fragment orderings, and the whole-frame functions
 //! (`ParsedFrame::parse`, `vxlan_decap`, `fragment_frame`,
 //! `SimPacket::from_frame`) against a slice-level reference on well-formed
-//! frames and their near misses.
+//! frames and their near misses, the fused fragment-and-encapsulate writer
+//! against the two functions it fuses, and the storage-recycling
+//! `Reassembler` against a reference that allocates every datagram afresh.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -13,8 +15,8 @@ use fld_net::coap::CoapMessage;
 use fld_net::error::ParsePacketError;
 use fld_net::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use fld_net::frame::{
-    build_tcp_frame, build_udp_frame, fragment_frame, vxlan_decap, vxlan_encap, Endpoints,
-    ParsedFrame, L4,
+    build_tcp_frame, build_udp_frame, fragment_frame, vxlan_decap, vxlan_encap,
+    vxlan_encap_fragments, Endpoints, ParsedFrame, L4,
 };
 use fld_net::ipv4::{
     fragment, IpProto, Ipv4Addr, Ipv4Header, Reassembler, ReassemblyResult, IPV4_HEADER_LEN,
@@ -190,6 +192,105 @@ fn ref_fragment(data: &[u8], mtu: usize, id: u16) -> Result<Vec<Vec<u8>>, ParseP
             buf.to_vec()
         })
         .collect())
+}
+
+/// What one `Reassembler::push` returned, owned: `None` for
+/// `NotFragment`, `Some(None)` for `Pending`, else the completed
+/// datagram's header, payload and fragment count.
+type Pushed = Option<Option<(Ipv4Header, Vec<u8>, usize)>>;
+
+/// One datagram of [`FreshReassembler`]: every fragment's span as it
+/// arrived, and the bytes they wrote.
+#[derive(Default)]
+struct FreshDatagram {
+    bytes: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+    total: Option<usize>,
+    first: Option<Ipv4Header>,
+    fragments: usize,
+}
+
+impl FreshDatagram {
+    /// Whether the spans, merged from scratch, are one run from 0 that
+    /// reaches the total length.
+    fn complete(&self) -> bool {
+        let Some(total) = self.total else {
+            return false;
+        };
+        let mut spans = self.spans.clone();
+        spans.sort_unstable();
+        let mut reach = 0;
+        for (start, end) in spans {
+            if start > reach {
+                return false;
+            }
+            reach = reach.max(end);
+        }
+        reach >= total
+    }
+}
+
+/// The reassembly reference: a FIFO table of at most `capacity` datagrams,
+/// each allocated afresh and dropped when done.
+struct FreshReassembler {
+    capacity: usize,
+    table: Vec<(u16, FreshDatagram)>,
+    evictions: u64,
+    completed: u64,
+}
+
+impl FreshReassembler {
+    fn new(capacity: usize) -> Self {
+        FreshReassembler {
+            capacity,
+            table: Vec::new(),
+            evictions: 0,
+            completed: 0,
+        }
+    }
+
+    /// `Reassembler::push` for fragments that differ only in their id.
+    fn push(&mut self, hdr: &Ipv4Header, data: &[u8]) -> Pushed {
+        if !hdr.is_fragment() {
+            return None;
+        }
+        let idx = match self.table.iter().position(|(id, _)| *id == hdr.id) {
+            Some(idx) => idx,
+            None => {
+                if self.table.len() == self.capacity {
+                    self.table.remove(0);
+                    self.evictions += 1;
+                }
+                self.table.push((hdr.id, FreshDatagram::default()));
+                self.table.len() - 1
+            }
+        };
+        let d = &mut self.table[idx].1;
+        let start = hdr.frag_offset as usize * 8;
+        let end = start + data.len();
+        if d.bytes.len() < end {
+            d.bytes.resize(end, 0);
+        }
+        d.bytes[start..end].copy_from_slice(data);
+        d.spans.push((start, end));
+        d.fragments += 1;
+        if start == 0 {
+            d.first = Some(*hdr);
+        }
+        if !hdr.more_fragments {
+            d.total = Some(end);
+        }
+        if !d.complete() {
+            return Some(None);
+        }
+        let (_, d) = self.table.remove(idx);
+        self.completed += 1;
+        let total = d.total.expect("complete");
+        let mut header = d.first.expect("a run from 0 has a first fragment");
+        (header.more_fragments, header.frag_offset) = (false, 0);
+        header.total_len = (IPV4_HEADER_LEN + total) as u16;
+        Some(Some((header, d.bytes[..total].to_vec(), d.fragments)))
+    }
 }
 
 /// `SimPacket::from_frame`'s metadata, from the references above.
@@ -394,6 +495,37 @@ proptest! {
         }
     }
 
+    /// The fused fragment-and-encapsulate writer is `fragment_frame`
+    /// followed by `vxlan_encap` of each fragment, byte for byte and error
+    /// for error: on UDP and TCP frames of any payload length, with or
+    /// without DF, at any MTU and id, and on their near misses.
+    #[test]
+    fn fused_fragment_encap_matches_fragment_then_encap(
+        tcp: bool, df: bool, payload_len in 0usize..4000, id: u16, port: u16,
+        mtu in prop_oneof![0usize..64, 0usize..2000, 1400usize..1500],
+        vni in 0u32..(1 << 24),
+        damage in proptest::collection::vec((1u8..3, any::<usize>(), 1u8..=255, any::<bool>()), 0..4),
+    ) {
+        let ep = Endpoints::sim(1, 2);
+        let outer = Endpoints::sim(100, 101);
+        let payload: Vec<u8> = (0..payload_len).map(|i| (i * 7) as u8).collect();
+        let original = if tcp {
+            build_tcp_frame(&ep, port, 5201, id.into(), &payload)
+        } else {
+            build_udp_frame(&ep, port, 5201, &payload)
+        };
+        let original = if df { with_df(&original) } else { original };
+        for d in std::iter::once((0, 0, 1, false)).chain(damage) {
+            let frame = near_miss(&original, d);
+            let fused = vxlan_encap_fragments(&outer, vni, &frame, mtu, id, port)
+                .map(|frames| frames.collect::<Vec<_>>());
+            let composed = fragment_frame(&frame, mtu, id).map(|frags| {
+                frags.iter().map(|f| vxlan_encap(&outer, vni, f, port)).collect::<Vec<_>>()
+            });
+            prop_assert_eq!(fused, composed);
+        }
+    }
+
     /// Fragmentation partitions the payload exactly: offsets chain, sizes
     /// sum, only the last fragment clears MF.
     #[test]
@@ -447,7 +579,7 @@ proptest! {
         let mut out = None;
         for (fh, fp) in &frags {
             if let ReassemblyResult::Complete { payload, .. } = r.push(fh, fp) {
-                out = Some(payload);
+                out = Some(payload.to_vec());
             }
         }
         if frags.len() == 1 {
@@ -455,7 +587,48 @@ proptest! {
             prop_assert!(out.is_none());
         } else {
             let done = out.expect("must complete");
-            prop_assert_eq!(done.as_ref(), payload.as_slice());
+            prop_assert_eq!(done, payload);
+        }
+    }
+
+    /// One long-lived reassembler, whose completed datagrams' storage the
+    /// next datagram reuses, behaves exactly like a reference that
+    /// allocates every datagram afresh, under arbitrary interleavings of
+    /// four datagrams at capacity 2: duplicates, overlaps, reordering,
+    /// stray fragments and evictions. Every result and every count agrees
+    /// after every push.
+    #[test]
+    fn a_recycling_reassembler_matches_a_fresh_allocation_reference(
+        ops in proptest::collection::vec(prop_oneof![
+            // A piece of a well-formed 40-byte datagram: 16 + 16 + 8.
+            (0u16..4, 0usize..3, any::<u8>()).prop_map(|(id, piece, fill)| {
+                let (off8, len) = [(0, 16), (2, 16), (4, 8)][piece];
+                (id, off8, len, piece < 2, fill)
+            }),
+            // Anything at all.
+            (0u16..4, 0u16..6, 0usize..48, any::<bool>(), any::<u8>()),
+        ], 1..160),
+    ) {
+        let mut r = Reassembler::new(2);
+        let mut fresh = FreshReassembler::new(2);
+        for (id, off8, len, mf, fill) in ops {
+            let mut hdr = Ipv4Header::simple(
+                Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), IpProto::Udp, len,
+            );
+            (hdr.id, hdr.frag_offset, hdr.more_fragments, hdr.ttl) = (id, off8, mf, fill);
+            let data: Vec<u8> = (0..len).map(|k| fill.wrapping_add(k as u8)).collect();
+            let got = match r.push(&hdr, &data) {
+                ReassemblyResult::NotFragment => None,
+                ReassemblyResult::Pending => Some(None),
+                ReassemblyResult::Complete { header, payload, fragments } => {
+                    Some(Some((header, payload.to_vec(), fragments)))
+                }
+            };
+            prop_assert_eq!(got, fresh.push(&hdr, &data));
+            prop_assert_eq!(
+                (r.evictions(), r.completed(), r.in_flight()),
+                (fresh.evictions, fresh.completed, fresh.table.len())
+            );
         }
     }
 

@@ -9,9 +9,9 @@
 //! Attached bytes are a shared handle, never a private copy (DESIGN.md
 //! § 3.13): [`SimPacket::from_frame`] parses the frame it is given in
 //! place — one parse, no payload copy — and keeps that same buffer, a
-//! cloned packet (a link-level duplicate) shares it, and a packet built
-//! from a view of another frame (the NIC's VXLAN decapsulation) points
-//! into that frame's buffer and keeps it alive.
+//! cloned packet (a link-level duplicate) shares it, and a packet
+//! re-pointed at a view of its own frame ([`SimPacket::reframe`], the
+//! NIC's VXLAN decapsulation) keeps that frame's buffer alive.
 //!
 //! Layout matters here: perf sweeps keep hundreds of thousands of packets
 //! alive at once (an overloaded open-loop link backs up), each parked in
@@ -99,42 +99,32 @@ impl SimPacket {
     /// the only allocation is the `Box` holding the handle).
     ///
     /// Unparseable frames become metadata-less packets (zeroed flow key)
-    /// rather than errors, mirroring how a NIC forwards unknown traffic.
+    /// rather than errors.
     pub fn from_frame(id: u64, frame: Bytes, born: SimTime) -> Self {
-        let meta = match ParsedFrame::parse(&frame) {
-            Ok(parsed) => {
-                let flow = parsed.flow_key().unwrap_or_default();
-                let (is_fragment, first_fragment) = parsed
-                    .ip
-                    .map(|ip| (ip.is_fragment(), ip.is_fragment() && ip.frag_offset == 0))
-                    .unwrap_or((false, false));
-                // A VXLAN packet is a UDP datagram to the tunnel port whose
-                // payload — already in hand — starts with the VXLAN header.
-                let vni = match &parsed.l4 {
-                    L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT => {
-                        VxlanHeader::parse(&parsed.payload)
-                            .ok()
-                            .and_then(|(vx, _)| NonZeroU32::new(vx.vni))
-                    }
-                    _ => None,
-                };
-                PacketMeta {
-                    flow,
-                    is_fragment,
-                    first_fragment,
-                    vni,
-                    context_id: 0,
-                    checksum_ok: true,
-                }
-            }
-            Err(_) => PacketMeta::default(),
-        };
         SimPacket {
             id,
             len: frame.len() as u32,
-            meta,
+            meta: frame_meta(&frame),
             born,
             bytes: Some(Box::new(frame)),
+        }
+    }
+
+    /// Turns this packet into the one [`SimPacket::from_frame`] would
+    /// build from `frame`, keeping its `id`, `born` and `context_id` (a
+    /// rewrite of the packet in flight — the NIC's decapsulation, the
+    /// accelerator's reassembly — not a new packet). The existing `Box`
+    /// takes the new handle, so nothing is allocated when bytes were
+    /// attached.
+    pub fn reframe(&mut self, frame: Bytes) {
+        self.len = frame.len() as u32;
+        self.meta = PacketMeta {
+            context_id: self.meta.context_id,
+            ..frame_meta(&frame)
+        };
+        match &mut self.bytes {
+            Some(held) => **held = frame,
+            None => self.bytes = Some(Box::new(frame)),
         }
     }
 
@@ -147,6 +137,37 @@ impl SimPacket {
     /// generators).
     pub const fn udp_len(payload: u32) -> u32 {
         (ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN) as u32 + payload
+    }
+}
+
+/// The metadata of an untagged packet carrying `frame`, parsed once.
+///
+/// Unparseable frames get the default (zeroed flow key) rather than an
+/// error, mirroring how a NIC forwards unknown traffic.
+fn frame_meta(frame: &Bytes) -> PacketMeta {
+    let Ok(parsed) = ParsedFrame::parse(frame) else {
+        return PacketMeta::default();
+    };
+    let flow = parsed.flow_key().unwrap_or_default();
+    let (is_fragment, first_fragment) = parsed
+        .ip
+        .map(|ip| (ip.is_fragment(), ip.is_fragment() && ip.frag_offset == 0))
+        .unwrap_or((false, false));
+    // A VXLAN packet is a UDP datagram to the tunnel port whose payload —
+    // already in hand — starts with the VXLAN header.
+    let vni = match &parsed.l4 {
+        L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT => VxlanHeader::parse(&parsed.payload)
+            .ok()
+            .and_then(|(vx, _)| NonZeroU32::new(vx.vni)),
+        _ => None,
+    };
+    PacketMeta {
+        flow,
+        is_fragment,
+        first_fragment,
+        vni,
+        context_id: 0,
+        checksum_ok: true,
     }
 }
 
@@ -194,6 +215,32 @@ mod tests {
         let tunneled = vxlan_encap(&ep, 77, &inner, 4444);
         let p = SimPacket::from_frame(0, tunneled, SimTime::ZERO);
         assert_eq!(p.meta.vni_u32(), Some(77));
+    }
+
+    #[test]
+    fn reframe_is_from_frame_keeping_identity_and_context() {
+        let inner = build_udp_frame(&Endpoints::sim(3, 4), 5, 6, b"x");
+        let tunneled = vxlan_encap(&Endpoints::sim(1, 2), 77, &inner, 4444);
+        let mut p = SimPacket::from_frame(9, tunneled, SimTime::from_micros(3));
+        p.meta.context_id = 5;
+        p.meta.checksum_ok = false;
+        let held = p.bytes.as_deref().map(|b| b as *const Bytes);
+        p.reframe(inner.clone());
+        let want = SimPacket::from_frame(9, inner, SimTime::from_micros(3));
+        assert_eq!((p.id, p.born, p.len), (want.id, want.born, want.len));
+        assert_eq!(
+            p.meta,
+            PacketMeta {
+                context_id: 5,
+                ..want.meta
+            }
+        );
+        assert_eq!(p.bytes, want.bytes);
+        assert_eq!(
+            p.bytes.as_deref().map(|b| b as *const Bytes),
+            held,
+            "Box reused"
+        );
     }
 
     #[test]

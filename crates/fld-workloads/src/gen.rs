@@ -1,9 +1,9 @@
 //! Burst builders for [`fld_core::system::ClientGen`].
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use fld_core::system::BurstBuilder;
-use fld_net::frame::{build_tcp_frame, fragment_frame, vxlan_encap, Endpoints};
+use fld_net::frame::{fragment_frame, vxlan_encap_fragments, write_tcp_frame, Endpoints};
 use fld_net::{FlowKey, Ipv4Addr};
 use fld_nic::packet::SimPacket;
 use fld_sim::time::SimTime;
@@ -66,34 +66,38 @@ pub fn defrag_bursts(flows: u16, mode: DefragMode) -> BurstBuilder {
     let outer = Endpoints::sim(100, 101);
     // 1500 B IP packet: 1446 B of TCP payload (20 IP + 20 TCP + 14 Eth).
     let payload = vec![0xa5u8; 1446];
+    // The original segment is only read, so one buffer serves every burst.
+    let mut segment = BytesMut::with_capacity(14 + 1500);
     Box::new(move |i, _rng, out| {
         let flow_idx = (i % flows as u64) as u16;
         let src_port = 40_000 + flow_idx;
         let seq = (i / flows as u64) as u32;
-        let frame = build_tcp_frame(&ep, src_port, 5201, seq, &payload);
-        let frames: Vec<Bytes> = match mode {
-            DefragMode::NoFragmentation => vec![frame],
-            DefragMode::Fragmented { mtu } => {
-                fragment_frame(&frame, mtu, i as u16).expect("valid frame")
+        segment.clear();
+        write_tcp_frame(&mut segment, &ep, src_port, 5201, seq, &payload);
+        let packet =
+            |(j, f): (usize, Bytes)| SimPacket::from_frame(i * 8 + j as u64, f, SimTime::ZERO);
+        match mode {
+            DefragMode::NoFragmentation => {
+                out.push(packet((0, Bytes::copy_from_slice(&segment))));
             }
-            DefragMode::FragmentedVxlan { mtu, vni } => {
-                // Pre-fragmentation: fragment the inner packet first, then
-                // encapsulate each fragment (§ 7: "fragmenting packets
-                // before encapsulation ... to reduce the load on the
-                // decapsulating endpoint").
-                fragment_frame(&frame, mtu, i as u16)
+            DefragMode::Fragmented { mtu } => out.extend(
+                fragment_frame(&Bytes::copy_from_slice(&segment), mtu, i as u16)
                     .expect("valid frame")
                     .into_iter()
-                    .map(|f| vxlan_encap(&outer, vni, &f, 30_000 + flow_idx))
-                    .collect()
-            }
-        };
-        out.extend(
-            frames
-                .into_iter()
-                .enumerate()
-                .map(|(j, f)| SimPacket::from_frame(i * 8 + j as u64, f, SimTime::ZERO)),
-        );
+                    .enumerate()
+                    .map(packet),
+            ),
+            // Pre-fragmentation: fragment the inner packet first, then
+            // encapsulate each fragment (§ 7: "fragmenting packets before
+            // encapsulation ... to reduce the load on the decapsulating
+            // endpoint").
+            DefragMode::FragmentedVxlan { mtu, vni } => out.extend(
+                vxlan_encap_fragments(&outer, vni, &segment, mtu, i as u16, 30_000 + flow_idx)
+                    .expect("valid frame")
+                    .enumerate()
+                    .map(packet),
+            ),
+        }
     })
 }
 
@@ -183,6 +187,29 @@ mod tests {
         for p in &burst {
             assert_eq!(p.meta.vni_u32(), Some(42), "outer VXLAN visible");
             assert!(!p.meta.is_fragment, "outer packet is not fragmented");
+        }
+    }
+
+    #[test]
+    fn vxlan_bursts_equal_the_composed_build_fragment_encap_path() {
+        use fld_net::frame::{build_tcp_frame, vxlan_encap};
+        let (flows, mtu, vni) = (60u16, 1450, 42);
+        let mut b = defrag_bursts(flows, DefragMode::FragmentedVxlan { mtu, vni });
+        let mut rng = SimRng::seed_from(8);
+        let (ep, outer, payload) = (Endpoints::sim(1, 2), Endpoints::sim(100, 101), [0xa5; 1446]);
+        for i in 0..5_000u64 {
+            let flow_idx = (i % u64::from(flows)) as u16;
+            let seq = (i / u64::from(flows)) as u32;
+            let frame = build_tcp_frame(&ep, 40_000 + flow_idx, 5201, seq, &payload);
+            let want = fragment_frame(&frame, mtu, i as u16).unwrap();
+            let got = collect_burst(&mut b, i, &mut rng);
+            assert_eq!(got.len(), want.len(), "burst {i}");
+            for (j, (p, f)) in got.iter().zip(&want).enumerate() {
+                let tunnelled = vxlan_encap(&outer, vni, f, 30_000 + flow_idx);
+                let w = SimPacket::from_frame(i * 8 + j as u64, tunnelled, SimTime::ZERO);
+                assert_eq!((p.id, p.len, p.meta, p.born), (w.id, w.len, w.meta, w.born));
+                assert_eq!(p.bytes, w.bytes, "burst {i} frame {j}");
+            }
         }
     }
 
