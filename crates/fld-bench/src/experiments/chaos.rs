@@ -49,7 +49,6 @@ use crate::Scale;
 /// snapshots move into the report, so a failing sweep still leaves its
 /// evidence behind.
 pub fn run(cli: &Cli, report: &mut Report) -> Gates {
-    let scale = cli.scale();
     let mut failures = Vec::new();
 
     if cli.topology != "rack" {
@@ -58,7 +57,7 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
             Some(_) => vec![0.0],
             None => DEFAULT_RATES.to_vec(),
         };
-        let points = sweep(scale, &rates, |rate| cli.fault_plan(rate));
+        let points = sweep(cli, &rates, |rate| cli.fault_plan(rate));
         report.section(render(&points));
         failures.extend(validate(&points).err());
         for p in &points {
@@ -76,7 +75,7 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
     }
 
     if cli.topology != "single" {
-        let legs = run_rack_leg(scale, cli.fault_seed);
+        let legs = run_rack_leg(cli, cli.fault_seed);
         report.section(render_rack(&legs));
         failures.extend(validate_rack(&legs).err());
         report.audit("rack-baseline", legs.baseline.audit);
@@ -169,7 +168,8 @@ impl ChaosPoint {
     }
 }
 
-/// Runs both system legs at one fault rate under `plan`.
+/// Runs both system legs at one fault rate under `plan`, at `cli`'s scale
+/// and audit mode.
 ///
 /// The echo leg offers 512 B frames open-loop at 50 % of line so the
 /// fault-free baseline is loss-free: any goodput lost at higher rates is
@@ -177,7 +177,8 @@ impl ChaosPoint {
 /// 1 KiB echo with a 16-message window, where injected wire loss, RNR
 /// NAKs and PCIe faults exercise the QP's retransmission and error state
 /// machinery.
-pub fn run_point(scale: Scale, plan: FaultPlan) -> ChaosPoint {
+pub fn run_point(cli: &Cli, plan: FaultPlan) -> ChaosPoint {
+    let scale = cli.scale();
     // --- FLD-E echo leg ---
     let cfg = SystemConfig::remote();
     let frame = 512u32;
@@ -200,6 +201,9 @@ pub fn run_point(scale: Scale, plan: FaultPlan) -> ChaosPoint {
     sys.enable_flight_recorder(SimDuration::from_micros(10));
     let echo_ledger = FaultLedger::new();
     sys.enable_faults(&plan, &echo_ledger);
+    if cli.strict_audit {
+        sys.enable_strict_audit();
+    }
     let echo = sys.run(SimTime::ZERO, scale.deadline());
 
     // --- FLD-R RDMA leg ---
@@ -209,6 +213,9 @@ pub fn run_point(scale: Scale, plan: FaultPlan) -> ChaosPoint {
     rsys.enable_flight_recorder(SimDuration::from_micros(10));
     let rdma_ledger = FaultLedger::new();
     rsys.enable_faults(&plan, &rdma_ledger);
+    if cli.strict_audit {
+        rsys.enable_strict_audit();
+    }
     let rdma = rsys.run(SimTime::ZERO, scale.deadline());
 
     ChaosPoint {
@@ -229,13 +236,15 @@ pub fn run_point(scale: Scale, plan: FaultPlan) -> ChaosPoint {
 }
 
 /// Sweeps `rates` (ascending) with one plan per rate built by `plan_for`,
-/// fanning points out across the `--jobs` workers.
+/// fanning points out across `cli`'s `--jobs` workers.
 pub fn sweep(
-    scale: Scale,
+    cli: &Cli,
     rates: &[f64],
     plan_for: impl Fn(f64) -> FaultPlan + Sync,
 ) -> Vec<ChaosPoint> {
-    crate::runner::run_points(rates.to_vec(), |rate| run_point(scale, plan_for(rate)))
+    crate::runner::run_points(rates.to_vec(), cli.jobs, |rate| {
+        run_point(cli, plan_for(rate))
+    })
 }
 
 /// Renders the sweep as a text table.
@@ -401,22 +410,26 @@ pub struct ChaosRackLegs {
     pub mttr_bound_ns: u64,
 }
 
-/// Runs the rack leg at `seed`: baseline first, then the faulted run
-/// with the health watchdog armed. Both runs carry the flight recorder
-/// so the per-tick audits (fault attribution, counter telescoping,
-/// boundary accounting) execute throughout.
-pub fn run_rack_leg(scale: Scale, seed: u64) -> ChaosRackLegs {
+/// Runs the rack leg at `seed` and `cli`'s scale and audit mode:
+/// baseline first, then the faulted run with the health watchdog armed.
+/// Both runs carry the flight recorder so the per-tick audits (fault
+/// attribution, counter telescoping, boundary accounting) execute
+/// throughout.
+pub fn run_rack_leg(cli: &Cli, seed: u64) -> ChaosRackLegs {
+    let scale = cli.scale();
     let cfg = rack_cfg(seed);
     let schedule = rack_schedule(scale, seed, cfg.nodes, cfg.tenants);
     let scheduled = schedule.len() as u64;
+    let tick = SimDuration::from_micros(10);
 
-    let mut base = crate::experiments::rack::build_rack(cfg, RACK_CHURN);
-    base.enable_flight_recorder(SimDuration::from_micros(10));
-    let baseline = base.run(scale.warmup(), scale.deadline());
+    let baseline = crate::experiments::rack::run_rack(cfg, RACK_CHURN, cli, Some(tick));
 
     let mut rack = crate::experiments::rack::build_rack(rack_cfg(seed), RACK_CHURN);
-    rack.enable_flight_recorder(SimDuration::from_micros(10));
+    rack.enable_flight_recorder(tick);
     rack.enable_fault_schedule(schedule, HealthConfig::default());
+    if cli.strict_audit {
+        rack.enable_strict_audit();
+    }
     let faulted = rack.run(scale.warmup(), scale.deadline());
 
     ChaosRackLegs {
@@ -567,8 +580,9 @@ mod tests {
 
     #[test]
     fn quick_sweep_degrades_smoothly_and_accounts_for_everything() {
-        let scale = Scale::quick();
-        let points = sweep(scale, &[0.0, 1e-3, 1e-2], |rate| FaultPlan::new(rate, 7));
+        let points = sweep(&Cli::quick(), &[0.0, 1e-3, 1e-2], |rate| {
+            FaultPlan::new(rate, 7)
+        });
         validate(&points).unwrap();
         // The baseline is fault-free and loss-free; the top rate injects
         // plenty and loses real goodput.
@@ -583,12 +597,12 @@ mod tests {
 
     #[test]
     fn quick_rack_leg_recovers_and_stays_accounted() {
-        let legs = run_rack_leg(Scale::quick(), 7);
+        let legs = run_rack_leg(&Cli::quick(), 7);
         validate_rack(&legs).unwrap();
         let rendered = render_rack(&legs);
         assert!(rendered.contains("Chaos rack"), "{rendered}");
         // The leg replays byte-identically under the same seed.
-        let again = run_rack_leg(Scale::quick(), 7);
+        let again = run_rack_leg(&Cli::quick(), 7);
         assert_eq!(
             legs.faulted.counters.entries(),
             again.faulted.counters.entries()
@@ -598,7 +612,7 @@ mod tests {
 
     #[test]
     fn sweep_points_are_jobs_invariant() {
-        let scale = Scale::quick();
+        let cli = Cli::quick();
         let fingerprint = |points: &[ChaosPoint]| {
             points
                 .iter()
@@ -613,12 +627,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let rates = [0.0, 1e-2];
-        let serial = crate::runner::run_points_with(rates.to_vec(), 1, |r| {
-            run_point(scale, FaultPlan::new(r, 7))
-        });
-        let parallel = crate::runner::run_points_with(rates.to_vec(), 4, |r| {
-            run_point(scale, FaultPlan::new(r, 7))
-        });
+        let run = |r| run_point(&cli, FaultPlan::new(r, 7));
+        let serial = crate::runner::run_points(rates.to_vec(), 1, run);
+        let parallel = crate::runner::run_points(rates.to_vec(), 4, run);
         assert_eq!(fingerprint(&serial), fingerprint(&parallel));
     }
 }

@@ -20,6 +20,7 @@ use fld_sim::time::SimDuration;
 use fld_workloads::gen::{defrag_bursts, DefragMode};
 
 use crate::fmt::TextTable;
+use crate::report::Cli;
 use crate::Scale;
 
 const FLOWS: u16 = 60;
@@ -38,9 +39,14 @@ pub enum DefragConfig {
     VxlanHardwareDefrag,
 }
 
-/// Runs one configuration; returns TCP-payload goodput in Gbps.
-pub fn run_defrag(config: DefragConfig, scale: Scale) -> f64 {
-    let stats = defrag_system(config, scale.packets).run(scale.warmup(), scale.deadline());
+/// Runs one configuration at `scale`, strictly audited when `strict`;
+/// returns TCP-payload goodput in Gbps.
+pub fn run_defrag(config: DefragConfig, scale: Scale, strict: bool) -> f64 {
+    let mut sys = defrag_system(config, scale.packets);
+    if strict {
+        sys.enable_strict_audit();
+    }
+    let stats = sys.run(scale.warmup(), scale.deadline());
     stats.host_goodput.gbps()
 }
 
@@ -142,11 +148,12 @@ pub fn defrag_system(config: DefragConfig, packets: u64) -> FldSystem {
 }
 
 /// Renders the § 8.2.2 comparison table.
-pub fn defrag_table(scale: Scale) -> String {
-    let a = run_defrag(DefragConfig::NoFrag, scale);
-    let b_sw = run_defrag(DefragConfig::SoftwareDefrag, scale);
-    let b_hw = run_defrag(DefragConfig::HardwareDefrag, scale);
-    let c_hw = run_defrag(DefragConfig::VxlanHardwareDefrag, scale);
+pub fn defrag_table(cli: &Cli) -> String {
+    let run = |config| run_defrag(config, cli.scale(), cli.strict_audit);
+    let a = run(DefragConfig::NoFrag);
+    let b_sw = run(DefragConfig::SoftwareDefrag);
+    let b_hw = run(DefragConfig::HardwareDefrag);
+    let c_hw = run(DefragConfig::VxlanHardwareDefrag);
     let mut t = TextTable::new(vec!["Configuration", "Goodput Gbps", "Speedup vs software"]);
     t.row(vec![
         "(a) no fragmentation".to_string(),
@@ -182,7 +189,7 @@ mod tests {
     #[test]
     fn software_defrag_collapses_to_one_core() {
         let scale = Scale::quick();
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale);
+        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
         let p = AccelParams::default();
         assert!(
             (sw - p.sw_defrag_core_gbps).abs() < 0.5,
@@ -194,8 +201,8 @@ mod tests {
     #[test]
     fn hardware_defrag_restores_rss_speedup() {
         let scale = Scale::quick();
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale);
+        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
+        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
         let speedup = hw / sw;
         assert!(speedup > 4.0, "speedup {speedup:.1} too small (paper: 7x)");
     }
@@ -203,8 +210,8 @@ mod tests {
     #[test]
     fn no_frag_is_fastest() {
         let scale = Scale::quick();
-        let a = run_defrag(DefragConfig::NoFrag, scale);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale);
+        let a = run_defrag(DefragConfig::NoFrag, scale, false);
+        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
         assert!(a >= hw * 0.95, "no-frag {a:.1} vs hw-defrag {hw:.1}");
         assert!(a > 15.0, "no-frag should approach line rate: {a:.1}");
     }

@@ -14,7 +14,6 @@ use fld_workloads::sizes::SizeDist;
 use crate::experiments::Gates;
 use crate::fmt::TextTable;
 use crate::report::{Cli, Report};
-use crate::Scale;
 
 /// Steers all ingress traffic to the FLD echo accelerator; returning
 /// packets (table 1) go back to the wire.
@@ -70,21 +69,10 @@ pub fn steer_to_host(nic: &mut Nic, cores: u16) {
     .expect("table 0 exists");
 }
 
-/// Runs one echo configuration and returns its stats.
-pub fn run_echo(
-    cfg: SystemConfig,
-    frame_len: u32,
-    offered_pps: f64,
-    packets: u64,
-    use_fld: bool,
-    warmup: SimTime,
-    deadline: SimTime,
-) -> RunStats {
-    let gen = ClientGen::fixed_udp(
-        GenMode::OpenLoop { rate: offered_pps },
-        packets,
-        frame_len.saturating_sub(42),
-    );
+/// One echo configuration offering `gen`: FLD-E (`use_fld`) steers every
+/// frame to the echo accelerator, the CPU-driver baseline spreads them
+/// over host RSS and echoes them in software.
+pub fn echo_system(cfg: SystemConfig, gen: ClientGen, use_fld: bool) -> FldSystem {
     let host_mode = if use_fld {
         HostMode::Consume
     } else {
@@ -96,7 +84,13 @@ pub fn run_echo(
     } else {
         steer_to_host(&mut sys.nic, cfg.host_cores as u16);
     }
-    sys.run(warmup, deadline)
+    sys
+}
+
+/// `frame_len`-byte frames offered open-loop at `offered_pps`.
+pub fn open_loop(frame_len: u32, offered_pps: f64, packets: u64) -> ClientGen {
+    let mode = GenMode::OpenLoop { rate: offered_pps };
+    ClientGen::fixed_udp(mode, packets, frame_len.saturating_sub(42))
 }
 
 /// One FLD-E echo run with full telemetry enabled: per-packet lifecycle
@@ -107,22 +101,12 @@ pub fn run_echo(
 /// The traffic is tagged with tenant context 1 and policed at 30 Gbps
 /// (above the 25 GbE line, so nothing drops) purely so the
 /// `nic.shaper.tokens` probe tracks a live token bucket.
-#[allow(clippy::too_many_arguments)] // one knob per CLI flag it backs
-pub fn run_echo_telemetry(
+pub fn echo_telemetry_system(
     cfg: SystemConfig,
-    frame_len: u32,
-    offered_pps: f64,
-    packets: u64,
-    warmup: SimTime,
-    deadline: SimTime,
+    gen: ClientGen,
     trace_capacity: usize,
     recorder: Option<SimDuration>,
-) -> RunStats {
-    let gen = ClientGen::fixed_udp(
-        GenMode::OpenLoop { rate: offered_pps },
-        packets,
-        frame_len.saturating_sub(42),
-    );
+) -> FldSystem {
     let mut sys = FldSystem::new(
         cfg,
         Box::new(EchoAccelerator::prototype()),
@@ -163,7 +147,7 @@ pub fn run_echo_telemetry(
     if let Some(interval) = recorder {
         sys.enable_flight_recorder(interval);
     }
-    sys.run(warmup, deadline)
+    sys
 }
 
 /// Figure 7b: both sweeps, and — when the flags ask for a report, trace,
@@ -181,27 +165,23 @@ pub fn run_echo_telemetry(
 /// probe sampling period.
 pub fn fig7b(cli: &Cli, report: &mut Report) -> Gates {
     let scale = cli.scale();
-    report.section(fig7b_flde(scale));
-    report.section(super::rdma::fig7b_fldr(scale));
+    report.section(fig7b_flde(cli));
+    report.section(super::rdma::fig7b_fldr(cli));
     if cli.wants_telemetry() {
         let cfg = SystemConfig::remote();
         let offered = cfg.client_rate.as_bps() / (1500.0 * 8.0);
-        let stats = run_echo_telemetry(
-            cfg,
-            1500,
-            offered,
-            scale.sized_packets(offered),
-            scale.warmup(),
-            scale.deadline(),
-            1 << 16,
-            Some(cli.sample_interval()),
-        );
-        let rdma = super::rdma::run_rdma_telemetry(
+        let gen = open_loop(1500, offered, scale.sized_packets(offered));
+        let mut flde = echo_telemetry_system(cfg, gen, 1 << 16, Some(cli.sample_interval()));
+        let mut fldr = super::rdma::rdma_telemetry_system(
             RdmaConfig::remote(4096, 64, scale.packets),
-            scale.warmup(),
-            scale.deadline(),
             cli.sample_interval(),
         );
+        if cli.strict_audit {
+            flde.enable_strict_audit();
+            fldr.enable_strict_audit();
+        }
+        let stats = flde.run(scale.warmup(), scale.deadline());
+        let rdma = fldr.run(scale.warmup(), scale.deadline());
         report.trace_json(stats.trace.to_chrome_json_with_counters(&[
             ("fld-e probes", &stats.timeline),
             ("fld-r probes", &rdma.timeline),
@@ -218,9 +198,19 @@ pub fn fig7b(cli: &Cli, report: &mut Report) -> Gates {
     Ok(())
 }
 
+/// Runs `sys` from `warmup` to `deadline`, strictly audited when `cli`
+/// asks for it (`--strict-audit`).
+fn audited_run(mut sys: FldSystem, cli: &Cli, warmup: SimTime, deadline: SimTime) -> RunStats {
+    if cli.strict_audit {
+        sys.enable_strict_audit();
+    }
+    sys.run(warmup, deadline)
+}
+
 /// The per-size echo bandwidth sweep of Figure 7b (FLD-E columns), local
 /// and remote, against the CPU driver and the analytic model.
-pub fn fig7b_flde(scale: Scale) -> String {
+pub fn fig7b_flde(cli: &Cli) -> String {
+    let scale = cli.scale();
     let sizes = [64u32, 128, 256, 512, 1024, 1500];
     let mut out = String::from("Figure 7b (FLD-E): echo bandwidth vs packet size (Gbps)\n");
     for (name, cfg) in [
@@ -237,29 +227,15 @@ pub fn fig7b_flde(scale: Scale) -> String {
         let model = FldModel::new(cfg.pcie);
         // Every size is an independent pair of runs: fan out across the
         // sweep runner's workers, collect in size order.
-        let runs = crate::runner::run_points(sizes.to_vec(), |size| {
+        let runs = crate::runner::run_points(sizes.to_vec(), cli.jobs, |size| {
             // Offer slightly above line rate to find the ceiling.
             let offered = cfg.client_rate.as_bps() / (size as f64 * 8.0);
-            let budget = scale.sized_packets(offered);
-            let fld = run_echo(
-                cfg,
-                size,
-                offered,
-                budget,
-                true,
-                scale.warmup(),
-                scale.deadline(),
-            );
-            let cpu = run_echo(
-                cfg,
-                size,
-                offered,
-                budget,
-                false,
-                scale.warmup(),
-                scale.deadline(),
-            );
-            (size, fld, cpu)
+            let run = |use_fld| {
+                let gen = open_loop(size, offered, scale.sized_packets(offered));
+                let sys = echo_system(cfg, gen, use_fld);
+                audited_run(sys, cli, scale.warmup(), scale.deadline())
+            };
+            (size, run(true), run(false))
         });
         for (size, fld, cpu) in runs {
             let bound = model.echo_throughput(size, cfg.client_rate);
@@ -278,23 +254,13 @@ pub fn fig7b_flde(scale: Scale) -> String {
 }
 
 /// Table 6: 64 B echo round-trip latency percentiles (unloaded).
-pub fn table6(scale: Scale) -> String {
+pub fn table6(cli: &Cli) -> String {
     let cfg = SystemConfig::remote();
-    let n = scale.packets.max(20_000);
+    let n = cli.scale().packets.max(20_000);
     let run = |use_fld: bool| {
         let gen = ClientGen::fixed_udp_flows(GenMode::ClosedLoop { window: 1 }, n, 22, 1);
-        let host_mode = if use_fld {
-            HostMode::Consume
-        } else {
-            HostMode::Echo
-        };
-        let mut sys = FldSystem::new(cfg, Box::new(EchoAccelerator::prototype()), host_mode, gen);
-        if use_fld {
-            steer_to_accel(&mut sys.nic);
-        } else {
-            steer_to_host(&mut sys.nic, cfg.host_cores as u16);
-        }
-        sys.run(SimTime::ZERO, SimTime::from_secs(30)).rtt
+        let sys = echo_system(cfg, gen, use_fld);
+        audited_run(sys, cli, SimTime::ZERO, SimTime::from_secs(30)).rtt
     };
     let fld = run(true);
     let cpu = run(false);
@@ -323,47 +289,30 @@ pub fn table6(scale: Scale) -> String {
 
 /// § 8.1.1 mixed-size experiment: FLD-E vs single-core CPU driver on the
 /// synthetic IMC-2010 mixture (local, 50 Gbps PCIe).
-pub fn imc_mpps(scale: Scale) -> String {
+pub fn imc_mpps(cli: &Cli) -> String {
+    let scale = cli.scale();
     let dist = SizeDist::imc2010_synthetic();
-    let mut cfg = SystemConfig::local();
     // Offer far above the achievable packet rate to find the ceiling.
     let offered = 40e6;
     let budget = scale.sized_packets(offered);
-    let fld = {
-        let gen = ClientGen::new(
-            GenMode::OpenLoop { rate: offered },
-            budget,
-            mixed_size_bursts(dist.clone(), 64),
-        );
-        let mut sys = FldSystem::new(
-            cfg,
-            Box::new(EchoAccelerator::prototype()),
-            HostMode::Consume,
-            gen,
-        );
-        steer_to_accel(&mut sys.nic);
-        sys.run(scale.warmup(), scale.deadline())
+    let run = |cfg, use_fld| {
+        let bursts = mixed_size_bursts(dist.clone(), 64);
+        let gen = ClientGen::new(GenMode::OpenLoop { rate: offered }, budget, bursts);
+        let sys = echo_system(cfg, gen, use_fld);
+        audited_run(sys, cli, scale.warmup(), scale.deadline())
     };
+    let fld = run(SystemConfig::local(), true);
     // "compared to 9.6 Mpps on a single CPU core with DPDK testpmd" —
     // the CPU figure is the core's forwarding capacity, so the host link
     // is not modelled as shared for this run.
-    cfg.host_cores = 1;
-    cfg.host_on_client_link = false;
-    let cpu = {
-        let gen = ClientGen::new(
-            GenMode::OpenLoop { rate: offered },
-            budget,
-            mixed_size_bursts(dist, 64),
-        );
-        let mut sys = FldSystem::new(
-            cfg,
-            Box::new(EchoAccelerator::prototype()),
-            HostMode::Echo,
-            gen,
-        );
-        steer_to_host(&mut sys.nic, 1);
-        sys.run(scale.warmup(), scale.deadline())
-    };
+    let cpu = run(
+        SystemConfig {
+            host_cores: 1,
+            host_on_client_link: false,
+            ..SystemConfig::local()
+        },
+        false,
+    );
     let mut t = TextTable::new(vec!["Driver", "Mpps", "Gbps"]);
     t.row(vec![
         "FLD-E echo".to_string(),
@@ -390,15 +339,8 @@ mod tests {
     fn fig7b_fld_tracks_model_at_mtu() {
         let cfg = SystemConfig::remote();
         let offered = cfg.client_rate.as_bps() / (1500.0 * 8.0);
-        let stats = run_echo(
-            cfg,
-            1500,
-            offered,
-            100_000,
-            true,
-            SimTime::from_millis(5),
-            SimTime::from_millis(60),
-        );
+        let sys = echo_system(cfg, open_loop(1500, offered, 100_000), true);
+        let stats = sys.run(SimTime::from_millis(5), SimTime::from_millis(60));
         let model = FldModel::new(cfg.pcie).echo_throughput(1500, cfg.client_rate) / 1e9;
         let measured = stats.client_rate.gbps();
         assert!(
@@ -409,14 +351,14 @@ mod tests {
 
     #[test]
     fn table6_shape() {
-        let s = table6(Scale::quick());
+        let s = table6(&Cli::quick());
         assert!(s.contains("FLD-E"));
         assert!(s.contains("CPU"));
     }
 
     #[test]
     fn imc_fld_beats_single_core_cpu() {
-        let s = imc_mpps(Scale::quick());
+        let s = imc_mpps(&Cli::quick());
         assert!(s.contains("FLD-E echo"), "{s}");
     }
 }

@@ -10,20 +10,23 @@ use fld_sim::time::Bandwidth;
 use fld_workloads::gen::tenant_bursts;
 
 use crate::fmt::TextTable;
+use crate::report::Cli;
 use crate::Scale;
 
 /// Runs the two-tenant isolation scenario.
 ///
 /// Tenant A offers `offered_gbps.0`, tenant B `offered_gbps.1`; the
 /// accelerator accepts `accel_gbps` total. Optional per-tenant shaping
-/// (`shape_gbps`) reproduces the paper's 6 Gbps limits. Returns the
-/// admitted per-tenant rates in Gbps.
+/// (`shape_gbps`) reproduces the paper's 6 Gbps limits. Runs at `scale`,
+/// strictly audited when `strict`; returns the admitted per-tenant rates
+/// in Gbps.
 pub fn run_isolation(
     offered_gbps: (f64, f64),
     accel_gbps: f64,
     shape_gbps: Option<f64>,
     frame_len: u32,
     scale: Scale,
+    strict: bool,
 ) -> (f64, f64) {
     let cfg = SystemConfig::remote();
     let total_offered = offered_gbps.0 + offered_gbps.1;
@@ -80,6 +83,9 @@ pub fn run_isolation(
                 .install_policer(tenant, Bandwidth::gbps(limit), 32 * 1024);
         }
     }
+    if strict {
+        sys.enable_strict_audit();
+    }
     let stats = sys.run(scale.warmup(), scale.deadline());
     let dur = stats
         .client_rate
@@ -98,9 +104,11 @@ pub fn run_isolation(
 }
 
 /// Renders the § 8.2.3 isolation table.
-pub fn iot_isolation(scale: Scale) -> String {
-    let unshaped = run_isolation((8.0, 16.0), 12.0, None, 1024, scale);
-    let shaped = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, scale);
+pub fn iot_isolation(cli: &Cli) -> String {
+    let scale = cli.scale();
+    let run = |shape| run_isolation((8.0, 16.0), 12.0, shape, 1024, scale, cli.strict_audit);
+    let unshaped = run(None);
+    let shaped = run(Some(6.0));
     let mut t = TextTable::new(vec!["Scenario", "Tenant A admitted", "Tenant B admitted"]);
     t.row(vec![
         "no shaping (A: 8 Gbps, B: 16 Gbps offered)".to_string(),
@@ -125,7 +133,7 @@ mod tests {
 
     #[test]
     fn unshaped_split_is_proportional() {
-        let (a, b) = run_isolation((8.0, 16.0), 12.0, None, 1024, Scale::quick());
+        let (a, b) = run_isolation((8.0, 16.0), 12.0, None, 1024, Scale::quick(), false);
         // Paper: 4.15 vs 8.35 — proportional to offered load.
         assert!((a - 4.0).abs() < 1.0, "tenant A {a:.2}");
         assert!((b - 8.0).abs() < 1.2, "tenant B {b:.2}");
@@ -134,7 +142,7 @@ mod tests {
 
     #[test]
     fn shaping_restores_fair_shares() {
-        let (a, b) = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, Scale::quick());
+        let (a, b) = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, Scale::quick(), false);
         assert!((a - 6.0).abs() < 0.8, "tenant A {a:.2}");
         assert!((b - 6.0).abs() < 0.8, "tenant B {b:.2}");
     }

@@ -145,7 +145,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "mixed-size IMC-2010 trace packet rate, FLD-E vs CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, echo::imc_mpps(c.scale())),
+        run: |c, r| text(r, echo::imc_mpps(c)),
     },
     Experiment {
         id: "table6",
@@ -153,7 +153,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "64 B echo RTT percentiles, FLD-E vs CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, echo::table6(c.scale())),
+        run: |c, r| text(r, echo::table6(c)),
     },
     Experiment {
         id: "fig7c",
@@ -161,7 +161,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "FLD-R 1 KiB latency vs load",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, rdma::fig7c(c.scale())),
+        run: |c, r| text(r, rdma::fig7c(c)),
     },
     Experiment {
         id: "fig8a",
@@ -169,7 +169,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "ZUC throughput vs request size",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc::fig8a(c.scale())),
+        run: |c, r| text(r, zuc::fig8a(c)),
     },
     Experiment {
         id: "fig8b",
@@ -177,7 +177,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "ZUC latency vs bandwidth, remote accelerator vs local CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc::fig8b(c.scale())),
+        run: |c, r| text(r, zuc::fig8b(c)),
     },
     Experiment {
         id: "defrag",
@@ -185,7 +185,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "IP defragmentation offload, three configurations + VXLAN",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, defrag::defrag_table(c.scale())),
+        run: |c, r| text(r, defrag::defrag_table(c)),
     },
     Experiment {
         id: "iot_isolation",
@@ -193,7 +193,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "IoT tenant isolation with and without NIC shapers",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, iot::iot_isolation(c.scale())),
+        run: |c, r| text(r, iot::iot_isolation(c)),
     },
     Experiment {
         id: "zuc_ext",
@@ -201,7 +201,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "future work realized: on-FPGA key storage + batching",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc_ext::zuc_ext(c.scale())),
+        run: |c, r| text(r, zuc_ext::zuc_ext(c)),
     },
     Experiment {
         id: "scaling",
@@ -294,9 +294,10 @@ impl Experiment {
     }
 }
 
-/// Runs `entries` at `cli`'s scale on `cli.jobs` workers (each entry's
-/// own sweep then shares those workers) and appends their sections to
-/// `report` in entry order, a rule after each.
+/// Runs `entries` on `cli.jobs` workers and appends their sections to
+/// `report` in entry order, a rule after each. Each entry runs at `cli`'s
+/// scale, audit mode and worker count: its own sweep nests up to
+/// `cli.jobs` more workers inside the one running it.
 pub fn run_entries<'a>(
     entries: impl Iterator<Item = &'a Experiment>,
     cli: &Cli,
@@ -305,9 +306,11 @@ pub fn run_entries<'a>(
     // An entry run as part of a set produces its text and nothing else.
     let sub = Cli {
         quick: cli.quick,
+        strict_audit: cli.strict_audit,
+        jobs: cli.jobs,
         ..Cli::default()
     };
-    let results = runner::run_points_with(entries.collect(), cli.jobs, |entry| {
+    let results = runner::run_points(entries.collect(), cli.jobs, |entry| {
         let mut own = Report::quiet(entry.id);
         let failed = (entry.run)(&sub, &mut own).err().unwrap_or_default();
         (own.into_sections(), failed)
@@ -343,7 +346,7 @@ pub fn main(mut args: impl Iterator<Item = String>) -> u8 {
     };
     match parsed {
         Ok((entry, cli)) => {
-            cli.arm();
+            fld_sim::prof::set_enabled(cli.prof.is_some());
             entry.execute(&cli)
         }
         Err(CliError::Help) => {

@@ -27,11 +27,9 @@ use fld_workloads::churn::{ChurnConfig, ChurnProcess};
 use crate::experiments::{gates, Gates};
 use crate::fmt::TextTable;
 use crate::report::{Cli, Report};
-use crate::Scale;
 
 /// `exp rack`: the liveness leg, then the three isolation legs.
 pub fn run(cli: &Cli, report: &mut Report) -> Gates {
-    let scale = cli.scale();
     let base = RackConfig {
         nodes: cli.nodes,
         tenants: cli.tenants,
@@ -42,7 +40,7 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
     // Leg 1: queue liveness under uniform traffic and churn — the run
     // that executes the Figure 4 memory-model point.
     let recorder = cli.wants_telemetry().then(|| cli.sample_interval());
-    let live = run_rack(liveness_cfg(base), cli.churn, scale, recorder);
+    let live = run_rack(liveness_cfg(base), cli.churn, cli, recorder);
     report.section(render_liveness(&live));
     if live.queues_configured >= 2048 && live.queues_live < 2048 {
         failures.push(format!(
@@ -59,7 +57,7 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
     }
 
     // Legs 2-4: tenant isolation under incast.
-    let legs = isolation(base, cli.churn, scale);
+    let legs = isolation(base, cli.churn, cli);
     report.section(legs.render());
     let ratio = legs.shaped_ratio();
     if ratio.is_nan() || ratio > 2.0 {
@@ -101,17 +99,22 @@ pub fn build_rack(cfg: RackConfig, churn_rate: f64) -> Rack {
 }
 
 /// One rack run: build, optionally arm the flight recorder, run to the
-/// scale's deadline measuring from its warmup.
+/// deadline of `cli`'s scale measuring from its warmup, strictly audited
+/// when `cli` asks for it.
 pub fn run_rack(
     cfg: RackConfig,
     churn_rate: f64,
-    scale: Scale,
+    cli: &Cli,
     recorder: Option<SimDuration>,
 ) -> RackStats {
     let mut rack = build_rack(cfg, churn_rate);
     if let Some(interval) = recorder {
         rack.enable_flight_recorder(interval);
     }
+    if cli.strict_audit {
+        rack.enable_strict_audit();
+    }
+    let scale = cli.scale();
     rack.run(scale.warmup(), scale.deadline())
 }
 
@@ -224,45 +227,23 @@ fn ratio(p99: u64, base: u64) -> f64 {
 /// Runs the three-leg isolation experiment on `base` (its `pattern`
 /// is forced to incast and its shaper/aggressor knobs are overridden
 /// per leg).
-pub fn isolation(base: RackConfig, churn_rate: f64, scale: Scale) -> IsolationLegs {
-    let incast = RackConfig {
-        pattern: TrafficPattern::Incast {
-            target: if let TrafficPattern::Incast { target } = base.pattern {
-                target
-            } else {
-                0
-            },
-        },
-        ..base
+pub fn isolation(base: RackConfig, churn_rate: f64, cli: &Cli) -> IsolationLegs {
+    let target = match base.pattern {
+        TrafficPattern::Incast { target } => target,
+        _ => 0,
     };
-    let isolated = run_rack(
-        RackConfig {
-            aggressor_rate: 0.0,
-            vf_shaper: None,
-            ..incast
-        },
-        churn_rate,
-        scale,
-        None,
-    );
-    let unshaped = run_rack(
-        RackConfig {
-            vf_shaper: None,
-            ..incast
-        },
-        churn_rate,
-        scale,
-        None,
-    );
-    let shaped = run_rack(
-        RackConfig {
-            vf_shaper: Some(default_shaper()),
-            ..incast
-        },
-        churn_rate,
-        scale,
-        None,
-    );
+    let leg = |aggressor_rate, vf_shaper| {
+        let cfg = RackConfig {
+            pattern: TrafficPattern::Incast { target },
+            aggressor_rate,
+            vf_shaper,
+            ..base
+        };
+        run_rack(cfg, churn_rate, cli, None)
+    };
+    let isolated = leg(0.0, None);
+    let unshaped = leg(base.aggressor_rate, None);
+    let shaped = leg(base.aggressor_rate, Some(default_shaper()));
     IsolationLegs {
         isolated,
         unshaped,
@@ -287,7 +268,7 @@ mod tests {
 
     #[test]
     fn liveness_run_exercises_every_queue() {
-        let stats = run_rack(liveness_cfg(small_base()), 20_000.0, Scale::quick(), None);
+        let stats = run_rack(liveness_cfg(small_base()), 20_000.0, &Cli::quick(), None);
         assert!(stats.audit.passed(), "{}", stats.audit);
         assert_eq!(stats.queues_configured, 4 * 64);
         assert_eq!(
@@ -299,7 +280,7 @@ mod tests {
 
     #[test]
     fn shapers_restore_victim_latency_under_incast() {
-        let legs = isolation(small_base(), 20_000.0, Scale::quick());
+        let legs = isolation(small_base(), 20_000.0, &Cli::quick());
         for (name, stats) in [
             ("isolated", &legs.isolated),
             ("unshaped", &legs.unshaped),
@@ -343,8 +324,8 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         let seeds = vec![1u64, 2, 3, 4];
-        let serial = crate::runner::run_points_with(seeds.clone(), 1, run);
-        let parallel = crate::runner::run_points_with(seeds, 4, run);
+        let serial = crate::runner::run_points(seeds.clone(), 1, run);
+        let parallel = crate::runner::run_points(seeds, 4, run);
         assert_eq!(serial, parallel);
     }
 }

@@ -42,25 +42,19 @@ pub fn scaling() -> String {
         "On-chip memory",
         "Fits XCKU15P?",
     ]);
-    let points = vec![
+    let points = [
         (100.0, 100.0, 1u32),
         (200.0, 200.0, 2),
         (200.0, 200.0, 4),
         (400.0, 400.0, 4),
         (400.0, 400.0, 8),
     ];
-    let rows = crate::runner::run_points(points, |(line, fabric, cores)| {
-        let mem = fld_breakdown(
-            &MemParams {
-                bandwidth: Bandwidth::gbps(line),
-                ..MemParams::default()
-            },
-            FldOptimizations::ALL,
-        )
-        .total();
-        (line, fabric, cores, mem)
-    });
-    for (line, fabric, cores, mem) in rows {
+    for (line, fabric, cores) in points {
+        let params = MemParams {
+            bandwidth: Bandwidth::gbps(line),
+            ..MemParams::default()
+        };
+        let mem = fld_breakdown(&params, FldOptimizations::ALL).total();
         t.row(vec![
             format!("{line:.0}G"),
             format!("{fabric:.0}G"),

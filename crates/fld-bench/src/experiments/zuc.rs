@@ -3,22 +3,27 @@
 
 use fld_accel::zuc_accel::{SoftwareZuc, ZucAccelerator, REQUEST_HEADER_BYTES};
 use fld_core::params::AccelParams;
-use fld_core::rdma_system::{RdmaConfig, RdmaSystem};
+use fld_core::rdma_system::{RdmaConfig, RdmaRunStats};
 use fld_pcie::model::FldModel;
 use fld_sim::time::SimTime;
 
+use crate::experiments::rdma::run_rdma;
 use crate::fmt::TextTable;
+use crate::report::Cli;
 use crate::Scale;
 
+/// Runs the disaggregated accelerator: `request_payload`-byte requests,
+/// `window` in flight.
+fn run_zuc(request_payload: u32, window: u32, cli: &Cli) -> RdmaRunStats {
+    let request = request_payload + REQUEST_HEADER_BYTES as u32;
+    let cfg = RdmaConfig::remote(request, window, cli.scale().packets);
+    let accel = Box::new(ZucAccelerator::new(AccelParams::default()));
+    run_rdma(cfg, accel, cli)
+}
+
 /// Runs the disaggregated accelerator at one request size.
-fn run_remote_zuc(request_payload: u32, window: u32, scale: Scale) -> f64 {
-    let cfg = RdmaConfig::remote(
-        request_payload + REQUEST_HEADER_BYTES as u32,
-        window,
-        scale.packets,
-    );
-    let stats = RdmaSystem::new(cfg, Box::new(ZucAccelerator::new(AccelParams::default())))
-        .run(scale.warmup(), scale.deadline());
+fn run_remote_zuc(request_payload: u32, window: u32, cli: &Cli) -> f64 {
+    let stats = run_zuc(request_payload, window, cli);
     // Goodput in *payload* terms (the header is protocol overhead).
     stats.goodput.gbps() * request_payload as f64
         / (request_payload + REQUEST_HEADER_BYTES as u32) as f64
@@ -41,7 +46,7 @@ fn run_local_cpu(request_payload: u32, scale: Scale) -> f64 {
 }
 
 /// Figure 8a: encryption throughput vs request size.
-pub fn fig8a(scale: Scale) -> String {
+pub fn fig8a(cli: &Cli) -> String {
     let sizes = [64u32, 128, 256, 512, 1024, 2048, 4096, 8192];
     let cfg = RdmaConfig::remote(512, 64, 1);
     let model = FldModel::new(cfg.pcie);
@@ -52,11 +57,11 @@ pub fn fig8a(scale: Scale) -> String {
         "Model bound",
         "FLD/CPU",
     ]);
-    let runs = crate::runner::run_points(sizes.to_vec(), |size| {
+    let runs = crate::runner::run_points(sizes.to_vec(), cli.jobs, |size| {
         (
             size,
-            run_remote_zuc(size, 64, scale),
-            run_local_cpu(size, scale),
+            run_remote_zuc(size, 64, cli),
+            run_local_cpu(size, cli.scale()),
         )
     });
     for (size, fld, cpu) in runs {
@@ -82,15 +87,10 @@ pub fn fig8a(scale: Scale) -> String {
 }
 
 /// Figure 8b: latency vs bandwidth for 512 B requests under load.
-pub fn fig8b(scale: Scale) -> String {
+pub fn fig8b(cli: &Cli) -> String {
     let windows = [1u32, 2, 4, 8, 16, 32, 64, 128];
     let mut t = TextTable::new(vec!["Window", "Gbps", "Median us", "99th us"]);
-    let runs = crate::runner::run_points(windows.to_vec(), |w| {
-        let cfg = RdmaConfig::remote(512 + REQUEST_HEADER_BYTES as u32, w, scale.packets);
-        let stats = RdmaSystem::new(cfg, Box::new(ZucAccelerator::new(AccelParams::default())))
-            .run(scale.warmup(), scale.deadline());
-        (w, stats)
-    });
+    let runs = crate::runner::run_points(windows.to_vec(), cli.jobs, |w| (w, run_zuc(512, w, cli)));
     for (w, stats) in runs {
         t.row(vec![
             w.to_string(),
@@ -115,9 +115,9 @@ mod tests {
 
     #[test]
     fn fld_is_severalfold_faster_than_cpu_at_512b() {
-        let scale = Scale::quick();
-        let fld = run_remote_zuc(512, 64, scale);
-        let cpu = run_local_cpu(512, scale);
+        let cli = Cli::quick();
+        let fld = run_remote_zuc(512, 64, &cli);
+        let cpu = run_local_cpu(512, cli.scale());
         assert!(fld > 2.0 * cpu, "fld {fld:.2} vs cpu {cpu:.2}");
         // And the absolute value lands in the paper's ballpark (17.6 Gbps
         // at full scale; quick runs land close).
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn small_requests_are_slower_than_large() {
-        let scale = Scale::quick();
-        assert!(run_remote_zuc(64, 64, scale) < run_remote_zuc(2048, 64, scale));
+        let cli = Cli::quick();
+        assert!(run_remote_zuc(64, 64, &cli) < run_remote_zuc(2048, 64, &cli));
     }
 }

@@ -4,23 +4,24 @@
 use fld_accel::zuc_accel::{ZucAccelerator, REQUEST_HEADER_BYTES};
 use fld_accel::zuc_ext::{BatchedZucAccelerator, COMPACT_HEADER_BYTES};
 use fld_core::params::AccelParams;
-use fld_core::rdma_system::{MsgAccelerator, RdmaConfig, RdmaSystem};
+use fld_core::rdma_system::{MsgAccelerator, RdmaConfig};
 
+use crate::experiments::rdma::run_rdma;
 use crate::fmt::TextTable;
-use crate::Scale;
+use crate::report::Cli;
 
-fn run(payload: u32, header: u32, accel: Box<dyn MsgAccelerator>, scale: Scale) -> f64 {
-    let mut cfg = RdmaConfig::remote(payload + header, 192, scale.packets);
+fn run(payload: u32, header: u32, accel: Box<dyn MsgAccelerator>, cli: &Cli) -> f64 {
+    let mut cfg = RdmaConfig::remote(payload + header, 192, cli.scale().packets);
     // A 4-thread test-crypto-perf client, so the measurement exposes the
     // wire/accelerator bottleneck the extensions address rather than the
     // single-core client cap of Figure 7b.
     cfg.client_msg_cost = cfg.client_msg_cost / 4;
-    let stats = RdmaSystem::new(cfg, accel).run(scale.warmup(), scale.deadline());
+    let stats = run_rdma(cfg, accel, cli);
     stats.goodput.gbps() * payload as f64 / (payload + header) as f64
 }
 
 /// Renders the extension ablation table (payload goodput, Gbps).
-pub fn zuc_ext(scale: Scale) -> String {
+pub fn zuc_ext(cli: &Cli) -> String {
     let params = AccelParams::default();
     let mut t = TextTable::new(vec![
         "Request B",
@@ -34,19 +35,19 @@ pub fn zuc_ext(scale: Scale) -> String {
             payload,
             REQUEST_HEADER_BYTES as u32,
             Box::new(ZucAccelerator::new(params)),
-            scale,
+            cli,
         );
         let cached = run(
             payload,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 1, true)),
-            scale,
+            cli,
         );
         let batched = run(
             payload,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 8, true)),
-            scale,
+            cli,
         );
         t.row(vec![
             payload.to_string(),
@@ -69,19 +70,19 @@ mod tests {
 
     #[test]
     fn extensions_improve_small_request_goodput() {
-        let scale = Scale::quick();
+        let cli = Cli::quick();
         let params = AccelParams::default();
         let base = run(
             128,
             REQUEST_HEADER_BYTES as u32,
             Box::new(ZucAccelerator::new(params)),
-            scale,
+            &cli,
         );
         let ext = run(
             128,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 8, true)),
-            scale,
+            &cli,
         );
         assert!(ext > base * 1.1, "ext {ext:.2} vs base {base:.2}");
     }

@@ -83,7 +83,8 @@ pub struct Cli {
     pub fault_seed: u64,
     /// Write the engine self-profile here (`--prof <path>`; a folded-
     /// stacks flamegraph file is written next to it with extension
-    /// `.folded`). [`Cli::arm`] arms `fld_sim::prof::set_enabled`.
+    /// `.folded`). `exp` arms `fld_sim::prof` on its main thread when
+    /// this is set; sweeps arm their workers from there.
     pub prof: Option<PathBuf>,
     /// Write the hierarchical hardware-counter dump here
     /// (`--counters <path>`; an ethtool-style text rendering is written
@@ -246,17 +247,11 @@ impl Cli {
         Ok(cli)
     }
 
-    /// Arms the process-wide switches the flags stand for, so every
-    /// system built by the experiment — however deep inside library code
-    /// — sees them: strict audit, the [`crate::runner`] worker count and
-    /// the self-profiler.
-    pub fn arm(&self) {
-        if self.strict_audit {
-            fld_core::system::set_strict_audit(true);
-        }
-        crate::runner::set_jobs(self.jobs);
-        if self.prof.is_some() {
-            fld_sim::prof::set_enabled(true);
+    /// The defaults plus `--quick`: what tests run experiments at.
+    pub fn quick() -> Cli {
+        Cli {
+            quick: true,
+            ..Cli::default()
         }
     }
 
@@ -540,8 +535,8 @@ fn not_produced(flag: &str, what: &str) -> std::io::Error {
     std::io::Error::other(format!("{flag}: this experiment does not produce {what}"))
 }
 
-/// Writes the process-wide merged engine self-profile (every engine run
-/// since the last take, across sweep worker threads) as JSON to `path`,
+/// Writes the calling thread's merged engine self-profile (every engine
+/// run since the last take, its sweep workers' included) as JSON to `path`,
 /// plus the folded-stacks flamegraph file next to it (extension
 /// `.folded`).
 ///
@@ -782,9 +777,6 @@ mod tests {
     fn parses_prof_flag() {
         let cli = parse("fig7c", &["--prof", "/tmp/p.json"]).unwrap();
         assert_eq!(cli.prof.as_deref(), Some(Path::new("/tmp/p.json")));
-        // Parsing alone must not arm the process-wide switch: only
-        // `Cli::arm` does, so library tests stay inert.
-        assert!(!fld_sim::prof::enabled());
         assert!(parse("fig7c", &["--quick"]).unwrap().prof.is_none());
         assert!(bad("fig7c", &["--prof"]).contains("--prof"));
         assert!(bad("fig7c", &["--porf", "/tmp/p.json"]).contains("--porf"));
@@ -896,8 +888,8 @@ mod tests {
         assert!(counters.exists());
     }
 
-    /// No test in this binary arms the profiler (`parses_prof_flag`), so
-    /// there is never a profile to take.
+    /// The profile is the calling thread's, and this test's thread never
+    /// armed the profiler, so there is no profile to take.
     #[test]
     fn profile_that_was_not_recorded_is_an_error() {
         assert!(finish_error("--prof").starts_with("--prof:"));

@@ -8,38 +8,20 @@
 //! output depends only on its own point, never on which thread or in
 //! which order it executed.
 //!
-//! The worker count comes from the process-wide [`set_jobs`] switch
-//! (armed by the shared `--jobs N` flag in [`crate::report::Cli::parse`]),
-//! so library-level experiment entry points pick up the flag without
-//! threading a parameter through every signature — the same pattern as
-//! `fld_core::system::set_strict_audit`.
+//! The worker count is an argument; experiments pass the `--jobs N` flag
+//! they read from their [`crate::report::Cli`]. The self-profiler is
+//! armed per thread (`fld_sim::prof`), so a sweep started on an armed
+//! thread arms its workers and merges their profiles back into the
+//! caller's, in input order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads used by [`run_points`] (0 = unset, treated as 1).
-static JOBS: AtomicUsize = AtomicUsize::new(1);
+use fld_sim::prof;
 
-/// Sets the process-wide worker count for [`run_points`].
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide worker count ([`set_jobs`], default 1).
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::Relaxed).max(1)
-}
-
-/// Runs `f` over every point with the process-wide worker count,
-/// returning results in input order. See [`run_points_with`].
-pub fn run_points<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    run_points_with(points, jobs(), f)
-}
+/// Why a slot's lock cannot be poisoned: a worker holds it only to move a
+/// value in or out, which cannot panic.
+const HELD: &str = "a slot is held only to move a value";
 
 /// Runs `f` over every point on up to `jobs` worker threads, returning
 /// results in input order.
@@ -48,7 +30,7 @@ where
 /// `points.into_iter().map(f).collect()` on the calling thread — the
 /// parallel path must produce byte-identical results, which the
 /// determinism regression test asserts.
-pub fn run_points_with<T, R, F>(points: Vec<T>, jobs: usize, f: F) -> Vec<R>
+pub fn run_points<T, R, F>(points: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -57,26 +39,36 @@ where
     if jobs <= 1 || points.len() <= 1 {
         return points.into_iter().map(&f).collect();
     }
+    let profiled = prof::enabled();
     let inputs: Vec<Mutex<Option<T>>> = points.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    let outputs: Vec<Mutex<Option<_>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = jobs.min(inputs.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= inputs.len() {
-                    break;
+            scope.spawn(|| {
+                prof::set_enabled(profiled);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= inputs.len() {
+                        break;
+                    }
+                    let point = inputs[i].lock().expect(HELD).take().expect("taken once");
+                    let result = f(point);
+                    *outputs[i].lock().expect(HELD) = Some((result, prof::take_global()));
                 }
-                let point = inputs[i].lock().unwrap().take().unwrap();
-                let result = f(point);
-                *outputs[i].lock().unwrap() = Some(result);
             });
         }
     });
     outputs
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().unwrap())
+        .map(|slot| {
+            let (result, profile) = slot.into_inner().expect(HELD).expect("every point ran");
+            if let Some(profile) = profile {
+                prof::merge_into_global(&profile);
+            }
+            result
+        })
         .collect()
 }
 
@@ -87,31 +79,22 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_in_input_order() {
         let points: Vec<u64> = (0..50).collect();
-        let serial = run_points_with(points.clone(), 1, |p| p * p);
-        let parallel = run_points_with(points, 8, |p| p * p);
+        let serial = run_points(points.clone(), 1, |p| p * p);
+        let parallel = run_points(points, 8, |p| p * p);
         assert_eq!(serial, parallel);
         assert_eq!(serial[7], 49);
     }
 
     #[test]
     fn more_workers_than_points_is_fine() {
-        let out = run_points_with(vec![1, 2], 16, |p| p + 1);
+        let out = run_points(vec![1, 2], 16, |p| p + 1);
         assert_eq!(out, vec![2, 3]);
     }
 
     #[test]
     fn empty_and_singleton_sweeps() {
-        let empty: Vec<u32> = run_points_with(Vec::new(), 4, |p: u32| p);
+        let empty: Vec<u32> = run_points(Vec::new(), 4, |p: u32| p);
         assert!(empty.is_empty());
-        assert_eq!(run_points_with(vec![9], 4, |p| p * 2), vec![18]);
-    }
-
-    #[test]
-    fn jobs_switch_round_trips() {
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0); // clamped
-        assert_eq!(jobs(), 1);
-        set_jobs(1);
+        assert_eq!(run_points(vec![9], 4, |p| p * 2), vec![18]);
     }
 }

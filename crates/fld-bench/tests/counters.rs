@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use fld_accel::echo::EchoAccelerator;
 use fld_bench::counters::{diff, parse_dump, Thresholds};
 use fld_bench::experiments::defrag::{defrag_system, DefragConfig};
-use fld_bench::experiments::echo::{run_echo, steer_to_accel};
+use fld_bench::experiments::echo::{echo_system, open_loop, steer_to_accel};
 use fld_bench::experiments::rack::build_rack;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
@@ -55,15 +55,8 @@ fn golden_dump() -> String {
     let cfg = SystemConfig::remote();
     let frame = 512u32;
     let offered = cfg.client_rate.as_bps() / (frame as f64 * 8.0);
-    let stats = run_echo(
-        cfg,
-        frame,
-        offered,
-        20_000,
-        true,
-        SimTime::from_millis(2),
-        SimTime::from_millis(25),
-    );
+    let sys = echo_system(cfg, open_loop(frame, offered, 20_000), true);
+    let stats = sys.run(SimTime::from_millis(2), SimTime::from_millis(25));
     assert!(stats.audit.passed(), "{}", stats.audit);
     fld_sim::counters::write_dump("echo", &[("echo.512B".to_string(), stats.counters)])
 }

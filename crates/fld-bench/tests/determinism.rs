@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 
 use fld_accel::echo::EchoAccelerator;
-use fld_bench::experiments::echo::{run_echo, steer_to_accel};
+use fld_bench::experiments::echo::{echo_system, open_loop, steer_to_accel};
 use fld_bench::experiments::rack::build_rack;
-use fld_bench::runner::run_points_with;
+use fld_bench::runner::run_points;
 use fld_core::rack::RackConfig;
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
@@ -21,15 +21,8 @@ use fld_sim::time::{SimDuration, SimTime};
 fn echo_metrics_json(size: u32) -> String {
     let cfg = SystemConfig::remote();
     let offered = cfg.client_rate.as_bps() / (size as f64 * 8.0);
-    let stats = run_echo(
-        cfg,
-        size,
-        offered,
-        60_000,
-        true,
-        SimTime::from_millis(2),
-        SimTime::from_millis(25),
-    );
+    let sys = echo_system(cfg, open_loop(size, offered, 60_000), true);
+    let stats = sys.run(SimTime::from_millis(2), SimTime::from_millis(25));
     stats.metrics.to_json()
 }
 
@@ -48,13 +41,13 @@ fn repeated_seeded_runs_are_byte_identical() {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let sizes = vec![64u32, 256, 1024];
-    let serial = run_points_with(sizes.clone(), 1, echo_metrics_json);
-    let parallel = run_points_with(sizes, 4, echo_metrics_json);
+    let serial = run_points(sizes.clone(), 1, echo_metrics_json);
+    let parallel = run_points(sizes, 4, echo_metrics_json);
     assert_eq!(serial, parallel);
 
     let windows = vec![1u32, 8, 32];
-    let serial = run_points_with(windows.clone(), 1, rdma_metrics_json);
-    let parallel = run_points_with(windows, 4, rdma_metrics_json);
+    let serial = run_points(windows.clone(), 1, rdma_metrics_json);
+    let parallel = run_points(windows, 4, rdma_metrics_json);
     assert_eq!(serial, parallel);
 }
 
@@ -88,8 +81,8 @@ fn rack_bytes(seed: u64) -> String {
 fn rack_sweep_is_byte_identical_serial_and_parallel() {
     assert_eq!(rack_bytes(7), rack_bytes(7));
     let seeds = vec![1u64, 2, 3, 4];
-    let serial = run_points_with(seeds.clone(), 1, rack_bytes);
-    let parallel = run_points_with(seeds, 4, rack_bytes);
+    let serial = run_points(seeds.clone(), 1, rack_bytes);
+    let parallel = run_points(seeds, 4, rack_bytes);
     assert_eq!(serial, parallel);
 }
 
@@ -130,13 +123,13 @@ fn chaos_sweep_is_byte_identical_serial_and_parallel() {
     let rates = vec![0.0f64, 1e-3, 1e-2];
     let echo = |r: f64| chaos_echo_run(FaultPlan::new(r, 11), 2_000).0;
     assert_eq!(
-        run_points_with(rates.clone(), 1, echo),
-        run_points_with(rates.clone(), 4, echo)
+        run_points(rates.clone(), 1, echo),
+        run_points(rates.clone(), 4, echo)
     );
     let rdma = |r: f64| chaos_rdma_run(FaultPlan::new(r, 11), 1_000).0;
     assert_eq!(
-        run_points_with(rates.clone(), 1, rdma),
-        run_points_with(rates, 4, rdma)
+        run_points(rates.clone(), 1, rdma),
+        run_points(rates, 4, rdma)
     );
 }
 

@@ -6,24 +6,22 @@
 //! are written once and viewed everywhere, DESIGN.md § 3.13), the
 //! calendar's (a pending event is one lane entry, § 3.10) with the lane
 //! accounting's reproducibility and the share of pushes that reach the
-//! heap behind the lanes, and the folded-stacks flamegraph format golden.
+//! heap behind the lanes, the folded-stacks flamegraph format golden, and
+//! the switch's scope: arming the profiler arms the calling thread only,
+//! and a sweep hands its workers' profiles back to the thread that armed
+//! them.
 //!
-//! These tests live in their own integration-test binary (= their own
-//! process) because they toggle the process-wide `fld_sim::prof`
-//! switch; the golden-file tests in `telemetry.rs` must never share a
-//! process with an armed profiler. Within this binary every test that
-//! touches the switch serializes on [`GATE`].
+//! The tests run side by side at the default thread count: each arms
+//! its own thread, so none sees another's switch or profiles.
 
-use std::sync::Mutex;
+use std::sync::Barrier;
 
 use fld_accel::echo::EchoAccelerator;
 use fld_bench::experiments::echo::steer_to_accel;
+use fld_bench::runner::run_points;
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig};
 use fld_sim::prof;
 use fld_sim::time::{SimDuration, SimTime};
-
-/// Serializes tests that arm/disarm process-wide profiling.
-static GATE: Mutex<()> = Mutex::new(());
 
 /// Counts per thread, so a test's allocation figures are its own.
 #[global_allocator]
@@ -64,7 +62,6 @@ fn profiled_echo_run(telemetry: bool) -> RunStats {
 
 #[test]
 fn phase_fractions_telescope_on_a_real_run() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let stats = profiled_echo_run(false);
     let p = &stats.profile;
     assert!(p.enabled);
@@ -127,7 +124,6 @@ fn phase_fractions_telescope_on_a_real_run() {
 /// run.
 #[test]
 fn allocation_counts_are_reproducible_across_reruns() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let a = profiled_echo_run(false);
     let b = profiled_echo_run(false);
     let total = |s: &RunStats| {
@@ -279,7 +275,6 @@ fn open_loop_echo_stays_under_its_allocated_bytes_ceiling() {
 /// fallback pushes are all the pushes.
 #[test]
 fn lane_accounting_is_reproducible_across_reruns() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let a = profiled_echo_run(true).profile.calendar;
     let b = profiled_echo_run(true).profile.calendar;
     assert_eq!(a, b, "calendar statistics diverged across reruns");
@@ -289,9 +284,8 @@ fn lane_accounting_is_reproducible_across_reruns() {
 }
 
 /// The merged calendar statistics of the engine runs inside `run`,
-/// profiled under [`GATE`].
+/// profiled.
 fn profiled_calendar(run: impl FnOnce()) -> prof::CalendarStats {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let _ = prof::take_global();
     prof::set_enabled(true);
     run();
@@ -435,7 +429,6 @@ fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
 /// each per `FldSystem` (one here, four nodes there).
 #[test]
 fn tick_allocations_do_not_grow_with_the_tick_count() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let us = SimDuration::from_micros;
     type Build = fn(SimDuration) -> Ticked;
     let systems: [(&str, Build, SimDuration, u64); 2] = [
@@ -476,7 +469,6 @@ fn tick_allocations_do_not_grow_with_the_tick_count() {
 /// untouched.
 #[test]
 fn profiling_changes_no_trace_bytes_and_adds_only_the_speed_ratio_series() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let off = echo_run(true);
     let on = profiled_echo_run(true);
 
@@ -584,7 +576,6 @@ fn simulated(s: &RunStats) -> [String; 5] {
 #[test]
 fn a_run_with_every_observer_off_records_nothing_and_simulates_the_same() {
     use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
 
     let bare = echo_system(64, 256).run(SimTime::ZERO, SimTime::from_millis(100));
     assert_eq!(bare.trace.len(), 0);
@@ -635,10 +626,75 @@ fn a_run_with_every_observer_off_records_nothing_and_simulates_the_same() {
 /// With profiling never armed a run's profile is inert zeros.
 #[test]
 fn unarmed_run_has_inert_profile() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let stats = echo_run(false);
     assert!(!stats.profile.enabled);
     assert!(stats.profile.phases.is_empty());
     assert_eq!(stats.profile.to_folded(), "");
     assert!(stats.metrics.counter_value("prof.wall_ns").is_none());
+}
+
+/// Arming is per thread. Two threads run the same echo at the same time,
+/// one armed and one not: the unarmed run records no profile, keeps no
+/// calendar statistics and allocates exactly what it does alone, and the
+/// armed thread's merged profile holds its own run and nothing else.
+#[test]
+fn an_armed_thread_does_not_profile_its_neighbour() {
+    let (solo_allocs, _, solo) = allocations_in(|| echo_run(false));
+    assert!(!solo.profile.enabled);
+    let start = Barrier::new(2);
+    let (armed, unarmed) = std::thread::scope(|scope| {
+        let armed = scope.spawn(|| {
+            prof::set_enabled(true);
+            start.wait();
+            let stats = echo_run(false);
+            (stats, prof::take_global())
+        });
+        let unarmed = scope.spawn(|| {
+            start.wait();
+            let (allocs, _, stats) = allocations_in(|| echo_run(false));
+            (allocs, stats, prof::take_global())
+        });
+        (armed.join().unwrap(), unarmed.join().unwrap())
+    });
+
+    let (allocs, stats, merged) = unarmed;
+    assert!(!stats.profile.enabled, "the unarmed run was profiled");
+    let cal = stats.profile.calendar;
+    assert_eq!(
+        (cal.peak_depth, cal.coincident_pops, cal.max_burst),
+        (0, 0, 0),
+        "the unarmed run kept calendar statistics"
+    );
+    assert_eq!(
+        allocs, solo_allocs,
+        "the neighbour's profiler allocated here"
+    );
+    assert!(merged.is_none(), "the unarmed thread holds a profile");
+
+    let (stats, merged) = armed;
+    let merged = merged.expect("the armed run was profiled");
+    assert!(stats.profile.enabled && stats.profile.calendar.peak_depth > 0);
+    assert_eq!((merged.runs, merged.events), (1, stats.events));
+}
+
+/// A sweep started on an armed thread arms its workers and merges their
+/// profiles back into the caller's: four workers report the runs and
+/// events one does.
+#[test]
+fn a_profiled_sweep_reports_every_run_whatever_the_worker_count() {
+    let swept = |jobs| {
+        prof::set_enabled(true);
+        let events = run_points(vec![64, 128, 256, 512], jobs, |payload| {
+            echo_system(64, payload)
+                .run(SimTime::ZERO, SimTime::from_millis(100))
+                .events
+        });
+        prof::set_enabled(false);
+        let merged = prof::take_global().expect("the sweep was profiled");
+        (merged.runs, merged.events, events.iter().sum::<u64>())
+    };
+    let serial = swept(1);
+    assert_eq!(serial.0, 4);
+    assert_eq!(serial.1, serial.2);
+    assert_eq!(swept(4), serial);
 }

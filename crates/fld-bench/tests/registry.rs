@@ -5,6 +5,7 @@
 //! 2 usage) without ever panicking.
 
 use std::process::Command;
+use std::sync::Mutex;
 
 use fld_bench::experiments::{run_entries, Experiment, ALL, REGISTRY};
 use fld_bench::report::{Cli, Report};
@@ -93,6 +94,35 @@ fn all_prints_the_same_bytes_on_one_worker_and_on_four() {
     let serial = on(1);
     assert!(serial.contains("Figure 7c"));
     assert_eq!(serial, on(4));
+}
+
+/// `exp all` hands each entry a `Cli` of its own: the scale, the audit
+/// mode and the worker count travel in it, the artifact paths do not.
+#[test]
+fn all_hands_its_entries_the_scale_audit_mode_and_worker_count() {
+    /// `(quick, strict_audit, jobs, json)` of each `Cli` the stub saw.
+    static SEEN: Mutex<Vec<(bool, bool, usize, bool)>> = Mutex::new(Vec::new());
+    static STUB: Experiment = Experiment {
+        id: "stub",
+        paper_ref: "-",
+        summary: "-",
+        in_all: true,
+        flags: &[],
+        run: |cli, _| {
+            let seen = (cli.quick, cli.strict_audit, cli.jobs, cli.json.is_some());
+            SEEN.lock().unwrap().push(seen);
+            Ok(())
+        },
+    };
+    let cli = Cli {
+        quick: true,
+        strict_audit: true,
+        jobs: 3,
+        json: Some("unused.json".into()),
+        ..Cli::default()
+    };
+    printed([&STUB, &STUB].into_iter(), &cli);
+    assert_eq!(*SEEN.lock().unwrap(), [(true, true, 3, false); 2]);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use fld_accel::echo::EchoAccelerator;
-use fld_bench::experiments::echo::{run_echo_telemetry, steer_to_accel};
-use fld_bench::experiments::rdma::run_rdma_telemetry;
+use fld_bench::experiments::echo::{echo_telemetry_system, open_loop, steer_to_accel};
+use fld_bench::experiments::rdma::rdma_telemetry_system;
 use fld_core::rdma_system::RdmaConfig;
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
 use fld_nic::eswitch::{Action, MatchSpec, Rule};
@@ -315,22 +315,14 @@ fn counter_tracks(trace: &str) -> std::collections::BTreeSet<String> {
 fn merged_trace_carries_lifecycle_lanes_and_counter_tracks() {
     let cfg = SystemConfig::remote();
     let offered = cfg.client_rate.as_bps() / (1500.0 * 8.0);
-    let stats = run_echo_telemetry(
-        cfg,
-        1500,
-        offered,
-        20_000,
-        SimTime::from_millis(1),
-        SimTime::from_millis(20),
-        1 << 14,
-        Some(SimDuration::from_nanos(1_000)),
-    );
-    let rdma = run_rdma_telemetry(
+    let gen = open_loop(1500, offered, 20_000);
+    let stats = echo_telemetry_system(cfg, gen, 1 << 14, Some(SimDuration::from_nanos(1_000)))
+        .run(SimTime::from_millis(1), SimTime::from_millis(20));
+    let rdma = rdma_telemetry_system(
         RdmaConfig::remote(4096, 64, 2_000),
-        SimTime::from_millis(1),
-        SimTime::from_millis(20),
         SimDuration::from_nanos(1_000),
-    );
+    )
+    .run(SimTime::from_millis(1), SimTime::from_millis(20));
     assert!(stats.audit.passed(), "flde: {}", stats.audit);
     assert!(rdma.audit.passed(), "fldr: {}", rdma.audit);
     let merged = stats.trace.to_chrome_json_with_counters(&[
@@ -400,16 +392,9 @@ fn metrics_snapshot_is_well_formed() {
 #[test]
 fn stage_sums_match_end_to_end_in_echo_run() {
     let scale = fld_bench::Scale::quick();
-    let stats = run_echo_telemetry(
-        SystemConfig::remote(),
-        512,
-        200_000.0,
-        5_000,
-        scale.warmup(),
-        scale.deadline(),
-        1024,
-        None,
-    );
+    let gen = open_loop(512, 200_000.0, 5_000);
+    let stats = echo_telemetry_system(SystemConfig::remote(), gen, 1024, None)
+        .run(scale.warmup(), scale.deadline());
     let e2e = stats.stages.end_to_end();
     assert!(e2e.count() > 0, "no packets completed");
     assert_eq!(stats.stages.stage_sum(), e2e.sum());
@@ -510,12 +495,11 @@ proptest! {
         total in 8u64..300,
         deadline_us in 50u64..3_000,
     ) {
-        let stats = run_rdma_telemetry(
+        let stats = rdma_telemetry_system(
             RdmaConfig::remote(request, window, total),
-            SimTime::ZERO,
-            SimTime::from_micros(deadline_us),
             SimDuration::from_nanos(500),
-        );
+        )
+        .run(SimTime::ZERO, SimTime::from_micros(deadline_us));
         prop_assert!(stats.audit.checks > 0);
         prop_assert_eq!(stats.audit.violations, 0, "{}", stats.audit);
     }

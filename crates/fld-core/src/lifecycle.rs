@@ -6,16 +6,14 @@
 //! sampling interval, armed by identical `enable_flight_recorder` /
 //! `enable_strict_audit` methods and drained into an [`Engine`] by
 //! identical `run()` boilerplate. [`Recorder`] owns that trio once; the
-//! systems embed it and delegate, so the lifecycle semantics (strict
-//! mode honoring the process-wide switch at construction, take-on-run
-//! leaving the system reusable for inspection) are defined in one place.
+//! systems embed it and delegate, so the lifecycle semantics (lenient
+//! until `enable_strict_audit` is called, take-on-run leaving the system
+//! reusable for inspection) are defined in one place.
 
 use fld_sim::audit::Auditor;
 use fld_sim::engine::Engine;
 use fld_sim::probe::Timeline;
 use fld_sim::time::SimDuration;
-
-use crate::system::strict_audit_enabled;
 
 /// The flight-recorder/auditor trio every simulator carries between
 /// construction and its `run()` call.
@@ -33,18 +31,12 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A disabled recorder with the default 1 µs sampling interval. The
-    /// auditor starts strict when the process-wide
-    /// [`crate::system::set_strict_audit`] switch is armed (the shared
-    /// `--strict-audit` flag).
+    /// A disabled recorder with the default 1 µs sampling interval and a
+    /// lenient auditor ([`Recorder::enable_strict_audit`] escalates it).
     pub fn new() -> Recorder {
         Recorder {
             timeline: Timeline::disabled(),
-            auditor: if strict_audit_enabled() {
-                Auditor::new().strict()
-            } else {
-                Auditor::new()
-            },
+            auditor: Auditor::new(),
             sample_interval: SimDuration::from_micros(1),
         }
     }
@@ -61,8 +53,7 @@ impl Recorder {
         self.sample_interval = interval;
     }
 
-    /// Escalates invariant violations to hard errors (panics),
-    /// regardless of the process-wide switch.
+    /// Escalates invariant violations to hard errors (panics).
     pub fn enable_strict_audit(&mut self) {
         self.auditor = std::mem::take(&mut self.auditor).strict();
     }

@@ -143,8 +143,8 @@ pub struct RdmaRunStats {
     pub audit: AuditReport,
     /// Total calendar events the run scheduled.
     pub events: u64,
-    /// The engine's self-profile (inert unless profiling was armed via
-    /// `fld_sim::prof::set_enabled` before the run).
+    /// The engine's self-profile (inert unless `fld_sim::prof::set_enabled`
+    /// armed the running thread before the run).
     pub profile: fld_sim::prof::Profile,
     /// End-of-run snapshot of the per-entity hardware counter tree
     /// (`qp/<n>/...`, `pcie/fn/<f>/...`, plus `faults/*`/`recovery/*`
@@ -295,8 +295,8 @@ impl RdmaSystem {
         self.rec.enable_flight_recorder(interval);
     }
 
-    /// Escalates invariant violations to panics for this system only
-    /// (the process-wide switch is [`crate::system::set_strict_audit`]).
+    /// Escalates invariant violations to panics for this system (the
+    /// only way to arm strict auditing).
     pub fn enable_strict_audit(&mut self) {
         self.rec.enable_strict_audit();
     }

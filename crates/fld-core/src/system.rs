@@ -40,25 +40,6 @@ use crate::lifecycle::Recorder;
 use crate::params::{SystemParams, PORT_BUFFER};
 use crate::pool::{PacketHandle, PacketPool};
 
-/// Process-wide strict-audit switch (the `--strict-audit` flag): systems
-/// built while this is set escalate invariant violations to panics.
-///
-/// A global rather than a constructor parameter so that every experiment
-/// in the repository — most of which build systems deep inside library
-/// functions — comes under audit without threading a flag through every
-/// signature.
-static STRICT_AUDIT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Turns strict auditing on or off for systems built from now on.
-pub fn set_strict_audit(enabled: bool) {
-    STRICT_AUDIT.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether strict auditing is currently requested.
-pub fn strict_audit_enabled() -> bool {
-    STRICT_AUDIT.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// One packet an accelerator emits: `(ready time, fld tx queue, resume
 /// table, packet)`.
 pub type EmitEntry = (SimTime, u16, Option<u16>, SimPacket);
@@ -566,8 +547,8 @@ pub struct RunStats {
     /// Total calendar events the run scheduled (simulator throughput
     /// accounting for wall-clock benchmarks).
     pub events: u64,
-    /// The engine's self-profile (inert unless profiling was armed via
-    /// `fld_sim::prof::set_enabled` before the run).
+    /// The engine's self-profile (inert unless `fld_sim::prof::set_enabled`
+    /// armed the running thread before the run).
     pub profile: fld_sim::prof::Profile,
     /// End-of-run snapshot of the hierarchical per-entity hardware
     /// counter tree (`port/<p>/...`, `flow/<id>/...`, `pcie/fn/<f>/...`,
@@ -1078,8 +1059,8 @@ impl FldSystem {
     }
 
     /// Escalates invariant violations on this system to hard errors
-    /// (panics), regardless of the process-wide [`set_strict_audit`]
-    /// switch.
+    /// (panics). The only way to arm strict auditing: a system is
+    /// lenient until this is called.
     pub fn enable_strict_audit(&mut self) {
         self.rec.enable_strict_audit();
     }

@@ -316,8 +316,9 @@ pub struct Completed {
     /// Total events scheduled over the run (model + sample ticks).
     pub events: u64,
     /// The run's self-profile (host-time/allocation attribution).
-    /// Inert — `enabled == false`, all zeros — unless profiling was
-    /// armed via [`crate::prof::set_enabled`] when the run started.
+    /// Inert — `enabled == false`, all zeros — unless
+    /// [`crate::prof::set_enabled`] armed the running thread when the
+    /// run started.
     pub profile: Profile,
 }
 
@@ -378,7 +379,7 @@ impl<E> Engine<E> {
         // phases exactly tile the run (the telescoping invariant the
         // profile's `fractions_sum` checks). Every hook is inert — an
         // inlined `Option` check — unless `prof::set_enabled` armed
-        // profiling before this run started.
+        // this thread before this run started.
         let mut profiler = Profiler::start();
         // The engine's own sample ticks are a strictly increasing
         // stream: they get the lane one past the model's.
@@ -481,8 +482,6 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::prof::TEST_GATE as PROF_GATE;
 
     #[derive(Debug)]
     enum Ev {
@@ -622,7 +621,6 @@ mod tests {
 
     #[test]
     fn unprofiled_run_yields_inert_profile() {
-        let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let eng = Engine::new(
             Timeline::disabled(),
             Auditor::new(),
@@ -640,7 +638,6 @@ mod tests {
 
     #[test]
     fn profiled_run_attributes_phases_and_calendar() {
-        let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
         let eng = Engine::new(
             Timeline::with_interval(SimDuration::from_nanos(100)),
@@ -652,7 +649,6 @@ mod tests {
             ..Pinger::default()
         };
         let done = eng.run(&mut model, SimTime::from_micros(10));
-        crate::prof::set_enabled(false);
         let p = &done.profile;
         assert!(p.enabled);
         assert!(done.drained);
@@ -697,7 +693,6 @@ mod tests {
     /// lanes.
     #[test]
     fn rearm_and_truncation_hold_with_every_event_in_a_lane() {
-        let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
         let run = |stop_at, deadline| {
             let eng = Engine::new(
@@ -714,7 +709,6 @@ mod tests {
         };
         let (model, drained) = run(5, SimTime::from_micros(10));
         let (cut_model, cut) = run(100, SimTime::from_nanos(250));
-        crate::prof::set_enabled(false);
         for done in [&drained, &cut] {
             assert_eq!(done.profile.calendar.fallback_pushes, 0);
             assert_eq!(done.profile.calendar.laned_pushes, done.events);

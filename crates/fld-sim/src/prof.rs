@@ -48,10 +48,14 @@
 //! # Off switch
 //!
 //! Like the tracer and the flight recorder, profiling is armed at run
-//! time, by [`set_enabled`] (wired to the `--prof` flag); disarmed, each
-//! hook is one branch. A run with profiling off is byte-identical —
-//! simulated results never depend on host timing either way, because
-//! the profiler only *observes* the loop.
+//! time, per thread, by [`set_enabled`] (`exp` arms its main thread from
+//! the `--prof` flag). A run samples the flag once, when it starts: the
+//! calendar keeps it in a field and [`Profiler::start`] in its own state,
+//! so disarmed each hook is one branch on a value the run already holds.
+//! A run with profiling off is byte-identical — simulated results never
+//! depend on host timing either way, because the profiler only
+//! *observes* the loop — and two threads, one armed and one not, never
+//! see each other's switch or profiles.
 //!
 //! # Examples
 //!
@@ -70,8 +74,7 @@
 use crate::json::JsonWriter;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -147,45 +150,46 @@ pub fn alloc_counts() -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide arming + merged registry
+// Per-thread arming + merged profile
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Serializes the tests — across every module of this crate — that
-/// toggle the process-wide flag, so an unprofiled test can't observe a
-/// profiled test's window (and vice versa).
-#[cfg(test)]
-pub(crate) static TEST_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-static GLOBAL: Mutex<Option<Profile>> = Mutex::new(None);
-
-/// Arms (or disarms) self-profiling process-wide. Armed by the shared
-/// `--prof` flag; every [`crate::engine::Engine::run`] started while
-/// armed records a [`Profile`].
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+thread_local! {
+    /// Whether engine runs started on this thread are profiled.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// The merge of this thread's profiled runs since the last
+    /// [`take_global`].
+    static MERGED: RefCell<Option<Profile>> = const { RefCell::new(None) };
 }
 
-/// Whether self-profiling is currently armed.
+/// Arms (or disarms) self-profiling on the calling thread: every
+/// [`crate::engine::Engine::run`] this thread starts while armed records
+/// a [`Profile`]. Other threads are untouched — a sweep runner arms its
+/// workers itself.
+pub fn set_enabled(on: bool) {
+    ENABLED.set(on);
+}
+
+/// Whether self-profiling is armed on the calling thread.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
-/// Takes the merged profile of every engine run profiled since the last
-/// call (across all sweep worker threads). `None` when nothing was
-/// profiled.
+/// Takes the merged profile of every engine run profiled on the calling
+/// thread (or merged into it by [`merge_into_global`]) since the last
+/// call. `None` when nothing was profiled.
 pub fn take_global() -> Option<Profile> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).take()
+    MERGED.take()
 }
 
-fn merge_into_global(profile: &Profile) {
-    let mut slot = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_mut() {
+/// Merges `profile` into the calling thread's merged profile — how a
+/// sweep runner hands its workers' runs back to the thread that armed
+/// them.
+pub fn merge_into_global(profile: &Profile) {
+    MERGED.with_borrow_mut(|slot| match slot.as_mut() {
         Some(merged) => merged.merge(profile),
         None => *slot = Some(profile.clone()),
-    }
+    });
 }
 
 /// The calibrated per-boundary timer cost in nanoseconds: the mean gap
@@ -687,14 +691,14 @@ impl ProfInner {
 /// The per-run recorder driven by [`crate::engine::Engine::run`].
 ///
 /// Created by [`Profiler::start`]; inert unless [`set_enabled`] armed
-/// profiling. While active it owns this thread's [`scope`] sink.
+/// the calling thread. While active it owns this thread's [`scope`] sink.
 #[derive(Debug, Default)]
 pub struct Profiler {
     inner: Option<Box<ProfInner>>,
 }
 
 impl Profiler {
-    /// Starts recording if profiling is armed process-wide.
+    /// Starts recording if profiling is armed on this thread.
     pub fn start() -> Profiler {
         Self::start_if(enabled())
     }
@@ -758,8 +762,8 @@ impl Profiler {
     }
 
     /// Ends the run: drains the scope sink, stamps run totals, merges
-    /// the result into the process-wide registry, and returns it. A
-    /// disabled profiler returns `Profile::default()`.
+    /// the result into this thread's merged profile ([`take_global`]),
+    /// and returns it. A disabled profiler returns `Profile::default()`.
     pub fn finish(self, sim_ns: u64, events: u64, calendar: CalendarStats) -> Profile {
         if let Some(inner) = self.inner {
             let wall_ns = inner.started.elapsed().as_nanos() as f64;
@@ -938,10 +942,10 @@ mod tests {
             "{}",
             profile.fractions_sum()
         );
-        // take_global sees at least this profile (other tests may have
-        // merged their own in parallel).
-        let merged = take_global().expect("profiled run merged globally");
-        assert!(merged.runs >= 1);
+        // take_global sees exactly this profile: the merge is this
+        // thread's alone.
+        let merged = take_global().expect("profiled run merged on its thread");
+        assert_eq!(merged.runs, 1);
     }
 
     #[test]

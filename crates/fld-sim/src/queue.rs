@@ -138,6 +138,9 @@ pub struct EventQueue<E> {
     fallback_pushes: u64,
     /// Entries laned pushes walked past to find their place.
     insert_steps: u64,
+    /// Whether the creating thread had [`crate::prof`] armed: sampled
+    /// once, so the hot path reads a field, never the switch.
+    profiled: bool,
     prof: ProfCounters,
 }
 
@@ -174,7 +177,8 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar at time zero.
+    /// Creates an empty calendar at time zero, keeping the depth/burst
+    /// statistics iff [`crate::prof::enabled`] on the calling thread.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
@@ -186,6 +190,7 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             fallback_pushes: 0,
             insert_steps: 0,
+            profiled: crate::prof::enabled(),
             prof: ProfCounters::default(),
         }
     }
@@ -262,9 +267,9 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn note_depth(&mut self) {
-        // One relaxed load guards the bookkeeping: the unprofiled timed
+        // One field read guards the bookkeeping: the unprofiled timed
         // legs must not pay for attribution they are not recording.
-        if crate::prof::enabled() {
+        if self.profiled {
             self.prof.peak_depth = self.prof.peak_depth.max(self.len() as u64);
         }
     }
@@ -417,7 +422,7 @@ impl<E> EventQueue<E> {
     fn advance(&mut self, time_ps: u64) -> SimTime {
         let time = SimTime::from_picos(time_ps);
         self.now = time;
-        if crate::prof::enabled() {
+        if self.profiled {
             // Branchless on purpose: ~21% of pops are coincident, so a
             // same-time branch would be genuinely unpredictable — the
             // arithmetic form compiles to cmov/mul and costs the same
@@ -436,9 +441,10 @@ impl<E> EventQueue<E> {
     ///
     /// `pushes` and the lane accounting (`laned_pushes`,
     /// `fallback_pushes`, `insert_steps`) are always populated; the
-    /// depth/burst counters are kept only while [`crate::prof::enabled`]
-    /// and read zero otherwise. `sample_rearms` is owned by the engine, not the
-    /// calendar, and is zero here.
+    /// depth/burst counters are kept only when [`crate::prof::enabled`]
+    /// held at [`EventQueue::new`] and read zero otherwise.
+    /// `sample_rearms` is owned by the engine, not the calendar, and is
+    /// zero here.
     pub fn calendar_stats(&self) -> crate::prof::CalendarStats {
         crate::prof::CalendarStats {
             pushes: self.scheduled_total,
@@ -562,9 +568,6 @@ mod tests {
 
     #[test]
     fn calendar_stats_track_depth_and_bursts() {
-        let _gate = crate::prof::TEST_GATE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
         let mut q: EventQueue<i32> = EventQueue::new();
         q.schedule_at(SimTime::from_nanos(10), 0);
@@ -580,7 +583,6 @@ mod tests {
         // The three t=10 pops form one burst: two beyond its first.
         assert_eq!(stats.coincident_pops, 2);
         assert_eq!(stats.max_burst, 3);
-        crate::prof::set_enabled(false);
     }
 
     #[test]
@@ -636,9 +638,6 @@ mod tests {
 
     #[test]
     fn depth_peek_and_clear_span_lanes_and_heap() {
-        let _gate = crate::prof::TEST_GATE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
         let mut q: EventQueue<i32> = EventQueue::new();
         let ns = SimTime::from_nanos;
@@ -669,7 +668,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((ns(30), 9)));
         assert_eq!(q.scheduled_total(), 5);
-        crate::prof::set_enabled(false);
     }
 
     #[test]
@@ -677,9 +675,6 @@ mod tests {
         // Regression: `last_pop`/`current_burst` used to survive a
         // clear, so the next run's first pop at the same timestamp was
         // miscounted as a continuation of the previous run's burst.
-        let _gate = crate::prof::TEST_GATE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
         let mut q: EventQueue<i32> = EventQueue::new();
         let t = SimTime::from_nanos(10);
@@ -696,7 +691,6 @@ mod tests {
             "pop after clear must start a fresh burst"
         );
         assert_eq!(stats.max_burst, 2);
-        crate::prof::set_enabled(false);
     }
 
     #[test]

@@ -88,9 +88,9 @@ fn main() {
     println!("frame B | measured Gbps | model bound Gbps | unloaded RTT us");
     println!("--------|---------------|------------------|----------------");
     // Each frame size is an independent pair of runs; the sweep runner
-    // spreads them over worker threads (all on one without --jobs).
+    // spreads them over four worker threads.
     let frames: Vec<u32> = vec![64, 256, 512, 1024, 1500];
-    let runs = fld_bench::runner::run_points_with(frames, 4, |frame| {
+    let runs = fld_bench::runner::run_points(frames, 4, |frame| {
         // Throughput: offer line rate of this frame size, open loop.
         let rate = cfg.client_rate.as_bps() / (frame as f64 * 8.0);
         let gen = ClientGen::fixed_udp(

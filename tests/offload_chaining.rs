@@ -17,9 +17,9 @@ fn scale() -> Scale {
 
 #[test]
 fn hardware_defrag_restores_rss_and_beats_software() {
-    let sw = run_defrag(DefragConfig::SoftwareDefrag, scale());
-    let hw = run_defrag(DefragConfig::HardwareDefrag, scale());
-    let nofrag = run_defrag(DefragConfig::NoFrag, scale());
+    let sw = run_defrag(DefragConfig::SoftwareDefrag, scale(), false);
+    let hw = run_defrag(DefragConfig::HardwareDefrag, scale(), false);
+    let nofrag = run_defrag(DefragConfig::NoFrag, scale(), false);
     // Paper §8.2.2: 3.2 -> 22.4 Gbps (7x), with 23.2 un-fragmented.
     assert!(
         sw < 4.5,
@@ -31,8 +31,8 @@ fn hardware_defrag_restores_rss_and_beats_software() {
 
 #[test]
 fn vxlan_decap_chains_before_defrag() {
-    let c = run_defrag(DefragConfig::VxlanHardwareDefrag, scale());
-    let sw = run_defrag(DefragConfig::SoftwareDefrag, scale());
+    let c = run_defrag(DefragConfig::VxlanHardwareDefrag, scale(), false);
+    let sw = run_defrag(DefragConfig::SoftwareDefrag, scale(), false);
     // Paper: 5.25x over the software baseline, sender-bound.
     let speedup = c / sw;
     assert!(
@@ -43,8 +43,8 @@ fn vxlan_decap_chains_before_defrag() {
 
 #[test]
 fn nic_shaping_isolates_tenants() {
-    let unshaped = run_isolation((8.0, 16.0), 12.0, None, 1024, scale());
-    let shaped = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, scale());
+    let unshaped = run_isolation((8.0, 16.0), 12.0, None, 1024, scale(), false);
+    let shaped = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, scale(), false);
     // Unshaped: admission proportional to offered load (paper 4.15/8.35).
     assert!(unshaped.1 > unshaped.0 * 1.5, "unshaped {unshaped:?}");
     // Shaped: both tenants get their 6 Gbps allocation.

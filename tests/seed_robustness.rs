@@ -116,8 +116,8 @@ fn defrag_conclusions_hold_across_seeds() {
             warmup_ms: 2,
             deadline_ms: deadline,
         };
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale);
+        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
+        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
         assert!(
             hw / sw > 4.0,
             "scale {packets}/{deadline}: speedup {:.1} too small",
@@ -137,12 +137,12 @@ fn isolation_conclusion_holds_across_seeds() {
     };
     // The proportional-split and shaped-fairness results must hold at a
     // different offered mix too (12 vs 12 instead of 8 vs 16).
-    let even = run_isolation((12.0, 12.0), 12.0, None, 1024, scale);
+    let even = run_isolation((12.0, 12.0), 12.0, None, 1024, scale, false);
     assert!(
         (even.0 - even.1).abs() < 1.0,
         "equal offered loads must split evenly: {even:?}"
     );
-    let shaped = run_isolation((12.0, 12.0), 12.0, Some(6.0), 1024, scale);
+    let shaped = run_isolation((12.0, 12.0), 12.0, Some(6.0), 1024, scale, false);
     assert!(
         (shaped.0 - 6.0).abs() < 1.0 && (shaped.1 - 6.0).abs() < 1.0,
         "{shaped:?}"
