@@ -136,32 +136,15 @@ impl HostCpu {
         registry.counter(format!("{prefix}.processed"), self.processed);
         registry.counter(format!("{prefix}.jitter_events"), self.jitter_events);
     }
-}
 
-impl fld_sim::engine::Component for HostCpu {
     /// One probe: the worst per-core backlog, in nanoseconds
     /// (`"{name}.backlog_ns"`).
-    fn probes(
-        &mut self,
-        name: &str,
-        now: SimTime,
-        _interval: SimDuration,
-        out: &mut fld_sim::engine::Probes,
-    ) {
+    pub fn probes(&self, name: &str, now: SimTime, out: &mut fld_sim::engine::Probes) {
         let backlog = (0..self.core_count())
             .map(|c| self.backlog(c, now))
             .max()
             .unwrap_or(SimDuration::ZERO);
         out.push_scoped(name, "backlog_ns", backlog.as_nanos() as f64);
-    }
-
-    fn export_metrics(
-        &self,
-        name: &str,
-        _end: SimTime,
-        registry: &mut fld_sim::metrics::MetricsRegistry,
-    ) {
-        HostCpu::export_metrics(self, name, registry);
     }
 }
 

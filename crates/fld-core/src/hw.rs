@@ -466,24 +466,10 @@ impl FldDevice {
         self.rx
             .export_metrics(&format!("{prefix}.rx_ring"), registry);
     }
-}
 
-impl Default for FldDevice {
-    fn default() -> Self {
-        FldDevice::new(FldConfig::default())
-    }
-}
-
-impl fld_sim::engine::Component for FldDevice {
     /// Ring-occupancy and descriptor-credit probes, in the flight
     /// recorder's golden series order.
-    fn probes(
-        &mut self,
-        name: &str,
-        _now: SimTime,
-        _interval: fld_sim::time::SimDuration,
-        out: &mut fld_sim::engine::Probes,
-    ) {
+    pub fn probes(&self, name: &str, out: &mut fld_sim::engine::Probes) {
         out.push_scoped(name, "rx_ring.occupancy", self.rx.occupancy());
         out.push_scoped(name, "tx_ring.occupancy", self.tx.occupancy());
         out.push_scoped(
@@ -495,7 +481,7 @@ impl fld_sim::engine::Component for FldDevice {
 
     /// Tx-ring descriptor conservation and credit/occupancy bounds, plus
     /// the Rx pool occupancy bound.
-    fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
+    pub fn audit(&self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         let (enq, comp, in_use) = (
             self.tx.enqueued(),
             self.tx.completed(),
@@ -519,14 +505,11 @@ impl fld_sim::engine::Component for FldDevice {
         );
         auditor.check_occupancy(at, format_args!("{name}.rx_ring"), self.rx.occupancy());
     }
+}
 
-    fn export_metrics(
-        &self,
-        name: &str,
-        _end: SimTime,
-        registry: &mut fld_sim::metrics::MetricsRegistry,
-    ) {
-        FldDevice::export_metrics(self, name, registry);
+impl Default for FldDevice {
+    fn default() -> Self {
+        FldDevice::new(FldConfig::default())
     }
 }
 

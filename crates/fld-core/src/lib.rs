@@ -20,12 +20,6 @@
 //!   between tenants and per-VF transmit shaping;
 //! * [`pool`] — the packet pool both simulations' calendars point into:
 //!   packets stay parked, 4-byte handles travel in the events;
-//! * [`rxring`] — the order-preserving shared receive ring that § 5.2
-//!   moves into host memory;
-//! * [`bar`] — the PCIe BAR address map of Figure 3 (decode inbound NIC
-//!   accesses into regions/queues/indices);
-//! * [`axis`] — the § 5.5 AXI4-Stream accelerator interface at beat
-//!   granularity, with the per-packet metadata sideband;
 //! * [`params`] — every calibration constant, annotated with its
 //!   paper-reported target.
 //!
@@ -46,8 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod axis;
-pub mod bar;
 pub mod host;
 pub mod hw;
 pub mod lifecycle;
@@ -57,11 +49,8 @@ pub mod pool;
 pub mod rack;
 pub mod rdma_system;
 pub mod runtime;
-pub mod rxring;
 pub mod system;
 
-pub use axis::{AxisMeta, AxisPacket};
-pub use bar::{BarMap, BarRegion};
 pub use hw::{FldConfig, FldDevice, FldRx, FldTx, TxBackpressure};
 pub use lifecycle::Recorder;
 pub use params::{AccelParams, SystemParams};
@@ -72,7 +61,6 @@ pub use rack::{
 };
 pub use rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
 pub use runtime::{AsyncError, FldEthQueue, FldRQp, FldRuntime};
-pub use rxring::HostReceiveRing;
 pub use system::{
     AccelOutput, AcceleratorModel, ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig,
 };

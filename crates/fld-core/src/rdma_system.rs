@@ -20,7 +20,7 @@ use fld_pcie::tlp::TlpOutcome;
 use fld_pcie::TlpCounters;
 use fld_sim::audit::{AuditReport, Auditor};
 use fld_sim::counters::{CounterSnapshot, CounterTree};
-use fld_sim::engine::{Component, Engine, Model, Probes};
+use fld_sim::engine::{Engine, Model, Probes};
 use fld_sim::fault::{FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan};
 use fld_sim::link::Link;
 use fld_sim::metrics::MetricsRegistry;
@@ -681,20 +681,19 @@ impl Model for RdmaSystem {
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {
         {
             let _prof = fld_sim::prof::scope("sample.probes.qps");
-            self.client_qp.probes("rdma.client", now, interval, out);
-            self.server_qp.probes("rdma.server", now, interval, out);
+            self.client_qp.probes("rdma.client", out);
+            self.server_qp.probes("rdma.server", out);
         }
         out.push("rdma.client.outstanding_msgs", self.outstanding as f64);
         out.push("accel.queue_depth", self.accel.queue_depth(now));
         let _prof = fld_sim::prof::scope("sample.probes.stages");
-        self.wire_up
-            .probes("stage.wire_up.util", now, interval, out);
-        self.wire_down
-            .probes("stage.wire_down.util", now, interval, out);
-        self.pcie_to_fld
-            .probes("stage.pcie_rx.util", now, interval, out);
-        self.pcie_from_fld
-            .probes("stage.pcie_tx.util", now, interval, out);
+        out.push("stage.wire_up.util", self.wire_up.window_util(interval));
+        out.push("stage.wire_down.util", self.wire_down.window_util(interval));
+        out.push("stage.pcie_rx.util", self.pcie_to_fld.window_util(interval));
+        out.push(
+            "stage.pcie_tx.util",
+            self.pcie_from_fld.window_util(interval),
+        );
         if let Some(inj) = &self.faults {
             let ledger = inj.ledger();
             out.push("faults.injected", ledger.injected_total() as f64);
@@ -775,12 +774,13 @@ impl Model for RdmaSystem {
     }
 
     fn export_metrics(&mut self, end: SimTime, _timeline: &Timeline, m: &mut MetricsRegistry) {
-        Component::export_metrics(&self.wire_up, "link.wire_up", end, m);
-        Component::export_metrics(&self.wire_down, "link.wire_down", end, m);
-        Component::export_metrics(&self.pcie_to_fld, "link.pcie.to_fld", end, m);
-        Component::export_metrics(&self.pcie_from_fld, "link.pcie.from_fld", end, m);
-        Component::export_metrics(&self.client_qp, "qp.client", end, m);
-        Component::export_metrics(&self.server_qp, "qp.server", end, m);
+        self.wire_up.export_metrics("link.wire_up", end, m);
+        self.wire_down.export_metrics("link.wire_down", end, m);
+        self.pcie_to_fld.export_metrics("link.pcie.to_fld", end, m);
+        self.pcie_from_fld
+            .export_metrics("link.pcie.from_fld", end, m);
+        self.client_qp.export_metrics("qp.client", m);
+        self.server_qp.export_metrics("qp.server", m);
         m.counter("client.sent", self.sent);
         m.counter("client.completed", self.stats.completed);
         m.counter("client.failed", self.stats.failed);

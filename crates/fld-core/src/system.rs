@@ -24,7 +24,7 @@ use fld_pcie::model::{FldModel, ETH_OVERHEAD};
 use fld_pcie::TlpCounters;
 use fld_sim::audit::{AuditReport, Auditor};
 use fld_sim::counters::{Counter, CounterSnapshot, CounterSum, CounterTree};
-use fld_sim::engine::{Component, Engine, Model, Probes, Scheduler};
+use fld_sim::engine::{Engine, Model, Probes, Scheduler};
 use fld_sim::fault::{FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan};
 use fld_sim::link::Link;
 use fld_sim::metrics::MetricsRegistry;
@@ -1857,31 +1857,30 @@ impl Model for FldSystem {
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {
         {
             let _prof = fld_sim::prof::scope("sample.probes.fld");
-            self.fld.probes("fld", now, interval, out);
+            self.fld.probes("fld", out);
         }
         {
             let _prof = fld_sim::prof::scope("sample.probes.nic");
-            self.nic.probes("nic", now, interval, out);
+            self.nic.probes("nic", now, out);
         }
         let depth_ns = self.accel.queue_depth(now);
         out.push("accel.queue_depth", depth_ns);
         out.push("system.in_flight", self.flow.in_flight() as f64);
-        self.host.probes("host", now, interval, out);
+        self.host.probes("host", now, out);
         // Per-stage windowed utilizations, named after the pipeline stage
         // each link realizes (not the link's metrics name).
         {
             let _prof = fld_sim::prof::scope("sample.probes.stages");
-            self.client_up
-                .probes("stage.eswitch.util", now, interval, out);
-            self.pcie_to_fld
-                .probes("stage.pcie_rx.util", now, interval, out);
+            out.push("stage.eswitch.util", self.client_up.window_util(interval));
+            out.push("stage.pcie_rx.util", self.pcie_to_fld.window_util(interval));
             // Accelerator "utilization": backlog (ns) over the window length.
             let interval_ps = interval.as_picos() as f64;
             out.push("stage.accel.util", (depth_ns * 1e3 / interval_ps).min(1.0));
-            self.pcie_from_fld
-                .probes("stage.pcie_tx.util", now, interval, out);
-            self.client_down
-                .probes("stage.tx_wire.util", now, interval, out);
+            out.push(
+                "stage.pcie_tx.util",
+                self.pcie_from_fld.window_util(interval),
+            );
+            out.push("stage.tx_wire.util", self.client_down.window_util(interval));
         }
         // Fault series are appended only when injection is armed, after
         // every pre-existing series, so fault-free golden timelines are
@@ -2040,9 +2039,9 @@ impl Model for FldSystem {
     }
 
     fn export_metrics(&mut self, end: SimTime, timeline: &Timeline, m: &mut MetricsRegistry) {
-        Component::export_metrics(&self.nic, "nic", end, m);
-        Component::export_metrics(&self.fld, "fld", end, m);
-        Component::export_metrics(&self.host, "host", end, m);
+        self.nic.export_metrics("nic", m);
+        self.fld.export_metrics("fld", m);
+        self.host.export_metrics("host", m);
         self.accel.export_metrics("accel", m);
         m.counters("drops", &self.stats.drops);
         m.counter("gen.sent", self.stats.sent);
@@ -2050,10 +2049,10 @@ impl Model for FldSystem {
         m.counter("nic.decapsulated", self.decapped);
         m.counter("host.rx_accepted", self.host_rx_accepted);
         m.counter("accel.jobs", self.accel_jobs);
-        Component::export_metrics(&self.client_up, "link.client_up", end, m);
-        Component::export_metrics(&self.client_down, "link.client_down", end, m);
-        Component::export_metrics(&self.pcie_to_fld, "pcie.to_fld", end, m);
-        Component::export_metrics(&self.pcie_from_fld, "pcie.from_fld", end, m);
+        self.client_up.export_metrics("link.client_up", end, m);
+        self.client_down.export_metrics("link.client_down", end, m);
+        self.pcie_to_fld.export_metrics("pcie.to_fld", end, m);
+        self.pcie_from_fld.export_metrics("pcie.from_fld", end, m);
         m.histogram("latency.rtt_ns", &self.stats.rtt);
         m.rate("client.rate", &self.stats.client_rate);
         m.rate("host.goodput", &self.stats.host_goodput);

@@ -22,14 +22,8 @@
 //!   transmit shapers and counter subtrees over the eSwitch;
 //! * [`mprq`] — multi-packet receive queues bounding rx fragmentation
 //!   (§ 5.2);
-//! * [`virtio`] — a split virtqueue plus the FLD adapter for
-//!   virtio-compatible NICs (the § 6 portability extension);
-//! * [`portability`] — the vendor-interface layer of Figure 3, with
-//!   ConnectX-5 and ConnectX-6 Dx codecs (the § 6 port);
 //! * [`queues`] — the conventional software-driver rings of § 2.2 (the
 //!   "Software" column of Table 3, as working code);
-//! * [`ets`] — the 802.1Qaz egress scheduler behind § 5.5's per-queue
-//!   credit backpressure;
 //! * [`nic`] — the aggregate device and its control-plane command surface.
 //!
 //! # Examples
@@ -53,25 +47,20 @@
 
 pub mod burst;
 pub mod eswitch;
-pub mod ets;
 pub mod mprq;
 pub mod nic;
 pub mod packet;
-pub mod portability;
 pub mod queues;
 pub mod rdma;
 pub mod rss;
 pub mod shaper;
 pub mod vf;
-pub mod virtio;
 pub mod wqe;
 
 pub use eswitch::{Action, MatchSpec, Pipeline, Rule, Verdict};
-pub use ets::{ClassKind, EtsScheduler};
 pub use mprq::{Mprq, MprqPlacement};
 pub use nic::{Direction, Nic, NicConfig, NicError};
 pub use packet::{PacketMeta, SimPacket};
-pub use portability::{DescriptorCodec, InterfaceLayer, NicGeneration};
 pub use queues::{
     CompletionQueue, QueueErrorMachine, QueueErrorState, SharedReceiveQueue, SoftwareDriverQueues,
     SoftwareSendQueue,
@@ -80,5 +69,4 @@ pub use rdma::{QpConfig, QpState, RcQp, RdmaEvent, RdmaPacket};
 pub use rss::RssContext;
 pub use shaper::{PolicerSet, PolicerVerdict};
 pub use vf::{PfTotals, SrIov, VfConfig, VfError};
-pub use virtio::{FldVirtioTx, SplitQueue, VirtqDesc};
 pub use wqe::{CompressedTxDescriptor, Cqe, ExpansionContext, TxDescriptor};

@@ -387,24 +387,16 @@ impl Nic {
         let retransmits: u64 = self.qps.values().map(|qp| qp.retransmits()).sum();
         registry.counter(format!("{prefix}.rdma.retransmits"), retransmits);
     }
-}
 
-impl fld_sim::engine::Component for Nic {
     /// One probe: the aggregate shaper token level
     /// (`"{name}.shaper.tokens"`).
-    fn probes(
-        &mut self,
-        name: &str,
-        now: SimTime,
-        _interval: fld_sim::time::SimDuration,
-        out: &mut fld_sim::engine::Probes,
-    ) {
+    pub fn probes(&mut self, name: &str, now: SimTime, out: &mut fld_sim::engine::Probes) {
         out.push_scoped(name, "shaper.tokens", self.shaper_tokens(now));
     }
 
     /// Shaper token level bounded by the aggregate burst pool, plus the
     /// per-VF → PF counter telescoping when SR-IOV is enabled.
-    fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
+    pub fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         let tokens = self.shaper_tokens(at);
         let burst = self.shaper_burst_bytes() as f64;
         auditor.check(
@@ -426,15 +418,6 @@ impl fld_sim::engine::Component for Nic {
             );
             self.sriov.audit(format_args!("{name}.sriov"), at, auditor);
         }
-    }
-
-    fn export_metrics(
-        &self,
-        name: &str,
-        _end: SimTime,
-        registry: &mut fld_sim::metrics::MetricsRegistry,
-    ) {
-        Nic::export_metrics(self, name, registry);
     }
 }
 

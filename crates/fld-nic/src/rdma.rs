@@ -800,24 +800,16 @@ impl RcQp {
             (None, t) => t,
         }
     }
-}
 
-impl fld_sim::engine::Component for RcQp {
     /// One probe: packets currently in the transmit window
     /// (`"{name}.inflight_window"`).
-    fn probes(
-        &mut self,
-        name: &str,
-        _now: SimTime,
-        _interval: SimDuration,
-        out: &mut fld_sim::engine::Probes,
-    ) {
+    pub fn probes(&self, name: &str, out: &mut fld_sim::engine::Probes) {
         out.push_scoped(name, "inflight_window", self.inflight_packets() as f64);
     }
 
     /// Window-credit bound plus PSN monotonicity of both sequence
     /// counters.
-    fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
+    pub fn audit(&self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         auditor.check_credits(
             at,
             format_args!("{name}.inflight"),
@@ -837,13 +829,9 @@ impl fld_sim::engine::Component for RcQp {
     }
 
     /// Exports `"{name}.retransmits"`, `"{name}.timeouts"`,
-    /// `"{name}.naks_sent"` and `"{name}.naks_received"`.
-    fn export_metrics(
-        &self,
-        name: &str,
-        _end: SimTime,
-        registry: &mut fld_sim::metrics::MetricsRegistry,
-    ) {
+    /// `"{name}.naks_sent"`, `"{name}.naks_received"`,
+    /// `"{name}.out_of_window"` and `"{name}.duplicate_acks"`.
+    pub fn export_metrics(&self, name: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
         registry.counter(format!("{name}.retransmits"), self.retransmits());
         registry.counter(format!("{name}.timeouts"), self.timeouts());
         registry.counter(format!("{name}.naks_sent"), self.naks_sent());

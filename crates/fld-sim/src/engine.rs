@@ -8,10 +8,8 @@
 //! auditor orchestration, and the metrics/timeline collection at end of
 //! run. [`Engine`] owns all of that once. A simulator implements
 //! [`Model`] — typed event dispatch plus the probe/audit/export hooks —
-//! and calls [`Engine::run`]; individual rings, links, shapers and QPs
-//! implement [`Component`] so each is sampled, audited and exported
-//! through one registration instead of being hand-enumerated in every
-//! system.
+//! and calls [`Engine::run`]; its hooks call the probe, audit and export
+//! methods of the rings, links, shapers and QPs it embeds.
 //!
 //! The engine preserves the exact event ordering of the pre-refactor
 //! systems: [`Model::start`] schedules the model's seed events first,
@@ -77,9 +75,8 @@ enum EngineEv<E> {
     Sample,
 }
 
-/// A probe buffer filled by [`Model::probes`] and [`Component::probes`]
-/// each flight-recorder tick, then flushed into the run's
-/// [`Timeline`] by the engine.
+/// A probe buffer filled by [`Model::probes`] each flight-recorder tick,
+/// then flushed into the run's [`Timeline`] by the engine.
 ///
 /// Probe names follow the dotted metrics convention
 /// (`fld.rx_ring.occupancy`, `stage.pcie_rx.util`). Push order is
@@ -157,35 +154,6 @@ impl Probes {
     fn sample_into(&mut self, now: SimTime, timeline: &mut Timeline) {
         timeline.sample_interned(now, &self.names, &self.entries[..self.filled]);
         self.filled = 0;
-    }
-}
-
-/// A piece of simulated hardware that registers with the flight
-/// recorder and metrics lifecycle once, instead of being hand-sampled by
-/// every system that embeds it.
-///
-/// `name` is passed at each call because one component commonly appears
-/// under different names in different exports (a link probes as
-/// `stage.eswitch.util` but exports metrics as `link.client_up`; a QP
-/// probes as `rdma.client` but audits as `qp.client`).
-///
-/// All methods default to no-ops so a component implements only the
-/// surfaces it has.
-pub trait Component {
-    /// Pushes this component's flight-recorder probe values for the tick
-    /// at `now`. `interval` is the sampling interval, for windowed rates.
-    fn probes(&mut self, name: &str, now: SimTime, interval: SimDuration, out: &mut Probes) {
-        let _ = (name, now, interval, out);
-    }
-
-    /// Evaluates this component's invariants at `at`.
-    fn audit(&mut self, name: &str, at: SimTime, auditor: &mut Auditor) {
-        let _ = (name, at, auditor);
-    }
-
-    /// Registers this component's end-of-run metrics under `name`.
-    fn export_metrics(&self, name: &str, end: SimTime, registry: &mut MetricsRegistry) {
-        let _ = (name, end, registry);
     }
 }
 
@@ -271,9 +239,8 @@ pub trait Model {
         usize::MAX
     }
 
-    /// Pushes one flight-recorder tick's probe values (typically by
-    /// delegating to each embedded [`Component`]). Push order fixes the
-    /// timeline series order.
+    /// Pushes one flight-recorder tick's probe values. Push order fixes
+    /// the timeline series order.
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes);
 
     /// Evaluates invariants; called at every flight-recorder tick and

@@ -7,8 +7,7 @@
 //! * [`queue`] — a deterministic event calendar ([`queue::EventQueue`]);
 //! * [`engine`] — the shared run harness ([`engine::Engine`]): calendar
 //!   loop, warmup/deadline semantics, flight-recorder ticks and the
-//!   audit/metrics/timeline lifecycle, with [`engine::Component`] for
-//!   per-part probe/audit/export registration;
+//!   audit/metrics/timeline lifecycle;
 //! * [`rng`] — reproducible pseudo-random streams ([`rng::SimRng`]);
 //! * [`link`] — serializing links and token buckets;
 //! * [`stats`] — HDR-style histograms, rate meters and counters;
@@ -94,7 +93,7 @@ pub mod trace;
 
 pub use audit::{AuditReport, Auditor, Violation};
 pub use counters::{Counter, CounterSnapshot, CounterTree};
-pub use engine::{Completed, Component, Engine, Model, Probes};
+pub use engine::{Completed, Engine, Model, Probes};
 pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan, FaultSchedule,
     LedgerSummary, ScheduleSpec,

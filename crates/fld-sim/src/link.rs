@@ -1,8 +1,6 @@
 //! Link and rate-limiter building blocks shared by the PCIe and Ethernet
 //! models.
 
-use crate::audit::Auditor;
-use crate::engine::{Component, Probes};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, SimDuration, SimTime};
 
@@ -208,21 +206,10 @@ impl Link {
         let busy = self.bandwidth.time_for_bytes(delta);
         (busy.as_picos() as f64 / interval.as_picos() as f64).min(1.0)
     }
-}
-
-impl Component for Link {
-    /// Probes as one series named `name` (e.g. `stage.pcie_rx.util`):
-    /// the windowed utilization since the previous tick.
-    fn probes(&mut self, name: &str, _now: SimTime, interval: SimDuration, out: &mut Probes) {
-        out.push(name, self.window_util(interval));
-    }
-
-    /// No invariants: a link cannot go inconsistent on its own.
-    fn audit(&mut self, _name: &str, _at: SimTime, _auditor: &mut Auditor) {}
 
     /// Exports `{name}.bytes`, `{name}.units` and the cumulative
     /// `{name}.utilization` over `[0, end]`.
-    fn export_metrics(&self, name: &str, end: SimTime, registry: &mut MetricsRegistry) {
+    pub fn export_metrics(&self, name: &str, end: SimTime, registry: &mut MetricsRegistry) {
         registry.counter(format!("{name}.bytes"), self.bytes_sent);
         registry.counter(format!("{name}.units"), self.units_sent);
         registry.gauge(format!("{name}.utilization"), self.utilization(end));

@@ -10,8 +10,6 @@
 //!   multi-flow iperf-style TCP load with optional IP fragmentation and
 //!   VXLAN tunneling (§ 8.2.2), and multi-tenant CoAP token traffic
 //!   (§ 8.2.3);
-//! * [`trace`] — packet-trace file replay, so a real IMC-2010-style trace
-//!   can replace the synthetic stand-in when available;
 //! * [`churn`] — open-loop Poisson connection churn for the rack-scale
 //!   multi-tenant experiments.
 
@@ -21,9 +19,7 @@
 pub mod churn;
 pub mod gen;
 pub mod sizes;
-pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnFlow, ChurnProcess};
 pub use gen::{defrag_bursts, fixed_udp_bursts, mixed_size_bursts, tenant_bursts, DefragMode};
 pub use sizes::SizeDist;
-pub use trace::PacketTrace;
