@@ -28,27 +28,27 @@
 //! counter tree, where every injected fault appears under its
 //! `faults/<entity>/<kind>` path.
 
-use fld_accel::echo::EchoAccelerator;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
-use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
-use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
-use fld_sim::audit::AuditReport;
+use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
+use fld_core::system::{RunStats, SystemConfig};
 use fld_sim::counters::CounterSnapshot;
 use fld_sim::fault::{FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultSchedule, ScheduleSpec};
 use fld_sim::health::HealthConfig;
-use fld_sim::metrics::MetricsRegistry;
 use fld_sim::time::{SimDuration, SimTime};
 
-use crate::experiments::echo::steer_to_accel;
+use crate::experiments::echo::{echo_system, open_loop};
+use crate::experiments::rack::{build_rack, rack_counters};
 use crate::experiments::{gates, Gates};
 use crate::fmt::TextTable;
-use crate::report::{Cli, Report};
+use crate::harness::Harness;
+use crate::report::Report;
 use crate::Scale;
 
 /// `exp chaos`: the legs `--topology` picks, each validated before its
 /// snapshots move into the report, so a failing sweep still leaves its
 /// evidence behind.
-pub fn run(cli: &Cli, report: &mut Report) -> Gates {
+pub fn run(h: &Harness, report: &mut Report) -> Gates {
+    let cli = h.cli();
     let mut failures = Vec::new();
 
     if cli.topology != "rack" {
@@ -57,38 +57,38 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
             Some(_) => vec![0.0],
             None => DEFAULT_RATES.to_vec(),
         };
-        let points = sweep(cli, &rates, |rate| cli.fault_plan(rate));
+        let points = h.sweep(rates, |h, rate| run_point(h, cli.fault_plan(rate)));
         report.section(render(&points));
         failures.extend(validate(&points).err());
-        for p in &points {
-            let label = format!("{:.0e}", p.rate);
-            report.audit(format!("echo@{label}"), p.echo_audit.clone());
-            report.audit(format!("rdma@{label}"), p.rdma_audit.clone());
-        }
         for p in points {
-            let label = format!("{:.0e}", p.rate);
-            report.metrics(format!("echo@{label}"), p.echo_metrics);
-            report.metrics(format!("rdma@{label}"), p.rdma_metrics);
-            report.counters(format!("echo@{label}"), p.echo_counters);
-            report.counters(format!("rdma@{label}"), p.rdma_counters);
+            let (label, echo, rdma) = (format!("{:.0e}", p.rate), p.echo, p.rdma);
+            let counters = [(String::new(), echo.counters)];
+            report.attach(&format!("echo@{label}"), echo.audit, echo.metrics, counters);
+            let counters = [(String::new(), rdma.counters)];
+            report.attach(&format!("rdma@{label}"), rdma.audit, rdma.metrics, counters);
         }
     }
 
     if cli.topology != "single" {
-        let legs = run_rack_leg(cli, cli.fault_seed);
+        let legs = run_rack_leg(h, cli.fault_seed);
         report.section(render_rack(&legs));
         failures.extend(validate_rack(&legs).err());
-        report.audit("rack-baseline", legs.baseline.audit);
-        report.audit("rack-faulted", legs.faulted.audit);
-        report.metrics("rack-baseline", legs.baseline.metrics);
-        report.metrics("rack-faulted", legs.faulted.metrics);
-        report.counters("rack-faulted/fabric", legs.faulted.counters);
-        for (n, snap) in legs.faulted.node_counters.into_iter().enumerate() {
-            report.counters(format!("rack-faulted/node{n}"), snap);
-        }
+        report.attach(
+            "rack-baseline",
+            legs.baseline.audit,
+            legs.baseline.metrics,
+            [],
+        );
+        let counters = rack_counters(legs.faulted.counters, legs.faulted.node_counters);
+        report.attach(
+            "rack-faulted",
+            legs.faulted.audit,
+            legs.faulted.metrics,
+            counters,
+        );
     }
 
-    if failures.is_empty() {
+    if failures.is_empty() && h.audit_failures().is_empty() {
         println!("chaos sweep OK: all faults accounted, recoveries measured, audits clean");
     }
     gates(failures)
@@ -102,33 +102,17 @@ pub const DEFAULT_RATES: &[f64] = &[0.0, 1e-4, 1e-3, 1e-2];
 pub struct ChaosPoint {
     /// The per-opportunity fault probability this point ran at.
     pub rate: f64,
-    /// FLD-E: client-measured response bytes (injected duplicates are
-    /// never measured, so this is true goodput).
-    pub echo_bytes: u64,
-    /// FLD-E: client-measured goodput in Gbps.
-    pub echo_gbps: f64,
-    /// FLD-E: end-of-run (and per-tick) invariant audit.
-    pub echo_audit: AuditReport,
-    /// FLD-E: full metrics snapshot (`faults.*`, `recovery.*`, drops).
-    pub echo_metrics: MetricsRegistry,
-    /// FLD-E: end-of-run counter-tree snapshot. All fault accounting is
-    /// read from here (`faults/<entity>/<kind>`, `recovery/*`) — the
-    /// counter tree is the single source of truth, not scalar copies.
-    pub echo_counters: CounterSnapshot,
+    /// The FLD-E run. Its client-measured response bytes are true goodput
+    /// (injected duplicates are never measured). All its fault accounting
+    /// is read from its counter snapshot (`faults/<entity>/<kind>`,
+    /// `recovery/*`): the counter tree is the single source of truth,
+    /// not scalar copies.
+    pub echo: RunStats,
     /// FLD-R: messages the run was asked to complete.
     pub rdma_total: u64,
-    /// FLD-R: messages that completed.
-    pub rdma_completed: u64,
-    /// FLD-R: messages lost to a terminal QP error.
-    pub rdma_failed: u64,
-    /// FLD-R: packets retransmitted recovering from loss.
-    pub rdma_retransmits: u64,
-    /// FLD-R: end-of-run (and per-tick) invariant audit.
-    pub rdma_audit: AuditReport,
-    /// FLD-R: full metrics snapshot.
-    pub rdma_metrics: MetricsRegistry,
-    /// FLD-R: end-of-run counter-tree snapshot (fault accounting source).
-    pub rdma_counters: CounterSnapshot,
+    /// The FLD-R run; its fault accounting too is read from its counter
+    /// snapshot.
+    pub rdma: RdmaRunStats,
 }
 
 /// Injected faults with no recovery-side accounting, read from a counter
@@ -142,34 +126,34 @@ pub fn unaccounted(snap: &CounterSnapshot) -> u64 {
 impl ChaosPoint {
     /// FLD-E: faults injected (`Σ faults/**` in the echo counter dump).
     pub fn echo_injected(&self) -> u64 {
-        self.echo_counters.sum_prefix("faults")
+        self.echo.counters.sum_prefix("faults")
     }
 
     /// FLD-E: faults that surfaced as counted drops.
     pub fn echo_dropped_counted(&self) -> u64 {
-        self.echo_counters
+        self.echo
+            .counters
             .get("recovery/dropped_counted")
             .unwrap_or(0)
     }
 
     /// FLD-E: injected faults with no recorded outcome (must be zero).
     pub fn echo_unaccounted(&self) -> u64 {
-        unaccounted(&self.echo_counters)
+        unaccounted(&self.echo.counters)
     }
 
     /// FLD-R: faults injected.
     pub fn rdma_injected(&self) -> u64 {
-        self.rdma_counters.sum_prefix("faults")
+        self.rdma.counters.sum_prefix("faults")
     }
 
     /// FLD-R: injected faults with no recorded outcome (must be zero).
     pub fn rdma_unaccounted(&self) -> u64 {
-        unaccounted(&self.rdma_counters)
+        unaccounted(&self.rdma.counters)
     }
 }
 
-/// Runs both system legs at one fault rate under `plan`, at `cli`'s scale
-/// and audit mode.
+/// Runs both system legs at one fault rate under `plan` and `h`.
 ///
 /// The echo leg offers 512 B frames open-loop at 50 % of line so the
 /// fault-free baseline is loss-free: any goodput lost at higher rates is
@@ -177,34 +161,20 @@ impl ChaosPoint {
 /// 1 KiB echo with a 16-message window, where injected wire loss, RNR
 /// NAKs and PCIe faults exercise the QP's retransmission and error state
 /// machinery.
-pub fn run_point(cli: &Cli, plan: FaultPlan) -> ChaosPoint {
-    let scale = cli.scale();
+pub fn run_point(h: &Harness, plan: FaultPlan) -> ChaosPoint {
+    let scale = h.scale();
     // --- FLD-E echo leg ---
     let cfg = SystemConfig::remote();
     let frame = 512u32;
     let offered = 0.5 * cfg.client_rate.as_bps() / (frame as f64 * 8.0);
     let packets = (scale.packets / 20).max(5_000);
-    let gen = ClientGen::fixed_udp(
-        GenMode::OpenLoop { rate: offered },
-        packets,
-        frame.saturating_sub(42),
-    );
-    let mut sys = FldSystem::new(
-        cfg,
-        Box::new(EchoAccelerator::prototype()),
-        HostMode::Consume,
-        gen,
-    );
-    steer_to_accel(&mut sys.nic);
+    let mut sys = echo_system(cfg, open_loop(frame, offered, packets), true);
     // Sample coarsely: the per-tick audits (fault accounting included)
     // must run, but the timeline itself is not this experiment's product.
     sys.enable_flight_recorder(SimDuration::from_micros(10));
     let echo_ledger = FaultLedger::new();
     sys.enable_faults(&plan, &echo_ledger);
-    if cli.strict_audit {
-        sys.enable_strict_audit();
-    }
-    let echo = sys.run(SimTime::ZERO, scale.deadline());
+    let echo = h.simulate_until(sys, SimTime::ZERO, scale.deadline());
 
     // --- FLD-R RDMA leg ---
     let total = (scale.packets / 40).max(2_000);
@@ -213,38 +183,14 @@ pub fn run_point(cli: &Cli, plan: FaultPlan) -> ChaosPoint {
     rsys.enable_flight_recorder(SimDuration::from_micros(10));
     let rdma_ledger = FaultLedger::new();
     rsys.enable_faults(&plan, &rdma_ledger);
-    if cli.strict_audit {
-        rsys.enable_strict_audit();
-    }
-    let rdma = rsys.run(SimTime::ZERO, scale.deadline());
+    let rdma = h.simulate_until(rsys, SimTime::ZERO, scale.deadline());
 
     ChaosPoint {
         rate: plan.rate,
-        echo_bytes: echo.client_rate.bytes(),
-        echo_gbps: echo.client_rate.gbps(),
-        echo_audit: echo.audit,
-        echo_metrics: echo.metrics,
-        echo_counters: echo.counters,
+        echo,
         rdma_total: total,
-        rdma_completed: rdma.completed,
-        rdma_failed: rdma.failed,
-        rdma_retransmits: rdma.retransmits,
-        rdma_audit: rdma.audit,
-        rdma_metrics: rdma.metrics,
-        rdma_counters: rdma.counters,
+        rdma,
     }
-}
-
-/// Sweeps `rates` (ascending) with one plan per rate built by `plan_for`,
-/// fanning points out across `cli`'s `--jobs` workers.
-pub fn sweep(
-    cli: &Cli,
-    rates: &[f64],
-    plan_for: impl Fn(f64) -> FaultPlan + Sync,
-) -> Vec<ChaosPoint> {
-    crate::runner::run_points(rates.to_vec(), cli.jobs, |rate| {
-        run_point(cli, plan_for(rate))
-    })
 }
 
 /// Renders the sweep as a text table.
@@ -262,12 +208,12 @@ pub fn render(points: &[ChaosPoint]) -> String {
     for p in points {
         t.row(vec![
             format!("{:.0e}", p.rate),
-            format!("{:.2}", p.echo_gbps),
+            format!("{:.2}", p.echo.client_rate.gbps()),
             p.echo_injected().to_string(),
             p.echo_dropped_counted().to_string(),
-            format!("{}/{}", p.rdma_completed, p.rdma_total),
-            p.rdma_failed.to_string(),
-            p.rdma_retransmits.to_string(),
+            format!("{}/{}", p.rdma.completed, p.rdma_total),
+            p.rdma.failed.to_string(),
+            p.rdma.retransmits.to_string(),
             p.rdma_injected().to_string(),
         ]);
     }
@@ -278,10 +224,10 @@ pub fn render(points: &[ChaosPoint]) -> String {
     )
 }
 
-/// Checks the sweep's acceptance invariants, returning the first failure.
+/// Checks the sweep's acceptance invariants, returning the first failure
+/// (an audit violation in any run is the harness's to report):
 ///
 /// * every injected fault is accounted (nothing silently vanishes);
-/// * every audit (per-tick and end-of-run) passed;
 /// * RDMA conserves messages: completed + failed never exceeds offered;
 /// * echo goodput bytes are monotonically non-increasing in the fault
 ///   rate — degradation is smooth, with no paradoxical recovery.
@@ -299,30 +245,19 @@ pub fn validate(points: &[ChaosPoint]) -> Result<(), String> {
                 p.rdma_unaccounted()
             ));
         }
-        if !p.echo_audit.passed() {
-            return Err(format!(
-                "rate {:.0e}: echo audit failed: {}",
-                p.rate, p.echo_audit
-            ));
-        }
-        if !p.rdma_audit.passed() {
-            return Err(format!(
-                "rate {:.0e}: rdma audit failed: {}",
-                p.rate, p.rdma_audit
-            ));
-        }
-        if p.rdma_completed + p.rdma_failed > p.rdma_total {
+        if p.rdma.completed + p.rdma.failed > p.rdma_total {
             return Err(format!(
                 "rate {:.0e}: rdma over-delivered: {} completed + {} failed > {} offered",
-                p.rate, p.rdma_completed, p.rdma_failed, p.rdma_total
+                p.rate, p.rdma.completed, p.rdma.failed, p.rdma_total
             ));
         }
     }
     for w in points.windows(2) {
-        if w[1].rate >= w[0].rate && w[1].echo_bytes > w[0].echo_bytes {
+        let (before, after) = (w[0].echo.client_rate.bytes(), w[1].echo.client_rate.bytes());
+        if w[1].rate >= w[0].rate && after > before {
             return Err(format!(
-                "goodput not monotone: {} B at rate {:.0e} but {} B at rate {:.0e}",
-                w[0].echo_bytes, w[0].rate, w[1].echo_bytes, w[1].rate
+                "goodput not monotone: {before} B at rate {:.0e} but {after} B at rate {:.0e}",
+                w[0].rate, w[1].rate
             ));
         }
     }
@@ -410,27 +345,26 @@ pub struct ChaosRackLegs {
     pub mttr_bound_ns: u64,
 }
 
-/// Runs the rack leg at `seed` and `cli`'s scale and audit mode:
-/// baseline first, then the faulted run with the health watchdog armed.
+/// Runs the rack leg at `seed` under `h`: baseline first, then the
+/// faulted run with the health watchdog armed.
 /// Both runs carry the flight recorder so the per-tick audits (fault
 /// attribution, counter telescoping, boundary accounting) execute
 /// throughout.
-pub fn run_rack_leg(cli: &Cli, seed: u64) -> ChaosRackLegs {
-    let scale = cli.scale();
+pub fn run_rack_leg(h: &Harness, seed: u64) -> ChaosRackLegs {
+    let scale = h.scale();
     let cfg = rack_cfg(seed);
     let schedule = rack_schedule(scale, seed, cfg.nodes, cfg.tenants);
     let scheduled = schedule.len() as u64;
     let tick = SimDuration::from_micros(10);
 
-    let baseline = crate::experiments::rack::run_rack(cfg, RACK_CHURN, cli, Some(tick));
+    let mut rack = build_rack(cfg, RACK_CHURN);
+    rack.enable_flight_recorder(tick);
+    let baseline = h.simulate(rack);
 
-    let mut rack = crate::experiments::rack::build_rack(rack_cfg(seed), RACK_CHURN);
+    let mut rack = build_rack(cfg, RACK_CHURN);
     rack.enable_flight_recorder(tick);
     rack.enable_fault_schedule(schedule, HealthConfig::default());
-    if cli.strict_audit {
-        rack.enable_strict_audit();
-    }
-    let faulted = rack.run(scale.warmup(), scale.deadline());
+    let faulted = h.simulate(rack);
 
     ChaosRackLegs {
         baseline,
@@ -488,9 +422,8 @@ pub fn render_rack(legs: &ChaosRackLegs) -> String {
 }
 
 /// Checks the rack leg's acceptance invariants, returning the first
-/// failure:
+/// failure (an audit violation in either run is the harness's to report):
 ///
-/// * both audits (per-tick and end-of-run) passed;
 /// * every scheduled fault was injected and resolved — nothing open,
 ///   nothing unaccounted, read from the rack ledger itself;
 /// * every fault domain ended the run Healthy, with a measured MTTR
@@ -506,11 +439,6 @@ pub fn render_rack(legs: &ChaosRackLegs) -> String {
 ///
 /// Returns a human-readable description of the violated invariant.
 pub fn validate_rack(legs: &ChaosRackLegs) -> Result<(), String> {
-    for (name, stats) in [("baseline", &legs.baseline), ("faulted", &legs.faulted)] {
-        if !stats.audit.passed() {
-            return Err(format!("rack {name} audit failed: {}", stats.audit));
-        }
-    }
     let fd = legs
         .faulted
         .fault_domains
@@ -580,29 +508,32 @@ mod tests {
 
     #[test]
     fn quick_sweep_degrades_smoothly_and_accounts_for_everything() {
-        let points = sweep(&Cli::quick(), &[0.0, 1e-3, 1e-2], |rate| {
-            FaultPlan::new(rate, 7)
-        });
+        let h = Harness::quick();
+        let rates = vec![0.0, 1e-3, 1e-2];
+        let points = h.sweep(rates, |h, rate| run_point(h, FaultPlan::new(rate, 7)));
         validate(&points).unwrap();
+        assert_eq!(h.audit_failures(), Vec::<String>::new());
         // The baseline is fault-free and loss-free; the top rate injects
         // plenty and loses real goodput.
         assert_eq!(points[0].echo_injected(), 0);
-        assert_eq!(points[0].rdma_failed, 0);
+        assert_eq!(points[0].rdma.failed, 0);
         assert!(points[2].echo_injected() > 0);
-        assert!(points[2].echo_bytes < points[0].echo_bytes);
-        assert!(points[2].rdma_retransmits > 0, "loss must trigger recovery");
+        assert!(points[2].echo.client_rate.bytes() < points[0].echo.client_rate.bytes());
+        assert!(points[2].rdma.retransmits > 0, "loss must trigger recovery");
         let rendered = render(&points);
         assert!(rendered.contains("Fault rate"), "{rendered}");
     }
 
     #[test]
     fn quick_rack_leg_recovers_and_stays_accounted() {
-        let legs = run_rack_leg(&Cli::quick(), 7);
+        let h = Harness::quick();
+        let legs = run_rack_leg(&h, 7);
         validate_rack(&legs).unwrap();
+        assert_eq!(h.audit_failures(), Vec::<String>::new());
         let rendered = render_rack(&legs);
         assert!(rendered.contains("Chaos rack"), "{rendered}");
         // The leg replays byte-identically under the same seed.
-        let again = run_rack_leg(&Cli::quick(), 7);
+        let again = run_rack_leg(&Harness::quick(), 7);
         assert_eq!(
             legs.faulted.counters.entries(),
             again.faulted.counters.entries()
@@ -612,22 +543,22 @@ mod tests {
 
     #[test]
     fn sweep_points_are_jobs_invariant() {
-        let cli = Cli::quick();
+        let h = Harness::quick();
         let fingerprint = |points: &[ChaosPoint]| {
             points
                 .iter()
                 .map(|p| {
                     (
-                        p.echo_bytes,
+                        p.echo.client_rate.bytes(),
                         p.echo_injected(),
-                        p.rdma_completed,
+                        p.rdma.completed,
                         p.rdma_injected(),
                     )
                 })
                 .collect::<Vec<_>>()
         };
         let rates = [0.0, 1e-2];
-        let run = |r| run_point(&cli, FaultPlan::new(r, 7));
+        let run = |r| run_point(&h, FaultPlan::new(r, 7));
         let serial = crate::runner::run_points(rates.to_vec(), 1, run);
         let parallel = crate::runner::run_points(rates.to_vec(), 4, run);
         assert_eq!(fingerprint(&serial), fingerprint(&parallel));

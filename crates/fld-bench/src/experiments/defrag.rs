@@ -20,8 +20,7 @@ use fld_sim::time::SimDuration;
 use fld_workloads::gen::{defrag_bursts, DefragMode};
 
 use crate::fmt::TextTable;
-use crate::report::Cli;
-use crate::Scale;
+use crate::harness::Harness;
 
 const FLOWS: u16 = 60;
 const CORES: usize = 16;
@@ -39,15 +38,11 @@ pub enum DefragConfig {
     VxlanHardwareDefrag,
 }
 
-/// Runs one configuration at `scale`, strictly audited when `strict`;
-/// returns TCP-payload goodput in Gbps.
-pub fn run_defrag(config: DefragConfig, scale: Scale, strict: bool) -> f64 {
-    let mut sys = defrag_system(config, scale.packets);
-    if strict {
-        sys.enable_strict_audit();
-    }
-    let stats = sys.run(scale.warmup(), scale.deadline());
-    stats.host_goodput.gbps()
+/// Runs one configuration under `h`; returns TCP-payload goodput in Gbps.
+pub fn run_defrag(config: DefragConfig, h: &Harness) -> f64 {
+    h.simulate(defrag_system(config, h.scale().packets))
+        .host_goodput
+        .gbps()
 }
 
 /// Builds one configuration's system — sender, host stack, accelerator
@@ -148,8 +143,8 @@ pub fn defrag_system(config: DefragConfig, packets: u64) -> FldSystem {
 }
 
 /// Renders the § 8.2.2 comparison table.
-pub fn defrag_table(cli: &Cli) -> String {
-    let run = |config| run_defrag(config, cli.scale(), cli.strict_audit);
+pub fn defrag_table(h: &Harness) -> String {
+    let run = |config| run_defrag(config, h);
     let a = run(DefragConfig::NoFrag);
     let b_sw = run(DefragConfig::SoftwareDefrag);
     let b_hw = run(DefragConfig::HardwareDefrag);
@@ -188,8 +183,8 @@ mod tests {
 
     #[test]
     fn software_defrag_collapses_to_one_core() {
-        let scale = Scale::quick();
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
+        let h = Harness::quick();
+        let sw = run_defrag(DefragConfig::SoftwareDefrag, &h);
         let p = AccelParams::default();
         assert!(
             (sw - p.sw_defrag_core_gbps).abs() < 0.5,
@@ -200,18 +195,18 @@ mod tests {
 
     #[test]
     fn hardware_defrag_restores_rss_speedup() {
-        let scale = Scale::quick();
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
+        let h = Harness::quick();
+        let sw = run_defrag(DefragConfig::SoftwareDefrag, &h);
+        let hw = run_defrag(DefragConfig::HardwareDefrag, &h);
         let speedup = hw / sw;
         assert!(speedup > 4.0, "speedup {speedup:.1} too small (paper: 7x)");
     }
 
     #[test]
     fn no_frag_is_fastest() {
-        let scale = Scale::quick();
-        let a = run_defrag(DefragConfig::NoFrag, scale, false);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
+        let h = Harness::quick();
+        let a = run_defrag(DefragConfig::NoFrag, &h);
+        let hw = run_defrag(DefragConfig::HardwareDefrag, &h);
         assert!(a >= hw * 0.95, "no-frag {a:.1} vs hw-defrag {hw:.1}");
         assert!(a > 15.0, "no-frag should approach line rate: {a:.1}");
     }

@@ -3,7 +3,7 @@
 
 use fld_accel::echo::EchoAccelerator;
 use fld_core::rdma_system::RdmaConfig;
-use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig};
+use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
 use fld_nic::eswitch::{Action, MatchSpec, Rule};
 use fld_nic::nic::{Direction, Nic};
 use fld_pcie::model::FldModel;
@@ -13,7 +13,8 @@ use fld_workloads::sizes::SizeDist;
 
 use crate::experiments::Gates;
 use crate::fmt::TextTable;
-use crate::report::{Cli, Report};
+use crate::harness::Harness;
+use crate::report::Report;
 
 /// Steers all ingress traffic to the FLD echo accelerator; returning
 /// packets (table 1) go back to the wire.
@@ -163,54 +164,35 @@ pub fn echo_telemetry_system(
 /// loadable in Perfetto or `chrome://tracing`. `--timeline` writes the
 /// FLD-E time-series document and `--sample-interval-ns` tunes the
 /// probe sampling period.
-pub fn fig7b(cli: &Cli, report: &mut Report) -> Gates {
-    let scale = cli.scale();
-    report.section(fig7b_flde(cli));
-    report.section(super::rdma::fig7b_fldr(cli));
-    if cli.wants_telemetry() {
+pub fn fig7b(h: &Harness, report: &mut Report) -> Gates {
+    let scale = h.scale();
+    report.section(fig7b_flde(h));
+    report.section(super::rdma::fig7b_fldr(h));
+    if let Some(interval) = h.telemetry() {
         let cfg = SystemConfig::remote();
         let offered = cfg.client_rate.as_bps() / (1500.0 * 8.0);
         let gen = open_loop(1500, offered, scale.sized_packets(offered));
-        let mut flde = echo_telemetry_system(cfg, gen, 1 << 16, Some(cli.sample_interval()));
-        let mut fldr = super::rdma::rdma_telemetry_system(
-            RdmaConfig::remote(4096, 64, scale.packets),
-            cli.sample_interval(),
-        );
-        if cli.strict_audit {
-            flde.enable_strict_audit();
-            fldr.enable_strict_audit();
-        }
-        let stats = flde.run(scale.warmup(), scale.deadline());
-        let rdma = fldr.run(scale.warmup(), scale.deadline());
+        let stats = h.simulate(echo_telemetry_system(cfg, gen, 1 << 16, Some(interval)));
+        let fldr_cfg = RdmaConfig::remote(4096, 64, scale.packets);
+        let rdma = h.simulate(super::rdma::rdma_telemetry_system(fldr_cfg, interval));
         report.trace_json(stats.trace.to_chrome_json_with_counters(&[
             ("fld-e probes", &stats.timeline),
             ("fld-r probes", &rdma.timeline),
         ]));
         report.section(format!("{}", stats.bottleneck()));
-        report.audit("flde.remote.1500B", stats.audit.clone());
-        report.audit("fldr.remote.4096B", rdma.audit.clone());
-        report.metrics("flde.remote.1500B", stats.metrics);
-        report.metrics("fldr.remote.4096B", rdma.metrics);
-        report.counters("flde.remote.1500B", stats.counters);
-        report.counters("fldr.remote.4096B", rdma.counters);
+        let flde = [(String::new(), stats.counters)];
+        report.attach("flde.remote.1500B", stats.audit, stats.metrics, flde);
+        let fldr = [(String::new(), rdma.counters)];
+        report.attach("fldr.remote.4096B", rdma.audit, rdma.metrics, fldr);
         report.timeline(stats.timeline);
     }
     Ok(())
 }
 
-/// Runs `sys` from `warmup` to `deadline`, strictly audited when `cli`
-/// asks for it (`--strict-audit`).
-fn audited_run(mut sys: FldSystem, cli: &Cli, warmup: SimTime, deadline: SimTime) -> RunStats {
-    if cli.strict_audit {
-        sys.enable_strict_audit();
-    }
-    sys.run(warmup, deadline)
-}
-
 /// The per-size echo bandwidth sweep of Figure 7b (FLD-E columns), local
 /// and remote, against the CPU driver and the analytic model.
-pub fn fig7b_flde(cli: &Cli) -> String {
-    let scale = cli.scale();
+pub fn fig7b_flde(h: &Harness) -> String {
+    let scale = h.scale();
     let sizes = [64u32, 128, 256, 512, 1024, 1500];
     let mut out = String::from("Figure 7b (FLD-E): echo bandwidth vs packet size (Gbps)\n");
     for (name, cfg) in [
@@ -227,13 +209,12 @@ pub fn fig7b_flde(cli: &Cli) -> String {
         let model = FldModel::new(cfg.pcie);
         // Every size is an independent pair of runs: fan out across the
         // sweep runner's workers, collect in size order.
-        let runs = crate::runner::run_points(sizes.to_vec(), cli.jobs, |size| {
+        let runs = h.sweep(sizes.to_vec(), |h, size| {
             // Offer slightly above line rate to find the ceiling.
             let offered = cfg.client_rate.as_bps() / (size as f64 * 8.0);
             let run = |use_fld| {
                 let gen = open_loop(size, offered, scale.sized_packets(offered));
-                let sys = echo_system(cfg, gen, use_fld);
-                audited_run(sys, cli, scale.warmup(), scale.deadline())
+                h.simulate(echo_system(cfg, gen, use_fld))
             };
             (size, run(true), run(false))
         });
@@ -254,13 +235,14 @@ pub fn fig7b_flde(cli: &Cli) -> String {
 }
 
 /// Table 6: 64 B echo round-trip latency percentiles (unloaded).
-pub fn table6(cli: &Cli) -> String {
+pub fn table6(h: &Harness) -> String {
     let cfg = SystemConfig::remote();
-    let n = cli.scale().packets.max(20_000);
+    let n = h.scale().packets.max(20_000);
     let run = |use_fld: bool| {
         let gen = ClientGen::fixed_udp_flows(GenMode::ClosedLoop { window: 1 }, n, 22, 1);
         let sys = echo_system(cfg, gen, use_fld);
-        audited_run(sys, cli, SimTime::ZERO, SimTime::from_secs(30)).rtt
+        h.simulate_until(sys, SimTime::ZERO, SimTime::from_secs(30))
+            .rtt
     };
     let fld = run(true);
     let cpu = run(false);
@@ -289,8 +271,8 @@ pub fn table6(cli: &Cli) -> String {
 
 /// § 8.1.1 mixed-size experiment: FLD-E vs single-core CPU driver on the
 /// synthetic IMC-2010 mixture (local, 50 Gbps PCIe).
-pub fn imc_mpps(cli: &Cli) -> String {
-    let scale = cli.scale();
+pub fn imc_mpps(h: &Harness) -> String {
+    let scale = h.scale();
     let dist = SizeDist::imc2010_synthetic();
     // Offer far above the achievable packet rate to find the ceiling.
     let offered = 40e6;
@@ -298,8 +280,7 @@ pub fn imc_mpps(cli: &Cli) -> String {
     let run = |cfg, use_fld| {
         let bursts = mixed_size_bursts(dist.clone(), 64);
         let gen = ClientGen::new(GenMode::OpenLoop { rate: offered }, budget, bursts);
-        let sys = echo_system(cfg, gen, use_fld);
-        audited_run(sys, cli, scale.warmup(), scale.deadline())
+        h.simulate(echo_system(cfg, gen, use_fld))
     };
     let fld = run(SystemConfig::local(), true);
     // "compared to 9.6 Mpps on a single CPU core with DPDK testpmd" —
@@ -351,14 +332,14 @@ mod tests {
 
     #[test]
     fn table6_shape() {
-        let s = table6(&Cli::quick());
+        let s = table6(&Harness::quick());
         assert!(s.contains("FLD-E"));
         assert!(s.contains("CPU"));
     }
 
     #[test]
     fn imc_fld_beats_single_core_cpu() {
-        let s = imc_mpps(&Cli::quick());
+        let s = imc_mpps(&Harness::quick());
         assert!(s.contains("FLD-E echo"), "{s}");
     }
 }

@@ -10,30 +10,27 @@ use fld_sim::time::Bandwidth;
 use fld_workloads::gen::tenant_bursts;
 
 use crate::fmt::TextTable;
-use crate::report::Cli;
-use crate::Scale;
+use crate::harness::Harness;
 
 /// Runs the two-tenant isolation scenario.
 ///
 /// Tenant A offers `offered_gbps.0`, tenant B `offered_gbps.1`; the
 /// accelerator accepts `accel_gbps` total. Optional per-tenant shaping
-/// (`shape_gbps`) reproduces the paper's 6 Gbps limits. Runs at `scale`,
-/// strictly audited when `strict`; returns the admitted per-tenant rates
-/// in Gbps.
+/// (`shape_gbps`) reproduces the paper's 6 Gbps limits. Runs under `h`;
+/// returns the admitted per-tenant rates in Gbps.
 pub fn run_isolation(
     offered_gbps: (f64, f64),
     accel_gbps: f64,
     shape_gbps: Option<f64>,
     frame_len: u32,
-    scale: Scale,
-    strict: bool,
+    h: &Harness,
 ) -> (f64, f64) {
     let cfg = SystemConfig::remote();
     let total_offered = offered_gbps.0 + offered_gbps.1;
     let rate = total_offered * 1e9 / (frame_len as f64 * 8.0);
     let gen = ClientGen::new(
         GenMode::OpenLoop { rate },
-        scale.packets,
+        h.scale().packets,
         tenant_bursts(frame_len, vec![offered_gbps.0, offered_gbps.1]),
     );
     let accel = IotAuthAccelerator::prototype().with_capacity(Bandwidth::gbps(accel_gbps));
@@ -83,10 +80,7 @@ pub fn run_isolation(
                 .install_policer(tenant, Bandwidth::gbps(limit), 32 * 1024);
         }
     }
-    if strict {
-        sys.enable_strict_audit();
-    }
-    let stats = sys.run(scale.warmup(), scale.deadline());
+    let stats = h.simulate(sys);
     let dur = stats
         .client_rate
         .elapsed()
@@ -104,9 +98,8 @@ pub fn run_isolation(
 }
 
 /// Renders the § 8.2.3 isolation table.
-pub fn iot_isolation(cli: &Cli) -> String {
-    let scale = cli.scale();
-    let run = |shape| run_isolation((8.0, 16.0), 12.0, shape, 1024, scale, cli.strict_audit);
+pub fn iot_isolation(h: &Harness) -> String {
+    let run = |shape| run_isolation((8.0, 16.0), 12.0, shape, 1024, h);
     let unshaped = run(None);
     let shaped = run(Some(6.0));
     let mut t = TextTable::new(vec!["Scenario", "Tenant A admitted", "Tenant B admitted"]);
@@ -133,7 +126,7 @@ mod tests {
 
     #[test]
     fn unshaped_split_is_proportional() {
-        let (a, b) = run_isolation((8.0, 16.0), 12.0, None, 1024, Scale::quick(), false);
+        let (a, b) = run_isolation((8.0, 16.0), 12.0, None, 1024, &Harness::quick());
         // Paper: 4.15 vs 8.35 — proportional to offered load.
         assert!((a - 4.0).abs() < 1.0, "tenant A {a:.2}");
         assert!((b - 8.0).abs() < 1.2, "tenant B {b:.2}");
@@ -142,7 +135,7 @@ mod tests {
 
     #[test]
     fn shaping_restores_fair_shares() {
-        let (a, b) = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, Scale::quick(), false);
+        let (a, b) = run_isolation((8.0, 16.0), 12.0, Some(6.0), 1024, &Harness::quick());
         assert!((a - 6.0).abs() < 0.8, "tenant A {a:.2}");
         assert!((b - 6.0).abs() < 0.8, "tenant B {b:.2}");
     }

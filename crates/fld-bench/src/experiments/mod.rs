@@ -16,8 +16,8 @@ pub mod statics;
 pub mod zuc;
 pub mod zuc_ext;
 
+use crate::harness::Harness;
 use crate::report::{Cli, CliError, Report};
-use crate::runner;
 
 /// What an experiment's run comes to: `Err` lists the gates that failed
 /// (a liveness bar, a chaos verdict). A run with failed gates has still
@@ -44,11 +44,14 @@ pub struct Experiment {
     pub summary: &'static str,
     /// Whether `exp all` runs it.
     pub in_all: bool,
-    /// The flags it takes beyond `--quick --jobs --json --strict-audit`;
-    /// any other flag is a usage error naming this experiment.
+    /// The flags it takes beyond the ones every experiment takes
+    /// (`--quick --jobs --json --strict-audit`); any other flag is a usage
+    /// error naming this experiment. The harness applies the universal
+    /// ones; the experiment reads its own from [`Harness::cli`].
     pub flags: &'static [&'static str],
-    /// Runs it, printing and attaching its results to the report.
-    pub run: fn(&Cli, &mut Report) -> Gates,
+    /// Runs it under the harness, which arms and runs every system it
+    /// builds, printing and attaching its results to the report.
+    pub run: fn(&Harness, &mut Report) -> Gates,
 }
 
 /// Flags of an experiment that runs an engine and nothing more.
@@ -145,7 +148,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "mixed-size IMC-2010 trace packet rate, FLD-E vs CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, echo::imc_mpps(c)),
+        run: |h, r| text(r, echo::imc_mpps(h)),
     },
     Experiment {
         id: "table6",
@@ -153,7 +156,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "64 B echo RTT percentiles, FLD-E vs CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, echo::table6(c)),
+        run: |h, r| text(r, echo::table6(h)),
     },
     Experiment {
         id: "fig7c",
@@ -161,7 +164,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "FLD-R 1 KiB latency vs load",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, rdma::fig7c(c)),
+        run: |h, r| text(r, rdma::fig7c(h)),
     },
     Experiment {
         id: "fig8a",
@@ -169,7 +172,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "ZUC throughput vs request size",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc::fig8a(c)),
+        run: |h, r| text(r, zuc::fig8a(h)),
     },
     Experiment {
         id: "fig8b",
@@ -177,7 +180,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "ZUC latency vs bandwidth, remote accelerator vs local CPU",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc::fig8b(c)),
+        run: |h, r| text(r, zuc::fig8b(h)),
     },
     Experiment {
         id: "defrag",
@@ -185,7 +188,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "IP defragmentation offload, three configurations + VXLAN",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, defrag::defrag_table(c)),
+        run: |h, r| text(r, defrag::defrag_table(h)),
     },
     Experiment {
         id: "iot_isolation",
@@ -193,7 +196,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "IoT tenant isolation with and without NIC shapers",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, iot::iot_isolation(c)),
+        run: |h, r| text(r, iot::iot_isolation(h)),
     },
     Experiment {
         id: "zuc_ext",
@@ -201,7 +204,7 @@ pub static REGISTRY: &[Experiment] = &[
         summary: "future work realized: on-FPGA key storage + batching",
         in_all: true,
         flags: ENGINE,
-        run: |c, r| text(r, zuc_ext::zuc_ext(c)),
+        run: |h, r| text(r, zuc_ext::zuc_ext(h)),
     },
     Experiment {
         id: "scaling",
@@ -259,7 +262,7 @@ pub static ALL: Experiment = Experiment {
     summary: "every table and figure, in DESIGN.md § 4 order",
     in_all: false,
     flags: ENGINE,
-    run: |c, r| run_entries(REGISTRY.iter().filter(|e| e.in_all), c, r),
+    run: |h, r| run_entries(REGISTRY.iter().filter(|e| e.in_all), h, r),
 };
 
 impl Experiment {
@@ -277,42 +280,21 @@ impl Experiment {
             id => id,
         }
     }
-
-    /// Runs the experiment under `cli` and writes what `cli` asks for.
-    /// Returns the process exit status: 0, or 1 when a gate failed, an
-    /// audit recorded a violation or an artifact could not be written —
-    /// in every case after writing each artifact that could be.
-    pub fn execute(&self, cli: &Cli) -> u8 {
-        let mut report = Report::new(self.artifact_name());
-        let mut failures = (self.run)(cli, &mut report).err().unwrap_or_default();
-        failures.extend(report.audit_failures());
-        failures.extend(report.finish(cli).err().unwrap_or_default());
-        for failure in &failures {
-            eprintln!("FAIL: {failure}");
-        }
-        u8::from(!failures.is_empty())
-    }
 }
 
-/// Runs `entries` on `cli.jobs` workers and appends their sections to
-/// `report` in entry order, a rule after each. Each entry runs at `cli`'s
-/// scale, audit mode and worker count: its own sweep nests up to
-/// `cli.jobs` more workers inside the one running it.
+/// Runs `entries` on the harness's workers and appends their sections to
+/// `report` in entry order, a rule after each. Each entry runs as a point
+/// of [`Harness::sweep`], under its sub-harness: this scale, audit mode
+/// and worker count (its own sweep nests up to that many more workers
+/// inside the one running it), and its runs' audits join `h`'s.
 pub fn run_entries<'a>(
     entries: impl Iterator<Item = &'a Experiment>,
-    cli: &Cli,
+    h: &Harness,
     report: &mut Report,
 ) -> Gates {
-    // An entry run as part of a set produces its text and nothing else.
-    let sub = Cli {
-        quick: cli.quick,
-        strict_audit: cli.strict_audit,
-        jobs: cli.jobs,
-        ..Cli::default()
-    };
-    let results = runner::run_points(entries.collect(), cli.jobs, |entry| {
+    let results = h.sweep(entries.collect(), |h, entry| {
         let mut own = Report::quiet(entry.id);
-        let failed = (entry.run)(&sub, &mut own).err().unwrap_or_default();
+        let failed = (entry.run)(h, &mut own).err().unwrap_or_default();
         (own.into_sections(), failed)
     });
     let mut failures = Vec::new();
@@ -345,10 +327,7 @@ pub fn main(mut args: impl Iterator<Item = String>) -> u8 {
         },
     };
     match parsed {
-        Ok((entry, cli)) => {
-            fld_sim::prof::set_enabled(cli.prof.is_some());
-            entry.execute(&cli)
-        }
+        Ok((entry, cli)) => Harness::new(cli).execute(entry),
         Err(CliError::Help) => {
             println!("{}", crate::report::usage());
             0

@@ -20,16 +20,19 @@
 //! fabric admissions.
 
 use fld_core::rack::{Rack, RackConfig, RackStats, TrafficPattern};
+use fld_sim::counters::CounterSnapshot;
 use fld_sim::rng::SimRng;
-use fld_sim::time::{Bandwidth, SimDuration};
+use fld_sim::time::Bandwidth;
 use fld_workloads::churn::{ChurnConfig, ChurnProcess};
 
 use crate::experiments::{gates, Gates};
 use crate::fmt::TextTable;
-use crate::report::{Cli, Report};
+use crate::harness::Harness;
+use crate::report::Report;
 
 /// `exp rack`: the liveness leg, then the three isolation legs.
-pub fn run(cli: &Cli, report: &mut Report) -> Gates {
+pub fn run(h: &Harness, report: &mut Report) -> Gates {
+    let cli = h.cli();
     let base = RackConfig {
         nodes: cli.nodes,
         tenants: cli.tenants,
@@ -39,8 +42,11 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
 
     // Leg 1: queue liveness under uniform traffic and churn — the run
     // that executes the Figure 4 memory-model point.
-    let recorder = cli.wants_telemetry().then(|| cli.sample_interval());
-    let live = run_rack(liveness_cfg(base), cli.churn, cli, recorder);
+    let mut rack = build_rack(liveness_cfg(base), cli.churn);
+    if let Some(interval) = h.telemetry() {
+        rack.enable_flight_recorder(interval);
+    }
+    let live = h.simulate(rack);
     report.section(render_liveness(&live));
     if live.queues_configured >= 2048 && live.queues_live < 2048 {
         failures.push(format!(
@@ -48,16 +54,12 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
             live.queues_live, live.queues_configured
         ));
     }
-    report.audit("liveness", live.audit);
-    report.metrics("liveness", live.metrics);
+    let counters = rack_counters(live.counters, live.node_counters);
+    report.attach("liveness", live.audit, live.metrics, counters);
     report.timeline(live.timeline);
-    report.counters("liveness/fabric", live.counters);
-    for (n, snap) in live.node_counters.into_iter().enumerate() {
-        report.counters(format!("liveness/node{n}"), snap);
-    }
 
     // Legs 2-4: tenant isolation under incast.
-    let legs = isolation(base, cli.churn, cli);
+    let legs = isolation(base, cli.churn, h);
     report.section(legs.render());
     let ratio = legs.shaped_ratio();
     if ratio.is_nan() || ratio > 2.0 {
@@ -70,10 +72,19 @@ pub fn run(cli: &Cli, report: &mut Report) -> Gates {
         ("unshaped", legs.unshaped),
         ("shaped", legs.shaped),
     ] {
-        report.audit(name, stats.audit);
-        report.metrics(name, stats.metrics);
+        report.attach(name, stats.audit, stats.metrics, []);
     }
     gates(failures)
+}
+
+/// A rack run's counter snapshots, by label suffix: the fabric's, then
+/// each node's.
+pub(crate) fn rack_counters(
+    fabric: CounterSnapshot,
+    nodes: Vec<CounterSnapshot>,
+) -> impl Iterator<Item = (String, CounterSnapshot)> {
+    let nodes = nodes.into_iter().enumerate();
+    std::iter::once(("/fabric".into(), fabric)).chain(nodes.map(|(n, s)| (format!("/node{n}"), s)))
 }
 
 /// The per-VF token-bucket shape for the isolation experiment's shaped
@@ -96,26 +107,6 @@ pub fn build_rack(cfg: RackConfig, churn_rate: f64) -> Rack {
     let mut rng = SimRng::seed_from(cfg.seed ^ 0x00C0_FFEE);
     let pop = ChurnProcess::new(churn, &mut rng);
     Rack::new(cfg, Box::new(pop))
-}
-
-/// One rack run: build, optionally arm the flight recorder, run to the
-/// deadline of `cli`'s scale measuring from its warmup, strictly audited
-/// when `cli` asks for it.
-pub fn run_rack(
-    cfg: RackConfig,
-    churn_rate: f64,
-    cli: &Cli,
-    recorder: Option<SimDuration>,
-) -> RackStats {
-    let mut rack = build_rack(cfg, churn_rate);
-    if let Some(interval) = recorder {
-        rack.enable_flight_recorder(interval);
-    }
-    if cli.strict_audit {
-        rack.enable_strict_audit();
-    }
-    let scale = cli.scale();
-    rack.run(scale.warmup(), scale.deadline())
 }
 
 /// The queue-liveness scenario: uniform pattern so every node's rings
@@ -226,8 +217,8 @@ fn ratio(p99: u64, base: u64) -> f64 {
 
 /// Runs the three-leg isolation experiment on `base` (its `pattern`
 /// is forced to incast and its shaper/aggressor knobs are overridden
-/// per leg).
-pub fn isolation(base: RackConfig, churn_rate: f64, cli: &Cli) -> IsolationLegs {
+/// per leg), under `h`.
+pub fn isolation(base: RackConfig, churn_rate: f64, h: &Harness) -> IsolationLegs {
     let target = match base.pattern {
         TrafficPattern::Incast { target } => target,
         _ => 0,
@@ -239,7 +230,7 @@ pub fn isolation(base: RackConfig, churn_rate: f64, cli: &Cli) -> IsolationLegs 
             vf_shaper,
             ..base
         };
-        run_rack(cfg, churn_rate, cli, None)
+        h.simulate(build_rack(cfg, churn_rate))
     };
     let isolated = leg(0.0, None);
     let unshaped = leg(base.aggressor_rate, None);
@@ -268,7 +259,7 @@ mod tests {
 
     #[test]
     fn liveness_run_exercises_every_queue() {
-        let stats = run_rack(liveness_cfg(small_base()), 20_000.0, &Cli::quick(), None);
+        let stats = Harness::quick().simulate(build_rack(liveness_cfg(small_base()), 20_000.0));
         assert!(stats.audit.passed(), "{}", stats.audit);
         assert_eq!(stats.queues_configured, 4 * 64);
         assert_eq!(
@@ -280,7 +271,7 @@ mod tests {
 
     #[test]
     fn shapers_restore_victim_latency_under_incast() {
-        let legs = isolation(small_base(), 20_000.0, &Cli::quick());
+        let legs = isolation(small_base(), 20_000.0, &Harness::quick());
         for (name, stats) in [
             ("isolated", &legs.isolated),
             ("unshaped", &legs.unshaped),

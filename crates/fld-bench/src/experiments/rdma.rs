@@ -1,11 +1,11 @@
 //! FLD-R experiments: Figure 7b (right columns) and Figure 7c.
 
-use fld_core::rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
+use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
 use fld_pcie::model::FldModel;
 use fld_sim::time::SimDuration;
 
 use crate::fmt::TextTable;
-use crate::report::Cli;
+use crate::harness::Harness;
 
 /// One FLD-R echo system with the flight recorder enabled: samples the
 /// in-flight RDMA PSN window, outstanding messages, accelerator backlog
@@ -17,20 +17,9 @@ pub fn rdma_telemetry_system(cfg: RdmaConfig, interval: SimDuration) -> RdmaSyst
     sys
 }
 
-/// Runs `cfg` against `accel` at `cli`'s scale, strictly audited when
-/// `cli` asks for it (`--strict-audit`).
-pub fn run_rdma(cfg: RdmaConfig, accel: Box<dyn MsgAccelerator>, cli: &Cli) -> RdmaRunStats {
-    let mut sys = RdmaSystem::new(cfg, accel);
-    if cli.strict_audit {
-        sys.enable_strict_audit();
-    }
-    let scale = cli.scale();
-    sys.run(scale.warmup(), scale.deadline())
-}
-
 /// Figure 7b (FLD-R): echo message-goodput vs message size, remote and
 /// local, against the analytic model.
-pub fn fig7b_fldr(cli: &Cli) -> String {
+pub fn fig7b_fldr(h: &Harness) -> String {
     let sizes = [64u32, 128, 256, 512, 1024, 2048, 4096];
     let mut out = String::from("Figure 7b (FLD-R): RDMA echo goodput vs message size (Gbps)\n");
     for (name, mk) in [
@@ -44,9 +33,13 @@ pub fn fig7b_fldr(cli: &Cli) -> String {
         ),
     ] {
         let mut t = TextTable::new(vec!["Msg B", "FLD-R", "Model bound", "Mmsg/s"]);
-        let runs = crate::runner::run_points(sizes.to_vec(), cli.jobs, |size| {
-            let cfg = mk(size, 64, cli.scale().packets);
-            (size, cfg, run_rdma(cfg, Box::new(MsgEcho), cli))
+        let runs = h.sweep(sizes.to_vec(), |h, size| {
+            let cfg = mk(size, 64, h.scale().packets);
+            (
+                size,
+                cfg,
+                h.simulate(RdmaSystem::new(cfg, Box::new(MsgEcho))),
+            )
         });
         for (size, cfg, stats) in runs {
             let model = FldModel::new(cfg.pcie).rdma_echo_goodput(
@@ -74,7 +67,7 @@ pub fn fig7b_fldr(cli: &Cli) -> String {
 
 /// Figure 7c: 1 KiB message latency vs throughput under increasing load
 /// (window sweep), local and remote.
-pub fn fig7c(cli: &Cli) -> String {
+pub fn fig7c(h: &Harness) -> String {
     let windows = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
     let mut out =
         String::from("Figure 7c: FLD-R 1 KiB messages, latency vs throughput under load\n");
@@ -89,9 +82,9 @@ pub fn fig7c(cli: &Cli) -> String {
         ),
     ] {
         let mut t = TextTable::new(vec!["Window", "Gbps", "Median us", "99th us"]);
-        let runs = crate::runner::run_points(windows.to_vec(), cli.jobs, |w| {
-            let cfg = mk(1024, w, cli.scale().packets);
-            (w, run_rdma(cfg, Box::new(MsgEcho), cli))
+        let runs = h.sweep(windows.to_vec(), |h, w| {
+            let cfg = mk(1024, w, h.scale().packets);
+            (w, h.simulate(RdmaSystem::new(cfg, Box::new(MsgEcho))))
         });
         for (w, stats) in runs {
             t.row(vec![

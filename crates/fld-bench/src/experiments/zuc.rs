@@ -3,27 +3,26 @@
 
 use fld_accel::zuc_accel::{SoftwareZuc, ZucAccelerator, REQUEST_HEADER_BYTES};
 use fld_core::params::AccelParams;
-use fld_core::rdma_system::{RdmaConfig, RdmaRunStats};
+use fld_core::rdma_system::{RdmaConfig, RdmaRunStats, RdmaSystem};
 use fld_pcie::model::FldModel;
 use fld_sim::time::SimTime;
 
-use crate::experiments::rdma::run_rdma;
 use crate::fmt::TextTable;
-use crate::report::Cli;
+use crate::harness::Harness;
 use crate::Scale;
 
 /// Runs the disaggregated accelerator: `request_payload`-byte requests,
 /// `window` in flight.
-fn run_zuc(request_payload: u32, window: u32, cli: &Cli) -> RdmaRunStats {
+fn run_zuc(request_payload: u32, window: u32, h: &Harness) -> RdmaRunStats {
     let request = request_payload + REQUEST_HEADER_BYTES as u32;
-    let cfg = RdmaConfig::remote(request, window, cli.scale().packets);
+    let cfg = RdmaConfig::remote(request, window, h.scale().packets);
     let accel = Box::new(ZucAccelerator::new(AccelParams::default()));
-    run_rdma(cfg, accel, cli)
+    h.simulate(RdmaSystem::new(cfg, accel))
 }
 
 /// Runs the disaggregated accelerator at one request size.
-fn run_remote_zuc(request_payload: u32, window: u32, cli: &Cli) -> f64 {
-    let stats = run_zuc(request_payload, window, cli);
+fn run_remote_zuc(request_payload: u32, window: u32, h: &Harness) -> f64 {
+    let stats = run_zuc(request_payload, window, h);
     // Goodput in *payload* terms (the header is protocol overhead).
     stats.goodput.gbps() * request_payload as f64
         / (request_payload + REQUEST_HEADER_BYTES as u32) as f64
@@ -46,7 +45,7 @@ fn run_local_cpu(request_payload: u32, scale: Scale) -> f64 {
 }
 
 /// Figure 8a: encryption throughput vs request size.
-pub fn fig8a(cli: &Cli) -> String {
+pub fn fig8a(h: &Harness) -> String {
     let sizes = [64u32, 128, 256, 512, 1024, 2048, 4096, 8192];
     let cfg = RdmaConfig::remote(512, 64, 1);
     let model = FldModel::new(cfg.pcie);
@@ -57,11 +56,11 @@ pub fn fig8a(cli: &Cli) -> String {
         "Model bound",
         "FLD/CPU",
     ]);
-    let runs = crate::runner::run_points(sizes.to_vec(), cli.jobs, |size| {
+    let runs = h.sweep(sizes.to_vec(), |h, size| {
         (
             size,
-            run_remote_zuc(size, 64, cli),
-            run_local_cpu(size, cli.scale()),
+            run_remote_zuc(size, 64, h),
+            run_local_cpu(size, h.scale()),
         )
     });
     for (size, fld, cpu) in runs {
@@ -87,10 +86,10 @@ pub fn fig8a(cli: &Cli) -> String {
 }
 
 /// Figure 8b: latency vs bandwidth for 512 B requests under load.
-pub fn fig8b(cli: &Cli) -> String {
+pub fn fig8b(h: &Harness) -> String {
     let windows = [1u32, 2, 4, 8, 16, 32, 64, 128];
     let mut t = TextTable::new(vec!["Window", "Gbps", "Median us", "99th us"]);
-    let runs = crate::runner::run_points(windows.to_vec(), cli.jobs, |w| (w, run_zuc(512, w, cli)));
+    let runs = h.sweep(windows.to_vec(), |h, w| (w, run_zuc(512, w, h)));
     for (w, stats) in runs {
         t.row(vec![
             w.to_string(),
@@ -115,9 +114,9 @@ mod tests {
 
     #[test]
     fn fld_is_severalfold_faster_than_cpu_at_512b() {
-        let cli = Cli::quick();
-        let fld = run_remote_zuc(512, 64, &cli);
-        let cpu = run_local_cpu(512, cli.scale());
+        let h = Harness::quick();
+        let fld = run_remote_zuc(512, 64, &h);
+        let cpu = run_local_cpu(512, h.scale());
         assert!(fld > 2.0 * cpu, "fld {fld:.2} vs cpu {cpu:.2}");
         // And the absolute value lands in the paper's ballpark (17.6 Gbps
         // at full scale; quick runs land close).
@@ -126,7 +125,7 @@ mod tests {
 
     #[test]
     fn small_requests_are_slower_than_large() {
-        let cli = Cli::quick();
-        assert!(run_remote_zuc(64, 64, &cli) < run_remote_zuc(2048, 64, &cli));
+        let h = Harness::quick();
+        assert!(run_remote_zuc(64, 64, &h) < run_remote_zuc(2048, 64, &h));
     }
 }

@@ -4,24 +4,23 @@
 use fld_accel::zuc_accel::{ZucAccelerator, REQUEST_HEADER_BYTES};
 use fld_accel::zuc_ext::{BatchedZucAccelerator, COMPACT_HEADER_BYTES};
 use fld_core::params::AccelParams;
-use fld_core::rdma_system::{MsgAccelerator, RdmaConfig};
+use fld_core::rdma_system::{MsgAccelerator, RdmaConfig, RdmaSystem};
 
-use crate::experiments::rdma::run_rdma;
 use crate::fmt::TextTable;
-use crate::report::Cli;
+use crate::harness::Harness;
 
-fn run(payload: u32, header: u32, accel: Box<dyn MsgAccelerator>, cli: &Cli) -> f64 {
-    let mut cfg = RdmaConfig::remote(payload + header, 192, cli.scale().packets);
+fn run(payload: u32, header: u32, accel: Box<dyn MsgAccelerator>, h: &Harness) -> f64 {
+    let mut cfg = RdmaConfig::remote(payload + header, 192, h.scale().packets);
     // A 4-thread test-crypto-perf client, so the measurement exposes the
     // wire/accelerator bottleneck the extensions address rather than the
     // single-core client cap of Figure 7b.
     cfg.client_msg_cost = cfg.client_msg_cost / 4;
-    let stats = run_rdma(cfg, accel, cli);
+    let stats = h.simulate(RdmaSystem::new(cfg, accel));
     stats.goodput.gbps() * payload as f64 / (payload + header) as f64
 }
 
 /// Renders the extension ablation table (payload goodput, Gbps).
-pub fn zuc_ext(cli: &Cli) -> String {
+pub fn zuc_ext(h: &Harness) -> String {
     let params = AccelParams::default();
     let mut t = TextTable::new(vec![
         "Request B",
@@ -35,19 +34,19 @@ pub fn zuc_ext(cli: &Cli) -> String {
             payload,
             REQUEST_HEADER_BYTES as u32,
             Box::new(ZucAccelerator::new(params)),
-            cli,
+            h,
         );
         let cached = run(
             payload,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 1, true)),
-            cli,
+            h,
         );
         let batched = run(
             payload,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 8, true)),
-            cli,
+            h,
         );
         t.row(vec![
             payload.to_string(),
@@ -70,19 +69,19 @@ mod tests {
 
     #[test]
     fn extensions_improve_small_request_goodput() {
-        let cli = Cli::quick();
+        let h = Harness::quick();
         let params = AccelParams::default();
         let base = run(
             128,
             REQUEST_HEADER_BYTES as u32,
             Box::new(ZucAccelerator::new(params)),
-            &cli,
+            &h,
         );
         let ext = run(
             128,
             COMPACT_HEADER_BYTES as u32,
             Box::new(BatchedZucAccelerator::new(params, 8, true)),
-            &cli,
+            &h,
         );
         assert!(ext > base * 1.1, "ext {ext:.2} vs base {base:.2}");
     }

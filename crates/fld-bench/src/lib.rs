@@ -12,6 +12,7 @@
 pub mod counters;
 pub mod experiments;
 pub mod fmt;
+pub mod harness;
 pub mod loc;
 pub mod perf;
 pub mod report;

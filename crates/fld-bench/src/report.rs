@@ -8,10 +8,13 @@
 //! the `rack` / `chaos` value flags — are each declared by the registry
 //! entries that act on them ([`Experiment::flags`]), and
 //! [`Cli::parse_for`] rejects one an entry does not declare before
-//! anything runs. The report JSON
-//! carries the experiment name, the rendered text sections, one
-//! hierarchical [`MetricsRegistry`] snapshot per instrumented run, and
-//! the audit summaries of instrumented runs.
+//! anything runs. Experiments do not read the universal flags: the
+//! [`crate::harness::Harness`] built from the parsed `Cli` applies them to
+//! every run. The report JSON carries the experiment name, the rendered
+//! text sections, and, for each run an experiment attaches
+//! ([`Report::attach`]), one hierarchical [`MetricsRegistry`] snapshot and
+//! its audit summary. The harness checks the audit of every run, attached
+//! or not.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -22,10 +25,8 @@ use fld_sim::counters::CounterSnapshot;
 use fld_sim::json::JsonWriter;
 use fld_sim::metrics::MetricsRegistry;
 use fld_sim::probe::Timeline;
-use fld_sim::time::SimDuration;
 
 use crate::experiments::{Experiment, ALL, REGISTRY};
-use crate::Scale;
 
 /// The flags every experiment takes, as the help prints them.
 const UNIVERSAL: &str = "  --quick                   run at reduced scale
@@ -195,8 +196,8 @@ impl Cli {
             let arg = arg.as_str();
             let declared = DECLARED.lines().any(|line| name(line) == arg);
             if declared && !entry.flags.contains(&arg) {
-                let universal = ["--quick", "--jobs", "--json", "--strict-audit"];
-                let takes: Vec<&str> = universal.iter().chain(entry.flags).copied().collect();
+                let universal = UNIVERSAL.lines().map(name).filter(|f| f.starts_with("--"));
+                let takes: Vec<&str> = universal.chain(entry.flags.iter().copied()).collect();
                 let takes = takes.join(" ");
                 return Err(Bad(format!(
                     "{} does not take {arg}; it takes: {takes}",
@@ -245,38 +246,6 @@ impl Cli {
             }
         }
         Ok(cli)
-    }
-
-    /// The defaults plus `--quick`: what tests run experiments at.
-    pub fn quick() -> Cli {
-        Cli {
-            quick: true,
-            ..Cli::default()
-        }
-    }
-
-    /// The experiment scale implied by the flags.
-    pub fn scale(&self) -> Scale {
-        if self.quick {
-            Scale::quick()
-        } else {
-            Scale::full()
-        }
-    }
-
-    /// The flight-recorder sampling period as a duration.
-    pub fn sample_interval(&self) -> SimDuration {
-        SimDuration::from_nanos(self.sample_interval_ns)
-    }
-
-    /// Whether any telemetry output (report, trace, timeline or counter
-    /// dump) was requested — experiments use this to decide whether to
-    /// run their instrumented pass.
-    pub fn wants_telemetry(&self) -> bool {
-        self.json.is_some()
-            || self.trace.is_some()
-            || self.timeline.is_some()
-            || self.counters.is_some()
     }
 
     /// The fault plan injecting at `rate` with the seed and the kinds
@@ -359,11 +328,6 @@ impl Report {
         self.sections
     }
 
-    /// Attaches a metrics snapshot under `label`.
-    pub fn metrics(&mut self, label: impl Into<String>, registry: MetricsRegistry) {
-        self.metrics.push((label.into(), registry));
-    }
-
     /// Attaches an already-rendered Chrome trace-event JSON document,
     /// written to the `--trace` path by [`Report::finish`].
     pub fn trace_json(&mut self, json: String) {
@@ -376,28 +340,25 @@ impl Report {
         self.timeline = Some(timeline);
     }
 
-    /// Attaches an audit summary under `label` and prints it; the report
-    /// JSON lists every attached audit, so a downstream consumer can
-    /// assert `violations == 0` without re-running the experiment.
-    pub fn audit(&mut self, label: impl Into<String>, audit: AuditReport) {
-        let label = label.into();
+    /// Attaches one run under `label`: its audit, printed and listed in
+    /// the report JSON (so a downstream consumer can assert
+    /// `violations == 0` without re-running the experiment), its metrics,
+    /// and each of its counter snapshots under `label` followed by the
+    /// snapshot's suffix — written to the `--counters` path by
+    /// [`Report::finish`] and embedded in the `--json` report.
+    pub fn attach(
+        &mut self,
+        label: &str,
+        audit: AuditReport,
+        metrics: MetricsRegistry,
+        counters: impl IntoIterator<Item = (String, CounterSnapshot)>,
+    ) {
         self.say(format_args!("[{label}] {audit}"));
-        self.audits.push((label, audit));
-    }
-
-    /// One line per attached audit that recorded a violation.
-    pub fn audit_failures(&self) -> Vec<String> {
-        let failed = self.audits.iter().filter(|(_, audit)| !audit.passed());
-        failed
-            .map(|(label, audit)| format!("{label} audit: {audit}"))
-            .collect()
-    }
-
-    /// Attaches a hardware-counter snapshot under `label`, written to the
-    /// `--counters` path by [`Report::finish`] and embedded in the
-    /// `--json` report.
-    pub fn counters(&mut self, label: impl Into<String>, snapshot: CounterSnapshot) {
-        self.counters.push((label.into(), snapshot));
+        self.audits.push((label.into(), audit));
+        self.metrics.push((label.into(), metrics));
+        for (suffix, snapshot) in counters {
+            self.counters.push((format!("{label}{suffix}"), snapshot));
+        }
     }
 
     /// Renders the report as a JSON document.
@@ -570,6 +531,9 @@ pub fn write_profile(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Harness;
+    use crate::Scale;
+    use fld_sim::time::SimDuration;
 
     /// `exp <id> <list…>` as the parser sees it.
     fn parse(id: &str, list: &[&str]) -> Result<Cli, CliError> {
@@ -670,11 +634,12 @@ mod tests {
         assert!(cli.quick);
         assert_eq!(cli.json.as_deref(), Some(Path::new("/tmp/x.json")));
         assert!(cli.trace.is_none());
-        assert_eq!(cli.scale().packets, Scale::quick().packets);
         assert_eq!(cli.sample_interval_ns, 1_000);
         assert!(!cli.strict_audit);
         assert_eq!(cli.jobs, 1);
-        assert!(cli.wants_telemetry());
+        let h = Harness::new(cli);
+        assert_eq!(h.scale().packets, Scale::quick().packets);
+        assert_eq!(h.telemetry(), Some(SimDuration::from_nanos(1_000)));
     }
 
     #[test]
@@ -692,10 +657,11 @@ mod tests {
         .unwrap();
         assert_eq!(cli.timeline.as_deref(), Some(Path::new("/tmp/tl.csv")));
         assert_eq!(cli.sample_interval_ns, 250);
-        assert_eq!(cli.sample_interval(), SimDuration::from_nanos(250));
         assert!(cli.strict_audit);
-        assert!(cli.wants_telemetry());
-        assert!(!parse("rack", &["--quick"]).unwrap().wants_telemetry());
+        let interval = Harness::new(cli).telemetry();
+        assert_eq!(interval, Some(SimDuration::from_nanos(250)));
+        let quick = Harness::new(parse("rack", &["--quick"]).unwrap());
+        assert_eq!(quick.telemetry(), None);
         assert!(bad("rack", &["--sample-interval-ns", "0"]).contains("positive"));
     }
 
@@ -837,7 +803,13 @@ mod tests {
         r.trace_json("{}".into());
         let tree = fld_sim::counters::CounterTree::new();
         tree.counter("port/0/rx/packets").add(7);
-        r.counters("run1", tree.snapshot());
+        let counters = [(String::new(), tree.snapshot())];
+        r.attach(
+            "run1",
+            AuditReport::default(),
+            MetricsRegistry::new(),
+            counters,
+        );
         r
     }
 
@@ -911,7 +883,7 @@ mod tests {
         r.section("hello");
         let mut reg = MetricsRegistry::new();
         reg.counter("nic.drops", 3);
-        r.metrics("run1", reg);
+        r.attach("run1", AuditReport::default(), reg, []);
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"unit-test\""));
         assert!(json.contains("\"run1\""));

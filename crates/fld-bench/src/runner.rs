@@ -8,11 +8,12 @@
 //! output depends only on its own point, never on which thread or in
 //! which order it executed.
 //!
-//! The worker count is an argument; experiments pass the `--jobs N` flag
-//! they read from their [`crate::report::Cli`]. The self-profiler is
-//! armed per thread (`fld_sim::prof`), so a sweep started on an armed
-//! thread arms its workers and merges their profiles back into the
-//! caller's, in input order.
+//! The worker count is an argument. Experiments do not call this
+//! directly: [`crate::harness::Harness::sweep`] calls it with the
+//! `--jobs N` worker count already applied. The self-profiler is armed
+//! per thread (`fld_sim::prof`), so a sweep started on an armed thread
+//! arms its workers and merges their profiles back into the caller's, in
+//! input order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -1,14 +1,17 @@
 //! The experiment registry is the index: it agrees with `DESIGN.md` § 4,
 //! `exp all` prints the same bytes on any worker count, its output is
-//! pinned by the committed `experiments_full.txt`, and the `exp` binary's
-//! exit status says what happened (0 done, 1 a gate or a write failed,
-//! 2 usage) without ever panicking.
+//! pinned by the committed `experiments_full.txt`, every simulated run of
+//! every entry goes through the harness, and the `exp` binary's exit
+//! status says what happened (0 done, 1 a gate, an audit or a write
+//! failed, 2 usage) without ever panicking.
 
 use std::process::Command;
 use std::sync::Mutex;
 
 use fld_bench::experiments::{run_entries, Experiment, ALL, REGISTRY};
+use fld_bench::harness::Harness;
 use fld_bench::report::{Cli, Report};
+use fld_sim::audit::AuditReport;
 
 /// The entries that simulate nothing: closed-form models and constants.
 const ANALYTIC: [&str; 8] = [
@@ -21,9 +24,9 @@ fn entries<'a>(ids: &'a [&str]) -> impl Iterator<Item = &'static Experiment> + '
 
 /// What `exp all` prints for `entries` under `cli`: each section, a rule
 /// after each.
-fn printed(entries: impl Iterator<Item = &'static Experiment>, cli: &Cli) -> String {
+fn printed(entries: impl Iterator<Item = &'static Experiment>, cli: Cli) -> String {
     let mut report = Report::quiet("all_experiments");
-    run_entries(entries, cli, &mut report).expect("no gate fails");
+    run_entries(entries, &Harness::new(cli), &mut report).expect("no gate fails");
     let rule = "=".repeat(72);
     report
         .into_sections()
@@ -89,27 +92,37 @@ fn all_prints_the_same_bytes_on_one_worker_and_on_four() {
             jobs,
             ..Cli::default()
         };
-        printed(entries(&ids), &cli)
+        printed(entries(&ids), cli)
     };
     let serial = on(1);
     assert!(serial.contains("Figure 7c"));
     assert_eq!(serial, on(4));
 }
 
-/// `exp all` hands each entry a `Cli` of its own: the scale, the audit
-/// mode and the worker count travel in it, the artifact paths do not.
+/// `exp all` hands each entry a sub-harness of its own: the scale, the
+/// audit mode and the worker count travel in it, the artifact paths do
+/// not.
 #[test]
 fn all_hands_its_entries_the_scale_audit_mode_and_worker_count() {
-    /// `(quick, strict_audit, jobs, json)` of each `Cli` the stub saw.
-    static SEEN: Mutex<Vec<(bool, bool, usize, bool)>> = Mutex::new(Vec::new());
+    /// `(quick, packets, strict_audit, jobs, json)` of a harness.
+    type Seen = (bool, u64, bool, usize, bool);
+    /// What the stub saw of each harness it was handed.
+    static SEEN: Mutex<Vec<Seen>> = Mutex::new(Vec::new());
     static STUB: Experiment = Experiment {
         id: "stub",
         paper_ref: "-",
         summary: "-",
         in_all: true,
         flags: &[],
-        run: |cli, _| {
-            let seen = (cli.quick, cli.strict_audit, cli.jobs, cli.json.is_some());
+        run: |h, _| {
+            let cli = h.cli();
+            let seen = (
+                cli.quick,
+                h.scale().packets,
+                cli.strict_audit,
+                cli.jobs,
+                cli.json.is_some(),
+            );
             SEEN.lock().unwrap().push(seen);
             Ok(())
         },
@@ -121,15 +134,16 @@ fn all_hands_its_entries_the_scale_audit_mode_and_worker_count() {
         json: Some("unused.json".into()),
         ..Cli::default()
     };
-    printed([&STUB, &STUB].into_iter(), &cli);
-    assert_eq!(*SEEN.lock().unwrap(), [(true, true, 3, false); 2]);
+    printed([&STUB, &STUB].into_iter(), cli);
+    let quick = fld_bench::Scale::quick().packets;
+    assert_eq!(*SEEN.lock().unwrap(), [(true, quick, true, 3, false); 2]);
 }
 
 #[test]
 fn analytic_entries_render_their_sections_of_experiments_full_txt() {
     let full = committed_full_report();
     for entry in entries(&ANALYTIC) {
-        let section = printed(std::iter::once(entry), &Cli::default());
+        let section = printed(std::iter::once(entry), Cli::default());
         assert!(
             full.contains(&section),
             "experiments_full.txt no longer holds what `exp {}` prints:\n{section}",
@@ -149,7 +163,7 @@ fn exp_all_at_full_scale_is_experiments_full_txt() {
         ..Cli::default()
     };
     let rule = format!("{}\n", "=".repeat(72));
-    let ours = printed(REGISTRY.iter().filter(|e| e.in_all), &cli);
+    let ours = printed(REGISTRY.iter().filter(|e| e.in_all), cli);
     let full = committed_full_report();
     let (ours, full): (Vec<&str>, Vec<&str>) =
         (ours.split(&rule).collect(), full.split(&rule).collect());
@@ -227,6 +241,74 @@ fn a_run_exits_0_and_an_unwritable_path_exits_1_with_the_rest_written() {
     assert!(counters.exists(), "the counter dump was still written");
 }
 
+/// Engine runs each simulating entry makes, at any scale.
+const RUNS: [(&str, u64); 11] = [
+    ("fig7b", 38),
+    ("imc_mpps", 2),
+    ("table6", 2),
+    ("fig7c", 18),
+    ("fig8a", 8),
+    ("fig8b", 8),
+    ("defrag", 4),
+    ("iot_isolation", 2),
+    ("zuc_ext", 15),
+    ("rack", 4),
+    ("chaos", 10),
+];
+
+/// The check the harness's seam puts on every run: one that failed.
+fn violated(audit: &mut AuditReport) {
+    audit.checks += 1;
+    audit.violations += 1;
+}
+
+/// No system bypasses the harness. With one failing check put on every
+/// run the harness arms, every simulating entry exits 1 with one audit
+/// failure per run, and panics under `--strict-audit`; the analytic ones
+/// still pass. The profiler counts every engine run, armed or not, and it
+/// counts exactly the runs the harness armed — which the exit status
+/// alone would not show when one system of several skipped the harness.
+/// The scale is a tenth of `--quick`'s, because an armed profiler times
+/// every event and the number of runs does not depend on the scale.
+#[test]
+fn every_run_of_every_entry_goes_through_the_harness() {
+    let small = |strict_audit| {
+        let cli = Cli {
+            strict_audit,
+            jobs: 2,
+            ..Cli::default()
+        };
+        let scale = fld_bench::Scale {
+            packets: 12_000,
+            warmup_ms: 1,
+            deadline_ms: 4,
+        };
+        Harness::new(cli).with_scale(scale).with_check(violated)
+    };
+    for entry in REGISTRY {
+        // An entry missing from `RUNS` is one that must run nothing.
+        let runs = RUNS
+            .iter()
+            .find(|(id, _)| *id == entry.id)
+            .map_or(0, |(_, n)| *n);
+        let h = small(false);
+        fld_sim::prof::set_enabled(true);
+        let _ = fld_sim::prof::take_global();
+        let status = h.execute(entry);
+        let profiled = fld_sim::prof::take_global().map_or(0, |p| p.runs);
+        fld_sim::prof::set_enabled(false);
+        // The seam fails each run the harness armed once.
+        let armed = h.audit_failures().len() as u64;
+        assert_eq!((profiled, armed), (runs, runs), "{}", entry.id);
+        assert_eq!(status, u8::from(runs > 0), "exp {}", entry.id);
+        if runs > 0 {
+            let strict = small(true);
+            let panicked = std::panic::catch_unwind(|| strict.execute(entry)).is_err();
+            assert!(panicked, "exp {} --strict-audit", entry.id);
+        }
+    }
+}
+
 /// A failed gate is exit 1, after the artifacts: `execute` on an entry
 /// whose run reports one (no registered experiment fails on demand).
 #[test]
@@ -244,16 +326,16 @@ fn a_failed_gate_exits_1_after_the_report_is_written() {
     };
     let json = std::env::temp_dir().join("fld_exp_failed_gate_test.json");
     let _ = std::fs::remove_file(&json);
-    let cli = Cli {
+    let h = Harness::new(Cli {
         json: Some(json.clone()),
         ..Cli::default()
-    };
-    assert_eq!(failing.execute(&cli), 1);
+    });
+    assert_eq!(h.execute(&failing), 1);
     let report = std::fs::read_to_string(&json).unwrap();
     assert!(report.contains("measured before the gate was judged"));
     let passing = Experiment {
         run: |_, _| Ok(()),
         ..failing
     };
-    assert_eq!(passing.execute(&cli), 0);
+    assert_eq!(h.execute(&passing), 0);
 }

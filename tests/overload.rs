@@ -5,7 +5,7 @@
 //! by one buffer's drain time, however long it runs.
 
 use fld_bench::experiments::echo::{fig7b_flde, imc_mpps, steer_to_accel, steer_to_host};
-use fld_bench::report::Cli;
+use fld_bench::harness::Harness;
 use flexdriver::accel::EchoAccelerator;
 use flexdriver::core::params::PORT_BUFFER;
 use flexdriver::core::system::{drops, RunStats};
@@ -117,7 +117,7 @@ fn table(text: &str, heading: &str) -> Vec<Vec<f64>> {
 /// row guards against an admission rule that favours small frames.
 #[test]
 fn fig7b_local_cpu_column_is_the_framed_half_link_bound() {
-    let report = fig7b_flde(&Cli::quick());
+    let report = fig7b_flde(&Harness::quick());
     let remote = table(&report, "remote");
     let local = table(&report, "local");
     let remote_fld = [19.05, 21.62, 23.19, 24.06, 24.52, 24.67];
@@ -139,7 +139,7 @@ fn fig7b_local_cpu_column_is_the_framed_half_link_bound() {
             "local CPU {size} B: {cpu} Gbps against the {bound:.2} Gbps bound"
         );
     }
-    let imc = table(&imc_mpps(&Cli::quick()), "| Driver");
+    let imc = table(&imc_mpps(&Harness::quick()), "| Driver");
     let (fld_mpps, cpu_mpps) = (imc[0][0], imc[1][0]);
     assert!((fld_mpps - 11.8).abs() <= 0.1, "IMC FLD-E {fld_mpps} Mpps");
     assert!((cpu_mpps - 9.6).abs() <= 0.1, "IMC CPU {cpu_mpps} Mpps");

@@ -106,6 +106,7 @@ fn fld_vs_cpu_parity_holds_across_seeds() {
 #[test]
 fn defrag_conclusions_hold_across_seeds() {
     use fld_bench::experiments::defrag::{run_defrag, DefragConfig};
+    use fld_bench::harness::Harness;
     use fld_bench::Scale;
     // The defrag experiment's RNG affects only tenant/jitter draws, but the
     // conclusion (hardware defrag ~7x software) must be robust to scale
@@ -116,8 +117,14 @@ fn defrag_conclusions_hold_across_seeds() {
             warmup_ms: 2,
             deadline_ms: deadline,
         };
-        let sw = run_defrag(DefragConfig::SoftwareDefrag, scale, false);
-        let hw = run_defrag(DefragConfig::HardwareDefrag, scale, false);
+        let sw = run_defrag(
+            DefragConfig::SoftwareDefrag,
+            &Harness::quick().with_scale(scale),
+        );
+        let hw = run_defrag(
+            DefragConfig::HardwareDefrag,
+            &Harness::quick().with_scale(scale),
+        );
         assert!(
             hw / sw > 4.0,
             "scale {packets}/{deadline}: speedup {:.1} too small",
@@ -129,6 +136,7 @@ fn defrag_conclusions_hold_across_seeds() {
 #[test]
 fn isolation_conclusion_holds_across_seeds() {
     use fld_bench::experiments::iot::run_isolation;
+    use fld_bench::harness::Harness;
     use fld_bench::Scale;
     let scale = Scale {
         packets: 60_000,
@@ -137,12 +145,24 @@ fn isolation_conclusion_holds_across_seeds() {
     };
     // The proportional-split and shaped-fairness results must hold at a
     // different offered mix too (12 vs 12 instead of 8 vs 16).
-    let even = run_isolation((12.0, 12.0), 12.0, None, 1024, scale, false);
+    let even = run_isolation(
+        (12.0, 12.0),
+        12.0,
+        None,
+        1024,
+        &Harness::quick().with_scale(scale),
+    );
     assert!(
         (even.0 - even.1).abs() < 1.0,
         "equal offered loads must split evenly: {even:?}"
     );
-    let shaped = run_isolation((12.0, 12.0), 12.0, Some(6.0), 1024, scale, false);
+    let shaped = run_isolation(
+        (12.0, 12.0),
+        12.0,
+        Some(6.0),
+        1024,
+        &Harness::quick().with_scale(scale),
+    );
     assert!(
         (shaped.0 - 6.0).abs() < 1.0 && (shaped.1 - 6.0).abs() < 1.0,
         "{shaped:?}"
