@@ -3,8 +3,11 @@
 //! mask or delay a violation. Each scenario runs a real system with the
 //! flight recorder on, corrupts one audited leaf mid-run behind its
 //! aggregate's back — an existing leaf, or a brand-new one registered
-//! under an audited prefix (the group-invalidation path) — and pins the
-//! outcome to what the string-scanning audit this replaced reported:
+//! under an audited prefix, which a group must pick up when its cursor
+//! on the tree's registration log next advances — and pins the
+//! outcome to what an earlier audit design reported (the string-scanning
+//! audit; for the churned-flow scenario, groups that re-walked the
+//! sorted tree on every registration):
 //! the same first violation (`at`, component, invariant, detail), the
 //! same number of violations over the rest of the run (every later tick
 //! plus the end-of-run audit — none skipped), and the same strict-audit
@@ -31,6 +34,7 @@ use fld_sim::counters::CounterTree;
 use fld_sim::fault::{FaultLedger, FaultPlan};
 use fld_sim::rng::SimRng;
 use fld_sim::time::{SimDuration, SimTime};
+use fld_workloads::churn::{ChurnConfig, ChurnProcess};
 
 /// Bumps `path` in a system's counter tree on the `at`-th call of
 /// [`Tamper::poke`] — called from inside the model (an accelerator or a
@@ -44,6 +48,8 @@ struct Tamper {
     calls: AtomicU64,
     /// Simulated ns of the tampering call, where the caller knows it.
     poked_ns: AtomicU64,
+    /// Counters the bound tree held just before the tamper registered.
+    len_at_poke: AtomicU64,
 }
 
 impl Tamper {
@@ -54,6 +60,7 @@ impl Tamper {
             at,
             calls: AtomicU64::new(0),
             poked_ns: AtomicU64::new(u64::MAX),
+            len_at_poke: AtomicU64::new(0),
         })
     }
 
@@ -68,7 +75,9 @@ impl Tamper {
             }
             // `counter` shares an existing leaf's cell or registers a
             // new leaf — either way without touching any aggregate.
-            self.tree.get().expect("bound").counter(self.path).inc();
+            let tree = self.tree.get().expect("bound");
+            self.len_at_poke.store(tree.len() as u64, Ordering::Relaxed);
+            tree.counter(self.path).inc();
         }
     }
 }
@@ -117,10 +126,12 @@ impl MsgAccelerator for TamperingMsgEcho {
     }
 }
 
+/// Forwards every call to the population it wraps; each packet pick
+/// pokes the tamper.
 #[derive(Debug)]
-struct TamperingPopulation(StaticPopulation, Arc<Tamper>);
+struct TamperingPopulation<P>(P, Arc<Tamper>);
 
-impl FlowPopulation for TamperingPopulation {
+impl<P: FlowPopulation> FlowPopulation for TamperingPopulation<P> {
     fn next_arrival_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
         self.0.next_arrival_gap(rng)
     }
@@ -136,6 +147,21 @@ impl FlowPopulation for TamperingPopulation {
     }
     fn active_count(&self) -> usize {
         self.0.active_count()
+    }
+    fn arrivals(&self) -> u64 {
+        self.0.arrivals()
+    }
+    fn departures(&self) -> u64 {
+        self.0.departures()
+    }
+    fn node_down(&mut self, node: u16) -> u64 {
+        self.0.node_down(node)
+    }
+    fn node_up(&mut self, node: u16, rng: &mut SimRng) -> u64 {
+        self.0.node_up(node, rng)
+    }
+    fn active_on(&self, node: u16) -> usize {
+        self.0.active_on(node)
     }
 }
 
@@ -240,7 +266,52 @@ fn rdma_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
 
 /// 2 nodes × 3 tenants, 50 µs ticks over 2 ms; the 150th generated
 /// packet tampers with the rack tree (`node: None`) or a node's tree.
+/// The population is static: every flow exists from the start.
 fn rack_run(path: &'static str, node: Option<usize>, strict: bool) -> Outcome {
+    let tamper = Tamper::new(path, 150);
+    let pop = TamperingPopulation(StaticPopulation::new(3, 2, 2), tamper.clone());
+    let (audit, _) = run_rack(Box::new(pop), &tamper, node, strict);
+    Outcome::new(audit, &tamper, RACK_TICK)
+}
+
+/// Flows arriving per second in [`churned_rack_run`]: about five per
+/// 50 µs tick across the rack.
+const CHURN_RATE: f64 = 100_000.0;
+
+/// [`rack_run`] over a churned population ([`CHURN_RATE`] arrivals/s,
+/// 5 ms mean lifetime), so nodes keep registering real
+/// `flow/<5-tuple>/…` leaves before and after the tamper. Also returns
+/// how many counters the tampered tree held before the run, when the
+/// tamper fired and at the end of the run.
+fn churned_rack_run(path: &'static str, node: usize, strict: bool) -> (Outcome, [usize; 3]) {
+    let tamper = Tamper::new(path, 170);
+    let churn = ChurnConfig {
+        tenants: 3,
+        nodes: 2,
+        arrival_rate: CHURN_RATE,
+        ..ChurnConfig::default()
+    };
+    let mut rng = SimRng::seed_from(0xC4_0A2D);
+    let pop = TamperingPopulation(ChurnProcess::new(churn, &mut rng), tamper.clone());
+    let (audit, [start, end]) = run_rack(Box::new(pop), &tamper, Some(node), strict);
+    let at_poke = tamper.len_at_poke.load(Ordering::Relaxed) as usize;
+    (
+        Outcome::new(audit, &tamper, RACK_TICK),
+        [start, at_poke, end],
+    )
+}
+
+const RACK_TICK: SimDuration = SimDuration::from_micros(50);
+
+/// Runs the 2-node rack over `pop` with `tamper` bound to the rack tree
+/// (`node: None`) or a node's; returns the audit and the bound tree's
+/// length before and after the run.
+fn run_rack(
+    pop: Box<dyn FlowPopulation>,
+    tamper: &Tamper,
+    node: Option<usize>,
+    strict: bool,
+) -> (AuditReport, [usize; 2]) {
     let cfg = RackConfig {
         nodes: 2,
         tenants: 3,
@@ -252,29 +323,29 @@ fn rack_run(path: &'static str, node: Option<usize>, strict: bool) -> Outcome {
         seed: 0x5EED_2AC4,
         ..RackConfig::default()
     };
-    let tamper = Tamper::new(path, 150);
-    let tick = SimDuration::from_micros(50);
-    let pop = TamperingPopulation(StaticPopulation::new(3, 2, 2), tamper.clone());
-    let mut rack = Rack::new(cfg, Box::new(pop));
-    tamper.bind(match node {
+    let mut rack = Rack::new(cfg, pop);
+    let tree = match node {
         None => rack.counter_tree(),
         Some(n) => rack.nodes()[n].counter_tree(),
-    });
+    }
+    .clone();
+    tamper.bind(&tree);
     if strict {
         rack.enable_strict_audit();
     }
-    rack.enable_flight_recorder(tick);
+    rack.enable_flight_recorder(RACK_TICK);
+    let start = tree.len();
     let stats = rack.run(SimTime::ZERO, SimTime::from_millis(2));
-    Outcome::new(stats.audit, &tamper, tick)
+    (stats.audit, [start, tree.len()])
 }
 
 /// One violation as `(at_ns, component, invariant, detail)`.
 type Pinned = (u64, &'static str, &'static str, &'static str);
 
-/// Checks a scenario against what the parent commit's string-scanning
-/// audit reported for it: `first` are the violations of the first tick
-/// after the tamper, in recording order, and `total` the violations
-/// over the whole run.
+/// Checks a scenario against what the earlier design's audit reported
+/// for it: `first` are the violations of the first tick after the
+/// tamper, in recording order, and `total` the violations over the
+/// whole run.
 fn check(run: impl Fn(bool) -> Outcome, first: &[Pinned], total: u64) {
     let got = run(false);
     let recorded: Vec<(u64, &str, &str, &str)> = got
@@ -446,4 +517,28 @@ fn echo_leaked_pool_handle_is_caught_on_the_next_tick() {
         )],
         98,
     );
+}
+
+/// A flow leaf nobody counted, registered mid-run in node 0's tree while
+/// the churned population is still registering real flows there: node
+/// 0's tree holds 119 counters at the 650 µs tick and 128 at the 700 µs
+/// one, and the tamper is the 126th, so the `flow/*/packets` group's
+/// read at 700 µs passes six real entries, the tampered one and two
+/// more, and must count the tampered one with the real ones.
+#[test]
+fn rack_new_flow_leaf_among_churned_flows_is_caught_on_the_next_tick() {
+    check(
+        |strict| churned_rack_run("flow/tampered/packets", 0, strict).0,
+        &[(
+            700_000,
+            "counters.flow",
+            "counter-telescope",
+            "per-flow packets sum to 98 but port rx saw 97",
+        )],
+        28,
+    );
+    // Flows registered before and after the tamper: the tree held 77
+    // counters before the first packet, 125 when the tamper fired.
+    let (_, lens) = churned_rack_run("flow/tampered/packets", 0, false);
+    assert_eq!(lens, [77, 125, 240]);
 }

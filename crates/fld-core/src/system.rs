@@ -663,6 +663,10 @@ pub struct FldSystem {
         FlowHandles,
         std::hash::BuildHasherDefault<FlowHasher>,
     >,
+    /// Reused buffer for a new flow's counter paths: `flow/<segment>/` is
+    /// written once and each leaf appended to it, so registering a flow
+    /// allocates only the two cells and the paths they keep.
+    flow_path: String,
     /// Packets accepted into host rx queues — the aggregate the per-queue
     /// rx counters telescope to.
     host_rx_accepted: u64,
@@ -950,6 +954,7 @@ impl FldSystem {
             counters,
             ctr,
             flow_ctrs: Default::default(),
+            flow_path: String::new(),
             host_rx_accepted: 0,
             accel_jobs: 0,
         }
@@ -979,10 +984,20 @@ impl FldSystem {
         let (packets, bytes) = match self.flow_ctrs.get(&flow) {
             Some(h) => (&h.packets, &h.bytes),
             None if self.flow_ctrs.len() < FLOW_COUNTER_CAP => {
-                let seg = flow.counter_path();
+                let path = &mut self.flow_path;
+                path.clear();
+                path.push_str("flow/");
+                flow.write_counter_path(path)
+                    .expect("a String takes any write");
+                path.push('/');
+                let dir = path.len();
+                path.push_str("packets");
+                let packets = self.counters.counter(path);
+                path.truncate(dir);
+                path.push_str("bytes");
                 let h = FlowHandles {
-                    packets: self.counters.counter(&format!("flow/{seg}/packets")),
-                    bytes: self.counters.counter(&format!("flow/{seg}/bytes")),
+                    packets,
+                    bytes: self.counters.counter(path),
                 };
                 let h = self.flow_ctrs.entry(flow).or_insert(h);
                 (&h.packets, &h.bytes)

@@ -77,12 +77,14 @@ impl FlowKey {
         }
     }
 
-    /// The flow's path segment in a hierarchical counter tree
-    /// (`flow/<this>/...`). Uses `_` separators only — `/` is the tree's
+    /// Writes the flow's path segment in a hierarchical counter tree
+    /// (`flow/<this>/...`) into `out`, so a caller can build the whole
+    /// path in one buffer. Uses `_` separators only — `/` is the tree's
     /// path delimiter, so the whole 5-tuple must collapse into a single
     /// segment.
-    pub fn counter_path(&self) -> String {
-        format!(
+    pub fn write_counter_path(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{}_{}-{}_{}-p{}",
             self.src, self.src_port, self.dst, self.dst_port, self.proto
         )
@@ -136,10 +138,15 @@ mod tests {
             7777,
             17,
         );
-        let path = k.counter_path();
+        let segment = |k: FlowKey| {
+            let mut path = String::new();
+            k.write_counter_path(&mut path).unwrap();
+            path
+        };
+        let path = segment(k);
         assert_eq!(path, "10.0.0.1_1000-10.0.0.2_7777-p17");
         assert!(!path.contains('/'), "must stay a single tree segment");
-        assert_ne!(k.reversed().counter_path(), path);
+        assert_ne!(segment(k.reversed()), path);
     }
 
     #[test]

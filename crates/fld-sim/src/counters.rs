@@ -25,7 +25,6 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -138,15 +137,24 @@ impl Ord for ByPath {
     }
 }
 
+/// What the tree's lock guards: the sorted set serves lookups, scans and
+/// snapshots; the log lists the same cells in registration order, each
+/// path once, for the groups that extend from it.
+#[derive(Debug, Default)]
+struct Registry {
+    sorted: BTreeSet<ByPath>,
+    log: Vec<Counter>,
+}
+
 #[derive(Debug, Default)]
 struct TreeInner {
-    cells: Mutex<BTreeSet<ByPath>>,
-    /// `cells.len()`, published under the lock after every registration.
-    /// Counters are never removed, so this doubles as the version stamp
-    /// a [`CounterSum`] compares to decide whether to re-resolve. The
-    /// `Release` store pairs with the `Acquire` load in
-    /// [`CounterTree::len`]; a reader that sees growth re-resolves under
-    /// the lock, which orders it after the registration itself.
+    cells: Mutex<Registry>,
+    /// `log.len()`, published under the lock after every registration.
+    /// Counters are never removed, so this doubles as the cursor bound a
+    /// [`CounterSum`] compares with the log position it has read up to.
+    /// The `Release` store pairs with the `Acquire` load in
+    /// [`CounterTree::len`]; a reader that sees growth reads the new log
+    /// entries under the lock, which orders it after the registrations.
     len: AtomicUsize,
 }
 
@@ -167,7 +175,7 @@ impl CounterTree {
         CounterTree::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeSet<ByPath>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.inner.cells.lock().expect("counter tree poisoned")
     }
 
@@ -189,19 +197,20 @@ impl CounterTree {
             "malformed counter path {path:?}"
         );
         let mut cells = self.lock();
-        if let Some(found) = cells.get(path) {
+        if let Some(found) = cells.sorted.get(path) {
             return found.0.clone();
         }
         let counter = Counter::at(path);
-        cells.insert(ByPath(counter.clone()));
-        self.inner.len.store(cells.len(), Ordering::Release);
+        cells.sorted.insert(ByPath(counter.clone()));
+        cells.log.push(counter.clone());
+        self.inner.len.store(cells.log.len(), Ordering::Release);
         counter
     }
 
     /// The value at `path`, if registered. A locked lookup: for dumps,
     /// tools and tests — audits read through [`Counter`] handles.
     pub fn get(&self, path: &str) -> Option<u64> {
-        self.lock().get(path).map(|c| c.0.get())
+        self.lock().sorted.get(path).map(|c| c.0.get())
     }
 
     /// Number of registered counters (lock-free).
@@ -220,6 +229,7 @@ impl CounterTree {
     /// pre-resolved group.
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
         self.lock()
+            .sorted
             .iter()
             .filter(|c| under_prefix(c.0.path(), prefix))
             .map(|c| c.0.get())
@@ -232,6 +242,7 @@ impl CounterTree {
     /// [`CounterSum::leaves`].
     pub fn sum_leaf(&self, prefix: &str, leaf: &str) -> u64 {
         self.lock()
+            .sorted
             .iter()
             .filter(|c| under_prefix(c.0.path(), prefix) && named(c.0.path(), leaf))
             .map(|c| c.0.get())
@@ -243,6 +254,7 @@ impl CounterTree {
         CounterSnapshot {
             entries: self
                 .lock()
+                .sorted
                 .iter()
                 .map(|c| (c.0.path().to_string(), c.0.get()))
                 .collect(),
@@ -256,70 +268,67 @@ impl CounterTree {
 ///
 /// The group holds its members' cells, so a steady-state
 /// [`CounterSum::get`] takes no lock and compares no strings: one
-/// atomic load of the tree's length, then one per member. Because the
-/// tree only grows, a length equal to the one seen at the last
-/// resolution proves the membership is current; any registration
-/// (a new flow, VF or fault entity mid-run) changes it and the next
-/// `get` re-resolves before summing, so the result is always what the
-/// scan would return.
+/// atomic load of the tree's length, then one per member. The group is
+/// a cursor on the tree's registration log: because the tree only
+/// grows, a length equal to the log position read so far proves the
+/// membership is current; any registration (a new flow, VF or fault
+/// entity mid-run) moves it, and the next `get` tests only the entries
+/// logged since — each against the prefix and leaf — before summing,
+/// so a read costs what registered since the last one and the result
+/// is always what the scan would return. A new group starts at position
+/// 0: its first read is the same catch-up over the whole log.
 #[derive(Debug)]
 pub struct CounterSum {
     tree: CounterTree,
     prefix: Box<str>,
     leaf: Option<Box<str>>,
     members: Vec<Counter>,
-    /// Tree length when `members` was resolved.
+    /// Log entries already tested: `log[..seen]`.
     seen: usize,
 }
 
 impl CounterSum {
     /// The group of every counter at or below `prefix` in `tree`.
     pub fn under(tree: &CounterTree, prefix: &str) -> CounterSum {
-        CounterSum::resolved(tree, prefix, None)
+        CounterSum::new(tree, prefix, None)
     }
 
     /// The group of every counter below `prefix` in `tree` whose last
     /// segment is `leaf`.
     pub fn leaves(tree: &CounterTree, prefix: &str, leaf: &str) -> CounterSum {
-        CounterSum::resolved(tree, prefix, Some(leaf.into()))
+        CounterSum::new(tree, prefix, Some(leaf.into()))
     }
 
-    fn resolved(tree: &CounterTree, prefix: &str, leaf: Option<Box<str>>) -> CounterSum {
-        let mut sum = CounterSum {
+    fn new(tree: &CounterTree, prefix: &str, leaf: Option<Box<str>>) -> CounterSum {
+        CounterSum {
             tree: tree.clone(),
             prefix: prefix.into(),
             leaf,
             members: Vec::new(),
             seen: 0,
-        };
-        sum.resolve();
-        sum
+        }
     }
 
-    /// Re-collects the members. Paths sharing a string prefix are
-    /// contiguous in the sorted registry, so this visits only the
-    /// candidates, not the whole tree.
-    fn resolve(&mut self) {
+    /// Adds the members among the registrations logged since the last
+    /// read.
+    fn catch_up(&mut self) {
         let cells = self.tree.lock();
-        self.seen = cells.len();
-        self.members.clear();
         let prefix: &str = &self.prefix;
         let leaf = self.leaf.as_deref();
         self.members.extend(
-            cells
-                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-                .map(|c| &c.0)
-                .take_while(|c| c.path().starts_with(prefix))
+            cells.log[self.seen..]
+                .iter()
                 .filter(|c| under_prefix(c.path(), prefix))
                 .filter(|c| leaf.is_none_or(|leaf| named(c.path(), leaf)))
                 .cloned(),
         );
+        self.seen = cells.log.len();
     }
 
     /// The group's current sum.
     pub fn get(&mut self) -> u64 {
         if self.tree.len() != self.seen {
-            self.resolve();
+            self.catch_up();
         }
         self.members.iter().map(Counter::get).sum()
     }
@@ -519,6 +528,91 @@ mod tests {
         assert_eq!(all.prefix(), "vf/1");
         assert_eq!(late.path(), "vf/1/q/0/drops");
         assert_eq!(Counter::detached().path(), "");
+    }
+
+    /// Registration-log length, for the tests below.
+    fn logged(tree: &CounterTree) -> usize {
+        tree.lock().log.len()
+    }
+
+    #[test]
+    fn re_registering_a_path_logs_nothing_and_adds_no_member() {
+        let tree = CounterTree::new();
+        let mut group = CounterSum::under(&tree, "flow");
+        tree.counter("flow/a/packets").add(2);
+        assert_eq!(group.get(), 2);
+        for _ in 0..3 {
+            tree.counter("flow/a/packets").inc();
+        }
+        assert_eq!((logged(&tree), tree.len()), (1, 1));
+        assert_eq!(group.get(), tree.sum_prefix("flow"));
+        assert_eq!(group.get(), 5);
+        assert_eq!(group.members.len(), 1);
+    }
+
+    #[test]
+    fn a_sibling_prefix_never_joins() {
+        let tree = CounterTree::new();
+        let mut flow = CounterSum::under(&tree, "flow");
+        let mut vf1 = CounterSum::under(&tree, "vf/1");
+        let mut vf1_drops = CounterSum::leaves(&tree, "vf/1", "drops");
+        for (path, n) in [
+            ("flowx/a/packets", 1),
+            ("flow/a/packets", 2),
+            ("flowx", 4),
+            ("vf/10/drops", 8),
+            ("vf/1/drops", 16),
+            ("vf/1.5/drops", 32),
+            ("vf/1/rx", 64),
+            ("vf/1x/drops", 128),
+        ] {
+            tree.counter(path).add(n);
+            assert_eq!(flow.get(), tree.sum_prefix("flow"), "{path}");
+            assert_eq!(vf1.get(), tree.sum_prefix("vf/1"), "{path}");
+            assert_eq!(vf1_drops.get(), tree.sum_leaf("vf/1", "drops"), "{path}");
+        }
+        assert_eq!((flow.get(), vf1.get(), vf1_drops.get()), (2, 80, 16));
+    }
+
+    #[test]
+    fn groups_made_before_and_after_a_thousand_registrations_agree() {
+        let tree = CounterTree::new();
+        let mut early = CounterSum::leaves(&tree, "flow", "packets");
+        assert_eq!(early.get(), 0);
+        for i in 0..1000u64 {
+            tree.counter(&format!("flow/{i}/packets")).add(i);
+            tree.counter(&format!("flow/{i}/bytes")).add(64 * i);
+        }
+        let mut late = CounterSum::leaves(&tree, "flow", "packets");
+        let expected = tree.sum_leaf("flow", "packets");
+        assert_eq!(expected, 999 * 1000 / 2);
+        assert_eq!(early.get(), expected);
+        assert_eq!(late.get(), expected);
+        assert_eq!((early.members.len(), late.members.len()), (1000, 1000));
+    }
+
+    #[test]
+    fn groups_read_on_different_ticks_count_each_registration_once() {
+        let tree = CounterTree::new();
+        let mut every_tick = CounterSum::under(&tree, "flow");
+        let mut every_third = CounterSum::under(&tree, "flow");
+        for tick in 0..30 {
+            // Registrations between ticks: some new, some repeats.
+            for i in 0..tick % 4 + 1 {
+                let path = format!("flow/{}/packets", (tick * 3 + i) % 50);
+                tree.counter(&path).inc();
+            }
+            let registered = logged(&tree);
+            assert_eq!(every_tick.get(), tree.sum_prefix("flow"), "tick {tick}");
+            assert_eq!(every_tick.members.len(), registered);
+            if tick % 3 == 0 {
+                assert_eq!(every_third.get(), tree.sum_prefix("flow"), "tick {tick}");
+                assert_eq!(every_third.members.len(), registered);
+            }
+        }
+        assert_eq!(every_third.get(), every_tick.get());
+        assert_eq!(every_third.members.len(), logged(&tree));
+        assert_eq!(logged(&tree), tree.len());
     }
 
     #[test]
