@@ -44,11 +44,6 @@ impl DefragAccelerator {
         DefragAccelerator::new(1024, SimDuration::from_nanos(40))
     }
 
-    /// Fragments absorbed.
-    pub fn fragments_in(&self) -> u64 {
-        self.fragments_in
-    }
-
     /// Complete datagrams emitted.
     pub fn datagrams_out(&self) -> u64 {
         self.datagrams_out

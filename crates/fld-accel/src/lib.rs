@@ -13,8 +13,9 @@
 //! * [`defrag_accel`] — the inline IP defragmentation offload;
 //! * [`iot_accel`] — the IoT JWT authentication offload with per-tenant
 //!   keys and the § 8.2.3 capacity knob;
-//! * [`zuc_ext`] — the paper's § 8.2.1 future-work optimizations realized:
-//!   on-FPGA session key storage and request batching;
+//! * [`zuc_ext`] — the paper's § 8.2.1 future-work optimizations as a
+//!   timing model: the compact header and setup of on-FPGA session key
+//!   storage, and request batching;
 //! * [`fault_accel`] — a transient-stall fault wrapper for any
 //!   accelerator model, driven by [`fld_sim::fault`].
 //!
@@ -48,4 +49,4 @@ pub use echo::EchoAccelerator;
 pub use fault_accel::StallingAccelerator;
 pub use iot_accel::IotAuthAccelerator;
 pub use zuc_accel::{CryptoOp, CryptoRequest, SoftwareZuc, ZucAccelerator};
-pub use zuc_ext::{BatchedZucAccelerator, CompactRequest, SessionKeyCache};
+pub use zuc_ext::BatchedZucAccelerator;

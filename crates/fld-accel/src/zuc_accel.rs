@@ -143,7 +143,6 @@ impl CryptoRequest {
 pub struct ZucAccelerator {
     params: AccelParams,
     units: Vec<SimTime>,
-    processed: u64,
 }
 
 impl ZucAccelerator {
@@ -152,13 +151,7 @@ impl ZucAccelerator {
         ZucAccelerator {
             units: vec![SimTime::ZERO; params.zuc_units],
             params,
-            processed: 0,
         }
-    }
-
-    /// Requests processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 }
 
@@ -176,7 +169,6 @@ impl MsgAccelerator for ZucAccelerator {
         let start = now.max(self.units[unit]);
         let done = start + self.params.zuc_request_time(payload as u64);
         self.units[unit] = done;
-        self.processed += 1;
         // The response mirrors the request size (ciphertext + header).
         (done, bytes)
     }
@@ -199,7 +191,6 @@ impl MsgAccelerator for ZucAccelerator {
 pub struct SoftwareZuc {
     core_bps: f64,
     next_free: SimTime,
-    processed: u64,
 }
 
 impl SoftwareZuc {
@@ -208,13 +199,7 @@ impl SoftwareZuc {
         SoftwareZuc {
             core_bps: core_gbps * 1e9,
             next_free: SimTime::ZERO,
-            processed: 0,
         }
-    }
-
-    /// Requests processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 }
 
@@ -225,7 +210,6 @@ impl MsgAccelerator for SoftwareZuc {
         let work = fld_sim::time::SimDuration::from_secs_f64(payload as f64 * 8.0 / self.core_bps);
         let done = start + work;
         self.next_free = done;
-        self.processed += 1;
         (done, bytes)
     }
 

@@ -1,169 +1,28 @@
 //! The paper's stated future-work optimizations for the disaggregated ZUC
-//! accelerator, realized (§ 8.2.1: *"This result can be further improved by
-//! adding on-FPGA key storage and request batching, which we leave to
-//! future work"*):
+//! accelerator, as a timing model (§ 8.2.1: *"This result can be further
+//! improved by adding on-FPGA key storage and request batching, which we
+//! leave to future work"*):
 //!
-//! * **On-FPGA key storage** ([`SessionKeyCache`], [`CompactRequest`]):
-//!   clients establish a session once; subsequent requests carry a 16-byte
-//!   compact header referencing the stored key instead of shipping the full
-//!   64-byte key+IV header with every message.
+//! * **On-FPGA key storage**: clients establish a session once; subsequent
+//!   requests carry a 16-byte compact header ([`COMPACT_HEADER_BYTES`])
+//!   referencing the stored key instead of shipping the full 64-byte key+IV
+//!   header with every message, and the key-schedule setup leaves the
+//!   per-request path.
 //! * **Request batching** ([`BatchedZucAccelerator`]): the front-end packs
 //!   consecutive small requests into one unit dispatch, amortizing the
 //!   per-request key/IV setup.
 
 use fld_core::params::AccelParams;
 use fld_core::rdma_system::MsgAccelerator;
-use fld_crypto::zuc::eea3;
 use fld_sim::time::SimTime;
 
 use crate::zuc_accel::REQUEST_HEADER_BYTES;
 
-/// Size of the compact request header once the key lives on-FPGA.
+/// Size of the compact request header once the key lives on-FPGA. Its
+/// fields, big-endian: a 2 B session id into the on-FPGA key table, the
+/// 4 B LTE COUNT, the 4 B payload length and 6 B reserved; the payload
+/// follows.
 pub const COMPACT_HEADER_BYTES: usize = 16;
-
-/// The on-FPGA session key table.
-///
-/// # Examples
-///
-/// ```
-/// use fld_accel::zuc_ext::SessionKeyCache;
-///
-/// let mut cache = SessionKeyCache::new(256);
-/// let session = cache.install([7u8; 16], 3, 0).unwrap();
-/// assert!(cache.lookup(session).is_some());
-/// ```
-#[derive(Debug)]
-pub struct SessionKeyCache {
-    entries: Vec<Option<([u8; 16], u8, u8)>>,
-    installed: u64,
-}
-
-impl SessionKeyCache {
-    /// Creates a cache with `slots` session slots (on-chip SRAM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn new(slots: usize) -> Self {
-        assert!(slots > 0, "need at least one slot");
-        SessionKeyCache {
-            entries: vec![None; slots],
-            installed: 0,
-        }
-    }
-
-    /// Installs a session `(key, bearer, direction)`; returns its id, or
-    /// `None` when the table is full.
-    pub fn install(&mut self, key: [u8; 16], bearer: u8, direction: u8) -> Option<u16> {
-        let slot = self.entries.iter().position(|e| e.is_none())?;
-        self.entries[slot] = Some((key, bearer, direction));
-        self.installed += 1;
-        Some(slot as u16)
-    }
-
-    /// Releases a session id.
-    pub fn remove(&mut self, session: u16) -> bool {
-        self.entries
-            .get_mut(session as usize)
-            .and_then(Option::take)
-            .is_some()
-    }
-
-    /// Looks up a session.
-    pub fn lookup(&self, session: u16) -> Option<([u8; 16], u8, u8)> {
-        self.entries.get(session as usize).copied().flatten()
-    }
-
-    /// Sessions installed over the cache's lifetime.
-    pub fn installed(&self) -> u64 {
-        self.installed
-    }
-}
-
-/// The compact request format: 16 bytes of header referencing an installed
-/// session, followed by the payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactRequest {
-    /// Session id into the on-FPGA key table.
-    pub session: u16,
-    /// LTE COUNT.
-    pub count: u32,
-    /// Payload.
-    pub payload: Vec<u8>,
-}
-
-/// An error decoding or executing a compact request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactRequestError {
-    /// Shorter than the 16-byte header.
-    Truncated,
-    /// The referenced session is not installed.
-    UnknownSession(u16),
-}
-
-impl std::fmt::Display for CompactRequestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompactRequestError::Truncated => write!(f, "request shorter than compact header"),
-            CompactRequestError::UnknownSession(s) => write!(f, "unknown session {s}"),
-        }
-    }
-}
-
-impl std::error::Error for CompactRequestError {}
-
-impl CompactRequest {
-    /// Serializes: 16-byte header + payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; COMPACT_HEADER_BYTES];
-        out[0..2].copy_from_slice(&self.session.to_be_bytes());
-        out[2..6].copy_from_slice(&self.count.to_be_bytes());
-        out[6..10].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses the wire form.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation.
-    pub fn decode(data: &[u8]) -> Result<CompactRequest, CompactRequestError> {
-        if data.len() < COMPACT_HEADER_BYTES {
-            return Err(CompactRequestError::Truncated);
-        }
-        let len = u32::from_be_bytes(data[6..10].try_into().expect("4 bytes")) as usize;
-        let payload = data[COMPACT_HEADER_BYTES..]
-            .get(..len)
-            .unwrap_or(&data[COMPACT_HEADER_BYTES..]);
-        Ok(CompactRequest {
-            session: u16::from_be_bytes(data[0..2].try_into().expect("2 bytes")),
-            count: u32::from_be_bytes(data[2..6].try_into().expect("4 bytes")),
-            payload: payload.to_vec(),
-        })
-    }
-
-    /// Executes against the key cache (the functional server path).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the session is not installed.
-    pub fn execute(&self, cache: &SessionKeyCache) -> Result<Vec<u8>, CompactRequestError> {
-        let (key, bearer, direction) = cache
-            .lookup(self.session)
-            .ok_or(CompactRequestError::UnknownSession(self.session))?;
-        let mut data = self.payload.clone();
-        eea3(
-            &key,
-            self.count,
-            bearer,
-            direction,
-            data.len() * 8,
-            &mut data,
-        );
-        Ok(data)
-    }
-}
 
 /// Performance model of the extended accelerator: key cache (smaller
 /// header, no per-request key load) and optional request batching.
@@ -175,7 +34,6 @@ pub struct BatchedZucAccelerator {
     batch: u32,
     /// Whether the key cache removes the per-request key-load setup.
     key_cache: bool,
-    processed: u64,
 }
 
 impl BatchedZucAccelerator {
@@ -191,7 +49,6 @@ impl BatchedZucAccelerator {
             params,
             batch,
             key_cache,
-            processed: 0,
         }
     }
 
@@ -202,11 +59,6 @@ impl BatchedZucAccelerator {
         } else {
             REQUEST_HEADER_BYTES as u32
         }
-    }
-
-    /// Requests processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 }
 
@@ -233,7 +85,6 @@ impl MsgAccelerator for BatchedZucAccelerator {
         let start = now.max(self.units[unit]);
         let done = start + setup + stream;
         self.units[unit] = done;
-        self.processed += 1;
         (done, bytes)
     }
 
@@ -245,61 +96,6 @@ impl MsgAccelerator for BatchedZucAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fld_crypto::zuc::eea3 as ref_eea3;
-
-    #[test]
-    fn compact_request_round_trips() {
-        let req = CompactRequest {
-            session: 5,
-            count: 99,
-            payload: b"data".to_vec(),
-        };
-        assert_eq!(CompactRequest::decode(&req.encode()).unwrap(), req);
-        assert_eq!(req.encode().len(), COMPACT_HEADER_BYTES + 4);
-    }
-
-    #[test]
-    fn key_cache_lifecycle() {
-        let mut cache = SessionKeyCache::new(2);
-        let a = cache.install([1u8; 16], 0, 0).unwrap();
-        let b = cache.install([2u8; 16], 1, 1).unwrap();
-        assert_ne!(a, b);
-        assert!(cache.install([3u8; 16], 0, 0).is_none(), "table full");
-        assert!(cache.remove(a));
-        assert!(!cache.remove(a));
-        assert!(cache.install([3u8; 16], 0, 0).is_some());
-        assert_eq!(cache.installed(), 3);
-    }
-
-    #[test]
-    fn compact_execution_matches_full_path() {
-        let key = [0x3Cu8; 16];
-        let mut cache = SessionKeyCache::new(16);
-        let session = cache.install(key, 7, 1).unwrap();
-        let req = CompactRequest {
-            session,
-            count: 1234,
-            payload: b"payload bytes".to_vec(),
-        };
-        let out = req.execute(&cache).unwrap();
-        let mut expect = req.payload.clone();
-        ref_eea3(&key, 1234, 7, 1, expect.len() * 8, &mut expect);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn unknown_session_rejected() {
-        let cache = SessionKeyCache::new(4);
-        let req = CompactRequest {
-            session: 2,
-            count: 0,
-            payload: vec![],
-        };
-        assert_eq!(
-            req.execute(&cache),
-            Err(CompactRequestError::UnknownSession(2))
-        );
-    }
 
     #[test]
     fn extensions_speed_up_small_requests() {

@@ -214,7 +214,7 @@ pub fn table4(repo_root: &Path) -> String {
     t.row(vec![
         "FLD runtime library".to_string(),
         "3753".into(),
-        "fld-core (runtime+hw+system)".into(),
+        "fld-core (hw+system)".into(),
         ours("crates/fld-core/src"),
     ]);
     t.row(vec![
@@ -226,7 +226,7 @@ pub fn table4(repo_root: &Path) -> String {
     t.row(vec![
         "FLD-E control-plane".to_string(),
         "1554".into(),
-        "eswitch + runtime FLD-E".into(),
+        "eswitch (FLD-E rules)".into(),
         ours("crates/fld-nic/src/eswitch.rs"),
     ]);
     t.row(vec![

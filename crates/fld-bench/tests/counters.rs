@@ -459,3 +459,47 @@ proptest! {
         );
     }
 }
+
+/// Pieces of the dump grammar (and near misses), so that arbitrary text
+/// reaches past the parser's first byte.
+const DUMP_PIECES: [&str; 14] = [
+    "{",
+    "}",
+    "\"",
+    ":",
+    ",",
+    "\\",
+    "\\u",
+    " ",
+    "7",
+    "18446744073709551616",
+    "\"schema_version\"",
+    "\"experiment\"",
+    "\"counters\"",
+    "é",
+];
+
+proptest! {
+    /// `counter_diff` reads user files with `parse_dump`. It returns, and
+    /// never panics, on text made of grammar pieces, on the echo golden
+    /// dump cut short anywhere and on that dump with one byte changed;
+    /// and a dump cut before its closing brace is an error, never a
+    /// smaller dump.
+    #[test]
+    fn parse_dump_is_total(
+        pieces in proptest::collection::vec(0usize..DUMP_PIECES.len(), 0..48),
+        cut: usize,
+        at: usize,
+        byte: u8,
+    ) {
+        let soup: String = pieces.iter().map(|&i| DUMP_PIECES[i]).collect();
+        let _ = parse_dump(&soup);
+        let golden = include_str!("golden/echo_counters.json");
+        let truncated = &golden[..cut % golden.trim_end().len()];
+        prop_assert!(parse_dump(truncated).is_err(), "parsed a dump cut at {}", truncated.len());
+        let mut changed = golden.as_bytes().to_vec();
+        let at = at % changed.len();
+        changed[at] = byte & 0x7f;
+        let _ = parse_dump(std::str::from_utf8(&changed).expect("the golden dump is ASCII"));
+    }
+}

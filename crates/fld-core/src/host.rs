@@ -109,11 +109,6 @@ impl HostCpu {
         self.run_on(core, now, work)
     }
 
-    /// When `core` becomes idle.
-    pub fn core_free_at(&self, core: usize) -> SimTime {
-        self.cores[core].next_free
-    }
-
     /// Backlog of `core` relative to `now`.
     pub fn backlog(&self, core: usize, now: SimTime) -> SimDuration {
         self.cores[core].next_free.saturating_since(now)

@@ -64,6 +64,13 @@ pub struct TxSlot {
     pub len: u32,
 }
 
+/// Signal a completion every this many descriptors (§ 6 selective
+/// completion signalling); the NIC acknowledges the whole prefix at once.
+const SIGNAL_INTERVAL: u32 = 16;
+
+/// Enqueues coalesced per doorbell MMIO (§ 6 WQE-by-MMIO batching).
+const DOORBELL_BATCH: u32 = 8;
+
 /// The Tx ring manager: shared descriptor pool virtualized by the cuckoo
 /// translation table, shared data buffer, per-queue credit accounting.
 #[derive(Debug)]
@@ -83,11 +90,6 @@ pub struct FldTx {
     consumer_pos: Vec<u32>,
     /// Per-queue bytes in flight (credit accounting).
     queue_bytes: Vec<u32>,
-    /// Signal a completion every N descriptors (§ 6 selective completion
-    /// signalling); the NIC acknowledges the whole prefix at once.
-    signal_interval: u32,
-    /// Enqueues coalesced per doorbell MMIO (§ 6 WQE-by-MMIO batching).
-    doorbell_batch: u32,
     pending_doorbell: u32,
     mmio_writes: u64,
     signalled: u64,
@@ -110,37 +112,12 @@ impl FldTx {
             ring_pos: vec![0; config.tx_queues as usize],
             consumer_pos: vec![0; config.tx_queues as usize],
             queue_bytes: vec![0; config.tx_queues as usize],
-            signal_interval: 16,
-            doorbell_batch: 8,
             pending_doorbell: 0,
             mmio_writes: 0,
             signalled: 0,
             enqueued: 0,
             completed: 0,
         }
-    }
-
-    /// Configures selective completion signalling: one signalled descriptor
-    /// per `interval` (§ 6). 1 = signal everything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_signal_interval(mut self, interval: u32) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        self.signal_interval = interval;
-        self
-    }
-
-    /// Configures doorbell coalescing: one MMIO write per `batch` enqueues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn with_doorbell_batch(mut self, batch: u32) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        self.doorbell_batch = batch;
-        self
     }
 
     /// Doorbell MMIO writes issued so far.
@@ -177,11 +154,6 @@ impl FldTx {
         self.queue_bytes[queue as usize]
     }
 
-    /// Whether a packet of `len` bytes can be enqueued right now.
-    pub fn can_enqueue(&self, len: u32) -> bool {
-        !self.free_descs.is_empty() && self.slots_bytes(len) <= self.buffer_credits()
-    }
-
     /// Enqueues a packet of `len` bytes on `queue`.
     ///
     /// # Errors
@@ -204,7 +176,7 @@ impl FldTx {
         let pos = self.ring_pos[queue as usize];
         // Selective completion signalling: only every Nth descriptor asks
         // the NIC for a completion; the rest complete implicitly with it.
-        let signalled = pos % self.signal_interval == self.signal_interval - 1;
+        let signalled = pos % SIGNAL_INTERVAL == SIGNAL_INTERVAL - 1;
         let desc = self.expansion.compress(&TxDescriptor {
             addr: self.expansion.pool_base + desc_id as u64 * self.config.slot_bytes as u64,
             len,
@@ -227,7 +199,7 @@ impl FldTx {
         // Doorbell coalescing: ring once per batch (and the system may
         // force a ring via `flush_doorbell` on idle).
         self.pending_doorbell += 1;
-        if self.pending_doorbell >= self.doorbell_batch {
+        if self.pending_doorbell >= DOORBELL_BATCH {
             self.pending_doorbell = 0;
             self.mmio_writes += 1;
         }
@@ -592,7 +564,7 @@ mod tests {
 
     #[test]
     fn selective_signalling_marks_every_nth() {
-        let mut tx = FldTx::new(FldConfig::default()).with_signal_interval(16);
+        let mut tx = FldTx::new(FldConfig::default());
         for _ in 0..64 {
             tx.enqueue(0, 64).unwrap();
         }
@@ -607,7 +579,7 @@ mod tests {
 
     #[test]
     fn coalesced_completion_recycles_prefix() {
-        let mut tx = FldTx::new(FldConfig::default()).with_signal_interval(16);
+        let mut tx = FldTx::new(FldConfig::default());
         for _ in 0..32 {
             tx.enqueue(0, 1500).unwrap();
         }
@@ -622,7 +594,7 @@ mod tests {
 
     #[test]
     fn doorbell_coalescing_counts_mmio() {
-        let mut tx = FldTx::new(FldConfig::default()).with_doorbell_batch(8);
+        let mut tx = FldTx::new(FldConfig::default());
         for _ in 0..20 {
             tx.enqueue(0, 64).unwrap();
         }
@@ -632,16 +604,6 @@ mod tests {
         assert_eq!(tx.mmio_writes(), 3);
         tx.flush_doorbell(); // idempotent when nothing pending
         assert_eq!(tx.mmio_writes(), 3);
-    }
-
-    #[test]
-    fn signal_interval_one_signals_everything() {
-        let mut tx = FldTx::new(FldConfig::default()).with_signal_interval(1);
-        for _ in 0..10 {
-            tx.enqueue(1, 64).unwrap();
-        }
-        assert_eq!(tx.signalled_count(), 10);
-        assert_eq!(tx.complete_up_to(1, 9), 10);
     }
 
     #[test]

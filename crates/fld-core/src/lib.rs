@@ -8,8 +8,6 @@
 //!   5.5);
 //! * [`memmodel`] — the driver memory model behind Tables 2 & 3 and
 //!   Figure 4, with per-optimization ablation toggles;
-//! * [`runtime`] — the software control plane (§ 5.3, Figure 5): the FLD
-//!   runtime library, FLD-E acceleration actions and FLD-R QP management;
 //! * [`host`] — calibrated host-CPU cores with an OS-interference process;
 //! * [`system`] — the FLD-E end-to-end discrete-event simulation
 //!   (client ⇆ NIC ⇆ PCIe ⇆ FLD ⇆ accelerator);
@@ -48,7 +46,6 @@ pub mod params;
 pub mod pool;
 pub mod rack;
 pub mod rdma_system;
-pub mod runtime;
 pub mod system;
 
 pub use hw::{FldConfig, FldDevice, FldRx, FldTx, TxBackpressure};
@@ -60,7 +57,6 @@ pub use rack::{
     TrafficPattern,
 };
 pub use rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
-pub use runtime::{AsyncError, FldEthQueue, FldRQp, FldRuntime};
 pub use system::{
     AccelOutput, AcceleratorModel, ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig,
 };

@@ -484,14 +484,6 @@ impl RackStats {
             .get(tenant as usize)
             .map_or(0, |h| h.percentile(99.0))
     }
-
-    /// p99 RTT of `tenant` over packets completed during fault windows
-    /// (0 when it completed none).
-    pub fn outage_p99_ns(&self, tenant: u16) -> u64 {
-        self.outage_rtt
-            .get(tenant as usize)
-            .map_or(0, |h| h.percentile(99.0))
-    }
 }
 
 /// The armed scheduled-fault state of a rack: the script, the

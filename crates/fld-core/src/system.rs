@@ -13,8 +13,6 @@
 //! and throughput ceilings emerge from serialization rather than being
 //! asserted.
 
-use bytes::Bytes;
-
 use fld_nic::eswitch::Verdict;
 use fld_nic::nic::{Nic, NicConfig};
 use fld_nic::packet::SimPacket;
@@ -78,15 +76,6 @@ impl EmitList {
     /// Whether nothing is emitted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Iterates over the entries.
-    pub fn iter(&self) -> std::slice::Iter<'_, EmitEntry> {
-        match self {
-            EmitList::None => [].iter(),
-            EmitList::One(e) => std::slice::from_ref(e).iter(),
-            EmitList::Many(v) => v.iter(),
-        }
     }
 
     /// Iterates mutably over the entries (e.g. to shift ready times).
@@ -358,11 +347,6 @@ impl ClientGen {
                 ));
             }),
         )
-    }
-
-    /// Responses received.
-    pub fn responses(&self) -> u64 {
-        self.responses
     }
 }
 
@@ -638,7 +622,6 @@ pub struct FldSystem {
     stats: RunStats,
     measure_from: SimTime,
     tenant_bytes: std::collections::HashMap<u32, u64>,
-    next_pkt_id: u64,
     // Fault injection (None unless [`FldSystem::enable_faults`] ran —
     // the zero-cost default leaves every hook a no-op).
     faults: Option<FaultInjector>,
@@ -781,8 +764,8 @@ impl std::hash::Hasher for FlowHasher {
     }
 }
 
-/// First packet id used for injected duplicates — far above both the
-/// generator's ids and `next_pkt_id`'s `1 << 40` base.
+/// First packet id used for injected duplicates — far above the
+/// generator's ids and the defrag accelerator's `1 << 48` base.
 const DUP_ID_BASE: u64 = 1 << 50;
 
 /// What the fault injector decided for one frame arriving on the wire.
@@ -897,10 +880,7 @@ impl FldSystem {
         let host_rng = rng.fork();
         let counters = CounterTree::new();
         let ctr = SysCounters::resolve(&counters, fld_cfg.tx_queues as usize, cfg.host_cores);
-        let mut nic = Nic::new(NicConfig {
-            tables: 4,
-            line_rate: cfg.params.line_rate,
-        });
+        let mut nic = Nic::new(NicConfig::default());
         nic.wire_counters(&counters, 0);
         FldSystem {
             cfg,
@@ -945,7 +925,6 @@ impl FldSystem {
             },
             measure_from: SimTime::ZERO,
             tenant_bytes: std::collections::HashMap::new(),
-            next_pkt_id: 1 << 40,
             faults: None,
             tx_queue_err: (0..fld_cfg.tx_queues)
                 .map(|_| QueueErrorMachine::new(SimDuration::from_micros(5)))
@@ -1235,11 +1214,6 @@ impl FldSystem {
     /// Enables the NIC's VXLAN decapsulation offload for `vni`.
     pub fn enable_vxlan_decap(&mut self, vni: u32) {
         self.vxlan_decap = Some(vni);
-    }
-
-    /// Packets decapsulated by the NIC offload so far.
-    pub fn decapsulated(&self) -> u64 {
-        self.decapped
     }
 
     /// Wire arrival at the NIC port: the link-fault injection point.
@@ -1753,20 +1727,6 @@ impl FldSystem {
         if matches!(self.gen.mode, GenMode::ClosedLoop { .. }) {
             self.schedule_gen(now, eng);
         }
-    }
-
-    /// Allocates a fresh packet id (for accelerators that synthesize
-    /// packets).
-    pub fn fresh_packet_id(&mut self) -> u64 {
-        let id = self.next_pkt_id;
-        self.next_pkt_id += 1;
-        id
-    }
-
-    /// Builds a functional packet from frame bytes.
-    pub fn packet_from_frame(&mut self, frame: Bytes, now: SimTime) -> SimPacket {
-        let id = self.fresh_packet_id();
-        SimPacket::from_frame(id, frame, now)
     }
 }
 

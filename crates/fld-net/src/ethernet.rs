@@ -30,8 +30,8 @@ pub const ETHERNET_MIN_FRAME: usize = 60;
 ///
 /// let m = MacAddr::new([0x02, 0, 0, 0, 0, 0x01]);
 /// assert_eq!(m.to_string(), "02:00:00:00:00:01");
-/// assert!(!m.is_broadcast());
-/// assert!(MacAddr::BROADCAST.is_broadcast());
+/// assert!(!m.is_multicast());
+/// assert!(MacAddr::BROADCAST.is_multicast());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MacAddr(pub [u8; 6]);
@@ -50,16 +50,6 @@ impl MacAddr {
     pub const fn local(id: u32) -> Self {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// The raw octets.
-    pub const fn octets(self) -> [u8; 6] {
-        self.0
-    }
-
-    /// Whether this is the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == MacAddr::BROADCAST
     }
 
     /// Whether the group (multicast) bit is set.

@@ -29,11 +29,6 @@ impl Ipv4Addr {
     pub const fn octets(self) -> [u8; 4] {
         self.0
     }
-
-    /// The address as a big-endian `u32`.
-    pub const fn as_u32(self) -> u32 {
-        u32::from_be_bytes(self.0)
-    }
 }
 
 impl fmt::Display for Ipv4Addr {

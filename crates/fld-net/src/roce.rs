@@ -105,10 +105,6 @@ impl BthOpcode {
     }
 }
 
-/// Length of an ACK Extended Transport Header (AETH), carried by
-/// Acknowledge packets after the BTH.
-pub const AETH_LEN: usize = 4;
-
 /// NAK codes (IBTA C9-142: the low five syndrome bits of a NAK).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NakCode {
@@ -123,31 +119,9 @@ pub enum NakCode {
     RemoteOperationalError,
 }
 
-impl NakCode {
-    /// The 5-bit code field value.
-    pub fn value(self) -> u8 {
-        match self {
-            NakCode::PsnSequenceError => 0,
-            NakCode::InvalidRequest => 1,
-            NakCode::RemoteAccessError => 2,
-            NakCode::RemoteOperationalError => 3,
-        }
-    }
-
-    /// Decodes the 5-bit code field.
-    pub fn from_value(v: u8) -> Option<NakCode> {
-        Some(match v {
-            0 => NakCode::PsnSequenceError,
-            1 => NakCode::InvalidRequest,
-            2 => NakCode::RemoteAccessError,
-            3 => NakCode::RemoteOperationalError,
-            _ => return None,
-        })
-    }
-}
-
 /// The AETH syndrome: positive ACK, RNR NAK with a backoff timer code,
-/// or a NAK with its error code (IBTA § 9.7.5.1.1).
+/// or a NAK with its error code (IBTA § 9.7.5.1.1). The RC model carries
+/// it in its packet struct; no ACK is serialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AethSyndrome {
     /// Positive acknowledgement.
@@ -160,82 +134,6 @@ pub enum AethSyndrome {
     },
     /// Negative acknowledgement with an error code.
     Nak(NakCode),
-}
-
-impl AethSyndrome {
-    /// Encodes the 8-bit syndrome field (bits 6:5 select ACK/RNR/NAK).
-    pub fn value(self) -> u8 {
-        match self {
-            AethSyndrome::Ack => 0x00,
-            AethSyndrome::RnrNak { timer } => 0x20 | (timer & 0x1f),
-            AethSyndrome::Nak(code) => 0x60 | code.value(),
-        }
-    }
-
-    /// Decodes a syndrome field.
-    pub fn from_value(v: u8) -> Option<AethSyndrome> {
-        match (v >> 5) & 0x3 {
-            0b00 => Some(AethSyndrome::Ack),
-            0b01 => Some(AethSyndrome::RnrNak { timer: v & 0x1f }),
-            0b11 => NakCode::from_value(v & 0x1f).map(AethSyndrome::Nak),
-            _ => None,
-        }
-    }
-
-    /// Whether this syndrome is any flavour of NAK.
-    pub fn is_nak(self) -> bool {
-        !matches!(self, AethSyndrome::Ack)
-    }
-}
-
-/// An ACK Extended Transport Header: syndrome plus the responder's
-/// 24-bit message sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Aeth {
-    /// ACK / RNR NAK / NAK discriminator.
-    pub syndrome: AethSyndrome,
-    /// Message sequence number (24 bits).
-    pub msn: u32,
-}
-
-impl Aeth {
-    /// Creates an AETH.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msn` exceeds 24 bits.
-    pub fn new(syndrome: AethSyndrome, msn: u32) -> Self {
-        assert!(msn < (1 << 24), "msn must fit in 24 bits");
-        Aeth { syndrome, msn }
-    }
-
-    /// Serializes the header into `buf`.
-    pub fn write(&self, buf: &mut BytesMut) {
-        let msn = self.msn.to_be_bytes();
-        buf.put_slice(&[self.syndrome.value(), msn[1], msn[2], msn[3]]);
-    }
-
-    /// Parses an AETH, returning it and the remaining bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for truncated buffers or reserved syndromes.
-    pub fn parse(data: &[u8]) -> Result<(Aeth, &[u8]), ParsePacketError> {
-        if data.len() < AETH_LEN {
-            return Err(ParsePacketError::Truncated {
-                layer: "aeth",
-                needed: AETH_LEN,
-                available: data.len(),
-            });
-        }
-        let syndrome = AethSyndrome::from_value(data[0]).ok_or(ParsePacketError::InvalidField {
-            layer: "aeth",
-            field: "syndrome",
-            value: data[0] as u64,
-        })?;
-        let msn = u32::from_be_bytes([0, data[1], data[2], data[3]]);
-        Ok((Aeth { syndrome, msn }, &data[AETH_LEN..]))
-    }
 }
 
 /// A Base Transport Header.
@@ -363,46 +261,6 @@ mod tests {
             Bth::parse(&buf),
             Err(ParsePacketError::InvalidField {
                 field: "opcode",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn aeth_round_trip() {
-        for syndrome in [
-            AethSyndrome::Ack,
-            AethSyndrome::RnrNak { timer: 14 },
-            AethSyndrome::Nak(NakCode::PsnSequenceError),
-            AethSyndrome::Nak(NakCode::InvalidRequest),
-            AethSyndrome::Nak(NakCode::RemoteAccessError),
-            AethSyndrome::Nak(NakCode::RemoteOperationalError),
-        ] {
-            let h = Aeth::new(syndrome, 0x00beef);
-            let mut buf = BytesMut::new();
-            h.write(&mut buf);
-            assert_eq!(buf.len(), AETH_LEN);
-            let (parsed, rest) = Aeth::parse(&buf).unwrap();
-            assert_eq!(parsed, h);
-            assert!(rest.is_empty());
-        }
-    }
-
-    #[test]
-    fn nak_flavours_are_naks() {
-        assert!(!AethSyndrome::Ack.is_nak());
-        assert!(AethSyndrome::RnrNak { timer: 0 }.is_nak());
-        assert!(AethSyndrome::Nak(NakCode::PsnSequenceError).is_nak());
-    }
-
-    #[test]
-    fn reserved_syndrome_rejected() {
-        // Bits 6:5 == 0b10 is reserved by the IBTA encoding.
-        assert_eq!(AethSyndrome::from_value(0x40), None);
-        assert!(matches!(
-            Aeth::parse(&[0x40, 0, 0, 1]),
-            Err(ParsePacketError::InvalidField {
-                field: "syndrome",
                 ..
             })
         ));

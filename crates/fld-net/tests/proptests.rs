@@ -21,7 +21,7 @@ use fld_net::frame::{
 use fld_net::ipv4::{
     fragment, IpProto, Ipv4Addr, Ipv4Header, Reassembler, ReassemblyResult, IPV4_HEADER_LEN,
 };
-use fld_net::roce::{Bth, BthOpcode};
+use fld_net::roce::{Bth, BthOpcode, BTH_LEN};
 use fld_net::tcp::TcpHeader;
 use fld_net::udp::UdpHeader;
 use fld_net::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
@@ -416,6 +416,29 @@ proptest! {
         let mut buf = bytes::BytesMut::new();
         hdr.write(&mut buf);
         prop_assert_eq!(Bth::parse(&buf).unwrap().0, hdr);
+    }
+
+    /// The BTH parser never panics on arbitrary bytes (the first byte is
+    /// a known opcode in most cases, so the `Ok` path is exercised). A
+    /// header that parses consumes exactly its 12 bytes and holds every
+    /// field the writer writes: re-encoding it reproduces the input but
+    /// for the bytes the writer zeroes.
+    #[test]
+    fn bth_parse_is_total(data in proptest::collection::vec(any::<u8>(), 0..32), op in 0usize..12) {
+        let mut data = data;
+        if let (Some(first), Some(opcode)) = (data.first_mut(), BthOpcode::from_value(op as u8)) {
+            *first = opcode.value();
+        }
+        if let Ok((hdr, rest)) = Bth::parse(&data) {
+            prop_assert_eq!(rest, &data[BTH_LEN..]);
+            let mut buf = bytes::BytesMut::new();
+            hdr.write(&mut buf);
+            let mut expected = data[..BTH_LEN].to_vec();
+            for reserved in [1, 4, 11] {
+                expected[reserved] = 0;
+            }
+            prop_assert_eq!(&buf[..], &expected[..]);
+        }
     }
 
     /// CoAP messages round-trip for arbitrary tokens and payloads.

@@ -170,7 +170,6 @@ impl Table {
 #[derive(Debug, Default)]
 pub struct Pipeline {
     tables: Vec<Table>,
-    hits: u64,
     misses: u64,
 }
 
@@ -182,7 +181,6 @@ impl Pipeline {
     pub fn new(tables: usize) -> Self {
         Pipeline {
             tables: (0..tables).map(|_| Table::default()).collect(),
-            hits: 0,
             misses: 0,
         }
     }
@@ -209,16 +207,6 @@ impl Pipeline {
         removed
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Rule hits since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Table misses since creation.
     pub fn misses(&self) -> u64 {
         self.misses
@@ -241,7 +229,6 @@ impl Pipeline {
                 self.misses += 1;
                 return (Verdict::Drop, effects);
             };
-            self.hits += 1;
             let mut next: Option<usize> = None;
             for action in &rule.actions {
                 match *action {

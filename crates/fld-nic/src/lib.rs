@@ -22,8 +22,8 @@
 //!   transmit shapers and counter subtrees over the eSwitch;
 //! * [`mprq`] — multi-packet receive queues bounding rx fragmentation
 //!   (§ 5.2);
-//! * [`queues`] — the conventional software-driver rings of § 2.2 (the
-//!   "Software" column of Table 3, as working code);
+//! * [`queues`] — the per-queue error state machine (flush in error,
+//!   then re-initialize);
 //! * [`nic`] — the aggregate device and its control-plane command surface.
 //!
 //! # Examples
@@ -61,10 +61,7 @@ pub use eswitch::{Action, MatchSpec, Pipeline, Rule, Verdict};
 pub use mprq::{Mprq, MprqPlacement};
 pub use nic::{Direction, Nic, NicConfig, NicError};
 pub use packet::{PacketMeta, SimPacket};
-pub use queues::{
-    CompletionQueue, QueueErrorMachine, QueueErrorState, SharedReceiveQueue, SoftwareDriverQueues,
-    SoftwareSendQueue,
-};
+pub use queues::{QueueErrorMachine, QueueErrorState};
 pub use rdma::{QpConfig, QpState, RcQp, RdmaEvent, RdmaPacket};
 pub use rss::RssContext;
 pub use shaper::{PolicerSet, PolicerVerdict};

@@ -1,17 +1,13 @@
-//! The NIC device model: vPorts, classification pipelines, RSS contexts,
-//! policers and RDMA queue pairs under one roof, plus the control-plane
-//! command interface the FLD runtime drives (paper Figure 5: the runtime
-//! library and kernel driver configure the NIC on behalf of the
-//! accelerator).
-
-use std::collections::HashMap;
+//! The NIC device model: classification pipelines, RSS contexts, policers
+//! and SR-IOV virtual functions under one roof, plus the control-plane
+//! command interface that installs rules on behalf of the accelerator
+//! (paper Figure 5).
 
 use fld_sim::counters::{Counter, CounterTree};
 use fld_sim::time::{Bandwidth, SimTime};
 
 use crate::eswitch::{Pipeline, Rule, SideEffects, Verdict};
 use crate::packet::PacketMeta;
-use crate::rdma::{QpConfig, RcQp};
 use crate::rss::RssContext;
 use crate::shaper::{PolicerSet, PolicerVerdict};
 use crate::vf::{SrIov, VfConfig, VfError};
@@ -28,8 +24,6 @@ pub enum Direction {
 /// Errors returned by the NIC command interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NicError {
-    /// Referenced QP does not exist.
-    UnknownQp(u32),
     /// Referenced RSS context does not exist.
     UnknownRss(u16),
     /// Referenced table does not exist.
@@ -41,7 +35,6 @@ pub enum NicError {
 impl std::fmt::Display for NicError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NicError::UnknownQp(qpn) => write!(f, "unknown qp {qpn}"),
             NicError::UnknownRss(id) => write!(f, "unknown rss context {id}"),
             NicError::UnknownTable(t) => write!(f, "unknown table {t}"),
             NicError::Vf(e) => write!(f, "{e}"),
@@ -62,16 +55,11 @@ impl std::error::Error for NicError {}
 pub struct NicConfig {
     /// Number of match-action tables per pipeline.
     pub tables: usize,
-    /// Ethernet port line rate (25 Gbps on the Innova-2).
-    pub line_rate: Bandwidth,
 }
 
 impl Default for NicConfig {
     fn default() -> Self {
-        NicConfig {
-            tables: 4,
-            line_rate: Bandwidth::gbps(25.0),
-        }
+        NicConfig { tables: 4 }
     }
 }
 
@@ -83,8 +71,6 @@ pub struct Nic {
     egress: Pipeline,
     rss_contexts: Vec<RssContext>,
     policers: PolicerSet,
-    qps: HashMap<u32, RcQp>,
-    next_qpn: u32,
     /// Packets dropped by policers.
     policer_drops: u64,
     /// Packets dropped by classification.
@@ -109,8 +95,6 @@ impl Nic {
             egress: Pipeline::new(config.tables),
             rss_contexts: Vec::new(),
             policers: PolicerSet::new(),
-            qps: HashMap::new(),
-            next_qpn: 0x100,
             policer_drops: 0,
             classifier_drops: 0,
             classifier_matches: 0,
@@ -150,12 +134,7 @@ impl Nic {
         }
     }
 
-    /// The configured line rate.
-    pub fn line_rate(&self) -> Bandwidth {
-        self.config.line_rate
-    }
-
-    // ---- control plane (driven by the FLD runtime / kernel driver) ----
+    // ---- control plane ----
 
     /// Installs a match-action rule.
     ///
@@ -242,36 +221,6 @@ impl Nic {
     pub fn create_rss(&mut self, queues: u16) -> u16 {
         self.rss_contexts.push(RssContext::new(queues));
         (self.rss_contexts.len() - 1) as u16
-    }
-
-    /// Creates a queue pair; returns its number.
-    pub fn create_qp(&mut self, config: QpConfig) -> u32 {
-        let qpn = self.next_qpn;
-        self.next_qpn += 1;
-        self.qps.insert(qpn, RcQp::new(qpn, config));
-        qpn
-    }
-
-    /// Connects a local QP to a peer QP number.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the QP does not exist.
-    pub fn connect_qp(&mut self, qpn: u32, peer: u32) -> Result<(), NicError> {
-        self.qps
-            .get_mut(&qpn)
-            .ok_or(NicError::UnknownQp(qpn))
-            .map(|qp| qp.connect(peer))
-    }
-
-    /// Mutable access to a QP (data-path polling).
-    pub fn qp_mut(&mut self, qpn: u32) -> Option<&mut RcQp> {
-        self.qps.get_mut(&qpn)
-    }
-
-    /// Shared access to a QP.
-    pub fn qp(&self, qpn: u32) -> Option<&RcQp> {
-        self.qps.get(&qpn)
     }
 
     /// Installs a maximum-bandwidth policer for a tenant context.
@@ -374,7 +323,7 @@ impl Nic {
     }
 
     /// Registers the NIC's telemetry under `prefix` (e.g.
-    /// `"{prefix}.eswitch.drops"`, `"{prefix}.rdma.retransmits"`).
+    /// `"{prefix}.eswitch.drops"`).
     pub fn export_metrics(&self, prefix: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
         registry.counter(format!("{prefix}.eswitch.drops"), self.classifier_drops);
         registry.counter(format!("{prefix}.eswitch.matches"), self.classifier_matches);
@@ -383,9 +332,6 @@ impl Nic {
             format!("{prefix}.rss_contexts"),
             self.rss_contexts.len() as u64,
         );
-        registry.counter(format!("{prefix}.qps"), self.qps.len() as u64);
-        let retransmits: u64 = self.qps.values().map(|qp| qp.retransmits()).sum();
-        registry.counter(format!("{prefix}.rdma.retransmits"), retransmits);
     }
 
     /// One probe: the aggregate shaper token level
@@ -478,22 +424,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, NicError::UnknownTable(99));
-    }
-
-    #[test]
-    fn qp_lifecycle() {
-        let mut nic = Nic::new(NicConfig::default());
-        let a = nic.create_qp(QpConfig::default());
-        let b = nic.create_qp(QpConfig::default());
-        assert_ne!(a, b);
-        nic.connect_qp(a, b).unwrap();
-        nic.connect_qp(b, a).unwrap();
-        assert!(nic.qp(a).is_some());
-        assert_eq!(nic.connect_qp(9999, a), Err(NicError::UnknownQp(9999)));
-        nic.qp_mut(a).unwrap().post_send(1, 100);
-        let mut pkts = nic.qp_mut(a).unwrap().poll_transmit(SimTime::ZERO);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts.next().map(|p| p.dest_qp), Some(b));
     }
 
     #[test]

@@ -1,245 +1,7 @@
-//! The conventional software-driver queue structures of § 2.2: *"Driver
-//! data-plane tasks commonly use host memory to exchange buffers and
-//! completions with the NIC over producer-consumer ring data structures."*
-//!
-//! These are the structures whose memory footprint Table 3's "Software"
-//! column prices (64 B WQEs × `f(N)` × `N_q` rings, shared 16 B-entry
-//! receive ring, 64 B CQEs) — implemented as real rings so the comparison
-//! against FLD's compressed forms is grounded in working code, and so the
-//! host-side models have a faithful substrate.
-
-use std::collections::VecDeque;
+//! Work-queue error handling: the mlx5-style state machine that flushes a
+//! queue's outstanding WQEs in error and re-initializes it.
 
 use fld_sim::time::{SimDuration, SimTime};
-
-use crate::wqe::{Cqe, TxDescriptor, SW_CQE_SIZE, SW_RX_DESC_SIZE, SW_TX_DESC_SIZE};
-
-/// A conventional per-queue transmit ring (power-of-two sized, § 4.3's
-/// `f(n)` rounding).
-#[derive(Debug)]
-pub struct SoftwareSendQueue {
-    entries: Vec<Option<TxDescriptor>>,
-    producer: u32,
-    consumer: u32,
-    doorbells: u64,
-}
-
-impl SoftwareSendQueue {
-    /// Creates a ring with capacity `f(min_entries)` (next power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_entries` is zero.
-    pub fn new(min_entries: u32) -> Self {
-        assert!(min_entries > 0, "ring cannot be empty");
-        let cap = min_entries.next_power_of_two();
-        let mut entries = Vec::with_capacity(cap as usize);
-        entries.resize_with(cap as usize, || None);
-        SoftwareSendQueue {
-            entries,
-            producer: 0,
-            consumer: 0,
-            doorbells: 0,
-        }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> u32 {
-        self.entries.len() as u32
-    }
-
-    /// Host-memory bytes this ring occupies (the Table 3 `S_txq` per-queue
-    /// term).
-    pub fn memory_bytes(&self) -> u64 {
-        self.capacity() as u64 * SW_TX_DESC_SIZE as u64
-    }
-
-    /// Outstanding (posted, uncompleted) descriptors.
-    pub fn in_flight(&self) -> u32 {
-        self.producer - self.consumer
-    }
-
-    /// Posts a descriptor; `false` when the ring is full.
-    pub fn post(&mut self, desc: TxDescriptor) -> bool {
-        if self.in_flight() == self.capacity() {
-            return false;
-        }
-        let slot = (self.producer % self.capacity()) as usize;
-        self.entries[slot] = Some(desc);
-        self.producer += 1;
-        true
-    }
-
-    /// Rings the doorbell (MMIO), announcing the current producer index.
-    pub fn ring_doorbell(&mut self) -> u32 {
-        self.doorbells += 1;
-        self.producer
-    }
-
-    /// Doorbells rung.
-    pub fn doorbells(&self) -> u64 {
-        self.doorbells
-    }
-
-    /// NIC side: fetches the next posted descriptor, if any.
-    pub fn nic_fetch(&mut self) -> Option<(u32, TxDescriptor)> {
-        if self.consumer == self.producer {
-            return None;
-        }
-        let idx = self.consumer;
-        let slot = (idx % self.capacity()) as usize;
-        let desc = self.entries[slot].take().expect("posted slot populated");
-        self.consumer += 1;
-        Some((idx, desc))
-    }
-}
-
-/// The shared receive ring + buffer pool of § 2.2 ("NICs allow sharing
-/// their data buffers through a shared receive queue").
-#[derive(Debug)]
-pub struct SharedReceiveQueue {
-    /// Posted buffer handles (opaque addresses).
-    posted: VecDeque<u64>,
-    capacity: u32,
-    consumed: u64,
-}
-
-impl SharedReceiveQueue {
-    /// Creates an SRQ of `f(min_entries)` descriptors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_entries` is zero.
-    pub fn new(min_entries: u32) -> Self {
-        assert!(min_entries > 0, "ring cannot be empty");
-        SharedReceiveQueue {
-            posted: VecDeque::new(),
-            capacity: min_entries.next_power_of_two(),
-            consumed: 0,
-        }
-    }
-
-    /// Host-memory bytes of the descriptor ring (`S_srq`).
-    pub fn memory_bytes(&self) -> u64 {
-        self.capacity as u64 * SW_RX_DESC_SIZE as u64
-    }
-
-    /// Posts a receive buffer; `false` when the ring is full.
-    pub fn post(&mut self, buffer_addr: u64) -> bool {
-        if self.posted.len() as u32 == self.capacity {
-            return false;
-        }
-        self.posted.push_back(buffer_addr);
-        true
-    }
-
-    /// NIC side: consumes a buffer for an incoming packet.
-    pub fn nic_consume(&mut self) -> Option<u64> {
-        let b = self.posted.pop_front()?;
-        self.consumed += 1;
-        Some(b)
-    }
-
-    /// Buffers available to the NIC.
-    pub fn available(&self) -> u32 {
-        self.posted.len() as u32
-    }
-
-    /// Buffers consumed over the queue's lifetime.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-}
-
-/// A completion queue shared by many work queues (§ 2.2: "completion
-/// queues can be shared among different transmit and receive queues").
-#[derive(Debug)]
-pub struct CompletionQueue {
-    entries: VecDeque<Cqe>,
-    capacity: u32,
-    overflows: u64,
-}
-
-impl CompletionQueue {
-    /// Creates a CQ of `f(min_entries)` CQEs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_entries` is zero.
-    pub fn new(min_entries: u32) -> Self {
-        assert!(min_entries > 0, "ring cannot be empty");
-        CompletionQueue {
-            entries: VecDeque::new(),
-            capacity: min_entries.next_power_of_two(),
-            overflows: 0,
-        }
-    }
-
-    /// Host-memory bytes (`S_cq` contribution).
-    pub fn memory_bytes(&self) -> u64 {
-        self.capacity as u64 * SW_CQE_SIZE as u64
-    }
-
-    /// NIC side: writes a completion. A full CQ is a fatal driver error in
-    /// real hardware; here it is counted and the entry dropped.
-    pub fn nic_push(&mut self, cqe: Cqe) {
-        if self.entries.len() as u32 == self.capacity {
-            self.overflows += 1;
-            return;
-        }
-        self.entries.push_back(cqe);
-    }
-
-    /// Driver side: polls one completion.
-    pub fn poll(&mut self) -> Option<Cqe> {
-        self.entries.pop_front()
-    }
-
-    /// CQ overflow events (must stay zero in a correctly sized system).
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-}
-
-/// A complete conventional driver queue set sized per Table 2a/3, for
-/// memory-accounting comparisons against FLD.
-#[derive(Debug)]
-pub struct SoftwareDriverQueues {
-    /// Per-queue transmit rings.
-    pub send_queues: Vec<SoftwareSendQueue>,
-    /// The shared receive ring.
-    pub srq: SharedReceiveQueue,
-    /// One shared CQ for transmit, one for receive.
-    pub tx_cq: CompletionQueue,
-    /// Receive completion queue.
-    pub rx_cq: CompletionQueue,
-}
-
-impl SoftwareDriverQueues {
-    /// Allocates the § 4.3 example configuration: `n_queues` send rings of
-    /// `n_txdesc` entries, an SRQ of `n_rxdesc`, and shared CQs.
-    pub fn provision(n_queues: u32, n_txdesc: u32, n_rxdesc: u32) -> Self {
-        SoftwareDriverQueues {
-            send_queues: (0..n_queues)
-                .map(|_| SoftwareSendQueue::new(n_txdesc))
-                .collect(),
-            srq: SharedReceiveQueue::new(n_rxdesc),
-            tx_cq: CompletionQueue::new(n_txdesc),
-            rx_cq: CompletionQueue::new(n_rxdesc),
-        }
-    }
-
-    /// Total ring memory in bytes (excludes data buffers).
-    pub fn ring_memory_bytes(&self) -> u64 {
-        self.send_queues
-            .iter()
-            .map(SoftwareSendQueue::memory_bytes)
-            .sum::<u64>()
-            + self.srq.memory_bytes()
-            + self.tx_cq.memory_bytes()
-            + self.rx_cq.memory_bytes()
-    }
-}
 
 /// Lifecycle state of a work queue with respect to errors (the mlx5
 /// model: `RST → RDY → ERR → RST → RDY`, driven by the driver after an
@@ -356,92 +118,6 @@ impl QueueErrorMachine {
 mod tests {
     use super::*;
 
-    fn desc(len: u32) -> TxDescriptor {
-        TxDescriptor {
-            addr: 0x1000,
-            len,
-            lkey: 1,
-            queue: 0,
-            signalled: true,
-            offload_flags: 0,
-        }
-    }
-
-    #[test]
-    fn send_queue_rounds_to_power_of_two() {
-        let q = SoftwareSendQueue::new(1133);
-        assert_eq!(q.capacity(), 2048);
-        assert_eq!(q.memory_bytes(), 2048 * 64);
-    }
-
-    #[test]
-    fn send_queue_post_fetch_cycle() {
-        let mut q = SoftwareSendQueue::new(4);
-        assert!(q.post(desc(100)));
-        assert!(q.post(desc(200)));
-        assert_eq!(q.ring_doorbell(), 2);
-        let (i0, d0) = q.nic_fetch().unwrap();
-        assert_eq!((i0, d0.len), (0, 100));
-        let (i1, d1) = q.nic_fetch().unwrap();
-        assert_eq!((i1, d1.len), (1, 200));
-        assert!(q.nic_fetch().is_none());
-        assert_eq!(q.doorbells(), 1);
-    }
-
-    #[test]
-    fn send_queue_full_rejects() {
-        let mut q = SoftwareSendQueue::new(2);
-        assert!(q.post(desc(1)));
-        assert!(q.post(desc(2)));
-        assert!(!q.post(desc(3)), "full ring must reject");
-        q.nic_fetch();
-        assert!(q.post(desc(3)), "space after fetch");
-    }
-
-    #[test]
-    fn send_queue_wraps() {
-        let mut q = SoftwareSendQueue::new(2);
-        for i in 0..100u32 {
-            assert!(q.post(desc(i)));
-            let (_, d) = q.nic_fetch().unwrap();
-            assert_eq!(d.len, i);
-        }
-    }
-
-    #[test]
-    fn srq_shares_buffers_fifo() {
-        let mut srq = SharedReceiveQueue::new(200);
-        assert_eq!(srq.memory_bytes(), 256 * 16); // f(200)=256, Table 3 S_srq shape
-        for a in 0..10u64 {
-            assert!(srq.post(0x1000 + a));
-        }
-        assert_eq!(srq.nic_consume(), Some(0x1000));
-        assert_eq!(srq.nic_consume(), Some(0x1001));
-        assert_eq!(srq.available(), 8);
-        assert_eq!(srq.consumed(), 2);
-    }
-
-    #[test]
-    fn cq_overflow_counted() {
-        let mut cq = CompletionQueue::new(2);
-        let cqe = Cqe {
-            queue: 0,
-            wqe_index: 0,
-            byte_len: 0,
-            rss_hash: 0,
-            context_id: 0,
-            checksum_ok: true,
-            end_of_message: true,
-        };
-        cq.nic_push(cqe);
-        cq.nic_push(cqe);
-        cq.nic_push(cqe); // overflow
-        assert_eq!(cq.overflows(), 1);
-        assert!(cq.poll().is_some());
-        assert!(cq.poll().is_some());
-        assert!(cq.poll().is_none());
-    }
-
     #[test]
     fn error_machine_flushes_then_reinits() {
         let mut m = QueueErrorMachine::new(SimDuration::from_micros(5));
@@ -465,22 +141,5 @@ mod tests {
         // And can fail again.
         assert_eq!(m.on_error_cqe(SimTime::from_millis(1), 1), 1);
         assert_eq!(m.flushed_in_error(), 4);
-    }
-
-    /// The real rings priced by Table 3: 512 queues of f(1133) 64 B WQEs +
-    /// f(227)-entry SRQ + shared CQs = the 64 MiB + 4 KiB + 144 KiB terms.
-    #[test]
-    fn provisioned_memory_matches_table3_terms() {
-        let q = SoftwareDriverQueues::provision(512, 1133, 227);
-        let tx_rings: u64 = q
-            .send_queues
-            .iter()
-            .map(SoftwareSendQueue::memory_bytes)
-            .sum();
-        assert_eq!(tx_rings, 64 * 1024 * 1024);
-        assert_eq!(q.srq.memory_bytes(), 4096);
-        assert_eq!(q.tx_cq.memory_bytes() + q.rx_cq.memory_bytes(), 144 * 1024);
-        // The grand total matches Table 3's ring terms exactly.
-        assert_eq!(q.ring_memory_bytes(), 64 * 1024 * 1024 + 4096 + 144 * 1024);
     }
 }

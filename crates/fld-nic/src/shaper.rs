@@ -35,7 +35,6 @@ pub enum PolicerVerdict {
 #[derive(Debug, Default)]
 pub struct PolicerSet {
     policers: HashMap<u32, TokenBucket>,
-    conformed: u64,
     exceeded: u64,
 }
 
@@ -63,7 +62,6 @@ impl PolicerSet {
             Some(tb) => {
                 if tb.earliest_send(now, bytes) <= now {
                     tb.consume(now, bytes);
-                    self.conformed += 1;
                     PolicerVerdict::Conform
                 } else {
                     self.exceeded += 1;
@@ -73,24 +71,9 @@ impl PolicerSet {
         }
     }
 
-    /// Packets that conformed.
-    pub fn conformed(&self) -> u64 {
-        self.conformed
-    }
-
     /// Packets dropped as exceeding their rate.
     pub fn exceeded(&self) -> u64 {
         self.exceeded
-    }
-
-    /// Number of installed policers.
-    pub fn len(&self) -> usize {
-        self.policers.len()
-    }
-
-    /// Whether no policers are installed.
-    pub fn is_empty(&self) -> bool {
-        self.policers.is_empty()
     }
 
     /// Total token bytes available across all policers after refilling to

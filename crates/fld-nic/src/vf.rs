@@ -212,11 +212,6 @@ impl SrIov {
         !self.vfs.is_empty()
     }
 
-    /// Number of VFs.
-    pub fn num_vfs(&self) -> usize {
-        self.vfs.len()
-    }
-
     /// Creates a VF; returns its id. Wired into the counter tree
     /// immediately when [`SrIov::wire_counters`] already ran.
     pub fn create_vf(&mut self, cfg: VfConfig) -> u16 {

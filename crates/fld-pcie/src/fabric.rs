@@ -69,11 +69,6 @@ impl SwitchPort {
         }
     }
 
-    /// Bytes currently queued for the wire at `now`.
-    pub fn queued_bytes(&self, now: SimTime) -> u64 {
-        self.link.queued_bytes(now)
-    }
-
     /// Whether a sender should be backpressured right now (buffer at or
     /// above the limit) — the paper's tuning knob.
     pub fn should_backpressure(&self, now: SimTime) -> bool {
@@ -110,30 +105,11 @@ impl SwitchPort {
         self.backpressured
     }
 
-    /// The configured output-buffer capacity in bytes.
-    pub fn buffer_limit(&self) -> u64 {
-        self.link.buffer()
-    }
-
     /// Remaining output-buffer credits in bytes at `now` — the PCIe
     /// credit-count flight-recorder probe. Saturates at zero while the
     /// port is driven past its backpressure limit.
     pub fn buffer_credits(&self, now: SimTime) -> u64 {
         self.link.credits(now)
-    }
-
-    /// Total bytes ever forwarded (for per-window utilization probes).
-    pub fn bytes_forwarded(&self) -> u64 {
-        self.link.bytes_sent()
-    }
-
-    /// Registers the port's telemetry under `prefix`
-    /// (`"{prefix}.control_delay_ns"`, `"{prefix}.backpressured"`, …).
-    pub fn export_metrics(&self, prefix: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
-        registry.histogram(format!("{prefix}.control_delay_ns"), &self.control_delays);
-        registry.counter(format!("{prefix}.backpressured"), self.backpressured);
-        registry.counter(format!("{prefix}.bytes_forwarded"), self.link.bytes_sent());
-        registry.counter(format!("{prefix}.tlps_forwarded"), self.link.units_sent());
     }
 }
 

@@ -131,11 +131,6 @@ impl FldModel {
         model
     }
 
-    /// The PCIe configuration in use.
-    pub fn pcie(&self) -> &PcieConfig {
-        &self.pcie
-    }
-
     /// Raw-Ethernet goodput bound for `frame_len`-byte frames at `line`:
     /// the "Ethernet" curves of Figure 7a.
     pub fn ethernet_goodput(frame_len: u32, line: Bandwidth) -> f64 {

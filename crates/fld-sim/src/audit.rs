@@ -93,11 +93,6 @@ impl Auditor {
         self
     }
 
-    /// Whether this auditor escalates violations to panics.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Records the outcome of one invariant check.
     ///
     /// `component` and `detail` are only rendered on failure, so call
@@ -281,11 +276,6 @@ impl Auditor {
             }
         }
         self.psn_key = key;
-    }
-
-    /// Checks evaluated so far.
-    pub fn checks(&self) -> u64 {
-        self.checks
     }
 
     /// Violations observed so far (including ones beyond the recording cap).

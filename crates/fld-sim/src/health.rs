@@ -42,18 +42,6 @@ pub enum HealthState {
     Recovering,
 }
 
-impl HealthState {
-    /// Stable lower-case name (metric keys, rendered tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
-            HealthState::Down => "down",
-            HealthState::Recovering => "recovering",
-        }
-    }
-}
-
 /// Watchdog cadence and escalation thresholds.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
@@ -78,14 +66,6 @@ impl Default for HealthConfig {
 /// Opaque handle for one registered entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthId(usize);
-
-impl HealthId {
-    /// The entity's dense registration index (stable for the monitor's
-    /// lifetime; usable as a `Vec` index by the caller).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// A state transition surfaced by [`HealthMonitor::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,21 +257,6 @@ impl HealthMonitor {
     /// `id`'s current state.
     pub fn state(&self, id: HealthId) -> HealthState {
         self.entities[id.0].state
-    }
-
-    /// `id`'s label.
-    pub fn label(&self, id: HealthId) -> &str {
-        &self.entities[id.0].label
-    }
-
-    /// Number of registered entities.
-    pub fn len(&self) -> usize {
-        self.entities.len()
-    }
-
-    /// Whether no entities are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
     }
 
     /// Whether every entity is Healthy (vacuously true when empty).

@@ -120,11 +120,6 @@ impl Link {
         self.bandwidth
     }
 
-    /// The configured propagation delay.
-    pub fn propagation(&self) -> SimDuration {
-        self.propagation
-    }
-
     /// Enqueues `bytes` at time `now`; returns the arrival instant at the far
     /// end.
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
@@ -261,11 +256,6 @@ impl TokenBucket {
             burst_ps,
             last_update: SimTime::ZERO,
         }
-    }
-
-    /// The shaping rate.
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
     }
 
     /// The burst size in bytes.

@@ -174,19 +174,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-
-    /// Iterates `(name, value)` in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Serializes the snapshot as pretty-printed hierarchical JSON.

@@ -128,11 +128,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000_000)
     }
 
-    /// Creates a duration from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000_000)
-    }
-
     /// Creates a duration from fractional seconds.
     ///
     /// # Panics
@@ -321,15 +316,6 @@ impl Bandwidth {
     /// Serialization time for `bits` at this bandwidth.
     pub fn time_for_bits(self, bits: u64) -> SimDuration {
         SimDuration::from_picos(round_to_u64((bits as f64) * 1e12 / self.0))
-    }
-
-    /// Scales the bandwidth by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaled value is not a positive finite number.
-    pub fn scaled(self, factor: f64) -> Bandwidth {
-        Bandwidth::bps(self.0 * factor)
     }
 }
 
