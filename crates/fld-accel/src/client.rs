@@ -66,19 +66,6 @@ impl CryptoSession {
         .encode()
     }
 
-    /// Builds the wire request for an integrity tag over `message`.
-    pub fn integrity_request(&self, count: u32, message: &[u8]) -> Vec<u8> {
-        CryptoRequest {
-            op: CryptoOp::Eia3Integrity,
-            key: self.key,
-            count,
-            bearer: self.bearer,
-            direction: self.direction,
-            payload: message.to_vec(),
-        }
-        .encode()
-    }
-
     /// Interprets a cipher response, returning the processed payload.
     ///
     /// # Errors
@@ -152,8 +139,15 @@ mod tests {
 
     #[test]
     fn integrity_request_round_trips() {
-        let session = CryptoSession::new([2u8; 16], 1, 0);
-        let request = session.integrity_request(9, b"signalling message");
+        let request = CryptoRequest {
+            op: CryptoOp::Eia3Integrity,
+            key: [2u8; 16],
+            count: 9,
+            bearer: 1,
+            direction: 0,
+            payload: b"signalling message".to_vec(),
+        }
+        .encode();
         let response = CryptoSession::serve(&request).unwrap();
         let resp = CryptoRequest::decode(&response).unwrap();
         assert_eq!(resp.payload.len(), 4, "EIA3 MAC is 32 bits");

@@ -44,11 +44,6 @@ impl DefragAccelerator {
         DefragAccelerator::new(1024, SimDuration::from_nanos(40))
     }
 
-    /// Complete datagrams emitted.
-    pub fn datagrams_out(&self) -> u64 {
-        self.datagrams_out
-    }
-
     fn rebuild_frame(eth: &EthernetHeader, ip: &Ipv4Header, payload: &[u8]) -> bytes::Bytes {
         let mut buf = BytesMut::with_capacity(14 + ip.total_len as usize);
         eth.write(&mut buf);
@@ -162,7 +157,7 @@ mod tests {
         let parsed = ParsedFrame::parse(pkt.bytes.as_ref().unwrap()).unwrap();
         assert!(matches!(parsed.l4, L4::Udp(_)));
         assert_eq!(parsed.payload.len(), 3000);
-        assert_eq!(acc.datagrams_out(), 1);
+        assert_eq!(acc.datagrams_out, 1);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         let out = acc.process(pkt, Some(3), SimTime::ZERO);
         assert_eq!(out.emit.len(), 1);
         assert_eq!(out.emit[0].3.id, 5);
-        assert_eq!(acc.datagrams_out(), 0);
+        assert_eq!(acc.datagrams_out, 0);
     }
 
     #[test]

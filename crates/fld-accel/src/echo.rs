@@ -13,7 +13,6 @@ pub struct EchoAccelerator {
     capacity: Bandwidth,
     latency: SimDuration,
     next_free: SimTime,
-    processed: u64,
 }
 
 impl EchoAccelerator {
@@ -24,18 +23,12 @@ impl EchoAccelerator {
             capacity,
             latency,
             next_free: SimTime::ZERO,
-            processed: 0,
         }
     }
 
     /// The § 6 prototype: 100 Gbps internal width, one pipeline stage.
     pub fn prototype() -> Self {
         EchoAccelerator::new(Bandwidth::gbps(100.0), SimDuration::from_nanos(60))
-    }
-
-    /// Packets echoed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 }
 
@@ -44,7 +37,6 @@ impl AcceleratorModel for EchoAccelerator {
         let start = now.max(self.next_free);
         let done = start + self.capacity.time_for_bytes(pkt.len as u64) + self.latency;
         self.next_free = done - self.latency;
-        self.processed += 1;
         AccelOutput {
             consumed_at: done,
             emit: EmitList::one((done, 0, next_table, pkt)),
@@ -89,7 +81,6 @@ mod tests {
         let b = e.process(pkt(2, 1250), None, SimTime::ZERO);
         assert_eq!(a.emit[0].0.as_nanos(), 1000);
         assert_eq!(b.emit[0].0.as_nanos(), 2000);
-        assert_eq!(e.processed(), 2);
     }
 
     #[test]
@@ -98,6 +89,6 @@ mod tests {
         e.process(pkt(1, 1250), None, SimTime::ZERO);
         let late = SimTime::from_micros(100);
         let out = e.process(pkt(2, 1250), None, late);
-        assert_eq!((out.emit[0].0 - late).as_nanos(), 1000);
+        assert_eq!(out.emit[0].0.since(late).as_nanos(), 1000);
     }
 }

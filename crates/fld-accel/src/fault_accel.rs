@@ -106,7 +106,9 @@ mod tests {
     }
 
     fn wrapped(rate: f64, seed: u64) -> StallingAccelerator<EchoAccelerator> {
-        let plan = FaultPlan::new(rate, seed).with_kinds(&[FaultKind::AccelStall]);
+        let plan = FaultPlan::new(rate, seed)
+            .with_kinds_csv("accel_stall")
+            .unwrap();
         let injector = plan.injector("accel", &FaultLedger::new());
         StallingAccelerator::new(
             EchoAccelerator::prototype(),
@@ -137,14 +139,14 @@ mod tests {
         assert_eq!(faulty.stalls(), 1);
         assert!(out.emit[0].0 > base.emit[0].0, "stall must add delay");
         assert_eq!(
-            (out.emit[0].0 - base.emit[0].0),
+            out.emit[0].0.since(base.emit[0].0),
             faulty.stalled_for(),
             "all lost time is accounted"
         );
         let ledger = faulty.injector.ledger().clone();
         assert_eq!(ledger.injected_total(), 1);
         assert_eq!(ledger.recovered(), 1);
-        assert_eq!(ledger.unaccounted(), 0);
+        assert_eq!(ledger.summary().unaccounted(), 0);
     }
 
     #[test]
@@ -168,7 +170,7 @@ mod tests {
             faulty.process(pkt(id), None, SimTime::ZERO);
         }
         assert_eq!(
-            tree.get("faults/accel/accel_stall"),
+            tree.snapshot().get("faults/accel/accel_stall"),
             Some(faulty.stalls()),
             "every injected stall is attributed to its counter path"
         );

@@ -71,21 +71,6 @@ impl IotAuthAccelerator {
         self.keys[idx] = key.to_vec();
     }
 
-    /// Packets that passed authentication.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Packets dropped for invalid/missing tokens.
-    pub fn rejected_auth(&self) -> u64 {
-        self.rejected_auth
-    }
-
-    /// Packets dropped by the capacity limiter.
-    pub fn dropped_capacity(&self) -> u64 {
-        self.dropped_capacity
-    }
-
     /// Extracts and validates the token of a functional packet; synthetic
     /// packets (no bytes) are treated as carrying valid tokens so pure
     /// performance runs need not build real crypto traffic.
@@ -201,8 +186,8 @@ mod tests {
         acc.set_key(3, b"tenant-3-key");
         let out = acc.process(token_packet(b"tenant-3-key", 3), Some(2), SimTime::ZERO);
         assert_eq!(out.emit.len(), 1);
-        assert_eq!(acc.accepted(), 1);
-        assert_eq!(acc.rejected_auth(), 0);
+        assert_eq!(acc.accepted, 1);
+        assert_eq!(acc.rejected_auth, 0);
     }
 
     #[test]
@@ -215,7 +200,7 @@ mod tests {
         // Unknown tenant id.
         let out = acc.process(token_packet(b"tenant-3-key", 9), None, SimTime::ZERO);
         assert!(out.emit.is_empty());
-        assert_eq!(acc.rejected_auth(), 2);
+        assert_eq!(acc.rejected_auth, 2);
     }
 
     #[test]
@@ -262,8 +247,8 @@ mod tests {
             offered += 1;
             now += gap;
         }
-        let frac = acc.accepted() as f64 / offered as f64;
+        let frac = acc.accepted as f64 / offered as f64;
         assert!((frac - 0.5).abs() < 0.05, "accepted fraction {frac}");
-        assert!(acc.dropped_capacity() > 0);
+        assert!(acc.dropped_capacity > 0);
     }
 }

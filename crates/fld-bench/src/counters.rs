@@ -94,36 +94,65 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal: every escape `JsonWriter` emits (`\"`, `\\`,
+    /// `\n`, `\r`, `\t`, `\uXXXX`) plus `\/`; unescaped bytes are
+    /// decoded as UTF-8.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos).copied() {
+            let start = self.pos;
+            while self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|e| format!("invalid UTF-8 in string at byte {start}: {e}"))?;
+            out.push_str(run);
+            match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        other => {
-                            return Err(format!("unsupported escape {other:?}"));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    out.push(b as char);
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the
+    /// backslash and ends just past the escape.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let c = match self.bytes.get(at).copied() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let code = self
+                    .bytes
+                    .get(at + 1..at + 5)
+                    .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|hex| std::str::from_utf8(hex).ok())
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+                self.pos += 4;
+                code
+            }
+            other => return Err(format!("unsupported escape {other:?} at byte {at}")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn integer(&mut self) -> Result<u64, String> {
@@ -238,14 +267,6 @@ impl Thresholds {
     pub fn exact() -> Thresholds {
         Thresholds {
             default: 0.0,
-            per_prefix: Vec::new(),
-        }
-    }
-
-    /// Uniform relative tolerance.
-    pub fn uniform(default: f64) -> Thresholds {
-        Thresholds {
-            default,
             per_prefix: Vec::new(),
         }
     }
@@ -395,7 +416,11 @@ mod tests {
         let thr = Thresholds::exact().with_prefix("faults", 0.5);
         assert_eq!(diff(&a, &b, &thr).unwrap(), Vec::new());
         // Longest prefix wins over a shorter, looser one.
-        let thr = Thresholds::uniform(1.0).with_prefix("faults/fld/drop", 0.1);
+        let thr = Thresholds {
+            default: 1.0,
+            ..Thresholds::exact()
+        }
+        .with_prefix("faults/fld/drop", 0.1);
         assert_eq!(diff(&a, &b, &thr).unwrap().len(), 1);
     }
 

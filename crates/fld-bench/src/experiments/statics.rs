@@ -1,8 +1,8 @@
-//! Literature-constant tables: Table 1 (architecture comparison) and
-//! Table 5 (hardware utilization). These report the paper's published
-//! numbers — FPGA resource counts are not reproducible in a software model
-//! — augmented with measurements of *this* reproduction where they exist
-//! (software LOC, feature coverage of our models).
+//! Literature-constant tables: Table 1 (architecture comparison), Table 4
+//! (software LOC) and Table 5 (hardware utilization). These report the
+//! paper's published numbers — FPGA resource counts are not reproducible
+//! in a software model. [`loc`] puts this reproduction's own LOC beside
+//! the paper's.
 
 use std::path::Path;
 
@@ -123,9 +123,74 @@ pub fn table1() -> String {
     out
 }
 
-/// Reproduces Table 5: hardware resource utilization and LOC, with our
-/// software-model LOC alongside the paper's Verilog LOC.
-pub fn table5(repo_root: &Path) -> String {
+/// Table 4's rows: the paper's component and its LOC, then the part of
+/// this reproduction that models it and where that part's source lives.
+const TABLE4: [[&str; 4]; 6] = [
+    [
+        "FLD runtime library",
+        "3753",
+        "fld-core (hw+system)",
+        "crates/fld-core/src",
+    ],
+    [
+        "FLD kernel driver",
+        "1137",
+        "fld-nic (NIC command surface)",
+        "crates/fld-nic/src/nic.rs",
+    ],
+    [
+        "FLD-E control-plane",
+        "1554",
+        "eswitch (FLD-E rules)",
+        "crates/fld-nic/src/eswitch.rs",
+    ],
+    [
+        "FLD-R control-plane",
+        "1510",
+        "rdma + rdma_system",
+        "crates/fld-nic/src/rdma.rs",
+    ],
+    [
+        "FLD-R client library",
+        "754",
+        "fld-accel client",
+        "crates/fld-accel/src/client.rs",
+    ],
+    [
+        "ZUC DPDK driver",
+        "732",
+        "zuc_accel (protocol+model)",
+        "crates/fld-accel/src/zuc_accel.rs",
+    ],
+];
+
+/// Table 5's rows (module, clock, LUT, FF, BRAM, URAM, HW LOC), then the
+/// source of this reproduction's model of the module.
+const TABLE5: [([&str; 7], &str); 5] = [
+    (
+        ["FLD", "250", "50K", "66K", "35", "44", "11K"],
+        "crates/fld-core/src",
+    ),
+    (
+        ["PCIe core", "250", "12K", "23K", "44", "-", "-"],
+        "crates/fld-pcie/src",
+    ),
+    (
+        ["ZUC", "200", "38K", "37K", "242", "-", "6K"],
+        "crates/fld-crypto/src/zuc.rs",
+    ),
+    (
+        ["IP defrag.", "250", "17K", "16K", "984", "64", "2K"],
+        "crates/fld-accel/src/defrag_accel.rs",
+    ),
+    (
+        ["IoT auth.", "200", "118K", "138K", "293", "-", "8K"],
+        "crates/fld-accel/src/iot_accel.rs",
+    ),
+];
+
+/// Reproduces Table 5: hardware resource utilization and HW LOC.
+pub fn table5() -> String {
     let mut t = TextTable::new(vec![
         "Module",
         "Clk",
@@ -134,72 +199,35 @@ pub fn table5(repo_root: &Path) -> String {
         "BRAM",
         "URAM",
         "HW LOC (paper)",
-        "Model LOC (ours)",
     ]);
-    let ours = |rel: &str| -> String {
-        count_dir(&repo_root.join(rel))
-            .map(|n| n.to_string())
-            .unwrap_or_else(|_| "?".into())
-    };
-    t.row(vec![
-        "FLD".to_string(),
-        "250".into(),
-        "50K".into(),
-        "66K".into(),
-        "35".into(),
-        "44".into(),
-        "11K".into(),
-        ours("crates/fld-core/src"),
-    ]);
-    t.row(vec![
-        "PCIe core".to_string(),
-        "250".into(),
-        "12K".into(),
-        "23K".into(),
-        "44".into(),
-        "-".into(),
-        "-".into(),
-        ours("crates/fld-pcie/src"),
-    ]);
-    t.row(vec![
-        "ZUC".to_string(),
-        "200".into(),
-        "38K".into(),
-        "37K".into(),
-        "242".into(),
-        "-".into(),
-        "6K".into(),
-        ours("crates/fld-crypto/src/zuc.rs"),
-    ]);
-    t.row(vec![
-        "IP defrag.".to_string(),
-        "250".into(),
-        "17K".into(),
-        "16K".into(),
-        "984".into(),
-        "64".into(),
-        "2K".into(),
-        ours("crates/fld-accel/src/defrag_accel.rs"),
-    ]);
-    t.row(vec![
-        "IoT auth.".to_string(),
-        "200".into(),
-        "118K".into(),
-        "138K".into(),
-        "293".into(),
-        "-".into(),
-        "8K".into(),
-        ours("crates/fld-accel/src/iot_accel.rs"),
-    ]);
+    for (row, _) in TABLE5 {
+        t.row(row.to_vec());
+    }
     format!(
         "Table 5: hardware utilization (paper values; FPGA resources are not\n\
-         reproducible in software) with this reproduction's model LOC\n{}",
+         reproducible in software; this reproduction's model LOC: `exp loc`)\n{}",
         t.render()
     )
 }
 
 /// Reproduces Table 4: software lines of code per component.
-pub fn table4(repo_root: &Path) -> String {
+pub fn table4() -> String {
+    let mut t = TextTable::new(vec!["Component (paper)", "LOC (paper)"]);
+    for row in TABLE4 {
+        t.row(row[..2].to_vec());
+    }
+    format!(
+        "Table 4: software lines of code per component (paper values; this\n\
+         reproduction's: `exp loc`)\n{}",
+        t.render()
+    )
+}
+
+/// This reproduction's lines of code beside the paper's: Table 4's
+/// software components, then the model of each Table 5 hardware module.
+/// Counted from the source tree under `repo_root`, so the numbers move
+/// with every change to it; that is why `exp all` leaves this out.
+pub fn loc(repo_root: &Path) -> String {
     let mut t = TextTable::new(vec![
         "Component (paper)",
         "LOC (paper)",
@@ -211,44 +239,19 @@ pub fn table4(repo_root: &Path) -> String {
             .map(|n| n.to_string())
             .unwrap_or_else(|_| "?".into())
     };
-    t.row(vec![
-        "FLD runtime library".to_string(),
-        "3753".into(),
-        "fld-core (hw+system)".into(),
-        ours("crates/fld-core/src"),
-    ]);
-    t.row(vec![
-        "FLD kernel driver".to_string(),
-        "1137".into(),
-        "fld-nic (NIC command surface)".into(),
-        ours("crates/fld-nic/src/nic.rs"),
-    ]);
-    t.row(vec![
-        "FLD-E control-plane".to_string(),
-        "1554".into(),
-        "eswitch (FLD-E rules)".into(),
-        ours("crates/fld-nic/src/eswitch.rs"),
-    ]);
-    t.row(vec![
-        "FLD-R control-plane".to_string(),
-        "1510".into(),
-        "rdma + rdma_system".into(),
-        ours("crates/fld-nic/src/rdma.rs"),
-    ]);
-    t.row(vec![
-        "FLD-R client library".to_string(),
-        "754".into(),
-        "fld-accel client".into(),
-        ours("crates/fld-accel/src/client.rs"),
-    ]);
-    t.row(vec![
-        "ZUC DPDK driver".to_string(),
-        "732".into(),
-        "zuc_accel (protocol+model)".into(),
-        ours("crates/fld-accel/src/zuc_accel.rs"),
-    ]);
+    for [component, paper, model, src] in TABLE4 {
+        t.row(vec![component, paper, model, &ours(src)]);
+    }
+    for ([module, .., hw_loc], src) in TABLE5 {
+        t.row(vec![
+            format!("{module} (HW)"),
+            hw_loc.to_string(),
+            src.to_string(),
+            ours(src),
+        ]);
+    }
     format!(
-        "Table 4: software lines of code per component\n{}",
+        "Tables 4 and 5: lines of code, the paper's beside this reproduction's\n{}",
         t.render()
     )
 }
@@ -275,14 +278,14 @@ mod tests {
 
     #[test]
     fn table5_counts_our_loc() {
-        let s = table5(&root());
+        let s = loc(&root());
         assert!(!s.contains('?'), "LOC counting failed:\n{s}");
-        assert!(s.contains("11K"));
+        assert!(s.contains("| FLD (HW)") && s.contains("11K"), "{s}");
     }
 
     #[test]
     fn table4_counts_our_loc() {
-        let s = table4(&root());
+        let s = loc(&root());
         assert!(!s.contains('?'), "LOC counting failed:\n{s}");
         assert!(s.contains("3753"));
     }

@@ -18,7 +18,7 @@ use fld_bench::experiments::rack::build_rack;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
-use fld_sim::counters::CounterSnapshot;
+use fld_sim::counters::{write_dump, CounterSnapshot, CounterTree};
 use fld_sim::fault::{FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultSchedule};
 use fld_sim::health::HealthConfig;
 use fld_sim::time::{Bandwidth, SimDuration, SimTime};
@@ -239,13 +239,15 @@ fn chaos_rack_counter_dump_matches_golden() {
 /// Arbitrary fault plan: any rate, seed and non-empty kind subset.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (0.0f64..0.02, any::<u64>(), 1u16..1024).prop_map(|(rate, seed, mask)| {
-        let kinds: Vec<FaultKind> = FaultKind::ALL
+        let kinds: Vec<&str> = FaultKind::ALL
             .iter()
             .enumerate()
             .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, k)| *k)
+            .map(|(_, k)| k.name())
             .collect();
-        FaultPlan::new(rate, seed).with_kinds(&kinds)
+        FaultPlan::new(rate, seed)
+            .with_kinds_csv(&kinds.join(","))
+            .expect("every kind name parses")
     })
 }
 
@@ -286,7 +288,7 @@ proptest! {
         prop_assert_eq!(snap.sum_prefix("faults"), ledger.injected_total());
         prop_assert_eq!(
             snap.get("recovery/dropped_counted").unwrap_or(0),
-            ledger.dropped_counted()
+            ledger.summary().dropped_counted
         );
         // Queue sums telescope up to the aggregate metrics registry.
         prop_assert_eq!(
@@ -479,7 +481,66 @@ const DUMP_PIECES: [&str; 14] = [
     "é",
 ];
 
+/// Any character: control, ASCII, the rest of the basic plane below the
+/// surrogates and the supplementary planes, each a quarter of the draws.
+fn arb_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        0u32..0x20,
+        0x20u32..0x80,
+        0x80u32..0xD800,
+        0x1_0000u32..0x11_0000
+    ]
+    .prop_map(|c| char::from_u32(c).expect("no surrogate is drawn"))
+}
+
+fn arb_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    proptest::collection::vec(arb_char(), len).prop_map(String::from_iter)
+}
+
+/// A well-formed counter path: one to three non-empty segments of any
+/// character but `/`.
+fn arb_path() -> impl Strategy<Value = String> {
+    proptest::collection::vec(arb_text(1..6), 1..4).prop_map(|segments| {
+        segments
+            .iter()
+            .map(|s| s.replace('/', "_"))
+            .collect::<Vec<_>>()
+            .join("/")
+    })
+}
+
 proptest! {
+    /// `parse_dump` reads back exactly what `write_dump` wrote, whatever
+    /// characters the experiment name, run labels and counter paths hold:
+    /// escapes (`\r`, `\u0001`) and multi-byte UTF-8 included.
+    #[test]
+    fn parse_dump_reads_back_what_write_dump_writes(
+        experiment in arb_text(0..8),
+        runs in proptest::collection::vec(
+            (arb_text(0..8), proptest::collection::vec((arb_path(), any::<u64>()), 0..6)),
+            0..4,
+        ),
+    ) {
+        let snapshots: Vec<(String, CounterSnapshot)> = runs
+            .iter()
+            .map(|(label, counters)| {
+                let tree = CounterTree::new();
+                for (path, value) in counters {
+                    tree.counter(path).add(*value);
+                }
+                (label.clone(), tree.snapshot())
+            })
+            .collect();
+        let parsed = parse_dump(&write_dump(&experiment, &snapshots));
+        prop_assert_eq!(parsed.as_ref().map(|d| d.experiment.as_str()), Ok(experiment.as_str()));
+        let parsed = parsed.expect("the dump parses");
+        prop_assert_eq!(parsed.runs.len(), snapshots.len());
+        for ((label, counters), (want_label, snap)) in parsed.runs.iter().zip(&snapshots) {
+            prop_assert_eq!(label, want_label);
+            prop_assert!(counters.iter().eq(snap.entries().iter().map(|(p, v)| (p, v))));
+        }
+    }
+
     /// `counter_diff` reads user files with `parse_dump`. It returns, and
     /// never panics, on text made of grammar pieces, on the echo golden
     /// dump cut short anywhere and on that dump with one byte changed;

@@ -137,13 +137,15 @@ fn chaos_sweep_is_byte_identical_serial_and_parallel() {
 /// of fault kinds.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (0.0f64..0.05, any::<u64>(), 1u16..1024).prop_map(|(rate, seed, mask)| {
-        let kinds: Vec<FaultKind> = FaultKind::ALL
+        let kinds: Vec<&str> = FaultKind::ALL
             .iter()
             .enumerate()
             .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, k)| *k)
+            .map(|(_, k)| k.name())
             .collect();
-        FaultPlan::new(rate, seed).with_kinds(&kinds)
+        FaultPlan::new(rate, seed)
+            .with_kinds_csv(&kinds.join(","))
+            .expect("every kind name parses")
     })
 }
 
@@ -158,10 +160,10 @@ proptest! {
     #[test]
     fn any_fault_plan_conserves_echo_packets(plan in arb_plan()) {
         let (json_a, ledger) = chaos_echo_run(plan, 400);
-        prop_assert_eq!(ledger.unaccounted(), 0);
+        prop_assert_eq!(ledger.summary().unaccounted(), 0);
         prop_assert_eq!(ledger.open(), 0);
         prop_assert_eq!(
-            ledger.recovered() + ledger.dropped_counted() + ledger.terminal(),
+            ledger.summary().accounted(),
             ledger.injected_total()
         );
         let (json_b, _) = chaos_echo_run(plan, 400);
@@ -173,10 +175,10 @@ proptest! {
     #[test]
     fn any_fault_plan_conserves_rdma_messages(plan in arb_plan()) {
         let (json_a, ledger) = chaos_rdma_run(plan, 200);
-        prop_assert_eq!(ledger.unaccounted(), 0);
+        prop_assert_eq!(ledger.summary().unaccounted(), 0);
         prop_assert_eq!(ledger.open(), 0);
         prop_assert_eq!(
-            ledger.recovered() + ledger.dropped_counted() + ledger.terminal(),
+            ledger.summary().accounted(),
             ledger.injected_total()
         );
         let (json_b, _) = chaos_rdma_run(plan, 200);

@@ -474,8 +474,8 @@ fn profiling_changes_no_trace_bytes_and_adds_only_the_speed_ratio_series() {
 
     // Packet-lifecycle traces: byte-identical.
     assert_eq!(
-        off.trace.to_chrome_json(),
-        on.trace.to_chrome_json(),
+        off.trace.to_chrome_json_with_counters(&[]),
+        on.trace.to_chrome_json_with_counters(&[]),
         "profiling must not perturb the packet trace"
     );
     // Simulation results: identical.

@@ -14,8 +14,9 @@ use fld_bench::report::{Cli, Report};
 use fld_sim::audit::AuditReport;
 
 /// The entries that simulate nothing: closed-form models and constants.
-const ANALYTIC: [&str; 8] = [
-    "table1", "table2", "table3", "fig4", "ablation", "fig7a", "scaling", "fabric",
+const ANALYTIC: [&str; 10] = [
+    "table1", "table2", "table3", "fig4", "ablation", "table4", "table5", "fig7a", "scaling",
+    "fabric",
 ];
 
 fn entries<'a>(ids: &'a [&str]) -> impl Iterator<Item = &'static Experiment> + 'a {
@@ -60,7 +61,7 @@ fn ids_are_unique_and_artifacts_keep_their_names() {
         .filter(|e| !e.in_all)
         .map(|e| e.id)
         .collect();
-    assert_eq!(left_out, ["rack", "chaos"]);
+    assert_eq!(left_out, ["loc", "rack", "chaos"]);
 }
 
 /// DESIGN.md § 4's two tables name, in their "Regenerating target"
@@ -152,9 +153,8 @@ fn analytic_entries_render_their_sections_of_experiments_full_txt() {
     }
 }
 
-/// `exp all` at full scale is the committed file, except the two
-/// sections whose "ours" column counts this repository's lines and so
-/// moves with every change. Minutes of CPU: the CI `smoke` job runs it.
+/// `exp all` at full scale is the committed file, byte for byte. Minutes
+/// of CPU: the CI `smoke` job runs it.
 #[test]
 #[ignore = "full scale (about a minute on two cores); run by the CI smoke job"]
 fn exp_all_at_full_scale_is_experiments_full_txt() {
@@ -169,10 +169,9 @@ fn exp_all_at_full_scale_is_experiments_full_txt() {
         (ours.split(&rule).collect(), full.split(&rule).collect());
     assert_eq!(ours.len(), full.len(), "section count");
     for (ours, full) in ours.iter().zip(&full) {
-        let counts_our_lines = full.starts_with("Table 4:") || full.starts_with("Table 5:");
-        assert!(
-            counts_our_lines || ours == full,
-            "experiments_full.txt is stale; regenerate with `exp all | tee experiments_full.txt`:\n{ours}"
+        assert_eq!(
+            ours, full,
+            "experiments_full.txt is stale; regenerate with `exp all | tee experiments_full.txt`"
         );
     }
 }

@@ -26,7 +26,7 @@ use fld_core::rack::{
 };
 use fld_core::rdma_system::{MsgAccelerator, MsgEcho, RdmaConfig, RdmaSystem};
 use fld_core::system::{
-    AccelOutput, AcceleratorModel, ClientGen, FldSystem, GenMode, HostMode, SystemConfig,
+    AccelOutput, AcceleratorModel, ClientGen, EmitList, FldSystem, GenMode, HostMode, SystemConfig,
 };
 use fld_nic::packet::SimPacket;
 use fld_sim::audit::AuditReport;
@@ -110,7 +110,8 @@ impl AcceleratorModel for LeakingEcho {
         self.calls += 1;
         if self.calls == self.at {
             self.leaked_ns.store(now.as_nanos(), Ordering::Relaxed);
-            out.emit.push(out.emit[0].clone());
+            let echoed = out.emit[0].clone();
+            out.emit = EmitList::Many(vec![echoed.clone(), echoed]);
         }
         out
     }

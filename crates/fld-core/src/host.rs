@@ -114,16 +114,6 @@ impl HostCpu {
         self.cores[core].next_free.saturating_since(now)
     }
 
-    /// Work items processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// OS interference events that delayed work.
-    pub fn jitter_events(&self) -> u64 {
-        self.jitter_events
-    }
-
     /// Registers the host CPU's telemetry under `prefix`
     /// (`"{prefix}.processed"`, `"{prefix}.jitter_events"`, …).
     pub fn export_metrics(&self, prefix: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
@@ -158,7 +148,7 @@ mod tests {
         let t2 = h.run_on(0, SimTime::ZERO, SimDuration::from_nanos(100));
         assert_eq!(t1.as_nanos(), 100);
         assert_eq!(t2.as_nanos(), 200);
-        assert_eq!(h.processed(), 2);
+        assert_eq!(h.processed, 2);
     }
 
     #[test]
@@ -175,7 +165,7 @@ mod tests {
         h.run_on(0, SimTime::ZERO, SimDuration::from_nanos(50));
         let later = SimTime::from_micros(10);
         let done = h.run_on(0, later, SimDuration::from_nanos(50));
-        assert_eq!((done - later).as_nanos(), 50);
+        assert_eq!(done.since(later).as_nanos(), 50);
         assert!(h.backlog(0, later + SimDuration::from_nanos(25)).as_nanos() == 25);
     }
 
@@ -201,7 +191,7 @@ mod tests {
         // latency is pure work + jitter.
         for _ in 0..200_000 {
             let done = h.process_packet(0, now, 64);
-            latencies.push((done - now).as_nanos());
+            latencies.push(done.since(now).as_nanos());
             now += SimDuration::from_micros(5);
         }
         latencies.sort_unstable();
@@ -209,7 +199,7 @@ mod tests {
         let p999 = latencies[latencies.len() * 999 / 1000];
         assert!(p50 < 200, "median {p50} ns should be just the work");
         assert!(p999 > 2_000, "99.9th {p999} ns should show jitter");
-        assert!(h.jitter_events() > 100);
+        assert!(h.jitter_events > 100);
     }
 
     #[test]

@@ -145,15 +145,6 @@ impl FldTx {
         self.config.tx_buffer_bytes - self.buffer_used
     }
 
-    /// Bytes currently in flight on `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue does not exist.
-    pub fn queue_bytes(&self, queue: u16) -> u32 {
-        self.queue_bytes[queue as usize]
-    }
-
     /// Enqueues a packet of `len` bytes on `queue`.
     ///
     /// # Errors
@@ -384,16 +375,6 @@ impl FldRx {
         self.used -= need;
     }
 
-    /// Packets buffered successfully.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// Packets dropped due to a full buffer.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Receive-buffer occupancy as a fraction of capacity
     /// (flight-recorder probe; audited to stay within `0..=1`).
     pub fn occupancy(&self) -> f64 {
@@ -544,8 +525,8 @@ mod tests {
         let mut tx = FldTx::new(FldConfig::default());
         tx.enqueue(0, 1024).unwrap();
         tx.enqueue(1, 2048).unwrap();
-        assert_eq!(tx.queue_bytes(0), 1024);
-        assert_eq!(tx.queue_bytes(1), 2048);
+        assert_eq!(tx.queue_bytes[0], 1024);
+        assert_eq!(tx.queue_bytes[1], 2048);
     }
 
     #[test]
@@ -625,10 +606,10 @@ mod tests {
         assert!(rx.offer(2048));
         assert!(rx.offer(2048));
         assert!(!rx.offer(64), "full pool must drop");
-        assert_eq!(rx.dropped(), 1);
+        assert_eq!(rx.dropped, 1);
         rx.release(2048);
         assert!(rx.offer(64));
-        assert_eq!(rx.received(), 3);
+        assert_eq!(rx.received, 3);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Recorder {
         self.auditor = std::mem::take(&mut self.auditor).strict();
     }
 
-    /// The sampling interval ticks will use.
-    pub fn sample_interval(&self) -> SimDuration {
-        self.sample_interval
-    }
-
     /// Drains this recorder into an engine for one run, leaving a
     /// disabled timeline and a fresh (non-strict) auditor behind — the
     /// same take-on-run semantics the systems had individually.
@@ -82,7 +77,7 @@ mod tests {
     #[test]
     fn default_recorder_is_disabled_and_quiet() {
         let mut rec = Recorder::new();
-        assert_eq!(rec.sample_interval(), SimDuration::from_micros(1));
+        assert_eq!(rec.sample_interval, SimDuration::from_micros(1));
         let eng: Engine<u32> = rec.take_engine();
         drop(eng);
     }
@@ -91,6 +86,6 @@ mod tests {
     fn flight_recorder_updates_interval() {
         let mut rec = Recorder::new();
         rec.enable_flight_recorder(SimDuration::from_nanos(500));
-        assert_eq!(rec.sample_interval(), SimDuration::from_nanos(500));
+        assert_eq!(rec.sample_interval, SimDuration::from_nanos(500));
     }
 }

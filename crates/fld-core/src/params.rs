@@ -122,11 +122,6 @@ impl Default for AccelParams {
 }
 
 impl AccelParams {
-    /// Aggregate ZUC throughput across units (bits/s) for large messages.
-    pub fn zuc_aggregate_bps(&self) -> f64 {
-        self.zuc_units as f64 * self.zuc_unit_gbps * 1e9
-    }
-
     /// Time for one ZUC unit to process a request of `bytes`.
     pub fn zuc_request_time(&self, bytes: u64) -> SimDuration {
         // Calibrated so a 512 B message runs at `zuc_unit_gbps` *including*
@@ -137,11 +132,6 @@ impl AccelParams {
             512.0 * 8.0 / stream
         };
         self.zuc_setup + SimDuration::from_secs_f64(bytes as f64 * 8.0 / eff_rate)
-    }
-
-    /// Aggregate IoT-auth packet rate (packets/s).
-    pub fn auth_aggregate_pps(&self) -> f64 {
-        self.auth_units as f64 / self.auth_per_packet.as_secs_f64()
     }
 }
 
@@ -161,7 +151,7 @@ mod tests {
     fn zuc_rates_match_paper() {
         let a = AccelParams::default();
         // 8 units × 4.76 Gbps ≈ 38 Gbps aggregate.
-        assert!((a.zuc_aggregate_bps() / 1e9 - 38.08).abs() < 0.01);
+        assert!((a.zuc_units as f64 * a.zuc_unit_gbps - 38.08).abs() < 0.01);
         // A 512 B request on one unit takes 512·8/4.76 Gbps ≈ 860 ns.
         let t = a.zuc_request_time(512);
         assert!((t.as_nanos() as f64 - 860.0).abs() < 3.0, "{t}");
@@ -175,7 +165,8 @@ mod tests {
     fn auth_rate_matches_paper() {
         let a = AccelParams::default();
         // 8 units at 400 ns/packet = 20 Mpps (§ 7).
-        assert!((a.auth_aggregate_pps() / 1e6 - 20.0).abs() < 0.01);
+        let pps = a.auth_units as f64 / a.auth_per_packet.as_secs_f64();
+        assert!((pps / 1e6 - 20.0).abs() < 0.01);
     }
 
     #[test]

@@ -739,7 +739,8 @@ impl Rack {
         let mut ledgers = Vec::with_capacity(self.nodes.len());
         for (n, node) in self.nodes.iter_mut().enumerate() {
             let seed = plan.seed ^ (n as u64 + 1).wrapping_mul(0xA5A5_5A5A_1234_5678);
-            let forked = fld_sim::fault::FaultPlan::new(plan.rate, seed).with_kinds(&plan.kinds());
+            let mut forked = *plan;
+            forked.seed = seed;
             let ledger = fld_sim::fault::FaultLedger::new();
             node.enable_faults(&forked, &ledger);
             ledgers.push(ledger);

@@ -86,19 +86,6 @@ impl EmitList {
             EmitList::Many(v) => v.iter_mut(),
         }
     }
-
-    /// Appends an entry, spilling inline storage to the heap on the
-    /// second push.
-    pub fn push(&mut self, entry: EmitEntry) {
-        match std::mem::take(self) {
-            EmitList::None => *self = EmitList::One(entry),
-            EmitList::One(first) => *self = EmitList::Many(vec![first, entry]),
-            EmitList::Many(mut v) => {
-                v.push(entry);
-                *self = EmitList::Many(v);
-            }
-        }
-    }
 }
 
 impl std::ops::Index<usize> for EmitList {
@@ -360,8 +347,6 @@ pub mod drops {
     pub const FLD_RX_OVERFLOW: &str = "fld_rx_overflow";
     /// FLD tx backpressure (accelerator emitted into a full queue).
     pub const FLD_TX_BACKPRESSURE: &str = "fld_tx_backpressure";
-    /// Dropped by the accelerator itself (policy or capacity).
-    pub const ACCELERATOR: &str = "accelerator";
     /// Host receive-ring overflow (core could not keep up).
     pub const HOST_QUEUE_OVERFLOW: &str = "host_queue_overflow";
     /// Injected link-layer loss ([`fld_sim::fault::FaultKind::LinkDrop`]).
@@ -1107,9 +1092,11 @@ impl FldSystem {
         }
     }
 
-    /// Frees a dropped packet's pool slot, records the drop trace event
-    /// and abandons the packet's stage tracking.
+    /// Counts a drop under `reason`, frees the packet's pool slot,
+    /// records the drop trace event and abandons the packet's stage
+    /// tracking.
     fn drop_packet(&mut self, h: PacketHandle, reason: &'static str, now: SimTime) {
+        self.stats.drops.inc(reason);
         let id = self.pool.remove(h).id;
         self.tracer.record(now, id, TraceEventKind::Drop { reason });
         self.flow.dropped += 1;
@@ -1256,7 +1243,6 @@ impl FldSystem {
         match fate {
             LinkFate::Deliver => eng.schedule_at(ingress, Ev::NicIngress(h)),
             LinkFate::Lost(reason) => {
-                self.stats.drops.inc(reason);
                 self.drop_packet(h, reason, now);
             }
             LinkFate::Duplicated => {
@@ -1306,7 +1292,6 @@ impl FldSystem {
     ) {
         match verdict {
             Verdict::Drop => {
-                self.stats.drops.inc(drops::CLASSIFIER);
                 self.drop_packet(h, drops::CLASSIFIER, now);
             }
             Verdict::Accelerator {
@@ -1352,7 +1337,6 @@ impl FldSystem {
         let (id, len, ctx) = (pkt.id, pkt.len, pkt.meta.context_id);
         // Tenant policing happens before the PCIe DMA.
         if ctx != 0 && !self.nic.police(ctx, now, len as u64) {
-            self.stats.drops.inc(drops::POLICER);
             self.drop_packet(h, drops::POLICER, now);
             return;
         }
@@ -1369,12 +1353,10 @@ impl FldSystem {
         });
         if poisoned {
             self.ctr.pcie.poisoned_tlps.inc();
-            self.stats.drops.inc(drops::FAULT_PCIE_POISON);
             self.drop_packet(h, drops::FAULT_PCIE_POISON, now);
             return;
         }
         if !self.fld.rx.offer(len) {
-            self.stats.drops.inc(drops::FLD_RX_OVERFLOW);
             self.drop_packet(h, drops::FLD_RX_OVERFLOW, now);
             return;
         }
@@ -1483,7 +1465,6 @@ impl FldSystem {
         let qi = (queue as usize) % self.tx_queue_err.len();
         if !self.tx_queue_err[qi].is_ready(now) {
             self.ctr.txq[qi].2.inc();
-            self.stats.drops.inc(drops::FAULT_QUEUE_FLUSH);
             self.drop_packet(h, drops::FAULT_QUEUE_FLUSH, now);
             return;
         }
@@ -1504,7 +1485,6 @@ impl FldSystem {
         if malformed {
             self.ctr.txq[qi].2.inc();
             self.tx_queue_err[qi].on_error_cqe(now, 0);
-            self.stats.drops.inc(drops::FAULT_MALFORMED_WQE);
             self.drop_packet(h, drops::FAULT_MALFORMED_WQE, now);
             return;
         }
@@ -1512,7 +1492,6 @@ impl FldSystem {
         match self.fld.tx.enqueue(queue, len) {
             Err(_) => {
                 self.ctr.txq[qi].2.inc();
-                self.stats.drops.inc(drops::FLD_TX_BACKPRESSURE);
                 self.drop_packet(h, drops::FLD_TX_BACKPRESSURE, now);
             }
             Ok(slot) => {
@@ -1603,7 +1582,6 @@ impl FldSystem {
         // core's capacity in § 8.2.2.
         if self.host.backlog(core, now) > self.cfg.params.host_rx_backlog_limit {
             self.ctr.rxq[core].1.inc();
-            self.stats.drops.inc(drops::HOST_QUEUE_OVERFLOW);
             self.drop_packet(h, drops::HOST_QUEUE_OVERFLOW, now);
             return;
         }
@@ -2415,12 +2393,18 @@ mod tests {
             now: SimTime,
         ) -> AccelOutput {
             let consumed_at = now + HOLD;
-            let mut emit = EmitList::None;
-            for copy in 0..self.emits {
-                let mut out = pkt.clone();
-                out.id += copy << 32;
-                emit.push((consumed_at + self.emit_delay, 0, next_table, out));
-            }
+            let mut copies: Vec<EmitEntry> = (0..self.emits)
+                .map(|copy| {
+                    let mut out = pkt.clone();
+                    out.id += copy << 32;
+                    (consumed_at + self.emit_delay, 0, next_table, out)
+                })
+                .collect();
+            let emit = match copies.len() {
+                0 => EmitList::None,
+                1 => EmitList::one(copies.pop().expect("one copy")),
+                _ => EmitList::Many(copies),
+            };
             AccelOutput { consumed_at, emit }
         }
     }
@@ -2597,7 +2581,7 @@ mod tests {
     fn chaos_run_accounts_for_every_fault() {
         let (stats, ledger) = chaos_echo(1e-2, 7);
         assert!(ledger.injected_total() > 0, "nothing was injected");
-        assert_eq!(ledger.unaccounted(), 0);
+        assert_eq!(ledger.summary().unaccounted(), 0);
         assert_eq!(ledger.open(), 0, "FLD-E faults resolve immediately");
         assert!(stats.audit.passed(), "{}", stats.audit);
         // Losses surfaced as counted drops, not silent disappearance.
@@ -2605,7 +2589,7 @@ mod tests {
             + stats.drops.get(drops::FAULT_CORRUPT)
             + stats.drops.get(drops::FAULT_PCIE_POISON)
             + stats.drops.get(drops::FAULT_MALFORMED_WQE);
-        assert_eq!(counted, ledger.dropped_counted());
+        assert_eq!(counted, ledger.summary().dropped_counted);
         assert_eq!(
             stats.metrics.counter_value("faults.injected"),
             Some(ledger.injected_total())
@@ -2621,7 +2605,7 @@ mod tests {
                 stats.client_rate.bytes(),
                 ledger.injected_total(),
                 ledger.recovered(),
-                ledger.dropped_counted(),
+                ledger.summary().dropped_counted,
             )
         };
         let (a, la) = chaos_echo(1e-2, 42);
@@ -2672,13 +2656,10 @@ mod tests {
         steer_all_to_accel(&mut sys.nic);
         sys.enable_strict_audit();
         let ledger = FaultLedger::new();
-        let plan = FaultPlan::new(0.05, 9).with_kinds(&[FaultKind::LinkDuplicate]);
+        let plan = FaultPlan::new(0.05, 9).with_kinds_csv("duplicate").unwrap();
         sys.enable_faults(&plan, &ledger);
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(100));
-        assert!(
-            ledger.injected(FaultKind::LinkDuplicate) > 0,
-            "no duplicates injected"
-        );
+        assert!(ledger.injected_total() > 0, "no duplicates injected");
         assert!(stats.audit.passed(), "{}", stats.audit);
         // Nothing is lost under pure duplication, and the client sees
         // exactly one response per request despite the extra copies.

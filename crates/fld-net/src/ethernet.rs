@@ -1,7 +1,5 @@
 //! Ethernet II framing.
 
-use std::fmt;
-
 use bytes::{BufMut, BytesMut};
 
 use crate::error::ParsePacketError;
@@ -28,10 +26,8 @@ pub const ETHERNET_MIN_FRAME: usize = 60;
 /// ```
 /// use fld_net::ethernet::MacAddr;
 ///
-/// let m = MacAddr::new([0x02, 0, 0, 0, 0, 0x01]);
-/// assert_eq!(m.to_string(), "02:00:00:00:00:01");
-/// assert!(!m.is_multicast());
-/// assert!(MacAddr::BROADCAST.is_multicast());
+/// let m = MacAddr::local(1);
+/// assert_eq!(m, MacAddr([0x02, 0, 0, 0, 0, 0x01]));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MacAddr(pub [u8; 6]);
@@ -40,38 +36,11 @@ impl MacAddr {
     /// The all-ones broadcast address.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
-    /// Creates an address from raw octets.
-    pub const fn new(octets: [u8; 6]) -> Self {
-        MacAddr(octets)
-    }
-
     /// A locally-administered unicast address derived from a small id,
     /// convenient for simulations.
     pub const fn local(id: u32) -> Self {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Whether the group (multicast) bit is set.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-}
-
-impl fmt::Display for MacAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = self.0;
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            o[0], o[1], o[2], o[3], o[4], o[5]
-        )
-    }
-}
-
-impl From<[u8; 6]> for MacAddr {
-    fn from(octets: [u8; 6]) -> Self {
-        MacAddr(octets)
     }
 }
 
@@ -219,8 +188,6 @@ mod tests {
 
     #[test]
     fn mac_properties() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::local(3).is_multicast());
         assert_eq!(MacAddr::local(1), MacAddr::local(1));
         assert_ne!(MacAddr::local(1), MacAddr::local(2));
     }

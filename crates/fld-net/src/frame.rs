@@ -318,11 +318,6 @@ pub fn vxlan_decap(frame: &Bytes) -> Result<(u32, Bytes), ParsePacketError> {
     Ok((vx.vni, frame.slice_ref(inner)))
 }
 
-/// Total frame length for a UDP packet with `payload` bytes of L4 payload.
-pub const fn udp_frame_len(payload: usize) -> usize {
-    ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + payload
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +326,10 @@ mod tests {
     fn udp_frame_round_trip() {
         let ep = Endpoints::sim(1, 2);
         let frame = build_udp_frame(&ep, 1000, 2000, b"ping");
-        assert_eq!(frame.len(), udp_frame_len(4));
+        assert_eq!(
+            frame.len(),
+            ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + 4
+        );
         let parsed = ParsedFrame::parse(&frame).unwrap();
         assert_eq!(parsed.eth.src, ep.src_mac);
         let ip = parsed.ip.unwrap();

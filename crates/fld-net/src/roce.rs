@@ -70,17 +70,6 @@ impl BthOpcode {
         })
     }
 
-    /// Whether this opcode starts a message.
-    pub fn is_first(self) -> bool {
-        matches!(
-            self,
-            BthOpcode::SendFirst
-                | BthOpcode::SendOnly
-                | BthOpcode::WriteFirst
-                | BthOpcode::WriteOnly
-        )
-    }
-
     /// Whether this opcode ends a message.
     pub fn is_last(self) -> bool {
         matches!(
@@ -276,9 +265,9 @@ mod tests {
 
     #[test]
     fn first_last_flags() {
-        assert!(BthOpcode::SendOnly.is_first() && BthOpcode::SendOnly.is_last());
-        assert!(BthOpcode::SendFirst.is_first() && !BthOpcode::SendFirst.is_last());
-        assert!(!BthOpcode::SendMiddle.is_first() && !BthOpcode::SendMiddle.is_last());
+        assert!(BthOpcode::SendOnly.is_last());
+        assert!(!BthOpcode::SendFirst.is_last());
+        assert!(!BthOpcode::SendMiddle.is_last());
         assert!(BthOpcode::SendLast.is_last());
     }
 }

@@ -236,7 +236,6 @@ struct FreshReassembler {
     capacity: usize,
     table: Vec<(u16, FreshDatagram)>,
     evictions: u64,
-    completed: u64,
 }
 
 impl FreshReassembler {
@@ -245,7 +244,6 @@ impl FreshReassembler {
             capacity,
             table: Vec::new(),
             evictions: 0,
-            completed: 0,
         }
     }
 
@@ -284,7 +282,6 @@ impl FreshReassembler {
             return Some(None);
         }
         let (_, d) = self.table.remove(idx);
-        self.completed += 1;
         let total = d.total.expect("complete");
         let mut header = d.first.expect("a run from 0 has a first fragment");
         (header.more_fragments, header.frag_offset) = (false, 0);
@@ -353,8 +350,8 @@ proptest! {
     #[test]
     fn ethernet_round_trip(dst: [u8; 6], src: [u8; 6], ethertype: u16) {
         let hdr = EthernetHeader {
-            dst: MacAddr::new(dst),
-            src: MacAddr::new(src),
+            dst: MacAddr(dst),
+            src: MacAddr(src),
             ethertype: EtherType::from(ethertype),
         };
         let mut buf = bytes::BytesMut::new();
@@ -513,7 +510,7 @@ proptest! {
             let pkt = SimPacket::from_frame(7, frame.clone(), SimTime::ZERO);
             prop_assert_eq!(pkt.meta, ref_meta(&frame));
             prop_assert_eq!(pkt.len as usize, frame.len());
-            let held = pkt.payload_bytes().expect("from_frame attaches the bytes");
+            let held = pkt.bytes.as_deref().expect("from_frame attaches the bytes");
             prop_assert_eq!((held.as_ptr(), held.len()), (frame.as_ptr(), frame.len()));
         }
     }
@@ -649,8 +646,8 @@ proptest! {
             };
             prop_assert_eq!(got, fresh.push(&hdr, &data));
             prop_assert_eq!(
-                (r.evictions(), r.completed(), r.in_flight()),
-                (fresh.evictions, fresh.completed, fresh.table.len())
+                (r.evictions(), r.in_flight()),
+                (fresh.evictions, fresh.table.len())
             );
         }
     }

@@ -170,7 +170,6 @@ impl Table {
 #[derive(Debug, Default)]
 pub struct Pipeline {
     tables: Vec<Table>,
-    misses: u64,
 }
 
 /// Maximum goto-chain depth (guards against rule cycles).
@@ -181,7 +180,6 @@ impl Pipeline {
     pub fn new(tables: usize) -> Self {
         Pipeline {
             tables: (0..tables).map(|_| Table::default()).collect(),
-            misses: 0,
         }
     }
 
@@ -207,26 +205,19 @@ impl Pipeline {
         removed
     }
 
-    /// Table misses since creation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Classifies a packet starting from `start_table`, applying tag and
     /// decap side effects to `meta` along the way.
     ///
     /// Packets that miss every rule are dropped, matching default-deny
     /// eSwitch semantics.
-    pub fn classify(&mut self, meta: &mut PacketMeta, start_table: u16) -> (Verdict, SideEffects) {
+    pub fn classify(&self, meta: &mut PacketMeta, start_table: u16) -> (Verdict, SideEffects) {
         let mut table = start_table as usize;
         let mut effects = SideEffects::default();
         for _ in 0..MAX_HOPS {
             let Some(t) = self.tables.get(table) else {
-                self.misses += 1;
                 return (Verdict::Drop, effects);
             };
             let Some(rule) = t.best_match(meta) else {
-                self.misses += 1;
                 return (Verdict::Drop, effects);
             };
             let mut next: Option<usize> = None;
@@ -345,7 +336,6 @@ mod tests {
         );
         let mut m = meta(80);
         assert_eq!(p.classify(&mut m, 0).0, Verdict::Drop);
-        assert_eq!(p.misses(), 1);
     }
 
     #[test]

@@ -107,9 +107,9 @@ impl Nic {
 
     /// Registers this NIC's eSwitch counters as port `port` of `tree`
     /// (`eswitch/port/<p>/match|miss|policer_drop`), carrying over
-    /// anything counted before wiring. The counter values mirror
-    /// [`Nic::classifier_matches`], [`Nic::classifier_drops`] and
-    /// [`Nic::policer_drops`] exactly — the telescoping audit holds the
+    /// anything counted before wiring. The counter values mirror the
+    /// `eswitch.matches`, `eswitch.drops` and `policer.drops` metrics
+    /// exactly — the telescoping audit holds the
     /// two bookkeeping systems to that.
     pub fn wire_counters(&mut self, tree: &CounterTree, port: usize) {
         self.ctr_match = tree.counter(&format!("eswitch/port/{port}/match"));
@@ -312,16 +312,6 @@ impl Nic {
         self.policers.total_burst_bytes()
     }
 
-    /// Packets dropped by classification so far.
-    pub fn classifier_drops(&self) -> u64 {
-        self.classifier_drops
-    }
-
-    /// Packets classified to a non-drop verdict so far.
-    pub fn classifier_matches(&self) -> u64 {
-        self.classifier_matches
-    }
-
     /// Registers the NIC's telemetry under `prefix` (e.g.
     /// `"{prefix}.eswitch.drops"`).
     pub fn export_metrics(&self, prefix: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
@@ -372,6 +362,13 @@ mod tests {
     use super::*;
     use crate::eswitch::{Action, MatchSpec};
     use fld_net::{FlowKey, Ipv4Addr};
+
+    /// The NIC counter `name` as its metrics export reports it.
+    fn exported(nic: &Nic, name: &str) -> Option<u64> {
+        let mut m = fld_sim::metrics::MetricsRegistry::new();
+        nic.export_metrics("nic", &mut m);
+        m.counter_value(&format!("nic.{name}"))
+    }
 
     fn meta() -> PacketMeta {
         PacketMeta {
@@ -444,7 +441,7 @@ mod tests {
         // Empty pipeline: miss -> drop.
         let (v, _) = nic.classify_ingress(&mut m);
         assert_eq!(v, Verdict::Drop);
-        assert_eq!(nic.classifier_drops(), 1);
+        assert_eq!(exported(&nic, "eswitch.drops"), Some(1));
     }
 
     #[test]
@@ -456,7 +453,7 @@ mod tests {
         let (v, _) = nic.classify_ingress(&mut m);
         assert_eq!(v, Verdict::Drop);
         nic.wire_counters(&tree, 0);
-        assert_eq!(tree.get("eswitch/port/0/miss"), Some(1));
+        assert_eq!(tree.snapshot().get("eswitch/port/0/miss"), Some(1));
         nic.install_rule(
             Direction::Ingress,
             0,
@@ -473,15 +470,15 @@ mod tests {
         assert!(nic.police(3, SimTime::ZERO, 1500));
         assert!(!nic.police(3, SimTime::ZERO, 1500));
         assert_eq!(
-            tree.get("eswitch/port/0/match"),
-            Some(nic.classifier_matches())
+            tree.snapshot().get("eswitch/port/0/match"),
+            exported(&nic, "eswitch.matches")
         );
         assert_eq!(
-            tree.get("eswitch/port/0/miss"),
-            Some(nic.classifier_drops())
+            tree.snapshot().get("eswitch/port/0/miss"),
+            exported(&nic, "eswitch.drops")
         );
         assert_eq!(
-            tree.get("eswitch/port/0/policer_drop"),
+            tree.snapshot().get("eswitch/port/0/policer_drop"),
             Some(nic.policer_drops())
         );
     }

@@ -128,11 +128,6 @@ impl SimPacket {
         }
     }
 
-    /// Borrows the functional byte payload, when attached.
-    pub fn payload_bytes(&self) -> Option<&Bytes> {
-        self.bytes.as_deref()
-    }
-
     /// Length of a UDP frame carrying `payload` bytes (convenience for
     /// generators).
     pub const fn udp_len(payload: u32) -> u32 {

@@ -93,11 +93,6 @@ impl QueueErrorMachine {
         self.state
     }
 
-    /// Instant at which a queue in error finishes re-initializing.
-    pub fn reinit_done(&self) -> SimTime {
-        self.reinit_done
-    }
-
     /// Error CQEs absorbed.
     pub fn error_cqes(&self) -> u64 {
         self.error_cqes
@@ -133,9 +128,10 @@ mod tests {
         assert_eq!(m.on_error_cqe(t0 + SimDuration::from_micros(1), 2), 0);
         assert_eq!(m.error_cqes(), 2);
         assert_eq!(m.flushed_in_error(), 3);
-        assert_eq!(m.reinit_done(), t0 + SimDuration::from_micros(5));
-        // Past the re-init delay the queue recovers.
-        assert!(m.is_ready(m.reinit_done()));
+        // The queue recovers exactly at the re-init delay.
+        let done = t0 + SimDuration::from_micros(5);
+        assert!(!m.is_ready(done - SimDuration::from_picos(1)));
+        assert!(m.is_ready(done));
         assert_eq!(m.state(), QueueErrorState::Ready);
         assert_eq!(m.reinits(), 1);
         // And can fail again.

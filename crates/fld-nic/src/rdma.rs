@@ -303,16 +303,6 @@ impl RcQp {
         }
     }
 
-    /// This QP's number.
-    pub fn qpn(&self) -> u32 {
-        self.qpn
-    }
-
-    /// The connected peer's QP number.
-    pub fn peer_qpn(&self) -> u32 {
-        self.peer_qpn
-    }
-
     /// Current state.
     pub fn state(&self) -> QpState {
         self.state
@@ -321,16 +311,6 @@ impl RcQp {
     /// Packets retransmitted so far.
     pub fn retransmits(&self) -> u64 {
         self.retransmits
-    }
-
-    /// Data packets sent (first transmissions and retransmissions).
-    pub fn sent_packets(&self) -> u64 {
-        self.sent_packets
-    }
-
-    /// Data packets accepted in order.
-    pub fn received_packets(&self) -> u64 {
-        self.received_packets
     }
 
     /// Retransmission-timer firings.
@@ -346,11 +326,6 @@ impl RcQp {
     /// NAKs absorbed as a requester (sequence-error plus RNR).
     pub fn naks_received(&self) -> u64 {
         self.naks_received
-    }
-
-    /// RNR NAKs absorbed as a requester.
-    pub fn rnr_naks_received(&self) -> u64 {
-        self.rnr_naks_received
     }
 
     /// Responder-side arrivals ahead of the expected PSN (gap packets).
@@ -383,12 +358,6 @@ impl RcQp {
         self.state = QpState::ReadyToSend;
     }
 
-    /// Moves the QP to the error state; pending work completes with
-    /// [`RdmaEvent::Fatal`].
-    pub fn set_error(&mut self) {
-        self.state = QpState::Error;
-    }
-
     /// Posts a send work request of `bytes` bytes.
     ///
     /// # Panics
@@ -405,11 +374,6 @@ impl RcQp {
             sent_packets: 0,
         });
         self.next_psn = (self.next_psn + packets) % PSN_MOD;
-    }
-
-    /// Number of posted-but-unacknowledged sends.
-    pub fn outstanding_sends(&self) -> usize {
-        self.send_queue.len() + self.inflight.iter().filter(|p| p.opcode.is_last()).count()
     }
 
     /// The next PSN this QP will assign to an outgoing packet
@@ -1034,17 +998,17 @@ mod tests {
         // But it must be re-acknowledged in case the first ACK was lost.
         let ack2 = ack2.expect("duplicate triggers re-ack");
         assert_eq!(ack2.psn, pkts[0].psn);
-        assert_eq!(b.received_packets(), 1);
+        assert_eq!(b.received_packets, 1);
     }
 
     #[test]
     fn error_state_is_quiescent() {
         let (mut a, mut b) = pair();
         a.post_send(1, 100);
-        a.set_error();
+        a.state = QpState::Error;
         assert!(a.poll_transmit(SimTime::ZERO).is_empty());
         assert_eq!(a.state(), QpState::Error);
-        b.set_error();
+        b.state = QpState::Error;
         let pkt = RdmaPacket {
             dest_qp: 200,
             src_qp: 100,
@@ -1227,7 +1191,7 @@ mod tests {
         }
         // Five losses absorbed with a budget of two: progress resets it.
         assert_eq!(a.state(), QpState::ReadyToSend);
-        assert_eq!(a.outstanding_sends(), 0);
+        assert!(a.send_queue.is_empty() && a.inflight.is_empty());
         assert_eq!(a.timeouts(), 5);
     }
 
@@ -1241,7 +1205,7 @@ mod tests {
         assert_eq!(nak.syndrome, AethSyndrome::RnrNak { timer: 14 });
         let now = SimTime::from_nanos(1000);
         a.on_packet(now, &nak);
-        assert_eq!(a.rnr_naks_received(), 1);
+        assert_eq!(a.rnr_naks_received, 1);
         // Backoff: no retransmit until the RNR timer elapses.
         assert!(a.poll_timeout(now).is_empty());
         let resume = now + QpConfig::default().rnr_timer;
@@ -1278,7 +1242,7 @@ mod tests {
         }
         assert_eq!(a.state(), QpState::Error);
         assert!(a.take_fatal());
-        assert_eq!(a.rnr_naks_received(), 3);
+        assert_eq!(a.rnr_naks_received, 3);
     }
 
     #[test]
@@ -1352,18 +1316,18 @@ mod tests {
         run_lossless(&mut a, &mut b);
 
         for qp in [&a, &b] {
-            let base = format!("qp/{}", qp.qpn());
-            let get = |leaf: &str| tree.get(&format!("{base}/{leaf}")).unwrap();
-            assert_eq!(get("tx_packets"), qp.sent_packets());
-            assert_eq!(get("rx_packets"), qp.received_packets());
+            let base = format!("qp/{}", qp.qpn);
+            let get = |leaf: &str| tree.snapshot().get(&format!("{base}/{leaf}")).unwrap();
+            assert_eq!(get("tx_packets"), qp.sent_packets);
+            assert_eq!(get("rx_packets"), qp.received_packets);
             assert_eq!(get("retransmits"), qp.retransmits());
             assert_eq!(get("timeouts"), qp.timeouts());
             assert_eq!(get("naks_sent"), qp.naks_sent());
             assert_eq!(get("naks_received"), qp.naks_received());
-            assert_eq!(get("rnr_naks"), qp.rnr_naks_received());
+            assert_eq!(get("rnr_naks"), qp.rnr_naks_received);
             assert_eq!(get("out_of_window"), qp.out_of_window());
             assert_eq!(get("duplicate_acks"), qp.duplicate_acks());
         }
-        assert!(tree.get("qp/100/tx_packets").unwrap() > 0);
+        assert!(tree.snapshot().get("qp/100/tx_packets").unwrap() > 0);
     }
 }

@@ -28,11 +28,6 @@ impl RssContext {
         }
     }
 
-    /// Number of distinct target queues.
-    pub fn queue_count(&self) -> u16 {
-        self.indirection.iter().copied().max().map_or(1, |m| m + 1)
-    }
-
     /// Computes the RSS hash the NIC would report for this packet.
     ///
     /// Non-first IP fragments lack L4 ports, so — like real NICs — the hash
@@ -115,7 +110,12 @@ mod tests {
 
     #[test]
     fn queue_count_reflects_table() {
-        assert_eq!(RssContext::new(4).queue_count(), 4);
-        assert_eq!(RssContext::new(1).queue_count(), 1);
+        for queues in [1, 4] {
+            let rss = RssContext::new(queues);
+            let seen: std::collections::BTreeSet<u16> = (1000..1200)
+                .map(|port| rss.queue_for(&meta(port)))
+                .collect();
+            assert_eq!(seen, (0..queues).collect());
+        }
     }
 }

@@ -35,7 +35,6 @@ pub enum PolicerVerdict {
 #[derive(Debug, Default)]
 pub struct PolicerSet {
     policers: HashMap<u32, TokenBucket>,
-    exceeded: u64,
 }
 
 impl PolicerSet {
@@ -64,16 +63,10 @@ impl PolicerSet {
                     tb.consume(now, bytes);
                     PolicerVerdict::Conform
                 } else {
-                    self.exceeded += 1;
                     PolicerVerdict::Exceed
                 }
             }
         }
-    }
-
-    /// Packets dropped as exceeding their rate.
-    pub fn exceeded(&self) -> u64 {
-        self.exceeded
     }
 
     /// Total token bytes available across all policers after refilling to
@@ -125,7 +118,6 @@ mod tests {
             assert_eq!(p.offer(1, now, 1500), PolicerVerdict::Conform);
             now += SimDuration::from_micros(10); // 1.2 Gbps offered
         }
-        assert_eq!(p.exceeded(), 0);
     }
 
     #[test]

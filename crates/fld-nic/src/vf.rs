@@ -238,14 +238,6 @@ impl SrIov {
         });
     }
 
-    /// The VF bound to tenant `context`, if any.
-    pub fn vf_for_context(&self, context: u32) -> Option<u16> {
-        self.vfs
-            .iter()
-            .position(|s| s.cfg.context == context)
-            .map(|i| i as u16)
-    }
-
     /// The context carried by `vf`.
     pub fn context_of(&self, vf: u16) -> Option<u32> {
         self.vfs.get(vf as usize).map(|s| s.cfg.context)
@@ -254,11 +246,6 @@ impl SrIov {
     /// The source address bound to `vf`, if any.
     pub fn src_ip_of(&self, vf: u16) -> Option<Ipv4Addr> {
         self.vfs.get(vf as usize).and_then(|s| s.cfg.src_ip)
-    }
-
-    /// Whether `vf` is currently hot-unplugged.
-    pub fn is_unplugged(&self, vf: u16) -> bool {
-        self.vfs.get(vf as usize).is_some_and(|s| s.unplugged)
     }
 
     /// Hot-unplugs `vf`: its rule-quota booking is reclaimed (the caller
@@ -312,11 +299,6 @@ impl SrIov {
         }
         slot.rules_installed += 1;
         Ok(())
-    }
-
-    /// Rules `vf` has installed.
-    pub fn rules_installed(&self, vf: u16) -> usize {
-        self.vfs.get(vf as usize).map_or(0, |s| s.rules_installed)
     }
 
     /// Accounts one packet received by `vf`. Returns `false` when the VF
@@ -466,7 +448,7 @@ mod tests {
         assert_eq!(s.admit_rule(vf, &by_ip), Ok(()));
         // Quota of 2 is now spent.
         assert_eq!(s.admit_rule(vf, &by_ctx), Err(VfError::QuotaExceeded(vf)));
-        assert_eq!(s.rules_installed(vf), 2);
+        assert_eq!(s.vfs[vf as usize].rules_installed, 2);
         assert_eq!(s.admit_rule(99, &by_ctx), Err(VfError::UnknownVf(99)));
     }
 
@@ -510,8 +492,8 @@ mod tests {
         // Unplug: quota booking reclaimed, shaper state gone, traffic
         // in both directions dropped-and-counted.
         assert_eq!(s.unplug(vf), Some(2));
-        assert!(s.is_unplugged(vf));
-        assert_eq!(s.rules_installed(vf), 0);
+        assert!(s.vfs[vf as usize].unplugged);
+        assert_eq!(s.vfs[vf as usize].rules_installed, 0);
         assert_eq!(s.shaper_burst_bytes(), 0);
         assert!(!s.offer_tx(vf, SimTime::ZERO, 1500));
         assert!(!s.account_rx(vf, 1500));
@@ -520,7 +502,7 @@ mod tests {
         // Replug: fresh shaper at full burst, quota empty and bookable
         // again, traffic flows.
         assert!(s.replug(vf));
-        assert!(!s.is_unplugged(vf));
+        assert!(!s.vfs[vf as usize].unplugged);
         assert_eq!(s.shaper_burst_bytes(), 1500);
         assert_eq!(s.admit_rule(vf, &by_ctx), Ok(()));
         assert!(s.offer_tx(vf, SimTime::ZERO, 1500));
@@ -545,19 +527,19 @@ mod tests {
         s.account_rx(a, 100);
         let tree = CounterTree::new();
         s.wire_counters(&tree);
-        assert_eq!(tree.get("vf/0/rx_packets"), Some(1));
-        assert_eq!(tree.get("vf/0/rx_bytes"), Some(100));
+        assert_eq!(tree.snapshot().get("vf/0/rx_packets"), Some(1));
+        assert_eq!(tree.snapshot().get("vf/0/rx_bytes"), Some(100));
         // A VF created after wiring lands in the tree immediately.
         let b = s.create_vf(VfConfig::for_context(2));
         s.account_rx(b, 50);
         assert!(s.offer_tx(b, SimTime::ZERO, 50));
-        assert_eq!(tree.get("vf/1/rx_bytes"), Some(50));
+        assert_eq!(tree.snapshot().get("vf/1/rx_bytes"), Some(50));
         assert_eq!(tree.sum_leaf("vf", "rx_packets"), s.pf_totals().rx_packets);
         assert_eq!(tree.sum_prefix("vf"), s.pf_totals().grand_total());
         let mut auditor = fld_sim::audit::Auditor::new().strict();
         s.audit("sriov", SimTime::ZERO, &mut auditor);
         assert!(auditor.report().passed());
-        assert_eq!(s.vf_for_context(2), Some(b));
+        assert_eq!(s.context_of(b), Some(2));
         assert_eq!(s.context_of(a), Some(1));
     }
 }

@@ -3,6 +3,7 @@
 //! frame (`fld_nic::burst`).
 
 use fld_nic::rdma::{QpConfig, RcQp, RdmaEvent};
+use fld_sim::counters::CounterTree;
 use fld_sim::prof::{alloc_counts, CountingAlloc};
 use fld_sim::time::{SimDuration, SimTime};
 
@@ -37,6 +38,8 @@ fn steady_state_message_cycle_allocates_nothing() {
     let mut server = RcQp::new(0x200, QpConfig::default());
     client.connect(0x200);
     server.connect(0x100);
+    let tree = CounterTree::new();
+    server.wire_counters(&tree);
     let mut now = SimTime::ZERO;
     // Warm-up: the send queue and the in-flight window take their capacity.
     for wr in 0..16 {
@@ -53,6 +56,6 @@ fn steady_state_message_cycle_allocates_nothing() {
     }
     let (after, _) = alloc_counts();
     assert_eq!(after - before, 0, "10 000 message cycles after warm-up");
-    assert_eq!(client.outstanding_sends(), 0);
-    assert_eq!(server.received_packets(), 10_016);
+    assert_eq!(client.inflight_packets(), 0);
+    assert_eq!(tree.snapshot().get("qp/512/rx_packets"), Some(10_016));
 }

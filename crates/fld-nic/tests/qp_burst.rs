@@ -54,7 +54,7 @@ fn one_coalesced_ack_completes_64_messages_in_order() {
         .map(|wr_id| RdmaEvent::SendComplete { wr_id })
         .collect();
     assert_eq!(Vec::from_iter(events), want);
-    assert_eq!(a.outstanding_sends(), 0);
+    assert_eq!(a.inflight_packets(), 0);
 }
 
 /// One 64 KiB message at MTU 1024: 64 packets out of a single

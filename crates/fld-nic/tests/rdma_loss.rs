@@ -72,7 +72,7 @@ fn run_lossy(messages: &[u32], drop_mask: u128, window: usize) -> Vec<u32> {
             Some(t) if t > now => t,
             _ => now + SimDuration::from_micros(60),
         };
-        if quiescent && a.outstanding_sends() == 0 {
+        if quiescent && a.inflight_packets() == 0 {
             break;
         }
     }

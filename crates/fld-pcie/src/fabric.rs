@@ -55,7 +55,6 @@ pub struct SwitchPort {
     link: Link,
     overheads: TlpOverheads,
     control_delays: fld_sim::stats::Histogram,
-    backpressured: u64,
 }
 
 impl SwitchPort {
@@ -65,7 +64,6 @@ impl SwitchPort {
             link: Link::new(rate, SimDuration::from_nanos(150)).with_buffer(buffer_limit),
             overheads: TlpOverheads::default(),
             control_delays: fld_sim::stats::Histogram::new(),
-            backpressured: 0,
         }
     }
 
@@ -80,9 +78,6 @@ impl SwitchPort {
     /// recorded.
     pub fn forward(&mut self, now: SimTime, tlp: TlpKind) -> SimTime {
         let bytes = self.overheads.wire_bytes(tlp) as u64;
-        if self.should_backpressure(now) {
-            self.backpressured += 1;
-        }
         let is_control = matches!(
             tlp,
             TlpKind::MemRead { .. } | TlpKind::MemWrite { payload: 0..=16 }
@@ -98,11 +93,6 @@ impl SwitchPort {
     /// Queueing-delay distribution observed by control TLPs (ns).
     pub fn control_delays(&self) -> &fld_sim::stats::Histogram {
         &self.control_delays
-    }
-
-    /// TLPs that arrived while the buffer exceeded the limit.
-    pub fn backpressured(&self) -> u64 {
-        self.backpressured
     }
 
     /// Remaining output-buffer credits in bytes at `now` — the PCIe
@@ -177,7 +167,6 @@ mod tests {
         let arrival = port.forward(SimTime::ZERO, TlpKind::MemRead { requested: 64 });
         // Serialization of 26 B + 150 ns propagation.
         assert!(arrival.as_nanos() < 200);
-        assert_eq!(port.backpressured(), 0);
     }
 
     /// The paper's observation and mitigation, quantified: honoring switch

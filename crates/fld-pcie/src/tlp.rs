@@ -82,20 +82,6 @@ pub enum TlpOutcome {
     CompletionTimeout,
 }
 
-impl TlpOutcome {
-    /// Whether the requester may consume the returned data.
-    pub fn data_usable(self) -> bool {
-        self == TlpOutcome::Success
-    }
-
-    /// Whether the transaction ties up the requester for its full
-    /// timeout window (only [`TlpOutcome::CompletionTimeout`] does —
-    /// poisoned completions arrive at normal latency).
-    pub fn stalls_requester(self) -> bool {
-        self == TlpOutcome::CompletionTimeout
-    }
-}
-
 /// Splits a transfer of `bytes` into TLP payload chunks bounded by
 /// `max_chunk` (MPS for writes, RCB/MPS for read completions).
 ///
@@ -149,11 +135,6 @@ pub struct TlpCounters {
 }
 
 impl TlpCounters {
-    /// A fully detached group (all increments discarded).
-    pub fn detached() -> Self {
-        TlpCounters::default()
-    }
-
     /// A group registered under `pcie/fn/<fn_idx>/...` in `tree`.
     pub fn wired(tree: &fld_sim::counters::CounterTree, fn_idx: u32) -> Self {
         let leaf = |name: &str| tree.counter(&format!("pcie/fn/{fn_idx}/{name}"));
@@ -217,16 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_classification() {
-        assert!(TlpOutcome::Success.data_usable());
-        assert!(!TlpOutcome::Poisoned.data_usable());
-        assert!(!TlpOutcome::CompletionTimeout.data_usable());
-        // Only a timeout costs the requester its full timeout window.
-        assert!(TlpOutcome::CompletionTimeout.stalls_requester());
-        assert!(!TlpOutcome::Poisoned.stalls_requester());
-    }
-
-    #[test]
     fn wired_tlp_counters_land_under_the_function_prefix() {
         let tree = fld_sim::counters::CounterTree::new();
         let ctr = TlpCounters::wired(&tree, 3);
@@ -235,15 +206,18 @@ mod tests {
         ctr.record_outcome(TlpOutcome::Success);
         ctr.record_outcome(TlpOutcome::Poisoned);
         ctr.record_outcome(TlpOutcome::CompletionTimeout);
-        assert_eq!(tree.get("pcie/fn/3/tlps"), Some(2));
-        assert_eq!(tree.get("pcie/fn/3/bytes"), Some(116));
-        assert_eq!(tree.get("pcie/fn/3/poisoned_tlps"), Some(1));
-        assert_eq!(tree.get("pcie/fn/3/completion_timeouts"), Some(1));
+        assert_eq!(tree.snapshot().get("pcie/fn/3/tlps"), Some(2));
+        assert_eq!(tree.snapshot().get("pcie/fn/3/bytes"), Some(116));
+        assert_eq!(tree.snapshot().get("pcie/fn/3/poisoned_tlps"), Some(1));
+        assert_eq!(
+            tree.snapshot().get("pcie/fn/3/completion_timeouts"),
+            Some(1)
+        );
         // A detached group accepts the same traffic without a tree.
-        let off = TlpCounters::detached();
+        let off = TlpCounters::default();
         off.record_tlp(64);
         assert_eq!(off.tlps.get(), 1);
-        assert!(tree.get("pcie/fn/0/tlps").is_none());
+        assert!(tree.snapshot().get("pcie/fn/0/tlps").is_none());
     }
 
     #[test]

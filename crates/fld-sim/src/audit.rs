@@ -28,7 +28,6 @@
 use std::fmt::{Display, Write as _};
 
 use crate::counters::{Counter, CounterSum};
-use crate::json::JsonWriter;
 use crate::time::SimTime;
 
 /// RDMA packet-sequence-number space (matches `fld-nic`'s `PSN_MOD`).
@@ -278,11 +277,6 @@ impl Auditor {
         self.psn_key = key;
     }
 
-    /// Violations observed so far (including ones beyond the recording cap).
-    pub fn violations(&self) -> u64 {
-        self.total_violations
-    }
-
     /// Finalizes into a serializable report.
     pub fn report(&self) -> AuditReport {
         AuditReport {
@@ -314,27 +308,6 @@ impl AuditReport {
     pub fn export(&self, prefix: &str, registry: &mut crate::metrics::MetricsRegistry) {
         registry.counter(format!("{prefix}.checks"), self.checks);
         registry.counter(format!("{prefix}.violations"), self.violations);
-    }
-
-    /// Serializes the report (summary plus recorded violations).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_u64("checks", self.checks);
-        w.field_u64("violations", self.violations);
-        w.key("recorded");
-        w.begin_array();
-        for v in &self.recorded {
-            w.begin_object();
-            w.field_u64("at_ns", v.at.as_nanos());
-            w.field_str("component", &v.component);
-            w.field_str("invariant", v.invariant);
-            w.field_str("detail", &v.detail);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
     }
 }
 
@@ -394,9 +367,9 @@ mod tests {
         let mut a = Auditor::new();
         a.check_psn(t(1), "qp", PSN_MOD - 2);
         a.check_psn(t(2), "qp", 3); // wrapped forward by 5
-        assert_eq!(a.violations(), 0);
+        assert_eq!(a.report().violations, 0);
         a.check_psn(t(3), "qp", 1); // backwards
-        assert_eq!(a.violations(), 1);
+        assert_eq!(a.report().violations, 1);
     }
 
     #[test]
@@ -426,7 +399,7 @@ mod tests {
         let mut a = Auditor::new();
         a.check_counter_eq(t(5), "counters.port", &leaf, 3);
         a.check_counter_sum(t(5), "counters.port", &mut group, 3);
-        assert_eq!(a.violations(), 0);
+        assert_eq!(a.report().violations, 0);
         a.check_counter_eq(t(6), format_args!("counters.{}", "port"), &leaf, 4);
         a.check_counter_sum(t(6), "counters.port", &mut group, 4);
         let report = a.report();
@@ -451,7 +424,7 @@ mod tests {
         let mut a = Auditor::new();
         let credits: u64 = 0u64.wrapping_sub(1); // classic unsigned underflow
         a.check_credits(t(7), "fld.tx_ring.descriptors", credits, 4096);
-        assert_eq!(a.violations(), 1);
+        assert_eq!(a.report().violations, 1);
         assert!(a.report().recorded[0].detail.contains("underflow"));
     }
 
@@ -472,15 +445,5 @@ mod tests {
         assert_eq!(report.violations, MAX_RECORDED as u64 + 10);
         assert_eq!(report.recorded.len(), MAX_RECORDED);
         assert!(!report.passed());
-    }
-
-    #[test]
-    fn report_json_is_stable() {
-        let mut a = Auditor::new();
-        a.check_occupancy(t(3), "rx", 1.5);
-        let json = a.report().to_json();
-        assert!(json.contains("\"checks\":1"), "{json}");
-        assert!(json.contains("\"violations\":1"));
-        assert!(json.contains("\"component\":\"rx\""));
     }
 }

@@ -207,12 +207,6 @@ impl CounterTree {
         counter
     }
 
-    /// The value at `path`, if registered. A locked lookup: for dumps,
-    /// tools and tests — audits read through [`Counter`] handles.
-    pub fn get(&self, path: &str) -> Option<u64> {
-        self.lock().sorted.get(path).map(|c| c.0.get())
-    }
-
     /// Number of registered counters (lock-free).
     pub fn len(&self) -> usize {
         self.inner.len.load(Ordering::Acquire)
@@ -386,16 +380,6 @@ impl CounterSnapshot {
             .sum()
     }
 
-    /// Whether the snapshot holds no counters.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of counters captured.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Writes the snapshot into `w` as one flat JSON object
     /// (`{"path": value, ...}` in sorted order).
     pub fn write_into(&self, w: &mut JsonWriter) {
@@ -404,12 +388,6 @@ impl CounterSnapshot {
             w.field_u64(path, *value);
         }
         w.end_object();
-    }
-
-    /// A standalone versioned JSON document for this snapshot alone
-    /// (multi-run dumps go through [`write_dump`]).
-    pub fn to_json(&self, label: &str) -> String {
-        write_dump("counters", &[(label.to_string(), self.clone())])
     }
 
     /// `ethtool -S`-style text rendering: a header naming the entity,
@@ -455,9 +433,9 @@ mod tests {
         a.inc();
         a.inc();
         b.add(1500);
-        assert_eq!(tree.get("port/0/rx/packets"), Some(2));
-        assert_eq!(tree.get("port/0/rx/bytes"), Some(1500));
-        assert_eq!(tree.get("port/0/rx/nope"), None);
+        assert_eq!(tree.snapshot().get("port/0/rx/packets"), Some(2));
+        assert_eq!(tree.snapshot().get("port/0/rx/bytes"), Some(1500));
+        assert_eq!(tree.snapshot().get("port/0/rx/nope"), None);
         assert_eq!(tree.len(), 2);
         // Re-resolving the same path shares the cell.
         tree.counter("port/0/rx/packets").inc();
@@ -628,7 +606,7 @@ mod tests {
         assert_eq!(snap.get("b/x"), Some(2));
         assert_eq!(snap.get("c"), None);
         assert_eq!(snap.sum_prefix("a"), 1);
-        assert_eq!(snap.len(), 2);
+        assert_eq!(snap.entries().len(), 2);
     }
 
     #[test]
@@ -636,7 +614,7 @@ mod tests {
         let tree = CounterTree::new();
         tree.counter("qp/256/retransmits").add(4);
         let snap = tree.snapshot();
-        let json = snap.to_json("run1");
+        let json = write_dump("counters", &[("run1".to_string(), snap.clone())]);
         assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(json.contains("\"qp/256/retransmits\": 4"));
         let text = snap.render_text("fldr");

@@ -371,14 +371,14 @@ mod tests {
         assert!(mon.all_healthy());
         assert_eq!(mon.mttr_ns().count(), 1);
         assert_eq!(mon.mttr_ns().max(), 80_000);
-        assert_eq!(tree.get("health/node/0/suspect"), Some(1));
-        assert_eq!(tree.get("health/node/0/down"), Some(1));
-        assert_eq!(tree.get("health/node/0/recovered"), Some(1));
-        assert_eq!(tree.get("recovery/mttr_ns"), Some(80_000));
+        assert_eq!(tree.snapshot().get("health/node/0/suspect"), Some(1));
+        assert_eq!(tree.snapshot().get("health/node/0/down"), Some(1));
+        assert_eq!(tree.snapshot().get("health/node/0/recovered"), Some(1));
+        assert_eq!(tree.snapshot().get("recovery/mttr_ns"), Some(80_000));
 
         let mut auditor = Auditor::new();
         mon.drained_audit(SimTime::from_micros(200), "health", &mut auditor);
-        assert_eq!(auditor.violations(), 0);
+        assert_eq!(auditor.report().violations, 0);
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         mon.tick(SimTime::from_micros(200));
         let mut auditor = Auditor::new();
         mon.drained_audit(SimTime::from_micros(300), "health", &mut auditor);
-        assert_eq!(auditor.violations(), 1);
+        assert_eq!(auditor.report().violations, 1);
         let (healthy, _, down, _) = mon.counts();
         assert_eq!((healthy, down), (1, 1));
     }
@@ -439,13 +439,13 @@ mod tests {
         // Wire AFTER the episode: counts must carry over.
         let tree = CounterTree::new();
         mon.wire_counters(&tree);
-        assert_eq!(tree.get("health/node/1/recovered"), Some(1));
-        assert_eq!(tree.get("recovery/mttr_ns"), Some(80_000));
+        assert_eq!(tree.snapshot().get("health/node/1/recovered"), Some(1));
+        assert_eq!(tree.snapshot().get("recovery/mttr_ns"), Some(80_000));
         // Entities registered after wiring attach live.
         let m2 = mon.register("node/2");
         mon.fail(m2, SimTime::from_micros(100));
         mon.tick(SimTime::from_micros(200));
-        assert_eq!(tree.get("health/node/2/down"), Some(1));
+        assert_eq!(tree.snapshot().get("health/node/2/down"), Some(1));
 
         let mut reg = MetricsRegistry::new();
         mon.export(&mut reg);

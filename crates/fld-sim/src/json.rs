@@ -171,17 +171,6 @@ impl JsonWriter {
         self.out.push_str(&itoa_u64(v));
     }
 
-    /// Emits a signed integer value.
-    pub fn i64(&mut self, v: i64) {
-        self.pre_element();
-        if v < 0 {
-            self.out.push('-');
-            self.out.push_str(&itoa_u64(v.unsigned_abs()));
-        } else {
-            self.out.push_str(&itoa_u64(v as u64));
-        }
-    }
-
     /// Emits a float value. Non-finite floats become `null` (JSON has no
     /// NaN/Infinity).
     pub fn f64(&mut self, v: f64) {
@@ -290,7 +279,7 @@ mod tests {
     fn negative_and_nonfinite_numbers() {
         let mut w = JsonWriter::new();
         w.begin_array();
-        w.i64(-42);
+        w.f64(-42.0);
         w.f64(f64::NAN);
         w.f64(f64::INFINITY);
         w.end_array();

@@ -71,7 +71,7 @@ impl<K: Copy + PartialEq, V: Copy> RecentTwo<K, V> {
 /// let a1 = wire.transmit(SimTime::ZERO, 1500);
 /// let a2 = wire.transmit(SimTime::ZERO, 1500);
 /// // Second frame queues behind the first: exactly one serialization later.
-/// assert_eq!((a2 - a1).as_nanos(), 480);
+/// assert_eq!(a2.since(a1).as_nanos(), 480);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -147,11 +147,6 @@ impl Link {
         self.next_free.saturating_since(now)
     }
 
-    /// Whether the link would accept a unit at `now` without queueing.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.backlog(now).is_zero()
-    }
-
     /// Bytes queued for the wire at `now`: the backlog at line rate.
     pub fn queued_bytes(&self, now: SimTime) -> u64 {
         (self.backlog(now).as_secs_f64() * self.bandwidth.as_bps() / 8.0) as u64
@@ -171,16 +166,6 @@ impl Link {
             return None;
         }
         Some(self.transmit(now, bytes))
-    }
-
-    /// Total payload bytes ever pushed through the link.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total units (frames / TLPs) ever pushed through the link.
-    pub fn units_sent(&self) -> u64 {
-        self.units_sent
     }
 
     /// Fraction of `[SimTime::ZERO, now]` the link spent busy.
@@ -304,6 +289,13 @@ impl TokenBucket {
 mod tests {
     use super::*;
 
+    /// The link's `(bytes, units)` totals, read through its metrics export.
+    fn sent(link: &Link) -> (Option<u64>, Option<u64>) {
+        let mut m = MetricsRegistry::new();
+        link.export_metrics("l", SimTime::ZERO, &mut m);
+        (m.counter_value("l.bytes"), m.counter_value("l.units"))
+    }
+
     #[test]
     fn recent_two_evicts_the_less_recently_used_pair() {
         let mut memo = RecentTwo::new(0u64, 0u64);
@@ -336,9 +328,9 @@ mod tests {
         // 100 B at 10 Gbps = 80 ns + 5 ns propagation.
         assert_eq!(a.as_nanos(), 85);
         let later = SimTime::from_micros(1);
-        assert!(l.is_idle(later));
+        assert!(l.backlog(later).is_zero());
         let b = l.transmit(later, 100);
-        assert_eq!((b - later).as_nanos(), 85);
+        assert_eq!(b.since(later).as_nanos(), 85);
     }
 
     #[test]
@@ -381,13 +373,10 @@ mod tests {
     fn a_refused_offer_leaves_the_link_untouched() {
         let mut l = Link::new(Bandwidth::gbps(10.0), SimDuration::ZERO).with_buffer(1000);
         let first = l.offer(SimTime::ZERO, 1000).expect("empty buffer admits");
-        let before = (l.backlog(SimTime::ZERO), l.bytes_sent(), l.units_sent());
+        let before = (l.backlog(SimTime::ZERO), sent(&l));
         assert_eq!(l.credits(SimTime::ZERO), 0);
         assert_eq!(l.offer(SimTime::ZERO, 64), None);
-        assert_eq!(
-            (l.backlog(SimTime::ZERO), l.bytes_sent(), l.units_sent()),
-            before
-        );
+        assert_eq!((l.backlog(SimTime::ZERO), sent(&l)), before);
         // Once half the queue has drained an offer goes through,
         // serialising right behind the first frame.
         let t = SimTime::from_nanos(400);
@@ -417,7 +406,7 @@ mod tests {
             sends.push(now);
         }
         // After the initial burst, spacing converges to 12 us (1500 B at 1 Gbps).
-        let gap = (sends[9] - sends[8]).as_nanos();
+        let gap = sends[9].since(sends[8]).as_nanos();
         assert_eq!(gap, 12_000);
     }
 

@@ -31,7 +31,7 @@ use crate::json::JsonWriter;
 use crate::stats::{Counters, Histogram, RateMeter};
 
 /// A point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of recorded samples.
     pub count: u64,
@@ -70,7 +70,7 @@ impl From<&Histogram> for HistogramSnapshot {
 }
 
 /// A point-in-time summary of a [`RateMeter`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RateSnapshot {
     /// Total bytes over the window.
     pub bytes: u64,
@@ -94,7 +94,7 @@ impl From<&RateMeter> for RateSnapshot {
 }
 
 /// One registered metric.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum MetricValue {
     /// A monotonic count (drops, MMIO writes, retransmits, …).
     Counter(u64),
@@ -111,7 +111,7 @@ pub enum MetricValue {
 /// Dots in names become nesting levels in the JSON snapshot. A name that
 /// is also a prefix of other names (`pcie` next to `pcie.rtt`) keeps its
 /// value under the reserved `self` key of the shared object.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
 }
@@ -153,30 +153,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Absorbs all of `other`'s metrics under `prefix`.
-    pub fn extend_prefixed(&mut self, prefix: &str, other: &MetricsRegistry) {
-        for (name, value) in &other.metrics {
-            self.metrics
-                .insert(format!("{prefix}.{name}"), value.clone());
-        }
-    }
-
-    /// Looks up one metric.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.metrics.get(name)
-    }
-
     /// Reads a counter's value, if `name` is a registered counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
             Some(MetricValue::Counter(v)) => Some(*v),
             _ => None,
         }
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Serializes the snapshot as pretty-printed hierarchical JSON.
@@ -314,15 +296,6 @@ mod tests {
         reg.counters("nic.drops", &c);
         assert_eq!(reg.counter_value("nic.drops.classifier"), Some(1));
         assert_eq!(reg.counter_value("nic.drops.policer"), Some(4));
-    }
-
-    #[test]
-    fn extend_prefixed_nests_components() {
-        let mut inner = MetricsRegistry::new();
-        inner.counter("mmio_writes", 7);
-        let mut outer = MetricsRegistry::new();
-        outer.extend_prefixed("fld.tx", &inner);
-        assert_eq!(outer.counter_value("fld.tx.mmio_writes"), Some(7));
     }
 
     #[test]

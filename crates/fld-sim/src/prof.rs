@@ -456,14 +456,6 @@ impl Profile {
         (self.wall_ns - self.timer_overhead_ns * self.boundaries as f64).max(1.0)
     }
 
-    /// The fraction of [`Profile::attributed_wall_ns`] spent in `phase`.
-    pub fn fraction(&self, phase: &str) -> f64 {
-        self.phases
-            .iter()
-            .find(|p| p.name == phase)
-            .map_or(0.0, |p| p.total_ns / self.attributed_wall_ns())
-    }
-
     /// Sum of every phase fraction. ~1.0 by the telescoping construction;
     /// drift beyond ±2% means calibration or clamping ate real time.
     pub fn fractions_sum(&self) -> f64 {
@@ -854,7 +846,12 @@ mod tests {
             p.fractions_sum()
         );
         assert_eq!(p.top_phase().unwrap().name, "dispatch.Gen");
-        assert!((p.fraction("pop") - 0.2).abs() < 1e-9);
+        let json = p.to_json();
+        let pop = &json[json.find("\"pop\"").expect("pop phase")..];
+        assert!(
+            pop[..pop.find('}').unwrap()].contains("\"frac\": 0.2,"),
+            "{json}"
+        );
         assert!((p.speed_ratio() - 4.0).abs() < 1e-9);
     }
 
@@ -903,7 +900,7 @@ mod tests {
         assert_eq!(p.to_folded(), "");
         let mut reg = crate::metrics::MetricsRegistry::new();
         p.export("prof", &mut reg);
-        assert!(reg.is_empty());
+        assert_eq!(reg.to_json(), "{}");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Measurement primitives: counters, rate meters and an HDR-style histogram.
 
-use std::fmt;
-
 use crate::time::{SimDuration, SimTime};
 
 /// A log-linear histogram (HDR-histogram style) for latency measurements.
@@ -159,11 +157,6 @@ impl Histogram {
         self.max
     }
 
-    /// Median shortcut.
-    pub fn median(&self) -> u64 {
-        self.percentile(50.0)
-    }
-
     /// Merges another histogram of identical precision.
     ///
     /// # Panics
@@ -181,21 +174,6 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p99={} p99.9={} max={}",
-            self.count,
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(99.0),
-            self.percentile(99.9),
-            self.max()
-        )
     }
 }
 
@@ -474,7 +452,6 @@ mod tests {
         }
         assert_eq!(h.min(), 1_234_567);
         assert_eq!(h.max(), 1_234_567);
-        assert_eq!(h.median(), 1_234_567);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant in simulated time, in picoseconds since simulation start.
 ///
@@ -74,11 +74,6 @@ impl SimTime {
     /// This instant expressed in (truncated) nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// This instant expressed in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
     }
 
     /// This instant expressed in fractional seconds.
@@ -162,11 +157,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -186,13 +176,6 @@ impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        self.since(rhs)
     }
 }
 
@@ -217,24 +200,10 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        *self = *self - rhs;
-    }
-}
-
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
-    }
-}
-
-impl Mul<f64> for SimDuration {
-    type Output = SimDuration;
-    fn mul(self, rhs: f64) -> SimDuration {
-        debug_assert!(rhs >= 0.0);
-        SimDuration(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
@@ -248,12 +217,6 @@ impl Div<u64> for SimDuration {
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
         iter.fold(SimDuration::ZERO, Add::add)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}us", self.as_micros_f64())
     }
 }
 
@@ -288,11 +251,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Creates a bandwidth in megabits per second.
-    pub fn mbps(mbps: f64) -> Self {
-        Bandwidth::bps(mbps * 1e6)
-    }
-
     /// Creates a bandwidth in gigabits per second.
     pub fn gbps(gbps: f64) -> Self {
         Bandwidth::bps(gbps * 1e9)
@@ -323,7 +281,7 @@ impl Bandwidth {
 /// saturating — without the call into libm that `f64::round` is on
 /// baseline x86-64 (no `roundsd` before SSE4.1). Every rounding of a
 /// float into picoseconds or bytes goes through it: serialisation times,
-/// PCIe byte loads, `from_secs_f64`, `SimDuration * f64`, Poisson gaps.
+/// PCIe byte loads, `from_secs_f64`, Poisson gaps.
 ///
 /// The cast truncates; the remainder `x − trunc(x)` is exact (for
 /// `x < 2^52` both are multiples of `x`'s ulp and the difference is below
@@ -361,14 +319,12 @@ mod tests {
         assert_eq!((a - b).as_nanos(), 6);
         assert_eq!((a * 3).as_nanos(), 30);
         assert_eq!((a / 2).as_nanos(), 5);
-        assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
     }
 
     #[test]
     fn instant_duration_interplay() {
         let t0 = SimTime::from_nanos(100);
         let t1 = t0 + SimDuration::from_nanos(50);
-        assert_eq!((t1 - t0).as_nanos(), 50);
         assert_eq!(t1.since(t0).as_nanos(), 50);
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
     }
@@ -384,10 +340,7 @@ mod tests {
 
     #[test]
     fn bandwidth_constructors_agree() {
-        assert_eq!(
-            Bandwidth::gbps(1.0).as_bps(),
-            Bandwidth::mbps(1000.0).as_bps()
-        );
+        assert_eq!(Bandwidth::gbps(1.0).as_bps(), Bandwidth::bps(1e9).as_bps());
     }
 
     #[test]
@@ -404,7 +357,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", SimTime::from_micros(2)), "2.000us");
+        assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", Bandwidth::gbps(25.0)), "25.000Gbps");
     }
 }

@@ -5,8 +5,8 @@
 //! through the simulated system: wire ingress, eSwitch verdict, doorbell
 //! MMIO, WQE fetch, PCIe TLP, CQE write, accelerator delivery, Tx and
 //! drops. The buffer exports to Chrome trace-event JSON
-//! ([`Tracer::to_chrome_json`]) loadable in Perfetto or `chrome://tracing`,
-//! with one lane per pipeline stage.
+//! ([`Tracer::to_chrome_json_with_counters`]) loadable in Perfetto or
+//! `chrome://tracing`, with one lane per pipeline stage.
 //!
 //! Tracing is switched at run time: [`Tracer::disabled`] records nothing
 //! (one branch per event).
@@ -157,11 +157,6 @@ impl Tracer {
         }
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
-    }
-
     /// Records one event (no-op when disabled).
     #[inline]
     pub fn record(&mut self, ts: SimTime, packet: u64, kind: TraceEventKind) {
@@ -200,19 +195,13 @@ impl Tracer {
     /// stage appears as a complete (`"X"`) event spanning from the
     /// previous lifecycle event to this one; drops render as instant
     /// (`"i"`) events.
-    pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with_counters(&[])
-    }
-
-    /// Like [`Tracer::to_chrome_json`], but additionally merges flight-
-    /// recorder timelines into the same document as Perfetto counter
-    /// tracks (`"ph":"C"`), so one Perfetto load shows packet-lifecycle
-    /// lanes *and* queue/credit/utilization counters on the sim timebase.
     ///
-    /// Each `(process name, timeline)` pair renders as its own process
-    /// (pid 2, 3, …) with one counter track per series; pid 1 stays the
-    /// packet pipeline. With no counters the output is identical to
-    /// [`Tracer::to_chrome_json`].
+    /// `counters` merges flight-recorder timelines into the same document
+    /// as Perfetto counter tracks (`"ph":"C"`), so one Perfetto load shows
+    /// packet-lifecycle lanes *and* queue/credit/utilization counters on
+    /// the sim timebase. Each `(process name, timeline)` pair renders as
+    /// its own process (pid 2, 3, …) with one counter track per series;
+    /// pid 1 stays the packet pipeline.
     pub fn to_chrome_json_with_counters(
         &self,
         counters: &[(&str, &crate::probe::Timeline)],
@@ -380,7 +369,6 @@ mod tests {
         let mut tr = Tracer::disabled();
         tr.record(t(1), 0, TraceEventKind::PacketIngress);
         assert!(tr.is_empty());
-        assert!(!tr.is_enabled());
     }
 
     #[test]
@@ -401,7 +389,7 @@ mod tests {
         tr.record(t(0), 7, TraceEventKind::PacketIngress);
         tr.record(t(100), 7, TraceEventKind::EswitchVerdict);
         tr.record(t(150), 8, TraceEventKind::Drop { reason: "policer" });
-        let json = tr.to_chrome_json();
+        let json = tr.to_chrome_json_with_counters(&[]);
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"eswitch_verdict\""));
@@ -415,8 +403,6 @@ mod tests {
         let mut tr = Tracer::with_capacity(16);
         tr.record(t(0), 1, TraceEventKind::PacketIngress);
         tr.record(t(50), 1, TraceEventKind::TxEmit);
-        let plain = tr.to_chrome_json();
-        assert_eq!(plain, tr.to_chrome_json_with_counters(&[]));
 
         let mut tl = crate::probe::Timeline::with_interval(SimDuration::from_micros(1));
         tl.sample(t(1000), &[("fld.rx_ring.occupancy", 0.5)]);

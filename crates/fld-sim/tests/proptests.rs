@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use fld_sim::counters::{CounterSum, CounterTree};
 use fld_sim::link::{Link, TokenBucket};
+use fld_sim::metrics::MetricsRegistry;
 use fld_sim::queue::EventQueue;
 use fld_sim::stats::Histogram;
 use fld_sim::time::{round_to_u64, Bandwidth, SimDuration, SimTime};
@@ -294,6 +295,13 @@ fn scan(tree: &CounterTree, prefix: &str, leaf: Option<usize>) -> u64 {
 /// 2^32 included), or a strict rotation over two or three sizes — the
 /// data-frame/ACK pattern the two-entry memo is sized for, and the first
 /// pattern that defeats it.
+/// The link's `(bytes, units)` totals, read through its metrics export.
+fn sent(link: &Link) -> (Option<u64>, Option<u64>) {
+    let mut m = MetricsRegistry::new();
+    link.export_metrics("l", SimTime::ZERO, &mut m);
+    (m.counter_value("l.bytes"), m.counter_value("l.units"))
+}
+
 fn size_sequence() -> impl Strategy<Value = Vec<u64>> {
     let size = || {
         prop_oneof![
@@ -388,7 +396,7 @@ proptest! {
             now += SimDuration::from_nanos(gap_ns);
         }
         let total_bytes: u64 = sizes.iter().sum();
-        prop_assert_eq!(link.bytes_sent(), total_bytes);
+        prop_assert_eq!(sent(&link).0, Some(total_bytes));
         // The last arrival can never beat perfect pipelining.
         let lower = bw.time_for_bytes(total_bytes);
         prop_assert!(last_arrival >= SimTime::ZERO + lower);
@@ -421,7 +429,7 @@ proptest! {
             now += SimDuration::from_nanos(gap_ns);
         }
         prop_assert_eq!(link.backlog(SimTime::ZERO), next_free.since(SimTime::ZERO));
-        prop_assert_eq!(link.units_sent(), sizes.len() as u64);
+        prop_assert_eq!(sent(&link).1, Some(sizes.len() as u64));
     }
 
     /// A bounded link's queue never holds more than its buffer plus the
@@ -440,10 +448,10 @@ proptest! {
         let mut now = SimTime::ZERO;
         for &(bytes, gap_ns) in &offers {
             now += SimDuration::from_nanos(gap_ns);
-            let before = (link.backlog(now), link.bytes_sent(), link.units_sent());
+            let before = (link.backlog(now), sent(&link));
             if link.offer(now, bytes).is_none() {
                 prop_assert_eq!(link.credits(now), 0);
-                prop_assert_eq!((link.backlog(now), link.bytes_sent(), link.units_sent()), before);
+                prop_assert_eq!((link.backlog(now), sent(&link)), before);
             }
             prop_assert!(
                 link.queued_bytes(now) <= buffer + largest,
@@ -552,11 +560,9 @@ proptest! {
         prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
     }
 
-    /// The duration constructors that round go through the same helper.
+    /// The duration constructor that rounds goes through the same helper.
     #[test]
-    fn duration_rounding_matches_round(picos in 0u64..(1 << 52), factor in 0.0f64..8.0, secs in 0.0f64..1e6) {
-        let d = SimDuration::from_picos(picos);
-        prop_assert_eq!((d * factor).as_picos(), (picos as f64 * factor).round() as u64);
+    fn duration_rounding_matches_round(secs in 0.0f64..1e6) {
         prop_assert_eq!(
             SimDuration::from_secs_f64(secs).as_picos(),
             (secs * 1_000_000_000_000.0).round() as u64

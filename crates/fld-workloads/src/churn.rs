@@ -235,11 +235,6 @@ impl ChurnProcess {
         self.active.len()
     }
 
-    /// Active flows of one tenant.
-    pub fn tenant_active(&self, tenant: u16) -> u32 {
-        self.per_tenant.get(tenant as usize).copied().unwrap_or(0)
-    }
-
     /// Flows admitted over the run (beyond the initial population).
     pub fn arrivals(&self) -> u64 {
         self.arrivals
@@ -326,9 +321,7 @@ mod tests {
         let mut rng = SimRng::seed_from(1);
         let p = ChurnProcess::new(cfg(), &mut rng);
         assert_eq!(p.active_count(), 8);
-        for t in 0..4 {
-            assert_eq!(p.tenant_active(t), 2);
-        }
+        assert_eq!(p.per_tenant, [2; 4]);
     }
 
     #[test]
@@ -434,9 +427,7 @@ mod tests {
         let revived = p.node_up(2);
         assert_eq!(revived, 4, "one flow per tenant rejoins the node");
         assert_eq!(p.active_on(2), 4);
-        for t in 0..4 {
-            assert!(p.tenant_active(t) >= 1);
-        }
+        assert!(p.per_tenant.iter().all(|&n| n >= 1));
         // The node is back in the spawn rotation.
         let mut seen = false;
         for _ in 0..100 {

@@ -10,20 +10,6 @@ use fld_sim::time::SimTime;
 
 use crate::sizes::SizeDist;
 
-/// Fixed-size UDP frames spread over `flows` source ports.
-pub fn fixed_udp_bursts(frame_len: u32, flows: u16) -> BurstBuilder {
-    Box::new(move |i, _rng, out| {
-        let flow = FlowKey::new(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            1000 + (i % flows as u64) as u16,
-            7777,
-            17,
-        );
-        out.push(SimPacket::synthetic(i, frame_len, flow, SimTime::ZERO));
-    })
-}
-
 /// Mixed-size frames drawn from `dist` (the § 8.1.1 trace replay).
 pub fn mixed_size_bursts(dist: SizeDist, flows: u16) -> BurstBuilder {
     Box::new(move |i, rng, out| {
@@ -134,7 +120,7 @@ mod tests {
 
     #[test]
     fn fixed_udp_single_packets() {
-        let mut b = fixed_udp_bursts(256, 4);
+        let mut b = mixed_size_bursts(SizeDist::Fixed(256), 4);
         let mut rng = SimRng::seed_from(1);
         let burst = collect_burst(&mut b, 0, &mut rng);
         assert_eq!(burst.len(), 1);

@@ -21,5 +21,5 @@ pub mod gen;
 pub mod sizes;
 
 pub use churn::{ChurnConfig, ChurnFlow, ChurnProcess};
-pub use gen::{defrag_bursts, fixed_udp_bursts, mixed_size_bursts, tenant_bursts, DefragMode};
+pub use gen::{defrag_bursts, mixed_size_bursts, tenant_bursts, DefragMode};
 pub use sizes::SizeDist;
