@@ -15,9 +15,7 @@
 //!   keys and the § 8.2.3 capacity knob;
 //! * [`zuc_ext`] — the paper's § 8.2.1 future-work optimizations as a
 //!   timing model: the compact header and setup of on-FPGA session key
-//!   storage, and request batching;
-//! * [`fault_accel`] — a transient-stall fault wrapper for any
-//!   accelerator model, driven by [`fld_sim::fault`].
+//!   storage, and request batching.
 //!
 //! # Examples
 //!
@@ -38,7 +36,6 @@
 pub mod client;
 pub mod defrag_accel;
 pub mod echo;
-pub mod fault_accel;
 pub mod iot_accel;
 pub mod zuc_accel;
 pub mod zuc_ext;
@@ -46,7 +43,6 @@ pub mod zuc_ext;
 pub use client::CryptoSession;
 pub use defrag_accel::DefragAccelerator;
 pub use echo::EchoAccelerator;
-pub use fault_accel::StallingAccelerator;
 pub use iot_accel::IotAuthAccelerator;
 pub use zuc_accel::{CryptoOp, CryptoRequest, SoftwareZuc, ZucAccelerator};
 pub use zuc_ext::BatchedZucAccelerator;

@@ -32,7 +32,7 @@ use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
 use fld_core::system::{RunStats, SystemConfig};
 use fld_sim::counters::CounterSnapshot;
-use fld_sim::fault::{FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultSchedule, ScheduleSpec};
+use fld_sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, ScheduleSpec};
 use fld_sim::health::HealthConfig;
 use fld_sim::time::{SimDuration, SimTime};
 
@@ -172,8 +172,7 @@ pub fn run_point(h: &Harness, plan: FaultPlan) -> ChaosPoint {
     // Sample coarsely: the per-tick audits (fault accounting included)
     // must run, but the timeline itself is not this experiment's product.
     sys.enable_flight_recorder(SimDuration::from_micros(10));
-    let echo_ledger = FaultLedger::new();
-    sys.enable_faults(&plan, &echo_ledger);
+    sys.enable_faults(&plan);
     let echo = h.simulate_until(sys, SimTime::ZERO, scale.deadline());
 
     // --- FLD-R RDMA leg ---
@@ -181,8 +180,7 @@ pub fn run_point(h: &Harness, plan: FaultPlan) -> ChaosPoint {
     let rcfg = RdmaConfig::remote(1024, 16, total);
     let mut rsys = RdmaSystem::new(rcfg, Box::new(MsgEcho));
     rsys.enable_flight_recorder(SimDuration::from_micros(10));
-    let rdma_ledger = FaultLedger::new();
-    rsys.enable_faults(&plan, &rdma_ledger);
+    rsys.enable_faults(&plan);
     let rdma = h.simulate_until(rsys, SimTime::ZERO, scale.deadline());
 
     ChaosPoint {
@@ -520,6 +518,22 @@ mod tests {
         assert!(points[2].echo_injected() > 0);
         assert!(points[2].echo.client_rate.bytes() < points[0].echo.client_rate.bytes());
         assert!(points[2].rdma.retransmits > 0, "loss must trigger recovery");
+        // Every faulted run injects on both legs, and every run audits.
+        for p in &points[1..] {
+            assert!(
+                p.echo_injected() > 0,
+                "echo@{:.0e} injected nothing",
+                p.rate
+            );
+            assert!(
+                p.rdma_injected() > 0,
+                "rdma@{:.0e} injected nothing",
+                p.rate
+            );
+        }
+        for p in &points {
+            assert!(p.echo.audit.checks > 0 && p.rdma.audit.checks > 0);
+        }
         let rendered = render(&points);
         assert!(rendered.contains("Fault rate"), "{rendered}");
     }
@@ -530,6 +544,7 @@ mod tests {
         let legs = run_rack_leg(&h, 7);
         validate_rack(&legs).unwrap();
         assert_eq!(h.audit_failures(), Vec::<String>::new());
+        assert!(legs.baseline.audit.checks > 0 && legs.faulted.audit.checks > 0);
         let rendered = render_rack(&legs);
         assert!(rendered.contains("Chaos rack"), "{rendered}");
         // The leg replays byte-identically under the same seed.

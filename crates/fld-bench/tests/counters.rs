@@ -19,7 +19,7 @@ use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
 use fld_sim::counters::{write_dump, CounterSnapshot, CounterTree};
-use fld_sim::fault::{FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultSchedule};
+use fld_sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use fld_sim::health::HealthConfig;
 use fld_sim::time::{Bandwidth, SimDuration, SimTime};
 
@@ -279,16 +279,19 @@ proptest! {
         steer_to_accel(&mut sys.nic);
         sys.enable_strict_audit();
         sys.enable_flight_recorder(SimDuration::from_micros(5));
-        let ledger = FaultLedger::new();
-        sys.enable_faults(&plan, &ledger);
+        sys.enable_faults(&plan);
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         let snap = &stats.counters;
-        // Fault attribution: every injection has a counter path.
-        prop_assert_eq!(snap.sum_prefix("faults"), ledger.injected_total());
+        // Fault attribution: every injection the ledger exported has a
+        // counter path.
         prop_assert_eq!(
-            snap.get("recovery/dropped_counted").unwrap_or(0),
-            ledger.summary().dropped_counted
+            Some(snap.sum_prefix("faults")),
+            stats.metrics.counter_value("faults.injected")
+        );
+        prop_assert_eq!(
+            snap.get("recovery/dropped_counted"),
+            stats.metrics.counter_value("recovery.dropped_counted")
         );
         // Queue sums telescope up to the aggregate metrics registry.
         prop_assert_eq!(
@@ -303,7 +306,7 @@ proptest! {
     }
 
     /// Rack-level telescoping: for any small rack topology, traffic
-    /// mix, shaper setting and fault plan, the per-VF counter subtrees
+    /// mix and shaper setting, the per-VF counter subtrees
     /// (`vf/<n>/...`) summed across every node equal the PF aggregates
     /// the rack exports — and the strict per-tick audits (which also
     /// run `check_counter_sum` over each node's VF subtree against its
@@ -321,7 +324,6 @@ proptest! {
             .prop_map(|(some, gbps, kib)| some.then_some((gbps, kib))),
         churn in 0f64..30_000.0,
         seed in any::<u64>(),
-        plan in arb_plan(),
     ) {
         let cfg = RackConfig {
             nodes,
@@ -343,14 +345,9 @@ proptest! {
         let mut rack = build_rack(cfg, churn);
         rack.enable_strict_audit();
         rack.enable_flight_recorder(SimDuration::from_micros(50));
-        let ledgers = rack.enable_faults(&plan);
         let stats = rack.run(SimTime::ZERO, SimTime::from_millis(5));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         prop_assert!(stats.offered > 0, "rack never generated traffic");
-        // Each node's fault counters reconcile with its own ledger.
-        for (snap, ledger) in stats.node_counters.iter().zip(&ledgers) {
-            prop_assert_eq!(snap.sum_prefix("faults"), ledger.injected_total());
-        }
         for leaf in [
             "rx_packets",
             "rx_bytes",
@@ -423,7 +420,7 @@ proptest! {
         let mut rack = build_rack(cfg, 15_000.0);
         rack.enable_strict_audit();
         rack.enable_flight_recorder(SimDuration::from_micros(50));
-        let ledger = rack.enable_fault_schedule(sched, HealthConfig::default());
+        rack.enable_fault_schedule(sched, HealthConfig::default());
         let stats = rack.run(SimTime::ZERO, SimTime::from_millis(5));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         prop_assert!(stats.delivered <= stats.offered);
@@ -433,7 +430,6 @@ proptest! {
         prop_assert_eq!(fd.unaccounted, 0);
         prop_assert!(fd.all_healthy, "a fault domain ended unhealthy");
         prop_assert_eq!(fd.recovered, scheduled);
-        prop_assert_eq!(ledger.summary().unaccounted(), 0);
     }
 
     /// The same property over the RDMA system: QP counters mirror the
@@ -444,12 +440,14 @@ proptest! {
         let mut sys = RdmaSystem::new(cfg, Box::new(MsgEcho));
         sys.enable_strict_audit();
         sys.enable_flight_recorder(SimDuration::from_micros(5));
-        let ledger = FaultLedger::new();
-        sys.enable_faults(&plan, &ledger);
+        sys.enable_faults(&plan);
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         let snap = &stats.counters;
-        prop_assert_eq!(snap.sum_prefix("faults"), ledger.injected_total());
+        prop_assert_eq!(
+            Some(snap.sum_prefix("faults")),
+            stats.metrics.counter_value("faults.injected")
+        );
         prop_assert!(snap.get("qp/256/tx_packets").unwrap_or(0) > 0);
         prop_assert_eq!(
             snap.get("pcie/fn/0/completion_timeouts").unwrap_or(0),

@@ -2,8 +2,8 @@
 //! metrics, and the parallel sweep runner must not change a single byte
 //! relative to the serial path — every sweep point builds its own system
 //! with its own seed, so thread interleaving has nothing to perturb.
-//! Chaos runs are held to the same bar: for *any* fault plan the fault
-//! ledger balances (nothing silently vanishes) and the same seed
+//! Chaos runs are held to the same bar: for *any* fault plan every
+//! injected fault is resolved (nothing silently vanishes) and the same seed
 //! reproduces the same bytes, serial or parallel.
 
 use proptest::prelude::*;
@@ -15,7 +15,8 @@ use fld_bench::runner::run_points;
 use fld_core::rack::RackConfig;
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
-use fld_sim::fault::{FaultKind, FaultLedger, FaultPlan};
+use fld_sim::counters::CounterSnapshot;
+use fld_sim::fault::{FaultKind, FaultPlan};
 use fld_sim::time::{SimDuration, SimTime};
 
 fn echo_metrics_json(size: u32) -> String {
@@ -86,8 +87,8 @@ fn rack_sweep_is_byte_identical_serial_and_parallel() {
     assert_eq!(serial, parallel);
 }
 
-/// One seeded chaos echo run; returns its metrics JSON and the ledger.
-fn chaos_echo_run(plan: FaultPlan, packets: u64) -> (String, FaultLedger) {
+/// One seeded chaos echo run; returns its metrics JSON and counters.
+fn chaos_echo_run(plan: FaultPlan, packets: u64) -> (String, CounterSnapshot) {
     let gen = ClientGen::fixed_udp(GenMode::OpenLoop { rate: 2e6 }, packets, 470);
     let mut sys = FldSystem::new(
         SystemConfig::remote(),
@@ -98,24 +99,22 @@ fn chaos_echo_run(plan: FaultPlan, packets: u64) -> (String, FaultLedger) {
     steer_to_accel(&mut sys.nic);
     sys.enable_strict_audit();
     sys.enable_flight_recorder(SimDuration::from_micros(5));
-    let ledger = FaultLedger::new();
-    sys.enable_faults(&plan, &ledger);
+    sys.enable_faults(&plan);
     let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
     assert!(stats.audit.passed(), "{}", stats.audit);
-    (stats.metrics.to_json(), ledger)
+    (stats.metrics.to_json(), stats.counters)
 }
 
-/// One seeded chaos RDMA run; returns its metrics JSON and the ledger.
-fn chaos_rdma_run(plan: FaultPlan, total: u64) -> (String, FaultLedger) {
+/// One seeded chaos RDMA run; returns its metrics JSON and counters.
+fn chaos_rdma_run(plan: FaultPlan, total: u64) -> (String, CounterSnapshot) {
     let cfg = RdmaConfig::remote(1024, 16, total);
     let mut sys = RdmaSystem::new(cfg, Box::new(MsgEcho));
     sys.enable_strict_audit();
     sys.enable_flight_recorder(SimDuration::from_micros(5));
-    let ledger = FaultLedger::new();
-    sys.enable_faults(&plan, &ledger);
+    sys.enable_faults(&plan);
     let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
     assert!(stats.audit.passed(), "{}", stats.audit);
-    (stats.metrics.to_json(), ledger)
+    (stats.metrics.to_json(), stats.counters)
 }
 
 #[test]
@@ -159,13 +158,8 @@ proptest! {
     /// byte-identical metrics.
     #[test]
     fn any_fault_plan_conserves_echo_packets(plan in arb_plan()) {
-        let (json_a, ledger) = chaos_echo_run(plan, 400);
-        prop_assert_eq!(ledger.summary().unaccounted(), 0);
-        prop_assert_eq!(ledger.open(), 0);
-        prop_assert_eq!(
-            ledger.summary().accounted(),
-            ledger.injected_total()
-        );
+        let (json_a, counters) = chaos_echo_run(plan, 400);
+        prop_assert_eq!(counters.sum_prefix("recovery"), counters.sum_prefix("faults"));
         let (json_b, _) = chaos_echo_run(plan, 400);
         prop_assert_eq!(json_a, json_b);
     }
@@ -174,13 +168,8 @@ proptest! {
     /// through retransmission, RNR back-off and the QP error state.
     #[test]
     fn any_fault_plan_conserves_rdma_messages(plan in arb_plan()) {
-        let (json_a, ledger) = chaos_rdma_run(plan, 200);
-        prop_assert_eq!(ledger.summary().unaccounted(), 0);
-        prop_assert_eq!(ledger.open(), 0);
-        prop_assert_eq!(
-            ledger.summary().accounted(),
-            ledger.injected_total()
-        );
+        let (json_a, counters) = chaos_rdma_run(plan, 200);
+        prop_assert_eq!(counters.sum_prefix("recovery"), counters.sum_prefix("faults"));
         let (json_b, _) = chaos_rdma_run(plan, 200);
         prop_assert_eq!(json_a, json_b);
     }

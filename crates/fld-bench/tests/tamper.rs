@@ -31,7 +31,7 @@ use fld_core::system::{
 use fld_nic::packet::SimPacket;
 use fld_sim::audit::AuditReport;
 use fld_sim::counters::CounterTree;
-use fld_sim::fault::{FaultLedger, FaultPlan};
+use fld_sim::fault::FaultPlan;
 use fld_sim::rng::SimRng;
 use fld_sim::time::{SimDuration, SimTime};
 use fld_workloads::churn::{ChurnConfig, ChurnProcess};
@@ -205,7 +205,7 @@ fn run_echo(
     steer_to_accel(&mut sys.nic);
     bind(&sys);
     if faults {
-        sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
+        sys.enable_faults(&FaultPlan::new(0.0, 1));
     }
     if strict {
         sys.enable_strict_audit();
@@ -255,7 +255,7 @@ fn rdma_run(path: &'static str, faults: bool, strict: bool) -> Outcome {
     );
     tamper.bind(sys.counter_tree());
     if faults {
-        sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
+        sys.enable_faults(&FaultPlan::new(0.0, 1));
     }
     if strict {
         sys.enable_strict_audit();

@@ -237,8 +237,8 @@ fn timeline_export_is_well_formed_and_matches_golden() {
 /// the complete recovery timeline — when each fault fired and when it
 /// was resolved — so any change to fault scheduling, recovery latency
 /// or probe ordering shows up as a byte diff.
-fn golden_chaos_run() -> (fld_core::system::RunStats, fld_sim::fault::FaultLedger) {
-    use fld_sim::fault::{FaultLedger, FaultPlan};
+fn golden_chaos_run() -> fld_core::system::RunStats {
+    use fld_sim::fault::FaultPlan;
     let cfg = SystemConfig::remote();
     let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, 64, 256);
     let mut sys = FldSystem::new(
@@ -250,17 +250,20 @@ fn golden_chaos_run() -> (fld_core::system::RunStats, fld_sim::fault::FaultLedge
     steer_to_accel(&mut sys.nic);
     sys.enable_flight_recorder(SimDuration::from_nanos(1_000));
     sys.enable_strict_audit();
-    let ledger = FaultLedger::new();
-    sys.enable_faults(&FaultPlan::new(0.05, 7), &ledger);
-    (sys.run(SimTime::ZERO, SimTime::from_millis(100)), ledger)
+    sys.enable_faults(&FaultPlan::new(0.05, 7));
+    sys.run(SimTime::ZERO, SimTime::from_millis(100))
 }
 
 #[test]
 fn chaos_timeline_matches_golden() {
-    let (stats, ledger) = golden_chaos_run();
+    let stats = golden_chaos_run();
     assert!(stats.audit.passed(), "{}", stats.audit);
-    assert!(ledger.injected_total() > 0, "the golden run must inject");
-    assert_eq!(ledger.summary().unaccounted(), 0);
+    let injected = stats.counters.sum_prefix("faults");
+    assert!(injected > 0, "the golden run must inject");
+    assert_eq!(
+        fld_bench::experiments::chaos::unaccounted(&stats.counters),
+        0
+    );
     let json = stats.timeline.to_json();
     assert_well_formed(&json);
     // The fault series are present and appended after every pre-existing

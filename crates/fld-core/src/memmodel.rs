@@ -6,6 +6,10 @@
 //! rounding `f(n) = 2^⌈log2 n⌉` and the translation-table overheads
 //! (`S_xlt* < 33 KiB`).
 
+use fld_pcie::model::{
+    FLD_CQE_SIZE, FLD_TX_DESC_SIZE, PRODUCER_INDEX_SIZE, SW_CQE_SIZE, SW_RX_DESC_SIZE,
+    SW_TX_DESC_SIZE,
+};
 use fld_sim::time::{Bandwidth, SimDuration};
 
 /// `f(n) = 2^⌈log2 n⌉` — rings are allocated at power-of-two sizes.
@@ -98,18 +102,18 @@ pub struct StructSizes {
 impl StructSizes {
     /// ConnectX software-driver sizes (Table 2b "Software" column).
     pub const SOFTWARE: StructSizes = StructSizes {
-        tx_desc: 64,
-        rx_desc: 16,
-        cqe: 64,
-        producer_index: 4,
+        tx_desc: SW_TX_DESC_SIZE as u64,
+        rx_desc: SW_RX_DESC_SIZE as u64,
+        cqe: SW_CQE_SIZE as u64,
+        producer_index: PRODUCER_INDEX_SIZE as u64,
     };
 
     /// FLD compressed sizes (Table 2b "FLD" column).
     pub const FLD: StructSizes = StructSizes {
-        tx_desc: 8,
+        tx_desc: FLD_TX_DESC_SIZE as u64,
         rx_desc: 0,
-        cqe: 15,
-        producer_index: 4,
+        cqe: FLD_CQE_SIZE as u64,
+        producer_index: PRODUCER_INDEX_SIZE as u64,
     };
 }
 

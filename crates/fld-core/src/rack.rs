@@ -38,7 +38,7 @@ use fld_pcie::model::ETH_OVERHEAD;
 use fld_sim::audit::{AuditReport, Auditor};
 use fld_sim::counters::{Counter, CounterSnapshot, CounterSum, CounterTree};
 use fld_sim::engine::{Engine, Model, Probes, Scheduler};
-use fld_sim::fault::{FaultKind, FaultLedger, FaultOutcome, FaultSchedule, LedgerSummary};
+use fld_sim::fault::{Booking, FaultKind, FaultLedger, FaultOutcome, FaultSchedule};
 use fld_sim::health::{HealthConfig, HealthId, HealthMonitor};
 use fld_sim::link::Link;
 use fld_sim::metrics::MetricsRegistry;
@@ -575,11 +575,6 @@ pub struct Rack {
     /// Scheduled entity-scoped faults; `None` keeps every data-path
     /// check a single branch.
     sf: Option<ScheduledFaults>,
-    /// Per-node packet-fault ledgers retained by
-    /// [`Rack::enable_faults`], for the merged rack-level view.
-    node_ledgers: Vec<FaultLedger>,
-    /// Each node tree's `faults/` subtree, resolved alongside.
-    node_faults: Vec<CounterSum>,
 }
 
 impl Rack {
@@ -637,8 +632,6 @@ impl Rack {
             next_pkt_id: 0,
             rec: Recorder::new(),
             sf: None,
-            node_ledgers: Vec::new(),
-            node_faults: Vec::new(),
             cfg,
         }
     }
@@ -726,49 +719,17 @@ impl Rack {
         self.rec.enable_strict_audit();
     }
 
-    /// Arms fault injection on every node. The rack itself has no fault
-    /// points — faults live in the nodes' NIC/PCIe/FLD models. Each node
-    /// gets its own ledger (the per-node attribution audit reconciles a
-    /// node's counters against its ledger, so sharing one would
-    /// cross-book) and a seed forked from the plan's; the per-node
-    /// ledgers are returned in node order for the caller to inspect.
-    pub fn enable_faults(
-        &mut self,
-        plan: &fld_sim::fault::FaultPlan,
-    ) -> Vec<fld_sim::fault::FaultLedger> {
-        let mut ledgers = Vec::with_capacity(self.nodes.len());
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            let seed = plan.seed ^ (n as u64 + 1).wrapping_mul(0xA5A5_5A5A_1234_5678);
-            let mut forked = *plan;
-            forked.seed = seed;
-            let ledger = fld_sim::fault::FaultLedger::new();
-            node.enable_faults(&forked, &ledger);
-            ledgers.push(ledger);
-        }
-        self.node_faults = self
-            .nodes
-            .iter()
-            .map(|n| CounterSum::under(n.counter_tree(), "faults"))
-            .collect();
-        self.node_ledgers = ledgers.clone();
-        ledgers
-    }
-
     /// Arms a deterministic, entity-scoped [`FaultSchedule`] against the
     /// rack's own fault points — fabric link flaps, node crashes, VF
     /// hot-unplugs — with a watchdog [`HealthMonitor`] per entity and a
     /// rack-level [`FaultLedger`] accounting every scheduled fault
     /// (wired into the rack counter tree as `faults/<entity>/<kind>` and
-    /// `recovery/*`, plus `health/<entity>/...`). Returns a handle on
-    /// the ledger for end-of-run inspection.
-    pub fn enable_fault_schedule(
-        &mut self,
-        schedule: FaultSchedule,
-        health_cfg: HealthConfig,
-    ) -> FaultLedger {
+    /// `recovery/*`, plus `health/<entity>/...`). The run's
+    /// [`RackStats::fault_domains`] and counter snapshot carry the book.
+    pub fn enable_fault_schedule(&mut self, schedule: FaultSchedule, health_cfg: HealthConfig) {
         let nodes = self.cfg.nodes as usize;
         let tenants = self.cfg.tenants as usize;
-        let ledger = FaultLedger::new();
+        let mut ledger = FaultLedger::default();
         ledger.wire_counters(&self.counters);
         let mut health = HealthMonitor::new(health_cfg);
         let node_health = (0..nodes)
@@ -792,7 +753,7 @@ impl Rack {
             .collect();
         self.sf = Some(ScheduledFaults {
             schedule,
-            ledger: ledger.clone(),
+            ledger,
             health,
             node_health,
             port_health,
@@ -808,17 +769,6 @@ impl Rack {
             flows_revived: 0,
             tick_armed: false,
         });
-        ledger
-    }
-
-    /// The merged rack-level view of the per-node packet-fault ledgers
-    /// armed by [`Rack::enable_faults`] (Σ per-node books).
-    pub fn merged_node_ledger(&self) -> LedgerSummary {
-        let mut merged = LedgerSummary::default();
-        for ledger in &self.node_ledgers {
-            merged.absorb(ledger.summary());
-        }
-        merged
     }
 
     /// The rack's fabric counter tree.
@@ -869,20 +819,17 @@ impl Rack {
         let flows_per_node = (0..self.cfg.nodes)
             .map(|n| self.pop.active_on(n) as u64)
             .collect();
-        let fault_domains = self.sf.as_ref().map(|sf| {
-            let book = sf.ledger.summary();
-            FaultDomainStats {
-                all_healthy: sf.health.all_healthy(),
-                detection_max_ns: sf.health.detection_ns().max(),
-                mttr_max_ns: sf.health.mttr_ns().max(),
-                mttr_count: sf.health.mttr_ns().count(),
-                injected: book.injected,
-                recovered: book.recovered,
-                open: book.open,
-                unaccounted: book.unaccounted(),
-                flows_killed: sf.flows_killed,
-                flows_revived: sf.flows_revived,
-            }
+        let fault_domains = self.sf.as_ref().map(|sf| FaultDomainStats {
+            all_healthy: sf.health.all_healthy(),
+            detection_max_ns: sf.health.detection_ns().max(),
+            mttr_max_ns: sf.health.mttr_ns().max(),
+            mttr_count: sf.health.mttr_ns().count(),
+            injected: sf.ledger.injected_total(),
+            recovered: sf.ledger.recovered(),
+            open: sf.ledger.open(),
+            unaccounted: sf.ledger.unaccounted(),
+            flows_killed: sf.flows_killed,
+            flows_revived: sf.flows_revived,
         });
         RackStats {
             tenant_rtt: std::mem::take(&mut self.tenant_rtt),
@@ -1004,8 +951,7 @@ impl Rack {
         };
         let ev = sf.schedule.events()[i];
         let until = ev.at + ev.duration;
-        sf.ledger.inject(ev.kind);
-        sf.ledger.open_fault(ev.kind, now);
+        sf.ledger.book(ev.kind, Booking::Open(now));
         let label = match ev.kind {
             FaultKind::FabricLinkFlap => {
                 let p = ev.entity as usize % sf.port_down_until.len();
@@ -1352,37 +1298,6 @@ impl Model for Rack {
             sf.ledger.attribution_audit(at, "rack.faults", auditor);
             auditor.check_counter_sum(at, "rack.boundary", &mut sf.boundary_all, sf.boundary_drops);
         }
-        // Merged per-node ledger view (packet-level faults): the sum of
-        // the node books telescopes to the per-node faults/* counter
-        // subtrees, and no node leaves faults unaccounted.
-        if !self.node_ledgers.is_empty() {
-            let merged = self.merged_node_ledger();
-            let attributed: u64 = self.node_faults.iter_mut().map(CounterSum::get).sum();
-            auditor.check(
-                at,
-                "rack.faults",
-                "ledger-merge",
-                merged.injected == attributed,
-                || {
-                    format!(
-                        "merged node ledgers book {} injections but node faults/* subtrees attribute {attributed}",
-                        merged.injected
-                    )
-                },
-            );
-            auditor.check(
-                at,
-                "rack.faults",
-                "ledger-merge",
-                merged.unaccounted() == 0,
-                || {
-                    format!(
-                        "merged node ledgers leave {} faults unaccounted",
-                        merged.unaccounted()
-                    )
-                },
-            );
-        }
     }
 
     fn drained_audit(&mut self, at: SimTime, auditor: &mut Auditor) {
@@ -1583,7 +1498,7 @@ mod tests {
     fn node_crash_drops_are_counted_and_node_recovers() {
         let mut rack = small_rack(small_cfg());
         rack.enable_strict_audit();
-        let ledger = rack.enable_fault_schedule(
+        rack.enable_fault_schedule(
             scripted(&[(400, FaultKind::NodeCrash, 1, 300)]),
             HealthConfig::default(),
         );
@@ -1607,7 +1522,6 @@ mod tests {
         assert!(fd.flows_killed > 0);
         assert_eq!(fd.flows_revived, fd.flows_killed);
         assert!(stats.flows_per_node[1] > 0, "node 1 ended flowless");
-        assert_eq!(ledger.summary().unaccounted(), 0);
     }
 
     #[test]

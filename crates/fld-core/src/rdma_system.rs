@@ -21,7 +21,7 @@ use fld_pcie::TlpCounters;
 use fld_sim::audit::{AuditReport, Auditor};
 use fld_sim::counters::{CounterSnapshot, CounterTree};
 use fld_sim::engine::{Engine, Model, Probes};
-use fld_sim::fault::{FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan};
+use fld_sim::fault::{Booking, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
 use fld_sim::link::Link;
 use fld_sim::metrics::MetricsRegistry;
 use fld_sim::probe::Timeline;
@@ -304,11 +304,10 @@ impl RdmaSystem {
     /// Arms fault injection: link faults on both wire directions, PCIe
     /// completion faults on the NIC's payload fetches, RNR conditions at
     /// the FLD-R responder — all drawn from `plan`'s seeded streams and
-    /// accounted in `ledger`.
-    pub fn enable_faults(&mut self, plan: &FaultPlan, ledger: &FaultLedger) {
-        let mut inj = plan.injector("rdma", ledger);
+    /// booked in the injector's own ledger.
+    pub fn enable_faults(&mut self, plan: &FaultPlan) {
+        let mut inj = plan.injector("rdma");
         inj.wire_counters(&self.counters, "rdma");
-        ledger.wire_counters(&self.counters);
         self.faults = Some(inj);
     }
 
@@ -388,24 +387,21 @@ impl RdmaSystem {
             eng.schedule_at(at, mk(pkt));
             return;
         };
-        if inj.roll(FaultKind::LinkDrop) {
-            inj.ledger().open_fault(FaultKind::LinkDrop, now);
-        } else if inj.roll(FaultKind::LinkCorrupt) {
-            // The FCS fails at the receiving NIC: same loss, different
-            // cause — the transport cannot tell them apart either.
-            inj.ledger().open_fault(FaultKind::LinkCorrupt, now);
-        } else if inj.roll(FaultKind::LinkDuplicate) {
-            inj.ledger()
-                .resolve(FaultOutcome::Recovered, Some(SimDuration::ZERO));
-            eng.schedule_at(at, mk(pkt));
-            eng.schedule_at(at, mk(pkt));
-        } else if inj.roll(FaultKind::LinkReorder) {
-            let delay = inj.magnitude(SimDuration::from_micros(5));
-            inj.ledger().open_fault(FaultKind::LinkReorder, now);
-            eng.schedule_at(at + delay, mk(pkt));
-        } else {
-            eng.schedule_at(at, mk(pkt));
+        let open = Booking::Open(now);
+        // A corrupt frame fails its FCS at the receiving NIC: same loss,
+        // different cause — the transport cannot tell them apart either.
+        if inj.hit(FaultKind::LinkDrop, open) || inj.hit(FaultKind::LinkCorrupt, open) {
+            return;
         }
+        let duplicated = Booking::Resolved(FaultOutcome::Recovered, Some(SimDuration::ZERO));
+        if inj.hit(FaultKind::LinkDuplicate, duplicated) {
+            eng.schedule_at(at, mk(pkt));
+            eng.schedule_at(at, mk(pkt));
+            return;
+        }
+        let max_delay = SimDuration::from_micros(5);
+        let delay = inj.hit_for(FaultKind::LinkReorder, max_delay, |_| open);
+        eng.schedule_at(at + delay.unwrap_or_default(), mk(pkt));
     }
 
     fn pump_client(&mut self, now: SimTime, eng: &mut Engine<RdmaEv>) {
@@ -426,9 +422,13 @@ impl RdmaSystem {
         self.pcie_to_fld.transmit(now, to_fld);
         let mut fetched = self.pcie_from_fld.transmit(now, to_nic) + self.pcie_jitter();
         if let Some(inj) = self.faults.as_mut() {
-            let outcome = if inj.roll(FaultKind::PcieTimeout) {
+            // The NIC's payload fetch hits the completion-timeout window
+            // before retrying successfully.
+            let penalty = SimDuration::from_micros(10);
+            let timed_out = Booking::Resolved(FaultOutcome::Recovered, Some(penalty));
+            let outcome = if inj.hit(FaultKind::PcieTimeout, timed_out) {
                 TlpOutcome::CompletionTimeout
-            } else if inj.roll(FaultKind::PciePoison) {
+            } else if inj.hit(FaultKind::PciePoison, Booking::Open(now)) {
                 TlpOutcome::Poisoned
             } else {
                 TlpOutcome::Success
@@ -436,20 +436,11 @@ impl RdmaSystem {
             self.pcie_ctr.record_outcome(outcome);
             match outcome {
                 TlpOutcome::Success => {}
-                TlpOutcome::CompletionTimeout => {
-                    // The NIC's payload fetch hits the completion-timeout
-                    // window before retrying successfully.
-                    let penalty = SimDuration::from_micros(10);
-                    fetched += penalty;
-                    inj.ledger().resolve(FaultOutcome::Recovered, Some(penalty));
-                }
-                TlpOutcome::Poisoned => {
-                    // EP bit set: the fetched payload is known-corrupt, the
-                    // NIC discards it (error containment) and the packet
-                    // never reaches the wire; the transport retransmits.
-                    inj.ledger().open_fault(FaultKind::PciePoison, now);
-                    return;
-                }
+                TlpOutcome::CompletionTimeout => fetched += penalty,
+                // EP bit set: the fetched payload is known-corrupt, the
+                // NIC discards it (error containment) and the packet
+                // never reaches the wire; the transport retransmits.
+                TlpOutcome::Poisoned => return,
             }
         }
         let arrive = self
@@ -476,8 +467,8 @@ impl RdmaSystem {
         self.stats.failed += self.outstanding;
         self.outstanding = 0;
         self.request_times.clear();
-        if let Some(inj) = &self.faults {
-            inj.ledger().fail_open();
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().fail_open();
         }
     }
 
@@ -512,11 +503,8 @@ impl RdmaSystem {
             let rnr = self
                 .faults
                 .as_mut()
-                .is_some_and(|inj| inj.roll(FaultKind::Rnr));
+                .is_some_and(|inj| inj.hit(FaultKind::Rnr, Booking::Open(now)));
             if rnr {
-                if let Some(inj) = &self.faults {
-                    inj.ledger().open_fault(FaultKind::Rnr, now);
-                }
                 let nak = self.server_qp.make_rnr_nak(&pkt);
                 let arrive = self
                     .wire_down
@@ -576,8 +564,8 @@ impl RdmaSystem {
                         // End-to-end progress: every wire fault opened
                         // before this instant has been recovered by the
                         // transport (the response made it through).
-                        if let Some(inj) = &self.faults {
-                            inj.ledger().resolve_open_through(now);
+                        if let Some(inj) = &mut self.faults {
+                            inj.ledger_mut().resolve_open_through(now);
                         }
                     }
                 }
@@ -720,7 +708,7 @@ impl Model for RdmaSystem {
         // its integer statistics exactly, at every audit instant.
         self.client_qp.audit_counters(at, auditor);
         self.server_qp.audit_counters(at, auditor);
-        if let Some(inj) = &self.faults {
+        if let Some(inj) = &mut self.faults {
             inj.ledger().audit(at, "rdma", auditor);
             auditor.check_counter_eq(
                 at,
@@ -734,7 +722,7 @@ impl Model for RdmaSystem {
                 &self.pcie_ctr.poisoned_tlps,
                 inj.counter(FaultKind::PciePoison).get(),
             );
-            inj.ledger().attribution_audit(at, "rdma", auditor);
+            inj.ledger_mut().attribution_audit(at, "rdma", auditor);
         }
     }
 
@@ -761,14 +749,14 @@ impl Model for RdmaSystem {
     fn finish(&mut self, end: SimTime, drained: bool) {
         self.stats.goodput.finish(end);
         self.stats.retransmits = self.client_qp.retransmits() + self.server_qp.retransmits();
-        if let Some(inj) = &self.faults {
+        if let Some(inj) = &mut self.faults {
             // Close the books: a run that drained without a terminal QP
             // error recovered every open fault by definition (all traffic
             // was delivered); a halted run's leftovers are terminal.
             if self.halted {
-                inj.ledger().fail_open();
+                inj.ledger_mut().fail_open();
             } else if drained {
-                inj.ledger().resolve_open_through(end);
+                inj.ledger_mut().resolve_open_through(end);
             }
         }
     }

@@ -23,7 +23,7 @@ use fld_pcie::TlpCounters;
 use fld_sim::audit::{AuditReport, Auditor};
 use fld_sim::counters::{Counter, CounterSnapshot, CounterSum, CounterTree};
 use fld_sim::engine::{Engine, Model, Probes, Scheduler};
-use fld_sim::fault::{FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan};
+use fld_sim::fault::{Booking, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
 use fld_sim::link::Link;
 use fld_sim::metrics::MetricsRegistry;
 use fld_sim::probe::Timeline;
@@ -76,15 +76,6 @@ impl EmitList {
     /// Whether nothing is emitted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Iterates mutably over the entries (e.g. to shift ready times).
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, EmitEntry> {
-        match self {
-            EmitList::None => [].iter_mut(),
-            EmitList::One(e) => std::slice::from_mut(e).iter_mut(),
-            EmitList::Many(v) => v.iter_mut(),
-        }
     }
 }
 
@@ -765,6 +756,20 @@ enum LinkFate {
     Delayed(SimDuration),
 }
 
+/// The longest reorder delay or accelerator stall a fault draws.
+const MAX_FAULT_DELAY: SimDuration = SimDuration::from_micros(5);
+
+/// How long a tx queue in its error state takes to re-init.
+const REINIT: SimDuration = SimDuration::from_micros(5);
+
+/// A fault that loses its packet on the spot: dropped and counted.
+const DROPPED: Booking = Booking::Resolved(FaultOutcome::DroppedCounted, None);
+
+/// A fault the pipeline absorbs, costing `latency`.
+fn recovered(latency: SimDuration) -> Booking {
+    Booking::Resolved(FaultOutcome::Recovered, Some(latency))
+}
+
 /// Event-level packet accounting, maintained at the pipeline's terminal
 /// sites so the conservation law `entered + synthesized == delivered +
 /// dropped + absorbed + in_flight` is checkable at any instant — and, one
@@ -912,7 +917,7 @@ impl FldSystem {
             tenant_bytes: std::collections::HashMap::new(),
             faults: None,
             tx_queue_err: (0..fld_cfg.tx_queues)
-                .map(|_| QueueErrorMachine::new(SimDuration::from_micros(5)))
+                .map(|_| QueueErrorMachine::new(REINIT))
                 .collect(),
             next_dup_id: DUP_ID_BASE,
             counters,
@@ -996,11 +1001,11 @@ impl FldSystem {
     }
 
     /// Arms deterministic fault injection against this system's components
-    /// (stream name `"fld"`), accounting every injected fault in `ledger`.
-    pub fn enable_faults(&mut self, plan: &FaultPlan, ledger: &FaultLedger) {
-        let mut inj = plan.injector("fld", ledger);
+    /// (stream name `"fld"`); the injector books every hit in its own
+    /// ledger, mirrored into this system's counter tree.
+    pub fn enable_faults(&mut self, plan: &FaultPlan) {
+        let mut inj = plan.injector("fld");
         inj.wire_counters(&self.counters, "fld");
-        ledger.wire_counters(&self.counters);
         self.faults = Some(inj);
     }
 
@@ -1221,19 +1226,15 @@ impl FldSystem {
         let fate = match self.faults.as_mut() {
             None => LinkFate::Deliver,
             Some(inj) => {
-                if inj.roll(FaultKind::LinkDrop) {
-                    inj.ledger().resolve(FaultOutcome::DroppedCounted, None);
+                if inj.hit(FaultKind::LinkDrop, DROPPED) {
                     LinkFate::Lost(drops::FAULT_LINK_DROP)
-                } else if inj.roll(FaultKind::LinkCorrupt) {
-                    inj.ledger().resolve(FaultOutcome::DroppedCounted, None);
+                } else if inj.hit(FaultKind::LinkCorrupt, DROPPED) {
                     LinkFate::Lost(drops::FAULT_CORRUPT)
-                } else if inj.roll(FaultKind::LinkDuplicate) {
-                    inj.ledger()
-                        .resolve(FaultOutcome::Recovered, Some(SimDuration::ZERO));
+                } else if inj.hit(FaultKind::LinkDuplicate, recovered(SimDuration::ZERO)) {
                     LinkFate::Duplicated
-                } else if inj.roll(FaultKind::LinkReorder) {
-                    let delay = inj.magnitude(SimDuration::from_micros(5));
-                    inj.ledger().resolve(FaultOutcome::Recovered, Some(delay));
+                } else if let Some(delay) =
+                    inj.hit_for(FaultKind::LinkReorder, MAX_FAULT_DELAY, recovered)
+                {
                     LinkFate::Delayed(delay)
                 } else {
                     LinkFate::Deliver
@@ -1343,14 +1344,10 @@ impl FldSystem {
         // A poisoned completion TLP (EP bit set): FLD must discard the
         // payload. Dropped-and-counted — the wire protocol above (UDP
         // here) has no retransmission on the FLD-E path.
-        let poisoned = self.faults.as_mut().is_some_and(|inj| {
-            if inj.roll(FaultKind::PciePoison) {
-                inj.ledger().resolve(FaultOutcome::DroppedCounted, None);
-                true
-            } else {
-                false
-            }
-        });
+        let poisoned = self
+            .faults
+            .as_mut()
+            .is_some_and(|inj| inj.hit(FaultKind::PciePoison, DROPPED));
         if poisoned {
             self.ctr.pcie.poisoned_tlps.inc();
             self.drop_packet(h, drops::FAULT_PCIE_POISON, now);
@@ -1369,13 +1366,14 @@ impl FldSystem {
         let mut arrive = arrive + self.pcie_jitter();
         // A completion timeout stalls the requester until the retrained
         // read completes; recovered, with the stall as recovery latency.
-        if let Some(inj) = self.faults.as_mut() {
-            if inj.roll(FaultKind::PcieTimeout) {
-                self.ctr.pcie.completion_timeouts.inc();
-                let penalty = SimDuration::from_micros(10);
-                inj.ledger().resolve(FaultOutcome::Recovered, Some(penalty));
-                arrive += penalty;
-            }
+        let penalty = SimDuration::from_micros(10);
+        let timed_out = self
+            .faults
+            .as_mut()
+            .is_some_and(|inj| inj.hit(FaultKind::PcieTimeout, recovered(penalty)));
+        if timed_out {
+            self.ctr.pcie.completion_timeouts.inc();
+            arrive += penalty;
         }
         eng.schedule_at(arrive, Ev::FldRx(h, table));
     }
@@ -1398,17 +1396,14 @@ impl FldSystem {
         self.ctr.accel_jobs.inc();
         // A transient accelerator stall delays processing; FLD's SRAM
         // buffering absorbs it (§ 5.3), so it is pure added latency.
-        let stall_ctr = &self.ctr.accel_stalls;
-        let stall = self.faults.as_mut().map_or(SimDuration::ZERO, |inj| {
-            if inj.roll(FaultKind::AccelStall) {
-                stall_ctr.inc();
-                let s = inj.magnitude(SimDuration::from_micros(5));
-                inj.ledger().resolve(FaultOutcome::Recovered, Some(s));
-                s
-            } else {
-                SimDuration::ZERO
-            }
-        });
+        let stall = self
+            .faults
+            .as_mut()
+            .and_then(|inj| inj.hit_for(FaultKind::AccelStall, MAX_FAULT_DELAY, recovered));
+        if stall.is_some() {
+            self.ctr.accel_stalls.inc();
+        }
+        let stall = stall.unwrap_or_default();
         let out = self
             .accel
             .process(pkt, table, now + self.cfg.params.fld_latency + stall);
@@ -1471,17 +1466,11 @@ impl FldSystem {
         // A malformed WQE raises an error CQE: the WQE's packet is lost
         // (dropped-and-counted, latency = the queue's re-init window) and
         // the queue enters its error state.
-        let malformed = self.faults.as_mut().is_some_and(|inj| {
-            if inj.roll(FaultKind::MalformedWqe) {
-                inj.ledger().resolve(
-                    FaultOutcome::DroppedCounted,
-                    Some(SimDuration::from_micros(5)),
-                );
-                true
-            } else {
-                false
-            }
-        });
+        let reinit = Booking::Resolved(FaultOutcome::DroppedCounted, Some(REINIT));
+        let malformed = self
+            .faults
+            .as_mut()
+            .is_some_and(|inj| inj.hit(FaultKind::MalformedWqe, reinit));
         if malformed {
             self.ctr.txq[qi].2.inc();
             self.tx_queue_err[qi].on_error_cqe(now, 0);
@@ -1533,15 +1522,10 @@ impl FldSystem {
         // lose the packet (its data already reached the NIC; it completes
         // normally), but the queue enters its error state and flushes
         // until re-init — subsequent postings to it are collateral.
-        let cqe_error = self.faults.as_mut().is_some_and(|inj| {
-            if inj.roll(FaultKind::CqeError) {
-                inj.ledger()
-                    .resolve(FaultOutcome::Recovered, Some(SimDuration::from_micros(5)));
-                true
-            } else {
-                false
-            }
-        });
+        let cqe_error = self
+            .faults
+            .as_mut()
+            .is_some_and(|inj| inj.hit(FaultKind::CqeError, recovered(REINIT)));
         if cqe_error {
             let qi = (slot.queue as usize) % self.tx_queue_err.len();
             self.tx_queue_err[qi].on_error_cqe(now, 0);
@@ -1938,7 +1922,7 @@ impl Model for FldSystem {
             || format!("per-rx-queue drops sum to {rxq_drops}, overflow ledger has {overflow}"),
         );
         auditor.check_counter_eq(at, "counters.accel", &ctr.accel_jobs, self.accel_jobs);
-        if let Some(inj) = &self.faults {
+        if let Some(inj) = &mut self.faults {
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
@@ -1957,7 +1941,7 @@ impl Model for FldSystem {
                 &ctr.accel_stalls,
                 inj.counter(FaultKind::AccelStall).get(),
             );
-            inj.ledger().attribution_audit(at, "fld", auditor);
+            inj.ledger_mut().attribution_audit(at, "fld", auditor);
         }
     }
 
@@ -2557,7 +2541,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    fn chaos_echo(rate: f64, seed: u64) -> (RunStats, FaultLedger) {
+    fn chaos_echo(rate: f64, seed: u64) -> RunStats {
         let gen = ClientGen::fixed_udp(GenMode::OpenLoop { rate: 2e6 }, 10_000, 200);
         let mut sys = FldSystem::new(
             SystemConfig::remote(),
@@ -2568,9 +2552,8 @@ mod tests {
         steer_all_to_accel(&mut sys.nic);
         sys.enable_strict_audit();
         sys.enable_flight_recorder(SimDuration::from_micros(10));
-        let ledger = FaultLedger::new();
-        sys.enable_faults(&FaultPlan::new(rate, seed), &ledger);
-        (sys.run(SimTime::ZERO, SimTime::from_millis(50)), ledger)
+        sys.enable_faults(&FaultPlan::new(rate, seed));
+        sys.run(SimTime::ZERO, SimTime::from_millis(50))
     }
 
     /// The ISSUE's graceful-degradation contract: under a broad fault mix
@@ -2579,40 +2562,37 @@ mod tests {
     /// recorder tick) holds throughout.
     #[test]
     fn chaos_run_accounts_for_every_fault() {
-        let (stats, ledger) = chaos_echo(1e-2, 7);
-        assert!(ledger.injected_total() > 0, "nothing was injected");
-        assert_eq!(ledger.summary().unaccounted(), 0);
-        assert_eq!(ledger.open(), 0, "FLD-E faults resolve immediately");
+        let stats = chaos_echo(1e-2, 7);
+        let book = |key: &str| stats.metrics.counter_value(key).unwrap_or(0);
+        let injected = stats.counters.sum_prefix("faults");
+        assert!(injected > 0, "nothing was injected");
+        assert_eq!(stats.counters.sum_prefix("recovery"), injected);
+        assert_eq!(book("recovery.open"), 0, "FLD-E faults resolve immediately");
         assert!(stats.audit.passed(), "{}", stats.audit);
         // Losses surfaced as counted drops, not silent disappearance.
         let counted = stats.drops.get(drops::FAULT_LINK_DROP)
             + stats.drops.get(drops::FAULT_CORRUPT)
             + stats.drops.get(drops::FAULT_PCIE_POISON)
             + stats.drops.get(drops::FAULT_MALFORMED_WQE);
-        assert_eq!(counted, ledger.summary().dropped_counted);
-        assert_eq!(
-            stats.metrics.counter_value("faults.injected"),
-            Some(ledger.injected_total())
-        );
+        assert_eq!(counted, book("recovery.dropped_counted"));
+        assert_eq!(book("faults.injected"), injected);
     }
 
     #[test]
     fn chaos_run_is_seed_deterministic() {
-        let fingerprint = |stats: &RunStats, ledger: &FaultLedger| {
+        let fingerprint = |stats: &RunStats| {
             (
                 stats.rtt.count(),
                 stats.rtt.percentile(99.0),
                 stats.client_rate.bytes(),
-                ledger.injected_total(),
-                ledger.recovered(),
-                ledger.summary().dropped_counted,
+                stats.counters.sum_prefix("faults"),
+                stats.counters.get("recovery/recovered"),
+                stats.counters.get("recovery/dropped_counted"),
             )
         };
-        let (a, la) = chaos_echo(1e-2, 42);
-        let (b, lb) = chaos_echo(1e-2, 42);
-        assert_eq!(fingerprint(&a, &la), fingerprint(&b, &lb));
-        let (c, lc) = chaos_echo(1e-2, 43);
-        assert_ne!(fingerprint(&a, &la), fingerprint(&c, &lc));
+        let a = fingerprint(&chaos_echo(1e-2, 42));
+        assert_eq!(a, fingerprint(&chaos_echo(1e-2, 42)));
+        assert_ne!(a, fingerprint(&chaos_echo(1e-2, 43)));
     }
 
     /// A zero-rate plan must not perturb the simulation: enabling faults
@@ -2629,7 +2609,7 @@ mod tests {
             );
             steer_all_to_accel(&mut sys.nic);
             if armed {
-                sys.enable_faults(&FaultPlan::new(0.0, 1), &FaultLedger::new());
+                sys.enable_faults(&FaultPlan::new(0.0, 1));
             }
             let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
             (
@@ -2655,16 +2635,86 @@ mod tests {
         );
         steer_all_to_accel(&mut sys.nic);
         sys.enable_strict_audit();
-        let ledger = FaultLedger::new();
         let plan = FaultPlan::new(0.05, 9).with_kinds_csv("duplicate").unwrap();
-        sys.enable_faults(&plan, &ledger);
+        sys.enable_faults(&plan);
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(100));
-        assert!(ledger.injected_total() > 0, "no duplicates injected");
+        assert!(
+            stats.counters.get("faults/fld/duplicate") > Some(0),
+            "no duplicates injected"
+        );
         assert!(stats.audit.passed(), "{}", stats.audit);
         // Nothing is lost under pure duplication, and the client sees
         // exactly one response per request despite the extra copies.
         assert_eq!(stats.sent, 2_000);
         assert_eq!(stats.rtt.count(), 2_000);
+    }
+
+    /// An echo that logs the instant each packet is handed to it, which
+    /// is also the instant it emits the packet back.
+    #[derive(Debug)]
+    struct LoggingEcho(std::sync::Arc<std::sync::Mutex<Vec<(u64, SimTime)>>>);
+
+    impl AcceleratorModel for LoggingEcho {
+        fn process(
+            &mut self,
+            pkt: SimPacket,
+            next_table: Option<u16>,
+            now: SimTime,
+        ) -> AccelOutput {
+            self.0.lock().unwrap().push((pkt.id, now));
+            TestEcho.process(pkt, next_table, now)
+        }
+    }
+
+    /// FLD's SRAM absorbs a transient accelerator stall (§ 5.3): the
+    /// stalled packet is emitted late by exactly the stall drawn for it,
+    /// and each stall is counted once on the accelerator, once under its
+    /// fault path and once as recovered.
+    #[test]
+    fn accel_stalls_delay_emission_and_are_booked_as_recovered() {
+        let plan = FaultPlan::new(0.2, 11)
+            .with_kinds_csv("accel_stall")
+            .unwrap();
+        let run = |faulted: bool| {
+            // Packets 10 µs apart: no stall (≤ 5 µs) can queue one
+            // packet behind another, so only the stall moves emission.
+            let gen = ClientGen::fixed_udp(GenMode::OpenLoop { rate: 1e5 }, 500, 200);
+            let log = std::sync::Arc::default();
+            let accel = Box::new(LoggingEcho(std::sync::Arc::clone(&log)));
+            let mut sys = FldSystem::new(SystemConfig::remote(), accel, HostMode::Consume, gen);
+            steer_all_to_accel(&mut sys.nic);
+            sys.enable_strict_audit();
+            if faulted {
+                sys.enable_faults(&plan);
+            }
+            let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
+            assert!(stats.audit.passed(), "{}", stats.audit);
+            let log = std::mem::take(&mut *log.lock().unwrap());
+            (stats, log)
+        };
+        let (_, clean) = run(false);
+        let (stats, stalled) = run(true);
+        assert_eq!(clean.len(), 500);
+        assert_eq!(stalled.len(), 500);
+
+        // The system's one stream, replayed: with only `accel_stall`
+        // enabled, the stall site is its only reader.
+        let mut replay = plan.injector("fld");
+        let mut stalls = 0;
+        for (&(id, at), &(clean_id, clean_at)) in stalled.iter().zip(&clean) {
+            assert_eq!(id, clean_id);
+            let drawn = replay
+                .hit_for(FaultKind::AccelStall, MAX_FAULT_DELAY, recovered)
+                .unwrap_or_default();
+            stalls += u64::from(drawn > SimDuration::ZERO);
+            assert_eq!(at.since(clean_at), drawn, "packet {id}");
+        }
+        assert!(stalls > 0, "no stall fired");
+        let ctr = &stats.counters;
+        assert_eq!(ctr.get("accel/0/stalls"), Some(stalls));
+        assert_eq!(ctr.get("faults/fld/accel_stall"), Some(stalls));
+        assert_eq!(ctr.get("recovery/recovered"), Some(stalls));
+        assert_eq!(ctr.sum_prefix("faults"), stalls);
     }
 }
 

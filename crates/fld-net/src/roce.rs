@@ -145,11 +145,10 @@ impl Bth {
     ///
     /// # Panics
     ///
-    /// Panics if `dest_qp` exceeds 24 bits or `psn` exceeds 23 bits (the
-    /// model keeps PSNs below 2^23 so the ack-request bit never aliases).
+    /// Panics if `dest_qp` or `psn` exceeds 24 bits.
     pub fn new(opcode: BthOpcode, dest_qp: u32, psn: u32, ack_req: bool) -> Self {
         assert!(dest_qp < (1 << 24), "qp number must fit in 24 bits");
-        assert!(psn < (1 << 23), "psn must fit in 23 bits");
+        assert!(psn < (1 << 24), "psn must fit in 24 bits");
         Bth {
             opcode,
             dest_qp,
@@ -159,7 +158,10 @@ impl Bth {
         }
     }
 
-    /// Serializes the header into `buf`.
+    /// Serializes the header into `buf` in the IBTA layout (§ 9.2):
+    /// opcode, flags, P_Key, a reserved byte and the 24-bit destination
+    /// QP, then the ack-request bit alone in byte 8 and the 24-bit PSN in
+    /// bytes 9–11.
     pub fn write(&self, buf: &mut BytesMut) {
         buf.put_u8(self.opcode.value());
         buf.put_u8(0); // se/migreq/padcnt/tver
@@ -168,8 +170,7 @@ impl Bth {
         buf.put_slice(&[0, qp[1], qp[2], qp[3]]); // reserved + dest QP
         let psn = self.psn.to_be_bytes();
         let a = if self.ack_req { 0x80 } else { 0 };
-        // Ack-request bit shares the PSN word; `new` keeps PSN < 2^23.
-        buf.put_slice(&[a | psn[1], psn[2], psn[3], 0]);
+        buf.put_slice(&[a, psn[1], psn[2], psn[3]]); // A + reserved, PSN
     }
 
     /// Parses a header, returning it and the payload bytes.
@@ -193,7 +194,7 @@ impl Bth {
         let pkey = u16::from_be_bytes([data[2], data[3]]);
         let dest_qp = u32::from_be_bytes([0, data[5], data[6], data[7]]);
         let ack_req = data[8] & 0x80 != 0;
-        let psn = u32::from_be_bytes([0, data[8] & 0x7f, data[9], data[10]]);
+        let psn = u32::from_be_bytes([0, data[9], data[10], data[11]]);
         Ok((
             Bth {
                 opcode,
@@ -233,12 +234,31 @@ mod tests {
 
     #[test]
     fn psn_without_ackreq() {
-        let h = Bth::new(BthOpcode::SendOnly, 5, 0x7fffff, false);
+        let h = Bth::new(BthOpcode::SendOnly, 5, 0xffffff, false);
         let mut buf = BytesMut::new();
         h.write(&mut buf);
         let (parsed, _) = Bth::parse(&buf).unwrap();
-        assert_eq!(parsed.psn, 0x7fffff);
+        assert_eq!(parsed.psn, 0xffffff);
         assert!(!parsed.ack_req);
+    }
+
+    /// Byte for byte against the IBTA BTH layout: the A bit alone at the
+    /// top of byte 8, the PSN in bytes 9–11.
+    #[test]
+    fn bth_bytes_match_the_ibta_layout() {
+        let mut buf = BytesMut::new();
+        Bth::new(BthOpcode::SendOnly, 0x12_3456, 0xab_cdef, true).write(&mut buf);
+        assert_eq!(
+            &buf[..],
+            &[
+                0x04, 0x00, 0xff, 0xff, // SEND Only, flags, P_Key
+                0x00, 0x12, 0x34, 0x56, // reserved, destination QP
+                0x80, 0xab, 0xcd, 0xef, // A bit + reserved, PSN
+            ]
+        );
+        let mut buf = BytesMut::new();
+        Bth::new(BthOpcode::Ack, 1, 0x80_0001, false).write(&mut buf);
+        assert_eq!(&buf[8..], &[0x00, 0x80, 0x00, 0x01]);
     }
 
     #[test]

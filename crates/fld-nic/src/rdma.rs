@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use fld_net::roce::{AethSyndrome, BthOpcode, NakCode};
+use fld_sim::audit::PSN_MOD;
 use fld_sim::counters::{Counter, CounterTree};
 use fld_sim::time::{SimDuration, SimTime};
 
@@ -147,8 +148,6 @@ impl Default for QpConfig {
         }
     }
 }
-
-const PSN_MOD: u32 = 1 << 23;
 
 /// A reliable-connection queue pair (one side).
 #[derive(Debug)]
@@ -648,7 +647,7 @@ impl RcQp {
     #[inline]
     fn next_completion(&mut self, psn: u32) -> Option<RdmaEvent> {
         while let Some(front) = self.inflight.front() {
-            // Sequence-space comparison modulo 2^23.
+            // Sequence-space comparison modulo 2^24.
             let diff = (psn.wrapping_sub(front.psn)) % PSN_MOD;
             if diff >= PSN_MOD / 2 {
                 break;
@@ -859,6 +858,38 @@ mod tests {
             bytes: 512,
             src_qp: 100
         }));
+    }
+
+    /// Both QPs start two packets below the top of the 24-bit PSN space:
+    /// every message completes across the wrap, the first one straddling
+    /// it, and both sides end up counting from the bottom again.
+    #[test]
+    fn messages_complete_across_the_psn_wrap() {
+        let (mut a, mut b) = pair();
+        a.next_psn = PSN_MOD - 2;
+        b.expected_psn = PSN_MOD - 2;
+        for wr in 0..4 {
+            a.post_send(wr, 3000); // 3 packets at MTU 1024
+        }
+        let (ev_a, ev_b) = run_lossless(&mut a, &mut b);
+        for wr in 0..4 {
+            assert!(
+                ev_a.contains(&RdmaEvent::SendComplete { wr_id: wr }),
+                "wr {wr}"
+            );
+        }
+        let received = ev_b
+            .iter()
+            .filter(|e| {
+                **e == RdmaEvent::RecvComplete {
+                    bytes: 3000,
+                    src_qp: 100,
+                }
+            })
+            .count();
+        assert_eq!(received, 4);
+        assert_eq!(a.inflight_packets(), 0);
+        assert_eq!((a.next_psn(), b.expected_psn()), (10, 10));
     }
 
     #[test]

@@ -10,30 +10,16 @@
 //! | Completion queue entry | 64 B     | 15 B |
 //! | Producer index         | 4 B      | 4 B  |
 //!
+//! The sizes are defined once, in [`fld_pcie::model`], where the PCIe
+//! and memory models read them too.
+//!
 //! The compression is possible because *"the FLD transmit queues always
 //! point to on-chip buffers, which are addressed with few bits, whereas the
 //! NIC interface accepts a 64-bit address"* (§ 5.2). FLD stores the
 //! compressed form and expands it on the fly when the NIC reads the ring.
 
 use bytes::{BufMut, BytesMut};
-
-/// Size of a software (ConnectX-style) transmit descriptor.
-pub const SW_TX_DESC_SIZE: usize = 64;
-
-/// Size of a software receive descriptor (scatter entry).
-pub const SW_RX_DESC_SIZE: usize = 16;
-
-/// Size of a software completion-queue entry.
-pub const SW_CQE_SIZE: usize = 64;
-
-/// Size of FLD's compressed transmit descriptor.
-pub const FLD_TX_DESC_SIZE: usize = 8;
-
-/// Size of FLD's compressed completion entry.
-pub const FLD_CQE_SIZE: usize = 15;
-
-/// Size of a producer index.
-pub const PRODUCER_INDEX_SIZE: usize = 4;
+use fld_pcie::model::{FLD_CQE_SIZE, FLD_TX_DESC_SIZE, SW_TX_DESC_SIZE};
 
 /// A transmit descriptor in the NIC's native (software-driver) layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,6 +204,7 @@ impl Cqe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fld_pcie::model::{PRODUCER_INDEX_SIZE, SW_CQE_SIZE};
 
     fn ctx() -> ExpansionContext {
         ExpansionContext::default()

@@ -22,6 +22,24 @@ use crate::tlp::{read_wire_bytes, write_wire_bytes, TlpKind};
 /// (Table 2a uses `M + 20 B`).
 pub const ETH_OVERHEAD: u64 = 20;
 
+// Table 2b's structure sizes, in bytes: the ConnectX software driver's
+// formats and FLD's compressed ones. The descriptor codecs
+// (`fld_nic::wqe`), the protocol parameters below and the memory model
+// (`fld_core::memmodel`) all read these.
+
+/// Software (ConnectX-style) transmit descriptor.
+pub const SW_TX_DESC_SIZE: usize = 64;
+/// Software receive descriptor (scatter entry).
+pub const SW_RX_DESC_SIZE: usize = 16;
+/// Software completion-queue entry.
+pub const SW_CQE_SIZE: usize = 64;
+/// FLD's compressed transmit descriptor.
+pub const FLD_TX_DESC_SIZE: usize = 8;
+/// FLD's compressed completion entry.
+pub const FLD_CQE_SIZE: usize = 15;
+/// A producer index, in either format.
+pub const PRODUCER_INDEX_SIZE: usize = 4;
+
 /// Sizes and batching factors of the NIC–FLD control protocol.
 ///
 /// Sizes follow Table 2b (FLD column): 8 B compressed Tx descriptors,
@@ -47,9 +65,9 @@ pub struct FldProtocolParams {
 impl Default for FldProtocolParams {
     fn default() -> Self {
         FldProtocolParams {
-            tx_desc_size: 8,
-            cqe_size: 15,
-            doorbell_size: 4,
+            tx_desc_size: FLD_TX_DESC_SIZE as u32,
+            cqe_size: FLD_CQE_SIZE as u32,
+            doorbell_size: PRODUCER_INDEX_SIZE as u32,
             desc_fetch_batch: 8,
             rx_cqe_batch: 4,
             tx_cqe_batch: 16,

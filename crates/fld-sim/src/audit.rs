@@ -30,8 +30,10 @@ use std::fmt::{Display, Write as _};
 use crate::counters::{Counter, CounterSum};
 use crate::time::SimTime;
 
-/// RDMA packet-sequence-number space (matches `fld-nic`'s `PSN_MOD`).
-const PSN_MOD: u64 = 1 << 23;
+/// The RDMA packet-sequence-number space: a BTH carries a 24-bit PSN
+/// (IBTA § 9.2), so sequence arithmetic is modulo 2^24. `fld-nic`'s RC
+/// queue pair and [`Auditor::check_psn`] both count in it.
+pub const PSN_MOD: u32 = 1 << 24;
 
 /// One failed invariant check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,35 +161,6 @@ impl Auditor {
         );
     }
 
-    /// Fault-aware conservation: every injected fault is accounted for as
-    /// recovered, dropped-and-counted, terminal, or still open awaiting
-    /// recovery — nothing silently vanishes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_fault_accounting(
-        &mut self,
-        at: SimTime,
-        component: impl Display,
-        injected: u64,
-        recovered: u64,
-        dropped_counted: u64,
-        terminal: u64,
-        open: u64,
-    ) {
-        let accounted = recovered + dropped_counted + terminal + open;
-        self.check(
-            at,
-            component,
-            "fault-accounting",
-            injected == accounted,
-            || {
-                format!(
-                    "injected {injected} != recovered {recovered} + dropped_counted \
-                 {dropped_counted} + terminal {terminal} + open {open} (= {accounted})"
-                )
-            },
-        );
-    }
-
     /// Counter telescoping, leaf form: `counter` — a handle resolved
     /// where the leaf was wired — must equal the aggregate the component
     /// maintains independently (its own integer field, exported into the
@@ -261,17 +234,18 @@ impl Auditor {
         let mut key = std::mem::take(&mut self.psn_key);
         key.clear();
         write!(key, "{qp}").expect("writing to a String cannot fail");
+        let space = u64::from(PSN_MOD);
         match self.last_psn.get_mut(key.as_str()) {
             Some(slot) => {
-                let last = std::mem::replace(slot, psn % PSN_MOD);
-                let forward = (psn + PSN_MOD - last) % PSN_MOD;
-                self.check(at, &key, "psn-monotonic", forward < PSN_MOD / 2, || {
+                let last = std::mem::replace(slot, psn % space);
+                let forward = (psn + space - last) % space;
+                self.check(at, &key, "psn-monotonic", forward < space / 2, || {
                     format!("PSN moved backwards: {last} -> {psn}")
                 });
             }
             // A QP's first sample: the only one that allocates its name.
             None => {
-                self.last_psn.insert(key.clone(), psn % PSN_MOD);
+                self.last_psn.insert(key.clone(), psn % space);
             }
         }
         self.psn_key = key;
@@ -365,7 +339,7 @@ mod tests {
     #[test]
     fn psn_wrap_is_forward_motion() {
         let mut a = Auditor::new();
-        a.check_psn(t(1), "qp", PSN_MOD - 2);
+        a.check_psn(t(1), "qp", u64::from(PSN_MOD) - 2);
         a.check_psn(t(2), "qp", 3); // wrapped forward by 5
         assert_eq!(a.report().violations, 0);
         a.check_psn(t(3), "qp", 1); // backwards

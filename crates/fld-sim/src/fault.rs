@@ -10,16 +10,16 @@
 //! forked deterministically from the seed and the component name, so that
 //! repeated runs — serial or under a parallel sweep — are byte-identical.
 //!
-//! Every injected fault must be accounted for: the shared [`FaultLedger`]
-//! tracks each injection until it is resolved as *recovered* (the system
-//! absorbed it transparently: a retransmission, a queue re-init, a stall
-//! that only cost time), *dropped-and-counted* (graceful degradation: the
-//! packet is gone but a drop counter knows), or *terminal* (a QP entered
-//! its error state and gave up). The [`Auditor`] closes the loop via
-//! [`Auditor::check_fault_accounting`]: nothing silently vanishes.
+//! Every injected fault must be accounted for: the injector's
+//! [`FaultLedger`] tracks each injection until it is resolved as
+//! *recovered* (the system absorbed it transparently: a retransmission, a
+//! queue re-init, a stall that only cost time), *dropped-and-counted*
+//! (graceful degradation: the packet is gone but a drop counter knows),
+//! or *terminal* (a QP entered its error state and gave up).
+//! [`FaultLedger::audit`] closes the loop at every [`Auditor`] tick:
+//! nothing silently vanishes.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use crate::audit::Auditor;
 use crate::counters::{Counter, CounterSum, CounterTree};
@@ -136,9 +136,9 @@ impl FaultKind {
 /// A seeded, deterministic fault schedule: which kinds fire, at what
 /// per-opportunity probability, under which RNG seed.
 ///
-/// The plan itself is inert configuration (`Copy`); components obtain a
-/// [`FaultInjector`] via [`FaultPlan::injector`], all sharing one
-/// [`FaultLedger`] so system-wide accounting stays balanced.
+/// The plan itself is inert configuration (`Copy`); a system obtains its
+/// [`FaultInjector`] via [`FaultPlan::injector`], which owns the
+/// [`FaultLedger`] every hit is booked in.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Probability that any one injection opportunity fires, in `[0, 1]`.
@@ -198,9 +198,9 @@ impl FaultPlan {
     }
 
     /// Creates `component`'s injector, drawing from a stream forked
-    /// deterministically from the plan seed and the component name, and
-    /// recording into `ledger`.
-    pub fn injector(&self, component: &str, ledger: &FaultLedger) -> FaultInjector {
+    /// deterministically from the plan seed and the component name, with
+    /// an empty book of its own.
+    pub fn injector(&self, component: &str) -> FaultInjector {
         // FNV-1a over the component name decorrelates per-component
         // streams without any global state.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -211,7 +211,7 @@ impl FaultPlan {
             rate: self.rate,
             mask: self.mask,
             rng: SimRng::seed_from(self.seed ^ h),
-            ledger: ledger.clone(),
+            ledger: FaultLedger::default(),
             counters: std::array::from_fn(|_| Counter::detached()),
         }
     }
@@ -337,48 +337,24 @@ pub enum FaultOutcome {
     Terminal,
 }
 
-/// A point-in-time scalar summary of one [`FaultLedger`] — the mergeable
-/// view a rack uses to fold N per-node ledgers into one rack-level
-/// accounting book (Σ per-node summaries) without sharing the ledgers
-/// themselves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LedgerSummary {
-    /// Faults injected, all kinds.
-    pub injected: u64,
-    /// Resolved as transparently recovered.
-    pub recovered: u64,
-    /// Resolved by dropping-and-counting.
-    pub dropped_counted: u64,
-    /// Resolved as terminal.
-    pub terminal: u64,
-    /// Still awaiting resolution.
-    pub open: u64,
+/// How a [`FaultLedger`] books one injection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Booking {
+    /// Resolved on the spot as the outcome, the duration (if any) being
+    /// its time to recover.
+    Resolved(FaultOutcome, Option<SimDuration>),
+    /// Left open from this instant until a later resolution closes it.
+    Open(SimTime),
 }
 
-impl LedgerSummary {
-    /// Adds `other`'s books to this one (the rack-level merge).
-    pub fn absorb(&mut self, other: LedgerSummary) {
-        self.injected += other.injected;
-        self.recovered += other.recovered;
-        self.dropped_counted += other.dropped_counted;
-        self.terminal += other.terminal;
-        self.open += other.open;
-    }
-
-    /// Injections with a closed accounting entry.
-    pub fn accounted(&self) -> u64 {
-        self.recovered + self.dropped_counted + self.terminal
-    }
-
-    /// Injections with no accounting entry at all — zero whenever the
-    /// ledger invariant holds.
-    pub fn unaccounted(&self) -> u64 {
-        self.injected.saturating_sub(self.accounted() + self.open)
-    }
-}
-
+/// One system's fault-accounting book: injections on one side,
+/// resolutions (recovered / dropped-and-counted / terminal) on the
+/// other, with a time-to-recover histogram for the Perfetto recovery
+/// windows. Each book has one owner — a system's [`FaultInjector`], or
+/// the rack's scheduled-fault state — and is read after a run through
+/// the counters it mirrors into and the metrics it exports.
 #[derive(Debug, Default)]
-struct LedgerInner {
+pub struct FaultLedger {
     injected: [u64; FaultKind::ALL.len()],
     recovered: u64,
     dropped_counted: u64,
@@ -397,9 +373,40 @@ struct LedgerInner {
     attributed: Vec<CounterSum>,
 }
 
-impl LedgerInner {
-    fn injected_total(&self) -> u64 {
+impl FaultLedger {
+    /// Total faults injected so far.
+    pub fn injected_total(&self) -> u64 {
         self.injected.iter().sum()
+    }
+
+    /// Faults resolved as transparently recovered.
+    pub fn recovered(&self) -> u64 {
+        self.recovered
+    }
+
+    /// Injected faults still awaiting resolution.
+    pub fn open(&self) -> u64 {
+        self.open.len() as u64
+    }
+
+    /// Injections with neither a resolution nor an open entry — zero
+    /// whenever the ledger invariant holds.
+    pub fn unaccounted(&self) -> u64 {
+        let accounted = self.recovered + self.dropped_counted + self.terminal;
+        self.injected_total()
+            .saturating_sub(accounted + self.open())
+    }
+
+    /// Books one injection of `kind` as `booking`. An injector books its
+    /// own hits; a caller booking a *scheduled* fault ([`FaultSchedule`])
+    /// is responsible for attributing it to a `faults/<entity>/<kind>`
+    /// counter path (the attribution audit holds it to that).
+    pub fn book(&mut self, kind: FaultKind, booking: Booking) {
+        self.injected[kind.index()] += 1;
+        match booking {
+            Booking::Resolved(outcome, latency) => self.resolve(outcome, latency),
+            Booking::Open(at) => self.open.push_back((kind, at)),
+        }
     }
 
     fn resolve(&mut self, outcome: FaultOutcome, latency: Option<SimDuration>) {
@@ -421,71 +428,6 @@ impl LedgerInner {
             self.recovery_ns.record(d.as_nanos());
         }
     }
-}
-
-/// The shared fault-accounting book: injections on one side, resolutions
-/// (recovered / dropped-and-counted / terminal) on the other, with a
-/// time-to-recover histogram for the Perfetto recovery windows.
-///
-/// Cloning yields another handle on the same book (injectors across a
-/// system share one), and the handle is `Send` so systems can move across
-/// sweep-runner threads.
-#[derive(Debug, Clone, Default)]
-pub struct FaultLedger {
-    inner: Arc<Mutex<LedgerInner>>,
-}
-
-impl FaultLedger {
-    /// An empty ledger.
-    pub fn new() -> FaultLedger {
-        FaultLedger::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, LedgerInner> {
-        self.inner.lock().expect("fault ledger poisoned")
-    }
-
-    /// Total faults injected so far.
-    pub fn injected_total(&self) -> u64 {
-        self.lock().injected_total()
-    }
-
-    /// Faults resolved as transparently recovered.
-    pub fn recovered(&self) -> u64 {
-        self.lock().recovered
-    }
-
-    /// Injected faults still awaiting resolution.
-    pub fn open(&self) -> u64 {
-        self.lock().open.len() as u64
-    }
-
-    /// Snapshots the book as a mergeable [`LedgerSummary`].
-    pub fn summary(&self) -> LedgerSummary {
-        let b = self.lock();
-        LedgerSummary {
-            injected: b.injected_total(),
-            recovered: b.recovered,
-            dropped_counted: b.dropped_counted,
-            terminal: b.terminal,
-            open: b.open.len() as u64,
-        }
-    }
-
-    /// Resolves an injection immediately (no open window).
-    pub fn resolve(&self, outcome: FaultOutcome, latency: Option<SimDuration>) {
-        self.lock().resolve(outcome, latency);
-    }
-
-    /// Books one injection of `kind` without an injector roll — the
-    /// entry point for *scheduled* faults ([`FaultSchedule`]), which are
-    /// decided by the script rather than a Bernoulli stream. The caller
-    /// is responsible for attributing the injection to a
-    /// `faults/<entity>/<kind>` counter path (the attribution audit
-    /// holds it to that).
-    pub fn inject(&self, kind: FaultKind) {
-        self.lock().injected[kind.index()] += 1;
-    }
 
     /// Resolves the *specific* open fault `(kind, opened_at)` with
     /// `outcome`, crediting `now - opened_at` as its time-to-recover.
@@ -494,43 +436,36 @@ impl FaultLedger {
     /// still-open faults, so overlapping entity-scoped outages resolve
     /// independently as each entity's health returns.
     pub fn resolve_open(
-        &self,
+        &mut self,
         kind: FaultKind,
         opened_at: SimTime,
         now: SimTime,
         outcome: FaultOutcome,
     ) -> bool {
-        let mut b = self.lock();
-        match b
+        match self
             .open
             .iter()
             .position(|&(k, at)| k == kind && at == opened_at)
         {
             Some(pos) => {
-                b.open.remove(pos);
-                b.resolve(outcome, Some(now.saturating_since(opened_at)));
+                self.open.remove(pos);
+                self.resolve(outcome, Some(now.saturating_since(opened_at)));
                 true
             }
             None => false,
         }
     }
 
-    /// Leaves an injection open, awaiting [`FaultLedger::resolve_open_through`].
-    pub fn open_fault(&self, kind: FaultKind, at: SimTime) {
-        self.lock().open.push_back((kind, at));
-    }
-
     /// Resolves every open fault injected at or before `now` as recovered,
     /// crediting each with its time-to-recover. Returns how many resolved.
-    pub fn resolve_open_through(&self, now: SimTime) -> u64 {
-        let mut b = self.lock();
+    pub fn resolve_open_through(&mut self, now: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(&(_, at)) = b.open.front() {
+        while let Some(&(_, at)) = self.open.front() {
             if at > now {
                 break;
             }
-            b.open.pop_front();
-            b.resolve(FaultOutcome::Recovered, Some(now.saturating_since(at)));
+            self.open.pop_front();
+            self.resolve(FaultOutcome::Recovered, Some(now.saturating_since(at)));
             n += 1;
         }
         n
@@ -538,35 +473,41 @@ impl FaultLedger {
 
     /// Resolves every open fault as terminal (a QP gave up; nothing will
     /// recover them).
-    pub fn fail_open(&self) -> u64 {
-        let mut b = self.lock();
+    pub fn fail_open(&mut self) -> u64 {
         let mut n = 0;
-        while let Some((_, _)) = b.open.pop_front() {
-            b.resolve(FaultOutcome::Terminal, None);
+        while self.open.pop_front().is_some() {
+            self.resolve(FaultOutcome::Terminal, None);
             n += 1;
         }
         n
     }
 
-    /// Runs the fault-accounting conservation check (see
-    /// [`Auditor::check_fault_accounting`]).
+    /// Fault-aware conservation: every injected fault is accounted for as
+    /// recovered, dropped-and-counted, terminal, or still open awaiting
+    /// recovery.
     pub fn audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        let b = self.lock();
-        auditor.check_fault_accounting(
+        let (injected, open) = (self.injected_total(), self.open());
+        let (recovered, dropped_counted, terminal) =
+            (self.recovered, self.dropped_counted, self.terminal);
+        let accounted = recovered + dropped_counted + terminal + open;
+        auditor.check(
             at,
             component,
-            b.injected_total(),
-            b.recovered,
-            b.dropped_counted,
-            b.terminal,
-            b.open.len() as u64,
+            "fault-accounting",
+            injected == accounted,
+            || {
+                format!(
+                    "injected {injected} != recovered {recovered} + dropped_counted \
+                 {dropped_counted} + terminal {terminal} + open {open} (= {accounted})"
+                )
+            },
         );
     }
 
     /// The drained-run check: no fault may still be open once the
     /// calendar is empty.
     pub fn drained_audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        let open = self.lock().open.len() as u64;
+        let open = self.open();
         auditor.check(at, component, "fault-accounting", open == 0, || {
             format!("drained run left {open} injected faults unresolved")
         });
@@ -579,36 +520,32 @@ impl FaultLedger {
     /// before wiring are carried over. Also resolves the per-kind
     /// attribution groups the audit reads, so `tree` is the tree
     /// [`FaultLedger::attribution_audit`] checks against.
-    pub fn wire_counters(&self, tree: &CounterTree) {
-        let mut b = self.lock();
-        b.attributed = FaultKind::ALL
+    pub fn wire_counters(&mut self, tree: &CounterTree) {
+        self.attributed = FaultKind::ALL
             .iter()
             .map(|kind| CounterSum::leaves(tree, "faults", kind.name()))
             .collect();
-        b.recovered_ctr = tree.counter("recovery/recovered");
-        b.recovered_ctr.add(b.recovered);
-        b.dropped_counted_ctr = tree.counter("recovery/dropped_counted");
-        b.dropped_counted_ctr.add(b.dropped_counted);
-        b.terminal_ctr = tree.counter("recovery/terminal");
-        b.terminal_ctr.add(b.terminal);
+        self.recovered_ctr = tree.counter("recovery/recovered");
+        self.recovered_ctr.add(self.recovered);
+        self.dropped_counted_ctr = tree.counter("recovery/dropped_counted");
+        self.dropped_counted_ctr.add(self.dropped_counted);
+        self.terminal_ctr = tree.counter("recovery/terminal");
+        self.terminal_ctr.add(self.terminal);
     }
 
     /// The counter-telescoping check for fault accounting: every
     /// injected fault of every kind must be attributed to a per-entity
     /// `faults/<entity>/<kind>` counter path in the tree this ledger was
     /// wired into, and the `recovery/*` mirrors must match the book.
-    /// Holds whenever every injector recording into this ledger was
-    /// wired into that tree (see [`FaultInjector::wire_counters`]); an
-    /// unwired injector on a shared ledger trips it by design — that
-    /// fault would otherwise be unattributable. Reads only handles
+    /// Holds whenever whoever books into this ledger attributes every
+    /// injection in that tree (a wired [`FaultInjector`] does); a booking
+    /// with no counter path trips it by design. Reads only handles
     /// resolved by [`FaultLedger::wire_counters`] (an unwired ledger
     /// attributes nothing).
-    pub fn attribution_audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        let mut b = self.lock();
-        let b = &mut *b;
+    pub fn attribution_audit(&mut self, at: SimTime, component: &str, auditor: &mut Auditor) {
         for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            let injected = b.injected[i];
-            let attributed = b.attributed.get_mut(i).map_or(0, CounterSum::get);
+            let injected = self.injected[i];
+            let attributed = self.attributed.get_mut(i).map_or(0, CounterSum::get);
             auditor.check(at, component, "fault-attribution", attributed == injected, || {
                 format!(
                     "{} faults of kind {} injected but only {} attributed to faults/<entity>/{} counter paths",
@@ -620,9 +557,9 @@ impl FaultLedger {
             });
         }
         for (mirror, book) in [
-            (&b.recovered_ctr, b.recovered),
-            (&b.dropped_counted_ctr, b.dropped_counted),
-            (&b.terminal_ctr, b.terminal),
+            (&self.recovered_ctr, self.recovered),
+            (&self.dropped_counted_ctr, self.dropped_counted),
+            (&self.terminal_ctr, self.terminal),
         ] {
             let ctr = mirror.get();
             auditor.check(at, component, "fault-attribution", ctr == book, || {
@@ -637,30 +574,29 @@ impl FaultLedger {
     /// Exports the book under `faults.*` / `recovery.*`. Every kind key is
     /// always present so snapshots stay byte-comparable across runs.
     pub fn export(&self, registry: &mut MetricsRegistry) {
-        let b = self.lock();
-        registry.counter("faults.injected", b.injected_total());
+        registry.counter("faults.injected", self.injected_total());
         for kind in FaultKind::ALL {
             registry.counter(
                 format!("faults.injected.{}", kind.name()),
-                b.injected[kind.index()],
+                self.injected[kind.index()],
             );
         }
-        registry.counter("recovery.recovered", b.recovered);
-        registry.counter("recovery.dropped_counted", b.dropped_counted);
-        registry.counter("recovery.terminal", b.terminal);
-        registry.counter("recovery.open", b.open.len() as u64);
-        registry.histogram("recovery.time_ns", &b.recovery_ns);
+        registry.counter("recovery.recovered", self.recovered);
+        registry.counter("recovery.dropped_counted", self.dropped_counted);
+        registry.counter("recovery.terminal", self.terminal);
+        registry.counter("recovery.open", self.open());
+        registry.histogram("recovery.time_ns", &self.recovery_ns);
         // Scalar mirrors of the recovery-time distribution, so MTTR is
         // readable straight from a --json report without the timeline.
-        registry.counter("recovery.time_p50_ns", b.recovery_ns.percentile(50.0));
-        registry.counter("recovery.time_p99_ns", b.recovery_ns.percentile(99.0));
-        registry.counter("recovery.time_max_ns", b.recovery_ns.max());
+        registry.counter("recovery.time_p50_ns", self.recovery_ns.percentile(50.0));
+        registry.counter("recovery.time_p99_ns", self.recovery_ns.percentile(99.0));
+        registry.counter("recovery.time_max_ns", self.recovery_ns.max());
     }
 }
 
-/// One component's handle on a [`FaultPlan`]: rolls injection decisions
-/// from its own deterministic stream and records them in the shared
-/// ledger.
+/// One system's handle on a [`FaultPlan`]: rolls injection decisions
+/// from its own deterministic stream and books every hit in the
+/// [`FaultLedger`] it owns.
 #[derive(Debug)]
 pub struct FaultInjector {
     rate: f64,
@@ -674,14 +610,14 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Attributes this injector's future injections to
-    /// `faults/<entity>/<kind>` counter paths in `tree`. Systems wire
-    /// every injector they create, so
-    /// [`FaultLedger::attribution_audit`] can prove that no injected
-    /// fault lacks a per-entity counter path.
+    /// `faults/<entity>/<kind>` counter paths in `tree` and mirrors its
+    /// ledger's resolutions there, so [`FaultLedger::attribution_audit`]
+    /// can prove that no injected fault lacks a per-entity counter path.
     pub fn wire_counters(&mut self, tree: &CounterTree, entity: &str) {
         for kind in FaultKind::ALL {
             self.counters[kind.index()] = tree.counter(&format!("faults/{entity}/{}", kind.name()));
         }
+        self.ledger.wire_counters(tree);
     }
 
     /// This injector's `faults/<entity>/<kind>` counter (detached until
@@ -691,32 +627,58 @@ impl FaultInjector {
         &self.counters[kind.index()]
     }
 
-    /// Rolls one injection opportunity for `kind`: returns `true` (and
-    /// records the injection) with the plan's probability when the kind
-    /// is enabled. Disabled kinds consume no randomness, so narrowing a
-    /// plan's kind set does not perturb the remaining kinds' streams
-    /// relative to chance order at each site.
-    pub fn roll(&mut self, kind: FaultKind) -> bool {
+    /// Rolls one injection opportunity for `kind`: `true` with the plan's
+    /// probability when the kind is enabled. Disabled kinds consume no
+    /// randomness, so narrowing a plan's kind set does not perturb the
+    /// remaining kinds' streams relative to chance order at each site.
+    fn roll(&mut self, kind: FaultKind) -> bool {
         if self.mask & kind.bit() == 0 || self.rate <= 0.0 {
             return false;
         }
         if !self.rng.chance(self.rate) {
             return false;
         }
-        self.ledger.lock().injected[kind.index()] += 1;
         self.counters[kind.index()].inc();
         true
     }
 
-    /// Draws a fault magnitude: uniform in `[1 ps, max]` (reorder delays,
-    /// stall lengths).
-    pub fn magnitude(&mut self, max: SimDuration) -> SimDuration {
-        SimDuration::from_picos(self.rng.range_inclusive(1, max.as_picos().max(1)))
+    /// One fault point: rolls `kind` and, on a hit, books it as
+    /// `booking`. Returns whether the fault fired.
+    pub fn hit(&mut self, kind: FaultKind, booking: Booking) -> bool {
+        let fired = self.roll(kind);
+        if fired {
+            self.ledger.book(kind, booking);
+        }
+        fired
     }
 
-    /// The shared accounting book.
+    /// A fault point with a magnitude (reorder delays, stall lengths):
+    /// rolls `kind` and, on a hit, draws a duration uniform in
+    /// `[1 ps, max]` from the same stream, books the hit as
+    /// `booking(duration)` and returns the duration.
+    pub fn hit_for(
+        &mut self,
+        kind: FaultKind,
+        max: SimDuration,
+        booking: impl FnOnce(SimDuration) -> Booking,
+    ) -> Option<SimDuration> {
+        if !self.roll(kind) {
+            return None;
+        }
+        let d = SimDuration::from_picos(self.rng.range_inclusive(1, max.as_picos().max(1)));
+        self.ledger.book(kind, booking(d));
+        Some(d)
+    }
+
+    /// The book.
     pub fn ledger(&self) -> &FaultLedger {
         &self.ledger
+    }
+
+    /// The book, for resolutions that happen after the hit (transport
+    /// recovery, terminal failure, end-of-run closing).
+    pub fn ledger_mut(&mut self) -> &mut FaultLedger {
+        &mut self.ledger
     }
 }
 
@@ -744,24 +706,25 @@ mod tests {
         assert!(FaultPlan::new(0.5, 1).with_kinds_csv("drop,nope").is_err());
     }
 
+    const DROPPED: Booking = Booking::Resolved(FaultOutcome::DroppedCounted, None);
+    const RECOVERED: Booking = Booking::Resolved(FaultOutcome::Recovered, None);
+
     #[test]
     fn disabled_plan_never_fires() {
-        let ledger = FaultLedger::new();
-        let mut inj = FaultPlan::disabled().injector("x", &ledger);
+        let mut inj = FaultPlan::disabled().injector("x");
         for _ in 0..10_000 {
-            assert!(!inj.roll(FaultKind::LinkDrop));
+            assert!(!inj.hit(FaultKind::LinkDrop, DROPPED));
         }
-        assert_eq!(ledger.injected_total(), 0);
+        assert_eq!(inj.ledger().injected_total(), 0);
     }
 
     #[test]
     fn rolls_are_deterministic_per_component() {
         let plan = FaultPlan::new(0.2, 42);
         let run = |component: &str| {
-            let ledger = FaultLedger::new();
-            let mut inj = plan.injector(component, &ledger);
+            let mut inj = plan.injector(component);
             (0..1000)
-                .map(|_| inj.roll(FaultKind::LinkDrop))
+                .map(|_| inj.hit(FaultKind::LinkDrop, DROPPED))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run("wire"), run("wire"));
@@ -770,15 +733,14 @@ mod tests {
 
     #[test]
     fn ledger_balances_and_audits() {
-        let ledger = FaultLedger::new();
         let plan = FaultPlan::new(1.0, 7);
-        let mut inj = plan.injector("a", &ledger);
-        assert!(inj.roll(FaultKind::LinkCorrupt));
-        ledger.resolve(FaultOutcome::DroppedCounted, None);
-        assert!(inj.roll(FaultKind::LinkDrop));
-        ledger.open_fault(FaultKind::LinkDrop, SimTime::from_nanos(100));
+        let mut inj = plan.injector("a");
+        assert!(inj.hit(FaultKind::LinkCorrupt, DROPPED));
+        let t0 = SimTime::from_nanos(100);
+        assert!(inj.hit(FaultKind::LinkDrop, Booking::Open(t0)));
+        let ledger = inj.ledger_mut();
         assert_eq!(ledger.open(), 1);
-        assert_eq!(ledger.summary().unaccounted(), 0);
+        assert_eq!(ledger.unaccounted(), 0);
 
         let mut auditor = Auditor::new();
         ledger.audit(SimTime::from_nanos(150), "faults", &mut auditor);
@@ -797,11 +759,29 @@ mod tests {
     }
 
     #[test]
+    fn a_drawn_magnitude_is_the_recovery_latency() {
+        let mut inj = FaultPlan::new(1.0, 5).injector("accel");
+        let max = SimDuration::from_micros(5);
+        let d = inj
+            .hit_for(FaultKind::AccelStall, max, |d| {
+                Booking::Resolved(FaultOutcome::Recovered, Some(d))
+            })
+            .expect("rate 1 always fires");
+        assert!(d > SimDuration::ZERO && d <= max);
+        let mut m = MetricsRegistry::new();
+        inj.ledger().export(&mut m);
+        assert_eq!(m.counter_value("recovery.recovered"), Some(1));
+        assert_eq!(m.counter_value("recovery.time_max_ns"), Some(d.as_nanos()));
+    }
+
+    #[test]
     fn unbalanced_ledger_fails_audit() {
-        let ledger = FaultLedger::new();
-        let mut inj = FaultPlan::new(1.0, 7).injector("a", &ledger);
-        assert!(inj.roll(FaultKind::MalformedWqe)); // injected, never resolved
-        assert_eq!(ledger.summary().unaccounted(), 1);
+        let mut ledger = FaultLedger::default();
+        ledger.book(FaultKind::MalformedWqe, RECOVERED);
+        // A second injection whose resolution is lost: the injection count
+        // runs ahead of every accounting entry.
+        ledger.injected[FaultKind::MalformedWqe.index()] += 1;
+        assert_eq!(ledger.unaccounted(), 1);
         let mut auditor = Auditor::new();
         ledger.audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.report().violations, 1);
@@ -810,46 +790,42 @@ mod tests {
     #[test]
     fn wired_injectors_attribute_every_fault_to_a_counter_path() {
         let tree = CounterTree::new();
-        let ledger = FaultLedger::new();
-        ledger.wire_counters(&tree);
         let plan = FaultPlan::new(1.0, 3);
-        let mut a = plan.injector("fld", &ledger);
-        a.wire_counters(&tree, "fld");
-        let mut b = plan.injector("accel", &ledger);
-        b.wire_counters(&tree, "accel");
+        let mut inj = plan.injector("fld");
+        inj.wire_counters(&tree, "fld");
         for _ in 0..2 {
-            assert!(a.roll(FaultKind::LinkDrop));
-            ledger.resolve(FaultOutcome::DroppedCounted, None);
+            assert!(inj.hit(FaultKind::LinkDrop, DROPPED));
         }
-        assert!(b.roll(FaultKind::AccelStall));
-        ledger.resolve(FaultOutcome::Recovered, None);
+        assert!(inj.hit(FaultKind::AccelStall, RECOVERED));
         assert_eq!(tree.snapshot().get("faults/fld/drop"), Some(2));
-        assert_eq!(tree.snapshot().get("faults/accel/accel_stall"), Some(1));
+        assert_eq!(tree.snapshot().get("faults/fld/accel_stall"), Some(1));
         assert_eq!(tree.snapshot().get("recovery/dropped_counted"), Some(2));
         assert_eq!(tree.snapshot().get("recovery/recovered"), Some(1));
         let mut auditor = Auditor::new();
-        ledger.attribution_audit(SimTime::ZERO, "faults", &mut auditor);
+        inj.ledger_mut()
+            .attribution_audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.report().violations, 0);
-        // An unwired injector on the same ledger leaves a fault with no
-        // counter path: the attribution audit must catch exactly that.
-        let mut rogue = plan.injector("rogue", &ledger);
-        assert!(rogue.roll(FaultKind::Rnr));
-        ledger.resolve(FaultOutcome::Recovered, None);
+        // A booking with no counter path behind it is a fault the tree
+        // cannot attribute: the attribution audit must catch exactly that.
+        inj.ledger_mut().book(FaultKind::Rnr, RECOVERED);
         let mut auditor = Auditor::new();
-        ledger.attribution_audit(SimTime::ZERO, "faults", &mut auditor);
+        inj.ledger_mut()
+            .attribution_audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.report().violations, 1);
     }
 
     #[test]
     fn terminal_faults_close_the_books() {
-        let ledger = FaultLedger::new();
-        let mut inj = FaultPlan::new(1.0, 9).injector("qp", &ledger);
+        let mut inj = FaultPlan::new(1.0, 9).injector("qp");
         for _ in 0..3 {
-            assert!(inj.roll(FaultKind::LinkDrop));
-            ledger.open_fault(FaultKind::LinkDrop, SimTime::ZERO);
+            assert!(inj.hit(FaultKind::LinkDrop, Booking::Open(SimTime::ZERO)));
         }
+        let ledger = inj.ledger_mut();
         assert_eq!(ledger.fail_open(), 3);
-        assert_eq!(ledger.summary().terminal, 3);
+        assert_eq!((ledger.open(), ledger.unaccounted()), (0, 0));
+        let mut m = MetricsRegistry::new();
+        ledger.export(&mut m);
+        assert_eq!(m.counter_value("recovery.terminal"), Some(3));
         let mut auditor = Auditor::new();
         ledger.drained_audit(SimTime::ZERO, "faults", &mut auditor);
         assert_eq!(auditor.report().violations, 0);
@@ -923,15 +899,13 @@ mod tests {
 
     #[test]
     fn scheduled_inject_and_targeted_resolve_balance() {
-        let ledger = FaultLedger::new();
+        let mut ledger = FaultLedger::default();
         let t0 = SimTime::from_nanos(100);
         let t1 = SimTime::from_nanos(250);
-        ledger.inject(FaultKind::NodeCrash);
-        ledger.open_fault(FaultKind::NodeCrash, t0);
-        ledger.inject(FaultKind::FabricLinkFlap);
-        ledger.open_fault(FaultKind::FabricLinkFlap, t1);
+        ledger.book(FaultKind::NodeCrash, Booking::Open(t0));
+        ledger.book(FaultKind::FabricLinkFlap, Booking::Open(t1));
         assert_eq!(ledger.open(), 2);
-        assert_eq!(ledger.summary().unaccounted(), 0);
+        assert_eq!(ledger.unaccounted(), 0);
 
         // Resolving a specific (kind, at) pair leaves the other open
         // fault untouched, even though it opened earlier in time.
@@ -956,7 +930,7 @@ mod tests {
             FaultOutcome::Recovered
         ));
         assert_eq!(ledger.open(), 0);
-        assert_eq!(ledger.summary().unaccounted(), 0);
+        assert_eq!(ledger.unaccounted(), 0);
 
         // Satellite: the recovery distribution is exported as scalars.
         let mut m = MetricsRegistry::new();

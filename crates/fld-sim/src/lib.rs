@@ -95,8 +95,8 @@ pub use audit::{AuditReport, Auditor, Violation};
 pub use counters::{Counter, CounterSnapshot, CounterTree};
 pub use engine::{Completed, Engine, Model, Probes};
 pub use fault::{
-    FaultEvent, FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan, FaultSchedule,
-    LedgerSummary, ScheduleSpec,
+    Booking, FaultEvent, FaultInjector, FaultKind, FaultLedger, FaultOutcome, FaultPlan,
+    FaultSchedule, ScheduleSpec,
 };
 pub use health::{HealthConfig, HealthId, HealthMonitor, HealthState, HealthTransition};
 pub use link::{Link, TokenBucket};
