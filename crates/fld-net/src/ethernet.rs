@@ -110,11 +110,14 @@ pub struct EthernetHeader {
 }
 
 impl EthernetHeader {
-    /// Serializes the header into `buf`.
+    /// Serializes the header into `buf` (one append).
+    #[inline]
     pub fn write(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype.value());
+        let mut h = [0u8; ETHERNET_HEADER_LEN];
+        h[0..6].copy_from_slice(&self.dst.0);
+        h[6..12].copy_from_slice(&self.src.0);
+        h[12..14].copy_from_slice(&self.ethertype.value().to_be_bytes());
+        buf.put_slice(&h);
     }
 
     /// Parses a header, returning it together with the remaining bytes.
@@ -164,6 +167,22 @@ mod tests {
         let (parsed, rest) = EthernetHeader::parse(&buf).unwrap();
         assert_eq!(parsed, hdr);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn writes_the_ethernet_ii_layout() {
+        // Destination, source, EtherType, in wire order.
+        let hdr = EthernetHeader {
+            dst: MacAddr([0x00, 0x1b, 0x21, 0x3c, 0x4d, 0x5e]),
+            src: MacAddr::local(0x0102_0304),
+            ethertype: EtherType::Ipv4,
+        };
+        let mut buf = BytesMut::new();
+        hdr.write(&mut buf);
+        assert_eq!(
+            &buf[..],
+            [0x00, 0x1b, 0x21, 0x3c, 0x4d, 0x5e, 0x02, 0x00, 0x01, 0x02, 0x03, 0x04, 0x08, 0x00]
+        );
     }
 
     #[test]

@@ -25,6 +25,79 @@ pub enum L4 {
     Raw,
 }
 
+/// The headers of an Ethernet/IPv4 frame, parsed in place: what
+/// [`parse_headers`] returns and [`ParsedFrame::parse`] wraps.
+#[derive(Debug)]
+pub struct FrameHeaders<'a> {
+    /// Ethernet header.
+    pub eth: EthernetHeader,
+    /// IPv4 header (when EtherType is IPv4).
+    pub ip: Option<Ipv4Header>,
+    /// Transport header.
+    pub l4: L4,
+    /// L4 payload (or IP payload for `L4::Raw`), borrowed from the frame.
+    pub payload: &'a [u8],
+}
+
+impl FrameHeaders<'_> {
+    /// The flow key of this frame (ports zero for `L4::Raw`).
+    pub fn flow_key(&self) -> Option<FlowKey> {
+        let ip = self.ip.as_ref()?;
+        Some(match &self.l4 {
+            L4::Udp(u) => FlowKey::from_udp(ip, u),
+            L4::Tcp(t) => FlowKey::from_tcp(ip, t),
+            L4::Raw => FlowKey::l3_only(ip),
+        })
+    }
+}
+
+/// Parses a frame's headers, borrowing its payload: the parse for callers
+/// that read metadata and bytes but keep no handle on the frame.
+///
+/// Non-first IP fragments and unknown protocols yield [`L4::Raw`].
+///
+/// # Errors
+///
+/// Propagates header parse errors from each layer.
+#[inline]
+pub fn parse_headers(frame: &[u8]) -> Result<FrameHeaders<'_>, ParsePacketError> {
+    let (eth, rest) = EthernetHeader::parse(frame)?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return Ok(FrameHeaders {
+            eth,
+            ip: None,
+            l4: L4::Raw,
+            payload: rest,
+        });
+    }
+    let (ip, rest) = Ipv4Header::parse(rest)?;
+    let ip_payload = &rest[..ip.payload_len().min(rest.len())];
+    // Fragments (including the first) are left unparsed at L4: the
+    // transport header is either absent or spans a partial datagram —
+    // exactly the situation that breaks NIC L4 offloads (§ 8.2.2).
+    let (l4, payload) = if ip.is_fragment() {
+        (L4::Raw, ip_payload)
+    } else {
+        match ip.proto {
+            IpProto::Udp => {
+                let (udp, payload) = UdpHeader::parse(ip_payload)?;
+                (L4::Udp(udp), payload)
+            }
+            IpProto::Tcp => {
+                let (tcp, payload) = TcpHeader::parse(ip_payload)?;
+                (L4::Tcp(tcp), payload)
+            }
+            _ => (L4::Raw, ip_payload),
+        }
+    };
+    Ok(FrameHeaders {
+        eth,
+        ip: Some(ip),
+        l4,
+        payload,
+    })
+}
+
 /// A parsed Ethernet/IPv4 frame.
 #[derive(Debug, Clone)]
 pub struct ParsedFrame {
@@ -39,8 +112,9 @@ pub struct ParsedFrame {
 }
 
 impl ParsedFrame {
-    /// Parses a full frame. `payload` is a view of `frame`, not a copy:
-    /// it keeps the frame's buffer alive for as long as it is held.
+    /// Parses a full frame ([`parse_headers`]). `payload` is a view of
+    /// `frame`, not a copy: it keeps the frame's buffer alive for as long
+    /// as it is held.
     ///
     /// Non-first IP fragments and unknown protocols yield [`L4::Raw`].
     ///
@@ -48,50 +122,12 @@ impl ParsedFrame {
     ///
     /// Propagates header parse errors from each layer.
     pub fn parse(frame: &Bytes) -> Result<ParsedFrame, ParsePacketError> {
-        let (eth, rest) = EthernetHeader::parse(frame)?;
-        if eth.ethertype != EtherType::Ipv4 {
-            return Ok(ParsedFrame {
-                eth,
-                ip: None,
-                l4: L4::Raw,
-                payload: frame.slice_ref(rest),
-            });
-        }
-        let (ip, rest) = Ipv4Header::parse(rest)?;
-        let ip_payload = &rest[..ip.payload_len().min(rest.len())];
-        // Fragments (including the first) are left unparsed at L4: the
-        // transport header is either absent or spans a partial datagram —
-        // exactly the situation that breaks NIC L4 offloads (§ 8.2.2).
-        let (l4, payload) = if ip.is_fragment() {
-            (L4::Raw, ip_payload)
-        } else {
-            match ip.proto {
-                IpProto::Udp => {
-                    let (udp, payload) = UdpHeader::parse(ip_payload)?;
-                    (L4::Udp(udp), payload)
-                }
-                IpProto::Tcp => {
-                    let (tcp, payload) = TcpHeader::parse(ip_payload)?;
-                    (L4::Tcp(tcp), payload)
-                }
-                _ => (L4::Raw, ip_payload),
-            }
-        };
+        let h = parse_headers(frame)?;
         Ok(ParsedFrame {
-            eth,
-            ip: Some(ip),
-            l4,
-            payload: frame.slice_ref(payload),
-        })
-    }
-
-    /// The flow key of this frame (ports zero for `L4::Raw`).
-    pub fn flow_key(&self) -> Option<FlowKey> {
-        let ip = self.ip.as_ref()?;
-        Some(match &self.l4 {
-            L4::Udp(u) => FlowKey::from_udp(ip, u),
-            L4::Tcp(t) => FlowKey::from_tcp(ip, t),
-            L4::Raw => FlowKey::l3_only(ip),
+            eth: h.eth,
+            ip: h.ip,
+            l4: h.l4,
+            payload: frame.slice_ref(h.payload),
         })
     }
 }
@@ -353,7 +389,7 @@ mod tests {
             L4::Tcp(t) => assert_eq!(t.seq, 777),
             other => panic!("expected tcp, got {other:?}"),
         }
-        let key = parsed.flow_key().unwrap();
+        let key = parse_headers(&frame).unwrap().flow_key().unwrap();
         assert_eq!(key.dst_port, 5201);
         assert_eq!(key.proto, 6);
     }
@@ -372,7 +408,14 @@ mod tests {
         // Non-first fragments must parse with L4::Raw (ports unavailable).
         let second = ParsedFrame::parse(&frags[1]).unwrap();
         assert!(matches!(second.l4, L4::Raw));
-        assert_eq!(second.flow_key().unwrap().src_port, 0);
+        assert_eq!(
+            parse_headers(&frags[1])
+                .unwrap()
+                .flow_key()
+                .unwrap()
+                .src_port,
+            0
+        );
 
         let mut r = Reassembler::new(4);
         let mut out = None;
@@ -495,8 +538,9 @@ mod tests {
         let mut buf = BytesMut::new();
         eth.write(&mut buf);
         buf.put_slice(&[0u8; 28]);
-        let parsed = ParsedFrame::parse(&buf.freeze()).unwrap();
+        let frame = buf.freeze();
+        let parsed = ParsedFrame::parse(&frame).unwrap();
         assert!(parsed.ip.is_none());
-        assert!(parsed.flow_key().is_none());
+        assert!(parse_headers(&frame).unwrap().flow_key().is_none());
     }
 }

@@ -131,13 +131,11 @@ impl Ipv4Header {
         (self.total_len as usize).saturating_sub(IPV4_HEADER_LEN)
     }
 
-    /// Serializes the header (with a correct checksum) into `buf`.
+    /// Serializes the header (with a correct checksum) into `buf`: the
+    /// checksum is taken over the finished header, then appended with it
+    /// in one store.
+    #[inline]
     pub fn write(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.dscp_ecn);
-        buf.put_u16(self.total_len);
-        buf.put_u16(self.id);
         let mut flags_frag = self.frag_offset & 0x1fff;
         if self.dont_fragment {
             flags_frag |= 0x4000;
@@ -145,14 +143,20 @@ impl Ipv4Header {
         if self.more_fragments {
             flags_frag |= 0x2000;
         }
-        buf.put_u16(flags_frag);
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto.value());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.0);
-        buf.put_slice(&self.dst.0);
-        let c = checksum(&buf[start..start + IPV4_HEADER_LEN]);
-        buf[start + 10..start + 12].copy_from_slice(&c.to_be_bytes());
+        let mut h = [0u8; IPV4_HEADER_LEN];
+        h[0] = 0x45; // version 4, IHL 5
+        h[1] = self.dscp_ecn;
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        h[4..6].copy_from_slice(&self.id.to_be_bytes());
+        h[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        h[8] = self.ttl;
+        h[9] = self.proto.value();
+        // h[10..12], the checksum, is zero while it is computed.
+        h[12..16].copy_from_slice(&self.src.0);
+        h[16..20].copy_from_slice(&self.dst.0);
+        let c = checksum(&h);
+        h[10..12].copy_from_slice(&c.to_be_bytes());
+        buf.put_slice(&h);
     }
 
     /// Parses a header, verifying version, IHL and checksum; returns the
@@ -575,6 +579,45 @@ mod tests {
         let (parsed, rest) = Ipv4Header::parse(&buf).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(rest.len(), 100);
+    }
+
+    #[test]
+    fn writes_the_classic_header_with_its_checksum() {
+        // 115 bytes of UDP, DF set, TTL 64, 192.168.0.1 -> 192.168.0.199.
+        let mut h = Ipv4Header::simple(
+            Ipv4Addr::new(192, 168, 0, 1),
+            Ipv4Addr::new(192, 168, 0, 199),
+            IpProto::Udp,
+            0x73 - IPV4_HEADER_LEN,
+        );
+        h.dont_fragment = true;
+        let mut buf = BytesMut::new();
+        h.write(&mut buf);
+        let want: Vec<u8> = "4500 0073 0000 4000 4011 b861 c0a8 0001 c0a8 00c7"
+            .split(' ')
+            .flat_map(|w| u16::from_str_radix(w, 16).unwrap().to_be_bytes())
+            .collect();
+        assert_eq!(&buf[..], want);
+    }
+
+    #[test]
+    fn writes_fragment_fields_and_dscp() {
+        // MF with offset 0x1ab, DSCP/ECN 0xb8, id 0xbeef, TCP, TTL 1.
+        let mut h = Ipv4Header::simple(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            IpProto::Tcp,
+            1480,
+        );
+        (h.dscp_ecn, h.id, h.ttl) = (0xb8, 0xbeef, 1);
+        (h.more_fragments, h.frag_offset) = (true, 0x1ab);
+        let mut buf = BytesMut::new();
+        h.write(&mut buf);
+        assert_eq!(
+            &buf[..10],
+            [0x45, 0xb8, 0x05, 0xdc, 0xbe, 0xef, 0x21, 0xab, 0x01, 0x06]
+        );
+        assert_eq!(checksum(&buf), 0, "the stored checksum verifies");
     }
 
     #[test]

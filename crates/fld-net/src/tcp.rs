@@ -85,17 +85,20 @@ impl TcpHeader {
         }
     }
 
-    /// Serializes the header into `buf`.
+    /// Serializes the header into `buf` (one append).
+    #[inline]
     pub fn write(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.ack);
-        buf.put_u8(5 << 4); // data offset 5 words
-        buf.put_u8(self.flags.to_byte());
-        buf.put_u16(self.window);
-        buf.put_u16(self.checksum);
-        buf.put_u16(0); // urgent pointer
+        let mut h = [0u8; TCP_HEADER_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = 5 << 4; // data offset 5 words
+        h[13] = self.flags.to_byte();
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        h[16..18].copy_from_slice(&self.checksum.to_be_bytes());
+        // h[18..20], the urgent pointer, stays zero.
+        buf.put_slice(&h);
     }
 
     /// Parses a header, returning it and the remaining bytes.
@@ -171,6 +174,33 @@ mod tests {
         let (parsed, rest) = TcpHeader::parse(&buf).unwrap();
         assert_eq!(parsed, h);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn writes_the_rfc_793_layout() {
+        // Ports, sequence, acknowledgement, data offset 5, flags
+        // (PSH | ACK), window, checksum, urgent pointer 0.
+        let h = TcpHeader {
+            src_port: 40000,
+            dst_port: 5201,
+            seq: 0xdeadbeef,
+            ack: 0x01020304,
+            flags: TcpFlags {
+                psh: true,
+                ..TcpFlags::ACK
+            },
+            window: 0x1000,
+            checksum: 0xabcd,
+        };
+        let mut buf = BytesMut::new();
+        h.write(&mut buf);
+        assert_eq!(
+            &buf[..],
+            [
+                0x9c, 0x40, 0x14, 0x51, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, 0x50, 0x18,
+                0x10, 0x00, 0xab, 0xcd, 0x00, 0x00
+            ]
+        );
     }
 
     #[test]

@@ -42,12 +42,15 @@ impl UdpHeader {
         }
     }
 
-    /// Serializes the header into `buf`.
+    /// Serializes the header into `buf` (one append).
+    #[inline]
     pub fn write(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(self.length);
-        buf.put_u16(self.checksum);
+        let mut h = [0u8; UDP_HEADER_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..6].copy_from_slice(&self.length.to_be_bytes());
+        h[6..8].copy_from_slice(&self.checksum.to_be_bytes());
+        buf.put_slice(&h);
     }
 
     /// Parses a header, returning it and the remaining bytes.
@@ -131,6 +134,16 @@ mod tests {
         let (parsed, rest) = UdpHeader::parse(&buf).unwrap();
         assert_eq!(parsed, h);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn writes_the_rfc_768_layout() {
+        // Source port, destination port, length, checksum.
+        let mut h = UdpHeader::new(0x04d2, 4791, 16);
+        h.checksum = 0xbeef;
+        let mut buf = BytesMut::new();
+        h.write(&mut buf);
+        assert_eq!(&buf[..], [0x04, 0xd2, 0x12, 0xb7, 0x00, 0x18, 0xbe, 0xef]);
     }
 
     #[test]

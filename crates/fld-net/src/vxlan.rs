@@ -42,13 +42,13 @@ impl VxlanHeader {
         VxlanHeader { vni }
     }
 
-    /// Serializes the header into `buf`.
+    /// Serializes the header into `buf` (one append): the flags byte
+    /// with only the I bit, three reserved bytes, the VNI, one reserved
+    /// byte (RFC 7348 § 5).
+    #[inline]
     pub fn write(&self, buf: &mut BytesMut) {
-        buf.put_u8(0x08); // flags: I bit set
-        buf.put_slice(&[0, 0, 0]); // reserved
-        let v = self.vni.to_be_bytes();
-        buf.put_slice(&[v[1], v[2], v[3]]);
-        buf.put_u8(0); // reserved
+        let [_, v0, v1, v2] = self.vni.to_be_bytes();
+        buf.put_slice(&[0x08, 0, 0, 0, v0, v1, v2, 0]);
     }
 
     /// Parses a header, returning it and the encapsulated frame bytes.
@@ -90,6 +90,21 @@ mod tests {
         let (parsed, rest) = VxlanHeader::parse(&buf).unwrap();
         assert_eq!(parsed, h);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn writes_the_rfc_7348_layout() {
+        // Flags 0x08 (I set, the rest reserved), 24 reserved bits, the
+        // 24-bit VNI, 8 reserved bits.
+        for (vni, wire) in [
+            (0x123456, [0x12, 0x34, 0x56]),
+            (0xff_ffff, [0xff; 3]),
+            (1, [0, 0, 1]),
+        ] {
+            let mut buf = BytesMut::new();
+            VxlanHeader::new(vni).write(&mut buf);
+            assert_eq!(&buf[..], [0x08, 0, 0, 0, wire[0], wire[1], wire[2], 0]);
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! under arbitrary fragment orderings, and the whole-frame functions
 //! (`ParsedFrame::parse`, `vxlan_decap`, `fragment_frame`,
 //! `SimPacket::from_frame`) against a slice-level reference on well-formed
-//! frames and their near misses, the fused fragment-and-encapsulate writer
+//! frames and their near misses, the borrowed `parse_headers` against the
+//! `ParsedFrame::parse` that wraps it, the fused fragment-and-encapsulate writer
 //! against the two functions it fuses, and the storage-recycling
 //! `Reassembler` against a reference that allocates every datagram afresh.
 
@@ -15,7 +16,7 @@ use fld_net::coap::CoapMessage;
 use fld_net::error::ParsePacketError;
 use fld_net::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use fld_net::frame::{
-    build_tcp_frame, build_udp_frame, fragment_frame, vxlan_decap, vxlan_encap,
+    build_tcp_frame, build_udp_frame, fragment_frame, parse_headers, vxlan_decap, vxlan_encap,
     vxlan_encap_fragments, Endpoints, ParsedFrame, L4,
 };
 use fld_net::ipv4::{
@@ -290,6 +291,32 @@ impl FreshReassembler {
     }
 }
 
+/// Where `view` lies in `frame`, as a byte range (`0..0` when empty).
+fn span(view: &[u8], frame: &[u8]) -> std::ops::Range<usize> {
+    if view.is_empty() {
+        return 0..0;
+    }
+    let start = view.as_ptr() as usize - frame.as_ptr() as usize;
+    assert!(start + view.len() <= frame.len(), "not a view of the frame");
+    start..start + view.len()
+}
+
+/// The borrowed parse and the one behind a handle agree, error for
+/// error: same headers and the same payload range of `frame`; and the
+/// metadata `SimPacket::from_frame` derives from the borrowed parse is
+/// the slice reference's.
+fn borrowed_parse_agrees(frame: &Bytes) {
+    match (parse_headers(frame), ParsedFrame::parse(frame)) {
+        (Ok(h), Ok(p)) => {
+            assert_eq!((h.eth, h.ip, &h.l4), (p.eth, p.ip, &p.l4));
+            assert_eq!(span(h.payload, frame), span(&p.payload, frame));
+        }
+        (got, want) => assert_eq!(got.err(), want.err()),
+    }
+    let pkt = SimPacket::from_frame(7, frame.clone(), SimTime::ZERO);
+    assert_eq!(pkt.meta, ref_meta(frame));
+}
+
 /// `SimPacket::from_frame`'s metadata, from the references above.
 fn ref_meta(data: &[u8]) -> PacketMeta {
     let Ok((_, ip, l4, _)) = ref_parse(data) else {
@@ -457,17 +484,18 @@ proptest! {
         prop_assert_eq!(parsed, msg);
     }
 
-    /// The frame parser never panics on arbitrary bytes.
+    /// The frame parsers never panic on arbitrary bytes, and the borrowed
+    /// one agrees with the one behind a handle there too.
     #[test]
     fn parser_totality(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = ParsedFrame::parse(&Bytes::from(data));
+        borrowed_parse_agrees(&Bytes::from(data));
     }
 
     /// On well-formed frames of every shape the simulator carries, and on
     /// their single-byte mutations and truncations, the whole-frame
     /// functions never panic, agree byte for byte (and error for error)
     /// with the slice-level reference, and hand out views of the input
-    /// rather than copies.
+    /// rather than copies; the borrowed `parse_headers` agrees with them.
     #[test]
     fn frame_functions_match_the_slice_reference(
         shape in 0u8..7, df: bool, a: u16, b: u16, payload_len in 0usize..1800, pick: usize,
@@ -488,6 +516,7 @@ proptest! {
                 }
                 (got, want) => prop_assert_eq!(got.err(), want.err()),
             }
+            borrowed_parse_agrees(&frame);
 
             match (vxlan_decap(&frame), ref_decap(&frame)) {
                 (Ok((vni, inner)), Ok((ref_vni, ref_inner))) => {

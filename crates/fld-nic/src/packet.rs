@@ -28,7 +28,7 @@ use std::num::NonZeroU32;
 use bytes::Bytes;
 
 use fld_net::ethernet::ETHERNET_HEADER_LEN;
-use fld_net::frame::{ParsedFrame, L4};
+use fld_net::frame::{parse_headers, L4};
 use fld_net::ipv4::IPV4_HEADER_LEN;
 use fld_net::udp::UDP_HEADER_LEN;
 use fld_net::vxlan::{VxlanHeader, VXLAN_UDP_PORT};
@@ -135,12 +135,13 @@ impl SimPacket {
     }
 }
 
-/// The metadata of an untagged packet carrying `frame`, parsed once.
+/// The metadata of an untagged packet carrying `frame`, parsed once in
+/// place (no handle on the frame is taken).
 ///
 /// Unparseable frames get the default (zeroed flow key) rather than an
 /// error, mirroring how a NIC forwards unknown traffic.
-fn frame_meta(frame: &Bytes) -> PacketMeta {
-    let Ok(parsed) = ParsedFrame::parse(frame) else {
+fn frame_meta(frame: &[u8]) -> PacketMeta {
+    let Ok(parsed) = parse_headers(frame) else {
         return PacketMeta::default();
     };
     let flow = parsed.flow_key().unwrap_or_default();
@@ -151,7 +152,7 @@ fn frame_meta(frame: &Bytes) -> PacketMeta {
     // A VXLAN packet is a UDP datagram to the tunnel port whose payload —
     // already in hand — starts with the VXLAN header.
     let vni = match &parsed.l4 {
-        L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT => VxlanHeader::parse(&parsed.payload)
+        L4::Udp(u) if u.dst_port == VXLAN_UDP_PORT => VxlanHeader::parse(parsed.payload)
             .ok()
             .and_then(|(vx, _)| NonZeroU32::new(vx.vni)),
         _ => None,
