@@ -5,10 +5,10 @@ use fld_net::toeplitz::Toeplitz;
 
 use crate::packet::PacketMeta;
 
-/// An RSS context: hash function + indirection table over receive queues.
+/// An RSS context: the Toeplitz hash (under the default key) + an
+/// indirection table over receive queues.
 #[derive(Debug)]
 pub struct RssContext {
-    toeplitz: Toeplitz,
     /// Maps `hash % len` to a queue index.
     indirection: Vec<u16>,
 }
@@ -23,7 +23,6 @@ impl RssContext {
     pub fn new(queues: u16) -> Self {
         assert!(queues > 0, "need at least one queue");
         RssContext {
-            toeplitz: Toeplitz::default(),
             indirection: (0..128).map(|i| i % queues).collect(),
         }
     }
@@ -35,9 +34,9 @@ impl RssContext {
     /// well so all fragments of a datagram land on one queue.
     pub fn hash(&self, meta: &PacketMeta) -> u32 {
         if meta.is_fragment {
-            self.toeplitz.hash_ip_pair(&meta.flow)
+            Toeplitz.hash_ip_pair(&meta.flow)
         } else {
-            self.toeplitz.hash_flow(&meta.flow)
+            Toeplitz.hash_flow(&meta.flow)
         }
     }
 
