@@ -25,15 +25,17 @@
 //! metrics snapshot per (system, rate) — the `faults.*` / `recovery.*`
 //! counters, the `recovery.time_ns` histogram and, for the rack leg, the
 //! `health.*` watchdog metrics — and `--counters` dumps each run's
-//! counter tree, where every injected fault appears under its
-//! `faults/<entity>/<kind>` path.
+//! counter tree. That tree is the fault book: every injected fault is
+//! one count under its `faults/<entity>/<kind>` path and every
+//! resolution one under `recovery/*`, nothing counts them twice, and
+//! the verdicts here read them from the snapshot.
 
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaRunStats, RdmaSystem};
 use fld_core::system::{RunStats, SystemConfig};
 use fld_sim::counters::CounterSnapshot;
-use fld_sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, ScheduleSpec};
-use fld_sim::health::HealthConfig;
+use fld_sim::fault::{self, FaultEvent, FaultKind, FaultPlan, FaultSchedule, ScheduleSpec};
+use fld_sim::health::{HealthConfig, MTTR_PATH};
 use fld_sim::time::{SimDuration, SimTime};
 
 use crate::experiments::echo::{echo_system, open_loop};
@@ -115,12 +117,13 @@ pub struct ChaosPoint {
     pub rdma: RdmaRunStats,
 }
 
-/// Injected faults with no recovery-side accounting, read from a counter
-/// snapshot alone: `Σ faults/**` minus `Σ recovery/**`. Zero whenever the
-/// in-run attribution audit held and the run drained its open faults.
+/// The [`fault::unaccounted`] faults of a counter snapshot: `Σ faults/**`
+/// against `Σ recovery/**` (less the watchdog's repair time), with
+/// nothing open — the state a drained run ends in. Zero whenever the
+/// in-run fault-accounting clause held and the run drained.
 pub fn unaccounted(snap: &CounterSnapshot) -> u64 {
-    snap.sum_prefix("faults")
-        .saturating_sub(snap.sum_prefix("recovery"))
+    let resolved = snap.sum_prefix("recovery") - snap.sum_prefix(MTTR_PATH);
+    fault::unaccounted(snap.sum_prefix("faults"), resolved, 0)
 }
 
 impl ChaosPoint {
@@ -346,7 +349,7 @@ pub struct ChaosRackLegs {
 /// Runs the rack leg at `seed` under `h`: baseline first, then the
 /// faulted run with the health watchdog armed.
 /// Both runs carry the flight recorder so the per-tick audits (fault
-/// attribution, counter telescoping, boundary accounting) execute
+/// accounting, counter telescoping, boundary accounting) execute
 /// throughout.
 pub fn run_rack_leg(h: &Harness, seed: u64) -> ChaosRackLegs {
     let scale = h.scale();

@@ -256,9 +256,9 @@ proptest! {
 
     /// For any echo workload and fault plan, the counter tree
     /// telescopes: the strict per-tick audits (per-queue sums == port
-    /// totals == aggregate metrics, fault attribution included) hold,
-    /// and the end-of-run snapshot agrees with the fault ledger and the
-    /// metrics registry.
+    /// totals == aggregate metrics, fault accounting included) hold,
+    /// and the end-of-run snapshot agrees with the fault ledger's export
+    /// and the metrics registry.
     #[test]
     fn echo_counters_telescope_under_arbitrary_workloads(
         frame in 64u32..1500,
@@ -283,8 +283,7 @@ proptest! {
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         let snap = &stats.counters;
-        // Fault attribution: every injection the ledger exported has a
-        // counter path.
+        // The ledger exports the book it keeps in the tree.
         prop_assert_eq!(
             Some(snap.sum_prefix("faults")),
             stats.metrics.counter_value("faults.injected")

@@ -424,16 +424,17 @@ fn ticked_chaos_rack(interval: SimDuration) -> Ticked {
 /// often (N vs 4N ticks) costs not one allocation more in `sample.audit`,
 /// and in `sample.probes` only what the longer recorded series
 /// themselves need — while `audit.checks` grows by exactly the per-tick
-/// check count: 20 on the echo system and 141 on the chaos rack, of
+/// check count: 20 on the echo system and 125 on the chaos rack, of
 /// which the pool-conservation and `client_down` bound clauses are one
-/// each per `FldSystem` (one here, four nodes there).
+/// each per `FldSystem` (one here, four nodes there) and the rack's
+/// fault accounting is one clause.
 #[test]
 fn tick_allocations_do_not_grow_with_the_tick_count() {
     let us = SimDuration::from_micros;
     type Build = fn(SimDuration) -> Ticked;
     let systems: [(&str, Build, SimDuration, u64); 2] = [
         ("echo", ticked_echo, us(1), 20),
-        ("chaos rack", ticked_chaos_rack, us(40), 141),
+        ("chaos rack", ticked_chaos_rack, us(40), 125),
     ];
     for (name, run, coarse, checks_per_tick) in systems {
         let fine = SimDuration::from_picos(coarse.as_picos() / 4);

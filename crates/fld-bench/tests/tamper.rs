@@ -193,7 +193,7 @@ const ECHO_TICK: SimDuration = SimDuration::from_micros(1);
 
 /// Closed-loop 64 B echo through `accel`, 1 µs ticks; `bind` sees the
 /// built system before it runs. `faults` arms a zero-rate plan: nothing
-/// is ever injected, but the fault-attribution audit runs.
+/// is ever injected, but the fault-accounting clause runs.
 fn run_echo(
     accel: Box<dyn AcceleratorModel>,
     faults: bool,
@@ -422,8 +422,24 @@ fn echo_tampered_fault_counter_is_caught_on_the_next_tick() {
         &[(
             73_000,
             "fld",
-            "fault-attribution",
-            "0 faults of kind drop injected but only 1 attributed to faults/<entity>/drop counter paths",
+            "fault-accounting",
+            "faults/** sum to 1, recovery/** to 0 with 0 open",
+        )],
+        117,
+    );
+}
+
+/// A resolution no injection accounts for, under a leaf the ledger does
+/// not write, registered mid-run.
+#[test]
+fn echo_rogue_recovery_leaf_is_caught_on_the_next_tick() {
+    check(
+        |strict| echo_run("recovery/lost", true, strict),
+        &[(
+            73_000,
+            "fld",
+            "fault-accounting",
+            "faults/** sum to 0, recovery/** to 1 with 0 open",
         )],
         117,
     );
@@ -451,8 +467,8 @@ fn rdma_rogue_fault_entity_is_caught_on_the_next_tick() {
         &[(
             35_000,
             "rdma",
-            "fault-attribution",
-            "0 faults of kind rnr injected but only 1 attributed to faults/<entity>/rnr counter paths",
+            "fault-accounting",
+            "faults/** sum to 1, recovery/** to 0 with 0 open",
         )],
         35,
     );

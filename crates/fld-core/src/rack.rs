@@ -729,8 +729,7 @@ impl Rack {
     pub fn enable_fault_schedule(&mut self, schedule: FaultSchedule, health_cfg: HealthConfig) {
         let nodes = self.cfg.nodes as usize;
         let tenants = self.cfg.tenants as usize;
-        let mut ledger = FaultLedger::default();
-        ledger.wire_counters(&self.counters);
+        let ledger = FaultLedger::new(&self.counters);
         let mut health = HealthMonitor::new(health_cfg);
         let node_health = (0..nodes)
             .map(|n| health.register(format!("node{n}")))
@@ -819,12 +818,12 @@ impl Rack {
         let flows_per_node = (0..self.cfg.nodes)
             .map(|n| self.pop.active_on(n) as u64)
             .collect();
-        let fault_domains = self.sf.as_ref().map(|sf| FaultDomainStats {
+        let fault_domains = self.sf.as_mut().map(|sf| FaultDomainStats {
             all_healthy: sf.health.all_healthy(),
             detection_max_ns: sf.health.detection_ns().max(),
             mttr_max_ns: sf.health.mttr_ns().max(),
             mttr_count: sf.health.mttr_ns().count(),
-            injected: sf.ledger.injected_total(),
+            injected: sf.ledger.injected(),
             recovered: sf.ledger.recovered(),
             open: sf.ledger.open(),
             unaccounted: sf.ledger.unaccounted(),
@@ -939,11 +938,12 @@ impl Rack {
         }
     }
 
-    /// A scheduled fault fires: book it in the ledger (injection +
-    /// attribution counter), open its recovery window, mark the entity's
-    /// health failed, and trip the actual fault point — crash the node's
-    /// queues and kill its flows, start the port blackhole, or unplug
-    /// the VF (evicting its rules and reclaiming quota + shaper).
+    /// A scheduled fault fires: mark the entity's health failed, trip the
+    /// actual fault point — crash the node's queues and kill its flows,
+    /// start the port blackhole, or unplug the VF (evicting its rules and
+    /// reclaiming quota + shaper) — and book it in the ledger on the
+    /// entity's `faults/<entity>/<kind>` leaf, opening its recovery
+    /// window.
     fn on_fault_start(&mut self, i: usize, now: SimTime, eng: &mut Engine<RackEv>) {
         let tenants = self.cfg.tenants as usize;
         let Some(sf) = self.sf.as_mut() else {
@@ -951,7 +951,6 @@ impl Rack {
         };
         let ev = sf.schedule.events()[i];
         let until = ev.at + ev.duration;
-        sf.ledger.book(ev.kind, Booking::Open(now));
         let label = match ev.kind {
             FaultKind::FabricLinkFlap => {
                 let p = ev.entity as usize % sf.port_down_until.len();
@@ -983,9 +982,10 @@ impl Rack {
             // point.
             _ => "rack".to_string(),
         };
-        self.counters
-            .counter(&format!("faults/{label}/{}", ev.kind.name()))
-            .inc();
+        let leaf = self
+            .counters
+            .counter(&format!("faults/{label}/{}", ev.kind.name()));
+        sf.ledger.book(ev.kind, &leaf, Booking::Open(now));
         self.arm_health_tick(now, eng);
     }
 
@@ -1290,12 +1290,10 @@ impl Model for Rack {
             vf_tx == fabric_offered,
             || format!("VFs transmitted {vf_tx} packets, fabric was offered {fabric_offered}"),
         );
-        // Scheduled-fault accounting: the ledger balances, every
-        // injection is attributed to a faults/<entity>/<kind> counter,
-        // and the boundary subtree telescopes to its aggregate.
+        // Scheduled-fault accounting: the ledger balances over the rack
+        // tree, and the boundary subtree telescopes to its aggregate.
         if let Some(sf) = &mut self.sf {
             sf.ledger.audit(at, "rack.faults", auditor);
-            sf.ledger.attribution_audit(at, "rack.faults", auditor);
             auditor.check_counter_sum(at, "rack.boundary", &mut sf.boundary_all, sf.boundary_drops);
         }
     }
@@ -1360,7 +1358,7 @@ impl Model for Rack {
         for t in 0..self.cfg.tenants as usize {
             m.histogram(format!("rack.tenant.{t}.rtt_ns"), &self.tenant_rtt[t]);
         }
-        if let Some(sf) = &self.sf {
+        if let Some(sf) = &mut self.sf {
             m.counter("rack.vf.unplug_drops", pf.unplug_drops);
             m.counter("rack.fabric.blackholed", self.fabric.blackholed);
             m.counter("rack.boundary.drops", sf.boundary_drops);

@@ -306,9 +306,7 @@ impl RdmaSystem {
     /// the FLD-R responder — all drawn from `plan`'s seeded streams and
     /// booked in the injector's own ledger.
     pub fn enable_faults(&mut self, plan: &FaultPlan) {
-        let mut inj = plan.injector("rdma");
-        inj.wire_counters(&self.counters, "rdma");
-        self.faults = Some(inj);
+        self.faults = Some(plan.injector("rdma", &self.counters));
     }
 
     /// Runs to completion or `deadline`; measures from `warmup`.
@@ -682,11 +680,8 @@ impl Model for RdmaSystem {
             "stage.pcie_tx.util",
             self.pcie_from_fld.window_util(interval),
         );
-        if let Some(inj) = &self.faults {
-            let ledger = inj.ledger();
-            out.push("faults.injected", ledger.injected_total() as f64);
-            out.push("faults.open", ledger.open() as f64);
-            out.push("recovery.recovered", ledger.recovered() as f64);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().probes(out);
         }
     }
 
@@ -709,7 +704,7 @@ impl Model for RdmaSystem {
         self.client_qp.audit_counters(at, auditor);
         self.server_qp.audit_counters(at, auditor);
         if let Some(inj) = &mut self.faults {
-            inj.ledger().audit(at, "rdma", auditor);
+            inj.ledger_mut().audit(at, "rdma", auditor);
             auditor.check_counter_eq(
                 at,
                 "counters.pcie",
@@ -722,7 +717,6 @@ impl Model for RdmaSystem {
                 &self.pcie_ctr.poisoned_tlps,
                 inj.counter(FaultKind::PciePoison).get(),
             );
-            inj.ledger_mut().attribution_audit(at, "rdma", auditor);
         }
     }
 
@@ -741,8 +735,8 @@ impl Model for RdmaSystem {
                 )
             },
         );
-        if let Some(inj) = &self.faults {
-            inj.ledger().drained_audit(at, "rdma", auditor);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().drained_audit(at, "rdma", auditor);
         }
     }
 
@@ -774,8 +768,8 @@ impl Model for RdmaSystem {
         m.counter("client.failed", self.stats.failed);
         m.rate("client.goodput", &self.stats.goodput);
         m.histogram("latency.rtt_ns", &self.stats.latency);
-        if let Some(inj) = &self.faults {
-            inj.ledger().export(m);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().export(m);
         }
     }
 }

@@ -1002,11 +1002,9 @@ impl FldSystem {
 
     /// Arms deterministic fault injection against this system's components
     /// (stream name `"fld"`); the injector books every hit in its own
-    /// ledger, mirrored into this system's counter tree.
+    /// ledger, kept in this system's counter tree.
     pub fn enable_faults(&mut self, plan: &FaultPlan) {
-        let mut inj = plan.injector("fld");
-        inj.wire_counters(&self.counters, "fld");
-        self.faults = Some(inj);
+        self.faults = Some(plan.injector("fld", &self.counters));
     }
 
     /// Drives every tx queue through the mlx5-style flush→re-init error
@@ -1598,10 +1596,10 @@ impl FldSystem {
                     // Kernel reassembly; a completed datagram delivers its
                     // IP payload minus the 20 B TCP header.
                     if let Some(bytes) = &pkt.bytes {
-                        if let Ok(parsed) = fld_net::ParsedFrame::parse(bytes) {
+                        if let Ok(parsed) = fld_net::frame::parse_headers(bytes) {
                             if let Some(ip) = parsed.ip {
                                 if let fld_net::ReassemblyResult::Complete { payload, .. } =
-                                    reassemblers[core].push(&ip, &parsed.payload)
+                                    reassemblers[core].push(&ip, parsed.payload)
                                 {
                                     deliver_len = payload.len().saturating_sub(20) as u64;
                                 }
@@ -1609,7 +1607,7 @@ impl FldSystem {
                         }
                     }
                 } else if let Some(bytes) = &pkt.bytes {
-                    if let Ok(parsed) = fld_net::ParsedFrame::parse(bytes) {
+                    if let Ok(parsed) = fld_net::frame::parse_headers(bytes) {
                         deliver_len = parsed.payload.len() as u64;
                     }
                 } else {
@@ -1822,11 +1820,8 @@ impl Model for FldSystem {
         // Fault series are appended only when injection is armed, after
         // every pre-existing series, so fault-free golden timelines are
         // byte-identical with or without this build's fault support.
-        if let Some(inj) = &self.faults {
-            let ledger = inj.ledger();
-            out.push("faults.injected", ledger.injected_total() as f64);
-            out.push("faults.open", ledger.open() as f64);
-            out.push("recovery.recovered", ledger.recovered() as f64);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().probes(out);
         }
     }
 
@@ -1867,8 +1862,8 @@ impl Model for FldSystem {
         }
         let down = self.client_down.backlog(at).as_secs_f64() / bound.as_secs_f64();
         auditor.check_occupancy(at, "link.client_down", down);
-        if let Some(inj) = &self.faults {
-            inj.ledger().audit(at, "fld", auditor);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().audit(at, "fld", auditor);
         }
         // Counter telescoping: every per-entity counter group must agree
         // with the aggregate maintained at the same events, at every
@@ -1941,7 +1936,6 @@ impl Model for FldSystem {
                 &ctr.accel_stalls,
                 inj.counter(FaultKind::AccelStall).get(),
             );
-            inj.ledger_mut().attribution_audit(at, "fld", auditor);
         }
     }
 
@@ -1955,8 +1949,8 @@ impl Model for FldSystem {
         auditor.check(at, "system.pool", "conservation", live == 0, || {
             format!("drained run left {live} packets in the pool ({flow})")
         });
-        if let Some(inj) = &self.faults {
-            inj.ledger().drained_audit(at, "fld", auditor);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().drained_audit(at, "fld", auditor);
         }
     }
 
@@ -1996,8 +1990,8 @@ impl Model for FldSystem {
         self.stages.export("latency", m);
         m.counter("trace.events", self.tracer.len() as u64);
         m.counter("trace.overwritten", self.tracer.overwritten());
-        if let Some(inj) = &self.faults {
-            inj.ledger().export(m);
+        if let Some(inj) = &mut self.faults {
+            inj.ledger_mut().export(m);
             let (mut cqes, mut flushed, mut reinits) = (0u64, 0u64, 0u64);
             for q in &self.tx_queue_err {
                 cqes += q.error_cqes();
@@ -2699,7 +2693,7 @@ mod tests {
 
         // The system's one stream, replayed: with only `accel_stall`
         // enabled, the stall site is its only reader.
-        let mut replay = plan.injector("fld");
+        let mut replay = plan.injector("fld", &CounterTree::new());
         let mut stalls = 0;
         for (&(id, at), &(clean_id, clean_at)) in stalled.iter().zip(&clean) {
             assert_eq!(id, clean_id);

@@ -30,6 +30,21 @@ use fld_net::FlowKey;
 use fld_nic::packet::{PacketMeta, SimPacket};
 use fld_sim::time::SimTime;
 
+/// Appends one CoAP option (RFC 7252 § 3.1): the delta and length
+/// nibbles, their 13 / 14 extensions, then the value.
+fn coap_option(out: &mut Vec<u8>, delta: u16, value: &[u8]) {
+    let form = |n: usize| match n {
+        0..=12 => (n as u8, vec![]),
+        13..=268 => (13, vec![(n - 13) as u8]),
+        _ => (14, ((n - 269) as u16).to_be_bytes().to_vec()),
+    };
+    let ((d, d_ext), (l, l_ext)) = (form(delta as usize), form(value.len()));
+    out.push(d << 4 | l);
+    out.extend(d_ext);
+    out.extend(l_ext);
+    out.extend_from_slice(value);
+}
+
 /// Recomputes the header checksum of the IPv4 header behind the Ethernet
 /// header, when `frame` is long enough to hold one.
 fn fix_ipv4_checksum(frame: &mut [u8]) {
@@ -466,22 +481,41 @@ proptest! {
         }
     }
 
-    /// CoAP messages round-trip for arbitrary tokens and payloads.
+    /// CoAP messages round-trip for arbitrary tokens, payloads and
+    /// well-formed option lists, whose values may hold `0xff` and whose
+    /// deltas and lengths take every header form.
     #[test]
     fn coap_round_trip(
         mid: u16,
         token in proptest::collection::vec(any::<u8>(), 0..=8),
-        payload in proptest::collection::vec(1u8..=255, 0..128),
+        options in proptest::collection::vec(
+            (0u16..1000, prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..20),
+                proptest::collection::vec(any::<u8>(), 260..300),
+            ]),
+            0..5,
+        ),
+        payload in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
-        // Note: payload bytes exclude 0xFF-free requirement only for the
-        // marker search in options; payloads may contain any byte, but an
-        // empty-payload message must not end with a stray marker. Use
-        // non-0xFF option bytes (none here) and arbitrary payloads.
-        let msg = CoapMessage::post(mid, &token, payload);
+        let mut msg = CoapMessage::post(mid, &token, payload);
+        for (delta, value) in &options {
+            coap_option(&mut msg.options, *delta, value);
+        }
         let mut buf = bytes::BytesMut::new();
         msg.write(&mut buf);
         let parsed = CoapMessage::parse(&buf).unwrap();
         prop_assert_eq!(parsed, msg);
+    }
+
+    /// The CoAP parser never panics on arbitrary bytes; with the version
+    /// bits set most inputs reach the option walk.
+    #[test]
+    fn coap_parse_is_total(data in proptest::collection::vec(any::<u8>(), 0..64), v1: bool) {
+        let mut data = data;
+        if let (true, Some(first)) = (v1, data.first_mut()) {
+            *first = 0x40 | (*first & 0x37);
+        }
+        let _ = CoapMessage::parse(&data);
     }
 
     /// The frame parsers never panic on arbitrary bytes, and the borrowed

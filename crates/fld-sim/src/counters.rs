@@ -13,8 +13,9 @@
 //! The tree is the observable half of a two-sided contract: every
 //! counter group telescopes to an aggregate the simulation already
 //! maintains independently (per-queue sums == device totals, eSwitch
-//! miss == the NIC's classifier drop count, per-entity fault paths ==
-//! the [`crate::fault::FaultLedger`] book), and the
+//! miss == the NIC's classifier drop count, `faults/**` == `recovery/**`
+//! plus the open faults of the [`crate::fault::FaultLedger`] kept in the
+//! tree), and the
 //! [`crate::audit::Auditor`] enforces those equalities at every sample
 //! tick and at end-of-run. The audit reads the same way the hot path
 //! writes — through handles resolved at wiring time: a [`Counter`] for

@@ -11,18 +11,20 @@
 //! repeated runs — serial or under a parallel sweep — are byte-identical.
 //!
 //! Every injected fault must be accounted for: the injector's
-//! [`FaultLedger`] tracks each injection until it is resolved as
-//! *recovered* (the system absorbed it transparently: a retransmission, a
-//! queue re-init, a stall that only cost time), *dropped-and-counted*
-//! (graceful degradation: the packet is gone but a drop counter knows),
-//! or *terminal* (a QP entered its error state and gave up).
-//! [`FaultLedger::audit`] closes the loop at every [`Auditor`] tick:
-//! nothing silently vanishes.
+//! [`FaultLedger`] counts each injection in the system's counter tree and
+//! tracks it until it is resolved as *recovered* (the system absorbed it
+//! transparently: a retransmission, a queue re-init, a stall that only
+//! cost time), *dropped-and-counted* (graceful degradation: the packet is
+//! gone but a drop counter knows), or *terminal* (a QP entered its error
+//! state and gave up). [`FaultLedger::audit`] closes the loop over that
+//! tree at every [`Auditor`] tick: nothing silently vanishes.
 
 use std::collections::VecDeque;
 
 use crate::audit::Auditor;
 use crate::counters::{Counter, CounterSum, CounterTree};
+use crate::engine::Probes;
+use crate::health::MTTR_PATH;
 use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
 use crate::stats::Histogram;
@@ -199,8 +201,9 @@ impl FaultPlan {
 
     /// Creates `component`'s injector, drawing from a stream forked
     /// deterministically from the plan seed and the component name, with
-    /// an empty book of its own.
-    pub fn injector(&self, component: &str) -> FaultInjector {
+    /// an empty book of its own kept in `tree`, where the injector's hits
+    /// count under `faults/<component>/<kind>`.
+    pub fn injector(&self, component: &str, tree: &CounterTree) -> FaultInjector {
         // FNV-1a over the component name decorrelates per-component
         // streams without any global state.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -211,8 +214,9 @@ impl FaultPlan {
             rate: self.rate,
             mask: self.mask,
             rng: SimRng::seed_from(self.seed ^ h),
-            ledger: FaultLedger::default(),
-            counters: std::array::from_fn(|_| Counter::detached()),
+            ledger: FaultLedger::new(tree),
+            counters: FaultKind::ALL
+                .map(|kind| tree.counter(&format!("{INJECTIONS}/{component}/{}", kind.name()))),
         }
     }
 }
@@ -337,6 +341,24 @@ pub enum FaultOutcome {
     Terminal,
 }
 
+impl FaultOutcome {
+    /// Every outcome, in the order a [`FaultLedger`] holds their leaves.
+    const ALL: [FaultOutcome; 3] = [
+        FaultOutcome::Recovered,
+        FaultOutcome::DroppedCounted,
+        FaultOutcome::Terminal,
+    ];
+
+    /// The `recovery/<name>` leaf and `recovery.<name>` metric.
+    fn name(self) -> &'static str {
+        match self {
+            FaultOutcome::Recovered => "recovered",
+            FaultOutcome::DroppedCounted => "dropped_counted",
+            FaultOutcome::Terminal => "terminal",
+        }
+    }
+}
+
 /// How a [`FaultLedger`] books one injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Booking {
@@ -347,41 +369,71 @@ pub enum Booking {
     Open(SimTime),
 }
 
-/// One system's fault-accounting book: injections on one side,
-/// resolutions (recovered / dropped-and-counted / terminal) on the
-/// other, with a time-to-recover histogram for the Perfetto recovery
-/// windows. Each book has one owner — a system's [`FaultInjector`], or
-/// the rack's scheduled-fault state — and is read after a run through
-/// the counters it mirrors into and the metrics it exports.
-#[derive(Debug, Default)]
+/// The subtree injections are counted under: `faults/<entity>/<kind>`.
+const INJECTIONS: &str = "faults";
+/// The subtree resolutions are counted under: `recovery/<outcome>`.
+const RESOLUTIONS: &str = "recovery";
+
+/// Faults a book cannot account for: how far `injected` is from
+/// `resolved + open`, either way. Zero exactly when the
+/// `fault-accounting` clause holds.
+pub fn unaccounted(injected: u64, resolved: u64, open: u64) -> u64 {
+    injected.abs_diff(resolved + open)
+}
+
+/// One system's fault-accounting book, kept in its counter tree: an
+/// injection is one increment of a `faults/<entity>/<kind>` leaf, a
+/// resolution (recovered / dropped-and-counted / terminal) one of
+/// `recovery/<outcome>`, and the ledger makes both. It holds only what
+/// the tree cannot: the queue of open faults and the time-to-recover
+/// histogram for the Perfetto recovery windows. Each book has one owner
+/// — a system's [`FaultInjector`], or the rack's scheduled-fault state.
+#[derive(Debug)]
 pub struct FaultLedger {
-    injected: [u64; FaultKind::ALL.len()],
-    recovered: u64,
-    dropped_counted: u64,
-    terminal: u64,
     /// Injected-but-unresolved faults awaiting recovery, oldest first.
     open: VecDeque<(FaultKind, SimTime)>,
     recovery_ns: Histogram,
-    /// Counter-tree mirrors of the three resolution totals, detached
-    /// until [`FaultLedger::wire_counters`] resolves them.
-    recovered_ctr: Counter,
-    dropped_counted_ctr: Counter,
-    terminal_ctr: Counter,
-    /// Per kind, the `faults/<entity>/<kind>` leaves of the wired tree
-    /// across entities — what [`FaultLedger::attribution_audit`] holds
-    /// the book to. Empty until [`FaultLedger::wire_counters`].
-    attributed: Vec<CounterSum>,
+    /// `recovery/<outcome>`, in [`FaultOutcome::ALL`] order.
+    resolutions: [Counter; 3],
+    /// Every leaf under `faults/`.
+    injected: CounterSum,
+    /// Every leaf under `recovery/`.
+    resolved: CounterSum,
+    /// The health watchdog's repair-time total ([`MTTR_PATH`]): the one
+    /// leaf under `recovery/` that sums nanoseconds, not faults.
+    repair_ns: CounterSum,
+    tree: CounterTree,
 }
 
 impl FaultLedger {
-    /// Total faults injected so far.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().sum()
+    /// An empty book kept in `tree`: registers the three resolution
+    /// leaves; an injection leaf is registered by whoever books into it.
+    pub fn new(tree: &CounterTree) -> FaultLedger {
+        FaultLedger {
+            open: VecDeque::new(),
+            recovery_ns: Histogram::new(),
+            resolutions: FaultOutcome::ALL
+                .map(|o| tree.counter(&format!("{RESOLUTIONS}/{}", o.name()))),
+            injected: CounterSum::under(tree, INJECTIONS),
+            resolved: CounterSum::under(tree, RESOLUTIONS),
+            repair_ns: CounterSum::under(tree, MTTR_PATH),
+            tree: tree.clone(),
+        }
+    }
+
+    /// Faults injected so far: `Σ faults/**`.
+    pub fn injected(&mut self) -> u64 {
+        self.injected.get()
+    }
+
+    /// Faults resolved so far: `Σ recovery/**` less the repair time.
+    fn resolved(&mut self) -> u64 {
+        self.resolved.get() - self.repair_ns.get()
     }
 
     /// Faults resolved as transparently recovered.
     pub fn recovered(&self) -> u64 {
-        self.recovered
+        self.resolutions[FaultOutcome::Recovered as usize].get()
     }
 
     /// Injected faults still awaiting resolution.
@@ -389,20 +441,16 @@ impl FaultLedger {
         self.open.len() as u64
     }
 
-    /// Injections with neither a resolution nor an open entry — zero
-    /// whenever the ledger invariant holds.
-    pub fn unaccounted(&self) -> u64 {
-        let accounted = self.recovered + self.dropped_counted + self.terminal;
-        self.injected_total()
-            .saturating_sub(accounted + self.open())
+    /// The [`unaccounted`] faults of this book's tree.
+    pub fn unaccounted(&mut self) -> u64 {
+        let (injected, resolved) = (self.injected(), self.resolved());
+        unaccounted(injected, resolved, self.open())
     }
 
-    /// Books one injection of `kind` as `booking`. An injector books its
-    /// own hits; a caller booking a *scheduled* fault ([`FaultSchedule`])
-    /// is responsible for attributing it to a `faults/<entity>/<kind>`
-    /// counter path (the attribution audit holds it to that).
-    pub fn book(&mut self, kind: FaultKind, booking: Booking) {
-        self.injected[kind.index()] += 1;
+    /// Books one injection of `kind` as `booking`, counting it on
+    /// `leaf`: the booker's `faults/<entity>/<kind>` counter.
+    pub fn book(&mut self, kind: FaultKind, leaf: &Counter, booking: Booking) {
+        leaf.inc();
         match booking {
             Booking::Resolved(outcome, latency) => self.resolve(outcome, latency),
             Booking::Open(at) => self.open.push_back((kind, at)),
@@ -410,20 +458,7 @@ impl FaultLedger {
     }
 
     fn resolve(&mut self, outcome: FaultOutcome, latency: Option<SimDuration>) {
-        match outcome {
-            FaultOutcome::Recovered => {
-                self.recovered += 1;
-                self.recovered_ctr.inc();
-            }
-            FaultOutcome::DroppedCounted => {
-                self.dropped_counted += 1;
-                self.dropped_counted_ctr.inc();
-            }
-            FaultOutcome::Terminal => {
-                self.terminal += 1;
-                self.terminal_ctr.inc();
-            }
-        }
+        self.resolutions[outcome as usize].inc();
         if let Some(d) = latency {
             self.recovery_ns.record(d.as_nanos());
         }
@@ -482,26 +517,16 @@ impl FaultLedger {
         n
     }
 
-    /// Fault-aware conservation: every injected fault is accounted for as
-    /// recovered, dropped-and-counted, terminal, or still open awaiting
-    /// recovery.
-    pub fn audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        let (injected, open) = (self.injected_total(), self.open());
-        let (recovered, dropped_counted, terminal) =
-            (self.recovered, self.dropped_counted, self.terminal);
-        let accounted = recovered + dropped_counted + terminal + open;
-        auditor.check(
-            at,
-            component,
-            "fault-accounting",
-            injected == accounted,
-            || {
-                format!(
-                    "injected {injected} != recovered {recovered} + dropped_counted \
-                 {dropped_counted} + terminal {terminal} + open {open} (= {accounted})"
-                )
-            },
-        );
+    /// The fault-accounting clause, over the tree the book is kept in:
+    /// `Σ faults/** == Σ recovery/** + open`, exactly. A rogue leaf
+    /// under either subtree, an injection with neither a resolution nor
+    /// an open entry, and a resolution with no injection all break it.
+    pub fn audit(&mut self, at: SimTime, component: &str, auditor: &mut Auditor) {
+        let (injected, resolved, open) = (self.injected(), self.resolved(), self.open());
+        let ok = unaccounted(injected, resolved, open) == 0;
+        auditor.check(at, component, "fault-accounting", ok, || {
+            format!("faults/** sum to {injected}, recovery/** to {resolved} with {open} open")
+        });
     }
 
     /// The drained-run check: no fault may still be open once the
@@ -513,77 +538,28 @@ impl FaultLedger {
         });
     }
 
-    /// Mirrors the three resolution totals into `tree` as
-    /// `recovery/recovered`, `recovery/dropped_counted` and
-    /// `recovery/terminal`, so one counters artifact carries injection
-    /// attribution *and* recovery accounting. Resolutions recorded
-    /// before wiring are carried over. Also resolves the per-kind
-    /// attribution groups the audit reads, so `tree` is the tree
-    /// [`FaultLedger::attribution_audit`] checks against.
-    pub fn wire_counters(&mut self, tree: &CounterTree) {
-        self.attributed = FaultKind::ALL
-            .iter()
-            .map(|kind| CounterSum::leaves(tree, "faults", kind.name()))
-            .collect();
-        self.recovered_ctr = tree.counter("recovery/recovered");
-        self.recovered_ctr.add(self.recovered);
-        self.dropped_counted_ctr = tree.counter("recovery/dropped_counted");
-        self.dropped_counted_ctr.add(self.dropped_counted);
-        self.terminal_ctr = tree.counter("recovery/terminal");
-        self.terminal_ctr.add(self.terminal);
-    }
-
-    /// The counter-telescoping check for fault accounting: every
-    /// injected fault of every kind must be attributed to a per-entity
-    /// `faults/<entity>/<kind>` counter path in the tree this ledger was
-    /// wired into, and the `recovery/*` mirrors must match the book.
-    /// Holds whenever whoever books into this ledger attributes every
-    /// injection in that tree (a wired [`FaultInjector`] does); a booking
-    /// with no counter path trips it by design. Reads only handles
-    /// resolved by [`FaultLedger::wire_counters`] (an unwired ledger
-    /// attributes nothing).
-    pub fn attribution_audit(&mut self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            let injected = self.injected[i];
-            let attributed = self.attributed.get_mut(i).map_or(0, CounterSum::get);
-            auditor.check(at, component, "fault-attribution", attributed == injected, || {
-                format!(
-                    "{} faults of kind {} injected but only {} attributed to faults/<entity>/{} counter paths",
-                    injected,
-                    kind.name(),
-                    attributed,
-                    kind.name()
-                )
-            });
-        }
-        for (mirror, book) in [
-            (&self.recovered_ctr, self.recovered),
-            (&self.dropped_counted_ctr, self.dropped_counted),
-            (&self.terminal_ctr, self.terminal),
-        ] {
-            let ctr = mirror.get();
-            auditor.check(at, component, "fault-attribution", ctr == book, || {
-                format!(
-                    "counter {} reads {ctr} but the ledger books {book}",
-                    mirror.path()
-                )
-            });
-        }
+    /// The flight recorder's fault series, appended after every other
+    /// series of a tick: `faults.injected`, `faults.open` and
+    /// `recovery.recovered`.
+    pub fn probes(&mut self, out: &mut Probes) {
+        out.push("faults.injected", self.injected() as f64);
+        out.push("faults.open", self.open() as f64);
+        out.push("recovery.recovered", self.recovered() as f64);
     }
 
     /// Exports the book under `faults.*` / `recovery.*`. Every kind key is
     /// always present so snapshots stay byte-comparable across runs.
-    pub fn export(&self, registry: &mut MetricsRegistry) {
-        registry.counter("faults.injected", self.injected_total());
+    pub fn export(&mut self, registry: &mut MetricsRegistry) {
+        registry.counter("faults.injected", self.injected());
         for kind in FaultKind::ALL {
             registry.counter(
                 format!("faults.injected.{}", kind.name()),
-                self.injected[kind.index()],
+                self.tree.sum_leaf(INJECTIONS, kind.name()),
             );
         }
-        registry.counter("recovery.recovered", self.recovered);
-        registry.counter("recovery.dropped_counted", self.dropped_counted);
-        registry.counter("recovery.terminal", self.terminal);
+        for (outcome, leaf) in FaultOutcome::ALL.iter().zip(&self.resolutions) {
+            registry.counter(format!("recovery.{}", outcome.name()), leaf.get());
+        }
         registry.counter("recovery.open", self.open());
         registry.histogram("recovery.time_ns", &self.recovery_ns);
         // Scalar mirrors of the recovery-time distribution, so MTTR is
@@ -603,26 +579,14 @@ pub struct FaultInjector {
     mask: u16,
     rng: SimRng,
     ledger: FaultLedger,
-    /// Per-kind counter-tree handles (`faults/<entity>/<kind>`),
-    /// detached until [`FaultInjector::wire_counters`].
+    /// This injector's `faults/<entity>/<kind>` leaves, per kind.
     counters: [Counter; FaultKind::ALL.len()],
 }
 
 impl FaultInjector {
-    /// Attributes this injector's future injections to
-    /// `faults/<entity>/<kind>` counter paths in `tree` and mirrors its
-    /// ledger's resolutions there, so [`FaultLedger::attribution_audit`]
-    /// can prove that no injected fault lacks a per-entity counter path.
-    pub fn wire_counters(&mut self, tree: &CounterTree, entity: &str) {
-        for kind in FaultKind::ALL {
-            self.counters[kind.index()] = tree.counter(&format!("faults/{entity}/{}", kind.name()));
-        }
-        self.ledger.wire_counters(tree);
-    }
-
-    /// This injector's `faults/<entity>/<kind>` counter (detached until
-    /// [`FaultInjector::wire_counters`]) — what a system's audit compares
-    /// a component's own fault-visible counter against.
+    /// This injector's `faults/<entity>/<kind>` counter — what a
+    /// system's audit compares a component's own fault-visible counter
+    /// against.
     pub fn counter(&self, kind: FaultKind) -> &Counter {
         &self.counters[kind.index()]
     }
@@ -632,14 +596,7 @@ impl FaultInjector {
     /// randomness, so narrowing a plan's kind set does not perturb the
     /// remaining kinds' streams relative to chance order at each site.
     fn roll(&mut self, kind: FaultKind) -> bool {
-        if self.mask & kind.bit() == 0 || self.rate <= 0.0 {
-            return false;
-        }
-        if !self.rng.chance(self.rate) {
-            return false;
-        }
-        self.counters[kind.index()].inc();
-        true
+        self.mask & kind.bit() != 0 && self.rate > 0.0 && self.rng.chance(self.rate)
     }
 
     /// One fault point: rolls `kind` and, on a hit, books it as
@@ -647,7 +604,8 @@ impl FaultInjector {
     pub fn hit(&mut self, kind: FaultKind, booking: Booking) -> bool {
         let fired = self.roll(kind);
         if fired {
-            self.ledger.book(kind, booking);
+            self.ledger
+                .book(kind, &self.counters[kind.index()], booking);
         }
         fired
     }
@@ -666,17 +624,14 @@ impl FaultInjector {
             return None;
         }
         let d = SimDuration::from_picos(self.rng.range_inclusive(1, max.as_picos().max(1)));
-        self.ledger.book(kind, booking(d));
+        self.ledger
+            .book(kind, &self.counters[kind.index()], booking(d));
         Some(d)
     }
 
-    /// The book.
-    pub fn ledger(&self) -> &FaultLedger {
-        &self.ledger
-    }
-
-    /// The book, for resolutions that happen after the hit (transport
-    /// recovery, terminal failure, end-of-run closing).
+    /// The book: its clause, series and export, and the resolutions that
+    /// happen after the hit (transport recovery, terminal failure,
+    /// end-of-run closing).
     pub fn ledger_mut(&mut self) -> &mut FaultLedger {
         &mut self.ledger
     }
@@ -709,20 +664,32 @@ mod tests {
     const DROPPED: Booking = Booking::Resolved(FaultOutcome::DroppedCounted, None);
     const RECOVERED: Booking = Booking::Resolved(FaultOutcome::Recovered, None);
 
+    /// `component`'s injector under `plan`, kept in a tree of its own.
+    fn injector(plan: FaultPlan, component: &str) -> FaultInjector {
+        plan.injector(component, &CounterTree::new())
+    }
+
+    /// How many violations one run of `ledger`'s clause records.
+    fn violations(ledger: &mut FaultLedger) -> u64 {
+        let mut auditor = Auditor::new();
+        ledger.audit(SimTime::ZERO, "faults", &mut auditor);
+        auditor.report().violations
+    }
+
     #[test]
     fn disabled_plan_never_fires() {
-        let mut inj = FaultPlan::disabled().injector("x");
+        let mut inj = injector(FaultPlan::disabled(), "x");
         for _ in 0..10_000 {
             assert!(!inj.hit(FaultKind::LinkDrop, DROPPED));
         }
-        assert_eq!(inj.ledger().injected_total(), 0);
+        assert_eq!(inj.ledger_mut().injected(), 0);
     }
 
     #[test]
     fn rolls_are_deterministic_per_component() {
         let plan = FaultPlan::new(0.2, 42);
         let run = |component: &str| {
-            let mut inj = plan.injector(component);
+            let mut inj = injector(plan, component);
             (0..1000)
                 .map(|_| inj.hit(FaultKind::LinkDrop, DROPPED))
                 .collect::<Vec<_>>()
@@ -733,8 +700,7 @@ mod tests {
 
     #[test]
     fn ledger_balances_and_audits() {
-        let plan = FaultPlan::new(1.0, 7);
-        let mut inj = plan.injector("a");
+        let mut inj = injector(FaultPlan::new(1.0, 7), "a");
         assert!(inj.hit(FaultKind::LinkCorrupt, DROPPED));
         let t0 = SimTime::from_nanos(100);
         assert!(inj.hit(FaultKind::LinkDrop, Booking::Open(t0)));
@@ -760,7 +726,7 @@ mod tests {
 
     #[test]
     fn a_drawn_magnitude_is_the_recovery_latency() {
-        let mut inj = FaultPlan::new(1.0, 5).injector("accel");
+        let mut inj = injector(FaultPlan::new(1.0, 5), "accel");
         let max = SimDuration::from_micros(5);
         let d = inj
             .hit_for(FaultKind::AccelStall, max, |d| {
@@ -769,54 +735,69 @@ mod tests {
             .expect("rate 1 always fires");
         assert!(d > SimDuration::ZERO && d <= max);
         let mut m = MetricsRegistry::new();
-        inj.ledger().export(&mut m);
+        inj.ledger_mut().export(&mut m);
         assert_eq!(m.counter_value("recovery.recovered"), Some(1));
         assert_eq!(m.counter_value("recovery.time_max_ns"), Some(d.as_nanos()));
     }
 
+    /// The clause reads the tree, so a count changed behind the book's
+    /// back breaks it from either side.
     #[test]
     fn unbalanced_ledger_fails_audit() {
-        let mut ledger = FaultLedger::default();
-        ledger.book(FaultKind::MalformedWqe, RECOVERED);
+        let tree = CounterTree::new();
+        let mut ledger = FaultLedger::new(&tree);
+        let leaf = tree.counter("faults/nic/malformed_wqe");
+        ledger.book(FaultKind::MalformedWqe, &leaf, RECOVERED);
+        assert_eq!(violations(&mut ledger), 0);
         // A second injection whose resolution is lost: the injection count
         // runs ahead of every accounting entry.
-        ledger.injected[FaultKind::MalformedWqe.index()] += 1;
+        leaf.inc();
         assert_eq!(ledger.unaccounted(), 1);
-        let mut auditor = Auditor::new();
-        ledger.audit(SimTime::ZERO, "faults", &mut auditor);
-        assert_eq!(auditor.report().violations, 1);
+        assert_eq!(violations(&mut ledger), 1);
+        // Two resolutions nothing injected: now the other side leads.
+        tree.counter("recovery/lost").add(2);
+        assert_eq!(ledger.unaccounted(), 1);
+        assert_eq!(violations(&mut ledger), 1);
     }
 
     #[test]
     fn wired_injectors_attribute_every_fault_to_a_counter_path() {
         let tree = CounterTree::new();
-        let plan = FaultPlan::new(1.0, 3);
-        let mut inj = plan.injector("fld");
-        inj.wire_counters(&tree, "fld");
+        let mut inj = FaultPlan::new(1.0, 3).injector("fld", &tree);
         for _ in 0..2 {
             assert!(inj.hit(FaultKind::LinkDrop, DROPPED));
         }
         assert!(inj.hit(FaultKind::AccelStall, RECOVERED));
-        assert_eq!(tree.snapshot().get("faults/fld/drop"), Some(2));
-        assert_eq!(tree.snapshot().get("faults/fld/accel_stall"), Some(1));
-        assert_eq!(tree.snapshot().get("recovery/dropped_counted"), Some(2));
-        assert_eq!(tree.snapshot().get("recovery/recovered"), Some(1));
-        let mut auditor = Auditor::new();
-        inj.ledger_mut()
-            .attribution_audit(SimTime::ZERO, "faults", &mut auditor);
-        assert_eq!(auditor.report().violations, 0);
+        let snap = tree.snapshot();
+        assert_eq!(snap.get("faults/fld/drop"), Some(2));
+        assert_eq!(snap.get("faults/fld/accel_stall"), Some(1));
+        assert_eq!(snap.get("recovery/dropped_counted"), Some(2));
+        assert_eq!(snap.get("recovery/recovered"), Some(1));
+        assert_eq!(violations(inj.ledger_mut()), 0);
         // A booking with no counter path behind it is a fault the tree
-        // cannot attribute: the attribution audit must catch exactly that.
-        inj.ledger_mut().book(FaultKind::Rnr, RECOVERED);
-        let mut auditor = Auditor::new();
+        // cannot attribute: its resolution has no injection.
         inj.ledger_mut()
-            .attribution_audit(SimTime::ZERO, "faults", &mut auditor);
-        assert_eq!(auditor.report().violations, 1);
+            .book(FaultKind::Rnr, &Counter::detached(), RECOVERED);
+        assert_eq!(violations(inj.ledger_mut()), 1);
+    }
+
+    /// The health watchdog's repair time shares `recovery/` with the
+    /// resolutions but is no fault count.
+    #[test]
+    fn repair_time_is_no_resolution() {
+        let tree = CounterTree::new();
+        let mut ledger = FaultLedger::new(&tree);
+        let leaf = tree.counter("faults/node0/node_crash");
+        ledger.book(FaultKind::NodeCrash, &leaf, Booking::Open(SimTime::ZERO));
+        tree.counter(MTTR_PATH).add(80_000);
+        assert_eq!(violations(&mut ledger), 0);
+        ledger.fail_open();
+        assert_eq!((ledger.injected(), ledger.unaccounted()), (1, 0));
     }
 
     #[test]
     fn terminal_faults_close_the_books() {
-        let mut inj = FaultPlan::new(1.0, 9).injector("qp");
+        let mut inj = injector(FaultPlan::new(1.0, 9), "qp");
         for _ in 0..3 {
             assert!(inj.hit(FaultKind::LinkDrop, Booking::Open(SimTime::ZERO)));
         }
@@ -899,11 +880,14 @@ mod tests {
 
     #[test]
     fn scheduled_inject_and_targeted_resolve_balance() {
-        let mut ledger = FaultLedger::default();
+        let tree = CounterTree::new();
+        let mut ledger = FaultLedger::new(&tree);
         let t0 = SimTime::from_nanos(100);
         let t1 = SimTime::from_nanos(250);
-        ledger.book(FaultKind::NodeCrash, Booking::Open(t0));
-        ledger.book(FaultKind::FabricLinkFlap, Booking::Open(t1));
+        let crash = tree.counter("faults/node1/node_crash");
+        let flap = tree.counter("faults/port0/fabric_link_flap");
+        ledger.book(FaultKind::NodeCrash, &crash, Booking::Open(t0));
+        ledger.book(FaultKind::FabricLinkFlap, &flap, Booking::Open(t1));
         assert_eq!(ledger.open(), 2);
         assert_eq!(ledger.unaccounted(), 0);
 

@@ -28,6 +28,11 @@ use crate::metrics::MetricsRegistry;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 
+/// Where a wired monitor totals its repair time, in ns. It is the one
+/// leaf under `recovery/` that counts no fault resolutions, so the
+/// fault-accounting clause leaves it out.
+pub const MTTR_PATH: &str = "recovery/mttr_ns";
+
 /// One entity's position in the watchdog state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
@@ -163,7 +168,7 @@ impl HealthMonitor {
                 *ctr = wired;
             }
         }
-        let mttr = tree.counter("recovery/mttr_ns");
+        let mttr = tree.counter(MTTR_PATH);
         mttr.add(self.mttr_ctr.get());
         self.mttr_ctr = mttr;
         self.tree = Some(tree.clone());
