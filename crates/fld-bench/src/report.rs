@@ -45,8 +45,8 @@ const DECLARED: &str = "  --trace <path>            write a Chrome trace-event J
   --fault-rate <p>          fault-injection probability per opportunity
   --fault-kinds <csv>       restrict faults to these kinds (\"list\" prints them)
   --fault-seed <n>          fault-injection RNG seed (default 1)
-  --nodes <n>               FLD server nodes (default 4)
-  --tenants <n>             tenants, one VF per node each (default 9)
+  --nodes <n>               FLD server nodes, 1 – 255 (default 4)
+  --tenants <n>             tenants, one VF per node each, 1 – 250 (default 9)
   --churn <rate>            flow arrivals/s, 0 disables churn (default 20000)
   --topology <which>        single | rack | all: which legs run (default all)";
 
@@ -217,8 +217,18 @@ impl Cli {
                 "--sample-interval-ns" => {
                     cli.sample_interval_ns = value(args, arg, POSITIVE, |&n| n > 0)?;
                 }
-                "--nodes" => cli.nodes = value(args, arg, POSITIVE, |&n| n > 0)?,
-                "--tenants" => cli.tenants = value(args, arg, POSITIVE, |&n| n > 0)?,
+                // The fabric addresses node `d` as 10.0.0.(d + 1), and a
+                // tenant's id rides in the last octet of its source IP.
+                "--nodes" => {
+                    cli.nodes = value(args, arg, "an integer in 1 ..= 255", |&n| {
+                        (1..=255).contains(&n)
+                    })?;
+                }
+                "--tenants" => {
+                    cli.tenants = value(args, arg, "an integer in 1 ..= 250", |&n| {
+                        (1..=250).contains(&n)
+                    })?;
+                }
                 "--churn" => {
                     let rate = |r: &f64| r.is_finite() && *r >= 0.0;
                     cli.churn = value(args, arg, "a non-negative rate", rate)?;
@@ -574,9 +584,23 @@ mod tests {
         }
         assert!(bad("fig7b", &["--nodes", "2"]).ends_with("--prof --sample-interval-ns"));
 
-        let malformed: [(&str, &[&str], &str); 8] = [
-            ("rack", &["--nodes", "0"], "--nodes requires a positive"),
+        let malformed: [(&str, &[&str], &str); 10] = [
+            (
+                "rack",
+                &["--nodes", "0"],
+                "--nodes requires an integer in 1 ..= 255",
+            ),
+            (
+                "rack",
+                &["--nodes", "256"],
+                "--nodes requires an integer in 1 ..= 255",
+            ),
             ("rack", &["--tenants", "many"], "--tenants requires"),
+            (
+                "rack",
+                &["--tenants", "300"],
+                "--tenants requires an integer in 1 ..= 250",
+            ),
             ("rack", &["--churn", "-1"], "--churn requires"),
             ("rack", &["--nodes"], "--nodes requires"),
             (
@@ -594,6 +618,8 @@ mod tests {
 
         let rack = parse("rack", &["--nodes", "2", "--tenants", "3", "--churn", "0"]).unwrap();
         assert_eq!((rack.nodes, rack.tenants, rack.churn), (2, 3, 0.0));
+        let rack = parse("rack", &["--nodes", "255", "--tenants", "250"]).unwrap();
+        assert_eq!((rack.nodes, rack.tenants), (255, 250));
         let rack = parse("rack", &[]).unwrap();
         assert_eq!((rack.nodes, rack.tenants, rack.churn), (4, 9, 20_000.0));
         assert_eq!(parse("chaos", &[]).unwrap().topology, "all");

@@ -17,7 +17,7 @@ use fld_bench::experiments::echo::{echo_system, open_loop, steer_to_accel};
 use fld_bench::experiments::rack::build_rack;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
-use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
+use fld_core::system::{drops, ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
 use fld_sim::counters::{write_dump, CounterSnapshot, CounterTree};
 use fld_sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use fld_sim::health::HealthConfig;
@@ -257,8 +257,8 @@ proptest! {
     /// For any echo workload and fault plan, the counter tree
     /// telescopes: the strict per-tick audits (per-queue sums == port
     /// totals == aggregate metrics, fault accounting included) hold,
-    /// and the end-of-run snapshot agrees with the fault ledger's export
-    /// and the metrics registry.
+    /// and the end-of-run snapshot agrees with the drop reasons and the
+    /// metrics registry.
     #[test]
     fn echo_counters_telescope_under_arbitrary_workloads(
         frame in 64u32..1500,
@@ -283,15 +283,20 @@ proptest! {
         let stats = sys.run(SimTime::ZERO, SimTime::from_millis(50));
         prop_assert!(stats.audit.passed(), "{}", stats.audit);
         let snap = &stats.counters;
-        // The ledger exports the book it keeps in the tree.
-        prop_assert_eq!(
-            Some(snap.sum_prefix("faults")),
-            stats.metrics.counter_value("faults.injected")
-        );
-        prop_assert_eq!(
-            snap.get("recovery/dropped_counted"),
-            stats.metrics.counter_value("recovery.dropped_counted")
-        );
+        // Every fault booked as dropped is a loss the data path counted
+        // under that kind's own drop reason.
+        let mut dropped = 0;
+        for (kind, reason) in [
+            (FaultKind::LinkDrop, drops::FAULT_LINK_DROP),
+            (FaultKind::LinkCorrupt, drops::FAULT_CORRUPT),
+            (FaultKind::PciePoison, drops::FAULT_PCIE_POISON),
+            (FaultKind::MalformedWqe, drops::FAULT_MALFORMED_WQE),
+        ] {
+            let booked = sum_leaf(snap, "faults", kind.name());
+            prop_assert_eq!(booked, stats.drops.get(reason), "{}", kind.name());
+            dropped += booked;
+        }
+        prop_assert_eq!(snap.get("recovery/dropped_counted").unwrap_or(0), dropped);
         // Queue sums telescope up to the aggregate metrics registry.
         prop_assert_eq!(
             Some(sum_leaf(snap, "port/0/queue/tx", "packets")),

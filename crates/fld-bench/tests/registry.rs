@@ -196,6 +196,8 @@ fn usage_errors_exit_2_before_anything_runs() {
         &["table1", "--prof", "x"],
         &["nosuch"],
         &["rack", "--nodes", "0"],
+        &["rack", "--nodes", "256"],
+        &["rack", "--tenants", "300"],
         &["fig7b", "--json"],
         &["chaos", "--topology", "mesh"],
         &[],

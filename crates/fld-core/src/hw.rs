@@ -176,6 +176,8 @@ impl FldTx {
             signalled,
             offload_flags: 0,
         });
+        // `(queue, pos)` is absent, as `insert` requires: a `u32` position
+        // cannot wrap onto a live one with at most `desc_pool` in flight.
         if !self.translation.insert((queue, pos), desc).is_inserted() {
             return Err(TxBackpressure::TranslationStall);
         }

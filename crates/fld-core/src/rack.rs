@@ -556,6 +556,9 @@ pub struct Rack {
     /// `fabric.port.<d>`: each port's probe scope and audit component.
     port_names: Vec<Box<str>>,
     pop: Box<dyn FlowPopulation>,
+    /// Each tenant's mean Poisson generation gap, computed at build;
+    /// `None` for a tenant offering no load, which never generates.
+    gen_mean: Vec<Option<SimDuration>>,
     // Rack-level counter tree and pre-resolved per-port handles.
     counters: CounterTree,
     port_ctrs: Vec<PortCounters>,
@@ -618,6 +621,16 @@ impl Rack {
                 .map(|d| format!("fabric.port.{d}").into())
                 .collect(),
             pop,
+            gen_mean: (0..cfg.tenants)
+                .map(|t| {
+                    let rate = if t == cfg.victim {
+                        cfg.victim_rate
+                    } else {
+                        cfg.aggressor_rate
+                    };
+                    (rate > 0.0).then(|| SimDuration::from_secs_f64(1.0 / rate))
+                })
+                .collect(),
             fabric_all: CounterSum::under(&counters, "fabric"),
             fabric_per_leaf: FABRIC_LEAVES
                 .map(|leaf| CounterSum::leaves(&counters, "fabric", leaf)),
@@ -856,14 +869,6 @@ impl Rack {
         }
     }
 
-    fn rate_of(&self, tenant: u16) -> f64 {
-        if tenant == self.cfg.victim {
-            self.cfg.victim_rate
-        } else {
-            self.cfg.aggressor_rate
-        }
-    }
-
     fn dst_of(&self, flow: &TenantFlow) -> u16 {
         match self.cfg.pattern {
             TrafficPattern::Incast { target } => target,
@@ -883,7 +888,7 @@ impl Rack {
     /// the source VF's shaper, then through the fabric port toward its
     /// destination node.
     fn on_tenant_gen(&mut self, tenant: u16, now: SimTime, eng: &mut Engine<RackEv>) {
-        let mean = SimDuration::from_secs_f64(1.0 / self.rate_of(tenant));
+        let mean = self.gen_mean[tenant as usize].expect("only a loaded tenant generates");
         let gap = self.rng.exp_duration(mean);
         eng.schedule_at(now + gap, RackEv::TenantGen(tenant));
         let Some(flow) = self.pop.pick(tenant, &mut self.rng) else {
@@ -1072,7 +1077,7 @@ impl Model for Rack {
             self.nodes[n].start_node(&mut sched);
         }
         for t in 0..self.cfg.tenants {
-            if self.rate_of(t) > 0.0 {
+            if self.gen_mean[t as usize].is_some() {
                 eng.schedule_at(SimTime::ZERO, RackEv::TenantGen(t));
             }
         }

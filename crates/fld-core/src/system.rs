@@ -597,7 +597,9 @@ pub struct FldSystem {
     // Measurement.
     stats: RunStats,
     measure_from: SimTime,
-    tenant_bytes: std::collections::HashMap<u32, u64>,
+    /// Bytes admitted per tenant context, booked once per emitted
+    /// packet; sorted into `stats.tenant_bytes` at the end of the run.
+    tenant_bytes: std::collections::HashMap<u32, u64, std::hash::BuildHasherDefault<FlowHasher>>,
     // Fault injection (None unless [`FldSystem::enable_faults`] ran —
     // the zero-cost default leaves every hook a no-op).
     faults: Option<FaultInjector>,
@@ -716,12 +718,13 @@ struct FlowHandles {
     bytes: Counter,
 }
 
-/// The hasher of `flow_ctrs`, which is looked up once per received
-/// packet: a fixed-key rotate-multiply fold, one step per word the
-/// key's `Hash` writes, where the default SipHash spends more than the
-/// rest of `count_flow_rx`. The map is only ever probed by key — never iterated,
-/// so its order shows nowhere — and its keys come from the simulation's
-/// own generators, not from input an adversary shapes.
+/// The hasher of `flow_ctrs`, looked up once per received packet, and of
+/// `tenant_bytes`, once per emitted one: a fixed-key rotate-multiply
+/// fold, one step per word the key's `Hash` writes, where the default
+/// SipHash spends more than the rest of `count_flow_rx`. Neither map's
+/// order shows anywhere — `flow_ctrs` is only probed by key and
+/// `tenant_bytes` is sorted before export — and their keys come from the
+/// simulation's own generators, not from input an adversary shapes.
 #[derive(Debug, Default)]
 struct FlowHasher(u64);
 
@@ -914,7 +917,7 @@ impl FldSystem {
                 counters: CounterSnapshot::new(),
             },
             measure_from: SimTime::ZERO,
-            tenant_bytes: std::collections::HashMap::new(),
+            tenant_bytes: std::collections::HashMap::default(),
             faults: None,
             tx_queue_err: (0..fld_cfg.tx_queues)
                 .map(|_| QueueErrorMachine::new(REINIT))
@@ -2563,13 +2566,29 @@ mod tests {
         assert_eq!(stats.counters.sum_prefix("recovery"), injected);
         assert_eq!(book("recovery.open"), 0, "FLD-E faults resolve immediately");
         assert!(stats.audit.passed(), "{}", stats.audit);
-        // Losses surfaced as counted drops, not silent disappearance.
-        let counted = stats.drops.get(drops::FAULT_LINK_DROP)
-            + stats.drops.get(drops::FAULT_CORRUPT)
-            + stats.drops.get(drops::FAULT_PCIE_POISON)
-            + stats.drops.get(drops::FAULT_MALFORMED_WQE);
+        // Losses surfaced as counted drops, not silent disappearance: the
+        // injector books each fault in the tree, the data path books each
+        // loss under its own drop reason, and the two agree kind by kind.
+        let mut counted = 0;
+        for (kind, reason) in [
+            (FaultKind::LinkDrop, drops::FAULT_LINK_DROP),
+            (FaultKind::LinkCorrupt, drops::FAULT_CORRUPT),
+            (FaultKind::PciePoison, drops::FAULT_PCIE_POISON),
+            (FaultKind::MalformedWqe, drops::FAULT_MALFORMED_WQE),
+        ] {
+            let leaf = format!("/{}", kind.name());
+            let booked: u64 = stats
+                .counters
+                .entries()
+                .iter()
+                .filter(|(path, _)| path.starts_with("faults/") && path.ends_with(&leaf))
+                .map(|(_, n)| n)
+                .sum();
+            assert_eq!(booked, stats.drops.get(reason), "{}", kind.name());
+            counted += booked;
+        }
+        assert!(counted > 0, "no injected fault dropped a packet");
         assert_eq!(counted, book("recovery.dropped_counted"));
-        assert_eq!(book("faults.injected"), injected);
     }
 
     #[test]

@@ -52,7 +52,7 @@ const MAX_KICKS: usize = 32;
 /// Result of an insertion attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
-    /// The key was stored in a bank (or replaced an existing value).
+    /// The key was stored in a bank.
     Inserted,
     /// The key was stored, but an entry now waits in the stash.
     InsertedViaStash,
@@ -151,10 +151,16 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
         }
     }
 
-    fn hash_key(&self, key: &K, bank: usize) -> usize {
+    /// The key's hash, taken once per operation; [`Self::bucket`] derives
+    /// each bank's index from it.
+    fn hash_of(key: &K) -> u64 {
         let mut h = FxHasher::default();
         key.hash(&mut h);
-        (mix64(h.finish() ^ self.seeds[bank]) as usize) & (self.bank_slots - 1)
+        h.finish()
+    }
+
+    fn bucket(&self, hash: u64, bank: usize) -> usize {
+        (mix64(hash ^ self.seeds[bank]) as usize) & (self.bank_slots - 1)
     }
 
     /// Number of stored entries (including stash residents).
@@ -194,8 +200,9 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
 
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
+        let hash = Self::hash_of(key);
         for bank in 0..NUM_BANKS {
-            let idx = self.hash_key(key, bank);
+            let idx = self.bucket(hash, bank);
             if let Some(slot) = &self.banks[bank][idx] {
                 if slot.key == *key {
                     return Some(&slot.value);
@@ -207,8 +214,9 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
 
     /// Looks up a key, returning a mutable reference to its value.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let hash = Self::hash_of(key);
         for bank in 0..NUM_BANKS {
-            let idx = self.hash_key(key, bank);
+            let idx = self.bucket(hash, bank);
             // Split the borrow to appease the borrow checker.
             if self.banks[bank][idx]
                 .as_ref()
@@ -228,16 +236,15 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
         self.get(key).is_some()
     }
 
-    /// Inserts or replaces an entry. See [`InsertOutcome`] for the possible
-    /// results; on [`InsertOutcome::Stalled`] the entry was not stored and
-    /// the caller must retry after removing something (this is the
-    /// hardware's pipeline-stall condition).
+    /// Inserts an entry whose key is absent. See [`InsertOutcome`] for the
+    /// possible results; on [`InsertOutcome::Stalled`] the entry was not
+    /// stored and the caller must retry after removing something (this is
+    /// the hardware's pipeline-stall condition).
+    ///
+    /// The key must not be present: a hardware insert does not search for
+    /// a duplicate first. Debug builds check it.
     pub fn insert(&mut self, key: K, value: V) -> InsertOutcome {
-        // Replace in place if present.
-        if let Some(v) = self.get_mut(&key) {
-            *v = value;
-            return InsertOutcome::Inserted;
-        }
+        debug_assert!(self.get(&key).is_none(), "insert of a present key");
         if self.stash.len() >= STASH_SIZE {
             // The paper: "If the stash fills up, insertion of a new entry
             // stalls till some entry is released."
@@ -265,9 +272,11 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
     /// Attempts to place `slot`, displacing entries for up to `MAX_KICKS`
     /// steps. Returns the entry left homeless, if any.
     fn place(&mut self, mut slot: Slot<K, V>) -> Option<Slot<K, V>> {
-        // First pass: any empty slot among the four candidate buckets.
+        // First pass: the first empty bucket among the four candidates,
+        // in bank order.
+        let mut hash = Self::hash_of(&slot.key);
         for bank in 0..NUM_BANKS {
-            let idx = self.hash_key(&slot.key, bank);
+            let idx = self.bucket(hash, bank);
             if self.banks[bank][idx].is_none() {
                 self.banks[bank][idx] = Some(slot);
                 return None;
@@ -276,16 +285,17 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
         // Displacement chain: kick occupants between banks.
         let mut bank = (mix64(self.displacements ^ 0xA5A5) as usize) % NUM_BANKS;
         for _ in 0..MAX_KICKS {
-            let idx = self.hash_key(&slot.key, bank);
+            let idx = self.bucket(hash, bank);
             let displaced = self.banks[bank][idx].replace(slot).expect("occupied slot");
             self.displacements += 1;
             slot = displaced;
+            hash = Self::hash_of(&slot.key);
             // Try the displaced entry's remaining buckets.
             for b in 0..NUM_BANKS {
                 if b == bank {
                     continue;
                 }
-                let i = self.hash_key(&slot.key, b);
+                let i = self.bucket(hash, b);
                 if self.banks[b][i].is_none() {
                     self.banks[b][i] = Some(slot);
                     return None;
@@ -302,8 +312,9 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
         let mut i = 0;
         while i < self.stash.len() {
             let mut placed = false;
+            let hash = Self::hash_of(&self.stash[i].key);
             for bank in 0..NUM_BANKS {
-                let idx = self.hash_key(&self.stash[i].key, bank);
+                let idx = self.bucket(hash, bank);
                 if self.banks[bank][idx].is_none() {
                     let slot = self.stash.swap_remove(i);
                     self.banks[bank][idx] = Some(slot);
@@ -319,8 +330,9 @@ impl<K: Hash + Eq + Clone, V> CuckooTable<K, V> {
 
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
+        let hash = Self::hash_of(key);
         for bank in 0..NUM_BANKS {
-            let idx = self.hash_key(key, bank);
+            let idx = self.bucket(hash, bank);
             if self.banks[bank][idx]
                 .as_ref()
                 .is_some_and(|s| s.key == *key)
@@ -369,15 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn replaces_existing_value() {
-        let mut t = CuckooTable::with_capacity(8);
-        t.insert(1u64, "x");
-        assert_eq!(t.insert(1u64, "y"), InsertOutcome::Inserted);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&1), Some(&"y"));
-    }
-
-    #[test]
     fn holds_capacity_entries_at_half_load() {
         // The paper provisions the table at load factor 1/2 precisely so a
         // full capacity's worth of entries always converges.
@@ -414,7 +417,13 @@ mod tests {
             let key = x % 400;
             if step % 3 == 0 {
                 assert_eq!(t.remove(&key), m.remove(&key), "step {step} key {key}");
-            } else if t.insert(key, step).is_inserted() {
+                continue;
+            }
+            // `insert` takes absent keys only: a re-insert removes first.
+            if let Some(old) = m.remove(&key) {
+                assert_eq!(t.remove(&key), Some(old), "step {step} key {key}");
+            }
+            if t.insert(key, step).is_inserted() {
                 m.insert(key, step);
             } else {
                 // Stall: the model table must also be over capacity.
@@ -493,5 +502,175 @@ mod tests {
     #[should_panic]
     fn zero_capacity_panics() {
         let _: CuckooTable<u8, u8> = CuckooTable::with_capacity(0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "insert of a present key")]
+    fn inserting_a_present_key_panics_in_debug_builds() {
+        let mut t = CuckooTable::with_capacity(8);
+        t.insert(1u64, "x");
+        t.insert(1u64, "y");
+    }
+
+    /// The two-pass insert this table had before it required absent
+    /// keys: a full duplicate search, then a placement that re-hashes the
+    /// key for every bank. Kept as the oracle for placement order, kick
+    /// chains and the stash.
+    mod reference {
+        use super::super::*;
+
+        pub struct Table {
+            pub banks: Vec<Vec<Option<(u64, u64)>>>,
+            bank_slots: usize,
+            pub stash: Vec<(u64, u64)>,
+            seeds: [u64; NUM_BANKS],
+            pub displacements: u64,
+            pub stalls: u64,
+        }
+
+        impl Table {
+            pub fn with_capacity(capacity: usize) -> Self {
+                let bank_slots = (2 * capacity).div_ceil(NUM_BANKS).next_power_of_two();
+                Table {
+                    banks: vec![vec![None; bank_slots]; NUM_BANKS],
+                    bank_slots,
+                    stash: Vec::new(),
+                    seeds: [0x9E37_79B9, 0x85EB_CA6B, 0xC2B2_AE35, 0x27D4_EB2F],
+                    displacements: 0,
+                    stalls: 0,
+                }
+            }
+
+            fn hash_key(&self, key: u64, bank: usize) -> usize {
+                let mut h = FxHasher::default();
+                key.hash(&mut h);
+                (mix64(h.finish() ^ self.seeds[bank]) as usize) & (self.bank_slots - 1)
+            }
+
+            fn find(&self, key: u64) -> Option<(usize, usize)> {
+                (0..NUM_BANKS)
+                    .map(|b| (b, self.hash_key(key, b)))
+                    .find(|&(b, i)| self.banks[b][i].is_some_and(|s| s.0 == key))
+            }
+
+            pub fn insert(&mut self, key: u64, value: u64) -> InsertOutcome {
+                if let Some((b, i)) = self.find(key) {
+                    self.banks[b][i] = Some((key, value));
+                    return InsertOutcome::Inserted;
+                }
+                if let Some(s) = self.stash.iter_mut().find(|s| s.0 == key) {
+                    s.1 = value;
+                    return InsertOutcome::Inserted;
+                }
+                if self.stash.len() >= STASH_SIZE {
+                    self.stalls += 1;
+                    return InsertOutcome::Stalled;
+                }
+                match self.place((key, value)) {
+                    None => {
+                        self.drain_stash();
+                        if self.stash.is_empty() {
+                            InsertOutcome::Inserted
+                        } else {
+                            InsertOutcome::InsertedViaStash
+                        }
+                    }
+                    Some(displaced) => {
+                        self.stash.push(displaced);
+                        InsertOutcome::InsertedViaStash
+                    }
+                }
+            }
+
+            fn place(&mut self, mut slot: (u64, u64)) -> Option<(u64, u64)> {
+                for bank in 0..NUM_BANKS {
+                    let idx = self.hash_key(slot.0, bank);
+                    if self.banks[bank][idx].is_none() {
+                        self.banks[bank][idx] = Some(slot);
+                        return None;
+                    }
+                }
+                let mut bank = (mix64(self.displacements ^ 0xA5A5) as usize) % NUM_BANKS;
+                for _ in 0..MAX_KICKS {
+                    let idx = self.hash_key(slot.0, bank);
+                    slot = self.banks[bank][idx].replace(slot).expect("occupied slot");
+                    self.displacements += 1;
+                    for b in 0..NUM_BANKS {
+                        if b == bank {
+                            continue;
+                        }
+                        let i = self.hash_key(slot.0, b);
+                        if self.banks[b][i].is_none() {
+                            self.banks[b][i] = Some(slot);
+                            return None;
+                        }
+                    }
+                    bank = (bank + 1) % NUM_BANKS;
+                }
+                Some(slot)
+            }
+
+            fn drain_stash(&mut self) {
+                let mut i = 0;
+                while i < self.stash.len() {
+                    let key = self.stash[i].0;
+                    match (0..NUM_BANKS)
+                        .map(|b| (b, self.hash_key(key, b)))
+                        .find(|&(b, idx)| self.banks[b][idx].is_none())
+                    {
+                        Some((b, idx)) => self.banks[b][idx] = Some(self.stash.swap_remove(i)),
+                        None => i += 1,
+                    }
+                }
+            }
+
+            pub fn remove(&mut self, key: u64) -> Option<u64> {
+                if let Some((b, i)) = self.find(key) {
+                    let slot = self.banks[b][i].take().expect("found");
+                    self.drain_stash();
+                    return Some(slot.1);
+                }
+                let pos = self.stash.iter().position(|s| s.0 == key)?;
+                Some(self.stash.swap_remove(pos).1)
+            }
+
+            pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+                self.banks
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .chain(&self.stash)
+                    .copied()
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Absent-key inserts and removes on a table small enough to kick,
+        /// stash and stall: every outcome, the slot order (banks, then the
+        /// stash), `displacements()` and `stalls()` match the two-pass
+        /// insert.
+        #[test]
+        fn one_probe_insert_matches_the_two_pass_insert(
+            ops in proptest::collection::vec((0u64..32, 0u64..4), 1..300),
+        ) {
+            // Eight bank slots and four stash entries against 32 keys, three
+            // in four operations an insert: the table fills, kicks and stalls.
+            let mut t = CuckooTable::with_capacity(4);
+            let mut r = reference::Table::with_capacity(4);
+            for (i, (key, op)) in ops.into_iter().enumerate() {
+                if op == 0 {
+                    assert_eq!(t.remove(&key), r.remove(key), "op {i}: remove {key}");
+                } else if !t.contains_key(&key) {
+                    assert_eq!(t.insert(key, i as u64), r.insert(key, i as u64), "op {i}");
+                }
+                let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(got, r.iter().collect::<Vec<_>>(), "op {i}");
+                assert_eq!(t.displacements(), r.displacements, "op {i}");
+                assert_eq!(t.stalls(), r.stalls, "op {i}");
+                assert_eq!(t.stash_len(), r.stash.len(), "op {i}");
+            }
+        }
     }
 }

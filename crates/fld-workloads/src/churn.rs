@@ -63,8 +63,10 @@ pub struct ChurnProcess {
     /// Active flows, in arrival order. Departure swaps-removes; picks
     /// index directly — no ordering-sensitive map anywhere.
     active: Vec<ChurnFlow>,
-    /// Active-flow count per tenant (index = tenant id).
-    per_tenant: Vec<u32>,
+    /// Per tenant (index = tenant id), the ascending positions in
+    /// `active` of its flows: the pick index, so a pick reads the `nth`
+    /// of a tenant's flows without scanning the others.
+    slots: Vec<Vec<u32>>,
     /// True while the node is crashed: its flows are killed and no new
     /// flow may originate there (index = node id).
     down: Vec<bool>,
@@ -82,7 +84,7 @@ impl ChurnProcess {
         let mut p = ChurnProcess {
             cfg,
             active: Vec::new(),
-            per_tenant: vec![0; cfg.tenants as usize],
+            slots: vec![Vec::new(); cfg.tenants as usize],
             down: vec![false; cfg.nodes as usize],
             next_id: 0,
             next_port: 20_000,
@@ -130,9 +132,28 @@ impl ChurnProcess {
         };
         self.next_id += 1;
         self.next_port = self.next_port.wrapping_add(1).max(1024);
-        self.per_tenant[tenant as usize] += 1;
+        self.slots[tenant as usize].push(self.active.len() as u32);
         self.active.push(flow);
         flow
+    }
+
+    /// `active.swap_remove(i)` with the pick index kept: position `i`
+    /// leaves its tenant's list, and the last flow, which moves into
+    /// `i`, has its position rewritten in its own.
+    fn remove_at(&mut self, i: usize) {
+        let gone = &mut self.slots[self.active[i].tenant as usize];
+        let at = gone.binary_search(&(i as u32)).expect("indexed flow");
+        gone.remove(at);
+        let last = self.active.len() - 1;
+        if i != last {
+            // The last position is its tenant's greatest: pop it, then
+            // file `i` in order.
+            let moved = &mut self.slots[self.active[last].tenant as usize];
+            moved.pop();
+            let at = moved.partition_point(|&p| p < i as u32);
+            moved.insert(at, i as u32);
+        }
+        self.active.swap_remove(i);
     }
 
     /// A node crashed: every flow sourced there dies immediately (even a
@@ -146,9 +167,7 @@ impl ChurnProcess {
         let mut i = 0;
         while i < self.active.len() {
             if self.active[i].src_node == node {
-                let tenant = self.active[i].tenant as usize;
-                self.per_tenant[tenant] -= 1;
-                self.active.swap_remove(i);
+                self.remove_at(i);
                 killed += 1;
             } else {
                 i += 1;
@@ -205,12 +224,10 @@ impl ChurnProcess {
         let Some(i) = self.active.iter().position(|f| f.id == id) else {
             return false;
         };
-        let tenant = self.active[i].tenant as usize;
-        if self.per_tenant[tenant] <= 1 {
+        if self.slots[self.active[i].tenant as usize].len() <= 1 {
             return false;
         }
-        self.per_tenant[tenant] -= 1;
-        self.active.swap_remove(i);
+        self.remove_at(i);
         self.departures += 1;
         true
     }
@@ -218,16 +235,12 @@ impl ChurnProcess {
     /// Picks a uniformly random active flow of `tenant` for its next
     /// packet. `None` only for a tenant outside the configured range.
     pub fn pick(&self, tenant: u16, rng: &mut SimRng) -> Option<ChurnFlow> {
-        let count = *self.per_tenant.get(tenant as usize)? as u64;
-        if count == 0 {
+        let slots = self.slots.get(tenant as usize)?;
+        if slots.is_empty() {
             return None;
         }
-        let nth = rng.next_below(count);
-        self.active
-            .iter()
-            .filter(|f| f.tenant == tenant)
-            .nth(nth as usize)
-            .copied()
+        let nth = rng.next_below(slots.len() as u64) as usize;
+        Some(self.active[slots[nth] as usize])
     }
 
     /// Currently active flows.
@@ -321,7 +334,7 @@ mod tests {
         let mut rng = SimRng::seed_from(1);
         let p = ChurnProcess::new(cfg(), &mut rng);
         assert_eq!(p.active_count(), 8);
-        assert_eq!(p.per_tenant, [2; 4]);
+        assert!(p.slots.iter().all(|s| s.len() == 2));
     }
 
     #[test]
@@ -427,7 +440,7 @@ mod tests {
         let revived = p.node_up(2);
         assert_eq!(revived, 4, "one flow per tenant rejoins the node");
         assert_eq!(p.active_on(2), 4);
-        assert!(p.per_tenant.iter().all(|&n| n >= 1));
+        assert!(p.slots.iter().all(|s| !s.is_empty()));
         // The node is back in the spawn rotation.
         let mut seen = false;
         for _ in 0..100 {
@@ -452,6 +465,64 @@ mod tests {
                 (fa.src_node, fa.src_port, la),
                 (fb.src_node, fb.src_port, lb)
             );
+        }
+    }
+
+    /// The scan the pick index replaced: the `nth` of the tenant's flows
+    /// in `active` order, under the same draw.
+    fn scanned_pick(p: &ChurnProcess, tenant: u16, rng: &mut SimRng) -> Option<ChurnFlow> {
+        let count = p.active.iter().filter(|f| f.tenant == tenant).count() as u64;
+        if (tenant as usize) >= p.slots.len() || count == 0 {
+            return None;
+        }
+        let nth = rng.next_below(count) as usize;
+        p.active
+            .iter()
+            .filter(|f| f.tenant == tenant)
+            .nth(nth)
+            .copied()
+    }
+
+    proptest::proptest! {
+        /// Under random arrivals, departures, node crashes and recoveries,
+        /// every pick equals the scan's and draws the same numbers, and
+        /// each tenant's index lists exactly its flows' positions.
+        #[test]
+        fn indexed_pick_matches_the_scan(
+            seed: u64,
+            ops in proptest::collection::vec((0u8..5, 0u16..6), 1..200),
+        ) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut p = ChurnProcess::new(cfg(), &mut rng);
+            let mut born: Vec<u64> = (0..p.active_count() as u64).collect();
+            for (op, arg) in ops {
+                match op {
+                    0 => born.push(p.arrive(&mut rng).0.id),
+                    1 if !born.is_empty() => {
+                        let id = born[arg as usize % born.len()];
+                        p.depart(id);
+                    }
+                    2 => {
+                        p.node_down(arg % 3);
+                    }
+                    3 => {
+                        p.node_up(arg % 3);
+                    }
+                    _ => {
+                        // Tenants 4 and 5 are outside the range: `None`.
+                        let mut scan = rng.clone();
+                        let got = p.pick(arg, &mut rng);
+                        assert_eq!(got, scanned_pick(&p, arg, &mut scan));
+                        assert_eq!(rng.next_u64(), scan.next_u64());
+                    }
+                }
+                for (t, slots) in p.slots.iter().enumerate() {
+                    let want: Vec<u32> = (0..p.active.len() as u32)
+                        .filter(|&i| p.active[i as usize].tenant as usize == t)
+                        .collect();
+                    assert_eq!(slots, &want);
+                }
+            }
         }
     }
 }
